@@ -260,8 +260,8 @@ pub fn render_report(report: &DseReport) -> String {
         "DSE sweep - {} of {} grid points ({} models x {} widths x geometries)",
         report.entries.len(),
         report.total_points,
-        report.spec.unique_models().len(),
-        report.spec.effective_widths(OperandWidth::Int8).len(),
+        report.spec.axes().unique_models().len(),
+        report.spec.axes().effective_widths(OperandWidth::Int8).len(),
     );
     let _ = writeln!(
         out,
@@ -312,8 +312,8 @@ pub fn render_report(report: &DseReport) -> String {
             );
         }
     }
-    for kind in report.spec.unique_models() {
-        for sparsity in report.spec.unique_sparsity() {
+    for kind in report.spec.axes().unique_models() {
+        for sparsity in report.spec.axes().unique_sparsity() {
             let frontier = report.pareto_frontier(kind, sparsity);
             if frontier.is_empty() {
                 continue;

@@ -40,7 +40,7 @@ use serde::{Deserialize, Error, Serialize};
 
 use crate::error::PipelineError;
 use crate::pipeline::{CodesignResult, PipelineConfig};
-use crate::session::{par, BatchRunner, SessionCacheStats, SweepEntry, SweepSpec};
+use crate::session::{par, BatchRunner, SessionCacheStats, SweepEntry};
 
 /// Milliseconds since the Unix epoch — the timestamp resolution of DSE
 /// snapshots. Timestamps record *when* a point was computed; every equality
@@ -158,44 +158,20 @@ impl DseSpec {
         self
     }
 
-    /// The equivalent sweep axes (used for the shared dedup helpers).
-    fn as_sweep(&self) -> SweepSpec {
-        SweepSpec::new(self.models.clone())
-            .with_sparsity(self.sparsity.clone())
-            .with_widths(self.widths.clone())
-            .with_pruning(self.pruning.clone())
-    }
-
-    /// The requested models, duplicates removed, in first-seen order.
+    /// The spec's model, sparsity, width and pruning axes.
     #[must_use]
-    pub fn unique_models(&self) -> Vec<ModelKind> {
-        self.as_sweep().unique_models()
-    }
-
-    /// The requested sparsity configurations in canonical Fig. 7 order.
-    #[must_use]
-    pub fn unique_sparsity(&self) -> Vec<SparsityConfig> {
-        self.as_sweep().unique_sparsity()
-    }
-
-    /// The operand widths the exploration runs at, in canonical
-    /// narrow-to-wide order (`session_width` when none were requested).
-    #[must_use]
-    pub fn effective_widths(&self, session_width: OperandWidth) -> Vec<OperandWidth> {
-        self.as_sweep().effective_widths(session_width)
-    }
-
-    /// The pruning specs the exploration runs at, in request order
-    /// (deduplicated); `session_pruning` when none were requested.
-    #[must_use]
-    pub fn effective_pruning(&self, session_pruning: PruningSpec) -> Vec<PruningSpec> {
-        self.as_sweep().effective_pruning(session_pruning)
+    pub fn axes(&self) -> PointAxes<'_> {
+        PointAxes {
+            models: &self.models,
+            sparsity: &self.sparsity,
+            widths: &self.widths,
+            pruning: &self.pruning,
+        }
     }
 
     /// Every (model, width, pruning, geometry) point of the exploration in
-    /// canonical order: models outermost (first-seen), then widths (narrow
-    /// to wide), then pruning specs (request order), then geometries (grid
-    /// enumeration order).
+    /// canonical order (see [`PointAxes::points`]), geometries in grid
+    /// enumeration order.
     ///
     /// # Errors
     ///
@@ -207,23 +183,103 @@ impl DseSpec {
         session_pruning: PruningSpec,
     ) -> Result<Vec<DsePoint>, PipelineError> {
         let archs = self.grid.enumerate().map_err(grid_error)?;
-        let mut points =
-            Vec::with_capacity(self.unique_models().len() * archs.len().max(1) * 2usize);
-        for kind in self.unique_models() {
-            for width in self.effective_widths(session_width) {
-                for pruning in self.effective_pruning(session_pruning) {
-                    for &arch in &archs {
-                        points.push(DsePoint { kind, width, pruning, arch });
-                    }
-                }
-            }
-        }
-        Ok(points)
+        Ok(self.axes().points(&archs, session_width, session_pruning))
     }
 }
 
 fn grid_error(e: GridError) -> PipelineError {
     PipelineError::BadConfig { reason: e.to_string() }
+}
+
+/// The model, sparsity, width and pruning axes of a
+/// [`SweepSpec`](crate::SweepSpec) or a [`DseSpec`], borrowed from the
+/// spec. This is the one place both specs canonicalize their axes and
+/// expand into [`DsePoint`]s, so a sweep and an exploration over the same
+/// axes run the same points in the same order.
+#[derive(Debug, Clone, Copy)]
+pub struct PointAxes<'a> {
+    /// Requested models (duplicates are executed once).
+    pub(crate) models: &'a [ModelKind],
+    /// Requested sparsity configurations (duplicates are executed once).
+    pub(crate) sparsity: &'a [SparsityConfig],
+    /// Requested operand widths; empty means the session's.
+    pub(crate) widths: &'a [OperandWidth],
+    /// Requested pruning specs; empty means the session's.
+    pub(crate) pruning: &'a [PruningSpec],
+}
+
+impl PointAxes<'_> {
+    /// The requested models, duplicates removed, in first-seen order.
+    #[must_use]
+    pub fn unique_models(&self) -> Vec<ModelKind> {
+        first_seen(self.models)
+    }
+
+    /// The requested sparsity configurations in canonical Fig. 7 order,
+    /// duplicates removed.
+    #[must_use]
+    pub fn unique_sparsity(&self) -> Vec<SparsityConfig> {
+        SparsityConfig::all().into_iter().filter(|s| self.sparsity.contains(s)).collect()
+    }
+
+    /// The operand widths to run at: the requested ones in canonical
+    /// narrow-to-wide order, or `session_width` when none were requested.
+    #[must_use]
+    pub fn effective_widths(&self, session_width: OperandWidth) -> Vec<OperandWidth> {
+        if self.widths.is_empty() {
+            return vec![session_width];
+        }
+        OperandWidth::all().into_iter().filter(|w| self.widths.contains(w)).collect()
+    }
+
+    /// The pruning specs to run at: the requested ones in request order,
+    /// duplicates removed, or `session_pruning` when none were requested.
+    /// Request order *is* the canonical order for this axis — fractions
+    /// are floats, so there is no finite enumeration to rank by.
+    #[must_use]
+    pub fn effective_pruning(&self, session_pruning: PruningSpec) -> Vec<PruningSpec> {
+        if self.pruning.is_empty() {
+            return vec![session_pruning];
+        }
+        first_seen(self.pruning)
+    }
+
+    /// Every (model, width, pruning, geometry) point over `archs` in
+    /// canonical order: models outermost (first-seen), then widths (narrow
+    /// to wide), then pruning specs (request order), then `archs` in the
+    /// order given.
+    #[must_use]
+    pub fn points(
+        &self,
+        archs: &[ArchConfig],
+        session_width: OperandWidth,
+        session_pruning: PruningSpec,
+    ) -> Vec<DsePoint> {
+        let widths = self.effective_widths(session_width);
+        let prunings = self.effective_pruning(session_pruning);
+        let mut points = Vec::new();
+        for kind in self.unique_models() {
+            for &width in &widths {
+                for &pruning in &prunings {
+                    for &arch in archs {
+                        points.push(DsePoint { kind, width, pruning, arch });
+                    }
+                }
+            }
+        }
+        points
+    }
+}
+
+/// `items` with duplicates removed, in first-seen order.
+pub(crate) fn first_seen<T: Copy + PartialEq>(items: &[T]) -> Vec<T> {
+    let mut seen = Vec::with_capacity(items.len());
+    for &item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
+        }
+    }
+    seen
 }
 
 /// One (model, width, pruning, geometry) point of a [`DseSpec`].
@@ -253,25 +309,26 @@ fn point_key(
     pruning: PruningSpec,
     arch: &ArchConfig,
 ) -> PointKey {
-    (
-        kind,
-        width.bits(),
-        pruning.key_bits(),
-        [
-            arch.macros as u64,
-            arch.compartments_per_macro as u64,
-            arch.dbmus_per_compartment as u64,
-            arch.rows_per_dbmu as u64,
-            arch.frequency_mhz.to_bits(),
-            arch.feature_buffer_bytes as u64,
-            arch.weight_buffer_bytes as u64,
-            arch.meta_buffer_bytes as u64,
-            arch.instruction_buffer_bytes as u64,
-            arch.meta_rf_bytes as u64,
-            arch.output_rf_bytes as u64,
-            arch.dense_filters_per_macro as u64,
-        ],
-    )
+    (kind, width.bits(), pruning.key_bits(), arch_key(arch))
+}
+
+/// Every `ArchConfig` field as a hashable array (the frequency by bit
+/// pattern).
+fn arch_key(arch: &ArchConfig) -> [u64; 12] {
+    [
+        arch.macros as u64,
+        arch.compartments_per_macro as u64,
+        arch.dbmus_per_compartment as u64,
+        arch.rows_per_dbmu as u64,
+        arch.frequency_mhz.to_bits(),
+        arch.feature_buffer_bytes as u64,
+        arch.weight_buffer_bytes as u64,
+        arch.meta_buffer_bytes as u64,
+        arch.instruction_buffer_bytes as u64,
+        arch.meta_rf_bytes as u64,
+        arch.output_rf_bytes as u64,
+        arch.dense_filters_per_macro as u64,
+    ]
 }
 
 impl DsePoint {
@@ -465,52 +522,15 @@ impl DseReport {
         })
     }
 
-    /// The canonical rank of every possible point of the spec: model
-    /// (first-seen in the spec), then width (narrow to wide, over *all*
-    /// widths so the ranking never depends on the session width), then
-    /// pruning (the spec's request order, with the identity spec appended
-    /// when absent so default-session entries always rank), then geometry
-    /// (grid enumeration order). Built once and used for hashed lookups —
-    /// entry ordering must never cost a linear `ArchConfig` scan per
-    /// element.
-    fn canonical_rank(&self) -> HashMap<PointKey, usize> {
-        let archs = self.spec.grid.enumerate().unwrap_or_default();
-        let mut prunings: Vec<PruningSpec> = Vec::new();
-        for &spec in &self.spec.pruning {
-            if !prunings.contains(&spec) {
-                prunings.push(spec);
-            }
-        }
-        if !prunings.contains(&PruningSpec::none()) {
-            prunings.push(PruningSpec::none());
-        }
-        let mut rank = HashMap::new();
-        let mut next = 0usize;
-        for kind in self.spec.unique_models() {
-            for width in OperandWidth::all() {
-                for &pruning in &prunings {
-                    for arch in &archs {
-                        rank.insert(point_key(kind, width, pruning, arch), next);
-                        next += 1;
-                    }
-                }
-            }
-        }
-        rank
-    }
-
-    fn sort_by_rank(entries: &mut [DseEntry], rank: &HashMap<PointKey, usize>) {
-        // Stable sort: unknown keys go last, preserving their relative
-        // order.
-        entries.sort_by_cached_key(|e| rank.get(&e.key()).copied().unwrap_or(usize::MAX));
-    }
-
     /// Sorts the entries into canonical spec order: model (first-seen in the
-    /// spec), then width (narrow to wide), then geometry (grid enumeration
-    /// order). Unknown keys sort last, preserving their relative order.
+    /// spec), then width (narrow to wide), then pruning (the spec's request
+    /// order, then the identity spec, then any other spec by its
+    /// [`key_bits`](PruningSpec::key_bits)), then geometry (grid
+    /// enumeration order). The key comes from each entry itself, so entries
+    /// at a session pruning the spec does not name still sort. A model or
+    /// geometry outside the spec sorts last; the sort is stable.
     pub fn sort_canonical(&mut self) {
-        let rank = self.canonical_rank();
-        Self::sort_by_rank(&mut self.entries, &rank);
+        CanonicalOrder::new(&self.spec).sort(&mut self.entries);
     }
 
     /// `true` when both reports answer the same spec with identical results
@@ -717,6 +737,48 @@ impl DseReport {
     }
 }
 
+/// The canonical entry order of one spec (see
+/// [`DseReport::sort_canonical`]): the spec's model and pruning positions
+/// plus a hashed geometry index, built once per sort so ordering never
+/// costs a linear `ArchConfig` scan per entry.
+struct CanonicalOrder {
+    models: Vec<ModelKind>,
+    pruning: Vec<(u8, u64)>,
+    archs: HashMap<[u64; 12], usize>,
+}
+
+/// A sort key: model position, width bits, (pruning position, pruning
+/// bits), geometry index.
+type CanonicalKey = (usize, u32, (usize, (u8, u64)), usize);
+
+impl CanonicalOrder {
+    fn new(spec: &DseSpec) -> Self {
+        let archs = spec.grid.enumerate().unwrap_or_default();
+        Self {
+            models: spec.axes().unique_models(),
+            pruning: first_seen(&spec.pruning).iter().map(PruningSpec::key_bits).collect(),
+            // A geometry the grid repeats takes its last index.
+            archs: archs.iter().enumerate().map(|(index, arch)| (arch_key(arch), index)).collect(),
+        }
+    }
+
+    fn key(&self, entry: &DseEntry) -> CanonicalKey {
+        let model = self.models.iter().position(|&m| m == entry.kind).unwrap_or(usize::MAX);
+        let bits = entry.pruning.key_bits();
+        let pruning = match self.pruning.iter().position(|&p| p == bits) {
+            Some(index) => (index, (0, 0)),
+            None if bits == PruningSpec::none().key_bits() => (self.pruning.len(), (0, 0)),
+            None => (self.pruning.len() + 1, bits),
+        };
+        let arch = self.archs.get(&arch_key(&entry.arch)).copied().unwrap_or(usize::MAX);
+        (model, entry.width.bits(), pruning, arch)
+    }
+
+    fn sort(&self, entries: &mut [DseEntry]) {
+        entries.sort_by_cached_key(|e| self.key(e));
+    }
+}
+
 /// One aggregated (width, pruning, geometry) candidate of a workload mix
 /// (see [`DseReport::aggregate_metrics`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -835,7 +897,7 @@ impl DseDriver {
         let session_pruning = self.runner.session().config().pruning;
         let points = spec.points(session_width, session_pruning)?;
         let _span = dbpim_trace::span!("dse.run", points = points.len());
-        let sparsity = spec.unique_sparsity();
+        let sparsity = spec.axes().unique_sparsity();
         let start = Instant::now();
 
         let mut report = self.load_or_new(spec, points.len())?;
@@ -845,7 +907,7 @@ impl DseDriver {
         // Hashed point bookkeeping, built once per run: the largest legal
         // spec has tens of thousands of points, and linear `ArchConfig`
         // scans per point (or per sort key) would dwarf the simulations.
-        let rank = report.canonical_rank();
+        let order = CanonicalOrder::new(spec);
         let have: HashSet<PointKey> = report.entries.iter().map(DseEntry::key).collect();
         let mut missing: Vec<DsePoint> =
             points.iter().filter(|p| !have.contains(&p.key())).copied().collect();
@@ -884,7 +946,7 @@ impl DseDriver {
                     Err(e) => failure = failure.or(Some(e)),
                 }
             }
-            DseReport::sort_by_rank(&mut report.entries, &rank);
+            order.sort(&mut report.entries);
             report.wall_time = prior_wall + start.elapsed();
             self.persist(&mut report)?;
             if let Some(e) = failure {

@@ -16,10 +16,11 @@
 //! * [`SimSession`] — a cache of artifacts keyed by model, shared by every
 //!   consumer (experiment binaries, examples, benches).
 //! * [`BatchRunner`] — executes a [`SweepSpec`] (models × sparsity × arch ×
-//!   operand width × pruning) in parallel over scoped std threads (see [`par`]; rayon
-//!   is unavailable in the offline build environment) and returns a
-//!   structured [`SweepReport`] that serializes and [`SweepReport::merge`]s
-//!   for sharded sweeps.
+//!   operand width × pruning) as a list of [`DsePoint`]s, in parallel over
+//!   scoped std threads (see [`par`]; rayon is unavailable in the offline
+//!   build environment), and returns a structured [`SweepReport`].
+//!   Persisted, resumable and merged point sets are
+//!   [`DseReport`](crate::DseReport)s.
 //!
 //! Results are bit-identical to independent [`Pipeline`](crate::Pipeline)
 //! runs — [`Pipeline::run_model`](crate::Pipeline::run_model) itself is a
@@ -29,7 +30,6 @@
 pub mod par;
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -49,6 +49,7 @@ use dbpim_tensor::PruningSpec;
 use serde::value::{get_field, type_error, Value};
 use serde::{Deserialize, Error, Serialize};
 
+use crate::dse::{first_seen, DsePoint, PointAxes};
 use crate::error::PipelineError;
 use crate::measure::measure_input_sparsity;
 use crate::pipeline::{CodesignResult, PipelineConfig};
@@ -874,68 +875,38 @@ impl SweepSpec {
         self
     }
 
-    /// The requested models with duplicates removed, in first-seen order.
+    /// The spec's model, sparsity, width and pruning axes.
     #[must_use]
-    pub fn unique_models(&self) -> Vec<ModelKind> {
-        let mut seen = Vec::new();
-        for &kind in &self.models {
-            if !seen.contains(&kind) {
-                seen.push(kind);
-            }
+    pub fn axes(&self) -> PointAxes<'_> {
+        PointAxes {
+            models: &self.models,
+            sparsity: &self.sparsity,
+            widths: &self.widths,
+            pruning: &self.pruning,
         }
-        seen
-    }
-
-    /// The requested sparsity configurations in canonical Fig. 7 order,
-    /// duplicates removed.
-    #[must_use]
-    pub fn unique_sparsity(&self) -> Vec<SparsityConfig> {
-        // Canonical Fig. 7 order, filtered to the requested set.
-        SparsityConfig::all().into_iter().filter(|s| self.sparsity.contains(s)).collect()
     }
 
     /// The geometries the sweep actually runs: the explicit list (deduped,
     /// in request order), or `session_arch` when none were given.
     #[must_use]
     pub fn effective_archs(&self, session_arch: ArchConfig) -> Vec<ArchConfig> {
-        let mut archs: Vec<ArchConfig> = Vec::new();
-        let requested = if self.archs.is_empty() { vec![session_arch] } else { self.archs.clone() };
-        for arch in requested {
-            if !archs.contains(&arch) {
-                archs.push(arch);
-            }
+        if self.archs.is_empty() {
+            return vec![session_arch];
         }
-        archs
+        first_seen(&self.archs)
     }
 
-    /// The operand widths the sweep actually runs: the explicit list in
-    /// canonical narrow-to-wide order, or `session_width` when none were
-    /// given.
+    /// Every (model, width, pruning, geometry) point of the sweep in
+    /// canonical order (see [`PointAxes::points`]), geometries from
+    /// [`effective_archs`](Self::effective_archs); unset axes take the
+    /// `session` configuration's value.
     #[must_use]
-    pub fn effective_widths(&self, session_width: OperandWidth) -> Vec<OperandWidth> {
-        if self.widths.is_empty() {
-            return vec![session_width];
-        }
-        // Canonical narrow-to-wide order, deduplicated.
-        OperandWidth::all().into_iter().filter(|w| self.widths.contains(w)).collect()
-    }
-
-    /// The pruning specs the sweep actually runs: the explicit list in
-    /// request order (deduplicated), or `session_pruning` when none were
-    /// given. Request order *is* the canonical order for this axis —
-    /// fractions are floats, so there is no finite enumeration to rank by.
-    #[must_use]
-    pub fn effective_pruning(&self, session_pruning: PruningSpec) -> Vec<PruningSpec> {
-        if self.pruning.is_empty() {
-            return vec![session_pruning];
-        }
-        let mut specs: Vec<PruningSpec> = Vec::new();
-        for &spec in &self.pruning {
-            if !specs.contains(&spec) {
-                specs.push(spec);
-            }
-        }
-        specs
+    pub fn points(&self, session: &PipelineConfig) -> Vec<DsePoint> {
+        self.axes().points(
+            &self.effective_archs(session.arch),
+            session.operand_width,
+            session.pruning,
+        )
     }
 }
 
@@ -997,10 +968,10 @@ impl Deserialize for SweepEntry {
 
 /// The structured outcome of a [`BatchRunner`] sweep.
 ///
-/// Reports serialize through the vendored `serde_json`
-/// (`serde_json::to_string` / `from_str` round-trips are exercised by the
-/// workspace test suite), so sharded sweeps can persist their partial
-/// reports and [`merge`](Self::merge) them afterwards.
+/// Reports serialize through the vendored `serde_json`. Persisted,
+/// resumable and merged point sets are [`DseReport`](crate::DseReport)s:
+/// run the point set as a [`DseSpec`](crate::DseSpec) through a
+/// [`DseDriver`](crate::DseDriver).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
     /// One entry per (model, width, pruning, geometry), in spec order
@@ -1038,76 +1009,6 @@ impl SweepReport {
     pub fn results(&self) -> impl Iterator<Item = &CodesignResult> {
         self.entries.iter().map(|e| &e.result)
     }
-
-    /// Merges another report into this one (sharded sweeps: independent
-    /// processes split a sweep and combine their reports afterwards).
-    ///
-    /// Entries concatenate in order — `self`'s entries first, then `other`'s
-    /// — except that an entry of `other` identical to one already present is
-    /// dropped: overlapping shards of the same deterministic sweep dedupe
-    /// instead of double-counting, and merging a report with itself is the
-    /// identity. Entries that merely share a (model, width, geometry) key
-    /// but differ in content (e.g. shards split by sparsity configuration)
-    /// are both kept.
-    ///
-    /// The wall time is the maximum of the two (shards run in parallel);
-    /// `prepared_models` and `simulated_runs` are recomputed from the
-    /// retained entries (distinct (model, width, pruning) triples and total
-    /// simulation runs respectively), so they stay consistent under overlap.
-    #[must_use]
-    pub fn merge(mut self, other: SweepReport) -> SweepReport {
-        for entry in other.entries {
-            if !self.entries.contains(&entry) {
-                self.entries.push(entry);
-            }
-        }
-        self.wall_time = self.wall_time.max(other.wall_time);
-        let mut prepared: Vec<(ModelKind, OperandWidth, PruningSpec)> = Vec::new();
-        for entry in &self.entries {
-            if !prepared.contains(&(entry.kind, entry.width, entry.pruning)) {
-                prepared.push((entry.kind, entry.width, entry.pruning));
-            }
-        }
-        self.prepared_models = prepared.len();
-        self.simulated_runs = self.entries.iter().map(|e| e.result.runs.len()).sum();
-        self
-    }
-
-    /// Persists the report as JSON (vendored serde_json) at `path`.
-    ///
-    /// Together with [`load`](Self::load) and [`merge`](Self::merge) this is
-    /// the disk half of sharded sweeps: each shard saves its partial report
-    /// and a combiner loads and merges them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] when serialization or the write
-    /// fails (the path is included in the message).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PipelineError> {
-        let path = path.as_ref();
-        let json = serde_json::to_string(self).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot serialize sweep report: {e}"),
-        })?;
-        std::fs::write(path, json).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot write sweep report to {}: {e}", path.display()),
-        })
-    }
-
-    /// Loads a report previously persisted with [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] when the file cannot be read or
-    /// does not parse as a sweep report.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PipelineError> {
-        let path = path.as_ref();
-        let json = std::fs::read_to_string(path).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot read sweep report from {}: {e}", path.display()),
-        })?;
-        serde_json::from_str(&json).map_err(|e| PipelineError::BadConfig {
-            reason: format!("malformed sweep report in {}: {e}", path.display()),
-        })
-    }
 }
 
 /// One (operand width, pruning) point of the joint sweep space a
@@ -1116,12 +1017,13 @@ type SessionVariant = (OperandWidth, PruningSpec);
 
 /// Executes [`SweepSpec`]s against a shared [`SimSession`], in parallel.
 ///
-/// Parallelism has two phases: artifact preparation (the expensive
-/// model-side stages plus per-geometry compilation) fans out one task per
-/// distinct (model, width), then simulation fans out one task per (model,
-/// width, geometry, sparsity) point. Compiled programs are reused across
-/// every sparsity configuration of a model — the dense and DB-PIM programs
-/// are each built exactly once per (model, width, geometry).
+/// A sweep is a list of [`DsePoint`]s, and every point runs through
+/// [`run_point_pruned`](Self::run_point_pruned), the path the DSE driver,
+/// the fleet and the serving daemon use too. Points fan out over worker
+/// threads; the session's single-flight cache prepares each (model, width,
+/// pruning) artifact set once, and the dense and DB-PIM programs are each
+/// compiled once per (model, width, pruning, geometry) and reused across
+/// every sparsity configuration.
 ///
 /// The runner keeps one [`SimSession`] per swept (operand width, pruning)
 /// variant (the base session serves its configured pair), so artifacts are
@@ -1249,10 +1151,8 @@ impl BatchRunner {
 
     /// Runs one (model, width, geometry) sweep point and returns its entry,
     /// reusing every cached artifact. `arch == None` means "the session's
-    /// configured geometry". The entry content is bit-identical to the
-    /// corresponding entry of a full [`Self::run_with_fidelity`] sweep —
-    /// both paths draw from the same [`ModelArtifacts`] — which the serving
-    /// layer's round-trip test asserts.
+    /// configured geometry". A full [`Self::run_with_fidelity`] sweep runs
+    /// each of its points through here too.
     ///
     /// # Errors
     ///
@@ -1329,17 +1229,14 @@ impl BatchRunner {
         with_fidelity: bool,
     ) -> Result<SweepReport, PipelineError> {
         let start = Instant::now();
-        let _span = dbpim_trace::span!(
-            "batch.sweep",
-            models = spec.unique_models().len(),
-            fidelity = with_fidelity,
-        );
-        let models = spec.unique_models();
-        let sparsity = spec.unique_sparsity();
-        let archs = spec.effective_archs(self.session.config().arch);
-        let widths = spec.effective_widths(self.session.config().operand_width);
-        let prunings = spec.effective_pruning(self.session.config().pruning);
-        let fidelity = with_fidelity && self.session.config().evaluation_images > 0;
+        let axes = spec.axes();
+        let models = axes.unique_models();
+        let _span =
+            dbpim_trace::span!("batch.sweep", models = models.len(), fidelity = with_fidelity);
+        let session = self.session.config();
+        let archs = spec.effective_archs(session.arch);
+        let widths = axes.effective_widths(session.operand_width);
+        let prunings = axes.effective_pruning(session.pruning);
         // Reject infeasible geometry or pruning overrides before any
         // expensive work.
         for arch in &archs {
@@ -1348,94 +1245,24 @@ impl BatchRunner {
         for pruning in &prunings {
             pruning.validate().map_err(|reason| PipelineError::BadConfig { reason })?;
         }
-
-        // Phase 1: prepare artifacts, compile every geometry, and (when
-        // requested) evaluate fidelity — one parallel task per (model,
-        // width, pruning). Fidelity only exists on the INT8 executor.
-        let mut tasks = Vec::with_capacity(models.len() * widths.len() * prunings.len());
-        for &kind in &models {
-            for &width in &widths {
-                for &pruning in &prunings {
-                    tasks.push((kind, width, pruning));
-                }
-            }
-        }
-        let prepared = par::par_map(tasks, self.threads, |(kind, width, pruning)| {
-            let session = self.session_for_variant(width, pruning)?;
-            let artifacts = session.artifacts(kind)?;
-            for &arch in &archs {
-                artifacts.programs(arch)?;
-            }
-            if fidelity && width == OperandWidth::Int8 {
-                artifacts.fidelity()?;
-            }
-            Ok::<_, PipelineError>((kind, width, pruning, artifacts))
-        });
-        let mut artifacts_by_point = Vec::with_capacity(prepared.len());
-        for result in prepared {
-            artifacts_by_point.push(result?);
-        }
-
-        // Phase 2: simulate every (model, width, pruning, arch, sparsity)
-        // point in parallel.
-        let mut points = Vec::new();
-        for (slot, (_, _, _, artifacts)) in artifacts_by_point.iter().enumerate() {
-            for (arch_slot, &arch) in archs.iter().enumerate() {
-                for &config in &sparsity {
-                    points.push((slot, arch_slot, arch, config, Arc::clone(artifacts)));
-                }
-            }
-        }
-        let simulated_runs = points.len();
-        let runs = par::par_map(points, self.threads, |(slot, arch_slot, arch, config, a)| {
-            a.simulate(arch, config).map(|report| (slot, arch_slot, config, report))
-        });
-
-        // Phase 3: assemble entries in deterministic (model, width, pruning,
-        // arch) order.
-        let mut grouped: HashMap<(usize, usize), Vec<(SparsityConfig, RunReport)>> = HashMap::new();
-        for run in runs {
-            let (slot, arch_slot, config, report) = run?;
-            grouped.entry((slot, arch_slot)).or_default().push((config, report));
-        }
-        let mut entries = Vec::new();
-        for (slot, (kind, width, pruning, artifacts)) in artifacts_by_point.iter().enumerate() {
-            for (arch_slot, &arch) in archs.iter().enumerate() {
-                let mut reports = grouped.remove(&(slot, arch_slot)).unwrap_or_default();
-                // Canonical Fig. 7 order.
-                let mut runs = Vec::with_capacity(reports.len());
-                for config in SparsityConfig::all() {
-                    if let Some(pos) = reports.iter().position(|(c, _)| *c == config) {
-                        runs.push(reports.swap_remove(pos).1);
-                    }
-                }
-                let result = CodesignResult {
-                    model_name: artifacts.model().name().to_string(),
-                    summary: artifacts.summary().clone(),
-                    fta_stats: artifacts.fta_stats().clone(),
-                    fidelity: if fidelity && *width == OperandWidth::Int8 {
-                        Some(artifacts.fidelity()?)
-                    } else {
-                        None
-                    },
-                    input_sparsity: artifacts.input_sparsity().clone(),
-                    runs,
-                };
-                entries.push(SweepEntry {
-                    kind: *kind,
-                    width: *width,
-                    pruning: *pruning,
-                    arch,
-                    result,
-                });
-            }
-        }
-
+        let sparsity = axes.unique_sparsity();
+        let entries = par::par_map(spec.points(session), self.threads, |point| {
+            self.run_point_pruned(
+                point.kind,
+                point.width,
+                point.pruning,
+                Some(point.arch),
+                &sparsity,
+                with_fidelity,
+            )
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         Ok(SweepReport {
+            simulated_runs: entries.len() * sparsity.len(),
             entries,
             wall_time: start.elapsed(),
             prepared_models: models.len() * widths.len() * prunings.len(),
-            simulated_runs,
         })
     }
 }
@@ -1452,9 +1279,9 @@ mod tests {
                 SparsityConfig::DenseBaseline,
                 SparsityConfig::HybridSparsity,
             ]);
-        assert_eq!(spec.unique_models(), vec![ModelKind::Vgg19, ModelKind::AlexNet]);
+        assert_eq!(spec.axes().unique_models(), vec![ModelKind::Vgg19, ModelKind::AlexNet]);
         assert_eq!(
-            spec.unique_sparsity(),
+            spec.axes().unique_sparsity(),
             vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]
         );
         let archs = spec.effective_archs(ArchConfig::paper());
@@ -1465,8 +1292,8 @@ mod tests {
     fn width_axis_defaults_to_the_session_width_and_dedupes() {
         let spec = SweepSpec::new(vec![ModelKind::AlexNet]);
         assert!(spec.widths.is_empty());
-        assert_eq!(spec.effective_widths(OperandWidth::Int8), vec![OperandWidth::Int8]);
-        assert_eq!(spec.effective_widths(OperandWidth::Int4), vec![OperandWidth::Int4]);
+        assert_eq!(spec.axes().effective_widths(OperandWidth::Int8), vec![OperandWidth::Int8]);
+        assert_eq!(spec.axes().effective_widths(OperandWidth::Int4), vec![OperandWidth::Int4]);
         let spec = spec.with_widths(vec![
             OperandWidth::Int16,
             OperandWidth::Int4,
@@ -1475,7 +1302,7 @@ mod tests {
         ]);
         // Canonical narrow-to-wide order, duplicates executed once.
         assert_eq!(
-            spec.effective_widths(OperandWidth::Int8),
+            spec.axes().effective_widths(OperandWidth::Int8),
             vec![OperandWidth::Int4, OperandWidth::Int8, OperandWidth::Int16]
         );
     }

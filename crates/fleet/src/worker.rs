@@ -193,7 +193,7 @@ impl PointExecutor for RemoteExecutor {
         };
         let deadline_ms = u64::try_from(self.timeout.as_millis()).unwrap_or(u64::MAX);
         let addr = self.addr.clone();
-        let outcome = self.client()?.explore_streaming_traced(
+        let outcome = self.client()?.explore_streaming(
             &spec,
             Some(deadline_ms),
             Some(annotation),

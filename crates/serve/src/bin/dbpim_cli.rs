@@ -311,8 +311,8 @@ fn print_explore(report: &db_pim::DseReport) {
         report.total_points,
         report.wall_time,
     );
-    for &kind in &report.spec.unique_models() {
-        for sparsity in report.spec.unique_sparsity() {
+    for &kind in &report.spec.axes().unique_models() {
+        for sparsity in report.spec.axes().unique_sparsity() {
             let frontier = report.pareto_frontier(kind, sparsity);
             if frontier.is_empty() {
                 continue;
@@ -505,10 +505,11 @@ fn main() {
                 spec = spec.with_pruning(pruning);
             }
             client
-                .sweep_streaming_with(
+                .sweep_streaming(
                     &spec,
                     options.fidelity,
                     options.deadline_ms,
+                    None,
                     |index, entry| {
                         eprintln!("… entry {index}: {} @ {} done", entry.kind.name(), entry.width);
                     },
@@ -547,7 +548,7 @@ fn main() {
                 spec = spec.with_fidelity();
             }
             client
-                .explore_streaming_with(&spec, options.deadline_ms, None, |index, entry| {
+                .explore_streaming(&spec, options.deadline_ms, None, None, |index, entry| {
                     eprintln!(
                         "… point {index}: {} @ {} on {} macros x {} rows @ {} MHz done",
                         entry.kind.name(),

@@ -305,40 +305,32 @@ impl Client {
     ///
     /// Propagates connection failures and server-side pipeline errors.
     pub fn sweep(&mut self, spec: &SweepSpec, fidelity: bool) -> Result<SweepReport, ClientError> {
-        self.sweep_streaming(spec, fidelity, |_, _| {})
+        self.sweep_streaming(spec, fidelity, None, None, |_, _| {})
     }
 
     /// Runs a sweep, invoking `on_entry(index, entry)` as each streamed
-    /// entry arrives, then returns the reassembled report.
+    /// entry arrives, then returns the reassembled report — entry-for-entry
+    /// identical to a local [`db_pim::BatchRunner`] run of the same spec.
     ///
-    /// # Errors
-    ///
-    /// Propagates connection failures and server-side pipeline errors.
-    pub fn sweep_streaming(
-        &mut self,
-        spec: &SweepSpec,
-        fidelity: bool,
-        mut on_entry: impl FnMut(usize, &SweepEntry),
-    ) -> Result<SweepReport, ClientError> {
-        self.sweep_streaming_with(spec, fidelity, None, &mut on_entry)
-    }
-
-    /// [`sweep_streaming`](Self::sweep_streaming) with a server-side
-    /// deadline: the daemon ends the stream with a structured
-    /// `DeadlineExceeded` error once `deadline_ms` elapses.
+    /// `deadline_ms` asks the daemon to end the stream with a structured
+    /// `DeadlineExceeded` error once it elapses. `trace` is the protocol-v5
+    /// distributed-tracing context: when present, the daemon opens its
+    /// `serve.request` span as a child of the caller's; `None` leaves the
+    /// request byte-identical to a v4 one.
     ///
     /// # Errors
     ///
     /// Propagates connection failures and server-side errors (including
     /// the deadline).
-    pub fn sweep_streaming_with(
+    pub fn sweep_streaming(
         &mut self,
         spec: &SweepSpec,
         fidelity: bool,
         deadline_ms: Option<u64>,
+        trace: Option<TraceContext>,
         mut on_entry: impl FnMut(usize, &SweepEntry),
     ) -> Result<SweepReport, ClientError> {
-        self.send(&Request::Sweep { spec: spec.clone(), fidelity, deadline_ms, trace: None })?;
+        self.send(&Request::Sweep { spec: spec.clone(), fidelity, deadline_ms, trace })?;
         let expected = match self.recv()? {
             Response::SweepStarted { entries } => entries,
             Response::Error { error } => return Err(ClientError::Server(error)),
@@ -380,7 +372,7 @@ impl Client {
     /// Propagates connection failures and server-side pipeline errors
     /// (oversized / infeasible grids, failing points).
     pub fn explore(&mut self, spec: &DseSpec) -> Result<DseReport, ClientError> {
-        self.explore_streaming(spec, |_, _| {})
+        self.explore_streaming(spec, None, None, None, |_, _| {})
     }
 
     /// Runs a design-space exploration, invoking `on_entry(index, entry)`
@@ -389,47 +381,16 @@ impl Client {
     /// [`db_pim::DseDriver`] run of the same spec, which the protocol test
     /// suite asserts via [`DseReport::results_match`].
     ///
+    /// `deadline_ms` and `trace` work as in
+    /// [`sweep_streaming`](Self::sweep_streaming); a `shard` tag makes the
+    /// daemon record the request's progress for
+    /// [`shard_statuses`](Self::shard_statuses).
+    ///
     /// # Errors
     ///
-    /// Propagates connection failures and server-side pipeline errors.
+    /// Propagates connection failures and server-side errors (including
+    /// the deadline).
     pub fn explore_streaming(
-        &mut self,
-        spec: &DseSpec,
-        mut on_entry: impl FnMut(usize, &DseEntry),
-    ) -> Result<DseReport, ClientError> {
-        self.explore_streaming_with(spec, None, None, &mut on_entry)
-    }
-
-    /// [`explore_streaming`](Self::explore_streaming) with the protocol-v3
-    /// extras: an optional server-side deadline and an optional fleet shard
-    /// tag (the daemon records tagged progress for
-    /// [`shard_statuses`](Self::shard_statuses)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures and server-side errors (including
-    /// the deadline).
-    pub fn explore_streaming_with(
-        &mut self,
-        spec: &DseSpec,
-        deadline_ms: Option<u64>,
-        shard: Option<ShardAnnotation>,
-        on_entry: impl FnMut(usize, &DseEntry),
-    ) -> Result<DseReport, ClientError> {
-        self.explore_streaming_traced(spec, deadline_ms, shard, None, on_entry)
-    }
-
-    /// [`explore_streaming_with`](Self::explore_streaming_with) plus the
-    /// protocol-v5 distributed-tracing context: when `trace` is present,
-    /// the daemon opens its `serve.request` span as a child of the
-    /// caller's, carrying the fleet run and point identity. A `None`
-    /// context leaves the request byte-identical to a v4 one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures and server-side errors (including
-    /// the deadline).
-    pub fn explore_streaming_traced(
         &mut self,
         spec: &DseSpec,
         deadline_ms: Option<u64>,

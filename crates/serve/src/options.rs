@@ -1,10 +1,9 @@
 //! Strict command-line parsing for the serving binaries.
 //!
-//! Same conventions as the experiment binaries' `ExperimentOptions`
-//! (`dbpim-bench`): unknown flags are ignored so wrappers can pass extra
-//! arguments through, but a known flag with a missing or malformed value is
-//! an error — silently falling back to a default would start the daemon
-//! with a different model zoo than the operator asked for.
+//! A known flag with a missing or malformed value is an error — silently
+//! falling back to a default would start the daemon with a different model
+//! zoo than the operator asked for. The daemon also rejects any argument it
+//! does not know: a misspelt `--auth-token` must not start an open daemon.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -177,20 +176,23 @@ impl ServeOptions {
         }
     }
 
-    /// Parses options from an explicit argument list.
+    /// Parses options from an explicit argument list. A first argument that
+    /// is not a flag is the program name and is skipped.
     ///
     /// # Errors
     ///
-    /// Returns [`OptionsError`] when a known flag has a missing or
-    /// malformed value. Unknown arguments are ignored.
+    /// Returns [`OptionsError`] naming the argument when it is not one of
+    /// [`Self::FLAGS`], or when a flag has a missing or malformed value.
     pub fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
         let mut options = Self::default();
-        let mut i = 0;
+        let mut i = usize::from(args.first().is_some_and(|first| !first.starts_with('-')));
         while i < args.len() {
             let flag = args[i].as_str();
             if !Self::FLAGS.contains(&flag) {
-                i += 1;
-                continue;
+                return Err(OptionsError {
+                    flag: flag.to_string(),
+                    message: "unknown flag".to_string(),
+                });
             }
             let raw = args.get(i + 1).ok_or_else(|| OptionsError {
                 flag: flag.to_string(),
@@ -283,8 +285,6 @@ mod tests {
             "10",
             "--operand-width",
             "int4",
-            "--bogus",
-            "x",
         ]))
         .unwrap();
         assert_eq!(options.addr, "0.0.0.0");
@@ -298,6 +298,24 @@ mod tests {
         assert_eq!(options.pipeline.operand_width, OperandWidth::Int4);
         assert_eq!(options.serve_config().addr, "0.0.0.0:0");
         assert_eq!(options.serve_config().threads, 2);
+
+        let err = ServeOptions::from_slice(&args(&["dbpim-served", "--port", "0", "--bogus", "x"]))
+            .unwrap_err();
+        assert_eq!(err.flag, "--bogus");
+        assert!(err.message.contains("unknown"), "{err}");
+    }
+
+    /// A misspelt `--auth-token` used to be skipped, starting an open
+    /// daemon that any unauthenticated client could shut down.
+    #[test]
+    fn misspelt_auth_token_is_rejected_not_ignored() {
+        let err = ServeOptions::from_slice(&args(&["dbpim-served", "--auth-tokn", "secret"]))
+            .unwrap_err();
+        assert_eq!(err.flag, "--auth-tokn");
+        assert!(err.to_string().contains("--auth-tokn"), "{err}");
+        // A stray positional argument after the program name is unknown too.
+        let err = ServeOptions::from_slice(&args(&["dbpim-served", "secret"])).unwrap_err();
+        assert_eq!(err.flag, "secret");
     }
 
     #[test]

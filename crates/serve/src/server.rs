@@ -8,9 +8,10 @@
 //! trigger exactly one artifact preparation (the session layer's
 //! single-flight guarantee) and every later request is served warm.
 //!
-//! Sweeps stream: each (model, width, geometry) entry is written to the
-//! client as soon as it is computed, so a long sweep delivers its first
-//! results while the rest are still simulating.
+//! Sweeps and explorations stream through one loop: each (model, width,
+//! pruning, geometry) point is written to the client as soon as it is
+//! computed, so a long sweep delivers its first results while the rest are
+//! still simulating.
 //!
 //! The daemon is production-hardened along three axes:
 //!
@@ -44,7 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use db_pim::{BatchRunner, PipelineConfig, PipelineError};
+use db_pim::{BatchRunner, DseEntry, DsePoint, PipelineConfig, PipelineError, SweepEntry};
 use dbpim_nn::ModelKind;
 use dbpim_sim::SparsityConfig;
 use dbpim_trace::{log_debug, log_info, log_warn, ChromeTrace, MetricsRegistry, TraceCollector};
@@ -1013,86 +1014,149 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
             }
         }
         Request::Sweep { spec, fidelity, deadline_ms, trace: _ } => {
-            handle_sweep(&spec, fidelity, Deadline::new(deadline_ms), writer, shared)
+            let deadline = Deadline::new(deadline_ms);
+            let session = shared.runner.session().config();
+            let axes = spec.axes();
+            let prepared_models = axes.unique_models().len()
+                * axes.effective_widths(session.operand_width).len()
+                * axes.effective_pruning(session.pruning).len();
+            let sparsity = axes.unique_sparsity();
+            let runs_per_point = sparsity.len();
+            let stream = PointStream {
+                request: "Sweep",
+                point_name: "sweep point",
+                points: Ok(spec.points(session)),
+                sparsity,
+                fidelity,
+                shard: None,
+                started: |entries| Response::SweepStarted { entries },
+                point: |index, entry| Response::SweepPoint { index, entry },
+                finished: |entries, wall_time| Response::SweepFinished {
+                    prepared_models,
+                    simulated_runs: entries * runs_per_point,
+                    wall_time,
+                },
+            };
+            stream_points(stream, deadline, writer, shared)
         }
         Request::Explore { spec, deadline_ms, shard, trace: _ } => {
-            handle_explore(&spec, Deadline::new(deadline_ms), shard.as_ref(), writer, shared)
+            let deadline = Deadline::new(deadline_ms);
+            let session = shared.runner.session().config();
+            let stream = PointStream {
+                request: "Explore",
+                point_name: "exploration point",
+                points: spec.points(session.operand_width, session.pruning),
+                sparsity: spec.axes().unique_sparsity(),
+                fidelity: spec.fidelity,
+                shard: shard.as_ref(),
+                started: |total_points| Response::ExploreStarted { total_points },
+                point: |index, entry| Response::ExplorePoint {
+                    index,
+                    entry: DseEntry::from_sweep(entry),
+                },
+                finished: |total_points, wall_time| Response::ExploreFinished {
+                    total_points,
+                    wall_time,
+                },
+            };
+            stream_points(stream, deadline, writer, shared)
         }
     }
 }
 
-/// Streams one design-space exploration: `ExploreStarted`, one
-/// `ExplorePoint` per grid point as it completes (canonical spec order,
-/// warm-cache artifacts reused across geometries), then `ExploreFinished`.
-/// An oversized or infeasible grid is answered with a structured pipeline
-/// error before any point executes; a failing point or an expired deadline
-/// ends the stream (but not the connection) the same way. A shard-tagged
-/// request additionally reports its progress into the daemon's
-/// `ShardStatus` registry.
-fn handle_explore(
-    spec: &db_pim::DseSpec,
+/// One streaming request — `Sweep` or `Explore` — as the point list it
+/// runs and the frames it answers with; [`stream_points`] is the one loop
+/// both share.
+struct PointStream<'a, F> {
+    /// The request name deadline errors carry.
+    request: &'static str,
+    /// What a failing point is called in its error message.
+    point_name: &'static str,
+    /// The canonical point list, or the error that rejects the request
+    /// before any point runs.
+    points: Result<Vec<DsePoint>, PipelineError>,
+    /// Sparsity configurations simulated per point, canonical order.
+    sparsity: Vec<SparsityConfig>,
+    /// Evaluate fidelity where defined.
+    fidelity: bool,
+    /// The fleet shard tag whose progress the daemon records.
+    shard: Option<&'a ShardAnnotation>,
+    /// The opening frame, given the point count.
+    started: fn(usize) -> Response,
+    /// One point's frame, given its index and entry.
+    point: fn(usize, SweepEntry) -> Response,
+    /// The closing frame, given the point count and the stream's wall time.
+    finished: F,
+}
+
+/// Streams one point list: the request's opening frame, one point frame per
+/// point as it completes (canonical order, warm-cache artifacts reused
+/// across geometries), then its closing frame. A rejected point list is
+/// answered with a structured pipeline error before any point executes; a
+/// failing point or an expired deadline ends the stream (but not the
+/// connection) the same way, and a point that finishes after its deadline
+/// is withheld. A shard-tagged request additionally reports its progress
+/// into the daemon's `ShardStatus` registry.
+fn stream_points<F: FnOnce(usize, Duration) -> Response>(
+    stream: PointStream<'_, F>,
     deadline: Deadline,
-    shard: Option<&ShardAnnotation>,
     writer: &mut TcpStream,
     shared: &Shared,
 ) -> bool {
-    let shard_fail = |state: ShardState| {
+    let PointStream {
+        request,
+        point_name,
+        points,
+        sparsity,
+        fidelity,
+        shard,
+        started,
+        point,
+        finished,
+    } = stream;
+    let fail = |writer: &mut TcpStream, response: Response| {
+        shared.metrics.incr(M_ERRORS);
         if let Some(tag) = shard {
-            shared.shard_touch(tag, 0, state);
+            shared.shard_touch(tag, 0, ShardState::Failed);
         }
+        respond(writer, &response)
     };
     if deadline.expired() {
-        shared.metrics.incr(M_ERRORS);
-        shard_fail(ShardState::Failed);
-        return respond(writer, &Deadline::error("Explore"));
+        return fail(writer, Deadline::error(request));
     }
-    let session_width = shared.runner.session().config().operand_width;
-    let session_pruning = shared.runner.session().config().pruning;
-    let points = match spec.points(session_width, session_pruning) {
+    let points = match points {
         Ok(points) => points,
-        Err(e) => {
-            shared.metrics.incr(M_ERRORS);
-            shard_fail(ShardState::Failed);
-            return respond(writer, &error_response(ErrorKind::Pipeline, e.to_string()));
-        }
+        Err(e) => return fail(writer, error_response(ErrorKind::Pipeline, e.to_string())),
     };
     if let Some(tag) = shard {
         shared.shard_touch(tag, 0, ShardState::Running);
     }
-    let sparsity = spec.unique_sparsity();
-    let total_points = points.len();
-    if respond(writer, &Response::ExploreStarted { total_points }) {
+    let total = points.len();
+    if respond(writer, &started(total)) {
         return true;
     }
 
     let start = Instant::now();
-    for (index, point) in points.into_iter().enumerate() {
+    for (index, p) in points.into_iter().enumerate() {
         if deadline.expired() {
-            shared.metrics.incr(M_ERRORS);
-            shard_fail(ShardState::Failed);
-            return respond(writer, &Deadline::error("Explore"));
+            return fail(writer, Deadline::error(request));
         }
         let computed = shared.runner.run_point_pruned(
-            point.kind,
-            point.width,
-            point.pruning,
-            Some(point.arch),
+            p.kind,
+            p.width,
+            p.pruning,
+            Some(p.arch),
             &sparsity,
-            spec.fidelity,
+            fidelity,
         );
         match computed {
             // A point the client gave up on mid-compute is withheld, same
             // policy as RunModel: the deadline promises when answers stop
-            // being useful, and the fleet has already requeued the point
+            // being useful, and a fleet has already requeued the point
             // elsewhere by now.
-            Ok(_) if deadline.expired() => {
-                shared.metrics.incr(M_ERRORS);
-                shard_fail(ShardState::Failed);
-                return respond(writer, &Deadline::error("Explore"));
-            }
+            Ok(_) if deadline.expired() => return fail(writer, Deadline::error(request)),
             Ok(entry) => {
-                let entry = db_pim::DseEntry::from_sweep(entry);
-                if respond(writer, &Response::ExplorePoint { index, entry }) {
+                if respond(writer, &point(index, entry)) {
                     return true;
                 }
                 if let Some(tag) = shard {
@@ -1100,106 +1164,13 @@ fn handle_explore(
                 }
             }
             Err(e) => {
-                shared.metrics.incr(M_ERRORS);
-                shard_fail(ShardState::Failed);
-                return respond(
-                    writer,
-                    &error_response(
-                        ErrorKind::Pipeline,
-                        format!("exploration point {index} failed: {e}"),
-                    ),
-                );
+                let message = format!("{point_name} {index} failed: {e}");
+                return fail(writer, error_response(ErrorKind::Pipeline, message));
             }
         }
     }
 
-    respond(writer, &Response::ExploreFinished { total_points, wall_time: start.elapsed() })
-}
-
-/// Streams one sweep: `SweepStarted`, one `SweepPoint` per entry as it
-/// completes, then `SweepFinished`. A failing point is answered with a
-/// pipeline error and ends the stream (but not the connection); an expired
-/// deadline ends it with a `DeadlineExceeded` error the same way.
-fn handle_sweep(
-    spec: &db_pim::SweepSpec,
-    fidelity: bool,
-    deadline: Deadline,
-    writer: &mut TcpStream,
-    shared: &Shared,
-) -> bool {
-    if deadline.expired() {
-        shared.metrics.incr(M_ERRORS);
-        return respond(writer, &Deadline::error("Sweep"));
-    }
-    let session_config = *shared.runner.session().config();
-    let models = spec.unique_models();
-    let sparsity = spec.unique_sparsity();
-    let archs = spec.effective_archs(session_config.arch);
-    let widths = spec.effective_widths(session_config.operand_width);
-    let prunings = spec.effective_pruning(session_config.pruning);
-
-    let entries = models.len() * widths.len() * prunings.len() * archs.len();
-    if respond(writer, &Response::SweepStarted { entries }) {
-        return true;
-    }
-
-    let start = Instant::now();
-    let mut index = 0usize;
-    // Deterministic (model, width, pruning, arch) order — identical to the
-    // entry order `BatchRunner::run_with_fidelity` assembles.
-    for &model in &models {
-        for &width in &widths {
-            for &pruning in &prunings {
-                for &arch in &archs {
-                    if deadline.expired() {
-                        shared.metrics.incr(M_ERRORS);
-                        return respond(writer, &Deadline::error("Sweep"));
-                    }
-                    let computed = shared.runner.run_point_pruned(
-                        model,
-                        width,
-                        pruning,
-                        Some(arch),
-                        &sparsity,
-                        fidelity,
-                    );
-                    match computed {
-                        // Same withhold policy as RunModel for a point that
-                        // overran the deadline while computing.
-                        Ok(_) if deadline.expired() => {
-                            shared.metrics.incr(M_ERRORS);
-                            return respond(writer, &Deadline::error("Sweep"));
-                        }
-                        Ok(entry) => {
-                            if respond(writer, &Response::SweepPoint { index, entry }) {
-                                return true;
-                            }
-                        }
-                        Err(e) => {
-                            shared.metrics.incr(M_ERRORS);
-                            return respond(
-                                writer,
-                                &error_response(
-                                    ErrorKind::Pipeline,
-                                    format!("sweep point {index} failed: {e}"),
-                                ),
-                            );
-                        }
-                    }
-                    index += 1;
-                }
-            }
-        }
-    }
-
-    respond(
-        writer,
-        &Response::SweepFinished {
-            prepared_models: models.len() * widths.len() * prunings.len(),
-            simulated_runs: entries * sparsity.len(),
-            wall_time: start.elapsed(),
-        },
-    )
+    respond(writer, &finished(total, start.elapsed()))
 }
 
 #[cfg(test)]

@@ -266,3 +266,27 @@ fn active_pruning_reduces_compiled_macro_work() {
         );
     }
 }
+
+/// A spec that leaves pruning to a pruned session still sorts canonically:
+/// the sort key comes from each entry, not from the spec's pruning list, so
+/// a report and its reversed copy compare equal and sort back into grid
+/// order.
+#[test]
+fn session_pruned_reports_sort_canonically() {
+    let config = small_config().without_fidelity().with_pruning(PruningSpec::unstructured(0.5));
+    let spec = DseSpec::new(
+        ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]),
+        vec![ModelKind::AlexNet],
+    )
+    .with_sparsity(vec![SparsityConfig::HybridSparsity]);
+    let report = DseDriver::new(config).expect("valid config").run(&spec).expect("driver runs");
+    assert_eq!(report.entries.len(), 2);
+    assert!(report.entries.iter().all(|e| e.pruning == config.pruning), "session pruning applies");
+
+    let mut reversed = report.clone();
+    reversed.entries.reverse();
+    assert!(report.results_match(&reversed), "a reversed copy must match its original");
+    reversed.sort_canonical();
+    let macros: Vec<usize> = reversed.entries.iter().map(|e| e.arch.macros).collect();
+    assert_eq!(macros, vec![2, 4], "entries sort back into grid order");
+}

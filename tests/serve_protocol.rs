@@ -230,7 +230,7 @@ fn explore_stream_merges_into_the_same_report_as_a_local_run() {
     let mut client = Client::connect(handle.addr()).expect("connects");
     let mut streamed_indices = Vec::new();
     let remote = client
-        .explore_streaming(&spec, |index, entry| {
+        .explore_streaming(&spec, None, None, None, |index, entry| {
             streamed_indices.push((index, entry.arch.macros));
         })
         .expect("explore runs");
@@ -282,12 +282,12 @@ fn expired_deadlines_are_structured_errors_not_hangs() {
     let sweep = SweepSpec::new(vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::HybridSparsity]);
     expect_deadline(
-        client.sweep_streaming_with(&sweep, false, Some(0), |_, _| {}).map(|_| "Sweep"),
+        client.sweep_streaming(&sweep, false, Some(0), None, |_, _| {}).map(|_| "Sweep"),
     );
 
     let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet]);
     expect_deadline(
-        client.explore_streaming_with(&spec, Some(0), None, |_, _| {}).map(|_| "Explore"),
+        client.explore_streaming(&spec, Some(0), None, None, |_, _| {}).map(|_| "Explore"),
     );
 
     // A generous deadline changes nothing about the result.
@@ -325,7 +325,7 @@ fn shard_tagged_explorations_report_progress() {
     // shard's full size, so completing 2 of 3 leaves it Running.
     let tag = ShardAnnotation { fleet: "progress-test".to_string(), shard: 1, of: 2, points: 3 };
     client
-        .explore_streaming_with(&spec, None, Some(tag.clone()), |_, _| {})
+        .explore_streaming(&spec, None, Some(tag.clone()), None, |_, _| {})
         .expect("tagged explore");
     let statuses = client.shard_statuses().expect("registry");
     assert_eq!(statuses.len(), 1);
@@ -338,7 +338,7 @@ fn shard_tagged_explorations_report_progress() {
     // One more tagged point finishes the shard.
     let single = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::HybridSparsity]);
-    client.explore_streaming_with(&single, None, Some(tag), |_, _| {}).expect("finishing point");
+    client.explore_streaming(&single, None, Some(tag), None, |_, _| {}).expect("finishing point");
     let statuses = client.shard_statuses().expect("registry");
     assert_eq!(statuses[0].completed_points, 3);
     assert_eq!(statuses[0].state, ShardState::Finished);
@@ -351,7 +351,7 @@ fn shard_tagged_explorations_report_progress() {
     let failing_tag =
         ShardAnnotation { fleet: "progress-test".to_string(), shard: 0, of: 2, points: 3 };
     client
-        .explore_streaming_with(&infeasible, None, Some(failing_tag), |_, _| {})
+        .explore_streaming(&infeasible, None, Some(failing_tag), None, |_, _| {})
         .expect_err("infeasible grid fails");
     let statuses = client.shard_statuses().expect("registry");
     assert_eq!(statuses.len(), 2, "two shards tracked");

@@ -5,6 +5,7 @@
 //! concurrent clients asking for the same (model, width) trigger exactly
 //! one artifact build.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use db_pim::prelude::*;
@@ -96,32 +97,63 @@ fn served_results_are_bit_identical_with_auth_on_and_off() {
 
 /// A served sweep streams its entries in deterministic order and reassembles
 /// into exactly the report `BatchRunner` produces locally (modulo wall time,
-/// which is measured, not computed).
+/// which is measured, not computed). This holds with and without the
+/// `archs` axis, which only wire clients set; there, each served entry also
+/// equals the `DseDriver` entry at its geometry.
 #[test]
 fn served_sweep_matches_direct_batch_runner() {
     let config = small_config().without_fidelity();
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet, ModelKind::MobileNetV2])
-        .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
+    let models = vec![ModelKind::AlexNet, ModelKind::MobileNetV2];
+    let widths = vec![OperandWidth::Int4, OperandWidth::Int8];
+    let grid = ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]);
+    let archs = grid.enumerate().expect("feasible grid");
+    assert_eq!(archs.len(), 2);
+    let specs = [
+        SweepSpec::new(models.clone()).with_widths(widths.clone()),
+        SweepSpec::new(models.clone()).with_widths(widths.clone()).with_archs(archs),
+    ];
 
     let handle = spawn_server(config, 2);
     let mut client = Client::connect(handle.addr()).expect("connects");
-    let mut streamed = Vec::new();
-    let served = client
-        .sweep_streaming(&spec, false, |index, entry| streamed.push((index, entry.kind)))
-        .expect("served sweep succeeds");
+    let runner = Arc::new(BatchRunner::new(config).expect("valid config"));
+    let mut served_reports = Vec::new();
+    for spec in &specs {
+        let mut streamed = Vec::new();
+        let served = client
+            .sweep_streaming(spec, false, None, None, |index, entry| {
+                streamed.push((index, entry.kind));
+            })
+            .expect("served sweep succeeds");
+        let direct = runner.run(spec).expect("direct sweep succeeds");
 
-    let runner = BatchRunner::new(config).expect("valid config");
-    let direct = runner.run(&spec).expect("direct sweep succeeds");
+        assert_eq!(served.entries, direct.entries, "served sweep diverges from BatchRunner");
+        assert_eq!(served.prepared_models, direct.prepared_models);
+        assert_eq!(served.simulated_runs, direct.simulated_runs);
 
-    assert_eq!(served.entries, direct.entries, "served sweep diverges from BatchRunner");
-    assert_eq!(served.prepared_models, direct.prepared_models);
-    assert_eq!(served.simulated_runs, direct.simulated_runs);
+        // The stream arrived incrementally and in entry order.
+        assert_eq!(streamed.len(), served.entries.len());
+        for (position, (index, kind)) in streamed.iter().enumerate() {
+            assert_eq!(*index, position);
+            assert_eq!(*kind, served.entries[position].kind);
+        }
+        served_reports.push(served);
+    }
 
-    // The stream arrived incrementally and in entry order.
-    assert_eq!(streamed.len(), served.entries.len());
-    for (position, (index, kind)) in streamed.iter().enumerate() {
-        assert_eq!(*index, position);
-        assert_eq!(*kind, served.entries[position].kind);
+    let with_archs = &served_reports[1];
+    assert_eq!(with_archs.entries.len(), 2 * 2 * 2, "models x widths x geometries");
+    let explored = DseDriver::from_runner(Arc::clone(&runner))
+        .run(&DseSpec::new(grid, models).with_widths(widths))
+        .expect("driver runs");
+    assert_eq!(explored.entries.len(), with_archs.entries.len());
+    for entry in &with_archs.entries {
+        let point = DsePoint {
+            kind: entry.kind,
+            width: entry.width,
+            pruning: entry.pruning,
+            arch: entry.arch,
+        };
+        let at = explored.entry(&point).expect("the driver ran the same geometry");
+        assert_eq!(at.result, entry.result, "served sweep diverges from DseDriver at {point:?}");
     }
 
     client.shutdown().expect("shutdown acknowledged");

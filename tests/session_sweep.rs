@@ -228,70 +228,101 @@ fn width_sweeps_reuse_cached_artifacts_across_runs() {
     assert_eq!(first.entries, second.entries);
 }
 
-/// A `SweepReport` round-trips through the vendored serde_json and merges
-/// shard-style: entries concatenate, counters add up, wall time is the
-/// shard maximum.
+/// Runs `models` × `widths` under `sparsity` both as a `BatchRunner` sweep
+/// and as the same point set through a `DseDriver` (a `DseSpec` over the
+/// session geometry), checks the two agree point for point, and returns the
+/// shared runner, the spec, the sweep report and the complete DSE report.
+/// Persisted and merged sweeps are `DseReport`s.
+fn sweep_as_dse_report(
+    models: Vec<ModelKind>,
+    widths: Vec<OperandWidth>,
+    sparsity: Vec<SparsityConfig>,
+) -> (Arc<BatchRunner>, DseSpec, SweepReport, DseReport) {
+    let config = small_config();
+    let runner = Arc::new(BatchRunner::new(config).expect("valid config"));
+    let sweep = runner
+        .run(
+            &SweepSpec::new(models.clone())
+                .with_sparsity(sparsity.clone())
+                .with_widths(widths.clone()),
+        )
+        .expect("sweep runs");
+
+    let spec = DseSpec::new(ArchGrid::around(config.arch), models)
+        .with_sparsity(sparsity)
+        .with_widths(widths);
+    let full = DseDriver::from_runner(Arc::clone(&runner)).run(&spec).expect("driver runs");
+    assert!(full.is_complete());
+    let explored: Vec<_> =
+        full.entries.iter().map(|e| (e.kind, e.width, e.pruning, e.arch, &e.result)).collect();
+    let swept: Vec<_> =
+        sweep.entries.iter().map(|e| (e.kind, e.width, e.pruning, e.arch, &e.result)).collect();
+    assert_eq!(explored, swept, "a sweep and its DSE point set diverge");
+    (runner, spec, sweep, full)
+}
+
+/// A sweep round-trips through the vendored serde_json both as the
+/// `SweepReport` `BatchRunner::run` returns and as the `DseReport` of its
+/// point set, and shards of that report merge: entries concatenate, wall
+/// time is the shard maximum.
 #[test]
 fn sweep_report_merges_and_round_trips_through_serde_json() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let sparsity = vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity];
-    // Two shards of a models × widths sweep, split by model.
-    let shard_a = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet])
-                .with_sparsity(sparsity.clone())
-                .with_widths(vec![OperandWidth::Int8, OperandWidth::Int16]),
-        )
-        .expect("shard a runs");
-    let shard_b = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::MobileNetV2])
-                .with_sparsity(sparsity)
-                .with_widths(vec![OperandWidth::Int8, OperandWidth::Int16]),
-        )
-        .expect("shard b runs");
+    let (runner, spec, sweep, full) = sweep_as_dse_report(
+        vec![ModelKind::AlexNet, ModelKind::MobileNetV2],
+        vec![OperandWidth::Int8, OperandWidth::Int16],
+        vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity],
+    );
 
     // Serialization round-trip is lossless for every field.
-    for shard in [&shard_a, &shard_b] {
-        let json = serde_json::to_string(shard).expect("serializes");
-        let back: SweepReport = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(shard, &back, "sweep report did not survive the JSON round trip");
-    }
+    let json = serde_json::to_string(&sweep).expect("serializes");
+    let back: SweepReport = serde_json::from_str(&json).expect("deserializes");
+    assert_eq!(sweep, back, "sweep report did not survive the JSON round trip");
+    let json = serde_json::to_string(&full).expect("serializes");
+    let back: DseReport = serde_json::from_str(&json).expect("deserializes");
+    assert_eq!(full, back, "DSE report did not survive the JSON round trip");
+
+    // Two shards of the models × widths point set, split by model: AlexNet's
+    // two widths lead the canonical order.
+    let shard_a = DseDriver::from_runner(Arc::clone(&runner))
+        .with_point_limit(2)
+        .run(&spec)
+        .expect("shard a runs");
+    assert!(shard_a.entries.iter().all(|e| e.kind == ModelKind::AlexNet));
+    let mut shard_b = full.clone();
+    shard_b.entries.retain(|e| e.kind == ModelKind::MobileNetV2);
 
     // Merge combines the shards without touching their entries.
     let expected_wall = shard_a.wall_time.max(shard_b.wall_time);
-    let merged = shard_a.clone().merge(shard_b.clone());
+    let merged = shard_a.clone().merge(shard_b.clone()).expect("same spec merges");
     assert_eq!(merged.entries.len(), shard_a.entries.len() + shard_b.entries.len());
-    assert_eq!(merged.prepared_models, shard_a.prepared_models + shard_b.prepared_models);
-    assert_eq!(merged.simulated_runs, shard_a.simulated_runs + shard_b.simulated_runs);
+    assert!(merged.is_complete());
+    assert!(merged.results_match(&full), "the merged shards diverge from the full run");
     assert_eq!(merged.wall_time, expected_wall);
-    assert_eq!(
-        merged.result_at_width(ModelKind::AlexNet, OperandWidth::Int16),
-        shard_a.result_at_width(ModelKind::AlexNet, OperandWidth::Int16)
-    );
-    assert_eq!(
-        merged.result_at_width(ModelKind::MobileNetV2, OperandWidth::Int8),
-        shard_b.result_at_width(ModelKind::MobileNetV2, OperandWidth::Int8)
-    );
+    assert_eq!(merged.entry(&shard_a.entries[1].point()), Some(&shard_a.entries[1]));
+    assert_eq!(merged.entry(&shard_b.entries[0].point()), Some(&shard_b.entries[0]));
     // The merged report still round-trips.
     let json = serde_json::to_string(&merged).expect("serializes");
-    let back: SweepReport = serde_json::from_str(&json).expect("deserializes");
+    let back: DseReport = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(merged, back);
 }
 
-/// The disk half of sharded sweeps: two shards `save` their partial
-/// reports, a combiner `load`s and `merge`s them, and the result is
-/// bit-identical to merging in memory.
+/// The disk half of sharded sweeps: two shards of a sweep's point set
+/// `save` their partial reports, a combiner `load`s and `merge`s them, and
+/// the result is bit-identical to merging in memory.
 #[test]
 fn sweep_report_shards_round_trip_through_disk_snapshots() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let sparsity = vec![SparsityConfig::DenseBaseline, SparsityConfig::WeightSparsity];
-    let shard_a = runner
-        .run(&SweepSpec::new(vec![ModelKind::AlexNet]).with_sparsity(sparsity.clone()))
+    let (runner, spec, _, full) = sweep_as_dse_report(
+        vec![ModelKind::AlexNet, ModelKind::MobileNetV2],
+        Vec::new(),
+        vec![SparsityConfig::DenseBaseline, SparsityConfig::WeightSparsity],
+    );
+    let shard_a = DseDriver::from_runner(Arc::clone(&runner))
+        .with_point_limit(1)
+        .run(&spec)
         .expect("shard a runs");
-    let shard_b = runner
-        .run(&SweepSpec::new(vec![ModelKind::MobileNetV2]).with_sparsity(sparsity))
-        .expect("shard b runs");
+    let mut shard_b = full.clone();
+    shard_b.entries.retain(|e| e.kind == ModelKind::MobileNetV2);
+    assert_eq!((shard_a.entries.len(), shard_b.entries.len()), (1, 1));
 
     let dir =
         std::env::temp_dir().join(format!("dbpim-shard-test-{}-{}", std::process::id(), line!()));
@@ -301,62 +332,58 @@ fn sweep_report_shards_round_trip_through_disk_snapshots() {
     shard_a.save(&path_a).expect("shard a saves");
     shard_b.save(&path_b).expect("shard b saves");
 
-    let loaded_a = SweepReport::load(&path_a).expect("shard a loads");
-    let loaded_b = SweepReport::load(&path_b).expect("shard b loads");
+    let loaded_a = DseReport::load(&path_a).expect("shard a loads");
+    let loaded_b = DseReport::load(&path_b).expect("shard b loads");
     assert_eq!(loaded_a, shard_a, "shard a did not survive the disk round trip");
     assert_eq!(loaded_b, shard_b, "shard b did not survive the disk round trip");
 
-    let merged_from_disk = loaded_a.merge(loaded_b);
-    let merged_in_memory = shard_a.merge(shard_b);
+    let merged_from_disk = loaded_a.merge(loaded_b).expect("same spec merges");
+    let merged_in_memory = shard_a.merge(shard_b).expect("same spec merges");
     assert_eq!(merged_from_disk, merged_in_memory);
+    assert!(merged_from_disk.results_match(&full));
 
     // Failure shapes are structured errors, not panics.
-    assert!(SweepReport::load(dir.join("missing.json")).is_err());
+    assert!(DseReport::load(dir.join("missing.json")).is_err());
     let torn = dir.join("torn.json");
     std::fs::write(&torn, "{\"entries\":[").expect("write torn file");
-    let err = SweepReport::load(&torn).unwrap_err();
+    let err = DseReport::load(&torn).unwrap_err();
     assert!(err.to_string().contains("torn.json"), "error names the file: {err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Overlapping shards: a point present in both shards appears once in the
-/// merged report, counters do not double-count, and merging is idempotent
+/// merged report, the first report's copy wins, and merging is idempotent
 /// and deterministic.
 #[test]
 fn overlapping_shards_dedupe_deterministically_on_merge() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let sparsity = vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity];
-    let shard_ab = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet, ModelKind::MobileNetV2])
-                .with_sparsity(sparsity.clone()),
-        )
-        .expect("shard ab runs");
-    let shard_b = runner
-        .run(&SweepSpec::new(vec![ModelKind::MobileNetV2]).with_sparsity(sparsity.clone()))
-        .expect("shard b runs");
+    let (runner, spec, _, shard_ab) = sweep_as_dse_report(
+        vec![ModelKind::AlexNet, ModelKind::MobileNetV2],
+        Vec::new(),
+        vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity],
+    );
+    // The AlexNet point again, computed by a second, time-boxed run.
+    let shard_a = DseDriver::from_runner(Arc::clone(&runner))
+        .with_point_limit(1)
+        .run(&spec)
+        .expect("shard a runs");
     assert_eq!(shard_ab.entries.len(), 2);
-    assert_eq!(shard_b.entries.len(), 1);
+    assert_eq!(shard_a.entries.len(), 1);
 
-    // The overlapping MobileNetV2 entry is identical in both shards (same
-    // cached artifacts), so the merge drops the duplicate.
-    let merged = shard_ab.clone().merge(shard_b.clone());
+    // The overlapping AlexNet point is kept once.
+    let merged = shard_ab.clone().merge(shard_a.clone()).expect("same spec merges");
     assert_eq!(merged.entries, shard_ab.entries, "duplicate point was not deduped");
-    assert_eq!(merged.prepared_models, 2, "prepared count double-counted the overlap");
-    assert_eq!(merged.simulated_runs, 4, "simulated count double-counted the overlap");
 
-    // Merge order only affects entry order, never the content: b-then-ab
-    // keeps b's copy first, then adopts ab's non-duplicates.
-    let merged_rev = shard_b.clone().merge(shard_ab.clone());
+    // Merge order only decides whose copy of the shared point is kept, never
+    // the results or their order.
+    let merged_rev = shard_a.clone().merge(shard_ab.clone()).expect("same spec merges");
     assert_eq!(merged_rev.entries.len(), 2);
-    assert_eq!(merged_rev.entries[0], shard_b.entries[0]);
-    assert_eq!(merged_rev.prepared_models, merged.prepared_models);
-    assert_eq!(merged_rev.simulated_runs, merged.simulated_runs);
+    assert_eq!(merged_rev.entries[0], shard_a.entries[0]);
+    assert_eq!(merged_rev.entries[1], shard_ab.entries[1]);
+    assert!(merged_rev.results_match(&merged));
 
-    // Self-merge is the identity (up to the recomputed counters, which for
-    // a driver-produced report already equal the content-derived values).
-    let self_merged = shard_ab.clone().merge(shard_ab.clone());
+    // Self-merge is the identity.
+    let self_merged = shard_ab.clone().merge(shard_ab.clone()).expect("self-merge");
     assert_eq!(self_merged, shard_ab);
 
     // A merged report still snapshots and reloads losslessly.
@@ -366,40 +393,8 @@ fn overlapping_shards_dedupe_deterministically_on_merge() {
         line!()
     ));
     merged.save(&path).expect("merged report saves");
-    assert_eq!(SweepReport::load(&path).expect("merged report loads"), merged);
+    assert_eq!(DseReport::load(&path).expect("merged report loads"), merged);
     std::fs::remove_file(&path).ok();
-}
-
-/// Entries that share a (model, width, geometry) key but carry different
-/// content — shards split by sparsity configuration — are both kept:
-/// dedup only ever removes exact duplicates.
-#[test]
-fn sparsity_split_shards_are_not_collapsed_by_merge() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let dense = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet])
-                .with_sparsity(vec![SparsityConfig::DenseBaseline]),
-        )
-        .expect("dense shard runs");
-    let hybrid = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet])
-                .with_sparsity(vec![SparsityConfig::HybridSparsity]),
-        )
-        .expect("hybrid shard runs");
-
-    let merged = dense.clone().merge(hybrid.clone());
-    assert_eq!(merged.entries.len(), 2, "distinct results for one key must both survive");
-    assert_eq!(merged.prepared_models, 1, "one (model, width) pair across both entries");
-    assert_eq!(merged.simulated_runs, 2);
-    assert_eq!(merged.entries[0], dense.entries[0], "self's entry comes first");
-    assert_eq!(merged.entries[1], hybrid.entries[0]);
-
-    // Merging an empty report in either direction changes nothing.
-    let empty = runner.run(&SweepSpec::new(Vec::new())).expect("empty sweep");
-    assert_eq!(empty.clone().merge(merged.clone()).entries, merged.entries);
-    assert_eq!(merged.clone().merge(empty).entries, merged.entries);
 }
 
 /// The session cache counters observe exactly what happened: one miss per

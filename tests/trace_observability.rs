@@ -219,7 +219,7 @@ fn trace_snapshot_drains_context_tagged_request_spans() {
         parent_span: 99,
     };
     client
-        .explore_streaming_traced(&small_spec(), None, None, Some(context), |_, _| {})
+        .explore_streaming(&small_spec(), None, None, Some(context), |_, _| {})
         .expect("traced exploration runs");
 
     let snapshot = client.trace_snapshot().expect("trace snapshot answer");
