@@ -240,6 +240,12 @@ impl From<i8> for CsdWord {
 /// `i32` is well defined, and padding a word with zero digits does not change
 /// its non-zero digit count.
 ///
+/// Closed form, no digit loop: for `n = |value|`, the bits where `3n` and
+/// `n` differ above position 0 — `(n + n/2) ^ n/2` — are exactly the
+/// non-zero digit positions of the non-adjacent form of `n`, and negation
+/// only flips digit signs. Computed on `u64` so `|i32::MIN|` cannot
+/// overflow.
+///
 /// # Examples
 ///
 /// ```
@@ -249,7 +255,9 @@ impl From<i8> for CsdWord {
 /// ```
 #[must_use]
 pub fn phi(value: i32) -> u32 {
-    non_adjacent_form(i64::from(value)).iter().filter(|d| d.is_nonzero()).count() as u32
+    let n = u64::from(value.unsigned_abs());
+    let half = n >> 1;
+    ((n + half) ^ half).count_ones()
 }
 
 /// Canonical non-adjacent-form recoding (least-significant digit first).
@@ -424,12 +432,27 @@ mod tests {
 
     #[test]
     fn phi_matches_word_nonzero_digits() {
-        for v in i8::MIN..=i8::MAX {
-            assert_eq!(phi(i32::from(v)), CsdWord::from_i8(v).nonzero_digits());
+        // Every value of every supported width: the closed form against the
+        // digit-by-digit canonical word.
+        for width in OperandWidth::all() {
+            for v in width.min_value()..=width.max_value() {
+                let word = CsdWord::encode(v, width).unwrap();
+                assert_eq!(phi(v), word.nonzero_digits(), "{width} value {v}");
+            }
         }
-        for v in [-32768, -4096, -100, 4095, 32767] {
-            let word = CsdWord::encode(v, OperandWidth::Int16).unwrap();
-            assert_eq!(phi(v), word.nonzero_digits(), "value {v}");
+    }
+
+    #[test]
+    fn phi_matches_the_naf_digit_loop_at_the_i32_extremes() {
+        let naf_phi =
+            |v: i32| non_adjacent_form(i64::from(v)).iter().filter(|d| d.is_nonzero()).count();
+        // ±(2^k - 1), ±2^k and ±(2^k + 1) for every k, where they fit:
+        // the carry-chain extremes of the closed form.
+        let powers = (0..=31).map(|k| 1i64 << k);
+        let near_powers = powers.flat_map(|p| [p - 1, p, p + 1, 1 - p, -p, -p - 1]);
+        let values = near_powers.filter_map(|v| i32::try_from(v).ok());
+        for v in values.chain([i32::MIN, i32::MIN + 1, i32::MAX]) {
+            assert_eq!(phi(v) as usize, naf_phi(v), "value {v}");
         }
     }
 

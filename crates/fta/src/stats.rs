@@ -12,7 +12,6 @@ use dbpim_tensor::stats::WeightBitStats;
 use serde::{Deserialize, Serialize};
 
 use crate::algorithm::{LayerApprox, ModelApprox};
-use crate::metadata::LayerMetadata;
 
 /// Sparsity / utilization statistics of one approximated layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,16 +46,39 @@ pub struct LayerFtaStats {
 
 impl LayerFtaStats {
     /// Computes the statistics of one approximated layer.
+    ///
+    /// The cell counts are those of
+    /// [`LayerMetadata::from_layer`](crate::metadata::LayerMetadata::from_layer), counted
+    /// instead of materialized: a canonical word has one Complementary
+    /// Pattern block per non-zero digit, so a weight stores `φ(w)` cells
+    /// and its filter allocates `φ_th` per weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as the metadata extraction does, if an approximated weight
+    /// lies outside the layer's width or needs more blocks than its
+    /// filter's threshold; the FTA approximation guarantees neither happens.
     #[must_use]
     pub fn from_layer(layer: &LayerApprox) -> Self {
         let width = layer.width();
-        let meta = LayerMetadata::from_layer(layer);
         let original = WeightBitStats::from_wide_values(layer.original_values(), width);
         let total_weights = layer.filter_count() * layer.filter_len();
         let total_bits = (total_weights * width.bits() as usize) as f64;
-        let stored = meta.stored_cells();
+        let mut stored = 0usize;
+        let mut allocated = 0usize;
         let mut error_sum = 0.0f64;
         for (filter, approx) in layer.filters().iter().enumerate() {
+            let threshold = approx.threshold();
+            for &value in approx.values() {
+                assert!(width.contains(value), "FTA-approximated weight {value} exceeds {width}");
+                let blocks = dbpim_csd::phi(value);
+                assert!(
+                    blocks <= threshold,
+                    "weight {value} needs {blocks} blocks but the filter threshold is {threshold}"
+                );
+                stored += blocks as usize;
+            }
+            allocated += approx.allocated_slots();
             let start = filter * layer.filter_len();
             let end = start + layer.filter_len();
             error_sum += approx.mean_abs_error(&layer.original_values()[start..end])
@@ -70,11 +92,11 @@ impl LayerFtaStats {
             filter_len: layer.filter_len(),
             threshold_histogram: layer.threshold_histogram(),
             stored_cells: stored,
-            allocated_cells: meta.allocated_cells(),
+            allocated_cells: allocated,
             binary_zero_ratio: original.binary_zero_ratio(),
             csd_zero_ratio: original.csd_zero_ratio(),
             fta_zero_ratio: if total_bits > 0.0 { 1.0 - stored as f64 / total_bits } else { 1.0 },
-            utilization: meta.utilization(),
+            utilization: if allocated > 0 { stored as f64 / allocated as f64 } else { 1.0 },
             mean_abs_error: if total_weights > 0 { error_sum / total_weights as f64 } else { 0.0 },
         }
     }
@@ -112,6 +134,11 @@ impl ModelFtaStats {
     /// Computes the statistics of every approximated layer of a model.
     #[must_use]
     pub fn from_model(approx: &ModelApprox) -> Self {
+        let _span = dbpim_trace::span!(
+            "fta.stats",
+            model = approx.model_name(),
+            width = approx.width().bits()
+        );
         Self {
             model_name: approx.model_name().to_string(),
             layers: approx.layers().iter().map(LayerFtaStats::from_layer).collect(),
@@ -172,8 +199,10 @@ impl ModelFtaStats {
 mod tests {
     use super::*;
     use crate::algorithm::LayerApprox;
+    use crate::metadata::LayerMetadata;
     use crate::table::QueryTables;
-    use dbpim_tensor::quant::QuantizedTensor;
+    use dbpim_tensor::prune::PruningSpec;
+    use dbpim_tensor::quant::{QuantizedTensor, WideQuantizedTensor};
     use dbpim_tensor::random::TensorGenerator;
     use dbpim_tensor::Tensor;
 
@@ -182,6 +211,39 @@ mod tests {
         let w = gen.weight_tensor(vec![filters, len]).unwrap();
         let q = QuantizedTensor::quantize_per_channel(&w, 0);
         LayerApprox::from_weights(0, "conv", q.values(), &QueryTables::new()).unwrap()
+    }
+
+    /// A `filters x len` layer at `width`, with `prune` of its float
+    /// weights zeroed by magnitude and, when `zero_filter` is set, filter 0
+    /// entirely zero.
+    fn layer_at(width: OperandWidth, seed: u64, prune: f64, zero_filter: bool) -> LayerApprox {
+        let (filters, len) = (24, 50);
+        let mut w = TensorGenerator::new(seed).weight_tensor(vec![filters, len]).unwrap();
+        PruningSpec::unstructured(prune).apply(w.data_mut(), filters);
+        if zero_filter {
+            w.data_mut()[..len].fill(0.0);
+        }
+        let q = WideQuantizedTensor::quantize_per_channel(&w, 0, width);
+        LayerApprox::from_wide_weights(0, "conv", q.values(), &QueryTables::for_width(width))
+            .unwrap()
+    }
+
+    #[test]
+    fn counted_cells_equal_the_materialized_metadata_at_every_width() {
+        for width in OperandWidth::all() {
+            for (seed, prune, zero_filter) in [(4, 0.0, false), (5, 0.5, false), (6, 0.0, true)] {
+                let layer = layer_at(width, seed, prune, zero_filter);
+                let stats = LayerFtaStats::from_layer(&layer);
+                let meta = LayerMetadata::from_layer(&layer);
+                let case = format!("{width} prune {prune} zero filter {zero_filter}");
+                assert_eq!(stats.stored_cells, meta.stored_cells(), "{case}");
+                assert_eq!(stats.allocated_cells, meta.allocated_cells(), "{case}");
+                assert_eq!(stats.utilization.to_bits(), meta.utilization().to_bits(), "{case}");
+                if zero_filter {
+                    assert_eq!(layer.filters()[0].threshold(), 0, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

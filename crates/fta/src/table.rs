@@ -10,7 +10,6 @@
 //! INT4/INT12/INT16.
 
 use dbpim_csd::OperandWidth;
-use serde::{Deserialize, Serialize};
 
 use crate::error::FtaError;
 
@@ -37,11 +36,14 @@ pub const MAX_THRESHOLD: u32 = 2;
 /// assert!(t2.contains(1920)); // 2048 - 128
 /// # Ok::<(), dbpim_fta::FtaError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryTable {
     width: OperandWidth,
     threshold: u32,
     values: Vec<i32>,
+    /// The answer of [`nearest`](Self::nearest) for every value of the
+    /// width's range, indexed by `value - width.min_value()`.
+    nearest: Vec<i32>,
 }
 
 impl QueryTable {
@@ -65,12 +67,29 @@ impl QueryTable {
         if threshold > MAX_THRESHOLD {
             return Err(FtaError::InvalidThreshold { threshold });
         }
-        // Exhaustive scan of the width's range: ascending, so the result is
-        // already sorted. At most 2^16 φ computations (INT16).
-        let values: Vec<i32> = (width.min_value()..=width.max_value())
-            .filter(|&v| dbpim_csd::phi(v) <= threshold)
-            .collect();
-        Ok(Self { width, threshold, values })
+        // One ascending scan of the width's range (at most 2^16 values, at
+        // INT16) collects the members, already sorted, and settles the
+        // nearest member of every value up to each member it meets.
+        let (min, max) = (width.min_value(), width.max_value());
+        let range = (max - min) as usize + 1;
+        let mut values: Vec<i32> = Vec::new();
+        let mut nearest = Vec::with_capacity(range);
+        for v in min..=max {
+            if dbpim_csd::phi(v) > threshold {
+                continue;
+            }
+            match values.last() {
+                // Values below the first member snap up to it.
+                None => nearest.resize((v - min) as usize, v),
+                Some(&lo) => nearest.extend((lo + 1..v).map(|x| closer(x, lo, v))),
+            }
+            nearest.push(v);
+            values.push(v);
+        }
+        // Values above the last member snap down to it.
+        let last = *values.last().expect("zero is admissible at every threshold");
+        nearest.resize(range, last);
+        Ok(Self { width, threshold, values, nearest })
     }
 
     /// The operand width this table was built for.
@@ -113,34 +132,12 @@ impl QueryTable {
     /// The admissible value closest to `value` (Algorithm 1 line 16).
     ///
     /// Ties are broken towards the value of smaller magnitude, which never
-    /// increases the number of stored non-zero digits.
+    /// increases the number of stored non-zero digits. A value outside the
+    /// width's range gets the member nearest the range end it passed.
     #[must_use]
     pub fn nearest(&self, value: i32) -> i32 {
-        match self.values.binary_search(&value) {
-            Ok(_) => value,
-            Err(pos) => {
-                let hi = self.values.get(pos).copied();
-                let lo = if pos > 0 { Some(self.values[pos - 1]) } else { None };
-                match (lo, hi) {
-                    (Some(lo), Some(hi)) => {
-                        let dl = i64::from(value) - i64::from(lo);
-                        let dh = i64::from(hi) - i64::from(value);
-                        if dl < dh {
-                            lo
-                        } else if dh < dl {
-                            hi
-                        } else if lo.unsigned_abs() <= hi.unsigned_abs() {
-                            lo
-                        } else {
-                            hi
-                        }
-                    }
-                    (Some(lo), None) => lo,
-                    (None, Some(hi)) => hi,
-                    (None, None) => 0,
-                }
-            }
-        }
+        let min = self.width.min_value();
+        self.nearest[(value.clamp(min, self.width.max_value()) - min) as usize]
     }
 
     /// Largest absolute approximation error over the width's whole range.
@@ -155,7 +152,7 @@ impl QueryTable {
 
 /// The three query tables (`φ_th` = 0, 1, 2) of one operand width, built
 /// once and shared.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryTables {
     width: OperandWidth,
     tables: [QueryTable; 3],
@@ -201,6 +198,17 @@ impl QueryTables {
 impl Default for QueryTables {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Whichever of the neighbouring members `lo < x < hi` lies closer to `x`;
+/// a tie goes to the one of smaller magnitude.
+fn closer(x: i32, lo: i32, hi: i32) -> i32 {
+    let (dl, dh) = (x - lo, hi - x);
+    if dl < dh || (dl == dh && lo.unsigned_abs() <= hi.unsigned_abs()) {
+        lo
+    } else {
+        hi
     }
 }
 
@@ -273,6 +281,54 @@ mod tests {
                     assert!(
                         (v - candidate).abs() >= err,
                         "threshold {threshold}: {candidate} is closer to {v} than {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The search `nearest` answered with before the lookup: the reference
+    /// the lookup must equal.
+    fn binary_search_nearest(values: &[i32], value: i32) -> i32 {
+        match values.binary_search(&value) {
+            Ok(_) => value,
+            Err(pos) => {
+                let hi = values.get(pos).copied();
+                let lo = if pos > 0 { Some(values[pos - 1]) } else { None };
+                match (lo, hi) {
+                    (Some(lo), Some(hi)) => {
+                        let dl = i64::from(value) - i64::from(lo);
+                        let dh = i64::from(hi) - i64::from(value);
+                        if dl < dh {
+                            lo
+                        } else if dh < dl {
+                            hi
+                        } else if lo.unsigned_abs() <= hi.unsigned_abs() {
+                            lo
+                        } else {
+                            hi
+                        }
+                    }
+                    (Some(lo), None) => lo,
+                    (None, Some(hi)) => hi,
+                    (None, None) => 0,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_equals_the_binary_search_for_every_value() {
+        for width in OperandWidth::all() {
+            for threshold in 0..=MAX_THRESHOLD {
+                let t = QueryTable::for_width(width, threshold).unwrap();
+                let (min, max) = (width.min_value(), width.max_value());
+                let outside = [i32::MIN, min - 1, max + 1, i32::MAX];
+                for v in (min..=max).chain(outside) {
+                    assert_eq!(
+                        t.nearest(v),
+                        binary_search_nearest(t.values(), v),
+                        "{width} threshold {threshold} value {v}"
                     );
                 }
             }

@@ -1,9 +1,9 @@
 //! Float-precision reference implementations of the layer operations.
 //!
 //! All operations work on a single image in `[C, H, W]` layout; batching is
-//! handled by the callers. These implementations favour clarity over speed:
-//! they serve as the numerical reference for the quantized executor and for
-//! the bit-accurate PIM macro model.
+//! handled by the callers. They serve as the numerical reference for the
+//! quantized executor and for the bit-accurate PIM macro model, so every
+//! result is rounded exactly as the textbook loop would round it.
 
 use dbpim_tensor::Tensor;
 
@@ -32,38 +32,69 @@ pub fn conv2d(
     }
     let (h, w) = (shape[1], shape[2]);
     let (oh, ow) = cfg.output_hw(h, w);
+    let (k, stride, padding) = (cfg.kernel, cfg.stride, cfg.padding);
     let in_per_group = cfg.in_channels / cfg.groups;
     let out_per_group = cfg.out_channels / cfg.groups;
     let in_data = input.data();
     let w_data = weight.data();
     let mut out = vec![0.0f32; cfg.out_channels * oh * ow];
-
-    for oc in 0..cfg.out_channels {
-        let group = oc / out_per_group;
+    // Every output starts from its bias and adds its in-bounds taps in
+    // (ic, ky, kx) order, so each f32 rounds exactly as a plain 7-deep loop
+    // would. An interior position (receptive field wholly inside the input)
+    // has no padding taps: its input patch is gathered once, in the
+    // filters' (ic, ky, kx) layout, and reused by every out-channel of the
+    // group. Border positions skip their padding taps one by one; adding a
+    // stored 0.0 instead could flip the sign of a zero sum.
+    let interior =
+        |o: usize, extent: usize| o * stride >= padding && o * stride + k <= extent + padding;
+    let patch_len = in_per_group * k * k;
+    let mut patch = vec![0.0f32; patch_len];
+    for group in 0..cfg.groups {
         let ic_base = group * in_per_group;
-        let b = bias.map_or(0.0, |b| b[oc]);
+        let out_channels = group * out_per_group..(group + 1) * out_per_group;
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut acc = b;
-                for ic in 0..in_per_group {
-                    for ky in 0..cfg.kernel {
-                        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..cfg.kernel {
-                            let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let x = in_data[((ic_base + ic) * h + iy as usize) * w + ix as usize];
-                            let wv = w_data
-                                [((oc * in_per_group + ic) * cfg.kernel + ky) * cfg.kernel + kx];
-                            acc += x * wv;
+                if interior(oy, h) && interior(ox, w) {
+                    let (y0, x0) = (oy * stride - padding, ox * stride - padding);
+                    let mut idx = 0;
+                    for ic in ic_base..ic_base + in_per_group {
+                        for iy in y0..y0 + k {
+                            let start = (ic * h + iy) * w + x0;
+                            patch[idx..idx + k].copy_from_slice(&in_data[start..start + k]);
+                            idx += k;
                         }
                     }
+                    for oc in out_channels.clone() {
+                        let filter = &w_data[oc * patch_len..(oc + 1) * patch_len];
+                        let mut acc = bias.map_or(0.0, |b| b[oc]);
+                        for (&x, &wv) in patch.iter().zip(filter) {
+                            acc += x * wv;
+                        }
+                        out[(oc * oh + oy) * ow + ox] = acc;
+                    }
+                    continue;
                 }
-                out[(oc * oh + oy) * ow + ox] = acc;
+                for oc in out_channels.clone() {
+                    let mut acc = bias.map_or(0.0, |b| b[oc]);
+                    for ic in 0..in_per_group {
+                        for ky in 0..k {
+                            let iy = (oy * stride + ky) as isize - padding as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..k {
+                                let ix = (ox * stride + kx) as isize - padding as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                let x =
+                                    in_data[((ic_base + ic) * h + iy as usize) * w + ix as usize];
+                                acc += x * w_data[oc * patch_len + (ic * k + ky) * k + kx];
+                            }
+                        }
+                    }
+                    out[(oc * oh + oy) * ow + ox] = acc;
+                }
             }
         }
     }
@@ -258,6 +289,7 @@ pub fn channel_scale(features: &Tensor<f32>, gate: &Tensor<f32>) -> Result<Tenso
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbpim_tensor::random::TensorGenerator;
 
     fn tensor(data: Vec<f32>, dims: Vec<usize>) -> Tensor<f32> {
         Tensor::from_vec(data, dims).unwrap()
@@ -306,6 +338,95 @@ mod tests {
         assert_eq!(out.shape(), &[2, 1, 1]);
         assert_eq!(out.get(&[0, 0, 0]).unwrap(), 4.0);
         assert_eq!(out.get(&[1, 0, 0]).unwrap(), 8.0);
+    }
+
+    /// The plain 7-deep loop `conv2d` replaced: the rounding reference.
+    fn reference_conv2d(
+        input: &Tensor<f32>,
+        weight: &Tensor<f32>,
+        bias: Option<&[f32]>,
+        cfg: &Conv2dCfg,
+    ) -> Vec<f32> {
+        let (h, w) = (input.shape()[1], input.shape()[2]);
+        let (oh, ow) = cfg.output_hw(h, w);
+        let in_per_group = cfg.in_channels / cfg.groups;
+        let out_per_group = cfg.out_channels / cfg.groups;
+        let (in_data, w_data) = (input.data(), weight.data());
+        let mut out = vec![0.0f32; cfg.out_channels * oh * ow];
+        for oc in 0..cfg.out_channels {
+            let ic_base = oc / out_per_group * in_per_group;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = bias.map_or(0.0, |b| b[oc]);
+                    for ic in 0..in_per_group {
+                        for ky in 0..cfg.kernel {
+                            let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..cfg.kernel {
+                                let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                let x =
+                                    in_data[((ic_base + ic) * h + iy as usize) * w + ix as usize];
+                                let wv = w_data[((oc * in_per_group + ic) * cfg.kernel + ky)
+                                    * cfg.kernel
+                                    + kx];
+                                acc += x * wv;
+                            }
+                        }
+                    }
+                    out[(oc * oh + oy) * ow + ox] = acc;
+                }
+            }
+        }
+        out
+    }
+
+    /// `conv2d` against [`reference_conv2d`], bit for bit, with and without
+    /// a bias.
+    fn assert_matches_reference(gen: &mut TensorGenerator, cfg: &Conv2dCfg, h: usize, w: usize) {
+        let mut input = gen.weight_tensor(vec![cfg.in_channels, h, w]).unwrap();
+        // Signed zeros in the input and in channel 0's bias: a padding tap
+        // added as 0.0 instead of skipped would turn a -0.0 sum into +0.0.
+        for x in input.data_mut().iter_mut().step_by(3) {
+            *x = -0.0;
+        }
+        let weight = gen.weight_tensor(cfg.weight_dims()).unwrap();
+        let bias: Vec<f32> =
+            (0..cfg.out_channels).map(|o| if o == 0 { -0.0 } else { o as f32 - 2.0 }).collect();
+        for bias in [None, Some(bias.as_slice())] {
+            let got = conv2d(&input, &weight, bias, cfg).unwrap();
+            let want = reference_conv2d(&input, &weight, bias, cfg);
+            let case = format!("{cfg:?} on {h}x{w}, bias {}", bias.is_some());
+            assert_eq!(got.numel(), want.len(), "{case}");
+            for (g, r) in got.data().iter().zip(&want) {
+                assert_eq!(g.to_bits(), r.to_bits(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn conv2d_equals_the_scalar_loop_bit_for_bit() {
+        let mut gen = TensorGenerator::new(17);
+        // (in, out, groups): dense, grouped and depthwise.
+        for (in_channels, out_channels, groups) in [(3, 5, 1), (4, 6, 2), (4, 4, 4)] {
+            for kernel in [1, 3, 5] {
+                for (stride, padding) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
+                    let cfg = Conv2dCfg::new(in_channels, out_channels, kernel)
+                        .with_stride(stride)
+                        .with_padding(padding)
+                        .with_groups(groups);
+                    // A wide input with interior and border positions, one
+                    // exactly the kernel's size and one smaller than it.
+                    for (h, w) in [(9, 7), (kernel, kernel), (1, 2)] {
+                        assert_matches_reference(&mut gen, &cfg, h, w);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -246,15 +246,29 @@ impl Deserialize for PruningSpec {
 
 /// Zeroes the `round(fraction * len)` smallest-magnitude elements. Ties
 /// break on the lower index, so the mask is a pure function of the values.
+///
+/// Each element becomes one `u64` key, `|v|`'s bits above its index. A
+/// magnitude has a clear sign bit, so its bits order exactly as
+/// `f32::total_cmp` orders it, and the keys order as (magnitude, index)
+/// does. Selecting the `remove` smallest keys needs no full sort.
 fn prune_unstructured(values: &mut [f32], fraction: f64) {
     let remove = target_count(values.len(), fraction);
     if remove == 0 {
         return;
     }
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&a, &b| values[a].abs().total_cmp(&values[b].abs()).then_with(|| a.cmp(&b)));
-    for &index in &order[..remove] {
-        values[index] = 0.0;
+    assert!(
+        u32::try_from(values.len()).is_ok(),
+        "a pruning key holds a 32-bit index, but the tensor has {} elements",
+        values.len()
+    );
+    let mut keys: Vec<u64> = values
+        .iter()
+        .enumerate()
+        .map(|(index, v)| u64::from(v.abs().to_bits()) << 32 | index as u64)
+        .collect();
+    keys.select_nth_unstable(remove - 1);
+    for &key in &keys[..remove] {
+        values[key as u32 as usize] = 0.0;
     }
 }
 
@@ -326,6 +340,55 @@ mod tests {
         PruningSpec::unstructured(0.5).apply(&mut b, 1);
         assert_eq!(a, b);
         assert_eq!(a, vec![0.0, 0.0, 0.1, 0.1], "lowest indices pruned first on ties");
+    }
+
+    /// The full sort `prune_unstructured` replaced: the mask reference.
+    fn sorted_mask(values: &[f32], remove: usize) -> Vec<bool> {
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.sort_by(|&a, &b| values[a].abs().total_cmp(&values[b].abs()).then_with(|| a.cmp(&b)));
+        let mut mask = vec![false; values.len()];
+        for &index in &order[..remove] {
+            mask[index] = true;
+        }
+        mask
+    }
+
+    #[test]
+    fn selection_zeroes_the_same_set_as_the_full_sort() {
+        // Duplicate magnitudes, ±x pairs, ±0.0 and NaN, every fraction.
+        let values = [
+            0.5f32,
+            -0.5,
+            0.0,
+            -0.0,
+            0.25,
+            0.25,
+            -0.25,
+            1.0,
+            -1.0,
+            0.0,
+            2.0,
+            0.5,
+            -0.0,
+            0.125,
+            f32::NAN,
+            -0.125,
+            0.25,
+            3.0,
+            -3.0,
+            0.5,
+        ];
+        for remove in 1..values.len() {
+            let fraction = remove as f64 / values.len() as f64;
+            assert_eq!(target_count(values.len(), fraction), remove);
+            let mut pruned = values;
+            prune_unstructured(&mut pruned, fraction);
+            let mask = sorted_mask(&values, remove);
+            for (i, (&after, &before)) in pruned.iter().zip(&values).enumerate() {
+                let want = if mask[i] { 0.0 } else { before };
+                assert_eq!(after.to_bits(), want.to_bits(), "remove {remove}, index {i}");
+            }
+        }
     }
 
     #[test]

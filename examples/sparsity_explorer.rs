@@ -6,7 +6,8 @@
 //! ```
 //!
 //! `model` is one of `alexnet`, `vgg19`, `resnet18`, `mobilenetv2`,
-//! `efficientnetb0` (default `mobilenetv2`). The example reports the
+//! `efficientnetb0` (default `mobilenetv2`; case, `-` and `_` are ignored);
+//! any other name exits with status 2. The example reports the
 //! Fig. 2(a) style zero-bit ratios, the per-filter threshold distribution, a
 //! forced-threshold ablation that shows the accuracy/sparsity trade-off
 //! Algorithm 1 navigates, and a four-configuration sweep rendered from a
@@ -17,18 +18,15 @@ use std::error::Error;
 use db_pim::prelude::*;
 use dbpim_fta::{FilterApprox, LayerApprox};
 
-fn parse_model(name: &str) -> ModelKind {
-    match name.to_ascii_lowercase().as_str() {
-        "alexnet" => ModelKind::AlexNet,
-        "vgg19" => ModelKind::Vgg19,
-        "resnet18" => ModelKind::ResNet18,
-        "efficientnetb0" | "efficientnet" => ModelKind::EfficientNetB0,
-        _ => ModelKind::MobileNetV2,
-    }
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
-    let kind = parse_model(&std::env::args().nth(1).unwrap_or_else(|| "mobilenetv2".to_string()));
+    let name = std::env::args().nth(1).unwrap_or_else(|| "mobilenetv2".to_string());
+    let kind: ModelKind = match name.parse() {
+        Ok(kind) => kind,
+        Err(error) => {
+            eprintln!("sparsity_explorer: {error}");
+            std::process::exit(2);
+        }
+    };
     println!("model: {kind} (width 0.5, synthetic weights)");
 
     // One session backs the whole exploration: the quantized model, the FTA

@@ -11,7 +11,7 @@
 //!   are skipped with a diagnostic, or error, respectively.
 
 use std::collections::HashSet;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use db_pim::prelude::*;
@@ -100,9 +100,44 @@ fn fleet_merge_is_bit_identical_to_a_single_driver_run() {
     }
 }
 
+/// How long the kill test's observer waits for the event it orders on
+/// before failing the test.
+const ORDERING_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// A flag one thread raises and others wait on, for a bounded time.
+#[derive(Default)]
+struct Latch {
+    raised: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Latch {
+    fn raise(&self) {
+        *self.raised.lock().expect("latch lock") = true;
+        self.cv.notify_all();
+    }
+
+    /// Blocks until the latch is raised; panics after [`ORDERING_TIMEOUT`].
+    fn wait(&self, what: &str) {
+        let raised = self.raised.lock().expect("latch lock");
+        let (raised, _) = self
+            .cv
+            .wait_timeout_while(raised, ORDERING_TIMEOUT, |raised| !*raised)
+            .expect("latch lock");
+        assert!(*raised, "waited {ORDERING_TIMEOUT:?} for {what}");
+    }
+}
+
 /// Killing a serve daemon mid-run retires its remote worker; the local
 /// worker steals the unfinished points and the merged report still covers
 /// every point exactly once, bit-identical to a single-driver run.
+///
+/// The observer runs on the worker threads, so blocking in it orders the
+/// run: the remote worker claims nothing after its first point until its
+/// daemon is shutting down, and the local worker steals nothing until the
+/// remote one has retired. Without that, either side's cold model
+/// preparation could win the race and let the local worker drain the
+/// remote shard before the remote worker ever met the dead daemon.
 #[test]
 fn killing_a_worker_mid_run_reassigns_its_points() {
     let config = small_config();
@@ -128,26 +163,38 @@ fn killing_a_worker_mid_run_reassigns_its_points() {
     let addr = handle.addr().to_string();
 
     // Kill the daemon as soon as the remote worker (index 0) completes its
-    // first point — deterministically "mid-run" because its contiguous
-    // shard holds half the grid.
+    // first point — "mid-run" because its contiguous shard holds half the
+    // grid.
+    let shutdown_requested = Arc::new(Latch::default());
+    let remote_retired = Latch::default();
     let (kill_tx, kill_rx) = mpsc::channel::<()>();
-    let killer = std::thread::spawn(move || {
-        // Even if the signal never arrives (remote worker dead on arrival),
-        // shut the daemon down so the test cannot leak it.
-        let _ = kill_rx.recv_timeout(Duration::from_secs(120));
-        handle.request_shutdown();
-        handle.join()
-    });
+    let killer = {
+        let shutdown_requested = Arc::clone(&shutdown_requested);
+        std::thread::spawn(move || {
+            // Even if the signal never arrives (remote worker dead on
+            // arrival), shut the daemon down so the test cannot leak it.
+            let _ = kill_rx.recv_timeout(ORDERING_TIMEOUT);
+            handle.request_shutdown();
+            shutdown_requested.raise();
+            handle.join()
+        })
+    };
 
     let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Remote(addr), WorkerSpec::Local])
         .with_strategy(ShardStrategy::Contiguous)
         .with_point_timeout(Duration::from_secs(30))
         .with_fleet_id("kill-test")
         .with_auth_token("fleet-secret");
-    let driver = FleetDriver::new(fleet_config).with_observer(move |event| {
-        if let FleetEvent::PointDone { worker: 0, .. } = event {
+    let driver = FleetDriver::new(fleet_config).with_observer(move |event| match event {
+        FleetEvent::PointDone { worker: 0, .. } => {
             let _ = kill_tx.send(());
+            shutdown_requested.wait("the daemon's shutdown request");
         }
+        FleetEvent::PointDone { worker: 1, .. } => {
+            remote_retired.wait("the remote worker's retirement");
+        }
+        FleetEvent::WorkerRetired { worker: 0, .. } => remote_retired.raise(),
+        _ => {}
     });
     let outcome = driver.run(&spec).expect("fleet survives the worker kill");
     killer.join().expect("killer thread").expect("daemon exits cleanly");

@@ -73,7 +73,8 @@ fn chrome_export_covers_pipeline_phases_and_parses() {
     traced_sweep(Some(&collector));
     let spans = collector.snapshot();
 
-    let phases = ["pipeline.quantize", "pipeline.fta", "pipeline.compile", "pipeline.simulate"];
+    let phases =
+        ["pipeline.quantize", "pipeline.fta", "fta.stats", "pipeline.compile", "pipeline.simulate"];
     for phase in phases {
         assert!(spans.iter().any(|s| s.name == phase), "no `{phase}` span in the sweep trace");
     }
