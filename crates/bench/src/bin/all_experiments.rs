@@ -7,12 +7,14 @@
 //! ```
 //!
 //! This is the one-shot artifact-evaluation entry point; its output is the
-//! source of the numbers recorded in `EXPERIMENTS.md`.
+//! source of the numbers recorded in `EXPERIMENTS.md`. It takes the same
+//! flags as every report binary, `--trace-out` and `--log-level` included.
 
-use dbpim_bench::{experiments, ExperimentContext, ExperimentOptions};
+use db_pim::flags;
+use dbpim_bench::{experiment_args, experiments, ExperimentContext};
 
 fn main() {
-    let options = ExperimentOptions::from_args();
+    let (options, trace) = experiment_args("all_experiments");
     let context = match ExperimentContext::new(options) {
         Ok(context) => context,
         Err(e) => {
@@ -49,4 +51,5 @@ fn main() {
         Ok(report) => println!("{report}"),
         Err(e) => eprintln!("joint_sparsity failed: {e}"),
     }
+    flags::finish_trace("all_experiments", trace);
 }

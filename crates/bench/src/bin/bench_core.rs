@@ -36,6 +36,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use db_pim::flags::{self, Flag};
 use db_pim::{Pipeline, PipelineConfig};
 use dbpim_arch::{ArchConfig, InputPreprocessor, PimMacro, ScalarPimMacro};
 use dbpim_fta::metadata::FilterMetadata;
@@ -45,6 +46,14 @@ use dbpim_tensor::random::TensorGenerator;
 use dbpim_trace::{phase_summary, PhaseSummary, TraceCollector};
 
 const SCHEMA: &str = "dbpim-bench-core/v1";
+
+const BENCH_FLAGS: &[Flag] = &[
+    Flag::switch("--quick"),
+    Flag::value("--json", "<path>"),
+    Flag::value("--compare", "<path>"),
+    Flag::value("--max-regression", "<factor>"),
+    Flag::value("--min-speedup", "<factor>"),
+];
 
 #[derive(Debug, Serialize, Deserialize)]
 struct KernelSample {
@@ -288,46 +297,17 @@ fn compare(report: &Report, baseline: &Report, max_regression: f64) -> Result<()
 }
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut compare_path: Option<String> = None;
-    let mut max_regression = 1.5f64;
-    let mut min_speedup = 3.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                std::process::exit(2)
-            })
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json_path = Some(value("--json")),
-            "--compare" => compare_path = Some(value("--compare")),
-            "--max-regression" => match value("--max-regression").parse() {
-                Ok(limit) => max_regression = limit,
-                Err(_) => {
-                    eprintln!("bench_core: --max-regression requires a numeric value");
-                    return ExitCode::from(2);
-                }
-            },
-            "--min-speedup" => match value("--min-speedup").parse() {
-                Ok(limit) => min_speedup = limit,
-                Err(_) => {
-                    eprintln!("bench_core: --min-speedup requires a numeric value");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown flag {other}; flags: --quick --json PATH --compare PATH \
-                     --max-regression F --min-speedup F"
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let (quick, json_path, compare_path, max_regression, min_speedup) =
+        flags::from_args("bench_core", &[BENCH_FLAGS], |flags| {
+            flags.no_positionals()?;
+            Ok((
+                flags.switch("--quick"),
+                flags.raw("--json").map(String::from),
+                flags.raw("--compare").map(String::from),
+                flags.get::<f64>("--max-regression")?.unwrap_or(1.5),
+                flags.get::<f64>("--min-speedup")?.unwrap_or(3.0),
+            ))
+        });
 
     let report = run(quick);
     eprintln!(

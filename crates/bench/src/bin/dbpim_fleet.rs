@@ -15,6 +15,10 @@
 //!             [--fleet-id <name>]
 //! ```
 //!
+//! `dse_sweep`'s driver flags (`--snapshot`, `--limit-points`, `--batch`,
+//! `--threads`) are not in the table ([`FLEET_TABLE`]), so `--snapshot`
+//! fails with a hint at `--snapshot-dir`.
+//!
 //! `--status` skips the sweep entirely: it asks every endpoint for its
 //! shard registry, folds the answers into one deduplicated progress view
 //! per fleet ([`FleetProgress`]) and prints it — the monitoring
@@ -33,42 +37,25 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use dbpim_bench::dse::{render_report, DseSweepOptions};
+use db_pim::flags::{self, OptionsError};
+use dbpim_bench::dse::{render_report, DseSweepOptions, FLEET_TABLE};
 use dbpim_fleet::{FleetDriver, FleetEvent, FleetOptions, FleetProgress};
 use dbpim_trace::{log_debug, log_info, log_warn, TraceSink};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (sweep, fleet) = match (DseSweepOptions::from_slice(&args), FleetOptions::from_slice(&args))
-    {
-        (Ok(sweep), Ok(fleet)) => (sweep, fleet),
-        (Err(e), _) => usage_error(&e.to_string()),
-        (_, Err(e)) => usage_error(&e.to_string()),
-    };
-    match dbpim_trace::log_level_from_args(&args) {
-        Ok(_) => {}
-        Err(e) => usage_error(&e),
-    }
-    let trace = match TraceSink::from_args(&args) {
-        Ok(sink) => sink,
-        Err(e) => usage_error(&e),
-    };
-    if args.iter().any(|arg| arg == "--status") {
-        status_mode(&fleet);
-    }
-    // The driver-local knobs of dse_sweep make no sense across a fleet.
-    for (flag, set) in [
-        ("--snapshot", sweep.snapshot.is_some()),
-        ("--limit-points", sweep.limit_points.is_some()),
-        ("--batch", sweep.batch.is_some()),
-        ("--threads", sweep.threads.is_some()),
-    ] {
-        if set {
-            usage_error(&format!(
-                "`{flag}` is a dse_sweep driver flag; fleets shard with --snapshot-dir and \
-                 --workers instead"
+    let (sweep, fleet, status, trace) = flags::from_args("dbpim-fleet", FLEET_TABLE, |flags| {
+        let fleet = FleetOptions::from_flags(flags)?;
+        let status = flags.switch("--status");
+        if status && fleet.endpoints.is_empty() {
+            return Err(OptionsError::new(
+                "--status",
+                "needs --endpoints to know which daemons to ask",
             ));
         }
+        Ok((DseSweepOptions::from_flags(flags)?, fleet, status, flags::install_trace(flags)?))
+    });
+    if status {
+        status_mode(&fleet);
     }
 
     let spec = sweep.spec();
@@ -197,9 +184,6 @@ fn finish_trace(sink: TraceSink, fleet: &FleetOptions) -> std::io::Result<()> {
 fn status_mode(fleet: &FleetOptions) -> ! {
     use std::time::Duration;
 
-    if fleet.endpoints.is_empty() {
-        usage_error("--status needs --endpoints to know which daemons to ask");
-    }
     let mut views = Vec::new();
     let mut unreachable = 0usize;
     for endpoint in &fleet.endpoints {
@@ -242,11 +226,4 @@ fn status_mode(fleet: &FleetOptions) -> ! {
     // Partial coverage is an error exit so scripts don't mistake a view
     // missing daemons for the whole story.
     std::process::exit(i32::from(unreachable > 0));
-}
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("{message}");
-    eprintln!("{}", DseSweepOptions::USAGE.replace("dse_sweep", "dbpim-fleet"));
-    eprintln!("       plus {}", FleetOptions::USAGE);
-    std::process::exit(2);
 }

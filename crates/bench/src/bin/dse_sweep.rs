@@ -8,29 +8,13 @@
 
 use std::time::Instant;
 
-use dbpim_bench::dse::{render_report, DseSweepOptions};
+use db_pim::flags;
+use dbpim_bench::dse::{render_report, DseSweepOptions, DSE_SWEEP_TABLE};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match DseSweepOptions::from_slice(&args) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{}", DseSweepOptions::USAGE);
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = dbpim_trace::log_level_from_args(&args) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let trace = match dbpim_trace::TraceSink::from_args(&args) {
-        Ok(sink) => sink,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let (options, trace) = flags::from_args("dse_sweep", DSE_SWEEP_TABLE, |flags| {
+        Ok((DseSweepOptions::from_flags(flags)?, flags::install_trace(flags)?))
+    });
 
     let driver = match options.driver() {
         Ok(driver) => driver,
@@ -45,11 +29,7 @@ fn main() {
     match driver.run(&spec) {
         Ok(report) => {
             print!("{}", render_report(&report));
-            if let Some(sink) = trace {
-                if let Err(e) = sink.finish() {
-                    eprintln!("dse_sweep: writing the trace failed: {e}");
-                }
-            }
+            flags::finish_trace("dse_sweep", trace);
             let stats = driver.cache_stats();
             eprintln!(
                 "dse_sweep: {} fresh + {} resumed of {} points in {:.2?} \

@@ -8,10 +8,10 @@
 //!
 //! ```text
 //! serve_bench [--clients <n>] [--requests <n>] [--closed-loop]
-//!             [standard experiment flags]
+//!             [pipeline flags]
 //! ```
 //!
-//! The standard flags (`--width`, `--seed`, `--cal`, `--classes`,
+//! The pipeline flags (`--width`, `--seed`, `--cal`, `--classes`,
 //! `--operand-width`, …) shape the daemon's pipeline exactly as they shape
 //! every other experiment binary.
 //!
@@ -26,12 +26,19 @@
 
 use std::time::{Duration, Instant};
 
+use db_pim::flags::{self, Flag, Flags, OptionsError, PIPELINE_FLAGS};
 use dbpim_bench::ExperimentOptions;
 use dbpim_nn::ModelKind;
-use dbpim_serve::options::parse_value;
 use dbpim_serve::{Client, ClientError, ErrorKind, RunQuery, ServeConfig, Server};
 
-/// Extra load-shape flags on top of the standard experiment options.
+/// The load-shape flags, on top of the pipeline flags.
+const LOAD_FLAGS: &[Flag] = &[
+    Flag::value("--clients", "<n>"),
+    Flag::value("--requests", "<n>"),
+    Flag::switch("--closed-loop"),
+];
+
+/// The load shape, read from [`LOAD_FLAGS`].
 struct LoadOptions {
     /// Concurrent clients in the throughput phase.
     clients: usize,
@@ -43,44 +50,16 @@ struct LoadOptions {
 }
 
 impl LoadOptions {
-    fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let closed_loop = args.iter().any(|arg| arg == "--closed-loop");
-        let mut options = Self { clients: 4, requests: 16, closed_loop };
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if flag != "--clients" && flag != "--requests" {
-                i += 1;
-                continue;
-            }
-            let result = args
-                .get(i + 1)
-                .ok_or_else(|| dbpim_serve::OptionsError {
-                    flag: flag.to_string(),
-                    message: "missing value".to_string(),
-                })
-                .and_then(|raw| parse_value::<usize>(flag, raw));
-            match result {
-                Ok(value) if value > 0 => {
-                    if flag == "--clients" {
-                        options.clients = value;
-                    } else {
-                        options.requests = value;
-                    }
-                }
-                Ok(_) => {
-                    eprintln!("invalid value for `{flag}`: must be positive");
-                    std::process::exit(2);
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        }
-        options
+    fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
+        let positive = |flag: &str, default: usize| match flags.get::<usize>(flag)? {
+            Some(0) => Err(OptionsError::new(flag, "must be positive")),
+            value => Ok(value.unwrap_or(default)),
+        };
+        Ok(Self {
+            clients: positive("--clients", 4)?,
+            requests: positive("--requests", 16)?,
+            closed_loop: flags.switch("--closed-loop"),
+        })
     }
 }
 
@@ -98,8 +77,9 @@ fn summarize(mut samples: Vec<Duration>) -> (f64, f64, f64) {
 }
 
 fn main() {
-    let options = ExperimentOptions::from_args();
-    let load = LoadOptions::from_args();
+    let (options, load) = flags::from_args("serve_bench", &[PIPELINE_FLAGS, LOAD_FLAGS], |flags| {
+        Ok((ExperimentOptions::from_flags(flags)?, LoadOptions::from_flags(flags)?))
+    });
     // Fidelity is a per-request opt-in over the wire; the load shapes below
     // never request it, so the daemon keeps evaluation capacity configured
     // but idle.

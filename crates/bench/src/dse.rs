@@ -1,4 +1,4 @@
-//! The `dse_sweep` experiment: strict option parsing, driver wiring and
+//! The `dse_sweep` experiment: its flag table, driver wiring and
 //! deterministic report rendering for design-space explorations.
 //!
 //! ```text
@@ -8,7 +8,7 @@
 //!           [--models alexnet,vgg19] [--widths 4,8] [--pruning 0.3,s0.5]
 //!           [--sparsity base,hybrid]
 //!           [--fidelity] [--snapshot <path>] [--limit-points <n>]
-//!           [--batch <n>] [--threads <n>]
+//!           [--batch <n>] [--threads <n>] [--trace-out <path>] [--log-level <level>]
 //! ```
 //!
 //! The rendered report (stdout) is a pure function of the computed results —
@@ -16,15 +16,50 @@
 //! `diff` a cold run against a resumed one.
 
 use std::fmt::Write as _;
-use std::str::FromStr;
 
+use db_pim::flags::{Flag, Flags, OptionsError, PIPELINE_FLAGS, TRACE_FLAGS};
 use db_pim::prelude::*;
 use db_pim::PipelineError;
+use dbpim_fleet::options::FLEET_FLAGS;
 
-use crate::{pct, ExperimentOptions, OptionsError};
+use crate::{pct, ExperimentOptions};
 
-/// Strictly parsed `dse_sweep` command line: the shared pipeline flags plus
-/// the grid axes and driver controls.
+/// The grid axes of an exploration, shared by `dse_sweep` and
+/// `dbpim-fleet`.
+pub const GRID_FLAGS: &[Flag] = &[
+    Flag::value("--macros", "a,b"),
+    Flag::value("--compartments", "a,b"),
+    Flag::value("--dbmus", "a,b"),
+    Flag::value("--rows", "a,b"),
+    Flag::value("--freqs", "a,b"),
+    Flag::value("--feature-kb", "a,b"),
+    Flag::value("--weight-kb", "a,b"),
+    Flag::value("--meta-kb", "a,b"),
+    Flag::value("--models", "a,b"),
+    Flag::value("--widths", "4,8,..."),
+    Flag::value("--pruning", "0.3,s0.5,..."),
+    Flag::value("--sparsity", "base,hybrid,..."),
+    Flag::switch("--fidelity"),
+];
+
+/// The single-driver controls of `dse_sweep`.
+pub const DRIVER_FLAGS: &[Flag] = &[
+    Flag::value("--snapshot", "<path>"),
+    Flag::value("--limit-points", "<n>"),
+    Flag::value("--batch", "<n>"),
+    Flag::value("--threads", "<n>"),
+];
+
+/// The flag table of `dse_sweep`.
+pub const DSE_SWEEP_TABLE: &[&[Flag]] = &[PIPELINE_FLAGS, GRID_FLAGS, DRIVER_FLAGS, TRACE_FLAGS];
+
+/// The flag table of `dbpim-fleet`: the grid it explores and the fleet that
+/// runs it, without the driver group (a fleet shards with `--snapshot-dir`
+/// and `--workers` instead).
+pub const FLEET_TABLE: &[&[Flag]] = &[PIPELINE_FLAGS, GRID_FLAGS, FLEET_FLAGS, TRACE_FLAGS];
+
+/// A parsed `dse_sweep` command line: the shared pipeline flags plus the
+/// grid axes and driver controls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DseSweepOptions {
     /// The shared pipeline flags (`--width`, `--seed`, ...).
@@ -67,102 +102,33 @@ pub struct DseSweepOptions {
 }
 
 impl DseSweepOptions {
-    /// The grid / driver flags this parser understands on top of
-    /// [`ExperimentOptions::FLAGS`].
-    pub const FLAGS: [&'static str; 16] = [
-        "--macros",
-        "--compartments",
-        "--dbmus",
-        "--rows",
-        "--freqs",
-        "--feature-kb",
-        "--weight-kb",
-        "--meta-kb",
-        "--models",
-        "--widths",
-        "--pruning",
-        "--sparsity",
-        "--snapshot",
-        "--limit-points",
-        "--batch",
-        "--threads",
-    ];
-
-    /// One-line usage text for the binary.
-    pub const USAGE: &'static str = "usage: dse_sweep [--width <f32>] [--seed <u64>] \
-         [--images <n>] [--cal <n>] [--classes <n>] [--operand-width <4|8|12|16>] \
-         [--macros a,b] [--compartments a,b] [--dbmus a,b] [--rows a,b] [--freqs a,b] \
-         [--feature-kb a,b] [--weight-kb a,b] [--meta-kb a,b] [--models a,b] \
-         [--widths 4,8,...] [--pruning 0.3,s0.5,...] [--sparsity base,hybrid,...] [--fidelity] \
-         [--snapshot <path>] [--limit-points <n>] [--batch <n>] [--threads <n>] \
-         [--trace-out <path>] [--log-level error|warn|info|debug]";
-
-    /// Parses options from an explicit argument list. Unknown flags are
-    /// ignored; a known flag with a missing or malformed value is an error.
+    /// Reads the pipeline, grid and driver groups; a driver flag outside
+    /// the table (as in `dbpim-fleet`'s) reads as not given.
     ///
     /// # Errors
     ///
     /// Returns [`OptionsError`] naming the offending flag.
-    pub fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
-        let base = ExperimentOptions::from_slice(args)?;
-        let mut options = Self {
-            base,
-            macros: Vec::new(),
-            compartments: Vec::new(),
-            dbmus: Vec::new(),
-            rows: Vec::new(),
-            freqs: Vec::new(),
-            feature_kb: Vec::new(),
-            weight_kb: Vec::new(),
-            meta_kb: Vec::new(),
-            models: Vec::new(),
-            widths: Vec::new(),
-            pruning: Vec::new(),
-            sparsity: Vec::new(),
-            fidelity: false,
-            snapshot: None,
-            limit_points: None,
-            batch: None,
-            threads: None,
-        };
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if flag == "--fidelity" {
-                options.fidelity = true;
-                i += 1;
-                continue;
-            }
-            if !Self::FLAGS.contains(&flag) {
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: flag.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match flag {
-                "--macros" => options.macros = parse_list(flag, raw)?,
-                "--compartments" => options.compartments = parse_list(flag, raw)?,
-                "--dbmus" => options.dbmus = parse_list(flag, raw)?,
-                "--rows" => options.rows = parse_list(flag, raw)?,
-                "--freqs" => options.freqs = parse_list(flag, raw)?,
-                "--feature-kb" => options.feature_kb = parse_list(flag, raw)?,
-                "--weight-kb" => options.weight_kb = parse_list(flag, raw)?,
-                "--meta-kb" => options.meta_kb = parse_list(flag, raw)?,
-                "--models" => options.models = parse_list(flag, raw)?,
-                "--widths" => options.widths = parse_list(flag, raw)?,
-                "--pruning" => options.pruning = parse_list(flag, raw)?,
-                "--sparsity" => options.sparsity = parse_list(flag, raw)?,
-                "--snapshot" => options.snapshot = Some(raw.clone()),
-                "--limit-points" => options.limit_points = Some(parse_scalar(flag, raw)?),
-                "--batch" => options.batch = Some(parse_scalar(flag, raw)?),
-                "--threads" => options.threads = Some(parse_scalar(flag, raw)?),
-                _ => unreachable!("flag list and match arms agree"),
-            }
-            i += 2;
-        }
-        Ok(options)
+    pub fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
+        Ok(Self {
+            base: ExperimentOptions::from_flags(flags)?,
+            macros: flags.list("--macros")?.unwrap_or_default(),
+            compartments: flags.list("--compartments")?.unwrap_or_default(),
+            dbmus: flags.list("--dbmus")?.unwrap_or_default(),
+            rows: flags.list("--rows")?.unwrap_or_default(),
+            freqs: flags.list("--freqs")?.unwrap_or_default(),
+            feature_kb: flags.list("--feature-kb")?.unwrap_or_default(),
+            weight_kb: flags.list("--weight-kb")?.unwrap_or_default(),
+            meta_kb: flags.list("--meta-kb")?.unwrap_or_default(),
+            models: flags.list("--models")?.unwrap_or_default(),
+            widths: flags.list("--widths")?.unwrap_or_default(),
+            pruning: flags.list("--pruning")?.unwrap_or_default(),
+            sparsity: flags.list("--sparsity")?.unwrap_or_default(),
+            fidelity: flags.switch("--fidelity"),
+            snapshot: flags.raw("--snapshot").map(String::from),
+            limit_points: flags.get("--limit-points")?,
+            batch: flags.get("--batch")?,
+            threads: flags.get("--threads")?,
+        })
     }
 
     /// The exploration spec these options describe. Buffer axes given in KB
@@ -215,34 +181,6 @@ impl DseSweepOptions {
         }
         Ok(driver)
     }
-}
-
-/// Parses a comma-separated list, attributing the failing element to the
-/// flag.
-fn parse_list<T: FromStr>(flag: &str, raw: &str) -> Result<Vec<T>, OptionsError>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.split(',')
-        .map(str::trim)
-        .filter(|part| !part.is_empty())
-        .map(|part| {
-            part.parse().map_err(|e: T::Err| OptionsError {
-                flag: flag.to_string(),
-                message: format!("`{part}` — {e}"),
-            })
-        })
-        .collect()
-}
-
-fn parse_scalar<T: FromStr>(flag: &str, raw: &str) -> Result<T, OptionsError>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.parse().map_err(|e: T::Err| OptionsError {
-        flag: flag.to_string(),
-        message: format!("`{raw}` — {e}"),
-    })
 }
 
 /// Renders a [`DseReport`] as a deterministic text table: one row per
@@ -356,13 +294,18 @@ pub fn render_report(report: &DseReport) -> String {
 mod tests {
     use super::*;
 
-    fn args(raw: &[&str]) -> Vec<String> {
-        raw.iter().map(ToString::to_string).collect()
+    fn parse_with(table: &[&[Flag]], raw: &[&str]) -> Result<DseSweepOptions, OptionsError> {
+        let args: Vec<String> = raw.iter().map(ToString::to_string).collect();
+        DseSweepOptions::from_flags(&Flags::parse(table, &args)?)
+    }
+
+    fn parse(raw: &[&str]) -> Result<DseSweepOptions, OptionsError> {
+        parse_with(DSE_SWEEP_TABLE, raw)
     }
 
     #[test]
     fn grid_and_driver_flags_parse_strictly() {
-        let options = DseSweepOptions::from_slice(&args(&[
+        let options = parse(&[
             "--width",
             "0.25",
             "--classes",
@@ -390,7 +333,7 @@ mod tests {
             "--threads",
             "2",
             "--fidelity",
-        ]))
+        ])
         .unwrap();
         assert!((options.base.width_mult - 0.25).abs() < 1e-6);
         assert_eq!(options.macros, vec![2, 4, 8]);
@@ -418,25 +361,49 @@ mod tests {
 
     #[test]
     fn malformed_grid_values_are_rejected_not_swallowed() {
-        let err = DseSweepOptions::from_slice(&args(&["--macros", "2,x"])).unwrap_err();
+        let err = parse(&["--macros", "2,x"]).unwrap_err();
         assert_eq!(err.flag, "--macros");
         assert!(err.message.contains('x'), "{err}");
 
-        let err = DseSweepOptions::from_slice(&args(&["--freqs"])).unwrap_err();
+        let err = parse(&["--freqs"]).unwrap_err();
         assert_eq!(err.flag, "--freqs");
         assert!(err.to_string().contains("missing"), "{err}");
 
-        let err = DseSweepOptions::from_slice(&args(&["--models", "lenet"])).unwrap_err();
+        let err = parse(&["--models", "lenet"]).unwrap_err();
         assert_eq!(err.flag, "--models");
 
         // Shared pipeline flags stay strict too.
-        let err = DseSweepOptions::from_slice(&args(&["--operand-width", "10"])).unwrap_err();
+        let err = parse(&["--operand-width", "10"]).unwrap_err();
         assert_eq!(err.flag, "--operand-width");
+    }
+
+    /// `dse_sweep --snapshot-dr s.json` used to run without writing a
+    /// snapshot, and `dbpim-fleet --endpoint 127.0.0.1:9` on one local
+    /// worker; the driver flags are unknown to the fleet's table.
+    #[test]
+    fn typos_and_foreign_flags_fail_with_a_hint() {
+        let err = parse(&["--snapshot-dr", "s.json"]).unwrap_err();
+        assert_eq!(err.flag, "--snapshot-dr");
+        assert!(err.message.contains("did you mean `--snapshot`?"), "{err}");
+
+        let err = parse_with(FLEET_TABLE, &["--endpoint", "127.0.0.1:9"]).unwrap_err();
+        assert_eq!(err.flag, "--endpoint");
+        assert!(err.message.contains("did you mean `--endpoints`?"), "{err}");
+        let err = parse_with(FLEET_TABLE, &["--snapshot", "x"]).unwrap_err();
+        assert!(err.message.contains("did you mean `--snapshot-dir`?"), "{err}");
+        for flag in ["--limit-points", "--batch", "--threads"] {
+            let err = parse_with(FLEET_TABLE, &[flag, "2"]).unwrap_err();
+            assert_eq!(err.flag, flag);
+            assert!(err.message.starts_with("unknown flag"), "{err}");
+        }
+        // The fleet's own flags are its table's business, not the sweep's.
+        let options = parse_with(FLEET_TABLE, &["--workers", "2", "--macros", "2"]).unwrap();
+        assert_eq!((options.macros, options.snapshot), (vec![2], None));
     }
 
     #[test]
     fn defaults_cover_the_paper_models_on_the_paper_point() {
-        let options = DseSweepOptions::from_slice(&args(&[])).unwrap();
+        let options = parse(&[]).unwrap();
         let spec = options.spec();
         assert_eq!(spec.models.len(), 5);
         assert_eq!(spec.grid, ArchGrid::around(ArchConfig::paper()));

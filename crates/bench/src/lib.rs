@@ -12,9 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
-use std::str::FromStr;
-
+use db_pim::flags::{self, Flag, Flags, OptionsError, PIPELINE_FLAGS, TRACE_FLAGS};
 use db_pim::prelude::*;
 use db_pim::PipelineError;
 use dbpim_fta::stats::{LayerFtaStats, ModelFtaStats};
@@ -22,27 +20,11 @@ use dbpim_fta::LayerApprox;
 use dbpim_nn::Layer;
 use dbpim_tensor::quant::QuantizedTensor;
 use dbpim_tensor::stats::zero_bit_column_ratio;
+use dbpim_trace::TraceSink;
 
 pub mod dse;
 pub mod experiments;
 pub mod reference;
-
-/// A malformed experiment command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptionsError {
-    /// The flag at fault (e.g. `--width`).
-    pub flag: String,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl fmt::Display for OptionsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid value for `{}`: {}", self.flag, self.message)
-    }
-}
-
-impl std::error::Error for OptionsError {}
 
 /// Command-line options shared by every experiment binary.
 ///
@@ -55,8 +37,8 @@ impl std::error::Error for OptionsError {}
 /// --operand-width <4|8|12|16>  weight operand width (default 8 = the paper)
 /// ```
 ///
-/// Unknown flags are ignored (so wrappers can pass extra arguments through),
-/// but a known flag with a missing or malformed value is an error — silently
+/// Parsing is strict ([`db_pim::flags`]): an unknown flag, a stray word and a
+/// known flag with a missing or malformed value are all errors — silently
 /// falling back to defaults would mislabel every number in the generated
 /// report. `--operand-width` in particular rejects anything that is not one
 /// of the supported widths (e.g. `--operand-width 10` or `wide`).
@@ -89,73 +71,28 @@ impl Default for ExperimentOptions {
     }
 }
 
-/// Parses one flag value, attributing failures to the flag.
-fn parse_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, OptionsError>
-where
-    T::Err: fmt::Display,
-{
-    raw.parse().map_err(|e: T::Err| OptionsError {
-        flag: flag.to_string(),
-        message: format!("`{raw}` — {e}"),
-    })
-}
+/// The flag table of every report binary: the pipeline flags plus
+/// `--trace-out` and `--log-level`.
+pub const EXPERIMENT_TABLE: &[&[Flag]] = &[PIPELINE_FLAGS, TRACE_FLAGS];
 
 impl ExperimentOptions {
-    /// The flags this parser understands.
-    pub const FLAGS: [&'static str; 6] =
-        ["--width", "--seed", "--images", "--cal", "--classes", "--operand-width"];
-
-    /// Parses options from the process arguments.
-    ///
-    /// Prints the error and usage to stderr and exits with status 2 on a
-    /// malformed command line.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        match Self::from_slice(&args) {
-            Ok(options) => options,
-            Err(e) => {
-                eprintln!("{e}");
-                eprintln!(
-                    "usage: [--width <f32>] [--seed <u64>] [--images <n>] [--cal <n>] \
-                     [--classes <n>] [--operand-width <4|8|12|16>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses options from an explicit argument list.
+    /// Reads the [`PIPELINE_FLAGS`]; a flag not given keeps its default.
     ///
     /// # Errors
     ///
-    /// Returns [`OptionsError`] when a known flag has a missing or
-    /// malformed value. Unknown arguments are ignored.
-    pub fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
-        let mut options = Self::default();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if !Self::FLAGS.contains(&flag) {
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: flag.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match flag {
-                "--width" => options.width_mult = parse_value(flag, raw)?,
-                "--seed" => options.seed = parse_value(flag, raw)?,
-                "--images" => options.evaluation_images = parse_value(flag, raw)?,
-                "--cal" => options.calibration_images = parse_value(flag, raw)?,
-                "--classes" => options.classes = parse_value(flag, raw)?,
-                "--operand-width" => options.operand_width = parse_value(flag, raw)?,
-                _ => unreachable!("flag list and match arms agree"),
-            }
-            i += 2;
-        }
-        Ok(options)
+    /// Returns [`OptionsError`] naming a flag with a malformed value, or the
+    /// first positional word: no binary reading these options takes one.
+    pub fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
+        flags.no_positionals()?;
+        let defaults = Self::default();
+        Ok(Self {
+            width_mult: flags.get("--width")?.unwrap_or(defaults.width_mult),
+            seed: flags.get("--seed")?.unwrap_or(defaults.seed),
+            evaluation_images: flags.get("--images")?.unwrap_or(defaults.evaluation_images),
+            calibration_images: flags.get("--cal")?.unwrap_or(defaults.calibration_images),
+            classes: flags.get("--classes")?.unwrap_or(defaults.classes),
+            operand_width: flags.get("--operand-width")?.unwrap_or(defaults.operand_width),
+        })
     }
 
     /// The pipeline configuration equivalent to these options.
@@ -242,6 +179,16 @@ impl ExperimentContext {
     }
 }
 
+/// Parses a report binary's command line against [`EXPERIMENT_TABLE`],
+/// applying the trace flags; see [`flags::from_args`] for `--help` and
+/// malformed lines.
+#[must_use]
+pub fn experiment_args(program: &str) -> (ExperimentOptions, Option<TraceSink>) {
+    flags::from_args(program, EXPERIMENT_TABLE, |flags| {
+        Ok((ExperimentOptions::from_flags(flags)?, flags::install_trace(flags)?))
+    })
+}
+
 /// Shared `main` body of the experiment binaries: parse options, build the
 /// context, render one report, print it (exit status 1 on failure).
 ///
@@ -252,25 +199,9 @@ pub fn run_report_binary<F>(name: &str, generate: F)
 where
     F: FnOnce(&ExperimentContext) -> Result<String, PipelineError>,
 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = dbpim_trace::log_level_from_args(&args) {
-        eprintln!("{name}: {e}");
-        std::process::exit(2);
-    }
-    let trace = match dbpim_trace::TraceSink::from_args(&args) {
-        Ok(sink) => sink,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let options = ExperimentOptions::from_args();
+    let (options, trace) = experiment_args(name);
     let result = ExperimentContext::new(options).and_then(|context| generate(&context));
-    if let Some(sink) = trace {
-        if let Err(e) = sink.finish() {
-            eprintln!("{name}: writing the trace failed: {e}");
-        }
-    }
+    flags::finish_trace(name, trace);
     match result {
         Ok(report) => print!("{report}"),
         Err(e) => {
@@ -398,27 +329,17 @@ pub fn pct(fraction: f64) -> String {
 mod tests {
     use super::*;
 
+    /// Parses `raw` (without the program name) as a report binary does.
+    fn parse(raw: &[&str]) -> Result<ExperimentOptions, OptionsError> {
+        let args: Vec<String> = raw.iter().map(ToString::to_string).collect();
+        ExperimentOptions::from_flags(&Flags::parse(EXPERIMENT_TABLE, &args)?)
+    }
+
     #[test]
     fn options_parse_known_flags_and_ignore_the_rest() {
-        let args: Vec<String> = [
-            "prog",
-            "--width",
-            "0.5",
-            "--seed",
-            "7",
-            "--images",
-            "4",
-            "--cal",
-            "3",
-            "--classes",
-            "10",
-            "--bogus",
-            "x",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let options = ExperimentOptions::from_slice(&args).unwrap();
+        let known =
+            ["--width", "0.5", "--seed", "7", "--images", "4", "--cal", "3", "--classes", "10"];
+        let options = parse(&known).unwrap();
         assert!((options.width_mult - 0.5).abs() < 1e-6);
         assert_eq!(options.seed, 7);
         assert_eq!(options.evaluation_images, 4);
@@ -426,17 +347,22 @@ mod tests {
         assert_eq!(options.classes, 10);
         let config = options.pipeline_config();
         assert_eq!(config.classes, 10);
+
+        // The rest is no longer ignored: an unknown flag or a stray word
+        // fails the whole line.
+        let err = parse(&[&known[..], &["--bogus", "x"]].concat()).unwrap_err();
+        assert_eq!(err, OptionsError::new("--bogus", "unknown flag"));
+        let err = parse(&["--width", "0.5", "prog"]).unwrap_err();
+        assert_eq!(err, OptionsError::new("prog", "unexpected argument"));
     }
 
     #[test]
     fn malformed_values_are_rejected_not_swallowed() {
-        let args: Vec<String> = ["--width", "abc"].iter().map(ToString::to_string).collect();
-        let err = ExperimentOptions::from_slice(&args).unwrap_err();
+        let err = parse(&["--width", "abc"]).unwrap_err();
         assert_eq!(err.flag, "--width");
         assert!(err.message.contains("abc"), "{err}");
 
-        let args: Vec<String> = ["--seed"].iter().map(ToString::to_string).collect();
-        let err = ExperimentOptions::from_slice(&args).unwrap_err();
+        let err = parse(&["--seed"]).unwrap_err();
         assert_eq!(err.flag, "--seed");
         assert!(err.to_string().contains("missing"), "{err}");
 
@@ -453,9 +379,7 @@ mod tests {
             ("int12", OperandWidth::Int12),
             ("INT16", OperandWidth::Int16),
         ] {
-            let args: Vec<String> =
-                ["--operand-width", raw].iter().map(ToString::to_string).collect();
-            let options = ExperimentOptions::from_slice(&args).unwrap();
+            let options = parse(&["--operand-width", raw]).unwrap();
             assert_eq!(options.operand_width, expected, "raw `{raw}`");
             assert_eq!(options.pipeline_config().operand_width, expected);
         }
@@ -467,28 +391,21 @@ mod tests {
     fn operand_width_flag_rejects_malformed_and_unsupported_values() {
         // Unsupported bit counts.
         for raw in ["0", "2", "10", "32", "-8"] {
-            let args: Vec<String> =
-                ["--operand-width", raw].iter().map(ToString::to_string).collect();
-            let err = ExperimentOptions::from_slice(&args).unwrap_err();
+            let err = parse(&["--operand-width", raw]).unwrap_err();
             assert_eq!(err.flag, "--operand-width");
             assert!(err.message.contains(raw), "{err}");
         }
         // Non-numeric garbage.
-        let args: Vec<String> =
-            ["--operand-width", "wide"].iter().map(ToString::to_string).collect();
-        let err = ExperimentOptions::from_slice(&args).unwrap_err();
+        let err = parse(&["--operand-width", "wide"]).unwrap_err();
         assert_eq!(err.flag, "--operand-width");
         assert!(err.to_string().contains("wide"), "{err}");
         // Missing value.
-        let args: Vec<String> = ["--operand-width"].iter().map(ToString::to_string).collect();
-        let err = ExperimentOptions::from_slice(&args).unwrap_err();
+        let err = parse(&["--operand-width"]).unwrap_err();
         assert_eq!(err.flag, "--operand-width");
         assert!(err.to_string().contains("missing"), "{err}");
         // The channel multiplier flag is unaffected: `--width` still parses
         // floats and never consumes operand widths.
-        let args: Vec<String> =
-            ["--width", "0.5", "--operand-width", "4"].iter().map(ToString::to_string).collect();
-        let options = ExperimentOptions::from_slice(&args).unwrap();
+        let options = parse(&["--width", "0.5", "--operand-width", "4"]).unwrap();
         assert!((options.width_mult - 0.5).abs() < 1e-6);
         assert_eq!(options.operand_width, OperandWidth::Int4);
     }
@@ -497,11 +414,20 @@ mod tests {
     fn flag_values_are_consumed_not_reparsed_as_flags() {
         // A value that happens to look like a flag must not be re-read as
         // one (the old parser advanced one token at a time).
-        let args: Vec<String> =
-            ["--seed", "3", "--cal", "2"].iter().map(ToString::to_string).collect();
-        let options = ExperimentOptions::from_slice(&args).unwrap();
+        let options = parse(&["--seed", "3", "--cal", "2"]).unwrap();
         assert_eq!(options.seed, 3);
         assert_eq!(options.calibration_images, 2);
+    }
+
+    /// `fig7 --operand_width 4` and `all_experiments --bogus x` used to run
+    /// at INT8 and exit 0.
+    #[test]
+    fn report_binaries_reject_typos_with_a_hint() {
+        let err = parse(&["--operand_width", "4"]).unwrap_err();
+        assert_eq!(err.flag, "--operand_width");
+        assert!(err.to_string().contains("did you mean `--operand-width`?"), "{err}");
+        let err = parse(&["--trace-out", "t.json", "--log-level", "debug", "--bogus", "x"]);
+        assert_eq!(err.unwrap_err(), OptionsError::new("--bogus", "unknown flag"));
     }
 
     #[test]

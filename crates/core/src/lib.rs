@@ -52,6 +52,7 @@
 
 pub mod dse;
 mod error;
+pub mod flags;
 pub mod measure;
 mod pipeline;
 pub mod prelude;

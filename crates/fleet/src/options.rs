@@ -1,4 +1,4 @@
-//! Strict command-line parsing for the fleet-specific flags.
+//! The fleet-specific flags of `dbpim-fleet` and their reader.
 //!
 //! ```text
 //! --workers <n>           local in-process workers (default: 1 when no
@@ -11,22 +11,36 @@
 //! --point-timeout-ms <n>  remote per-point deadline / liveness timeout
 //! --retries <n>           attempts per point before the run aborts
 //! --save-every <n>        new points per shard between snapshot saves
+//! --status                print the fleet's progress instead of sweeping
 //! ```
 //!
-//! Same conventions as every other parser in the workspace: unknown flags
-//! are ignored (the `dbpim-fleet` binary layers these on top of the
-//! `dse_sweep` grid/pipeline flags), a known flag with a missing or
-//! malformed value is an error.
+//! The `dbpim-fleet` binary's table joins this group with the `dse_sweep`
+//! grid and pipeline groups; parsing is strict ([`db_pim::flags`]), so an
+//! unknown flag, a stray word or a malformed value is an error.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
+use db_pim::flags::{Flag, Flags, OptionsError};
 use db_pim::PipelineConfig;
-use dbpim_serve::options::{parse_value, OptionsError};
 
 use crate::driver::FleetConfig;
 use crate::shard::ShardStrategy;
 use crate::worker::WorkerSpec;
+
+/// The fleet-specific flags.
+pub const FLEET_FLAGS: &[Flag] = &[
+    Flag::value("--workers", "<n>"),
+    Flag::value("--endpoints", "host:port,..."),
+    Flag::value("--strategy", "round-robin|contiguous|cost-weighted"),
+    Flag::value("--snapshot-dir", "<dir>"),
+    Flag::value("--fleet-id", "<name>"),
+    Flag::value("--auth-token", "<secret>"),
+    Flag::value("--point-timeout-ms", "<n>"),
+    Flag::value("--retries", "<n>"),
+    Flag::value("--save-every", "<n>"),
+    Flag::switch("--status"),
+];
 
 /// Parsed fleet flags.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,76 +83,35 @@ impl Default for FleetOptions {
 }
 
 impl FleetOptions {
-    /// The flags this parser understands.
-    pub const FLAGS: [&'static str; 9] = [
-        "--workers",
-        "--endpoints",
-        "--strategy",
-        "--snapshot-dir",
-        "--fleet-id",
-        "--auth-token",
-        "--point-timeout-ms",
-        "--retries",
-        "--save-every",
-    ];
-
-    /// One-line usage fragment (the binary prepends the grid/pipeline
-    /// flags).
-    pub const USAGE: &'static str = "[--workers <n>] [--endpoints host:port,...] \
-         [--strategy round-robin|contiguous|cost-weighted] [--snapshot-dir <dir>] \
-         [--fleet-id <name>] [--auth-token <secret>] [--point-timeout-ms <n>] [--retries <n>] \
-         [--save-every <n>]";
-
-    /// Parses the fleet flags from an explicit argument list. Unknown
-    /// arguments are ignored.
+    /// Reads [`FLEET_FLAGS`] (but `--status`, which picks the binary's
+    /// mode); zero attempts, timeouts and save intervals are clamped to 1.
     ///
     /// # Errors
     ///
-    /// Returns [`OptionsError`] when a known flag has a missing or
-    /// malformed value.
-    pub fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
-        let mut options = Self::default();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if !Self::FLAGS.contains(&flag) {
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: flag.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match flag {
-                "--workers" => options.workers = Some(parse_value(flag, raw)?),
-                "--endpoints" => {
-                    options.endpoints = raw
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|part| !part.is_empty())
-                        .map(ToString::to_string)
-                        .collect();
-                    if options.endpoints.is_empty() {
-                        return Err(OptionsError {
-                            flag: flag.to_string(),
-                            message: format!("`{raw}` names no endpoints"),
-                        });
-                    }
-                }
-                "--strategy" => options.strategy = parse_value(flag, raw)?,
-                "--snapshot-dir" => options.snapshot_dir = Some(PathBuf::from(raw)),
-                "--fleet-id" => options.fleet_id = Some(raw.clone()),
-                "--auth-token" => options.auth_token = Some(raw.clone()),
-                "--point-timeout-ms" => {
-                    options.point_timeout_ms = parse_value::<u64>(flag, raw)?.max(1);
-                }
-                "--retries" => options.retries = parse_value::<usize>(flag, raw)?.max(1),
-                "--save-every" => options.save_every = parse_value::<usize>(flag, raw)?.max(1),
-                _ => unreachable!("flag list and match arms agree"),
-            }
-            i += 2;
+    /// Returns [`OptionsError`] for a malformed value or an `--endpoints`
+    /// list that names no endpoint.
+    pub fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
+        let defaults = Self::default();
+        let endpoints = flags.list::<String>("--endpoints")?;
+        if endpoints.as_ref().is_some_and(Vec::is_empty) {
+            let raw = flags.raw("--endpoints").unwrap_or_default();
+            return Err(OptionsError::new("--endpoints", format!("`{raw}` names no endpoints")));
         }
-        Ok(options)
+        Ok(Self {
+            workers: flags.get("--workers")?,
+            endpoints: endpoints.unwrap_or_default(),
+            strategy: flags.get("--strategy")?.unwrap_or(defaults.strategy),
+            snapshot_dir: flags.raw("--snapshot-dir").map(PathBuf::from),
+            fleet_id: flags.raw("--fleet-id").map(String::from),
+            auth_token: flags.raw("--auth-token").map(String::from),
+            point_timeout_ms: flags
+                .get::<u64>("--point-timeout-ms")?
+                .map_or(defaults.point_timeout_ms, |ms| ms.max(1)),
+            retries: flags.get::<usize>("--retries")?.map_or(defaults.retries, |n| n.max(1)),
+            save_every: flags
+                .get::<usize>("--save-every")?
+                .map_or(defaults.save_every, |n| n.max(1)),
+        })
     }
 
     /// The worker roster: one remote worker per endpoint (in request
@@ -177,15 +150,20 @@ impl FleetOptions {
 
 #[cfg(test)]
 mod tests {
+    use db_pim::flags::PIPELINE_FLAGS;
+
     use super::*;
 
-    fn args(raw: &[&str]) -> Vec<String> {
-        raw.iter().map(ToString::to_string).collect()
+    /// Parses `raw` with the pipeline and fleet groups of `dbpim-fleet`'s
+    /// table.
+    fn parse(raw: &[&str]) -> Result<FleetOptions, OptionsError> {
+        let args: Vec<String> = raw.iter().map(ToString::to_string).collect();
+        FleetOptions::from_flags(&Flags::parse(&[PIPELINE_FLAGS, FLEET_FLAGS], &args)?)
     }
 
     #[test]
     fn fleet_flags_parse_strictly_and_ignore_the_rest() {
-        let options = FleetOptions::from_slice(&args(&[
+        let options = parse(&[
             "--width",
             "0.25",
             "--workers",
@@ -204,7 +182,7 @@ mod tests {
             "5000",
             "--retries",
             "5",
-        ]))
+        ])
         .unwrap();
         assert_eq!(options.workers, Some(2));
         assert_eq!(options.endpoints, vec!["127.0.0.1:7641", "127.0.0.1:7642"]);
@@ -233,50 +211,40 @@ mod tests {
 
     #[test]
     fn worker_roster_defaults_depend_on_endpoints() {
-        let bare = FleetOptions::from_slice(&args(&[])).unwrap();
+        let bare = parse(&[]).unwrap();
         assert_eq!(bare.worker_specs(), vec![WorkerSpec::Local], "one local worker by default");
 
-        let remote_only =
-            FleetOptions::from_slice(&args(&["--endpoints", "127.0.0.1:7641"])).unwrap();
+        let remote_only = parse(&["--endpoints", "127.0.0.1:7641"]).unwrap();
         assert_eq!(
             remote_only.worker_specs(),
             vec![WorkerSpec::Remote("127.0.0.1:7641".to_string())],
             "endpoints displace the default local worker"
         );
 
-        let mixed =
-            FleetOptions::from_slice(&args(&["--endpoints", "127.0.0.1:7641", "--workers", "1"]))
-                .unwrap();
+        let mixed = parse(&["--endpoints", "127.0.0.1:7641", "--workers", "1"]).unwrap();
         assert_eq!(mixed.worker_specs().len(), 2);
     }
 
     #[test]
     fn malformed_fleet_values_are_rejected_not_swallowed() {
-        let err = FleetOptions::from_slice(&args(&["--workers", "two"])).unwrap_err();
+        let err = parse(&["--workers", "two"]).unwrap_err();
         assert_eq!(err.flag, "--workers");
 
-        let err = FleetOptions::from_slice(&args(&["--strategy", "random"])).unwrap_err();
+        let err = parse(&["--strategy", "random"]).unwrap_err();
         assert_eq!(err.flag, "--strategy");
         assert!(err.message.contains("random"), "{err}");
 
-        let err = FleetOptions::from_slice(&args(&["--endpoints", " , "])).unwrap_err();
+        let err = parse(&["--endpoints", " , "]).unwrap_err();
         assert_eq!(err.flag, "--endpoints");
 
-        let err = FleetOptions::from_slice(&args(&["--retries"])).unwrap_err();
+        let err = parse(&["--retries"]).unwrap_err();
         assert_eq!(err.flag, "--retries");
         assert!(err.to_string().contains("missing"), "{err}");
 
         // Zero-valued knobs that would hang or never run (or never save)
         // are clamped.
-        let options = FleetOptions::from_slice(&args(&[
-            "--retries",
-            "0",
-            "--point-timeout-ms",
-            "0",
-            "--save-every",
-            "0",
-        ]))
-        .unwrap();
+        let options =
+            parse(&["--retries", "0", "--point-timeout-ms", "0", "--save-every", "0"]).unwrap();
         assert_eq!(options.retries, 1);
         assert_eq!(options.point_timeout_ms, 1);
         assert_eq!(options.save_every, 1);
@@ -284,7 +252,7 @@ mod tests {
 
     #[test]
     fn save_every_reaches_the_config() {
-        let options = FleetOptions::from_slice(&args(&["--save-every", "8"])).unwrap();
+        let options = parse(&["--save-every", "8"]).unwrap();
         assert_eq!(options.save_every, 8);
         assert_eq!(options.fleet_config(PipelineConfig::fast()).save_every, 8);
         assert_eq!(FleetOptions::default().save_every, 1, "maximum durability by default");

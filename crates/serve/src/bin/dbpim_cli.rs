@@ -43,29 +43,45 @@
 //! `--auth-token`, harmless against an open one.
 //! ```
 //!
-//! Flag parsing is strict in the `ExperimentOptions` tradition: unknown
-//! `--flag value` pairs are ignored (so wrappers can pass extra arguments
-//! through), but a known flag with a missing or malformed value aborts with
-//! usage on stderr (exit status 2).
+//! The command line is strict ([`db_pim::flags`]): exactly one command
+//! word, and an unknown flag, a stray word or a known flag with a missing
+//! or malformed value aborts with usage on stderr (exit status 2).
 
-use std::str::FromStr;
 use std::time::Duration;
 
+use db_pim::flags::{self, Flag, Flags, OptionsError, TRACE_FLAGS};
 use db_pim::{DseSpec, PruningSpec, SweepReport, SweepSpec};
 use dbpim_arch::ArchConfig;
 use dbpim_csd::OperandWidth;
 use dbpim_nn::ModelKind;
-use dbpim_serve::options::{parse_value, OptionsError};
 use dbpim_serve::{Client, RunQuery};
 use dbpim_sim::{ArchGrid, SparsityConfig};
 
-const USAGE: &str = "usage: dbpim-cli [--addr <ip>] [--port <u16>] [--auth-token <secret>] \
-     <ping|models|run|sweep|explore|stats|metrics|shard-status|shutdown> [--model <name>] \
-     [--models a,b,c] [--sparsity <name>] [--operand-width <4|8|12|16>] [--widths 4,8,...] \
-     [--pruning none,0.3,s0.5,...] \
-     [--macros a,b] [--compartments a,b] [--dbmus a,b] [--rows a,b] [--freqs a,b] \
-     [--deadline-ms <n>] [--fidelity] [--watch <secs>] [--trace-out <path>] \
-     [--log-level <error|warn|info|debug>]";
+/// The program and its command word, as the usage line shows them.
+const PROGRAM: &str =
+    "dbpim-cli <ping|models|run|sweep|explore|stats|metrics|shard-status|shutdown>";
+
+const CLI_FLAGS: &[Flag] = &[
+    Flag::value("--addr", "<ip>"),
+    Flag::value("--port", "<u16>"),
+    Flag::value("--auth-token", "<secret>"),
+    Flag::value("--model", "<name>"),
+    Flag::value("--models", "a,b,c"),
+    Flag::value("--sparsity", "<name>"),
+    Flag::value("--operand-width", "<4|8|12|16>"),
+    Flag::value("--widths", "4,8,..."),
+    Flag::value("--pruning", "none,0.3,s0.5,..."),
+    Flag::value("--macros", "a,b"),
+    Flag::value("--compartments", "a,b"),
+    Flag::value("--dbmus", "a,b"),
+    Flag::value("--rows", "a,b"),
+    Flag::value("--freqs", "a,b"),
+    Flag::value("--deadline-ms", "<n>"),
+    Flag::switch("--fidelity"),
+    Flag::value("--watch", "<secs>"),
+];
+
+const CLI_TABLE: &[&[Flag]] = &[CLI_FLAGS, TRACE_FLAGS];
 
 #[derive(Debug, Clone, PartialEq)]
 enum Command {
@@ -103,130 +119,55 @@ struct CliOptions {
 }
 
 impl CliOptions {
-    const VALUE_FLAGS: [&'static str; 16] = [
-        "--addr",
-        "--port",
-        "--model",
-        "--models",
-        "--sparsity",
-        "--operand-width",
-        "--widths",
-        "--pruning",
-        "--macros",
-        "--compartments",
-        "--dbmus",
-        "--rows",
-        "--freqs",
-        "--deadline-ms",
-        "--auth-token",
-        "--watch",
-    ];
-
-    fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
-        let mut options = Self {
-            addr: "127.0.0.1".to_string(),
-            port: 7531,
-            command: Command::Ping,
-            model: None,
-            models: None,
-            sparsity: None,
-            width: None,
-            widths: None,
-            pruning: None,
-            macros: None,
-            compartments: None,
-            dbmus: None,
-            rows: None,
-            freqs: None,
-            deadline_ms: None,
-            auth_token: None,
-            fidelity: false,
-            watch: None,
+    fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
+        let options = Self {
+            addr: flags.raw("--addr").unwrap_or("127.0.0.1").to_string(),
+            port: flags.get("--port")?.unwrap_or(7531),
+            model: flags.get("--model")?,
+            models: flags.list("--models")?,
+            sparsity: flags.get("--sparsity")?,
+            width: flags.get("--operand-width")?,
+            widths: flags.list("--widths")?,
+            pruning: flags.list("--pruning")?,
+            macros: flags.list("--macros")?,
+            compartments: flags.list("--compartments")?,
+            dbmus: flags.list("--dbmus")?,
+            rows: flags.list("--rows")?,
+            freqs: flags.list("--freqs")?,
+            deadline_ms: flags.get("--deadline-ms")?,
+            auth_token: flags.raw("--auth-token").map(String::from),
+            fidelity: flags.switch("--fidelity"),
+            // Zero would busy-poll the daemon; clamp like `--threads 0`.
+            watch: flags.get::<u64>("--watch")?.map(|secs| secs.max(1)),
+            command: command(flags.positionals())?,
         };
-        let mut command = None;
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].as_str();
-            if arg == "--fidelity" {
-                options.fidelity = true;
-                i += 1;
-                continue;
-            }
-            if !Self::VALUE_FLAGS.contains(&arg) {
-                if arg.starts_with("--") {
-                    // Unknown flag: skip it together with its value (when
-                    // one follows), so the value cannot be mistaken for the
-                    // command.
-                    let has_value = args.get(i + 1).is_some_and(|next| !next.starts_with("--"));
-                    i += if has_value { 2 } else { 1 };
-                    continue;
-                }
-                if command.is_none() {
-                    command = match arg {
-                        "ping" => Some(Command::Ping),
-                        "models" => Some(Command::Models),
-                        "run" => Some(Command::Run),
-                        "sweep" => Some(Command::Sweep),
-                        "explore" => Some(Command::Explore),
-                        "stats" => Some(Command::Stats),
-                        "metrics" => Some(Command::Metrics),
-                        "shard-status" => Some(Command::ShardStatus),
-                        "shutdown" => Some(Command::Shutdown),
-                        _ => None,
-                    };
-                }
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: arg.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match arg {
-                "--addr" => options.addr = raw.clone(),
-                "--port" => options.port = parse_value(arg, raw)?,
-                "--model" => options.model = Some(parse_value(arg, raw)?),
-                "--models" => options.models = Some(parse_list(arg, raw)?),
-                "--sparsity" => options.sparsity = Some(parse_value(arg, raw)?),
-                "--operand-width" => options.width = Some(parse_value(arg, raw)?),
-                "--widths" => options.widths = Some(parse_list(arg, raw)?),
-                "--pruning" => options.pruning = Some(parse_list(arg, raw)?),
-                "--macros" => options.macros = Some(parse_list(arg, raw)?),
-                "--compartments" => options.compartments = Some(parse_list(arg, raw)?),
-                "--dbmus" => options.dbmus = Some(parse_list(arg, raw)?),
-                "--rows" => options.rows = Some(parse_list(arg, raw)?),
-                "--freqs" => options.freqs = Some(parse_list(arg, raw)?),
-                "--deadline-ms" => options.deadline_ms = Some(parse_value(arg, raw)?),
-                "--auth-token" => options.auth_token = Some(raw.clone()),
-                // Zero would busy-poll the daemon; clamp like `--threads 0`.
-                "--watch" => options.watch = Some(parse_value::<u64>(arg, raw)?.max(1)),
-                _ => unreachable!("flag list and match arms agree"),
-            }
-            i += 2;
-        }
-        options.command = command.ok_or_else(|| OptionsError {
-            flag: "<command>".to_string(),
-            message: "expected one of: ping, models, run, sweep, explore, stats, metrics, \
-                      shard-status, shutdown"
-                .to_string(),
-        })?;
         if options.command == Command::Run && options.model.is_none() {
-            return Err(OptionsError {
-                flag: "--model".to_string(),
-                message: "required for `run`".to_string(),
-            });
+            return Err(OptionsError::new("--model", "required for `run`"));
         }
         Ok(options)
     }
 }
 
-/// Parses a comma-separated list, attributing the failing element to the
-/// flag.
-fn parse_list<T: FromStr>(flag: &str, raw: &str) -> Result<Vec<T>, OptionsError>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.split(',').map(str::trim).filter(|s| !s.is_empty()).map(|s| parse_value(flag, s)).collect()
+/// The one command word of the command line.
+fn command(words: &[String]) -> Result<Command, OptionsError> {
+    let expected = "expected one of: ping, models, run, sweep, explore, stats, metrics, \
+                    shard-status, shutdown";
+    match words {
+        [] => Err(OptionsError::new("<command>", expected)),
+        [word] => match word.as_str() {
+            "ping" => Ok(Command::Ping),
+            "models" => Ok(Command::Models),
+            "run" => Ok(Command::Run),
+            "sweep" => Ok(Command::Sweep),
+            "explore" => Ok(Command::Explore),
+            "stats" => Ok(Command::Stats),
+            "metrics" => Ok(Command::Metrics),
+            "shard-status" => Ok(Command::ShardStatus),
+            "shutdown" => Ok(Command::Shutdown),
+            _ => Err(OptionsError::new("<command>", format!("`{word}` — {expected}"))),
+        },
+        [_, extra, ..] => Err(OptionsError::new(extra.clone(), "unexpected argument")),
+    }
 }
 
 fn print_report(report: &SweepReport) {
@@ -418,33 +359,11 @@ fn watch_stats(client: &mut Client, interval_secs: u64) -> Result<(), dbpim_serv
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match CliOptions::from_slice(&args) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
-    // Observability plumbing rides beside the strict parser: `--trace-out`
-    // dumps a Chrome trace of the client-side spans, `--log-level` tunes
-    // the stderr logger. Both are scanned from the raw argument list so
-    // they stay command-agnostic.
-    if let Err(e) = dbpim_trace::log_level_from_args(&args) {
-        eprintln!("dbpim-cli: {e}");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    let trace = match dbpim_trace::TraceSink::from_args(&args) {
-        Ok(sink) => sink,
-        Err(e) => {
-            eprintln!("dbpim-cli: {e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    // `--trace-out` dumps a Chrome trace of the client-side spans,
+    // `--log-level` tunes the stderr logger, whatever the command.
+    let (options, trace) = flags::from_args(PROGRAM, CLI_TABLE, |flags| {
+        Ok((CliOptions::from_flags(flags)?, flags::install_trace(flags)?))
+    });
 
     let addr = format!("{}:{}", options.addr, options.port);
     let mut client = match Client::connect_timeout(addr.as_str(), Duration::from_secs(5)) {
@@ -593,11 +512,7 @@ fn main() {
     };
 
     drop(command_span);
-    if let Some(sink) = trace {
-        if let Err(e) = sink.finish() {
-            eprintln!("dbpim-cli: writing the trace failed: {e}");
-        }
-    }
+    flags::finish_trace("dbpim-cli", trace);
     if let Err(e) = outcome {
         eprintln!("dbpim-cli: {e}");
         std::process::exit(1);
@@ -608,13 +523,14 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn args(raw: &[&str]) -> Vec<String> {
-        raw.iter().map(ToString::to_string).collect()
+    fn parse(raw: &[&str]) -> Result<CliOptions, OptionsError> {
+        let args: Vec<String> = raw.iter().map(ToString::to_string).collect();
+        CliOptions::from_flags(&Flags::parse(CLI_TABLE, &args)?)
     }
 
     #[test]
     fn commands_and_flags_parse_strictly() {
-        let options = CliOptions::from_slice(&args(&[
+        let options = parse(&[
             "run",
             "--model",
             "resnet-18",
@@ -625,7 +541,7 @@ mod tests {
             "--fidelity",
             "--port",
             "9000",
-        ]))
+        ])
         .unwrap();
         assert_eq!(options.command, Command::Run);
         assert_eq!(options.model, Some(ModelKind::ResNet18));
@@ -634,14 +550,7 @@ mod tests {
         assert!(options.fidelity);
         assert_eq!(options.port, 9000);
 
-        let options = CliOptions::from_slice(&args(&[
-            "sweep",
-            "--models",
-            "alexnet,vgg19",
-            "--widths",
-            "4,16",
-        ]))
-        .unwrap();
+        let options = parse(&["sweep", "--models", "alexnet,vgg19", "--widths", "4,16"]).unwrap();
         assert_eq!(options.command, Command::Sweep);
         assert_eq!(options.models, Some(vec![ModelKind::AlexNet, ModelKind::Vgg19]));
         assert_eq!(options.widths, Some(vec![OperandWidth::Int4, OperandWidth::Int16]));
@@ -649,7 +558,7 @@ mod tests {
 
     #[test]
     fn explore_grid_flags_parse_strictly() {
-        let options = CliOptions::from_slice(&args(&[
+        let options = parse(&[
             "explore",
             "--macros",
             "2,4,8",
@@ -661,7 +570,7 @@ mod tests {
             "alexnet",
             "--sparsity",
             "hybrid",
-        ]))
+        ])
         .unwrap();
         assert_eq!(options.command, Command::Explore);
         assert_eq!(options.macros, Some(vec![2, 4, 8]));
@@ -670,57 +579,56 @@ mod tests {
         assert_eq!(options.models, Some(vec![ModelKind::AlexNet]));
         assert_eq!(options.sparsity, Some(SparsityConfig::HybridSparsity));
 
-        let err = CliOptions::from_slice(&args(&["explore", "--macros", "2,x"])).unwrap_err();
+        let err = parse(&["explore", "--macros", "2,x"]).unwrap_err();
         assert_eq!(err.flag, "--macros");
         assert!(err.message.contains('x'), "{err}");
     }
 
     #[test]
     fn shard_status_and_deadline_flags_parse() {
-        let options = CliOptions::from_slice(&args(&["shard-status", "--port", "7641"])).unwrap();
+        let options = parse(&["shard-status", "--port", "7641"]).unwrap();
         assert_eq!(options.command, Command::ShardStatus);
         assert_eq!(options.port, 7641);
 
-        let options = CliOptions::from_slice(&args(&["sweep", "--deadline-ms", "2500"])).unwrap();
+        let options = parse(&["sweep", "--deadline-ms", "2500"]).unwrap();
         assert_eq!(options.command, Command::Sweep);
         assert_eq!(options.deadline_ms, Some(2500));
 
-        let err = CliOptions::from_slice(&args(&["sweep", "--deadline-ms", "soon"])).unwrap_err();
+        let err = parse(&["sweep", "--deadline-ms", "soon"]).unwrap_err();
         assert_eq!(err.flag, "--deadline-ms");
     }
 
     #[test]
     fn auth_token_flag_parses_for_every_command() {
-        let options =
-            CliOptions::from_slice(&args(&["stats", "--auth-token", "fleet-secret"])).unwrap();
+        let options = parse(&["stats", "--auth-token", "fleet-secret"]).unwrap();
         assert_eq!(options.command, Command::Stats);
         assert_eq!(options.auth_token.as_deref(), Some("fleet-secret"));
 
-        let options = CliOptions::from_slice(&args(&["ping"])).unwrap();
+        let options = parse(&["ping"]).unwrap();
         assert_eq!(options.auth_token, None);
 
-        let err = CliOptions::from_slice(&args(&["stats", "--auth-token"])).unwrap_err();
+        let err = parse(&["stats", "--auth-token"]).unwrap_err();
         assert_eq!(err.flag, "--auth-token");
         assert!(err.to_string().contains("missing"), "{err}");
     }
 
     #[test]
     fn metrics_and_watch_parse_strictly() {
-        let options = CliOptions::from_slice(&args(&["metrics", "--port", "7641"])).unwrap();
+        let options = parse(&["metrics", "--port", "7641"]).unwrap();
         assert_eq!(options.command, Command::Metrics);
         assert_eq!(options.port, 7641);
 
-        let options = CliOptions::from_slice(&args(&["stats", "--watch", "5"])).unwrap();
+        let options = parse(&["stats", "--watch", "5"]).unwrap();
         assert_eq!(options.command, Command::Stats);
         assert_eq!(options.watch, Some(5));
         // Zero would busy-poll; clamped like the other zero-able knobs.
-        let options = CliOptions::from_slice(&args(&["stats", "--watch", "0"])).unwrap();
+        let options = parse(&["stats", "--watch", "0"]).unwrap();
         assert_eq!(options.watch, Some(1));
-        assert_eq!(CliOptions::from_slice(&args(&["stats"])).unwrap().watch, None);
+        assert_eq!(parse(&["stats"]).unwrap().watch, None);
 
-        let err = CliOptions::from_slice(&args(&["stats", "--watch", "soon"])).unwrap_err();
+        let err = parse(&["stats", "--watch", "soon"]).unwrap_err();
         assert_eq!(err.flag, "--watch");
-        let err = CliOptions::from_slice(&args(&["stats", "--watch"])).unwrap_err();
+        let err = parse(&["stats", "--watch"]).unwrap_err();
         assert_eq!(err.flag, "--watch");
         assert!(err.to_string().contains("missing"), "{err}");
     }
@@ -761,35 +669,39 @@ mod tests {
 
     #[test]
     fn unknown_flag_values_are_not_mistaken_for_commands() {
-        // `--mytag run` is an unknown flag/value pair; the command is the
-        // next free-standing word.
-        let options = CliOptions::from_slice(&args(&["--mytag", "run", "shutdown"])).unwrap();
-        assert_eq!(options.command, Command::Shutdown);
-        // An unknown flag directly followed by another flag consumes
-        // nothing extra.
-        let options =
-            CliOptions::from_slice(&args(&["--verbose", "--port", "9000", "ping"])).unwrap();
-        assert_eq!(options.command, Command::Ping);
-        assert_eq!(options.port, 9000);
+        // An unknown flag fails the line instead of guessing whether the
+        // next word is its value or the command.
+        let err = parse(&["--mytag", "run", "shutdown"]).unwrap_err();
+        assert_eq!(err, OptionsError::new("--mytag", "unknown flag"));
+        // `dbpim-cli --verbose ping` used to fail with "expected one of: …"
+        // because the skipped `--verbose` swallowed `ping`.
+        let err = parse(&["--verbose", "--port", "9000", "ping"]).unwrap_err();
+        assert_eq!(err, OptionsError::new("--verbose", "unknown flag"));
+        // One command per invocation.
+        let err = parse(&["ping", "stats"]).unwrap_err();
+        assert_eq!(err, OptionsError::new("stats", "unexpected argument"));
     }
 
     #[test]
     fn malformed_command_lines_are_rejected() {
-        // No command at all.
-        let err = CliOptions::from_slice(&args(&["--port", "9000"])).unwrap_err();
+        // No command at all, or an unknown one.
+        let err = parse(&["--port", "9000"]).unwrap_err();
         assert_eq!(err.flag, "<command>");
+        let err = parse(&["pign"]).unwrap_err();
+        assert_eq!(err.flag, "<command>");
+        assert!(err.message.starts_with("`pign` — expected one of: ping,"), "{err}");
         // `run` without a model.
-        let err = CliOptions::from_slice(&args(&["run"])).unwrap_err();
+        let err = parse(&["run"]).unwrap_err();
         assert_eq!(err.flag, "--model");
         // Unknown model name.
-        let err = CliOptions::from_slice(&args(&["run", "--model", "lenet"])).unwrap_err();
+        let err = parse(&["run", "--model", "lenet"]).unwrap_err();
         assert_eq!(err.flag, "--model");
         assert!(err.message.contains("lenet"), "{err}");
         // Bad element inside a list.
-        let err = CliOptions::from_slice(&args(&["sweep", "--widths", "4,10"])).unwrap_err();
+        let err = parse(&["sweep", "--widths", "4,10"]).unwrap_err();
         assert_eq!(err.flag, "--widths");
         // Missing value.
-        let err = CliOptions::from_slice(&args(&["sweep", "--models"])).unwrap_err();
+        let err = parse(&["sweep", "--models"]).unwrap_err();
         assert_eq!(err.flag, "--models");
         assert!(err.to_string().contains("missing"), "{err}");
     }

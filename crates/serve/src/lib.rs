@@ -50,7 +50,6 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientError, RunQuery};
-pub use options::{OptionsError, ServeOptions};
 pub use protocol::{
     ErrorKind, ErrorResponse, Request, RequestLatency, Response, ServerStats, ShardAnnotation,
     ShardState, ShardStatus, TraceContext, WireError, PROTOCOL_VERSION,

@@ -464,27 +464,6 @@ impl TraceSink {
         Self { collector, path: path.into() }
     }
 
-    /// Scans an argument list for `--trace-out <path>` and installs a sink
-    /// when present. Unknown flags stay untouched, so this layers on the
-    /// workspace's strict option parsers.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the flag is present without a value.
-    pub fn from_args(args: &[String]) -> Result<Option<Self>, String> {
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--trace-out" {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| "invalid value for `--trace-out`: missing value".to_string())?;
-                return Ok(Some(Self::install(path)));
-            }
-            i += 1;
-        }
-        Ok(None)
-    }
-
     /// The installed collector.
     #[must_use]
     pub fn collector(&self) -> &Arc<TraceCollector> {
@@ -780,17 +759,14 @@ mod tests {
 
     #[test]
     fn trace_sink_parses_the_flag_and_writes_json() {
+        // `--trace-out` itself is read by the workspace's flag table; what
+        // stays here is the sink it installs.
         let _guard = GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let missing = TraceSink::from_args(&["--trace-out".to_string()]);
-        assert!(missing.unwrap_err().contains("--trace-out"));
-        let none = TraceSink::from_args(&["--other".to_string(), "x".to_string()]).expect("parses");
-        assert!(none.is_none());
-
         let dir = std::env::temp_dir().join(format!("dbpim-trace-sink-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("trace.json");
-        let args = vec!["--trace-out".to_string(), path.display().to_string()];
-        let sink = TraceSink::from_args(&args).expect("parses").expect("flag present");
+        let sink = TraceSink::install(&path);
+        assert_eq!(sink.path(), path);
         {
             let _s = span!("sink.test", point = 1);
         }

@@ -61,5 +61,5 @@ pub use collector::{
     TraceSpan, DEFAULT_CAPACITY, DEFAULT_KERNEL_SAMPLING,
 };
 pub use histogram::{LatencyHistogram, LATENCY_BUCKETS};
-pub use logger::{log_enabled, log_level, log_level_from_args, set_log_level, LogLevel};
+pub use logger::{log_enabled, log_level, set_log_level, LogLevel};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

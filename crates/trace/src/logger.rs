@@ -168,31 +168,6 @@ macro_rules! log_debug {
     };
 }
 
-/// Scans an argument list for `--log-level <level>` and applies it.
-/// Unknown flags stay untouched, so this layers on the workspace's strict
-/// option parsers.
-///
-/// # Errors
-///
-/// Returns a message when the flag is present with a missing or unknown
-/// value.
-pub fn log_level_from_args(args: &[String]) -> Result<Option<LogLevel>, String> {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--log-level" {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| "invalid value for `--log-level`: missing value".to_string())?;
-            let level: LogLevel =
-                raw.parse().map_err(|e| format!("invalid value for `--log-level`: {e}"))?;
-            set_log_level(level);
-            return Ok(Some(level));
-        }
-        i += 1;
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,15 +196,14 @@ mod tests {
 
     #[test]
     fn flag_scan_sets_the_level_and_rejects_garbage() {
-        let args = vec!["--log-level".to_string(), "debug".to_string()];
-        assert_eq!(log_level_from_args(&args).unwrap(), Some(LogLevel::Debug));
+        // `--log-level` itself is read by the workspace's flag table; what
+        // stays here is turning its value into the global level.
+        set_log_level("debug".parse().unwrap());
         assert_eq!(log_level(), LogLevel::Debug);
         set_log_level(LogLevel::Info);
 
-        assert_eq!(log_level_from_args(&["--other".to_string()]).unwrap(), None);
-        assert!(log_level_from_args(&["--log-level".to_string()]).is_err());
-        let bad = vec!["--log-level".to_string(), "loud".to_string()];
-        assert!(log_level_from_args(&bad).unwrap_err().contains("loud"));
+        let err = "loud".parse::<LogLevel>().unwrap_err();
+        assert!(err.contains("loud") && err.contains("error|warn|info|debug"), "{err}");
     }
 
     #[test]
