@@ -139,6 +139,20 @@ impl ArchConfig {
         Ok(self.dense_filters_per_macro.min(self.dbmus_per_compartment / bits))
     }
 
+    /// [`validate`](Self::validate) plus the width check every compile
+    /// makes: one dense weight's `width.bits()` columns must fit a
+    /// compartment (see [`dense_filters_per_macro_for`]).
+    ///
+    /// [`dense_filters_per_macro_for`]: Self::dense_filters_per_macro_for
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint.
+    pub fn validate_for(&self, width: OperandWidth) -> Result<(), ArchError> {
+        self.validate()?;
+        self.dense_filters_per_macro_for(width).map(drop)
+    }
+
     /// Clock period in nanoseconds.
     #[must_use]
     pub fn clock_period_ns(&self) -> f64 {

@@ -27,10 +27,11 @@
 //!
 //! ```
 //! use dbpim_arch::{ArchConfig, InputPreprocessor, PimMacro};
+//! use dbpim_csd::OperandWidth;
 //! use dbpim_fta::{FilterApprox, QueryTables};
 //! use dbpim_fta::metadata::FilterMetadata;
 //!
-//! let tables = QueryTables::new();
+//! let tables = QueryTables::for_width(OperandWidth::Int8);
 //! let weights: Vec<i8> = vec![3, -5, 64, 0, 17, -96, 7, 1];
 //! let inputs: Vec<i8> = vec![1, 2, 3, 4, 5, 6, 7, 8];
 //! let filter = FilterApprox::approximate(&weights, &tables)?;

@@ -204,21 +204,6 @@ impl PimMacro {
         Ok(self.load_sparse_planes(filters, weights_len))
     }
 
-    /// Loads one dense-baseline INT8 tile without executing it, returning
-    /// the number of word-line writes performed.
-    ///
-    /// # Errors
-    ///
-    /// As [`load_dense_tile_for_width`](Self::load_dense_tile_for_width) at
-    /// [`OperandWidth::Int8`].
-    pub fn load_dense_tile(&mut self, filters: &[Vec<i8>]) -> Result<u64, ArchError> {
-        let _span = dbpim_trace::kernel_span("arch.load");
-        let refs: Vec<&[i8]> = filters.iter().map(Vec::as_slice).collect();
-        let weights_len = refs.first().map_or(0, |f| f.len());
-        self.validate_dense(&refs, weights_len, OperandWidth::Int8, "tile weights")?;
-        Ok(self.load_dense_planes(&refs, OperandWidth::Int8))
-    }
-
     /// Loads one dense-baseline tile at an arbitrary weight width without
     /// executing it, returning the number of word-line writes performed.
     ///
@@ -236,10 +221,9 @@ impl PimMacro {
         width: OperandWidth,
     ) -> Result<u64, ArchError> {
         let _span = dbpim_trace::kernel_span("arch.load");
-        let refs: Vec<&[i32]> = filters.iter().map(Vec::as_slice).collect();
-        let weights_len = refs.first().map_or(0, |f| f.len());
-        self.validate_dense(&refs, weights_len, width, "tile weights")?;
-        Ok(self.load_dense_planes(&refs, width))
+        let weights_len = filters.first().map_or(0, Vec::len);
+        self.validate_dense(filters, weights_len, width, "tile weights")?;
+        Ok(self.load_dense_planes(filters, width))
     }
 
     /// Executes the currently loaded tile against one input vector.
@@ -307,34 +291,11 @@ impl PimMacro {
         Ok(exec)
     }
 
-    /// Executes one dense-baseline tile: weights are stored as eight plain
-    /// binary bit-cells each, `dense_filters_per_macro` filters at a time.
-    ///
-    /// This is the INT8 instance of
-    /// [`execute_dense_tile_for_width`](Self::execute_dense_tile_for_width);
-    /// the i8 weights are read through a borrowing width-generic path, no
-    /// widened copy of the filters is made.
-    ///
-    /// # Errors
-    ///
-    /// * [`ArchError::CapacityExceeded`] when the filters or weights do not
-    ///   fit.
-    /// * [`ArchError::LengthMismatch`] when a filter's weight count differs
-    ///   from the number of inputs.
-    pub fn execute_dense_tile(
-        &mut self,
-        filters: &[Vec<i8>],
-        inputs: &[i8],
-        ipu: &InputPreprocessor,
-    ) -> Result<TileExecution, ArchError> {
-        let refs: Vec<&[i8]> = filters.iter().map(Vec::as_slice).collect();
-        self.dense_tile_impl(&refs, inputs, ipu, OperandWidth::Int8)
-    }
-
-    /// Executes one dense-baseline tile at an arbitrary weight width:
-    /// every weight occupies `width.bits()` plain binary bit-cells (its
-    /// two's-complement representation over that width), so wider operands
-    /// consume proportionally more DBMU columns per filter.
+    /// Executes one dense-baseline tile at a weight width: every weight
+    /// occupies `width.bits()` plain binary bit-cells (its two's-complement
+    /// representation over that width), `dense_filters_per_macro` filters at
+    /// a time, so wider operands consume proportionally more DBMU columns
+    /// per filter.
     ///
     /// # Errors
     ///
@@ -348,17 +309,6 @@ impl PimMacro {
     pub fn execute_dense_tile_for_width(
         &mut self,
         filters: &[Vec<i32>],
-        inputs: &[i8],
-        ipu: &InputPreprocessor,
-        width: OperandWidth,
-    ) -> Result<TileExecution, ArchError> {
-        let refs: Vec<&[i32]> = filters.iter().map(Vec::as_slice).collect();
-        self.dense_tile_impl(&refs, inputs, ipu, width)
-    }
-
-    fn dense_tile_impl<T: Copy + Into<i32>>(
-        &mut self,
-        filters: &[&[T]],
         inputs: &[i8],
         ipu: &InputPreprocessor,
         width: OperandWidth,
@@ -408,9 +358,9 @@ impl PimMacro {
         Ok(())
     }
 
-    fn validate_dense<T: Copy + Into<i32>>(
+    fn validate_dense(
         &self,
-        filters: &[&[T]],
+        filters: &[Vec<i32>],
         weights_len: usize,
         width: OperandWidth,
         right: &'static str,
@@ -446,11 +396,8 @@ impl PimMacro {
                     right_len: weights_len,
                 });
             }
-            if let Some(&value) = filter.iter().find(|&&w| !width.contains(w.into())) {
-                return Err(ArchError::OperandOutOfRange {
-                    value: value.into(),
-                    bits: width.bits(),
-                });
+            if let Some(&value) = filter.iter().find(|&&w| !width.contains(w)) {
+                return Err(ArchError::OperandOutOfRange { value, bits: width.bits() });
             }
         }
         Ok(())
@@ -507,11 +454,7 @@ impl PimMacro {
 
     /// Packs a validated dense tile into weight-bit planes (same weight →
     /// compartment/row mapping as the sparse load, columns `f·bits + b`).
-    fn load_dense_planes<T: Copy + Into<i32>>(
-        &mut self,
-        filters: &[&[T]],
-        width: OperandWidth,
-    ) -> u64 {
+    fn load_dense_planes(&mut self, filters: &[Vec<i32>], width: OperandWidth) -> u64 {
         let compartments = self.config.compartments_per_macro;
         let weight_bits = width.bits() as usize;
         let weights_len = filters.first().map_or(0, |f| f.len());
@@ -522,7 +465,6 @@ impl PimMacro {
             for (j, &w) in filter.iter().enumerate() {
                 let c = j % compartments;
                 let r = j / compartments;
-                let w: i32 = w.into();
                 for b in 0..weight_bits {
                     if (w as u32 >> b) & 1 == 1 {
                         let idx = ((f * rows + r) * weight_bits + b) * words + c / 64;
@@ -631,8 +573,13 @@ mod tests {
         weights.iter().zip(inputs).map(|(&w, &x)| w.into() * i64::from(x)).sum()
     }
 
+    /// `count` filters of `len` random INT8 weights, held as `i32`.
+    fn int8_filters(rng: &mut ChaCha8Rng, count: usize, len: usize) -> Vec<Vec<i32>> {
+        (0..count).map(|_| (0..len).map(|_| i32::from(rng.gen::<i8>())).collect()).collect()
+    }
+
     fn metadata_for(weights: &[i8], threshold: u32) -> FilterMetadata {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let approx = FilterApprox::approximate_with_threshold(weights, threshold, &tables).unwrap();
         // The inputs to the macro are the *approximated* weights, so build the
         // metadata from values that are already representable.
@@ -642,7 +589,7 @@ mod tests {
     #[test]
     fn sparse_tile_matches_reference_dot_product() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         for trial in 0..8 {
             let len = 24 + trial;
             let raw: Vec<i8> = (0..len).map(|_| rng.gen()).collect();
@@ -660,7 +607,7 @@ mod tests {
     #[test]
     fn multiple_filters_compute_in_parallel() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let len = 40usize;
         let inputs: Vec<i8> = (0..len).map(|_| rng.gen()).collect();
         let mut metas = Vec::new();
@@ -739,14 +686,15 @@ mod tests {
     fn dense_load_execute_split_matches_monolithic_execution() {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let len = 37usize;
-        let filters: Vec<Vec<i8>> = (0..2).map(|_| (0..len).map(|_| rng.gen()).collect()).collect();
+        let filters = int8_filters(&mut rng, 2, len);
         let inputs: Vec<i8> = (0..len).map(|_| rng.gen()).collect();
+        let no_skip = InputPreprocessor::without_sparsity();
         let mut loaded = PimMacro::new(ArchConfig::paper()).unwrap();
-        let writes = loaded.load_dense_tile(&filters).unwrap();
-        let split = loaded.execute_loaded(&inputs, &InputPreprocessor::without_sparsity()).unwrap();
+        let writes = loaded.load_dense_tile_for_width(&filters, OperandWidth::Int8).unwrap();
+        let split = loaded.execute_loaded(&inputs, &no_skip).unwrap();
         let mut fresh = PimMacro::new(ArchConfig::paper()).unwrap();
         let mono = fresh
-            .execute_dense_tile(&filters, &inputs, &InputPreprocessor::without_sparsity())
+            .execute_dense_tile_for_width(&filters, &inputs, &no_skip, OperandWidth::Int8)
             .unwrap();
         assert_eq!(split.outputs, mono.outputs);
         assert_eq!(writes, mono.stats.cell_writes);
@@ -757,10 +705,11 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let len = 33usize;
         let inputs: Vec<i8> = (0..len).map(|_| rng.gen()).collect();
-        let filters: Vec<Vec<i8>> = (0..2).map(|_| (0..len).map(|_| rng.gen()).collect()).collect();
+        let filters = int8_filters(&mut rng, 2, len);
+        let no_skip = InputPreprocessor::without_sparsity();
         let mut pim = PimMacro::new(ArchConfig::paper()).unwrap();
         let exec = pim
-            .execute_dense_tile(&filters, &inputs, &InputPreprocessor::without_sparsity())
+            .execute_dense_tile_for_width(&filters, &inputs, &no_skip, OperandWidth::Int8)
             .unwrap();
         for (out, filter) in exec.outputs.iter().zip(&filters) {
             assert_eq!(*out, reference_dot(filter, &inputs));
@@ -823,7 +772,7 @@ mod tests {
 
     #[test]
     fn input_sparsity_reduces_cycles_without_changing_results() {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let len = 32usize;
         // Small non-negative activations: high-order bit columns are all zero.
         let inputs: Vec<i8> = (0..len).map(|i| (i % 4) as i8).collect();
@@ -861,10 +810,11 @@ mod tests {
             .unwrap();
         let mut pim2 = PimMacro::new(ArchConfig::paper()).unwrap();
         let dense = pim2
-            .execute_dense_tile(
-                std::slice::from_ref(&raw),
+            .execute_dense_tile_for_width(
+                &[raw.iter().map(|&w| i32::from(w)).collect()],
                 &inputs,
                 &InputPreprocessor::without_sparsity(),
+                OperandWidth::Int8,
             )
             .unwrap();
         assert!(
@@ -877,7 +827,7 @@ mod tests {
 
     #[test]
     fn capacity_violations_are_reported() {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let mut pim = PimMacro::new(ArchConfig::paper()).unwrap();
         // Too many filters at threshold 2 (max 8).
         let weights: Vec<i8> = (0..16).map(|i| i as i8 + 1).collect();
@@ -897,8 +847,11 @@ mod tests {
             .execute_sparse_tile(&[meta], &vec![1i8; 2000], &InputPreprocessor::new())
             .is_err());
         // Dense: more than two filters.
-        let filters: Vec<Vec<i8>> = vec![vec![1i8; 8]; 3];
-        assert!(pim.execute_dense_tile(&filters, &[1i8; 8], &InputPreprocessor::new()).is_err());
+        let filters = vec![vec![1; 8]; 3];
+        let ipu = InputPreprocessor::new();
+        assert!(pim
+            .execute_dense_tile_for_width(&filters, &[1; 8], &ipu, OperandWidth::Int8)
+            .is_err());
         // Mismatched lengths.
         let approx = FilterApprox::approximate_with_threshold(&[1, 2, 3], 1, &tables).unwrap();
         let meta = FilterMetadata::from_filter(0, &approx);

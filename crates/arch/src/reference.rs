@@ -169,21 +169,6 @@ impl ScalarPimMacro {
         Ok(exec)
     }
 
-    /// Executes one dense-baseline INT8 tile, cell by cell.
-    ///
-    /// # Errors
-    ///
-    /// As [`PimMacro::execute_dense_tile`](crate::PimMacro).
-    pub fn execute_dense_tile(
-        &mut self,
-        filters: &[Vec<i8>],
-        inputs: &[i8],
-        ipu: &InputPreprocessor,
-    ) -> Result<TileExecution, ArchError> {
-        let refs: Vec<&[i8]> = filters.iter().map(Vec::as_slice).collect();
-        self.dense_tile_impl(&refs, inputs, ipu, OperandWidth::Int8)
-    }
-
     /// Executes one dense-baseline tile at an arbitrary weight width, cell
     /// by cell.
     ///
@@ -197,8 +182,12 @@ impl ScalarPimMacro {
         ipu: &InputPreprocessor,
         width: OperandWidth,
     ) -> Result<TileExecution, ArchError> {
-        let refs: Vec<&[i32]> = filters.iter().map(Vec::as_slice).collect();
-        self.dense_tile_impl(&refs, inputs, ipu, width)
+        self.validate_dense(filters, inputs.len(), width, "inputs")?;
+        let writes = self.load_dense_cells(filters, width)?;
+        let tile = self.loaded.expect("tile was just loaded");
+        let mut exec = self.execute_cells(tile, inputs, ipu)?;
+        exec.stats.cell_writes = writes;
+        Ok(exec)
     }
 
     /// Loads one dense-baseline tile cell by cell without executing it.
@@ -211,25 +200,9 @@ impl ScalarPimMacro {
         filters: &[Vec<i32>],
         width: OperandWidth,
     ) -> Result<u64, ArchError> {
-        let refs: Vec<&[i32]> = filters.iter().map(Vec::as_slice).collect();
-        let weights_len = refs.first().map_or(0, |f| f.len());
-        self.validate_dense(&refs, weights_len, width, "tile weights")?;
-        self.load_dense_cells(&refs, width)
-    }
-
-    fn dense_tile_impl<T: Copy + Into<i32>>(
-        &mut self,
-        filters: &[&[T]],
-        inputs: &[i8],
-        ipu: &InputPreprocessor,
-        width: OperandWidth,
-    ) -> Result<TileExecution, ArchError> {
-        self.validate_dense(filters, inputs.len(), width, "inputs")?;
-        let writes = self.load_dense_cells(filters, width)?;
-        let tile = self.loaded.expect("tile was just loaded");
-        let mut exec = self.execute_cells(tile, inputs, ipu)?;
-        exec.stats.cell_writes = writes;
-        Ok(exec)
+        let weights_len = filters.first().map_or(0, Vec::len);
+        self.validate_dense(filters, weights_len, width, "tile weights")?;
+        self.load_dense_cells(filters, width)
     }
 
     fn validate_sparse(
@@ -267,9 +240,9 @@ impl ScalarPimMacro {
         Ok(())
     }
 
-    fn validate_dense<T: Copy + Into<i32>>(
+    fn validate_dense(
         &self,
-        filters: &[&[T]],
+        filters: &[Vec<i32>],
         weights_len: usize,
         width: OperandWidth,
         right: &'static str,
@@ -305,11 +278,8 @@ impl ScalarPimMacro {
                     right_len: weights_len,
                 });
             }
-            if let Some(&value) = filter.iter().find(|&&w| !width.contains(w.into())) {
-                return Err(ArchError::OperandOutOfRange {
-                    value: value.into(),
-                    bits: width.bits(),
-                });
+            if let Some(&value) = filter.iter().find(|&&w| !width.contains(w)) {
+                return Err(ArchError::OperandOutOfRange { value, bits: width.bits() });
             }
         }
         Ok(())
@@ -349,9 +319,9 @@ impl ScalarPimMacro {
     /// Dense load: weight bit b of weight j of filter f in compartment
     /// (j mod C), row (j div C), column f*bits + b. The low `width.bits()`
     /// bits of the two's-complement value are exact for any in-range weight.
-    fn load_dense_cells<T: Copy + Into<i32>>(
+    fn load_dense_cells(
         &mut self,
-        filters: &[&[T]],
+        filters: &[Vec<i32>],
         width: OperandWidth,
     ) -> Result<u64, ArchError> {
         self.reset();
@@ -363,7 +333,6 @@ impl ScalarPimMacro {
             for (j, &w) in filter.iter().enumerate() {
                 let compartment = j % compartments;
                 let row = j / compartments;
-                let w: i32 = w.into();
                 for b in 0..weight_bits {
                     let column = f * weight_bits + b;
                     let bit = (w as u32 >> b) & 1 == 1;
@@ -469,7 +438,7 @@ mod tests {
 
     #[test]
     fn scalar_sparse_tile_matches_reference_dot_product() {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let raw: Vec<i8> = (0..48).map(|i| ((i * 29) % 160) as i8).collect();
         let inputs: Vec<i8> = (0..48).map(|i| ((i * 13) % 100) as i8 - 50).collect();
         let approx = FilterApprox::approximate(&raw, &tables).unwrap();
@@ -482,7 +451,7 @@ mod tests {
 
     #[test]
     fn scalar_split_matches_monolithic_and_guards_load_state() {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let raw: Vec<i8> = (0..20).map(|i| (i * 11) as i8).collect();
         let inputs: Vec<i8> = (0..20).map(|i| (i * 3 % 50) as i8).collect();
         let approx = FilterApprox::approximate(&raw, &tables).unwrap();
@@ -505,11 +474,17 @@ mod tests {
     #[test]
     fn scalar_dense_tile_matches_reference_dot_product() {
         let inputs: Vec<i8> = (0..33).map(|i| (i * 5 % 90) as i8 - 45).collect();
-        let filters: Vec<Vec<i8>> =
-            (0..2).map(|f| (0..33).map(|i| ((i + f * 7) * 17 % 256) as i8).collect()).collect();
+        let filters: Vec<Vec<i32>> = (0..2)
+            .map(|f| (0..33).map(|i| i32::from(((i + f * 7) * 17 % 256) as i8)).collect())
+            .collect();
         let mut pim = ScalarPimMacro::new(ArchConfig::paper()).unwrap();
         let exec = pim
-            .execute_dense_tile(&filters, &inputs, &InputPreprocessor::without_sparsity())
+            .execute_dense_tile_for_width(
+                &filters,
+                &inputs,
+                &InputPreprocessor::without_sparsity(),
+                OperandWidth::Int8,
+            )
             .unwrap();
         for (out, filter) in exec.outputs.iter().zip(&filters) {
             assert_eq!(*out, reference_dot(filter, &inputs));

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dbpim_arch::{ArchConfig, InputPreprocessor, PimMacro};
-use dbpim_csd::CsdWord;
+use dbpim_csd::{CsdWord, OperandWidth};
 use dbpim_fta::metadata::FilterMetadata;
 use dbpim_fta::{FilterApprox, QueryTables};
 
@@ -22,7 +22,9 @@ fn bench_csd_recoding(c: &mut Criterion) {
         b.iter(|| {
             let mut digits = 0u32;
             for &v in &values {
-                digits += CsdWord::from_i8(black_box(v)).nonzero_digits();
+                digits += CsdWord::encode(i32::from(black_box(v)), OperandWidth::Int8)
+                    .unwrap()
+                    .nonzero_digits();
             }
             black_box(digits)
         })
@@ -30,7 +32,7 @@ fn bench_csd_recoding(c: &mut Criterion) {
 }
 
 fn bench_fta_algorithm(c: &mut Criterion) {
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
     let filter = random_weights(2, 1152); // a 128x3x3 filter
     c.bench_function("fta/approximate_filter_1152", |b| {
         b.iter(|| FilterApprox::approximate(black_box(&filter), &tables).expect("approximates"))
@@ -43,7 +45,7 @@ fn bench_fta_algorithm(c: &mut Criterion) {
 }
 
 fn bench_macro_execution(c: &mut Criterion) {
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let len = 256usize;
     let inputs: Vec<i8> = (0..len).map(|_| rng.gen_range(0i8..=63)).collect();
@@ -55,7 +57,8 @@ fn bench_macro_execution(c: &mut Criterion) {
             FilterMetadata::from_filter(i as usize, &approx)
         })
         .collect();
-    let dense_filters: Vec<Vec<i8>> = (0..2).map(|i| random_weights(20 + i, len)).collect();
+    let dense_filters: Vec<Vec<i32>> =
+        (0..2).map(|i| random_weights(20 + i, len).into_iter().map(i32::from).collect()).collect();
 
     // Load and compute phases are timed separately: a real inference loads a
     // tile once and executes it against every im2col patch, so folding the
@@ -73,11 +76,15 @@ fn bench_macro_execution(c: &mut Criterion) {
     });
 
     c.bench_function("macro/dense_tile_load_2x256", |b| {
-        b.iter(|| loader.load_dense_tile(black_box(&dense_filters)).expect("loads"))
+        b.iter(|| {
+            loader
+                .load_dense_tile_for_width(black_box(&dense_filters), OperandWidth::Int8)
+                .expect("loads")
+        })
     });
 
     let mut pim = PimMacro::new(ArchConfig::paper()).expect("macro builds");
-    pim.load_dense_tile(&dense_filters).expect("loads");
+    pim.load_dense_tile_for_width(&dense_filters, OperandWidth::Int8).expect("loads");
     let dense_ipu = InputPreprocessor::without_sparsity();
     c.bench_function("macro/dense_tile_compute_2x256", |b| {
         b.iter(|| pim.execute_loaded(black_box(&inputs), &dense_ipu).expect("executes"))

@@ -39,6 +39,7 @@ use serde::{Deserialize, Serialize};
 use db_pim::flags::{self, Flag};
 use db_pim::{Pipeline, PipelineConfig};
 use dbpim_arch::{ArchConfig, InputPreprocessor, PimMacro, ScalarPimMacro};
+use dbpim_csd::OperandWidth;
 use dbpim_fta::metadata::FilterMetadata;
 use dbpim_fta::{FilterApprox, QueryTables};
 use dbpim_nn::QuantizedModel;
@@ -136,7 +137,7 @@ impl Harness {
 }
 
 fn sparse_tile() -> (Vec<FilterMetadata>, Vec<i8>) {
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let len = 256usize;
     let inputs: Vec<i8> = (0..len).map(|_| rng.gen_range(0i8..=63)).collect();
@@ -154,10 +155,10 @@ fn sparse_tile() -> (Vec<FilterMetadata>, Vec<i8>) {
     (metadata, inputs)
 }
 
-fn dense_tile() -> (Vec<Vec<i8>>, Vec<i8>) {
+fn dense_tile() -> (Vec<Vec<i32>>, Vec<i8>) {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let len = 256usize;
-    let filters = (0..2).map(|_| (0..len).map(|_| rng.gen()).collect()).collect();
+    let filters = (0..2).map(|_| (0..len).map(|_| i32::from(rng.gen::<i8>())).collect()).collect();
     let inputs = (0..len).map(|_| rng.gen_range(0i8..=63)).collect();
     (filters, inputs)
 }
@@ -184,20 +185,12 @@ fn run(quick: bool) -> Report {
     });
 
     let mut pim = PimMacro::new(config).expect("macro builds");
-    pim.load_dense_tile(&dense_filters).expect("loads");
+    pim.load_dense_tile_for_width(&dense_filters, OperandWidth::Int8).expect("loads");
     h.bench("macro/dense_tile_compute", || {
         pim.execute_loaded(&dense_inputs, &no_skip).expect("executes").outputs[0] as u64
     });
     let mut scalar = ScalarPimMacro::new(config).expect("macro builds");
-    scalar
-        .load_dense_tile_for_width(
-            &dense_filters
-                .iter()
-                .map(|f| f.iter().map(|&w| i32::from(w)).collect())
-                .collect::<Vec<_>>(),
-            dbpim_csd::OperandWidth::Int8,
-        )
-        .expect("loads");
+    scalar.load_dense_tile_for_width(&dense_filters, OperandWidth::Int8).expect("loads");
     h.bench("macro/dense_tile_compute_scalar", || {
         scalar.execute_loaded(&dense_inputs, &no_skip).expect("executes").outputs[0] as u64
     });

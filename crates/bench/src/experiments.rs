@@ -414,8 +414,7 @@ pub fn joint_sparsity(context: &ExperimentContext) -> Result<String, PipelineErr
     for width in widths {
         let mut baseline: Option<(u64, u64, u64)> = None;
         for pruning in prunings {
-            let session = context.runner().session_for_variant(width, pruning)?;
-            let programs = session.artifacts(kind)?.programs(arch)?;
+            let programs = context.session().artifacts_at(kind, width, pruning)?.programs(arch)?;
             let (tiles, cells) = macro_work(&programs.sparse);
             let entry = context.runner().run_point_pruned(
                 kind,

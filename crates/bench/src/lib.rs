@@ -237,7 +237,7 @@ pub fn build_model(kind: ModelKind, options: &ExperimentOptions) -> Result<Model
 ///
 /// Propagates FTA approximation errors.
 pub fn weight_sparsity_stats(model: &Model) -> Result<ModelFtaStats, PipelineError> {
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
     let mut layers = Vec::new();
     for node in model.nodes() {
         let weight = match &node.layer {

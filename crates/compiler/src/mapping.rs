@@ -57,9 +57,7 @@ impl Compiler {
     /// Returns a validation error for a degenerate configuration or when a
     /// single dense weight's bit columns exceed the compartment.
     pub fn with_width(config: ArchConfig, width: OperandWidth) -> Result<Self, CompileError> {
-        config.validate()?;
-        // Fails when width.bits() > dbmus_per_compartment.
-        config.dense_filters_per_macro_for(width)?;
+        config.validate_for(width)?;
         Ok(Self { config, width })
     }
 

@@ -176,14 +176,24 @@ impl DseSpec {
     /// # Errors
     ///
     /// Returns [`PipelineError::BadConfig`] for an oversized or infeasible
-    /// grid (the message names the offending point and constraint).
+    /// grid, including a geometry that cannot hold one weight of a swept
+    /// width (the message names the offending point and constraint).
     pub fn points(
         &self,
         session_width: OperandWidth,
         session_pruning: PruningSpec,
     ) -> Result<Vec<DsePoint>, PipelineError> {
         let archs = self.grid.enumerate().map_err(grid_error)?;
-        Ok(self.axes().points(&archs, session_width, session_pruning))
+        let axes = self.axes();
+        let widths = axes.effective_widths(session_width);
+        for (index, arch) in archs.iter().enumerate() {
+            for &width in &widths {
+                arch.dense_filters_per_macro_for(width).map_err(|source| {
+                    grid_error(GridError::Infeasible { index, arch: Box::new(*arch), source })
+                })?;
+            }
+        }
+        Ok(axes.points(&archs, session_width, session_pruning))
     }
 }
 
@@ -868,13 +878,13 @@ impl DseDriver {
         self
     }
 
-    /// The underlying runner (shared warm artifact caches).
+    /// The underlying runner (shared warm artifact cache).
     #[must_use]
     pub fn runner(&self) -> &BatchRunner {
         &self.runner
     }
 
-    /// Aggregated cache counters of the underlying sessions.
+    /// The underlying session's cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> SessionCacheStats {
         self.runner.cache_stats()

@@ -13,8 +13,10 @@
 //!   sparsity statistics, the measured input-sparsity profile, and lazily
 //!   compiled per-architecture dense/DB-PIM programs. Prepared **once**,
 //!   simulated many times.
-//! * [`SimSession`] — a cache of artifacts keyed by model, shared by every
-//!   consumer (experiment binaries, examples, benches).
+//! * [`SimSession`] — one cache of artifacts keyed on (model, operand
+//!   width, pruning), under one LRU bound, shared by every consumer
+//!   (experiment binaries, examples, benches, the serving daemon). Every
+//!   variant of a zoo model shares one float model, built once.
 //! * [`BatchRunner`] — executes a [`SweepSpec`] (models × sparsity × arch ×
 //!   operand width × pruning) as a list of [`DsePoint`]s, in parallel over
 //!   scoped std threads (see [`par`]; rayon is unavailable in the offline
@@ -81,17 +83,6 @@ pub struct SessionCacheStats {
 }
 
 impl SessionCacheStats {
-    /// Adds another snapshot's counters into this one (aggregation across
-    /// the per-width sessions of a [`BatchRunner`]).
-    pub fn absorb(&mut self, other: SessionCacheStats) {
-        self.artifact_hits += other.artifact_hits;
-        self.artifact_misses += other.artifact_misses;
-        self.program_hits += other.program_hits;
-        self.program_misses += other.program_misses;
-        self.resident_artifacts += other.resident_artifacts;
-        self.artifact_evictions += other.artifact_evictions;
-    }
-
     /// Total requests observed (artifact and program layers combined).
     #[must_use]
     pub fn total_requests(&self) -> u64 {
@@ -214,8 +205,11 @@ impl ModelArtifacts {
         // Input bit sparsity (Fig. 2(b)) measured on the calibration batch,
         // then the hardware-facing workloads (dyadic-block metadata) for
         // both mappings.
-        let _metadata_span = dbpim_trace::span!("pipeline.metadata");
-        let input_sparsity = measure_input_sparsity(&quantized, &calibration)?;
+        let input_sparsity = {
+            let _span = dbpim_trace::span!("pipeline.input_sparsity");
+            measure_input_sparsity(&quantized, &calibration)?
+        };
+        let _workloads_span = dbpim_trace::span!("pipeline.workloads");
         // Only the value-pruned flow records per-filter nonzero counts: the
         // counts let the compiler compact DB-PIM tiles, and the unpruned
         // flow must keep its historical tiling bit-for-bit (see
@@ -227,7 +221,7 @@ impl ModelArtifacts {
             extract_workloads(work_model, Some(&approx), &input_sparsity)?
         };
         let dense_workloads = extract_workloads(work_model, None, &input_sparsity)?;
-        drop(_metadata_span);
+        drop(_workloads_span);
 
         Ok(Self {
             config: *config,
@@ -435,8 +429,12 @@ impl ModelArtifacts {
     }
 }
 
+/// One float-model slot: built exactly once, concurrent requests for the
+/// same kind wait on the slot instead of duplicating the build.
+type ModelSlot = Arc<Mutex<Option<Arc<Model>>>>;
+
 /// One artifact-cache slot: filled exactly once, concurrent requests for the
-/// same model wait on the slot instead of duplicating the preparation. The
+/// same key wait on the slot instead of duplicating the preparation. The
 /// recency stamp orders filled slots for LRU eviction when a capacity cap is
 /// configured.
 #[derive(Debug, Default)]
@@ -449,23 +447,36 @@ struct ArtifactSlotEntry {
 
 type ArtifactSlot = Arc<ArtifactSlotEntry>;
 
-/// A shared cache of per-model pipeline artifacts under one configuration.
+/// An artifact-cache key: model name, operand width (bits) and the
+/// canonical pruning spec's [`key_bits`](PruningSpec::key_bits) — the spec
+/// itself holds an `f64` and cannot be hashed.
+type ArtifactKey = (String, u32, (u8, u64));
+
+/// The shared cache of prepared pipeline artifacts, keyed on (model,
+/// operand width, pruning).
+///
+/// [`artifacts`](Self::artifacts) reads the configured variant and
+/// [`artifacts_at`](Self::artifacts_at) any other; a variant prepares under
+/// the session configuration with only its width and pruning replaced.
+/// Every variant of a zoo model shares one float [`Model`], built once per
+/// kind.
 ///
 /// Sessions are cheap to create and thread-safe to share: artifact
-/// preparation happens on first request per model and every later consumer
+/// preparation happens on first request per key and every later consumer
 /// (another experiment table, another sparsity configuration, another
 /// thread) reuses the cached value. Preparation is *single-flight*: N
-/// concurrent requests for the same model perform exactly one build — the
-/// others block on the model's cache slot and receive the shared artifacts —
-/// while requests for different models proceed in parallel (the slot map
-/// itself is behind a read-mostly [`RwLock`]). [`Self::cache_stats`]
+/// concurrent requests for the same key perform exactly one build — the
+/// others block on the key's cache slot and receive the shared artifacts —
+/// while requests for different keys proceed in parallel (the slot map
+/// itself is behind a read-mostly [`RwLock`]). One LRU capacity (see
+/// [`Self::set_cache_capacity`]) bounds every slot. [`Self::cache_stats`]
 /// snapshots the hit/miss counters, which the serving layer exposes over the
 /// wire.
 #[derive(Debug)]
 pub struct SimSession {
     config: PipelineConfig,
-    models: Mutex<HashMap<ModelKind, Arc<Model>>>,
-    artifacts: RwLock<HashMap<String, ArtifactSlot>>,
+    models: Mutex<HashMap<ModelKind, ModelSlot>>,
+    artifacts: RwLock<HashMap<ArtifactKey, ArtifactSlot>>,
     artifact_hits: AtomicU64,
     artifact_misses: AtomicU64,
     /// Maximum number of *filled* artifact slots kept resident;
@@ -503,14 +514,15 @@ impl SimSession {
         })
     }
 
-    /// Caps the number of prepared artifact sets kept resident: once more
-    /// than `cap` slots are filled, the least-recently-used one is evicted
-    /// (and counted in [`SessionCacheStats::artifact_evictions`]). `None`
-    /// removes the cap; a cap of `0` is clamped to `1` — a session that can
-    /// cache nothing would silently degrade every request to a cold build.
+    /// Caps the number of prepared artifact sets kept resident, over every
+    /// (model, width, pruning) key: once more than `cap` slots are filled,
+    /// the least-recently-used one is evicted (and counted in
+    /// [`SessionCacheStats::artifact_evictions`]). `None` removes the cap; a
+    /// cap of `0` is clamped to `1` — a session that can cache nothing would
+    /// silently degrade every request to a cold build.
     ///
     /// In-flight users of an evicted artifact set keep their `Arc` and are
-    /// unaffected; the next request for that model simply rebuilds.
+    /// unaffected; the next request for that key simply rebuilds.
     pub fn set_cache_capacity(&self, cap: Option<usize>) {
         self.capacity.store(cap.map_or(usize::MAX, |c| c.max(1)), Ordering::Relaxed);
     }
@@ -533,8 +545,8 @@ impl SimSession {
     /// Evicts least-recently-used filled slots until at most the configured
     /// capacity remain. `keep` names the slot that must survive (the one the
     /// caller just filled and still holds locked — its cell `try_lock` fails,
-    /// so it is invisible to the candidate scan and exempted by name).
-    fn enforce_capacity(&self, keep: &str) {
+    /// so it is invisible to the candidate scan and exempted by key).
+    fn enforce_capacity(&self, keep: &ArtifactKey) {
         let cap = self.capacity.load(Ordering::Relaxed);
         if cap == usize::MAX {
             return;
@@ -547,10 +559,10 @@ impl SimSession {
             // artifacts are captured here so its program counters can be
             // folded into the session-level accumulators — evicting a model
             // must never make the cache statistics go backwards.
-            let mut victim: Option<(String, u64, Arc<ModelArtifacts>)> = None;
+            let mut victim: Option<(ArtifactKey, u64, Arc<ModelArtifacts>)> = None;
             let mut filled_others = 0usize;
-            for (name, slot) in cache.iter() {
-                if name == keep {
+            for (key, slot) in cache.iter() {
+                if key == keep {
                     continue;
                 }
                 let Ok(guard) = slot.cell.try_lock() else { continue };
@@ -558,7 +570,7 @@ impl SimSession {
                     filled_others += 1;
                     let stamp = slot.last_used.load(Ordering::Relaxed);
                     if victim.as_ref().is_none_or(|(_, best, _)| stamp < *best) {
-                        victim = Some((name.clone(), stamp, Arc::clone(artifacts)));
+                        victim = Some((key.clone(), stamp, Arc::clone(artifacts)));
                     }
                 }
             }
@@ -566,8 +578,8 @@ impl SimSession {
             if filled_others < cap {
                 return;
             }
-            let Some((name, _, artifacts)) = victim else { return };
-            cache.remove(&name);
+            let Some((key, _, artifacts)) = victim else { return };
+            cache.remove(&key);
             self.evicted_program_hits
                 .fetch_add(artifacts.program_hits.load(Ordering::Relaxed), Ordering::Relaxed);
             self.evicted_program_misses
@@ -582,96 +594,111 @@ impl SimSession {
         &self.config
     }
 
-    /// The built zoo model for `kind` (cached; honours the configured width
-    /// multiplier, classes and seed).
+    /// The float zoo model for `kind` (honours the configured width
+    /// multiplier, classes and seed), built once and shared by every
+    /// (width, pruning) variant. The build is single-flight: concurrent
+    /// requests for one kind wait for the first.
     ///
     /// # Errors
     ///
     /// Propagates model-construction failures.
     pub fn model(&self, kind: ModelKind) -> Result<Arc<Model>, PipelineError> {
-        if let Some(model) = self.models.lock().expect("model cache lock").get(&kind) {
-            return Ok(Arc::clone(model));
+        let slot =
+            Arc::clone(self.models.lock().expect("model cache lock").entry(kind).or_default());
+        let mut model = slot.lock().expect("model slot lock");
+        if let Some(built) = model.as_ref() {
+            return Ok(Arc::clone(built));
         }
-        let model = Arc::new(kind.build_with_width(
+        let built = Arc::new(kind.build_with_width(
             self.config.classes,
             self.config.seed,
             self.config.width_mult,
         )?);
-        Ok(Arc::clone(self.models.lock().expect("model cache lock").entry(kind).or_insert(model)))
+        *model = Some(Arc::clone(&built));
+        Ok(built)
     }
 
-    /// The prepared artifacts for a zoo model (cached).
+    /// The prepared artifacts for a zoo model at the configured width and
+    /// pruning (cached).
     ///
     /// # Errors
     ///
     /// Propagates preparation failures.
     pub fn artifacts(&self, kind: ModelKind) -> Result<Arc<ModelArtifacts>, PipelineError> {
-        let model = self.model(kind)?;
-        self.artifacts_for_shared(model)
+        self.artifacts_at(kind, self.config.operand_width, self.config.pruning)
     }
 
-    /// The prepared artifacts for an arbitrary (non-zoo) model, cached by
-    /// model name. A cache hit is validated against the requested model, so
-    /// two distinct models sharing a name cannot receive each other's
-    /// results — the mismatching one is prepared fresh, uncached.
+    /// The prepared artifacts for a zoo model at an explicit operand width
+    /// and pruning spec (cached), prepared under the session configuration
+    /// with only those two replaced.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::BadConfig`] for an invalid pruning spec and
+    /// propagates preparation failures.
+    pub fn artifacts_at(
+        &self,
+        kind: ModelKind,
+        width: OperandWidth,
+        pruning: PruningSpec,
+    ) -> Result<Arc<ModelArtifacts>, PipelineError> {
+        let config = self.config.with_operand_width(width).with_pruning(pruning);
+        config.validate()?;
+        let model = self.model(kind)?;
+        self.lookup(&config, &model, || Arc::clone(&model))
+    }
+
+    /// The prepared artifacts for an arbitrary (non-zoo) model at the
+    /// configured width and pruning, cached by model name. A cache hit is
+    /// validated against the requested model, so two distinct models sharing
+    /// a name cannot receive each other's results — the mismatching one is
+    /// prepared fresh, uncached.
     ///
     /// # Errors
     ///
     /// Propagates preparation failures.
     pub fn artifacts_for_model(&self, model: &Model) -> Result<Arc<ModelArtifacts>, PipelineError> {
-        // Fast path first: a warm hit (or a same-name one-off) must not pay
-        // the full weight-tensor clone the shared path needs.
-        let existing =
-            self.artifacts.read().expect("artifact cache lock").get(model.name()).cloned();
-        if let Some(slot) = existing {
-            let filled_with_other_model = {
-                let guard = slot.cell.lock().expect("artifact slot lock");
-                match guard.as_ref() {
-                    Some(found) if found.model() == model => {
-                        self.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                        self.touch(&slot);
-                        return Ok(Arc::clone(found));
-                    }
-                    Some(_) => true,
-                    None => false,
-                }
-            };
-            if filled_with_other_model {
-                // Same name, different graph/weights: don't reuse and don't
-                // evict the existing entry — prepare a one-off (outside the
-                // slot lock, so warm hits for the cached model keep flowing).
-                self.artifact_misses.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::new(ModelArtifacts::prepare(&self.config, model)?));
-            }
-        }
-        self.artifacts_for_shared(Arc::new(model.clone()))
+        // A warm hit compares against the borrowed model and never pays
+        // the full weight-tensor clone a build needs.
+        self.lookup(&self.config, model, || Arc::new(model.clone()))
     }
 
-    /// The cache slot for `name`, inserting an empty one if absent. Readers
-    /// share the map lock; only the first request for a new name takes the
+    /// The cache slot for `key`, inserting an empty one if absent. Readers
+    /// share the map lock; only the first request for a new key takes the
     /// write lock.
-    fn artifact_slot(&self, name: &str) -> ArtifactSlot {
-        if let Some(slot) = self.artifacts.read().expect("artifact cache lock").get(name) {
+    fn artifact_slot(&self, key: &ArtifactKey) -> ArtifactSlot {
+        if let Some(slot) = self.artifacts.read().expect("artifact cache lock").get(key) {
             return Arc::clone(slot);
         }
         let mut cache = self.artifacts.write().expect("artifact cache lock");
-        Arc::clone(cache.entry(name.to_string()).or_default())
+        Arc::clone(cache.entry(key.clone()).or_default())
     }
 
-    fn artifacts_for_shared(
+    /// The one single-flight lookup behind every artifact request: the
+    /// artifacts of `model` under `config` (whose width and pruning pick the
+    /// slot), prepared from `share()` on a miss.
+    fn lookup(
         &self,
-        model: Arc<Model>,
+        config: &PipelineConfig,
+        model: &Model,
+        share: impl FnOnce() -> Arc<Model>,
     ) -> Result<Arc<ModelArtifacts>, PipelineError> {
-        let name = model.name().to_string();
-        let slot = self.artifact_slot(&name);
+        let key = (
+            model.name().to_string(),
+            config.operand_width.bits(),
+            config.pruning.canonical().key_bits(),
+        );
+        let slot = self.artifact_slot(&key);
         // Holding the slot lock during preparation makes the build
-        // single-flight per model name: a concurrent duplicate request waits
-        // here and receives the shared artifacts instead of re-preparing.
-        // Different models use different slots, so they still prepare in
+        // single-flight per key: a concurrent duplicate request waits here
+        // and receives the shared artifacts instead of re-preparing.
+        // Different keys use different slots, so they still prepare in
         // parallel.
         let mut guard = slot.cell.lock().expect("artifact slot lock");
         let filled_with_other_model = match guard.as_ref() {
-            Some(found) if *found.model() == *model => {
+            // Variants of a zoo model share one float model, so identity
+            // settles most hits without comparing every weight.
+            Some(found) if std::ptr::eq(found.model(), model) || found.model() == model => {
                 self.artifact_hits.fetch_add(1, Ordering::Relaxed);
                 self.touch(&slot);
                 return Ok(Arc::clone(found));
@@ -685,15 +712,15 @@ impl SimSession {
             // evict the existing entry — prepare a one-off, outside the
             // slot lock so warm hits for the cached model keep flowing.
             drop(guard);
-            return Ok(Arc::new(ModelArtifacts::prepare_shared(&self.config, model)?));
+            return Ok(Arc::new(ModelArtifacts::prepare_shared(config, share())?));
         }
-        let prepared = Arc::new(ModelArtifacts::prepare_shared(&self.config, model)?);
+        let prepared = Arc::new(ModelArtifacts::prepare_shared(config, share())?);
         *guard = Some(Arc::clone(&prepared));
         self.touch(&slot);
         // The fill may have pushed the cache over its LRU cap; the slot lock
-        // is still held, so the freshly filled entry is exempt by name and
+        // is still held, so the freshly filled entry is exempt by key and
         // invisible to the victim scan.
-        self.enforce_capacity(&name);
+        self.enforce_capacity(&key);
         Ok(prepared)
     }
 
@@ -750,19 +777,6 @@ impl SimSession {
         with_fidelity: bool,
     ) -> Result<CodesignResult, PipelineError> {
         self.artifacts_for_model(model)?.codesign_result(&SparsityConfig::all(), with_fidelity)
-    }
-
-    /// Simulates one (model, sparsity) point on the session geometry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any stage failure.
-    pub fn run(
-        &self,
-        kind: ModelKind,
-        sparsity: SparsityConfig,
-    ) -> Result<RunReport, PipelineError> {
-        self.artifacts(kind)?.simulate(self.config.arch, sparsity)
     }
 }
 
@@ -1011,10 +1025,6 @@ impl SweepReport {
     }
 }
 
-/// One (operand width, pruning) point of the joint sweep space a
-/// [`BatchRunner`] keeps a dedicated session for.
-type SessionVariant = (OperandWidth, PruningSpec);
-
 /// Executes [`SweepSpec`]s against a shared [`SimSession`], in parallel.
 ///
 /// A sweep is a list of [`DsePoint`]s, and every point runs through
@@ -1024,22 +1034,10 @@ type SessionVariant = (OperandWidth, PruningSpec);
 /// pruning) artifact set once, and the dense and DB-PIM programs are each
 /// compiled once per (model, width, pruning, geometry) and reused across
 /// every sparsity configuration.
-///
-/// The runner keeps one [`SimSession`] per swept (operand width, pruning)
-/// variant (the base session serves its configured pair), so artifacts are
-/// cached and reused across repeated sweeps at every point of the joint
-/// precision × value-sparsity space.
 #[derive(Debug)]
 pub struct BatchRunner {
-    session: Arc<SimSession>,
+    session: SimSession,
     threads: usize,
-    /// Lazily created sessions for (width, pruning) variants other than the
-    /// base session's, kept alive so repeated sweeps reuse their artifact
-    /// caches. Read-mostly after warm-up, hence the [`RwLock`].
-    variant_sessions: RwLock<Vec<(SessionVariant, Arc<SimSession>)>>,
-    /// Per-session artifact-cache LRU cap applied to the base session and to
-    /// every lazily created width session (`None` = unbounded).
-    cache_cap: Option<usize>,
 }
 
 impl BatchRunner {
@@ -1056,12 +1054,7 @@ impl BatchRunner {
     /// Wraps an existing session.
     #[must_use]
     pub fn from_session(session: SimSession) -> Self {
-        Self {
-            session: Arc::new(session),
-            threads: par::default_parallelism(),
-            variant_sessions: RwLock::new(Vec::new()),
-            cache_cap: None,
-        }
+        Self { session, threads: par::default_parallelism() }
     }
 
     /// Overrides the worker-thread count (`1` forces sequential execution).
@@ -1071,82 +1064,26 @@ impl BatchRunner {
         self
     }
 
-    /// Caps every per-width session's artifact cache at `cap` resident
-    /// models, LRU-evicting beyond it (see
-    /// [`SimSession::set_cache_capacity`]); `None` restores the unbounded
-    /// default. Applies to the base session immediately and to width
-    /// sessions as they are created.
+    /// Caps the session's artifact cache at `cap` resident artifact sets,
+    /// one bound for the whole process across every (model, width, pruning)
+    /// key, LRU-evicting beyond it (see [`SimSession::set_cache_capacity`]);
+    /// `None` restores the unbounded default.
     #[must_use]
-    pub fn with_cache_cap(mut self, cap: Option<usize>) -> Self {
+    pub fn with_cache_cap(self, cap: Option<usize>) -> Self {
         self.session.set_cache_capacity(cap);
-        self.cache_cap = cap;
         self
     }
 
-    /// The underlying session (shared artifact cache at the configured
-    /// width).
+    /// The underlying session (the shared artifact cache).
     #[must_use]
     pub fn session(&self) -> &SimSession {
         &self.session
     }
 
-    /// The session caching artifacts for one operand width (at the base
-    /// session's pruning), created on first use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] for unusable configurations.
-    pub fn session_for_width(&self, width: OperandWidth) -> Result<Arc<SimSession>, PipelineError> {
-        self.session_for_variant(width, self.session.config().pruning)
-    }
-
-    /// The session caching artifacts for one (operand width, pruning)
-    /// variant, created on first use. The base session serves its own
-    /// configured pair; every other variant gets a sibling session with an
-    /// identical configuration apart from `operand_width` and `pruning`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] for unusable configurations.
-    pub fn session_for_variant(
-        &self,
-        width: OperandWidth,
-        pruning: PruningSpec,
-    ) -> Result<Arc<SimSession>, PipelineError> {
-        let base = self.session.config();
-        if width == base.operand_width && pruning == base.pruning {
-            return Ok(Arc::clone(&self.session));
-        }
-        let key = (width, pruning);
-        if let Some((_, session)) = self
-            .variant_sessions
-            .read()
-            .expect("variant session lock")
-            .iter()
-            .find(|(k, _)| *k == key)
-        {
-            return Ok(Arc::clone(session));
-        }
-        let mut cache = self.variant_sessions.write().expect("variant session lock");
-        if let Some((_, session)) = cache.iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(session));
-        }
-        let config = base.with_operand_width(width).with_pruning(pruning);
-        let session = Arc::new(SimSession::new(config)?);
-        session.set_cache_capacity(self.cache_cap);
-        cache.push((key, Arc::clone(&session)));
-        Ok(session)
-    }
-
-    /// Aggregated cache counters across the base session and every
-    /// lazily-created variant session.
+    /// The session's cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> SessionCacheStats {
-        let mut stats = self.session.cache_stats();
-        for (_, session) in self.variant_sessions.read().expect("variant session lock").iter() {
-            stats.absorb(session.cache_stats());
-        }
-        stats
+        self.session.cache_stats()
     }
 
     /// Runs one (model, width, geometry) sweep point and returns its entry,
@@ -1176,12 +1113,14 @@ impl BatchRunner {
     }
 
     /// [`run_point`](Self::run_point) at an explicit pruning spec instead of
-    /// the base session's configured one — the joint value/bit sparsity
-    /// entry point the DSE driver and serving layer dispatch through.
+    /// the session's configured one — the joint value/bit sparsity entry
+    /// point the DSE driver and serving layer dispatch through.
     ///
     /// # Errors
     ///
-    /// Propagates any stage failure.
+    /// Returns [`PipelineError::Arch`] before preparing anything when the
+    /// geometry is invalid or cannot hold one `width` weight, and propagates
+    /// any stage failure.
     pub fn run_point_pruned(
         &self,
         kind: ModelKind,
@@ -1197,11 +1136,11 @@ impl BatchRunner {
             width = width.bits(),
             fidelity = with_fidelity,
         );
-        let session = self.session_for_variant(width, pruning)?;
-        let arch = arch.unwrap_or(session.config().arch);
-        arch.validate()?;
-        let artifacts = session.artifacts(kind)?;
-        let fidelity = with_fidelity && session.config().evaluation_images > 0;
+        let config = self.session.config();
+        let arch = arch.unwrap_or(config.arch);
+        arch.validate_for(width)?;
+        let artifacts = self.session.artifacts_at(kind, width, pruning)?;
+        let fidelity = with_fidelity && config.evaluation_images > 0;
         // codesign_result_for_arch canonicalizes the sparsity order and
         // collapses duplicates itself.
         let result = artifacts.codesign_result_for_arch(arch, sparsity, fidelity)?;
@@ -1237,10 +1176,12 @@ impl BatchRunner {
         let archs = spec.effective_archs(session.arch);
         let widths = axes.effective_widths(session.operand_width);
         let prunings = axes.effective_pruning(session.pruning);
-        // Reject infeasible geometry or pruning overrides before any
-        // expensive work.
+        // Reject infeasible (geometry, width) pairs or pruning overrides
+        // before any expensive work.
         for arch in &archs {
-            arch.validate()?;
+            for &width in &widths {
+                arch.validate_for(width)?;
+            }
         }
         for pruning in &prunings {
             pruning.validate().map_err(|reason| PipelineError::BadConfig { reason })?;

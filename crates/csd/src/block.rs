@@ -321,12 +321,13 @@ impl FromIterator<DyadicBlock> for DyadicBlocks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::width::OperandWidth;
     use crate::word::CsdWord;
 
     #[test]
     fn block_values_reconstruct_every_i8() {
         for v in i8::MIN..=i8::MAX {
-            let w = CsdWord::from_i8(v);
+            let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
             assert_eq!(w.dyadic_blocks().value(), i32::from(v), "value {v}");
         }
     }
@@ -334,7 +335,7 @@ mod tests {
     #[test]
     fn comp_count_equals_phi() {
         for v in i8::MIN..=i8::MAX {
-            let w = CsdWord::from_i8(v);
+            let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
             assert_eq!(w.dyadic_blocks().comp_count() as u32, w.nonzero_digits());
         }
     }

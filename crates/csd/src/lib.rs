@@ -44,7 +44,7 @@ pub use block::{BlockPattern, DyadicBlock, DyadicBlocks, Sign};
 pub use digit::CsdDigit;
 pub use error::CsdError;
 pub use width::OperandWidth;
-pub use word::{phi, CsdWord, CSD_WIDTH_I8};
+pub use word::{phi, CsdWord};
 
 /// Counts the non-zero bits of the plain two's-complement representation of
 /// `value` over `width` bits.

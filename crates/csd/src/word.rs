@@ -9,14 +9,6 @@ use crate::digit::CsdDigit;
 use crate::error::CsdError;
 use crate::width::OperandWidth;
 
-/// Number of CSD digit positions used for INT8 weights.
-///
-/// Every value in `[-128, 127]` has a canonical signed-digit form whose most
-/// significant non-zero digit sits at position 7 or below, so four dyadic
-/// blocks always suffice. This is verified exhaustively by the test suite.
-/// Equals [`OperandWidth::Int8.digits()`](OperandWidth::digits).
-pub const CSD_WIDTH_I8: usize = OperandWidth::Int8.digits();
-
 /// A canonical signed digit (CSD) word of fixed width.
 ///
 /// Digits are stored least-significant first (`digits()[0]` weighs `2^0`).
@@ -26,13 +18,14 @@ pub const CSD_WIDTH_I8: usize = OperandWidth::Int8.digits();
 /// # Examples
 ///
 /// ```
-/// use dbpim_csd::CsdWord;
+/// use dbpim_csd::{CsdWord, OperandWidth};
 ///
-/// let w = CsdWord::from_i8(125);
+/// let w = CsdWord::encode(125, OperandWidth::Int8)?;
 /// assert_eq!(w.to_i32(), 125);
 /// // 125 = 128 - 4 + 1 -> three non-zero digits instead of six binary ones.
 /// assert_eq!(w.nonzero_digits(), 3);
 /// assert_eq!(w.to_string(), "1000_0-01");
+/// # Ok::<(), dbpim_csd::CsdError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CsdWord {
@@ -70,19 +63,6 @@ impl CsdWord {
         let mut digits = naf;
         digits.resize(width, CsdDigit::Zero);
         Ok(Self { digits })
-    }
-
-    /// Encodes an INT8 value into the paper's 8-digit CSD representation.
-    ///
-    /// This is the `w = 8` instance of a general property: every `w`-bit
-    /// two's-complement value has a canonical form of at most `w` digit
-    /// positions, so [`CsdWord::encode`] never fails for an in-range value of
-    /// any supported [`OperandWidth`]. For `i8` specifically, the input type
-    /// already guarantees the range, so this constructor is infallible.
-    #[must_use]
-    pub fn from_i8(value: i8) -> Self {
-        Self::from_i32(i32::from(value), CSD_WIDTH_I8)
-            .expect("every i8 value fits in 8 CSD digit positions")
     }
 
     /// Encodes a value into the canonical word of an operand width.
@@ -227,12 +207,6 @@ impl fmt::Display for CsdWord {
     }
 }
 
-impl From<i8> for CsdWord {
-    fn from(value: i8) -> Self {
-        Self::from_i8(value)
-    }
-}
-
 /// Number of non-zero digits in the canonical signed-digit form of `value`
 /// (the paper's `φ`), independent of any word width.
 ///
@@ -288,8 +262,8 @@ mod tests {
     #[test]
     fn every_i8_round_trips_in_eight_digits() {
         for v in i8::MIN..=i8::MAX {
-            let w = CsdWord::from_i8(v);
-            assert_eq!(w.width(), CSD_WIDTH_I8);
+            let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
+            assert_eq!(w.width(), OperandWidth::Int8.digits());
             assert_eq!(w.to_i32(), i32::from(v), "round trip failed for {v}");
         }
     }
@@ -297,7 +271,7 @@ mod tests {
     #[test]
     fn every_i8_word_is_canonical() {
         for v in i8::MIN..=i8::MAX {
-            let w = CsdWord::from_i8(v);
+            let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
             for pair in w.digits().windows(2) {
                 assert!(
                     !(pair[0].is_nonzero() && pair[1].is_nonzero()),
@@ -310,7 +284,7 @@ mod tests {
     #[test]
     fn csd_uses_no_more_nonzero_digits_than_binary() {
         for v in 0..=i8::MAX {
-            let w = CsdWord::from_i8(v);
+            let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
             let binary = (v as u8).count_ones();
             assert!(w.nonzero_digits() <= binary, "value {v}");
         }
@@ -319,7 +293,7 @@ mod tests {
     #[test]
     fn paper_example_125_has_three_nonzero_digits() {
         // The paper recodes 0b0111_1101 into 1000_0(-1)01.
-        let w = CsdWord::from_i8(125);
+        let w = CsdWord::encode(125, OperandWidth::Int8).unwrap();
         assert_eq!(w.nonzero_digits(), 3);
         assert_eq!(w.to_string(), "1000_0-01");
     }
@@ -352,7 +326,7 @@ mod tests {
 
     #[test]
     fn nonzero_positions_matches_count() {
-        let w = CsdWord::from_i8(42);
+        let w = CsdWord::encode(42, OperandWidth::Int8).unwrap();
         assert_eq!(w.nonzero_positions().count() as u32, w.nonzero_digits());
         assert_eq!(w.nonzero_positions().map(|(p, d)| d.value() << p).sum::<i32>(), 42);
     }
@@ -377,8 +351,8 @@ mod tests {
     fn from_i32_width_overflow_errors_at_every_width_boundary() {
         // For every supported width, the extreme in-range magnitudes encode
         // and the first out-of-range NAF lengths are reported as errors
-        // rather than panicking (the generalization of the `from_i8`
-        // "never fails" claim).
+        // rather than panicking (in-range values of every width always
+        // encode).
         for width in OperandWidth::all() {
             let digits = width.digits();
             let max = width.max_value();
@@ -458,7 +432,7 @@ mod tests {
 
     #[test]
     fn dyadic_blocks_cover_all_positions() {
-        let w = CsdWord::from_i8(-77);
+        let w = CsdWord::encode(-77, OperandWidth::Int8).unwrap();
         let blocks = w.dyadic_blocks();
         assert_eq!(blocks.len(), 4);
         assert_eq!(blocks.value(), -77);

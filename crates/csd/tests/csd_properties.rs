@@ -6,15 +6,15 @@
 //! lattice over the former proptest domain (deterministic, same order of
 //! case count as the random suite).
 
-use dbpim_csd::{binary_nonzero_bits, BlockPattern, CsdWord, CSD_WIDTH_I8};
+use dbpim_csd::{binary_nonzero_bits, BlockPattern, CsdWord, OperandWidth};
 
 /// Encoding then decoding any i8 value is the identity.
 #[test]
 fn i8_round_trip() {
     for v in i8::MIN..=i8::MAX {
-        let w = CsdWord::from_i8(v);
+        let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
         assert_eq!(w.to_i32(), i32::from(v));
-        assert_eq!(w.width(), CSD_WIDTH_I8);
+        assert_eq!(w.width(), OperandWidth::Int8.digits());
     }
 }
 
@@ -61,7 +61,7 @@ fn csd_is_minimal_vs_binary_magnitude() {
 #[test]
 fn dyadic_blocks_reconstruct() {
     for v in i8::MIN..=i8::MAX {
-        let w = CsdWord::from_i8(v);
+        let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
         let blocks = w.dyadic_blocks();
         assert_eq!(blocks.value(), i32::from(v));
         assert_eq!(blocks.comp_count() as u32, w.nonzero_digits());
@@ -73,7 +73,7 @@ fn dyadic_blocks_reconstruct() {
 #[test]
 fn comp_blocks_store_complementary_state() {
     for v in i8::MIN..=i8::MAX {
-        let w = CsdWord::from_i8(v);
+        let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
         for block in w.dyadic_blocks().comp_blocks() {
             let (q, qbar) = block.cell_state().unwrap();
             assert_ne!(q, qbar, "value {v}");
@@ -86,7 +86,7 @@ fn comp_blocks_store_complementary_state() {
 #[test]
 fn negation_mirrors_value() {
     for v in -127i8..=127 {
-        let w = CsdWord::from_i8(v);
+        let w = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
         let n = w.negated();
         assert_eq!(n.to_i32(), -i32::from(v));
         assert_eq!(n.nonzero_digits(), w.nonzero_digits());
@@ -98,6 +98,6 @@ fn negation_mirrors_value() {
 #[test]
 fn phi_at_most_four() {
     for v in i8::MIN..=i8::MAX {
-        assert!(CsdWord::from_i8(v).nonzero_digits() <= 4);
+        assert!(CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap().nonzero_digits() <= 4);
     }
 }

@@ -388,7 +388,7 @@ impl ModelApprox {
     /// Propagates weight-shape errors from the individual layers.
     pub fn from_quantized(model: &QuantizedModel) -> Result<Self, FtaError> {
         let _span = dbpim_trace::span!("fta.approx", model = model.name(), width = "int8");
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let mut layers = Vec::new();
         for &id in &model.pim_node_ids() {
             let node = &model.nodes()[id];
@@ -511,7 +511,7 @@ mod tests {
     use dbpim_csd::CsdWord;
 
     fn tables() -> QueryTables {
-        QueryTables::new()
+        QueryTables::for_width(OperandWidth::Int8)
     }
 
     #[test]
@@ -716,7 +716,10 @@ mod tests {
     #[test]
     fn phi_equals_word_nonzero_digits_for_i8() {
         for v in i8::MIN..=i8::MAX {
-            assert_eq!(dbpim_csd::phi(i32::from(v)), CsdWord::from_i8(v).nonzero_digits());
+            assert_eq!(
+                dbpim_csd::phi(i32::from(v)),
+                CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap().nonzero_digits()
+            );
         }
     }
 }

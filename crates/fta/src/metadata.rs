@@ -244,7 +244,7 @@ mod tests {
     #[test]
     fn slots_reconstruct_the_weight() {
         for v in i8::MIN..=i8::MAX {
-            let phi = CsdWord::from_i8(v).nonzero_digits();
+            let phi = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap().nonzero_digits();
             if phi > 2 {
                 continue;
             }
@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn filter_metadata_counts_padding() {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         // Filter of weights {1, 5}: threshold 2; 1 stores one block (one pad),
         // 5 stores two blocks.
         let filter = FilterApprox::approximate_with_threshold(&[1i8, 5], 2, &tables).unwrap();
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn layer_metadata_is_lossless_and_utilization_below_one() {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let values: Vec<i8> = (0..64).map(|i| ((i * 13 + 7) % 251) as i8).collect();
         let weights = Tensor::from_vec(values, vec![8, 8]).unwrap();
         let layer =
@@ -343,7 +343,7 @@ mod tests {
 
     #[test]
     fn all_zero_layer_has_full_utilization_by_convention() {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let weights = Tensor::from_vec(vec![0i8; 16], vec![4, 4]).unwrap();
         let layer =
             crate::algorithm::LayerApprox::from_weights(0, "zeros", &weights, &tables).unwrap();

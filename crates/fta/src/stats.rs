@@ -210,7 +210,13 @@ mod tests {
         let mut gen = TensorGenerator::new(seed);
         let w = gen.weight_tensor(vec![filters, len]).unwrap();
         let q = QuantizedTensor::quantize_per_channel(&w, 0);
-        LayerApprox::from_weights(0, "conv", q.values(), &QueryTables::new()).unwrap()
+        LayerApprox::from_weights(
+            0,
+            "conv",
+            q.values(),
+            &QueryTables::for_width(OperandWidth::Int8),
+        )
+        .unwrap()
     }
 
     /// A `filters x len` layer at `width`, with `prune` of its float
@@ -277,7 +283,7 @@ mod tests {
 
     #[test]
     fn model_aggregates_weight_layers() {
-        let tables = QueryTables::new();
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         let a = LayerApprox::from_weights(
             0,
             "a",

@@ -25,7 +25,7 @@ pub const MAX_THRESHOLD: u32 = 2;
 /// use dbpim_csd::OperandWidth;
 /// use dbpim_fta::QueryTable;
 ///
-/// let t1 = QueryTable::new(1)?; // INT8
+/// let t1 = QueryTable::for_width(OperandWidth::Int8, 1)?;
 /// // With one non-zero digit only powers of two (and zero) are available.
 /// assert_eq!(t1.nearest(5), 4);
 /// assert_eq!(t1.nearest(0), 0);
@@ -47,16 +47,6 @@ pub struct QueryTable {
 }
 
 impl QueryTable {
-    /// Builds the INT8 table for a threshold in `0..=2`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtaError::InvalidThreshold`] for thresholds above
-    /// [`MAX_THRESHOLD`].
-    pub fn new(threshold: u32) -> Result<Self, FtaError> {
-        Self::for_width(OperandWidth::Int8, threshold)
-    }
-
     /// Builds the table of an operand width for a threshold in `0..=2`.
     ///
     /// # Errors
@@ -159,12 +149,6 @@ pub struct QueryTables {
 }
 
 impl QueryTables {
-    /// Builds all three INT8 tables.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::for_width(OperandWidth::Int8)
-    }
-
     /// Builds all three tables of an operand width.
     #[must_use]
     pub fn for_width(width: OperandWidth) -> Self {
@@ -195,12 +179,6 @@ impl QueryTables {
     }
 }
 
-impl Default for QueryTables {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Whichever of the neighbouring members `lo < x < hi` lies closer to `x`;
 /// a tie goes to the one of smaller magnitude.
 fn closer(x: i32, lo: i32, hi: i32) -> i32 {
@@ -219,7 +197,7 @@ mod tests {
 
     #[test]
     fn table_zero_only_contains_zero() {
-        let t = QueryTable::new(0).unwrap();
+        let t = QueryTable::for_width(OperandWidth::Int8, 0).unwrap();
         assert_eq!(t.values(), &[0]);
         assert_eq!(t.nearest(100), 0);
         assert_eq!(t.nearest(-128), 0);
@@ -228,7 +206,7 @@ mod tests {
 
     #[test]
     fn table_one_contains_signed_powers_of_two() {
-        let t = QueryTable::new(1).unwrap();
+        let t = QueryTable::for_width(OperandWidth::Int8, 1).unwrap();
         // 0, ±1, ±2, ±4, ±8, ±16, ±32, ±64, -128 and +128 does not fit i8.
         assert_eq!(t.len(), 16);
         assert!(t.contains(-128));
@@ -238,9 +216,9 @@ mod tests {
 
     #[test]
     fn table_two_members_use_at_most_two_digits() {
-        let t = QueryTable::new(2).unwrap();
+        let t = QueryTable::for_width(OperandWidth::Int8, 2).unwrap();
         for &v in t.values() {
-            assert!(CsdWord::from_i8(v as i8).nonzero_digits() <= 2, "value {v}");
+            assert!(CsdWord::encode(v, OperandWidth::Int8).unwrap().nonzero_digits() <= 2, "{v}");
         }
         assert!(t.contains(96)); // 128 - 32
         assert!(t.contains(-96));
@@ -272,7 +250,7 @@ mod tests {
     #[test]
     fn nearest_is_truly_nearest() {
         for threshold in 0..=2 {
-            let t = QueryTable::new(threshold).unwrap();
+            let t = QueryTable::for_width(OperandWidth::Int8, threshold).unwrap();
             for v in i8::MIN..=i8::MAX {
                 let v = i32::from(v);
                 let n = t.nearest(v);
@@ -337,7 +315,7 @@ mod tests {
 
     #[test]
     fn nearest_ties_prefer_smaller_magnitude() {
-        let t = QueryTable::new(1).unwrap();
+        let t = QueryTable::for_width(OperandWidth::Int8, 1).unwrap();
         // 3 is equidistant from 2 and 4; expect 2.
         assert_eq!(t.nearest(3), 2);
         assert_eq!(t.nearest(-3), -2);
@@ -345,7 +323,7 @@ mod tests {
 
     #[test]
     fn exact_values_are_preserved() {
-        let t = QueryTable::new(2).unwrap();
+        let t = QueryTable::for_width(OperandWidth::Int8, 2).unwrap();
         for &v in t.values() {
             assert_eq!(t.nearest(v), v);
         }
@@ -353,9 +331,9 @@ mod tests {
 
     #[test]
     fn worst_case_error_shrinks_with_threshold() {
-        let e0 = QueryTable::new(0).unwrap().worst_case_error();
-        let e1 = QueryTable::new(1).unwrap().worst_case_error();
-        let e2 = QueryTable::new(2).unwrap().worst_case_error();
+        let e0 = QueryTable::for_width(OperandWidth::Int8, 0).unwrap().worst_case_error();
+        let e1 = QueryTable::for_width(OperandWidth::Int8, 1).unwrap().worst_case_error();
+        let e2 = QueryTable::for_width(OperandWidth::Int8, 2).unwrap().worst_case_error();
         assert!(e0 > e1 && e1 > e2, "{e0} {e1} {e2}");
         assert_eq!(e0, 128);
         // The largest gap in T(2) sits between 96 = 128-32 and 112 = 128-16.
@@ -376,11 +354,10 @@ mod tests {
 
     #[test]
     fn invalid_threshold_is_rejected() {
-        assert!(QueryTable::new(3).is_err());
-        let tables = QueryTables::new();
+        assert!(QueryTable::for_width(OperandWidth::Int8, 3).is_err());
+        let tables = QueryTables::for_width(OperandWidth::Int8);
         assert!(tables.table(3).is_err());
         assert_eq!(tables.table(1).unwrap().threshold(), 1);
-        assert_eq!(QueryTables::default().table(2).unwrap().threshold(), 2);
         assert_eq!(QueryTables::for_width(OperandWidth::Int16).width(), OperandWidth::Int16);
     }
 }

@@ -91,6 +91,7 @@ impl ModelKind {
         seed: u64,
         width_mult: f32,
     ) -> Result<Model, NnError> {
+        let _span = dbpim_trace::span!("nn.build", model = self.name());
         let mut ctx = BuildCtx::new(seed, width_mult);
         match self {
             ModelKind::AlexNet => alexnet(&mut ctx, classes),

@@ -2,11 +2,11 @@
 //!
 //! The experiment binaries pay the full `model → quantize → FTA → compile`
 //! cost on every invocation. This crate keeps those artifacts *resident*: a
-//! daemon ([`Server`]) owns one warm [`db_pim::SimSession`] cache per
-//! operand width and answers queries over a newline-delimited JSON TCP
-//! protocol ([`protocol`]), so the first request for a (model, width) pays
-//! the cold pipeline once and every later request — from any client — is
-//! served from cache.
+//! daemon ([`Server`]) owns one warm [`db_pim::SimSession`] cache keyed on
+//! (model, width, pruning) and answers queries over a newline-delimited
+//! JSON TCP protocol ([`protocol`]), so the first request for a (model,
+//! width) pays the cold pipeline once and every later request — from any
+//! client — is served from cache.
 //!
 //! Three layers:
 //!

@@ -16,8 +16,8 @@
 //! --cal <usize>     calibration images (default 4)
 //! --classes <usize> output classes (default 100)
 //! --operand-width <4|8|12|16>  default weight operand width (default 8)
-//! --cache-cap <n>   LRU cap on resident prepared models per width session
-//!                   (default unbounded; 0 is clamped to 1)
+//! --cache-cap <n>   LRU cap on resident prepared models, one bound for the
+//!                   whole process (default unbounded; 0 is clamped to 1)
 //! --auth-token <s>  shared secret clients must present via Auth (default
 //!                   none: open daemon)
 //! --max-frame-bytes <n>  request-line size limit; longer frames are

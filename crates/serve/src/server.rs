@@ -1,12 +1,12 @@
 //! The sweep-serving daemon.
 //!
 //! A [`Server`] owns one [`BatchRunner`] — and through it one warm
-//! [`db_pim::SimSession`] artifact cache per operand width — and serves the
-//! [`protocol`](crate::protocol) over TCP. Connections are dispatched to a
-//! fixed worker pool; every worker answers requests against the *same*
-//! shared session caches, so N clients asking for the same (model, width)
-//! trigger exactly one artifact preparation (the session layer's
-//! single-flight guarantee) and every later request is served warm.
+//! [`db_pim::SimSession`] artifact cache keyed on (model, width, pruning) —
+//! and serves the [`protocol`](crate::protocol) over TCP. Connections are
+//! dispatched to a fixed worker pool; every worker answers requests against
+//! the *same* shared session cache, so N clients asking for the same
+//! (model, width) trigger exactly one artifact preparation (the session
+//! layer's single-flight guarantee) and every later request is served warm.
 //!
 //! Sweeps and explorations stream through one loop: each (model, width,
 //! pruning, geometry) point is written to the client as soon as it is
@@ -165,9 +165,10 @@ pub struct ServeConfig {
     pub poll_interval: Duration,
     /// The pipeline configuration every session is derived from.
     pub pipeline: PipelineConfig,
-    /// LRU cap on resident prepared models per per-width session cache
-    /// (`None` = unbounded, the historical behaviour). Evictions are
-    /// counted in the `CacheStats` response.
+    /// LRU cap on resident prepared models, one bound for the whole process
+    /// across every (model, width, pruning) variant (`None` = unbounded, the
+    /// historical behaviour). Evictions are counted in the `CacheStats`
+    /// response.
     pub cache_cap: Option<usize>,
     /// Shared secret clients must present via [`Request::Auth`] before any
     /// request other than `Ping`; `None` serves everyone (the historical

@@ -1,13 +1,10 @@
 //! Bit-level sparsity statistics (Fig. 2 of the paper).
 
-use dbpim_csd::{CsdWord, OperandWidth};
+use dbpim_csd::OperandWidth;
 use serde::{Deserialize, Serialize};
 
-use crate::tensor::Tensor;
-
 /// Bit width of the quantized *input-feature* values the bit-column
-/// statistics are computed over, and the default weight width of
-/// [`WeightBitStats::from_values`].
+/// statistics are computed over.
 pub const BIT_WIDTH: u32 = 8;
 
 /// Bit-level sparsity statistics of a quantized weight tensor.
@@ -24,13 +21,12 @@ pub const BIT_WIDTH: u32 = 8;
 /// # Examples
 ///
 /// ```
-/// use dbpim_tensor::{Tensor, stats::WeightBitStats};
+/// use dbpim_csd::OperandWidth;
+/// use dbpim_tensor::stats::WeightBitStats;
 ///
-/// let w = Tensor::from_vec(vec![0i8, 1, -2, 127], vec![4])?;
-/// let s = WeightBitStats::from_values(w.data());
+/// let s = WeightBitStats::from_wide_values(&[0, 1, -2, 127], OperandWidth::Int8);
 /// assert!(s.binary_zero_ratio() > 0.5);
 /// assert!(s.csd_zero_ratio() >= s.binary_zero_ratio());
-/// # Ok::<(), dbpim_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WeightBitStats {
@@ -42,13 +38,6 @@ pub struct WeightBitStats {
 }
 
 impl WeightBitStats {
-    /// Computes statistics over a slice of INT8 values.
-    #[must_use]
-    pub fn from_values(values: &[i8]) -> Self {
-        let wide: Vec<i32> = values.iter().map(|&v| i32::from(v)).collect();
-        Self::from_wide_values(&wide, OperandWidth::Int8)
-    }
-
     /// Computes statistics over width-generic quantized values.
     ///
     /// Values are expected to lie in `width`'s two's-complement range; the
@@ -73,12 +62,6 @@ impl WeightBitStats {
             binary_nonzero_bits: binary,
             csd_nonzero_bits: csd,
         }
-    }
-
-    /// Computes statistics over an INT8 tensor.
-    #[must_use]
-    pub fn from_tensor(tensor: &Tensor<i8>) -> Self {
-        Self::from_values(tensor.data())
     }
 
     /// Merges statistics from another set of values (e.g. another layer).
@@ -137,34 +120,6 @@ impl WeightBitStats {
     pub fn mean_phi(&self) -> f64 {
         ratio(self.csd_nonzero_bits, self.total_values as u64)
     }
-}
-
-/// Histogram of φ (non-zero CSD digit count) over a set of INT8 values.
-///
-/// Index `k` holds the number of values with exactly `k` non-zero digits;
-/// INT8 values never exceed φ = 4.
-#[must_use]
-pub fn phi_histogram(values: &[i8]) -> [usize; 5] {
-    let mut hist = [0usize; 5];
-    for &v in values {
-        let phi = CsdWord::from_i8(v).nonzero_digits() as usize;
-        hist[phi.min(4)] += 1;
-    }
-    hist
-}
-
-/// The mode (most frequent value) of φ over a set of INT8 values, used by the
-/// FTA algorithm's threshold selection. Ties resolve to the smaller φ.
-#[must_use]
-pub fn phi_mode(values: &[i8]) -> u32 {
-    let hist = phi_histogram(values);
-    let mut best = 0usize;
-    for (phi, &count) in hist.iter().enumerate() {
-        if count > hist[best] {
-            best = phi;
-        }
-    }
-    best as u32
 }
 
 /// Block-wise zero bit-column statistics of input features (Fig. 2(b)).
@@ -240,15 +195,15 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::QuantizedTensor;
+    use crate::quant::WideQuantizedTensor;
     use crate::random::{Distribution, TensorGenerator};
 
     #[test]
     fn csd_zero_ratio_is_at_least_binary_for_realistic_weights() {
         let mut g = TensorGenerator::new(11);
         let w = g.weight_tensor(vec![64, 3, 3, 3]).unwrap();
-        let q = QuantizedTensor::quantize_per_channel(&w, 0);
-        let s = WeightBitStats::from_tensor(q.values());
+        let q = WideQuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int8);
+        let s = WeightBitStats::from_wide_values(q.values().data(), OperandWidth::Int8);
         assert!(s.csd_zero_ratio() >= s.binary_zero_ratio());
         // Fig. 2(a): realistic weights show at least ~60 % zero bits.
         assert!(s.binary_zero_ratio() > 0.6, "binary zero ratio {}", s.binary_zero_ratio());
@@ -256,12 +211,9 @@ mod tests {
 
     #[test]
     fn wide_stats_agree_with_the_int8_path_and_scale_with_width() {
-        let values: Vec<i8> = (-60..=60).map(|v| (v * 2) as i8).collect();
-        let wide: Vec<i32> = values.iter().map(|&v| i32::from(v)).collect();
-        let narrow = WeightBitStats::from_values(&values);
+        let wide: Vec<i32> = (-60..=60).map(|v| v * 2).collect();
         let at8 = WeightBitStats::from_wide_values(&wide, OperandWidth::Int8);
-        assert_eq!(narrow, at8);
-        assert_eq!(narrow.bit_width(), 8);
+        assert_eq!(at8.bit_width(), 8);
 
         // The same values over a wider word have more zero positions.
         let at16 = WeightBitStats::from_wide_values(&wide, OperandWidth::Int16);
@@ -272,7 +224,7 @@ mod tests {
 
     #[test]
     fn all_zero_tensor_is_fully_sparse() {
-        let s = WeightBitStats::from_values(&[0i8; 100]);
+        let s = WeightBitStats::from_wide_values(&[0; 100], OperandWidth::Int8);
         assert_eq!(s.binary_zero_ratio(), 1.0);
         assert_eq!(s.csd_zero_ratio(), 1.0);
         assert_eq!(s.zero_value_ratio(), 1.0);
@@ -281,36 +233,24 @@ mod tests {
 
     #[test]
     fn merge_accumulates_counts() {
-        let a = WeightBitStats::from_values(&[1i8, 2, 3]);
-        let b = WeightBitStats::from_values(&[0i8, -1]);
-        let merged = a.merge(b);
+        let stats = |values: &[i32]| WeightBitStats::from_wide_values(values, OperandWidth::Int8);
+        let merged = stats(&[1, 2, 3]).merge(stats(&[0, -1]));
         assert_eq!(merged.total_values(), 5);
-        let direct = WeightBitStats::from_values(&[1i8, 2, 3, 0, -1]);
+        let direct = stats(&[1, 2, 3, 0, -1]);
         assert!((merged.csd_zero_ratio() - direct.csd_zero_ratio()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phi_histogram_sums_to_len() {
-        let values: Vec<i8> = (-60..60).collect();
-        let hist = phi_histogram(&values);
-        assert_eq!(hist.iter().sum::<usize>(), values.len());
-        assert_eq!(hist[0], 1); // only the value 0
-    }
-
-    #[test]
-    fn phi_mode_prefers_smaller_on_tie() {
-        // Values with phi 1 and phi 2 in equal numbers -> mode 1.
-        let values = [1i8, 2, 3, 5]; // phi: 1, 1, 2, 2
-        assert_eq!(phi_mode(&values), 1);
     }
 
     #[test]
     fn phi_mode_of_typical_weights_is_one_or_two() {
         let mut g = TensorGenerator::new(13);
         let w = g.weight_tensor(vec![128, 64, 3, 3]).unwrap();
-        let q = QuantizedTensor::quantize_per_channel(&w, 0);
-        let mode = phi_mode(q.values().data());
-        assert!(mode <= 2, "mode {mode} unexpectedly high");
+        let q = WideQuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int8);
+        let mut hist = [0usize; 5];
+        for &v in q.values().data() {
+            hist[dbpim_csd::phi(v) as usize] += 1;
+        }
+        let mode = (0..hist.len()).max_by_key(|&phi| (hist[phi], std::cmp::Reverse(phi)));
+        assert!(mode <= Some(2), "mode {mode:?} unexpectedly high");
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn describe(label: &str, stats: &MacroComputeStats) {
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut rng = ChaCha8Rng::seed_from_u64(99);
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
 
     // One tile: 8 filters of 128 weights, post-ReLU style inputs.
     let filter_len = 128usize;
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let approx = FilterApprox::approximate(&raw, &tables)?;
         metadata.push(FilterMetadata::from_filter(0, &approx));
         approx_filters.push(approx);
-        raw_filters.push(raw);
+        raw_filters.push(raw.into_iter().map(i32::from).collect::<Vec<_>>());
     }
 
     println!("tile: {filters} filters x {filter_len} weights, INT8 inputs in [0, 31]\n");
@@ -67,7 +67,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut dense_outputs = Vec::new();
     for pair in raw_filters.chunks(2) {
         let mut pim = PimMacro::new(ArchConfig::paper())?;
-        let exec = pim.execute_dense_tile(pair, &inputs, &InputPreprocessor::without_sparsity())?;
+        let no_skip = InputPreprocessor::without_sparsity();
+        let exec = pim.execute_dense_tile_for_width(pair, &inputs, &no_skip, OperandWidth::Int8)?;
         dense_outputs.extend(exec.outputs);
         dense_stats.compute_cycles += exec.stats.compute_cycles;
         dense_stats.cell_reads += exec.stats.cell_reads;

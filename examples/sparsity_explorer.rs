@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 /// Re-approximates one layer with every forced threshold and reports the
 /// sparsity / error trade-off Algorithm 1 balances automatically.
 fn ablation(layer: &LayerApprox) -> Result<(), Box<dyn Error>> {
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
     println!(
         "layer {} ({} filters x {} weights)",
         layer.name(),

@@ -8,7 +8,7 @@
 //! applies.
 
 use dbpim_arch::{ArchConfig, InputPreprocessor, PimMacro};
-use dbpim_csd::{CsdWord, DyadicBlock};
+use dbpim_csd::{CsdWord, DyadicBlock, OperandWidth};
 use dbpim_fta::metadata::FilterMetadata;
 use dbpim_fta::{select_threshold, FilterApprox, QueryTables};
 use rand::{Rng, SeedableRng};
@@ -31,7 +31,7 @@ fn weight_cases(seed: u64, max_len: usize) -> Vec<Vec<i8>> {
 #[test]
 fn csd_round_trips_and_is_canonical() {
     for value in i8::MIN..=i8::MAX {
-        let word = CsdWord::from_i8(value);
+        let word = CsdWord::encode(i32::from(value), OperandWidth::Int8).unwrap();
         assert_eq!(word.to_i32(), i32::from(value));
         assert!(word.nonzero_digits() <= 4);
         for pair in word.digits().windows(2) {
@@ -47,7 +47,7 @@ fn csd_round_trips_and_is_canonical() {
 /// lossless.
 #[test]
 fn fta_respects_threshold_and_metadata_reconstructs() {
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
     for weights in weight_cases(0xF7A1, 80) {
         let filter = FilterApprox::approximate(&weights, &tables).unwrap();
         let threshold = filter.threshold();
@@ -68,7 +68,7 @@ fn fta_respects_threshold_and_metadata_reconstructs() {
 /// table that was used.
 #[test]
 fn fta_error_is_bounded() {
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
     for weights in weight_cases(0xF7A2, 64) {
         let filter = FilterApprox::approximate(&weights, &tables).unwrap();
         let bound = match filter.threshold() {
@@ -87,7 +87,7 @@ fn fta_error_is_bounded() {
 /// input-column skipping.
 #[test]
 fn macro_matches_software_dot_product() {
-    let tables = QueryTables::new();
+    let tables = QueryTables::for_width(OperandWidth::Int8);
     for (case, weights) in weight_cases(0xF7A3, 48).into_iter().enumerate() {
         let len = weights.len();
         let seed = (case % 16) as i64;
@@ -126,9 +126,15 @@ fn dense_macro_matches_software_dot_product() {
             (0..len).map(|i| ((i as i64 * 53 + seed * 7) % 256 - 128) as i8).collect();
         let expected: i64 =
             weights.iter().zip(&inputs).map(|(&w, &x)| i64::from(w) * i64::from(x)).sum();
+        let weights = weights.into_iter().map(i32::from).collect();
         let mut pim = PimMacro::new(ArchConfig::paper()).unwrap();
         let exec = pim
-            .execute_dense_tile(&[weights], &inputs, &InputPreprocessor::without_sparsity())
+            .execute_dense_tile_for_width(
+                &[weights],
+                &inputs,
+                &InputPreprocessor::without_sparsity(),
+                OperandWidth::Int8,
+            )
             .unwrap();
         assert_eq!(exec.outputs[0], expected);
     }

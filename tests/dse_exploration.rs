@@ -277,6 +277,46 @@ fn aggregate_frontier_matches_a_brute_force_reference() {
     assert!(report.aggregate_metrics(&[(ModelKind::Vgg19, 1.0)], sparsity).is_empty());
 }
 
+/// A geometry that cannot hold one weight of a swept width fails before any
+/// model is prepared, at every entry point: a DSE spec's point list, a
+/// sweep and a single point.
+#[test]
+fn infeasible_widths_fail_before_any_model_is_prepared() {
+    let config = small_config().without_fidelity();
+    let grid = ArchGrid::around(ArchConfig::paper()).with_dbmus(vec![4]);
+    let narrow = grid.enumerate().expect("the geometry alone is valid")[0];
+    let hybrid = [SparsityConfig::HybridSparsity];
+
+    let driver = DseDriver::new(config).expect("valid config");
+    let spec = DseSpec::new(grid, vec![ModelKind::AlexNet]).with_widths(vec![OperandWidth::Int8]);
+    let err = driver.run(&spec).expect_err("8 weight bit columns cannot fit 4");
+    assert!(err.to_string().contains("grid point 0 is infeasible"), "{err}");
+    assert_eq!(driver.cache_stats().artifact_misses, 0, "the spec prepared a model");
+
+    let runner = BatchRunner::new(config).expect("valid config");
+    let sweep = SweepSpec::new(vec![ModelKind::AlexNet]).with_archs(vec![narrow]);
+    let err = runner.run(&sweep).expect_err("8 weight bit columns cannot fit 4");
+    assert!(err.to_string().contains("weight bit columns"), "{err}");
+    assert_eq!(runner.cache_stats().artifact_misses, 0, "the sweep prepared a model");
+
+    let point = |width| {
+        runner.run_point_pruned(
+            ModelKind::AlexNet,
+            width,
+            PruningSpec::none(),
+            Some(narrow),
+            &hybrid,
+            false,
+        )
+    };
+    let err = point(OperandWidth::Int8).expect_err("8 weight bit columns cannot fit 4");
+    assert!(err.to_string().contains("weight bit columns"), "{err}");
+    assert_eq!(runner.cache_stats().artifact_misses, 0, "the point prepared a model");
+
+    // INT4 weights fit the same geometry.
+    point(OperandWidth::Int4).expect("4 weight bit columns fit");
+}
+
 /// Structured failure shapes: infeasible grids are rejected before any
 /// work, and a snapshot recorded under a different spec refuses to resume
 /// instead of silently mixing results.

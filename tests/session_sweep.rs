@@ -91,19 +91,23 @@ fn capped_sessions_evict_least_recently_used_artifacts() {
     assert_eq!(session.cache_stats().artifact_misses, before + 1, "B should have been evicted");
 }
 
-/// A capped `BatchRunner` propagates the cap to its per-width sessions and
-/// aggregates their eviction counters.
+/// A capped `BatchRunner` has one bound over every width: with cap 1,
+/// preparing AlexNet at INT4 and then at INT8 leaves one artifact set
+/// resident, the INT4 one evicted.
 #[test]
 fn batch_runner_cache_cap_reaches_width_sessions() {
-    let runner = BatchRunner::new(small_config()).expect("valid config").with_cache_cap(Some(1));
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet, ModelKind::MobileNetV2])
+    let runner = BatchRunner::new(small_config())
+        .expect("valid config")
+        .with_threads(1)
+        .with_cache_cap(Some(1));
+    let spec = SweepSpec::new(vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::HybridSparsity])
-        .with_widths(vec![OperandWidth::Int4]);
+        .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
     let report = runner.run(&spec).expect("sweep runs");
     assert_eq!(report.entries.len(), 2);
     let stats = runner.cache_stats();
-    assert!(stats.artifact_evictions >= 1, "the INT4 width session ignored the cap: {stats:?}");
-    assert!(stats.resident_artifacts <= 2, "one per session at most: {stats:?}");
+    assert_eq!(stats.resident_artifacts, 1, "the cap did not cover the INT4 variant: {stats:?}");
+    assert_eq!((stats.artifact_misses, stats.artifact_evictions), (2, 1), "{stats:?}");
 }
 
 /// An empty sweep returns an empty report.
@@ -195,10 +199,10 @@ fn session_codesign_model_matches_pipeline() {
     assert_eq!(via_session, via_pipeline);
 }
 
-/// The runner keeps one artifact cache per operand width: repeated sweeps
-/// at the same widths reuse both the per-width sessions and the prepared
-/// artifacts (no re-preparation), and the base width is served by the base
-/// session itself.
+/// The runner's session caches every operand width: repeated sweeps at the
+/// same widths reuse the prepared artifacts (no re-preparation), the
+/// configured width is the session's own variant, and every width of one
+/// model shares a single float model.
 #[test]
 fn width_sweeps_reuse_cached_artifacts_across_runs() {
     let runner = BatchRunner::new(small_config()).expect("valid config");
@@ -210,20 +214,22 @@ fn width_sweeps_reuse_cached_artifacts_across_runs() {
     assert_eq!(first.entries.len(), 2);
     assert_eq!(first.prepared_models, 2);
 
-    // The base session serves its own configured width (INT8)...
-    let int8_session = runner.session_for_width(OperandWidth::Int8).expect("int8 session");
-    assert!(std::ptr::eq(&*int8_session, runner.session()), "INT8 must reuse the base session");
-    // ...and sibling widths keep a stable session across calls.
-    let int4_a = runner.session_for_width(OperandWidth::Int4).expect("int4 session");
-    let int4_b = runner.session_for_width(OperandWidth::Int4).expect("int4 session again");
-    assert!(Arc::ptr_eq(&int4_a, &int4_b), "per-width sessions were re-created");
+    // The configured width (INT8) is the session's own variant...
+    let session = runner.session();
+    let at = |width| session.artifacts_at(ModelKind::AlexNet, width, PruningSpec::none());
+    let int8 = at(OperandWidth::Int8).expect("int8 artifacts");
+    let configured = session.artifacts(ModelKind::AlexNet).expect("configured artifacts");
+    assert!(Arc::ptr_eq(&int8, &configured), "INT8 must be the configured variant");
+    // ...and the artifacts the sweep prepared at another width are
+    // pointer-identical on re-request.
+    let int4_a = at(OperandWidth::Int4).expect("int4 artifacts");
+    let int4_b = at(OperandWidth::Int4).expect("int4 artifacts again");
+    assert!(Arc::ptr_eq(&int4_a, &int4_b), "artifacts were re-prepared");
     assert_eq!(int4_a.config().operand_width, OperandWidth::Int4);
+    assert!(std::ptr::eq(int4_a.model(), int8.model()), "each width built its own float model");
+    assert_eq!(runner.cache_stats().artifact_misses, 2);
 
-    // Artifacts prepared by the sweep are pointer-identical on re-request,
-    // and a second identical sweep reproduces the first bit-for-bit.
-    let cached_a = int4_a.artifacts(ModelKind::AlexNet).expect("cached artifacts");
-    let cached_b = int4_a.artifacts(ModelKind::AlexNet).expect("cached artifacts again");
-    assert!(Arc::ptr_eq(&cached_a, &cached_b), "artifacts were re-prepared");
+    // A second identical sweep reproduces the first bit-for-bit.
     let second = runner.run(&spec).expect("second sweep runs");
     assert_eq!(first.entries, second.entries);
 }
@@ -421,14 +427,10 @@ fn session_cache_stats_count_builds_and_hits() {
     assert_eq!(stats.program_misses, 1, "both mappings compile under one miss");
     assert_eq!(stats.program_hits, 1);
 
-    // A second model is a second miss; the aggregate `absorb` adds fields.
+    // A second model is a second miss.
     session.artifacts(ModelKind::MobileNetV2).expect("prepares");
     let stats = session.cache_stats();
     assert_eq!(stats.artifact_misses, 2);
     assert_eq!(stats.resident_artifacts, 2);
-    let mut total = SessionCacheStats::default();
-    total.absorb(stats);
-    total.absorb(stats);
-    assert_eq!(total.artifact_misses, 4);
-    assert_eq!(total.total_requests(), 2 * stats.total_requests());
+    assert_eq!(stats.total_requests(), 2 + 1 + 1 + 1);
 }

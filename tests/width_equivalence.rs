@@ -14,16 +14,13 @@
 //! 3. **Dense vs DB-PIM** — the bit-accurate macro's sparse (dyadic-block)
 //!    path and dense (plain binary bit-cell) path agree bit-identically with
 //!    each other and with the reference integer dot product.
-//! 4. **INT8 goldens** — the width-parameterized machinery reproduces the
-//!    historical INT8 results exactly: `CsdWord::encode(v, Int8)` equals
-//!    `CsdWord::from_i8(v)`, `QueryTable::for_width(Int8, t)` equals
-//!    `QueryTable::new(t)`, and a width-`Int8` sweep is bit-identical to the
+//! 4. **INT8 goldens** — a width-`Int8` sweep is bit-identical to the
 //!    pre-existing `Pipeline` path (no goldens re-recorded).
 
 use db_pim::prelude::*;
 use dbpim_csd::CsdError;
 use dbpim_fta::metadata::FilterMetadata;
-use dbpim_fta::{FilterApprox, QueryTable};
+use dbpim_fta::FilterApprox;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -75,21 +72,10 @@ fn csd_round_trip_is_exhaustive_per_width() {
     }
 }
 
-/// The INT8 instance of the width-generic encoder is the legacy encoder.
-#[test]
-fn int8_encoding_matches_the_legacy_from_i8_path() {
-    for v in i8::MIN..=i8::MAX {
-        let legacy = CsdWord::from_i8(v);
-        let wide = CsdWord::encode(i32::from(v), OperandWidth::Int8).unwrap();
-        assert_eq!(legacy, wide, "value {v}");
-        assert_eq!(dbpim_csd::phi(i32::from(v)), legacy.nonzero_digits());
-    }
-}
-
 // ---------------------------------------------------------------- layer 2
 
-/// Query tables per width: members respect the threshold, nearest lookups
-/// are truly nearest, and the INT8 tables equal the legacy construction.
+/// Query tables per width: members respect the threshold and nearest
+/// lookups are truly nearest.
 #[test]
 fn query_tables_are_consistent_per_width() {
     for width in OperandWidth::all() {
@@ -119,13 +105,6 @@ fn query_tables_are_consistent_per_width() {
                 }
             }
         }
-    }
-    // INT8 goldens: the parameterized tables equal the legacy ones.
-    for threshold in 0..=2 {
-        assert_eq!(
-            QueryTable::for_width(OperandWidth::Int8, threshold).unwrap(),
-            QueryTable::new(threshold).unwrap()
-        );
     }
 }
 
