@@ -29,10 +29,12 @@
 //! against a cold single-driver run of the same grid. Worker narration,
 //! retirement notices and statistics go to stderr.
 //!
-//! With `--snapshot-dir`, each shard persists `shard-NNN.json` after every
-//! completed point and the run resumes from whatever those snapshots
-//! already cover — including snapshots written by a previous run with a
-//! different worker count.
+//! With `--snapshot-dir`, each shard keeps a journal, `shard-NNN.json`: a
+//! header line written at run start with the points the shard adopted, then
+//! one line appended per completed point. The run resumes from whatever
+//! those files already cover — journals or whole-report snapshots, including
+//! ones written by a previous run with a different worker count; a record a
+//! kill cut short is dropped and recomputed.
 
 use std::io::Write as _;
 use std::time::Instant;

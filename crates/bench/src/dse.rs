@@ -95,7 +95,8 @@ pub struct DseSweepOptions {
     pub snapshot: Option<String>,
     /// Compute at most this many missing points this run.
     pub limit_points: Option<usize>,
-    /// Points per persisted batch.
+    /// Points computed in parallel per batch; a batch's finished entries
+    /// are appended to the snapshot together.
     pub batch: Option<usize>,
     /// Worker threads.
     pub threads: Option<usize>,

@@ -10,12 +10,16 @@
 //!   widths. Enumeration is deterministic and infeasible geometries are
 //!   rejected with structured errors.
 //! * [`DseReport`] — the persisted result set: one [`DseEntry`] per (model,
-//!   width, geometry) point, snapshotted to disk as JSON after every batch,
-//!   so a killed run loses at most one batch of work.
+//!   width, geometry) point. A run in progress persists it as a
+//!   [`DseJournal`] — a header line, then one appended line per finished
+//!   point — so a killed run loses at most its in-flight points and a
+//!   point's persistence cost does not grow with the report. A finished
+//!   run saves the whole report as one line, which is the journal with
+//!   every entry in its header; [`DseReport::load`] reads both.
 //! * [`DseDriver`] — executes the missing points of a spec against a warm
-//!   [`BatchRunner`] cache (quantize / FTA / compile run once per (model,
-//!   width) regardless of grid size) and resumes from a snapshot by
-//!   re-simulating only absent points.
+//!   [`BatchRunner`] cache (quantize / FTA run once per (model, width)
+//!   regardless of grid size) and resumes from a snapshot by re-simulating
+//!   only absent points.
 //! * Pareto-frontier extraction over latency / energy / area / fidelity
 //!   via [`DseReport::pareto_frontier`].
 //!
@@ -25,6 +29,8 @@
 //! the frontier against a brute-force reference.
 
 use std::collections::{HashMap, HashSet};
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
@@ -476,10 +482,11 @@ impl DseEntry {
 
 /// The persisted outcome of a design-space exploration.
 ///
-/// Reports serialize through the vendored `serde_json`; [`DseDriver`] saves
-/// a snapshot after every batch, so a killed run resumes from disk by
-/// computing only the missing points. Entries are kept in the spec's
-/// canonical point order regardless of the order resumes filled them in.
+/// Reports serialize through the vendored `serde_json`; [`DseDriver`]
+/// journals every finished batch (see [`DseJournal`]), so a killed run
+/// resumes from disk by computing only the missing points. Entries are kept
+/// in the spec's canonical point order regardless of the order resumes
+/// filled them in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DseReport {
     /// The spec the report answers. Resuming against a different spec is a
@@ -494,7 +501,9 @@ pub struct DseReport {
     /// Points computed (not served from the snapshot) by the most recent
     /// driver run that produced this report.
     pub fresh_points: usize,
-    /// Cumulative wall-clock time across the run and every resume.
+    /// Cumulative wall-clock time across the run and every resume (a
+    /// journal's header holds the time up to its run's start, so a killed
+    /// run's own time is not counted).
     pub wall_time: Duration,
     /// Unix-epoch milliseconds of the last snapshot save. Ignored by
     /// [`results_match`](Self::results_match).
@@ -540,7 +549,8 @@ impl DseReport {
     /// at a session pruning the spec does not name still sort. A model or
     /// geometry outside the spec sorts last; the sort is stable.
     pub fn sort_canonical(&mut self) {
-        CanonicalOrder::new(&self.spec).sort(&mut self.entries);
+        let order = CanonicalOrder::new(&self.spec);
+        self.entries.sort_by_cached_key(|e| order.key(e));
     }
 
     /// `true` when both reports answer the same spec with identical results
@@ -552,11 +562,11 @@ impl DseReport {
         if self.spec != other.spec || self.entries.len() != other.entries.len() {
             return false;
         }
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.sort_canonical();
-        b.sort_canonical();
-        a.entries.iter().zip(b.entries.iter()).all(|(x, y)| {
+        let order = CanonicalOrder::new(&self.spec);
+        let a = order.permutation(&self.entries);
+        let b = order.permutation(&other.entries);
+        a.into_iter().zip(b).all(|(i, j)| {
+            let (x, y) = (&self.entries[i], &other.entries[j]);
             x.kind == y.kind
                 && x.width == y.width
                 && x.pruning == y.pruning
@@ -708,41 +718,202 @@ impl DseReport {
         pareto_frontier(&metrics).into_iter().map(|i| candidates[i]).collect()
     }
 
-    /// Persists the report as JSON at `path` (atomically: written to a
-    /// sibling temp file, then renamed, so a kill mid-save never leaves a
-    /// torn snapshot).
+    /// Persists the whole report as one line of JSON at `path` (atomically:
+    /// written to a sibling temp file, then renamed, so a kill mid-save
+    /// never leaves a torn snapshot). The file is a [`DseJournal`] whose
+    /// header holds every entry.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::BadConfig`] when serialization or the write
     /// fails (the path is included in the message).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PipelineError> {
-        let path = path.as_ref();
-        let json = serde_json::to_string(self).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot serialize DSE report: {e}"),
-        })?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot write DSE snapshot to {}: {e}", tmp.display()),
-        })?;
-        std::fs::rename(&tmp, path).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot move DSE snapshot into {}: {e}", path.display()),
-        })
+        write_atomically(path.as_ref(), &encode(self)?)
     }
 
-    /// Loads a report previously persisted with [`save`](Self::save).
+    /// Loads a snapshot written by [`save`](Self::save) or a
+    /// [`DseJournal`], logging a warning when it drops a torn final record
+    /// (see [`load_journal`](Self::load_journal)).
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::BadConfig`] when the file cannot be read or
-    /// does not parse as a DSE report.
+    /// As [`load_journal`](Self::load_journal).
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PipelineError> {
         let path = path.as_ref();
-        let json = std::fs::read_to_string(path).map_err(|e| PipelineError::BadConfig {
+        let (report, torn) = Self::load_journal(path)?;
+        if let Some(bytes) = torn {
+            dbpim_trace::log_warn!(
+                "dse",
+                "dropped a torn final record ({bytes} bytes) from {}",
+                path.display()
+            );
+        }
+        Ok(report)
+    }
+
+    /// Loads a snapshot in either form: a whole report (in any layout:
+    /// [`save`](Self::save)'s one line, or a pretty-printed copy a tool such
+    /// as `jq` wrote), or a [`DseJournal`] — the report on line 1, then one
+    /// [`DseEntry`] per line. Entries are sorted into canonical order, and
+    /// of two entries for one point the first in the file is kept.
+    ///
+    /// A journal's final line that does not parse is the record a kill cut
+    /// short: it is dropped, and its length in bytes is returned beside the
+    /// report.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::BadConfig`] (naming the file) when it cannot
+    /// be read, or when it is not a whole report and its line 1 does not
+    /// parse as a DSE report or a line but the last does not parse as an
+    /// entry.
+    pub fn load_journal(path: impl AsRef<Path>) -> Result<(Self, Option<usize>), PipelineError> {
+        let path = path.as_ref();
+        let bytes = std::fs::read(path).map_err(|e| PipelineError::BadConfig {
             reason: format!("cannot read DSE snapshot from {}: {e}", path.display()),
         })?;
-        serde_json::from_str(&json).map_err(|e| PipelineError::BadConfig {
-            reason: format!("malformed DSE snapshot in {}: {e}", path.display()),
+        // On a journal this stops at the end of line 1 (the header), so it
+        // costs one header parse.
+        let whole =
+            std::str::from_utf8(&bytes).ok().and_then(|text| serde_json::from_str(text).ok());
+        let (mut report, torn) = match whole {
+            Some(report) => (report, None),
+            None => Self::parse_journal(&bytes, path)?,
+        };
+        let mut seen = HashSet::new();
+        report.entries.retain(|e| seen.insert(e.key()));
+        report.sort_canonical();
+        Ok((report, torn))
+    }
+
+    /// The report and torn-tail length of a journal's bytes (see
+    /// [`load_journal`](Self::load_journal)).
+    fn parse_journal(bytes: &[u8], path: &Path) -> Result<(Self, Option<usize>), PipelineError> {
+        let malformed = |line: usize, e: &dyn std::fmt::Display| PipelineError::BadConfig {
+            reason: format!("malformed DSE snapshot in {} (line {line}): {e}", path.display()),
+        };
+        let mut lines = bytes.split(|&b| b == b'\n');
+        let header = lines.next().unwrap_or_default();
+        let mut report: DseReport = std::str::from_utf8(header)
+            .map_err(|e| malformed(1, &e))
+            .and_then(|text| serde_json::from_str(text).map_err(|e| malformed(1, &e)))?;
+        let records: Vec<&[u8]> = lines.collect();
+        let mut torn = None;
+        for (index, record) in records.iter().enumerate() {
+            let last = index + 1 == records.len();
+            if last && record.is_empty() {
+                break;
+            }
+            let parsed = std::str::from_utf8(record)
+                .map_err(|e| e.to_string())
+                .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()));
+            match parsed {
+                Ok(entry) => report.entries.push(entry),
+                Err(_) if last => torn = Some(record.len()),
+                Err(e) => return Err(malformed(index + 2, &e)),
+            }
+        }
+        Ok((report, torn))
+    }
+}
+
+/// `value` as one line of JSON.
+fn encode(value: &impl Serialize) -> Result<String, PipelineError> {
+    serde_json::to_string(value).map_err(|e| PipelineError::BadConfig {
+        reason: format!("cannot serialize DSE snapshot: {e}"),
+    })
+}
+
+/// Writes `contents` to a sibling temp file, then renames it onto `path`.
+fn write_atomically(path: &Path, contents: &str) -> Result<(), PipelineError> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, contents).map_err(|e| PipelineError::BadConfig {
+        reason: format!("cannot write DSE snapshot to {}: {e}", tmp.display()),
+    })?;
+    std::fs::rename(&tmp, path).map_err(|e| PipelineError::BadConfig {
+        reason: format!("cannot move DSE snapshot into {}: {e}", path.display()),
+    })
+}
+
+/// An append-only snapshot of a [`DseReport`] in progress.
+///
+/// Line 1 is the header: the report with no entries (spec, total points,
+/// counters). Every later line is one [`DseEntry`], appended with a single
+/// write as its point finishes, so persisting a point costs one entry's
+/// encoding however large the report has grown. There is no fsync.
+/// [`DseReport::load`] reads the file back, dropping a final line a kill
+/// cut short.
+#[derive(Debug)]
+pub struct DseJournal {
+    path: PathBuf,
+    /// `None` after a failed write: the file then ends in at most one torn
+    /// record, which a later load drops, instead of a malformed line in its
+    /// middle.
+    file: Option<File>,
+}
+
+impl DseJournal {
+    /// Creates (or replaces) the journal at `path`: `report`'s header, then
+    /// one line per entry it already holds. The file is written to a
+    /// sibling temp file and renamed into place, so a kill never leaves a
+    /// torn header.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::BadConfig`] (naming the file) when encoding,
+    /// the write or reopening the file for appends fails.
+    pub fn create(path: impl Into<PathBuf>, report: &DseReport) -> Result<Self, PipelineError> {
+        let path = path.into();
+        let header = DseReport {
+            spec: report.spec.clone(),
+            entries: Vec::new(),
+            total_points: report.total_points,
+            fresh_points: report.fresh_points,
+            wall_time: report.wall_time,
+            saved_at_ms: report.saved_at_ms,
+        };
+        let mut contents = encode(&header)?;
+        contents.push('\n');
+        for entry in &report.entries {
+            contents.push_str(&Self::record(entry)?);
+        }
+        write_atomically(&path, &contents)?;
+        let file =
+            File::options().append(true).open(&path).map_err(|e| PipelineError::BadConfig {
+                reason: format!("cannot open DSE snapshot {} for appends: {e}", path.display()),
+            })?;
+        Ok(Self { path, file: Some(file) })
+    }
+
+    /// `entry` encoded as one journal record: its JSON and a newline.
+    /// Encode outside any lock; [`append`](Self::append) only writes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::BadConfig`] when serialization fails.
+    pub fn record(entry: &DseEntry) -> Result<String, PipelineError> {
+        let mut record = encode(entry)?;
+        record.push('\n');
+        Ok(record)
+    }
+
+    /// Appends one [`record`](Self::record) with a single write. After a
+    /// failed write the journal accepts no further records.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::BadConfig`] (naming the file) when the write
+    /// fails or an earlier one did.
+    pub fn append(&mut self, record: &str) -> Result<(), PipelineError> {
+        let written = match self.file.as_mut() {
+            Some(file) => file.write_all(record.as_bytes()).map_err(|e| e.to_string()),
+            None => Err("an earlier write failed".to_string()),
+        };
+        written.map_err(|e| {
+            self.file = None;
+            PipelineError::BadConfig {
+                reason: format!("cannot append to DSE snapshot {}: {e}", self.path.display()),
+            }
         })
     }
 }
@@ -784,8 +955,14 @@ impl CanonicalOrder {
         (model, entry.width.bits(), pruning, arch)
     }
 
-    fn sort(&self, entries: &mut [DseEntry]) {
-        entries.sort_by_cached_key(|e| self.key(e));
+    /// The indices of `entries` in the order
+    /// [`DseReport::sort_canonical`] would leave them, without moving an
+    /// entry.
+    fn permutation(&self, entries: &[DseEntry]) -> Vec<usize> {
+        let keys: Vec<CanonicalKey> = entries.iter().map(|e| self.key(e)).collect();
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        order
     }
 }
 
@@ -805,7 +982,14 @@ pub struct MixCandidate {
 }
 
 /// Executes [`DseSpec`]s against a warm [`BatchRunner`] cache, persisting a
-/// resumable [`DseReport`] snapshot after every batch.
+/// resumable snapshot as it goes.
+///
+/// With a snapshot path, a run starts a [`DseJournal`] there holding the
+/// entries it adopted and appends each batch's finished entries to it. A
+/// run that returns `Ok` — complete, or stopped by
+/// [`with_point_limit`](Self::with_point_limit) — replaces the journal
+/// with the whole report ([`DseReport::save`]); a point error or a kill
+/// leaves the journal, and the next run resumes from it.
 ///
 /// The driver's contract, asserted by `tests/dse_exploration.rs`:
 ///
@@ -815,7 +999,7 @@ pub struct MixCandidate {
 ///   expensive model-side artifacts are reused through the session cache,
 ///   and present entries are adopted verbatim, timestamps included);
 /// * execution order (batching, parallelism) never changes results — the
-///   report is sorted into canonical point order before every save.
+///   returned and saved report is in canonical point order.
 #[derive(Debug)]
 pub struct DseDriver {
     runner: Arc<BatchRunner>,
@@ -861,8 +1045,9 @@ impl DseDriver {
         self
     }
 
-    /// Points computed between snapshot saves (default 8). Smaller batches
-    /// lose less work to a kill; larger ones amortize the save.
+    /// Points computed in parallel per batch (default 8). A batch's
+    /// finished entries are appended to the journal together, so a kill
+    /// loses at most the batch in flight.
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
@@ -892,10 +1077,11 @@ impl DseDriver {
 
     /// Runs (or resumes) the exploration described by `spec`.
     ///
-    /// Missing points execute in parallel batches; after every batch the
-    /// report is snapshotted (when a snapshot path is configured), so a
-    /// killed run loses at most one batch. A failing point still persists
-    /// the batch's successful siblings before the error propagates.
+    /// Missing points execute in parallel batches; after every batch its
+    /// finished entries are appended to the journal (when a snapshot path is
+    /// configured), so a killed run loses at most one batch. A failing point
+    /// still persists the batch's successful siblings before the error
+    /// propagates.
     ///
     /// # Errors
     ///
@@ -913,11 +1099,20 @@ impl DseDriver {
         let mut report = self.load_or_new(spec, points.len())?;
         let prior_wall = report.wall_time;
         report.fresh_points = 0;
+        // Rewritten first, so a torn final record is gone before anything
+        // is appended after it.
+        let mut journal = match &self.snapshot {
+            Some(path) => {
+                let _span = dbpim_trace::span!("dse.persist", points = report.entries.len());
+                report.saved_at_ms = unix_time_ms();
+                Some(DseJournal::create(path, &report)?)
+            }
+            None => None,
+        };
 
         // Hashed point bookkeeping, built once per run: the largest legal
         // spec has tens of thousands of points, and linear `ArchConfig`
-        // scans per point (or per sort key) would dwarf the simulations.
-        let order = CanonicalOrder::new(spec);
+        // scans per point would dwarf the simulations.
         let have: HashSet<PointKey> = report.entries.iter().map(DseEntry::key).collect();
         let mut missing: Vec<DsePoint> =
             points.iter().filter(|p| !have.contains(&p.key())).copied().collect();
@@ -947,27 +1142,32 @@ impl DseDriver {
                     .map(DseEntry::from_sweep)
             });
             let mut failure = None;
+            let mut finished = Vec::with_capacity(batch.len());
             for result in computed {
                 match result {
-                    Ok(entry) => {
-                        report.entries.push(entry);
-                        report.fresh_points += 1;
-                    }
+                    Ok(entry) => finished.push(entry),
                     Err(e) => failure = failure.or(Some(e)),
                 }
             }
-            order.sort(&mut report.entries);
-            report.wall_time = prior_wall + start.elapsed();
-            self.persist(&mut report)?;
+            if let Some(journal) = &mut journal {
+                let _span = dbpim_trace::span!("dse.persist", points = finished.len());
+                for entry in &finished {
+                    journal.append(&DseJournal::record(entry)?)?;
+                }
+            }
+            report.fresh_points += finished.len();
+            report.entries.extend(finished);
             if let Some(e) = failure {
                 return Err(e);
             }
         }
 
+        report.sort_canonical();
         report.wall_time = prior_wall + start.elapsed();
-        if missing.is_empty() {
-            // A fully-cached resume still refreshes the snapshot metadata.
-            self.persist(&mut report)?;
+        if let Some(path) = &self.snapshot {
+            let _span = dbpim_trace::span!("dse.persist", points = report.entries.len());
+            report.saved_at_ms = unix_time_ms();
+            report.save(path)?;
         }
         Ok(report)
     }
@@ -989,14 +1189,6 @@ impl DseDriver {
             });
         }
         Ok(DseReport { total_points, ..loaded })
-    }
-
-    fn persist(&self, report: &mut DseReport) -> Result<(), PipelineError> {
-        if let Some(path) = &self.snapshot {
-            report.saved_at_ms = unix_time_ms();
-            report.save(path)?;
-        }
-        Ok(())
     }
 }
 

@@ -10,7 +10,7 @@
 //! ```
 
 pub use crate::dse::{
-    DseDriver, DseEntry, DsePoint, DsePointKey, DseReport, DseSpec, MixCandidate,
+    DseDriver, DseEntry, DseJournal, DsePoint, DsePointKey, DseReport, DseSpec, MixCandidate,
 };
 pub use crate::error::PipelineError;
 pub use crate::measure::measure_input_sparsity;

@@ -10,9 +10,9 @@
 //!
 //! * [`ModelArtifacts`] — everything that depends only on the model and the
 //!   [`PipelineConfig`]: the quantized model, its FTA approximation,
-//!   sparsity statistics, the measured input-sparsity profile, and lazily
-//!   compiled per-architecture dense/DB-PIM programs. Prepared **once**,
-//!   simulated many times.
+//!   sparsity statistics, the measured input-sparsity profile, and the
+//!   dense/DB-PIM programs of the most recently compiled geometry. Prepared
+//!   **once**, simulated many times.
 //! * [`SimSession`] — one cache of artifacts keyed on (model, operand
 //!   width, pruning), under one LRU bound, shared by every consumer
 //!   (experiment binaries, examples, benches, the serving daemon). Every
@@ -33,7 +33,7 @@ pub mod par;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use dbpim_arch::ArchConfig;
@@ -51,6 +51,7 @@ use dbpim_tensor::PruningSpec;
 use serde::value::{get_field, type_error, Value};
 use serde::{Deserialize, Error, Serialize};
 
+use self::par::lock_unpoisoned;
 use crate::dse::{first_seen, DsePoint, PointAxes};
 use crate::error::PipelineError;
 use crate::measure::measure_input_sparsity;
@@ -108,8 +109,10 @@ pub struct ModelPrograms {
 /// Preparation performs the expensive model-side stages exactly once:
 /// synthetic calibration data, INT8 quantization, the FTA approximation,
 /// sparsity statistics and input-sparsity measurement, plus workload
-/// extraction. Compilation is per-architecture and cached on first use;
-/// the fidelity evaluation is cached on first request.
+/// extraction. Compilation is per-architecture; the most recently compiled
+/// geometry stays cached (one slot, so a long exploration holds one
+/// program pair per prepared model, not one per geometry ever seen). The
+/// fidelity evaluation is cached on first request.
 #[derive(Debug)]
 pub struct ModelArtifacts {
     config: PipelineConfig,
@@ -125,7 +128,9 @@ pub struct ModelArtifacts {
     eval_gen: TensorGenerator,
     sparse_workloads: ModelWorkloads,
     dense_workloads: ModelWorkloads,
-    programs: Mutex<Vec<Arc<ModelPrograms>>>,
+    /// The most recently compiled geometry. Set only after a successful
+    /// compile, so a slot recovered from a poisoned lock is still valid.
+    programs: Mutex<Option<Arc<ModelPrograms>>>,
     fidelity: Mutex<Option<FidelityReport>>,
     program_hits: AtomicU64,
     program_misses: AtomicU64,
@@ -234,7 +239,7 @@ impl ModelArtifacts {
             eval_gen,
             sparse_workloads,
             dense_workloads,
-            programs: Mutex::new(Vec::new()),
+            programs: Mutex::new(None),
             fidelity: Mutex::new(None),
             program_hits: AtomicU64::new(0),
             program_misses: AtomicU64::new(0),
@@ -283,15 +288,17 @@ impl ModelArtifacts {
         &self.input_sparsity
     }
 
-    /// The compiled dense + DB-PIM programs for `arch`, compiling (both
-    /// mappings, exactly once per geometry) on first use.
+    /// The compiled dense + DB-PIM programs for `arch`: the cached pair when
+    /// `arch` is the most recently compiled geometry, else both mappings
+    /// compiled now, replacing it. Compilation happens under the slot lock,
+    /// so concurrent requests for one geometry compile it once.
     ///
     /// # Errors
     ///
     /// Propagates compilation failures.
     pub fn programs(&self, arch: ArchConfig) -> Result<Arc<ModelPrograms>, PipelineError> {
-        let mut cache = self.programs.lock().expect("program cache lock");
-        if let Some(found) = cache.iter().find(|p| p.arch == arch) {
+        let mut slot = lock_unpoisoned(&self.programs);
+        if let Some(found) = slot.as_ref().filter(|p| p.arch == arch) {
             self.program_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(found));
         }
@@ -306,12 +313,12 @@ impl ModelArtifacts {
         let sparse = compiler.compile(&self.sparse_workloads, MappingMode::DbPim)?;
         let dense = compiler.compile(&self.dense_workloads, MappingMode::Dense)?;
         let programs = Arc::new(ModelPrograms { arch, dense, sparse });
-        cache.push(Arc::clone(&programs));
+        *slot = Some(Arc::clone(&programs));
         Ok(programs)
     }
 
-    /// Simulates one sparsity configuration on one geometry, reusing the
-    /// cached compiled programs.
+    /// Simulates one sparsity configuration on one geometry, fetching its
+    /// compiled programs through [`programs`](Self::programs).
     ///
     /// # Errors
     ///
@@ -322,13 +329,22 @@ impl ModelArtifacts {
         sparsity: SparsityConfig,
     ) -> Result<RunReport, PipelineError> {
         let programs = self.programs(arch)?;
+        self.simulate_programs(&programs, sparsity)
+    }
+
+    /// Simulates one sparsity configuration from already-fetched programs.
+    fn simulate_programs(
+        &self,
+        programs: &ModelPrograms,
+        sparsity: SparsityConfig,
+    ) -> Result<RunReport, PipelineError> {
         let _span = dbpim_trace::span!(
             "pipeline.simulate",
             model = self.model.name(),
             sparsity = sparsity.label(),
         );
         let mut sim_config = SimConfig::new(sparsity);
-        sim_config.arch = arch;
+        sim_config.arch = programs.arch;
         let simulator = Simulator::new(sim_config)?;
         let program = if sparsity.weight_sparsity() { &programs.sparse } else { &programs.dense };
         Ok(simulator.simulate(program)?)
@@ -357,7 +373,7 @@ impl ModelArtifacts {
                 ),
             });
         }
-        let mut cache = self.fidelity.lock().expect("fidelity cache lock");
+        let mut cache = lock_unpoisoned(&self.fidelity);
         if let Some(report) = cache.as_ref() {
             return Ok(*report);
         }
@@ -393,11 +409,14 @@ impl ModelArtifacts {
     }
 
     /// [`codesign_result`](Self::codesign_result) on an explicit geometry
-    /// instead of the configured one.
+    /// instead of the configured one. The programs are fetched once and
+    /// every requested configuration simulates from that one pair, so a
+    /// concurrent point on another geometry cannot make this one compile
+    /// twice.
     ///
     /// # Errors
     ///
-    /// Propagates simulation or fidelity failures.
+    /// Propagates compilation, simulation or fidelity failures.
     pub fn codesign_result_for_arch(
         &self,
         arch: ArchConfig,
@@ -412,10 +431,11 @@ impl ModelArtifacts {
         } else {
             None
         };
+        let programs = self.programs(arch)?;
         let mut runs = Vec::with_capacity(sparsity.len());
         for config in SparsityConfig::all() {
             if sparsity.contains(&config) {
-                runs.push(self.simulate(arch, config)?);
+                runs.push(self.simulate_programs(&programs, config)?);
             }
         }
         Ok(CodesignResult {
@@ -551,7 +571,7 @@ impl SimSession {
         if cap == usize::MAX {
             return;
         }
-        let mut cache = self.artifacts.write().expect("artifact cache lock");
+        let mut cache = self.artifacts.write().unwrap_or_else(PoisonError::into_inner);
         loop {
             // Filled slots other than `keep` that are not mid-preparation
             // (an un-lockable cell is either being filled or being read;
@@ -603,9 +623,8 @@ impl SimSession {
     ///
     /// Propagates model-construction failures.
     pub fn model(&self, kind: ModelKind) -> Result<Arc<Model>, PipelineError> {
-        let slot =
-            Arc::clone(self.models.lock().expect("model cache lock").entry(kind).or_default());
-        let mut model = slot.lock().expect("model slot lock");
+        let slot = Arc::clone(lock_unpoisoned(&self.models).entry(kind).or_default());
+        let mut model = lock_unpoisoned(&slot);
         if let Some(built) = model.as_ref() {
             return Ok(Arc::clone(built));
         }
@@ -667,10 +686,10 @@ impl SimSession {
     /// share the map lock; only the first request for a new key takes the
     /// write lock.
     fn artifact_slot(&self, key: &ArtifactKey) -> ArtifactSlot {
-        if let Some(slot) = self.artifacts.read().expect("artifact cache lock").get(key) {
+        if let Some(slot) = self.artifacts.read().unwrap_or_else(PoisonError::into_inner).get(key) {
             return Arc::clone(slot);
         }
-        let mut cache = self.artifacts.write().expect("artifact cache lock");
+        let mut cache = self.artifacts.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(cache.entry(key.clone()).or_default())
     }
 
@@ -694,7 +713,7 @@ impl SimSession {
         // and receives the shared artifacts instead of re-preparing.
         // Different keys use different slots, so they still prepare in
         // parallel.
-        let mut guard = slot.cell.lock().expect("artifact slot lock");
+        let mut guard = lock_unpoisoned(&slot.cell);
         let filled_with_other_model = match guard.as_ref() {
             // Variants of a zoo model share one float model, so identity
             // settles most hits without comparing every weight.
@@ -741,7 +760,7 @@ impl SimSession {
             program_misses: self.evicted_program_misses.load(Ordering::Relaxed),
             ..SessionCacheStats::default()
         };
-        for slot in self.artifacts.read().expect("artifact cache lock").values() {
+        for slot in self.artifacts.read().unwrap_or_else(PoisonError::into_inner).values() {
             let Ok(guard) = slot.cell.try_lock() else { continue };
             if let Some(artifacts) = guard.as_ref() {
                 stats.resident_artifacts += 1;
@@ -1031,9 +1050,8 @@ impl SweepReport {
 /// [`run_point_pruned`](Self::run_point_pruned), the path the DSE driver,
 /// the fleet and the serving daemon use too. Points fan out over worker
 /// threads; the session's single-flight cache prepares each (model, width,
-/// pruning) artifact set once, and the dense and DB-PIM programs are each
-/// compiled once per (model, width, pruning, geometry) and reused across
-/// every sparsity configuration.
+/// pruning) artifact set once, and each point fetches its dense and DB-PIM
+/// programs once and simulates every sparsity configuration from them.
 #[derive(Debug)]
 pub struct BatchRunner {
     session: SimSession,
@@ -1276,6 +1294,54 @@ mod tests {
         session.set_cache_capacity(None);
         assert_eq!(session.cache_capacity(), None);
         assert_eq!(session.cache_stats().artifact_evictions, 0);
+    }
+
+    /// Panics in a thread while it holds `mutex`, leaving the lock poisoned.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        let joined = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = mutex.lock();
+                    panic!("poison the lock while holding it");
+                })
+                .join()
+        });
+        assert!(joined.is_err() && mutex.is_poisoned());
+    }
+
+    /// A panic mid-preparation poisons the artifact slot, and one
+    /// mid-compilation poisons the program slot. Neither slot was set, so
+    /// later requests recover the lock, prepare and compile again, and get
+    /// what a session that never panicked gets.
+    #[test]
+    fn a_panic_cannot_poison_a_prepared_models_caches() {
+        let mut config = PipelineConfig::fast().without_fidelity();
+        config.calibration_images = 1;
+        let kind = ModelKind::AlexNet;
+        let session = SimSession::new(config).unwrap();
+        let model = session.model(kind).unwrap();
+        let key = (
+            model.name().to_string(),
+            config.operand_width.bits(),
+            config.pruning.canonical().key_bits(),
+        );
+        poison(&session.artifact_slot(&key).cell);
+
+        let artifacts = session.artifacts(kind).expect("the poisoned slot prepares again");
+        poison(&artifacts.programs);
+        let programs = artifacts.programs(config.arch).expect("the poisoned slot compiles");
+
+        let clean = SimSession::new(config).unwrap().artifacts(kind).unwrap();
+        assert_eq!(artifacts.quantized(), clean.quantized());
+        assert_eq!(artifacts.approx(), clean.approx());
+        assert_eq!(artifacts.input_sparsity(), clean.input_sparsity());
+        assert_eq!(*programs, *clean.programs(config.arch).unwrap());
+        let all = SparsityConfig::all();
+        assert_eq!(
+            artifacts.codesign_result(&all, false).unwrap(),
+            clean.codesign_result(&all, false).unwrap()
+        );
+        assert_eq!(session.cache_stats().resident_artifacts, 1);
     }
 
     #[test]

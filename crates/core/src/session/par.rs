@@ -1,4 +1,5 @@
-//! Minimal data-parallel map over scoped std threads.
+//! Minimal data-parallel map over scoped std threads, and the
+//! poison-tolerant lock helpers every long-lived cache uses.
 //!
 //! The offline build environment cannot fetch `rayon`, so the batch runner
 //! uses this self-contained equivalent: a fixed worker pool over
@@ -7,7 +8,21 @@
 //! output order matches input order regardless of scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+/// Locks a mutex, recovering the guard from a poisoned lock and clearing
+/// the poison.
+///
+/// Every critical section guarded this way leaves its state consistent at
+/// all exit points — a cache slot is only ever *set* after its value was
+/// built successfully — so a thread that panicked while holding the lock
+/// must not cascade that panic into every later user.
+pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| {
+        mutex.clear_poison();
+        poisoned.into_inner()
+    })
+}
 
 /// The default worker count: one per available hardware thread.
 #[must_use]

@@ -7,17 +7,20 @@
 //!    worker by the configured [`ShardStrategy`] (a pure function, so every
 //!    resume derives the same plan).
 //! 2. **Resume** — existing `shard-*.json` snapshots in the snapshot
-//!    directory are adopted point-by-point; a torn or unparsable file is
-//!    skipped with a diagnostic, a snapshot answering a *different spec* is
-//!    a hard error.
+//!    directory — journals or whole reports — are adopted point-by-point;
+//!    a journal's torn final record is dropped with a diagnostic, a file
+//!    that is unreadable in any other way is skipped with one, and a
+//!    snapshot answering a *different spec* is a hard error. Each shard's
+//!    [`DseJournal`] is then rewritten to hold the entries it adopted.
 //! 3. **Execute** — workers claim points from their own shard first and
 //!    *steal* from the largest backlog once their shard drains (straggler
 //!    reassignment). A failed attempt requeues the point for anyone else;
 //!    repeated failures trigger a heartbeat and retire the worker; a point
 //!    failing [`FleetConfig::max_point_attempts`] times aborts the run.
-//!    Each shard's partial report is re-snapshotted as it grows, so a
-//!    killed fleet resumes with at most the in-flight points lost.
-//! 4. **Merge** — the shard reports merge through the spec-checked,
+//!    Each finished point is appended to its shard's journal as one line,
+//!    so a killed fleet resumes with at most the in-flight points lost and
+//!    persisting a point never re-encodes the rest of its shard.
+//! 4. **Merge** — the shard entries merge through the spec-checked,
 //!    key-deduplicating [`DseReport::merge`]; the result is verified to
 //!    cover every point exactly once and is bit-identical (timestamps
 //!    aside) to a single [`DseDriver`](db_pim::DseDriver) run —
@@ -30,8 +33,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use db_pim::dse::unix_time_ms;
+use db_pim::session::par::lock_unpoisoned;
 use db_pim::{
-    BatchRunner, DsePoint, DsePointKey, DseReport, DseSpec, PipelineConfig, PipelineError,
+    BatchRunner, DseJournal, DsePoint, DsePointKey, DseReport, DseSpec, PipelineConfig,
+    PipelineError,
 };
 
 use crate::shard::{ShardPlan, ShardStrategy};
@@ -70,7 +75,7 @@ pub enum FleetError {
         /// Worker / snapshot diagnostics accumulated during the run.
         diagnostics: Vec<String>,
     },
-    /// A final shard or merged snapshot could not be persisted.
+    /// A shard journal or the merged snapshot could not be written.
     Persist(PipelineError),
     /// The merged report failed its exactly-once coverage check (a bug, not
     /// an operational failure — surfaced loudly instead of returning a
@@ -219,8 +224,9 @@ pub struct FleetConfig {
     pub workers: Vec<WorkerSpec>,
     /// How points are partitioned into shards.
     pub strategy: ShardStrategy,
-    /// Directory for per-shard snapshots (`shard-NNN.json`) and the merged
-    /// report (`merged.json`); `None` disables persistence and resume.
+    /// Directory for the per-shard journals (`shard-NNN.json`, one line
+    /// appended per finished point) and the merged report (`merged.json`);
+    /// `None` disables persistence and resume.
     pub snapshot_dir: Option<PathBuf>,
     /// Identifier shard-tagged remote requests carry (shows up in
     /// `dbpim-cli shard-status`).
@@ -237,12 +243,6 @@ pub struct FleetConfig {
     /// Consecutive failures before a worker must pass a heartbeat to keep
     /// claiming points.
     pub worker_failure_limit: usize,
-    /// New points per shard between snapshot saves (default 1: maximum
-    /// durability). Each save reserializes the shard's whole entry list, so
-    /// on grids approaching the 4096-point cap a larger interval trades a
-    /// little resume work for O(n²/k) instead of O(n²) snapshot I/O. The
-    /// final authoritative save always happens regardless.
-    pub save_every: usize,
 }
 
 impl FleetConfig {
@@ -261,7 +261,6 @@ impl FleetConfig {
             point_timeout: Duration::from_secs(120),
             max_point_attempts: 3,
             worker_failure_limit: 2,
-            save_every: 1,
         }
     }
 
@@ -304,13 +303,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_max_point_attempts(mut self, attempts: usize) -> Self {
         self.max_point_attempts = attempts.max(1);
-        self
-    }
-
-    /// Overrides the per-shard snapshot interval (clamped to at least one).
-    #[must_use]
-    pub fn with_save_every(mut self, points: usize) -> Self {
-        self.save_every = points.max(1);
         self
     }
 }
@@ -401,8 +393,8 @@ impl FleetDriver {
     /// [`FleetError::SnapshotSpecMismatch`] when the snapshot directory
     /// holds a foreign shard, [`FleetError::PointFailed`] when a point
     /// exhausts its attempts, [`FleetError::Stalled`] when every worker
-    /// retires early, and [`FleetError::Persist`] when final snapshots
-    /// cannot be written.
+    /// retires early, and [`FleetError::Persist`] when a shard journal
+    /// cannot be created or the merged snapshot cannot be written.
     #[allow(clippy::too_many_lines)]
     pub fn run(&self, spec: &DseSpec) -> Result<FleetOutcome, FleetError> {
         if self.config.workers.is_empty() {
@@ -457,7 +449,7 @@ impl FleetDriver {
                 })
             })?;
             for path in shard_snapshot_files(dir) {
-                match DseReport::load(&path) {
+                match DseReport::load_journal(&path) {
                     Err(e) => {
                         let reason = e.to_string();
                         state
@@ -465,10 +457,16 @@ impl FleetDriver {
                             .push(format!("skipped snapshot {}: {reason}", path.display()));
                         self.emit(&FleetEvent::SnapshotSkipped { path, reason });
                     }
-                    Ok(report) if report.spec != *spec => {
+                    Ok((report, _)) if report.spec != *spec => {
                         return Err(FleetError::SnapshotSpecMismatch { path });
                     }
-                    Ok(report) => {
+                    Ok((report, torn)) => {
+                        if let Some(bytes) = torn {
+                            state.diagnostics.push(format!(
+                                "dropped a torn final record ({bytes} bytes) from {}",
+                                path.display()
+                            ));
+                        }
                         for entry in report.entries {
                             let key = entry.canonical_key();
                             let Some(&index) = key_to_index.get(&key) else { continue };
@@ -499,15 +497,35 @@ impl FleetDriver {
                 None
             };
 
+        // One journal per shard, holding what the shard adopted; workers
+        // append to it under its own lock, one line per finished point.
+        let journals: Option<Vec<Mutex<DseJournal>>> = match &self.config.snapshot_dir {
+            Some(dir) => Some(
+                state
+                    .shard_entries
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(shard, entries)| {
+                        let _span = dbpim_trace::span!(
+                            "fleet.persist",
+                            shard = shard,
+                            points = entries.len(),
+                        );
+                        let mut adopted = DseReport::empty(spec.clone(), points.len());
+                        adopted.entries = std::mem::take(entries);
+                        adopted.saved_at_ms = unix_time_ms();
+                        let journal = DseJournal::create(shard_snapshot_path(dir, shard), &adopted);
+                        *entries = adopted.entries;
+                        journal.map(Mutex::new)
+                    })
+                    .collect::<Result<_, _>>()
+                    .map_err(FleetError::Persist)?,
+            ),
+            None => None,
+        };
+
         let shard_sizes: Vec<usize> = plan.shards.iter().map(|s| s.points.len()).collect();
         let sync = (Mutex::new(state), Condvar::new());
-        // Per-shard snapshot serialization: each slot holds the entry count
-        // of the newest snapshot written for that shard. Saves happen
-        // outside the fleet-state lock, so without this two workers
-        // completing points of one shard could persist out of order and
-        // leave a *stale* snapshot on disk — costing a resumed run
-        // already-completed points.
-        let save_versions: Vec<Mutex<usize>> = plan.shards.iter().map(|_| Mutex::new(0)).collect();
         let start = Instant::now();
 
         std::thread::scope(|scope| {
@@ -517,7 +535,7 @@ impl FleetDriver {
                 let points = &points;
                 let owners = &owners;
                 let shard_sizes = &shard_sizes;
-                let save_versions = &save_versions;
+                let journals = journals.as_deref();
                 let local_runner = local_runner.clone();
                 scope.spawn(move || {
                     self.worker_loop(
@@ -529,14 +547,13 @@ impl FleetDriver {
                         points,
                         owners,
                         shard_sizes,
-                        save_versions,
-                        spec,
+                        journals,
                     );
                 });
             }
         });
 
-        let state = sync.0.into_inner().expect("no worker panicked with the state lock");
+        let mut state = sync.0.into_inner().expect("no worker panicked with the state lock");
         if let Some(error) = state.aborted {
             return Err(error);
         }
@@ -548,14 +565,14 @@ impl FleetDriver {
             });
         }
 
-        // Final authoritative snapshots, then the spec-checked dedup merge.
+        // The journals already hold every point; the spec-checked dedup
+        // merge takes the shard entries out of the state.
+        let merge_span = dbpim_trace::span!("fleet.merge", points = points.len());
         let mut merged = DseReport::empty(spec.clone(), points.len());
-        for shard in &plan.shards {
-            let report = shard_report(spec, points.len(), &state.shard_entries[shard.id]);
-            if let Some(dir) = &self.config.snapshot_dir {
-                report.save(shard_snapshot_path(dir, shard.id)).map_err(FleetError::Persist)?;
-            }
-            merged = merged.merge(report).map_err(FleetError::Spec)?;
+        for entries in std::mem::take(&mut state.shard_entries) {
+            let mut shard = DseReport::empty(spec.clone(), points.len());
+            shard.entries = entries;
+            merged = merged.merge(shard).map_err(FleetError::Spec)?;
         }
         merged.fresh_points = state.fresh;
         merged.wall_time = start.elapsed();
@@ -563,6 +580,7 @@ impl FleetDriver {
         if let Some(dir) = &self.config.snapshot_dir {
             merged.save(dir.join("merged.json")).map_err(FleetError::Persist)?;
         }
+        drop(merge_span);
 
         // Exactly-once verification: the merge must cover every point of
         // the spec, once.
@@ -613,8 +631,7 @@ impl FleetDriver {
         points: &[DsePoint],
         owners: &[usize],
         shard_sizes: &[usize],
-        save_versions: &[Mutex<usize>],
-        spec: &DseSpec,
+        journals: Option<&[Mutex<DseJournal>]>,
     ) {
         let (mutex, cv) = sync;
         let label = worker_spec.to_string();
@@ -707,45 +724,31 @@ impl FleetDriver {
                 Ok(entry) => {
                     consecutive_failures = 0;
                     let owner = owners[point_index];
-                    let (completed, total, snapshot) = {
+                    // Persist before the point counts as done: encode with
+                    // no lock held, then one append under the shard's lock.
+                    // A duplicate completion appends a second line, which
+                    // loading drops.
+                    let persisted = journals.map(|journals| {
+                        let _span = dbpim_trace::span!("fleet.persist", shard = owner);
+                        DseJournal::record(&entry)
+                            .and_then(|record| lock_unpoisoned(&journals[owner]).append(&record))
+                    });
+                    let (completed, total) = {
                         let mut state = mutex.lock().expect("fleet state lock");
                         state.in_flight -= 1;
                         state.point_latency.record(point_elapsed);
+                        if let Some(Err(e)) = persisted {
+                            state.diagnostics.push(format!("shard {owner} journal: {e}"));
+                        }
                         if state.done.insert(entry.canonical_key()) {
                             state.shard_entries[owner].push(entry);
                             state.fresh += 1;
                             state.worker_points[worker] += 1;
                         }
-                        let snapshot = self
-                            .config
-                            .snapshot_dir
-                            .as_ref()
-                            .map(|dir| (dir.clone(), state.shard_entries[owner].clone()));
-                        (state.done.len(), points.len(), snapshot)
+                        (state.done.len(), points.len())
                     };
                     cv.notify_all();
                     self.emit(&FleetEvent::PointDone { worker, shard, stolen, completed, total });
-                    if let Some((dir, entries)) = snapshot {
-                        // Serialize saves per shard and skip stale or
-                        // too-frequent ones: a concurrent completer may
-                        // already have persisted a superset of this clone
-                        // (shard entry lists only grow, so the count is a
-                        // valid version), and `save_every` bounds how often
-                        // the whole shard is reserialized.
-                        let mut saved = save_versions[owner].lock().expect("shard save lock");
-                        if entries.len() >= *saved + self.config.save_every {
-                            let report = shard_report(spec, total, &entries);
-                            match report.save(shard_snapshot_path(&dir, owner)) {
-                                Ok(()) => *saved = entries.len(),
-                                Err(e) => {
-                                    let mut state = mutex.lock().expect("fleet state lock");
-                                    state
-                                        .diagnostics
-                                        .push(format!("shard {owner} snapshot save failed: {e}"));
-                                }
-                            }
-                        }
-                    }
                 }
                 Err(error) => {
                     let attempt = {
@@ -812,18 +815,6 @@ fn point_label(point: &DsePoint) -> String {
         point.arch.macros,
         point.arch.rows_per_dbmu
     )
-}
-
-/// A shard's persisted report: the full spec, the shard's entries (sorted
-/// into canonical order), and the spec-wide total so completeness is
-/// judged against the whole exploration.
-fn shard_report(spec: &DseSpec, total_points: usize, entries: &[db_pim::DseEntry]) -> DseReport {
-    let mut report = DseReport::empty(spec.clone(), total_points);
-    report.entries = entries.to_vec();
-    report.fresh_points = report.entries.len();
-    report.saved_at_ms = unix_time_ms();
-    report.sort_canonical();
-    report
 }
 
 /// `dir/shard-NNN.json`.

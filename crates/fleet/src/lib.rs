@@ -24,8 +24,9 @@
 //! * [`FleetDriver`] — the orchestrator: per-shard work queues with
 //!   straggler reassignment (an idle worker steals from the largest
 //!   backlog), per-point retry with a global attempt budget,
-//!   heartbeat-based worker retirement, per-shard snapshot persistence
-//!   after every point, and the final exactly-once-verified merge.
+//!   heartbeat-based worker retirement, a per-shard journal that takes one
+//!   appended line per finished point, and the final
+//!   exactly-once-verified merge.
 //! * [`FleetProgress`] — the monitoring surface: per-daemon `ShardStatus`
 //!   answers folded into one deduplicated fleet-wide view (completions
 //!   capped per shard, failure dominating), rendered by

@@ -5,12 +5,11 @@
 //!                         endpoints are given, else 0)
 //! --endpoints a:p,b:p     remote dbpim-served endpoints, one worker each
 //! --strategy <name>       round-robin | contiguous | cost-weighted
-//! --snapshot-dir <dir>    per-shard snapshots + merged report; enables resume
+//! --snapshot-dir <dir>    per-shard journals + merged report; enables resume
 //! --fleet-id <name>       identifier shard-tagged requests carry
 //! --auth-token <secret>   shared secret presented to every remote daemon
 //! --point-timeout-ms <n>  remote per-point deadline / liveness timeout
 //! --retries <n>           attempts per point before the run aborts
-//! --save-every <n>        new points per shard between snapshot saves
 //! --status                print the fleet's progress instead of sweeping
 //! ```
 //!
@@ -38,7 +37,6 @@ pub const FLEET_FLAGS: &[Flag] = &[
     Flag::value("--auth-token", "<secret>"),
     Flag::value("--point-timeout-ms", "<n>"),
     Flag::value("--retries", "<n>"),
-    Flag::value("--save-every", "<n>"),
     Flag::switch("--status"),
 ];
 
@@ -62,8 +60,6 @@ pub struct FleetOptions {
     pub point_timeout_ms: u64,
     /// Attempts per point before the run aborts.
     pub retries: usize,
-    /// New points per shard between snapshot saves.
-    pub save_every: usize,
 }
 
 impl Default for FleetOptions {
@@ -77,14 +73,13 @@ impl Default for FleetOptions {
             auth_token: None,
             point_timeout_ms: 120_000,
             retries: 3,
-            save_every: 1,
         }
     }
 }
 
 impl FleetOptions {
     /// Reads [`FLEET_FLAGS`] (but `--status`, which picks the binary's
-    /// mode); zero attempts, timeouts and save intervals are clamped to 1.
+    /// mode); zero attempts and timeouts are clamped to 1.
     ///
     /// # Errors
     ///
@@ -108,9 +103,6 @@ impl FleetOptions {
                 .get::<u64>("--point-timeout-ms")?
                 .map_or(defaults.point_timeout_ms, |ms| ms.max(1)),
             retries: flags.get::<usize>("--retries")?.map_or(defaults.retries, |n| n.max(1)),
-            save_every: flags
-                .get::<usize>("--save-every")?
-                .map_or(defaults.save_every, |n| n.max(1)),
         })
     }
 
@@ -133,8 +125,7 @@ impl FleetOptions {
         let mut config = FleetConfig::new(pipeline, self.worker_specs())
             .with_strategy(self.strategy)
             .with_point_timeout(Duration::from_millis(self.point_timeout_ms))
-            .with_max_point_attempts(self.retries)
-            .with_save_every(self.save_every);
+            .with_max_point_attempts(self.retries);
         if let Some(dir) = &self.snapshot_dir {
             config = config.with_snapshot_dir(dir);
         }
@@ -241,20 +232,9 @@ mod tests {
         assert_eq!(err.flag, "--retries");
         assert!(err.to_string().contains("missing"), "{err}");
 
-        // Zero-valued knobs that would hang or never run (or never save)
-        // are clamped.
-        let options =
-            parse(&["--retries", "0", "--point-timeout-ms", "0", "--save-every", "0"]).unwrap();
+        // Zero-valued knobs that would hang or never run are clamped.
+        let options = parse(&["--retries", "0", "--point-timeout-ms", "0"]).unwrap();
         assert_eq!(options.retries, 1);
         assert_eq!(options.point_timeout_ms, 1);
-        assert_eq!(options.save_every, 1);
-    }
-
-    #[test]
-    fn save_every_reaches_the_config() {
-        let options = parse(&["--save-every", "8"]).unwrap();
-        assert_eq!(options.save_every, 8);
-        assert_eq!(options.fleet_config(PipelineConfig::fast()).save_every, 8);
-        assert_eq!(FleetOptions::default().save_every, 1, "maximum durability by default");
     }
 }

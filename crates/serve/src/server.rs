@@ -42,9 +42,10 @@ use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use db_pim::session::par::lock_unpoisoned;
 use db_pim::{BatchRunner, DseEntry, DsePoint, PipelineConfig, PipelineError, SweepEntry};
 use dbpim_nn::ModelKind;
 use dbpim_sim::SparsityConfig;
@@ -111,16 +112,6 @@ fn request_type_index(request: &Request) -> usize {
         Request::MetricsSnapshot => 10,
         Request::Shutdown => 11,
     }
-}
-
-/// Locks a mutex, recovering the guard from a poisoned lock.
-///
-/// Every critical section guarded this way leaves its state consistent at
-/// all exit points (counters bumped, entries pushed — no multi-step
-/// invariants), so a handler that panicked while holding the lock must not
-/// cascade that panic into every later request via [`PoisonError`].
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A server-side request deadline, armed from a request's `deadline_ms`.

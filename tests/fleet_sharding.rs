@@ -281,6 +281,131 @@ fn mismatched_spec_shards_are_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A journal whose header answers another spec is refused like a whole
+/// foreign report.
+#[test]
+fn foreign_spec_journal_headers_are_refused() {
+    let config = small_config();
+    let foreign_spec = small_spec().with_sparsity(vec![SparsityConfig::HybridSparsity]);
+    let dir = temp_dir("foreign-journal");
+    DseJournal::create(dir.join("shard-000.json"), &DseReport::empty(foreign_spec, 4))
+        .expect("foreign journal writes");
+
+    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local]).with_snapshot_dir(&dir);
+    let err = FleetDriver::new(fleet_config).run(&small_spec()).expect_err("must refuse");
+    assert!(matches!(err, FleetError::SnapshotSpecMismatch { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Shards are journals: a finished run leaves a header plus one line per
+/// point. Cutting the last record short, as a kill mid-append would, costs
+/// exactly that point on resume; a shard file with a malformed line before
+/// its last is skipped, and the diagnostics name both files.
+#[test]
+fn a_torn_shard_journal_record_recomputes_only_that_point() {
+    let config = small_config();
+    let spec = small_spec();
+    let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
+    let dir = temp_dir("torn-journal");
+    let fleet = || {
+        let fleet_config =
+            FleetConfig::new(config, vec![WorkerSpec::Local]).with_snapshot_dir(&dir);
+        FleetDriver::new(fleet_config).run(&spec).expect("fleet runs")
+    };
+    fleet();
+    let shard = dir.join("shard-000.json");
+    let text = std::fs::read_to_string(&shard).expect("journal readable");
+    assert_eq!(text.lines().count(), 1 + 8, "a header and one line per point");
+
+    let file = std::fs::OpenOptions::new().write(true).open(&shard).expect("opens");
+    file.set_len(text.len() as u64 - 20).expect("cuts the last record");
+    drop(file);
+    let header = text.lines().next().expect("header");
+    let record = text.lines().nth(1).expect("a record");
+    std::fs::write(dir.join("shard-001.json"), format!("{header}\n{{\"kind\"\n{record}\n"))
+        .expect("malformed shard writes");
+
+    let outcome = fleet();
+    assert_eq!(outcome.stats.resumed_points, 7, "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.fresh_points, 1, "only the torn point is recomputed");
+    assert!(outcome.report.results_match(&single), "resumed fleet diverges");
+    let diagnostics = &outcome.stats.diagnostics;
+    assert!(
+        diagnostics.iter().any(|d| d.contains("torn") && d.contains("shard-000")),
+        "{diagnostics:?}"
+    );
+    assert!(
+        diagnostics.iter().any(|d| d.contains("skipped") && d.contains("shard-001")),
+        "{diagnostics:?}"
+    );
+    // The resume rewrote the journal without the torn tail.
+    assert_eq!(DseReport::load_journal(&shard).expect("loads").1, None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Shard snapshots written before journals existed — one whole report on
+/// one line, as `DseReport::save` writes — are adopted.
+#[test]
+fn legacy_one_line_shard_snapshots_resume() {
+    let config = small_config();
+    let spec = small_spec();
+    let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
+    let dir = temp_dir("legacy-shard");
+    let mut legacy = single.clone();
+    legacy.entries.truncate(3);
+    let json = serde_json::to_string(&legacy).expect("serializes");
+    assert!(!json.contains('\n'));
+    std::fs::write(dir.join("shard-000.json"), json).expect("legacy shard writes");
+
+    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local, WorkerSpec::Local])
+        .with_snapshot_dir(&dir);
+    let outcome = FleetDriver::new(fleet_config).run(&spec).expect("fleet resumes");
+    assert_eq!(outcome.stats.resumed_points, 3);
+    assert_eq!(outcome.stats.fresh_points, 5);
+    assert!(outcome.report.results_match(&single));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two local workers appending to one shard's journal leave only whole,
+/// parseable lines. Shard 1 is fully resumed, so worker 1 can only steal
+/// from shard 0, and worker 0 waits after its first point until worker 1
+/// has finished one: both workers append to `shard-000.json`.
+#[test]
+fn workers_sharing_a_shard_append_only_parseable_lines() {
+    let config = small_config();
+    let spec = small_spec();
+    let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
+    let dir = temp_dir("shared-journal");
+    // Round-robin over two workers gives shard 1 the odd point indices,
+    // and the canonical entry order is the point order.
+    let mut shard_1 = single.clone();
+    shard_1.entries = single.entries.iter().skip(1).step_by(2).cloned().collect();
+    shard_1.save(dir.join("shard-001.json")).expect("shard 1 saves");
+
+    let stolen = Latch::default();
+    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local, WorkerSpec::Local])
+        .with_strategy(ShardStrategy::RoundRobin)
+        .with_snapshot_dir(&dir);
+    let driver = FleetDriver::new(fleet_config).with_observer(move |event| match event {
+        FleetEvent::PointDone { worker: 0, .. } => stolen.wait("a point stolen by worker 1"),
+        FleetEvent::PointDone { worker: 1, .. } => stolen.raise(),
+        _ => {}
+    });
+    let outcome = driver.run(&spec).expect("fleet runs");
+    assert!(outcome.report.results_match(&single));
+    assert_eq!((outcome.stats.resumed_points, outcome.stats.fresh_points), (4, 4));
+    assert!(outcome.stats.workers.iter().all(|w| w.points > 0), "{:?}", outcome.stats);
+
+    let text = std::fs::read_to_string(dir.join("shard-000.json")).expect("journal readable");
+    let mut lines = text.lines();
+    let header: DseReport = serde_json::from_str(lines.next().expect("header")).expect("parses");
+    assert_eq!(header.spec, spec);
+    let records: Vec<DseEntry> =
+        lines.map(|line| serde_json::from_str(line).expect("every record parses")).collect();
+    assert_eq!(records.len(), 4, "one line per shard-0 point");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A fleet whose only worker is a dead endpoint stalls with a structured
 /// error naming the diagnostics instead of hanging or panicking.
 #[test]

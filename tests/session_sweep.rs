@@ -137,6 +137,26 @@ fn session_caches_artifacts_per_model() {
     assert!(Arc::ptr_eq(&p1, &p2), "programs were re-compiled");
 }
 
+/// A prepared model keeps one compiled geometry: compiling another one
+/// releases the first, so a long exploration's memory does not grow with
+/// the geometries it has seen.
+#[test]
+fn prepared_models_keep_one_compiled_geometry() {
+    let session = SimSession::new(small_config()).expect("valid config");
+    let artifacts = session.artifacts(ModelKind::AlexNet).expect("prepares");
+    let a = session.config().arch;
+    let b = ArchConfig { macros: a.macros * 2, ..a };
+    let programs_a = artifacts.programs(a).expect("compiles");
+    assert_eq!(Arc::strong_count(&programs_a), 2, "the slot holds it");
+    let programs_b = artifacts.programs(b).expect("compiles");
+    assert_eq!(Arc::strong_count(&programs_a), 1, "the first geometry was released");
+    assert!(Arc::ptr_eq(&programs_b, &artifacts.programs(b).expect("cached")));
+    let again = artifacts.programs(a).expect("recompiles");
+    assert_eq!(*again, *programs_a, "recompiling is deterministic");
+    let stats = session.cache_stats();
+    assert_eq!((stats.program_misses, stats.program_hits), (3, 1));
+}
+
 /// Parallel and sequential execution of the same sweep agree exactly.
 #[test]
 fn parallelism_does_not_change_results() {
