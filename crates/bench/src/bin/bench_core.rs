@@ -12,6 +12,11 @@
 //!   dense-baseline mapping, both implementations.
 //! * `nn/tiny_cnn_forward` — a quantized forward pass dominated by
 //!   `conv2d_i8`.
+//! * `nn/conv2d_f32` / `nn/conv2d_f32_scalar` and `nn/conv2d_i8` /
+//!   `nn/conv2d_i8_scalar` — the lane-parallel float calibration
+//!   convolution and the `i16` executor convolution against the scalar
+//!   loops they replaced (`dbpim_nn::reference`), timed alternately on one
+//!   VGG-shaped 3×3 layer.
 //! * `pipeline/run_model_fast` — the end-to-end co-design pipeline on the
 //!   reduced configuration.
 //!
@@ -26,6 +31,12 @@
 //! * `--min-speedup` (default 3.0) — required `sparse_tile_compute` speedup
 //!   of the bit-plane kernels over the scalar reference; this ratio is
 //!   measured within one run, so it is machine-independent.
+//!
+//! The two convolution speedups over their scalar loops are likewise
+//! within-run ratios; each must stay above its fixed floor
+//! ([`CONV_F32_FLOOR`], [`CONV_I8_FLOOR`]), set under the ratio measured on
+//! a 2-vCPU VM so that drift between runs cannot fail it but a reverted
+//! kernel does.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -42,11 +53,20 @@ use dbpim_arch::{ArchConfig, InputPreprocessor, PimMacro, ScalarPimMacro};
 use dbpim_csd::OperandWidth;
 use dbpim_fta::metadata::FilterMetadata;
 use dbpim_fta::{FilterApprox, QueryTables};
-use dbpim_nn::QuantizedModel;
-use dbpim_tensor::random::TensorGenerator;
+use dbpim_nn::reference::{conv2d_i8, conv2d_i8_scalar, conv2d_scalar};
+use dbpim_nn::{ops, Conv2dCfg, QuantizedModel};
+use dbpim_tensor::quant::{QuantParams, QuantizedTensor};
+use dbpim_tensor::random::{Distribution, TensorGenerator};
 use dbpim_trace::{phase_summary, PhaseSummary, TraceCollector};
 
 const SCHEMA: &str = "dbpim-bench-core/v1";
+
+/// Required `nn/conv2d_f32_scalar` / `nn/conv2d_f32` median ratio: 20
+/// `--quick` runs on a 2-vCPU VM measured 14.7–23.7×.
+const CONV_F32_FLOOR: f64 = 8.0;
+/// Required `nn/conv2d_i8_scalar` / `nn/conv2d_i8` median ratio: the same
+/// runs measured 3.0–5.2×.
+const CONV_I8_FLOOR: f64 = 2.0;
 
 const BENCH_FLAGS: &[Flag] = &[
     Flag::switch("--quick"),
@@ -73,6 +93,12 @@ struct Derived {
     sparse_compute_speedup_vs_scalar: f64,
     /// `dense_tile_compute_scalar` / `dense_tile_compute` median ratio.
     dense_compute_speedup_vs_scalar: f64,
+    /// `nn/conv2d_f32_scalar` / `nn/conv2d_f32` median ratio (`None` in
+    /// reports written before it was measured).
+    conv2d_f32_speedup_vs_scalar: Option<f64>,
+    /// `nn/conv2d_i8_scalar` / `nn/conv2d_i8` median ratio (`None` in
+    /// reports written before it was measured).
+    conv2d_i8_speedup_vs_scalar: Option<f64>,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -94,31 +120,54 @@ struct Harness {
 }
 
 impl Harness {
+    fn sampling(&self) -> (usize, f64) {
+        if self.quick {
+            (5, 2_000_000.0)
+        } else {
+            (15, 20_000_000.0)
+        }
+    }
+
+    /// Warms `f` up and returns the repetition count that fills one sample.
+    fn calibrate(&self, f: &mut impl FnMut() -> u64) -> u64 {
+        let start = Instant::now();
+        black_box(f());
+        let once_ns = start.elapsed().as_nanos().max(1) as f64;
+        let reps = ((self.sampling().1 / once_ns) as u64).clamp(1, 1_000_000);
+        for _ in 0..reps.min(16) {
+            black_box(f());
+        }
+        reps
+    }
+
     /// Samples `f` and records per-iteration best/median times. The closure
     /// returns a checksum that is black-boxed so the work cannot be
     /// eliminated.
     fn bench(&mut self, name: &str, mut f: impl FnMut() -> u64) {
-        let (samples, target_ns) =
-            if self.quick { (5usize, 2_000_000.0) } else { (15usize, 20_000_000.0) };
-        // Warm up and calibrate the inner repetition count to the target
-        // sample duration.
-        let start = Instant::now();
-        black_box(f());
-        let once_ns = start.elapsed().as_nanos().max(1) as f64;
-        let reps = ((target_ns / once_ns) as u64).clamp(1, 1_000_000);
-        for _ in 0..reps.min(16) {
-            black_box(f());
-        }
+        let reps = self.calibrate(&mut f);
+        let per_iter: Vec<f64> = (0..self.sampling().0).map(|_| sample(reps, &mut f)).collect();
+        self.record(name, reps, per_iter);
+    }
 
-        let mut per_iter: Vec<f64> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..reps {
-                    black_box(f());
-                }
-                start.elapsed().as_nanos() as f64 / reps as f64
-            })
-            .collect();
+    /// [`bench`](Self::bench) of two kernels with their samples taken
+    /// alternately, so drift in the machine's speed hits both alike and
+    /// their ratio holds.
+    fn bench_pair(
+        &mut self,
+        (name_a, mut a): (&str, impl FnMut() -> u64),
+        (name_b, mut b): (&str, impl FnMut() -> u64),
+    ) {
+        let (reps_a, reps_b) = (self.calibrate(&mut a), self.calibrate(&mut b));
+        let (mut samples_a, mut samples_b) = (Vec::new(), Vec::new());
+        for _ in 0..self.sampling().0 {
+            samples_a.push(sample(reps_a, &mut a));
+            samples_b.push(sample(reps_b, &mut b));
+        }
+        self.record(name_a, reps_a, samples_a);
+        self.record(name_b, reps_b, samples_b);
+    }
+
+    fn record(&mut self, name: &str, reps: u64, mut per_iter: Vec<f64>) {
         per_iter.sort_by(f64::total_cmp);
         let best = per_iter[0];
         let median = per_iter[per_iter.len() / 2];
@@ -134,6 +183,25 @@ impl Harness {
     fn median_ns(&self, name: &str) -> f64 {
         self.kernels.iter().find(|k| k.name == name).map_or(f64::NAN, |k| k.median_ns)
     }
+}
+
+/// Per-iteration time of `reps` back-to-back calls of `f`, in nanoseconds.
+fn sample(reps: u64, f: &mut impl FnMut() -> u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        black_box(f());
+    }
+    start.elapsed().as_nanos() as f64 / reps as f64
+}
+
+/// A VGG-shaped 3×3 convolution (64 → 64 channels, padding 1) at quarter
+/// width on its 16×16 feature map, with float and INT8 operands.
+fn vgg_conv() -> (Conv2dCfg, dbpim_tensor::Tensor<f32>, dbpim_tensor::Tensor<f32>) {
+    let cfg = Conv2dCfg::new(64, 64, 3).with_padding(1);
+    let mut gen = TensorGenerator::new(5);
+    let weight = gen.weight_tensor(cfg.weight_dims()).expect("weights");
+    let input = gen.tensor(vec![64, 16, 16], Distribution::Gaussian { std: 1.0 }).expect("input");
+    (cfg, weight, input)
 }
 
 fn sparse_tile() -> (Vec<FilterMetadata>, Vec<i8>) {
@@ -204,6 +272,25 @@ fn run(quick: bool) -> Report {
         outputs.last().map_or(0, |t| t.data().len() as u64)
     });
 
+    let (conv, weight, input) = vgg_conv();
+    let checksum = |out: &[f32]| out.iter().map(|v| u64::from(v.to_bits())).sum::<u64>();
+    h.bench_pair(
+        ("nn/conv2d_f32", || {
+            checksum(ops::conv2d(&input, &weight, None, &conv).expect("convolves").data())
+        }),
+        ("nn/conv2d_f32_scalar", || checksum(&conv2d_scalar(&input, &weight, None, &conv))),
+    );
+    let qp = QuantParams::affine_from_range(-3.0, 3.0);
+    let q_input = qp.quantize_tensor(&input);
+    let q_weight = QuantizedTensor::quantize_per_channel(&weight, 0);
+    let checksum = |out: &[i32]| out.iter().map(|&v| v as u64).sum::<u64>();
+    h.bench_pair(
+        ("nn/conv2d_i8", || {
+            checksum(conv2d_i8(&q_input, qp, &q_weight, &conv, "conv").expect("convolves").data())
+        }),
+        ("nn/conv2d_i8_scalar", || checksum(&conv2d_i8_scalar(&q_input, qp, &q_weight, &conv))),
+    );
+
     let pipeline =
         Pipeline::new(PipelineConfig::fast().without_fidelity()).expect("pipeline builds");
     h.bench("pipeline/run_model_fast", || {
@@ -216,6 +303,12 @@ fn run(quick: bool) -> Report {
             / h.median_ns("macro/sparse_tile_compute"),
         dense_compute_speedup_vs_scalar: h.median_ns("macro/dense_tile_compute_scalar")
             / h.median_ns("macro/dense_tile_compute"),
+        conv2d_f32_speedup_vs_scalar: Some(
+            h.median_ns("nn/conv2d_f32_scalar") / h.median_ns("nn/conv2d_f32"),
+        ),
+        conv2d_i8_speedup_vs_scalar: Some(
+            h.median_ns("nn/conv2d_i8_scalar") / h.median_ns("nn/conv2d_i8"),
+        ),
     };
     Report {
         schema: SCHEMA.to_string(),
@@ -319,6 +412,17 @@ fn main() -> ExitCode {
             report.derived.sparse_compute_speedup_vs_scalar
         );
         ok = false;
+    }
+    for (kernel, speedup, floor) in [
+        ("conv2d_f32", report.derived.conv2d_f32_speedup_vs_scalar, CONV_F32_FLOOR),
+        ("conv2d_i8", report.derived.conv2d_i8_speedup_vs_scalar, CONV_I8_FLOOR),
+    ] {
+        let speedup = speedup.unwrap_or(f64::NAN);
+        eprintln!("{kernel} speedup vs scalar loop: {speedup:.2}x (floor {floor}x)");
+        if speedup.is_nan() || speedup < floor {
+            eprintln!("FAIL: {kernel} speedup {speedup:.2}x below the required {floor}x");
+            ok = false;
+        }
     }
     if let Some(path) = compare_path {
         // I/O and parse failures are structured diagnostics + nonzero exit,

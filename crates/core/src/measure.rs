@@ -8,7 +8,7 @@
 
 use dbpim_compiler::InputSparsityProfile;
 use dbpim_nn::QuantizedModel;
-use dbpim_tensor::stats::zero_bit_column_ratio;
+use dbpim_tensor::stats::centred_zero_bit_column_ratio;
 use dbpim_tensor::Tensor;
 
 use crate::error::PipelineError;
@@ -34,7 +34,10 @@ pub fn measure_input_sparsity(
     let pim_nodes = model.pim_node_ids();
     let mut sums = vec![0.0f64; pim_nodes.len()];
     for image in images {
-        let outputs = model.forward_all(image)?;
+        let outputs = {
+            let _span = dbpim_trace::span!("nn.forward_i8");
+            model.forward_all(image)?
+        };
         let q_input = model.input_qp().quantize_tensor(image);
         for (slot, &node_id) in pim_nodes.iter().enumerate() {
             let node = &model.nodes()[node_id];
@@ -44,9 +47,7 @@ pub fn measure_input_sparsity(
                 let producer = node.inputs[0];
                 (&outputs[producer], model.nodes()[producer].output_qp.zero_point())
             };
-            let operand: Vec<i8> =
-                tensor.data().iter().map(|&v| (i32::from(v) - zero_point) as u8 as i8).collect();
-            sums[slot] += zero_bit_column_ratio(&operand, IPU_GROUP);
+            sums[slot] += centred_zero_bit_column_ratio(tensor.data(), zero_point, IPU_GROUP);
         }
     }
     for (slot, &node_id) in pim_nodes.iter().enumerate() {

@@ -44,7 +44,7 @@ use dbpim_compiler::{
 use dbpim_csd::OperandWidth;
 use dbpim_fta::stats::ModelFtaStats;
 use dbpim_fta::{evaluate_fidelity, FidelityReport, ModelApprox};
-use dbpim_nn::{Model, ModelKind, ModelSummary, QuantizedModel};
+use dbpim_nn::{fold_batch_norm, Model, ModelKind, ModelSummary, QuantizedModel};
 use dbpim_sim::{RunReport, SimConfig, Simulator, SparsityConfig};
 use dbpim_tensor::random::TensorGenerator;
 use dbpim_tensor::PruningSpec;
@@ -189,18 +189,24 @@ impl ModelArtifacts {
         // the weight-side approximation runs at the configured operand
         // width. The INT8 path goes through the quantized model exactly as
         // the paper's pipeline always has, so its results stay bit-identical.
-        let quantized = {
+        // Batch norms are folded once and the folded model feeds both.
+        let (folded, quantized) = {
             let _span = dbpim_trace::span!("pipeline.quantize");
-            QuantizedModel::quantize(work_model, &calibration)?
+            let folded = fold_batch_norm(work_model)?;
+            let quantized = QuantizedModel::quantize_folded(&folded, &calibration)?;
+            (folded, quantized)
         };
         let approx = {
             let _span = dbpim_trace::span!("pipeline.fta");
             if config.operand_width == OperandWidth::Int8 {
                 ModelApprox::from_quantized(&quantized)?
             } else {
-                ModelApprox::from_model_wide(work_model, config.operand_width)?
+                ModelApprox::from_folded_wide(&folded, config.operand_width)?
             }
         };
+        // The folded clone is a whole float model; release it before the
+        // INT8 forward passes below.
+        drop(folded);
         let fta_stats = ModelFtaStats::from_model(&approx);
 
         // The evaluation batch (fidelity) comes later and lazily; snapshot

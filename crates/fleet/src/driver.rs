@@ -442,6 +442,7 @@ impl FleetDriver {
         // Adopt whatever previous shard snapshots already computed. Entries
         // are re-homed into the *current* plan's shards, so resuming with a
         // different worker count (or strategy) still reuses every point.
+        let mut adopted_files = Vec::new();
         if let Some(dir) = &self.config.snapshot_dir {
             std::fs::create_dir_all(dir).map_err(|e| {
                 FleetError::Persist(PipelineError::BadConfig {
@@ -474,6 +475,7 @@ impl FleetDriver {
                                 state.shard_entries[owners[index]].push(entry);
                             }
                         }
+                        adopted_files.push(path);
                     }
                 }
             }
@@ -523,6 +525,24 @@ impl FleetDriver {
             ),
             None => None,
         };
+        // The current plan's journals now hold every adopted entry, so an
+        // adopted file the plan has no shard for (a resume with fewer
+        // workers) is only a duplicate for later resumes to re-read. Files
+        // that failed to load stay; their diagnostic names them.
+        if let Some(dir) = &self.config.snapshot_dir {
+            let current: HashSet<PathBuf> =
+                (0..plan.shards.len()).map(|shard| shard_snapshot_path(dir, shard)).collect();
+            for path in adopted_files.into_iter().filter(|path| !current.contains(path)) {
+                let note = match std::fs::remove_file(&path) {
+                    Ok(()) => format!(
+                        "removed {}: its entries moved to this plan's shards",
+                        path.display()
+                    ),
+                    Err(e) => format!("cannot remove stale {}: {e}", path.display()),
+                };
+                state.diagnostics.push(note);
+            }
+        }
 
         let shard_sizes: Vec<usize> = plan.shards.iter().map(|s| s.points.len()).collect();
         let sync = (Mutex::new(state), Condvar::new());

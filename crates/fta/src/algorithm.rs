@@ -49,9 +49,93 @@ impl FilterApprox {
         weights: &[T],
         tables: &QueryTables,
     ) -> Result<Self, FtaError> {
-        let wide: Vec<i32> = weights.iter().map(|&w| w.into()).collect();
-        let threshold = select_threshold(&wide);
-        Self::approximate_wide_with_threshold(&wide, threshold, tables)
+        let mut original = Vec::with_capacity(weights.len());
+        Ok(Self::approximate_counted(weights, tables, &mut original, &mut Vec::new()).0)
+    }
+
+    /// Algorithm 1 on one filter in two passes over its weights, counting
+    /// what the FTA statistics need on the way. Pass one appends the
+    /// weights to `original` and takes their value histogram in `bins` (a
+    /// zeroed scratch reused across filters); pass two maps each weight to
+    /// its nearest table member. Everything else is counted per distinct
+    /// value: the φ histogram that selects the threshold, the original's
+    /// zero, binary-bit and CSD-digit counts, and the stored cells,
+    /// non-zero weights and absolute error of the approximation. A filter
+    /// shorter than its width's value range, or holding a value outside
+    /// it, is counted weight by weight instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an approximated weight lies outside the tables' width or
+    /// needs more blocks than the threshold; the query tables guarantee
+    /// neither happens.
+    fn approximate_counted<T: Into<i32> + Copy>(
+        weights: &[T],
+        tables: &QueryTables,
+        original: &mut Vec<i32>,
+        bins: &mut Vec<usize>,
+    ) -> (Self, FilterCounts) {
+        let start = original.len();
+        original.extend(weights.iter().map(|&w| w.into()));
+        let original = &original[start..];
+        let width = tables.width();
+        let (min, max) = (width.min_value(), width.max_value());
+        let range = (max - min) as usize + 1;
+        let binned = range <= original.len() && {
+            bins.resize(range, 0);
+            let in_range = original.iter().all(|&v| {
+                bins.get_mut(v.wrapping_sub(min) as u32 as usize).map(|count| *count += 1).is_some()
+            });
+            if !in_range {
+                bins.fill(0);
+            }
+            in_range
+        };
+        let weight_counts = || original.iter().map(|&v| (v, 1));
+        let value_counts = || {
+            bins.iter().zip(min..).filter(|&(&count, _)| count > 0).map(|(&count, v)| (v, count))
+        };
+
+        let digits = tables.digits().lookup();
+        let mut hist = [0usize; PHI_BUCKETS];
+        let (mut binary_bits, mut csd_digits) = (0u64, 0u64);
+        let mut count_digits = |(v, count): (i32, usize)| {
+            let (phi, bits) = digits(v);
+            hist[(phi as usize).min(PHI_BUCKETS - 1)] += count;
+            csd_digits += u64::from(phi) * count as u64;
+            binary_bits += u64::from(bits) * count as u64;
+        };
+        if binned {
+            value_counts().for_each(&mut count_digits);
+        } else {
+            weight_counts().for_each(&mut count_digits);
+        }
+        let threshold = threshold_from_histogram(&hist, original.len());
+
+        // Zero is a member of every table (it has no non-zero CSD digits),
+        // so pruned weights stay zero and `T(0) = {0}` maps a fully-pruned
+        // filter to zeros.
+        let nearest =
+            tables.table(threshold).expect("Algorithm 1 thresholds are at most 2").nearest_lookup();
+        let values = original.iter().map(|&o| nearest(o).0).collect();
+        let mut counts =
+            FilterCounts { binary_bits, csd_digits, zeros: hist[0], ..FilterCounts::default() };
+        let mut count_approximation = |(o, count): (i32, usize)| {
+            let (a, blocks) = nearest(o);
+            if !(min..=max).contains(&a) || blocks > threshold {
+                out_of_table(a, blocks, threshold, width);
+            }
+            counts.stored_cells += blocks as usize * count;
+            counts.nonzero += if a == 0 { 0 } else { count };
+            counts.abs_error += (i64::from(o) - i64::from(a)).unsigned_abs() * count as u64;
+        };
+        if binned {
+            value_counts().for_each(&mut count_approximation);
+            bins.fill(0);
+        } else {
+            weight_counts().for_each(&mut count_approximation);
+        }
+        (Self { threshold, width, values }, counts)
     }
 
     /// Approximates one filter with an explicitly chosen threshold (used by
@@ -154,6 +238,14 @@ impl FilterApprox {
     }
 }
 
+/// The failure of the checks the FTA pass makes on every approximated
+/// weight, kept out of line so the pass stays a tight loop.
+#[cold]
+fn out_of_table(value: i32, blocks: u32, threshold: u32, width: OperandWidth) -> ! {
+    assert!(width.contains(value), "FTA-approximated weight {value} exceeds {width}");
+    panic!("weight {value} needs {blocks} blocks but the filter threshold is {threshold}");
+}
+
 /// Chooses the per-filter threshold `φ_th` exactly as Algorithm 1 does:
 ///
 /// * all weights zero → 0,
@@ -165,17 +257,23 @@ impl FilterApprox {
 /// does not depend on how many zero digits pad the word.
 #[must_use]
 pub fn select_threshold<T: Into<i32> + Copy>(weights: &[T]) -> u32 {
-    if weights.is_empty() || weights.iter().all(|&w| w.into() == 0) {
-        return 0;
-    }
-    // One bucket per possible φ: canonical words of the widest supported
-    // operand (INT16) never exceed eight non-zero digits. Stack-allocated —
-    // this runs once per filter on the hot FTA path.
-    const CAP: usize = OperandWidth::Int16.max_phi() as usize;
-    let mut hist = [0usize; CAP + 1];
+    let mut hist = [0usize; PHI_BUCKETS];
     for &w in weights {
-        let phi = dbpim_csd::phi(w.into()) as usize;
-        hist[phi.min(CAP)] += 1;
+        hist[(dbpim_csd::phi(w.into()) as usize).min(PHI_BUCKETS - 1)] += 1;
+    }
+    threshold_from_histogram(&hist, weights.len())
+}
+
+/// One φ bucket per possible digit count: canonical words of the widest
+/// supported operand (INT16) never exceed eight non-zero digits.
+const PHI_BUCKETS: usize = OperandWidth::Int16.max_phi() as usize + 1;
+
+/// Algorithm 1's threshold from a filter's φ histogram: 0 when every one of
+/// the `len` weights is zero (φ = 0 only for zero), else the mode (lowest φ
+/// on ties) mapped 0 → 1 and clamped to [`MAX_THRESHOLD`].
+fn threshold_from_histogram(hist: &[usize; PHI_BUCKETS], len: usize) -> u32 {
+    if hist[0] == len {
+        return 0;
     }
     let mut mode = 0usize;
     for (phi, &count) in hist.iter().enumerate() {
@@ -188,6 +286,25 @@ pub fn select_threshold<T: Into<i32> + Copy>(weights: &[T]) -> u32 {
         m if m <= MAX_THRESHOLD => m,
         _ => MAX_THRESHOLD,
     }
+}
+
+/// What the two passes over one filter count besides its approximated
+/// values: everything [`LayerFtaStats`](crate::stats::LayerFtaStats) needs,
+/// so the statistics are arithmetic on counts instead of further passes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct FilterCounts {
+    /// Non-zero magnitude bits of the original weights.
+    pub(crate) binary_bits: u64,
+    /// Non-zero CSD digits of the original weights.
+    pub(crate) csd_digits: u64,
+    /// Exactly-zero original weights.
+    pub(crate) zeros: usize,
+    /// Non-zero CSD digits of the approximated weights (occupied cells).
+    pub(crate) stored_cells: usize,
+    /// Non-zero approximated weights.
+    pub(crate) nonzero: usize,
+    /// `Σ |original − approximated|` over the filter.
+    pub(crate) abs_error: u64,
 }
 
 /// FTA approximation of one PIM-mapped layer (convolution or linear).
@@ -203,6 +320,8 @@ pub struct LayerApprox {
     filter_len: usize,
     original: Vec<i32>,
     filters: Vec<FilterApprox>,
+    /// Per-filter counts from the approximation passes.
+    counts: Vec<FilterCounts>,
 }
 
 impl LayerApprox {
@@ -217,10 +336,7 @@ impl LayerApprox {
         weights: &Tensor<i8>,
         tables: &QueryTables,
     ) -> Result<Self, FtaError> {
-        let wide: Vec<i32> = weights.data().iter().map(|&w| i32::from(w)).collect();
-        let wide = Tensor::from_vec(wide, weights.shape().to_vec())
-            .expect("same element count as the source tensor");
-        Self::from_wide_weights(node_id, name, &wide, tables)
+        Self::from_values(node_id, name.into(), weights.shape(), weights.data(), tables)
     }
 
     /// Approximates a width-generic weight tensor (`i32` values in the range
@@ -235,25 +351,41 @@ impl LayerApprox {
         weights: &Tensor<i32>,
         tables: &QueryTables,
     ) -> Result<Self, FtaError> {
-        let shape = weights.shape().to_vec();
+        Self::from_values(node_id, name.into(), weights.shape(), weights.data(), tables)
+    }
+
+    fn from_values<T: Into<i32> + Copy>(
+        node_id: NodeId,
+        name: String,
+        shape: &[usize],
+        data: &[T],
+        tables: &QueryTables,
+    ) -> Result<Self, FtaError> {
         if shape.len() < 2 {
-            return Err(FtaError::BadWeightShape { shape });
+            return Err(FtaError::BadWeightShape { shape: shape.to_vec() });
         }
         let filters_count = shape[0];
-        let filter_len = weights.numel() / filters_count;
+        let filter_len = data.len() / filters_count;
+        let mut original = Vec::with_capacity(data.len());
+        let mut bins = Vec::new();
         let mut filters = Vec::with_capacity(filters_count);
+        let mut counts = Vec::with_capacity(filters_count);
         for f in 0..filters_count {
-            let slice = &weights.data()[f * filter_len..(f + 1) * filter_len];
-            filters.push(FilterApprox::approximate(slice, tables)?);
+            let slice = &data[f * filter_len..(f + 1) * filter_len];
+            let (filter, filter_counts) =
+                FilterApprox::approximate_counted(slice, tables, &mut original, &mut bins);
+            filters.push(filter);
+            counts.push(filter_counts);
         }
         Ok(Self {
             node_id,
-            name: name.into(),
+            name,
             width: tables.width(),
-            weight_shape: shape,
+            weight_shape: shape.to_vec(),
             filter_len,
-            original: weights.data().to_vec(),
+            original,
             filters,
+            counts,
         })
     }
 
@@ -299,6 +431,11 @@ impl LayerApprox {
         &self.original
     }
 
+    /// Per-filter counts taken while approximating.
+    pub(crate) fn counts(&self) -> &[FilterCounts] {
+        &self.counts
+    }
+
     /// Per-filter thresholds `φ_th`.
     #[must_use]
     pub fn thresholds(&self) -> Vec<u32> {
@@ -310,7 +447,7 @@ impl LayerApprox {
     /// the compiler uses them to shrink the tile footprint of sparse filters.
     #[must_use]
     pub fn filter_nonzero_counts(&self) -> Vec<usize> {
-        self.filters.iter().map(FilterApprox::nonzero_weights).collect()
+        self.counts.iter().map(|c| c.nonzero).collect()
     }
 
     /// Fraction of exactly-zero approximated weights (value-level sparsity
@@ -321,7 +458,7 @@ impl LayerApprox {
         if total == 0 {
             return 0.0;
         }
-        let nonzero: usize = self.filters.iter().map(FilterApprox::nonzero_weights).sum();
+        let nonzero: usize = self.counts.iter().map(|c| c.nonzero).sum();
         (total - nonzero) as f64 / total as f64
     }
 
@@ -411,18 +548,33 @@ impl ModelApprox {
     /// model provides the weights (batch norms folded into their producing
     /// convolutions first, exactly as the INT8 quantizer does),
     /// [`WideQuantizedTensor`] clamps them to the width's range, and the
-    /// approximation proceeds exactly as the INT8 pipeline does.
+    /// approximation proceeds exactly as the INT8 pipeline does. Callers
+    /// that already hold the folded model call
+    /// [`from_folded_wide`](Self::from_folded_wide).
     ///
     /// # Errors
     ///
     /// Propagates weight-shape errors from the individual layers and graph
     /// validation errors from the batch-norm fold.
     pub fn from_model_wide(model: &dbpim_nn::Model, width: OperandWidth) -> Result<Self, FtaError> {
-        let _span = dbpim_trace::span!("fta.approx", model = model.name(), width = width.bits());
-        let model = dbpim_nn::fold_batch_norm(model)?;
+        Self::from_folded_wide(&dbpim_nn::fold_batch_norm(model)?, width)
+    }
+
+    /// [`from_model_wide`](Self::from_model_wide) of a model whose batch
+    /// norms [`dbpim_nn::fold_batch_norm`] already folded (exactly once:
+    /// folding is not idempotent).
+    ///
+    /// # Errors
+    ///
+    /// Propagates weight-shape errors from the individual layers.
+    pub fn from_folded_wide(
+        folded: &dbpim_nn::Model,
+        width: OperandWidth,
+    ) -> Result<Self, FtaError> {
+        let _span = dbpim_trace::span!("fta.approx", model = folded.name(), width = width.bits());
         let tables = QueryTables::for_width(width);
         let mut layers = Vec::new();
-        for node in model.nodes() {
+        for node in folded.nodes() {
             let weight = match &node.layer {
                 dbpim_nn::Layer::Conv2d { weight, .. } | dbpim_nn::Layer::Linear { weight, .. } => {
                     weight
@@ -437,7 +589,7 @@ impl ModelApprox {
                 &tables,
             )?);
         }
-        Ok(Self { model_name: model.name().to_string(), width, layers })
+        Ok(Self { model_name: folded.name().to_string(), width, layers })
     }
 
     /// Name of the approximated model.

@@ -47,49 +47,45 @@ pub struct LayerFtaStats {
 impl LayerFtaStats {
     /// Computes the statistics of one approximated layer.
     ///
-    /// The cell counts are those of
+    /// Arithmetic on the counts the approximation took
+    /// ([`LayerApprox`] construction), combined with the same `f64`
+    /// expressions in the same order as a pass over the weights would. The
+    /// cell counts are those of
     /// [`LayerMetadata::from_layer`](crate::metadata::LayerMetadata::from_layer), counted
     /// instead of materialized: a canonical word has one Complementary
     /// Pattern block per non-zero digit, so a weight stores `φ(w)` cells
     /// and its filter allocates `φ_th` per weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics, as the metadata extraction does, if an approximated weight
-    /// lies outside the layer's width or needs more blocks than its
-    /// filter's threshold; the FTA approximation guarantees neither happens.
     #[must_use]
     pub fn from_layer(layer: &LayerApprox) -> Self {
         let width = layer.width();
-        let original = WeightBitStats::from_wide_values(layer.original_values(), width);
+        let counts = layer.counts();
+        let original = WeightBitStats::from_counts(
+            width,
+            layer.original_values().len(),
+            counts.iter().map(|c| c.zeros).sum(),
+            counts.iter().map(|c| c.binary_bits).sum(),
+            counts.iter().map(|c| c.csd_digits).sum(),
+        );
         let total_weights = layer.filter_count() * layer.filter_len();
         let total_bits = (total_weights * width.bits() as usize) as f64;
+        let filter_len = layer.filter_len();
         let mut stored = 0usize;
         let mut allocated = 0usize;
         let mut error_sum = 0.0f64;
-        for (filter, approx) in layer.filters().iter().enumerate() {
-            let threshold = approx.threshold();
-            for &value in approx.values() {
-                assert!(width.contains(value), "FTA-approximated weight {value} exceeds {width}");
-                let blocks = dbpim_csd::phi(value);
-                assert!(
-                    blocks <= threshold,
-                    "weight {value} needs {blocks} blocks but the filter threshold is {threshold}"
-                );
-                stored += blocks as usize;
-            }
+        for (approx, c) in layer.filters().iter().zip(counts) {
+            stored += c.stored_cells;
             allocated += approx.allocated_slots();
-            let start = filter * layer.filter_len();
-            let end = start + layer.filter_len();
-            error_sum += approx.mean_abs_error(&layer.original_values()[start..end])
-                * layer.filter_len() as f64;
+            // The filter's mean absolute error, scaled back by its length.
+            let mean_abs_error =
+                if filter_len == 0 { 0.0 } else { c.abs_error as f64 / filter_len as f64 };
+            error_sum += mean_abs_error * filter_len as f64;
         }
         Self {
             node_id: layer.node_id(),
             name: layer.name().to_string(),
             width,
             filter_count: layer.filter_count(),
-            filter_len: layer.filter_len(),
+            filter_len,
             threshold_histogram: layer.threshold_histogram(),
             stored_cells: stored,
             allocated_cells: allocated,
@@ -249,6 +245,140 @@ mod tests {
                     assert_eq!(layer.filters()[0].threshold(), 0, "{case}");
                 }
             }
+        }
+    }
+
+    /// Algorithm 1 and the layer statistics as separate passes over widened
+    /// copies, the way they were computed before the counted two-pass
+    /// kernel: the oracle both must equal.
+    fn oracle_stats(
+        values: &[i32],
+        filters: usize,
+        width: OperandWidth,
+    ) -> (Vec<i32>, LayerFtaStats) {
+        let tables = QueryTables::for_width(width);
+        let filter_len = values.len() / filters;
+        let (mut approximated, mut thresholds) = (Vec::new(), Vec::new());
+        let (mut stored, mut allocated, mut error_sum) = (0usize, 0usize, 0.0f64);
+        for filter in values.chunks(filter_len) {
+            let threshold = if filter.iter().all(|&v| v == 0) {
+                0
+            } else {
+                let mut hist = [0usize; 9];
+                for &v in filter {
+                    hist[(dbpim_csd::phi(v) as usize).min(8)] += 1;
+                }
+                let mode =
+                    (0..hist.len()).fold(0, |m, phi| if hist[phi] > hist[m] { phi } else { m });
+                (mode as u32).clamp(1, 2)
+            };
+            let table = tables.table(threshold).unwrap();
+            let approx: Vec<i32> = filter
+                .iter()
+                .map(|&v| if threshold == 0 || v == 0 { 0 } else { table.nearest(v) })
+                .collect();
+            stored += approx.iter().map(|&a| dbpim_csd::phi(a) as usize).sum::<usize>();
+            allocated += filter.len() * threshold as usize;
+            let abs: i64 = filter
+                .iter()
+                .zip(&approx)
+                .map(|(&o, &a)| (i64::from(o) - i64::from(a)).abs())
+                .sum();
+            error_sum += abs as f64 / filter.len() as f64 * filter.len() as f64;
+            approximated.extend(approx);
+            thresholds.push(threshold as usize);
+        }
+        let original = WeightBitStats::from_wide_values(values, width);
+        let total_bits = (values.len() * width.bits() as usize) as f64;
+        let mut threshold_histogram = [0usize; 3];
+        for t in thresholds {
+            threshold_histogram[t] += 1;
+        }
+        let stats = LayerFtaStats {
+            node_id: 0,
+            name: "conv".to_string(),
+            width,
+            filter_count: filters,
+            filter_len,
+            threshold_histogram,
+            stored_cells: stored,
+            allocated_cells: allocated,
+            binary_zero_ratio: original.binary_zero_ratio(),
+            csd_zero_ratio: original.csd_zero_ratio(),
+            fta_zero_ratio: 1.0 - stored as f64 / total_bits,
+            utilization: if allocated > 0 { stored as f64 / allocated as f64 } else { 1.0 },
+            mean_abs_error: error_sum / values.len() as f64,
+        };
+        (approximated, stats)
+    }
+
+    #[test]
+    fn counted_two_pass_approximation_equals_the_separate_passes() {
+        for width in OperandWidth::all() {
+            for (seed, prune, zero_filter) in
+                [(7, 0.0, false), (8, 0.5, false), (9, 0.9, true), (10, 1.0, false)]
+            {
+                let layer = layer_at(width, seed, prune, zero_filter);
+                let case = format!("{width} prune {prune} zero filter {zero_filter}");
+                let (want_values, want) =
+                    oracle_stats(layer.original_values(), layer.filter_count(), width);
+                assert_eq!(layer.wide_tensor().data(), want_values.as_slice(), "{case}");
+                let got = LayerFtaStats::from_layer(&layer);
+                assert_eq!(got, want, "{case}");
+                for (g, w) in [
+                    (got.binary_zero_ratio, want.binary_zero_ratio),
+                    (got.csd_zero_ratio, want.csd_zero_ratio),
+                    (got.fta_zero_ratio, want.fta_zero_ratio),
+                    (got.utilization, want.utilization),
+                    (got.mean_abs_error, want.mean_abs_error),
+                ] {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{case}");
+                }
+                let nonzero: Vec<usize> = want_values
+                    .chunks(layer.filter_len())
+                    .map(|f| f.iter().filter(|&&v| v != 0).count())
+                    .collect();
+                assert_eq!(layer.filter_nonzero_counts(), nonzero, "{case}");
+            }
+        }
+        // Filters longer than the INT8 value range, so the INT4 and INT8
+        // layers are counted per distinct value and the wider ones per
+        // weight; one value-pruned.
+        for width in OperandWidth::all() {
+            for prune in [0.0, 0.6] {
+                let (filters, len) = (6, 600);
+                let mut w = TensorGenerator::new(11).weight_tensor(vec![filters, len]).unwrap();
+                PruningSpec::unstructured(prune).apply(w.data_mut(), filters);
+                let q = WideQuantizedTensor::quantize_per_channel(&w, 0, width);
+                let layer = LayerApprox::from_wide_weights(
+                    0,
+                    "conv",
+                    q.values(),
+                    &QueryTables::for_width(width),
+                )
+                .unwrap();
+                let (want_values, want) = oracle_stats(q.values().data(), filters, width);
+                assert_eq!(layer.wide_tensor().data(), want_values.as_slice(), "{width} {prune}");
+                assert_eq!(LayerFtaStats::from_layer(&layer), want, "{width} {prune}");
+            }
+        }
+        // Extreme values at every width: the range ends, ±1, zero, and
+        // values outside the width (which the INT4 filter cannot bin).
+        for width in OperandWidth::all() {
+            let (min, max) = (width.min_value(), width.max_value());
+            let values: Vec<i32> = [min, max, -1, 1, 0, min + 1, max - 1, 0, min - 3, max + 3]
+                .iter()
+                .cycle()
+                .take(64)
+                .copied()
+                .collect();
+            let tensor = Tensor::from_vec(values.clone(), vec![8, 8]).unwrap();
+            let layer =
+                LayerApprox::from_wide_weights(0, "conv", &tensor, &QueryTables::for_width(width))
+                    .unwrap();
+            let (want_values, want) = oracle_stats(&values, 8, width);
+            assert_eq!(layer.wide_tensor().data(), want_values.as_slice(), "{width}");
+            assert_eq!(LayerFtaStats::from_layer(&layer), want, "{width}");
         }
     }
 

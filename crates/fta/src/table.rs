@@ -42,8 +42,11 @@ pub struct QueryTable {
     threshold: u32,
     values: Vec<i32>,
     /// The answer of [`nearest`](Self::nearest) for every value of the
-    /// width's range, indexed by `value - width.min_value()`.
-    nearest: Vec<i32>,
+    /// width's range, indexed by `value - width.min_value()`, with the
+    /// answer's `φ` (the cells it stores).
+    nearest: Vec<(i32, u32)>,
+    /// The width's `(min_value, max_value)`.
+    range: (i32, i32),
 }
 
 impl QueryTable {
@@ -79,7 +82,8 @@ impl QueryTable {
         // Values above the last member snap down to it.
         let last = *values.last().expect("zero is admissible at every threshold");
         nearest.resize(range, last);
-        Ok(Self { width, threshold, values, nearest })
+        let nearest = nearest.into_iter().map(|v| (v, dbpim_csd::phi(v))).collect();
+        Ok(Self { width, threshold, values, nearest, range: (min, max) })
     }
 
     /// The operand width this table was built for.
@@ -126,8 +130,15 @@ impl QueryTable {
     /// width's range gets the member nearest the range end it passed.
     #[must_use]
     pub fn nearest(&self, value: i32) -> i32 {
-        let min = self.width.min_value();
-        self.nearest[(value.clamp(min, self.width.max_value()) - min) as usize]
+        self.nearest_lookup()(value).0
+    }
+
+    /// `value ↦ (nearest(value), φ(nearest(value)))` for the per-weight
+    /// FTA pass, holding the table by value like
+    /// [`DigitCounts::lookup`].
+    pub(crate) fn nearest_lookup(&self) -> impl Fn(i32) -> (i32, u32) + '_ {
+        let ((min, max), nearest) = (self.range, self.nearest.as_slice());
+        move |value| nearest[(value.clamp(min, max) - min) as usize]
     }
 
     /// Largest absolute approximation error over the width's whole range.
@@ -141,11 +152,41 @@ impl QueryTable {
 }
 
 /// The three query tables (`φ_th` = 0, 1, 2) of one operand width, built
-/// once and shared.
+/// once and shared, plus the digit counts of every value of the width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryTables {
     width: OperandWidth,
     tables: [QueryTable; 3],
+    digits: DigitCounts,
+}
+
+/// `φ(v)` and the set-bit count of `|v|` for every value of one operand
+/// width, so the per-weight FTA passes look them up instead of computing
+/// both popcounts per weight.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DigitCounts {
+    min: i32,
+    counts: Vec<[u8; 2]>,
+}
+
+impl DigitCounts {
+    fn for_width(width: OperandWidth) -> Self {
+        let counts = (width.min_value()..=width.max_value())
+            .map(|v| [dbpim_csd::phi(v) as u8, v.unsigned_abs().count_ones() as u8])
+            .collect();
+        Self { min: width.min_value(), counts }
+    }
+
+    /// `v ↦ (φ(v), popcount(|v|))`, computed directly for a value outside
+    /// the width. The closure holds the table by value, so a loop calling it
+    /// keeps the table's base and bounds in registers.
+    pub(crate) fn lookup(&self) -> impl Fn(i32) -> (u32, u32) + '_ {
+        let (min, counts) = (self.min, self.counts.as_slice());
+        move |v| match counts.get(v.wrapping_sub(min) as u32 as usize) {
+            Some(&[phi, bits]) => (u32::from(phi), u32::from(bits)),
+            None => (dbpim_csd::phi(v), v.unsigned_abs().count_ones()),
+        }
+    }
 }
 
 impl QueryTables {
@@ -159,7 +200,13 @@ impl QueryTables {
                 QueryTable::for_width(width, 1).expect("threshold 1 is valid"),
                 QueryTable::for_width(width, 2).expect("threshold 2 is valid"),
             ],
+            digits: DigitCounts::for_width(width),
         }
+    }
+
+    /// The digit counts of every value of the width.
+    pub(crate) fn digits(&self) -> &DigitCounts {
+        &self.digits
     }
 
     /// The operand width the tables were built for.
@@ -350,6 +397,19 @@ mod tests {
         }
         // INT4: every value within [-8, 7] uses at most two digits.
         assert_eq!(QueryTable::for_width(OperandWidth::Int4, 2).unwrap().worst_case_error(), 0);
+    }
+
+    #[test]
+    fn digit_counts_equal_phi_and_popcount_in_and_out_of_range() {
+        for width in OperandWidth::all() {
+            let tables = QueryTables::for_width(width);
+            let digits = tables.digits().lookup();
+            let (min, max) = (width.min_value(), width.max_value());
+            for v in (min..=max).chain([i32::MIN, min - 1, max + 1, i32::MAX]) {
+                let want = (dbpim_csd::phi(v), v.unsigned_abs().count_ones());
+                assert_eq!(digits(v), want, "{width} value {v}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   macros execute.
 //! * [`zoo`] — the five paper topologies adapted to 32×32 inputs, built with
 //!   distribution-matched synthetic weights.
+//! * `reference` (feature `scalar-reference`) — the scalar convolution
+//!   loops the vectorized float and INT8 kernels replaced, kept as test and
+//!   benchmark oracles.
 //!
 //! # Example
 //!
@@ -38,6 +41,8 @@ mod graph;
 mod layer;
 pub mod ops;
 mod quantized;
+#[cfg(any(test, feature = "scalar-reference"))]
+pub mod reference;
 pub mod summary;
 pub mod zoo;
 

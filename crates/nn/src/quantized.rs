@@ -125,25 +125,39 @@ impl QuantizedModel {
     /// Batch-norm layers are folded into the preceding convolution before
     /// quantization (the standard inference-time transformation), leaving an
     /// identity node in their place so node ids stay aligned with the float
-    /// graph.
+    /// graph. Callers that need the folded model too fold it once with
+    /// [`fold_batch_norm`] and call [`quantize_folded`](Self::quantize_folded).
     ///
     /// # Errors
     ///
     /// Returns an error when the model fails validation, a calibration
     /// forward pass fails, or no calibration images are supplied.
     pub fn quantize(model: &Model, calibration: &[Tensor<f32>]) -> Result<Self, NnError> {
+        Self::quantize_folded(&fold_batch_norm(model)?, calibration)
+    }
+
+    /// [`quantize`](Self::quantize) of a model whose batch norms
+    /// [`fold_batch_norm`] already folded. Folding is not idempotent (a
+    /// folded batch norm keeps its `eps`), so the model must be folded
+    /// exactly once.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the model fails validation, a calibration
+    /// forward pass fails, or no calibration images are supplied.
+    pub fn quantize_folded(folded: &Model, calibration: &[Tensor<f32>]) -> Result<Self, NnError> {
         let _span =
-            dbpim_trace::span!("nn.quantize", model = model.name(), images = calibration.len());
+            dbpim_trace::span!("nn.quantize", model = folded.name(), images = calibration.len());
         if calibration.is_empty() {
             return Err(NnError::BadParameters {
-                layer: model.name().to_string(),
+                layer: folded.name().to_string(),
                 reason: "at least one calibration image is required".to_string(),
             });
         }
-        let folded = fold_batch_norm(model)?;
         folded.validate()?;
 
         // Calibration: per-node and input min/max over all calibration images.
+        let calibrate_span = dbpim_trace::span!("nn.calibrate");
         let node_count = folded.nodes().len();
         let mut node_min = vec![f32::INFINITY; node_count];
         let mut node_max = vec![f32::NEG_INFINITY; node_count];
@@ -160,7 +174,9 @@ impl QuantizedModel {
                 node_max[i] = node_max[i].max(hi);
             }
         }
+        drop(calibrate_span);
 
+        let _weights_span = dbpim_trace::span!("nn.quantize_weights");
         let input_qp = QuantParams::affine_from_range(in_min, in_max);
         let mut nodes = Vec::with_capacity(node_count);
         for (i, node) in folded.nodes().iter().enumerate() {
@@ -342,8 +358,7 @@ impl QuantizedModel {
                 ))
             }
             QuantizedLayer::Activation(act) => {
-                let f = x_qp.dequantize_tensor(x);
-                Ok(node.output_qp.quantize_tensor(&ops::activation(&f, *act)))
+                Ok(map_unary(x, x.shape().to_vec(), x_qp, node.output_qp, |v| act.apply(v)))
             }
             QuantizedLayer::Pool2d(cfg) => {
                 let f = x_qp.dequantize_tensor(x);
@@ -354,12 +369,10 @@ impl QuantizedModel {
                 Ok(node.output_qp.quantize_tensor(&ops::global_avg_pool(&f)?))
             }
             QuantizedLayer::Flatten => {
-                let f = x_qp.dequantize_tensor(x);
-                Ok(node.output_qp.quantize_tensor(&ops::flatten(&f)))
+                Ok(map_unary(x, vec![x.numel()], x_qp, node.output_qp, |v| v))
             }
             QuantizedLayer::Identity => {
-                let f = x_qp.dequantize_tensor(x);
-                Ok(node.output_qp.quantize_tensor(&f))
+                Ok(map_unary(x, x.shape().to_vec(), x_qp, node.output_qp, |v| v))
             }
             QuantizedLayer::Add => {
                 let (b, b_qp) = input_of(1);
@@ -384,6 +397,7 @@ impl QuantizedModel {
 ///
 /// Returns graph-validation errors from the input model.
 pub fn fold_batch_norm(model: &Model) -> Result<Model, NnError> {
+    let _span = dbpim_trace::span!("nn.fold", model = model.name());
     model.validate()?;
     let mut folded = model.clone();
     let node_count = folded.nodes().len();
@@ -439,8 +453,64 @@ pub fn fold_batch_norm(model: &Model) -> Result<Model, NnError> {
     Ok(folded)
 }
 
+/// Maps a unary node (folded batch norm, activation, flatten) through a
+/// 256-entry table. Entry `v` holds `output_qp.quantize(op(x_qp.dequantize(v)))`,
+/// the exact expression the element-wise dequantize → op → quantize path
+/// evaluates, so every output byte matches it.
+fn map_unary(
+    x: &Tensor<i8>,
+    shape: Vec<usize>,
+    x_qp: QuantParams,
+    output_qp: QuantParams,
+    op: impl Fn(f32) -> f32,
+) -> Tensor<i8> {
+    let table: [i8; 256] =
+        std::array::from_fn(|byte| output_qp.quantize(op(x_qp.dequantize(byte as u8 as i8))));
+    let out = x.data().iter().map(|&v| table[usize::from(v as u8)]).collect();
+    Tensor::from_vec(out, shape).expect("a unary node keeps the element count")
+}
+
+/// The zero-centred operand `q_x - zp_x` of every input value, in `i16`
+/// (INT8 activations and zero points keep it within −255…255).
+fn centred(input: &Tensor<i8>, input_qp: QuantParams) -> Vec<i16> {
+    let zp = i16::try_from(input_qp.zero_point()).expect("INT8 zero points fit i16");
+    input.data().iter().map(|&v| i16::from(v) - zp).collect()
+}
+
+/// `Σ a·b` of two `i16` vectors, summed in `i32`; integer sums are exact in
+/// any order, and this form lowers to multiply-add pair instructions.
+fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
+    let mut lanes = [0i32; 16];
+    let (ca, cb) = (a.chunks_exact(16), b.chunks_exact(16));
+    let tail: i32 =
+        ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
+    for (xa, xb) in ca.zip(cb) {
+        for l in 0..16 {
+            lanes[l] += i32::from(xa[l]) * i32::from(xb[l]);
+        }
+    }
+    tail + lanes.iter().sum::<i32>()
+}
+
+/// Filters shorter than this (depthwise layers, and pointwise layers over
+/// few channels) accumulate tap by tap into whole output rows instead of
+/// dotting one im2col patch per output position.
+const SHORT_PATCH: usize = 32;
+
 /// Integer convolution accumulation: `acc[o, y, x] = Σ (q_x - zp_x) * q_w`.
-fn conv2d_i8(
+///
+/// The zero-centred input and the weights are held as `i16` and summed in
+/// `i32`; integer sums are exact in any order. Filters shorter than
+/// [`SHORT_PATCH`] (depthwise layers above all) accumulate each kernel tap
+/// into whole output rows; longer ones build one im2col patch per output
+/// position (interior ones by row copies, padding taps stored as 0) and
+/// dot it with every filter of the group.
+///
+/// # Errors
+///
+/// Returns [`NnError::InputShape`] when the input is not rank 3 or its
+/// channel count does not match the configuration.
+pub fn conv2d_i8(
     input: &Tensor<i8>,
     input_qp: QuantParams,
     weight: &QuantizedTensor,
@@ -457,49 +527,99 @@ fn conv2d_i8(
     }
     let (h, w) = (shape[1], shape[2]);
     let (oh, ow) = cfg.output_hw(h, w);
+    let (k, stride, padding) = (cfg.kernel, cfg.stride, cfg.padding);
     let in_per_group = cfg.in_channels / cfg.groups;
     let out_per_group = cfg.out_channels / cfg.groups;
-    let zp = input_qp.zero_point();
-    let x = input.data();
+    let x = centred(input, input_qp);
     let wv = weight.values().data();
     let mut out = vec![0i32; cfg.out_channels * oh * ow];
-    // Im2col structure: one zero-centered `(q_x - zp)` patch per output
-    // position (padding taps stored as 0, which contributes exactly the
-    // terms the bounds checks used to skip), built once and reused across
-    // every out-channel of the group. The scratch allocation is hoisted out
-    // of the whole position loop.
-    let patch_len = in_per_group * cfg.kernel * cfg.kernel;
-    let mut patch = vec![0i32; patch_len];
+    let patch_len = in_per_group * k * k;
+    if patch_len < SHORT_PATCH {
+        for (oc, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+            let ic_base = oc / out_per_group * in_per_group;
+            let filter = &wv[oc * patch_len..(oc + 1) * patch_len];
+            for ic in 0..in_per_group {
+                let channel = &x[(ic_base + ic) * h * w..][..h * w];
+                if (k, stride, padding) == (1, 1, 0) {
+                    // A pointwise tap covers the whole plane at once.
+                    let q_w = i16::from(filter[ic]);
+                    for (acc, &v) in plane.iter_mut().zip(channel) {
+                        *acc += i32::from(v) * i32::from(q_w);
+                    }
+                    continue;
+                }
+                for (oy, out_row) in plane.chunks_exact_mut(ow).enumerate() {
+                    for ky in 0..k {
+                        let Some(iy) = (oy * stride + ky).checked_sub(padding).filter(|&iy| iy < h)
+                        else {
+                            continue;
+                        };
+                        let row = &channel[iy * w..(iy + 1) * w];
+                        for kx in 0..k {
+                            let q_w = i32::from(filter[(ic * k + ky) * k + kx]);
+                            // Output columns whose tap `kx` lands inside the row.
+                            let lo = padding.saturating_sub(kx).div_ceil(stride);
+                            let hi = ((w + padding).saturating_sub(kx).div_ceil(stride)).min(ow);
+                            if lo >= hi {
+                                continue;
+                            }
+                            let first = lo * stride + kx - padding;
+                            let out_cols = &mut out_row[lo..hi];
+                            if stride == 1 {
+                                for (acc, &v) in out_cols.iter_mut().zip(&row[first..]) {
+                                    *acc += i32::from(v) * q_w;
+                                }
+                            } else {
+                                let taps = row[first..].iter().step_by(stride);
+                                for (acc, &v) in out_cols.iter_mut().zip(taps) {
+                                    *acc += i32::from(v) * q_w;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        return Ok(Tensor::from_vec(out, vec![cfg.out_channels, oh, ow])?);
+    }
+    let interior =
+        |o: usize, extent: usize| o * stride >= padding && o * stride + k <= extent + padding;
+    let w16: Vec<i16> = wv.iter().map(|&v| i16::from(v)).collect();
+    let mut patch = vec![0i16; patch_len];
     for group in 0..cfg.groups {
         let ic_base = group * in_per_group;
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut idx = 0usize;
-                for ic in 0..in_per_group {
-                    for ky in 0..cfg.kernel {
-                        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                        for kx in 0..cfg.kernel {
-                            let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                            patch[idx] = if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize
-                            {
-                                0
-                            } else {
-                                i32::from(x[((ic_base + ic) * h + iy as usize) * w + ix as usize])
-                                    - zp
-                            };
-                            idx += 1;
+                if interior(oy, h) && interior(ox, w) {
+                    let (y0, x0) = (oy * stride - padding, ox * stride - padding);
+                    let mut idx = 0;
+                    for ic in ic_base..ic_base + in_per_group {
+                        for iy in y0..y0 + k {
+                            let start = (ic * h + iy) * w + x0;
+                            patch[idx..idx + k].copy_from_slice(&x[start..start + k]);
+                            idx += k;
+                        }
+                    }
+                } else {
+                    let mut idx = 0;
+                    for ic in ic_base..ic_base + in_per_group {
+                        for ky in 0..k {
+                            let iy = (oy * stride + ky).checked_sub(padding).filter(|&iy| iy < h);
+                            for kx in 0..k {
+                                let ix =
+                                    (ox * stride + kx).checked_sub(padding).filter(|&ix| ix < w);
+                                patch[idx] = match (iy, ix) {
+                                    (Some(iy), Some(ix)) => x[(ic * h + iy) * w + ix],
+                                    _ => 0,
+                                };
+                                idx += 1;
+                            }
                         }
                     }
                 }
                 for oc in group * out_per_group..(group + 1) * out_per_group {
-                    // The filter's weights share the patch's (ic, ky, kx)
-                    // layout, so the dot product is one linear scan.
-                    let row = &wv[oc * patch_len..(oc + 1) * patch_len];
-                    let mut acc = 0i32;
-                    for (&p, &q_w) in patch.iter().zip(row) {
-                        acc += p * i32::from(q_w);
-                    }
-                    out[(oc * oh + oy) * ow + ox] = acc;
+                    out[(oc * oh + oy) * ow + ox] =
+                        dot_i16(&patch, &w16[oc * patch_len..(oc + 1) * patch_len]);
                 }
             }
         }
@@ -507,7 +627,8 @@ fn conv2d_i8(
     Ok(Tensor::from_vec(out, vec![cfg.out_channels, oh, ow])?)
 }
 
-/// Integer fully-connected accumulation.
+/// Integer fully-connected accumulation, with the zero-centred input and
+/// each weight row in `i16`.
 fn linear_i8(
     input: &Tensor<i8>,
     input_qp: QuantParams,
@@ -522,17 +643,16 @@ fn linear_i8(
             actual: input.shape().to_vec(),
         });
     }
-    let zp = input_qp.zero_point();
-    let x = input.data();
+    let n = cfg.in_features;
+    let x = centred(input, input_qp);
     let wv = weight.values().data();
+    let mut row16 = vec![0i16; n];
     let mut out = vec![0i32; cfg.out_features];
     for (o, out_v) in out.iter_mut().enumerate() {
-        let row = &wv[o * cfg.in_features..(o + 1) * cfg.in_features];
-        let mut acc = 0i32;
-        for (&q_x, &q_w) in x.iter().zip(row.iter()) {
-            acc += (i32::from(q_x) - zp) * i32::from(q_w);
+        for (r, &q_w) in row16.iter_mut().zip(&wv[o * n..(o + 1) * n]) {
+            *r = i16::from(q_w);
         }
-        *out_v = acc;
+        *out_v = dot_i16(&x, &row16);
     }
     Ok(Tensor::from_vec(out, vec![cfg.out_features])?)
 }
@@ -706,6 +826,126 @@ mod tests {
         let any = Tensor::<i8>::zeros(vec![1]).unwrap();
         assert!(q.replace_weight_values(flatten_id, any).is_err());
         assert!(q.replace_weight_values(999, Tensor::<i8>::zeros(vec![1]).unwrap()).is_err());
+    }
+
+    #[test]
+    fn conv2d_i8_equals_the_scalar_im2col_loop() {
+        use crate::reference::conv2d_i8_scalar;
+        let mut gen = TensorGenerator::new(21);
+        // The float kernel's grid: dense, grouped and depthwise layers,
+        // below and at the lane widths, including a depthwise channel
+        // multiplier.
+        let layers = [
+            (3, 5, 1),
+            (4, 6, 2),
+            (4, 4, 4),
+            (3, 8, 1),
+            (3, 17, 1),
+            (6, 34, 2),
+            (8, 8, 8),
+            (4, 8, 4),
+        ];
+        for (in_channels, out_channels, groups) in layers {
+            for kernel in [1, 3, 5] {
+                for (stride, padding) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
+                    let cfg = Conv2dCfg::new(in_channels, out_channels, kernel)
+                        .with_stride(stride)
+                        .with_padding(padding)
+                        .with_groups(groups);
+                    let weight = QuantizedTensor::quantize_per_channel(
+                        &gen.weight_tensor(cfg.weight_dims()).unwrap(),
+                        0,
+                    );
+                    for (h, w) in [(9, 7), (6, 21), (kernel, kernel), (1, 2)] {
+                        let image = gen
+                            .tensor(
+                                vec![in_channels, h, w],
+                                dbpim_tensor::random::Distribution::Gaussian { std: 1.0 },
+                            )
+                            .unwrap();
+                        // Zero points across the INT8 range, padding taps
+                        // included.
+                        for (lo, hi) in [(-1.0, 3.0), (0.0, 2.0), (-2.0, 0.0)] {
+                            let qp = QuantParams::affine_from_range(lo, hi);
+                            let x = qp.quantize_tensor(&image);
+                            let got = conv2d_i8(&x, qp, &weight, &cfg, "conv").unwrap();
+                            let want = conv2d_i8_scalar(&x, qp, &weight, &cfg);
+                            let case =
+                                format!("{cfg:?} on {h}x{w}, zero point {}", qp.zero_point());
+                            assert_eq!(got.data(), want.as_slice(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The element-wise dequantize → op → quantize path the unary tables
+    /// replaced.
+    fn unary_oracle(
+        x: &Tensor<i8>,
+        x_qp: QuantParams,
+        output_qp: QuantParams,
+        layer: &QuantizedLayer,
+    ) -> Tensor<i8> {
+        let f = x_qp.dequantize_tensor(x);
+        match layer {
+            QuantizedLayer::Activation(act) => {
+                output_qp.quantize_tensor(&ops::activation(&f, *act))
+            }
+            QuantizedLayer::Flatten => output_qp.quantize_tensor(&ops::flatten(&f)),
+            QuantizedLayer::Identity => output_qp.quantize_tensor(&f),
+            other => unreachable!("{} is not a unary node", other.kind_name()),
+        }
+    }
+
+    #[test]
+    fn unary_tables_equal_dequantize_op_quantize_on_every_byte() {
+        let every_byte: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        let x = Tensor::from_vec(every_byte, vec![4, 8, 8]).unwrap();
+        let layers = [
+            QuantizedLayer::Activation(Activation::Relu),
+            QuantizedLayer::Activation(Activation::Relu6),
+            QuantizedLayer::Activation(Activation::Silu),
+            QuantizedLayer::Activation(Activation::Sigmoid),
+            QuantizedLayer::Activation(Activation::HardSwish),
+            QuantizedLayer::Flatten,
+            QuantizedLayer::Identity,
+        ];
+        let params = [
+            QuantParams::affine_from_range(-3.0, 5.0),
+            QuantParams::affine_from_range(0.0, 6.0),
+            QuantParams::affine_from_range(-0.5, 0.25),
+            QuantParams::affine_from_range(-40.0, 0.0),
+        ];
+        for layer in &layers {
+            for &x_qp in &params {
+                for &output_qp in &params {
+                    let node = QuantizedNode {
+                        id: 0,
+                        name: layer.kind_name().to_string(),
+                        inputs: Vec::new(),
+                        layer: layer.clone(),
+                        output_qp,
+                    };
+                    let model = QuantizedModel {
+                        name: "unary".to_string(),
+                        input_shape: x.shape().to_vec(),
+                        input_qp: x_qp,
+                        nodes: Vec::new(),
+                    };
+                    let got = model.execute_node(&node, &x, &[]).unwrap();
+                    let want = unary_oracle(&x, x_qp, output_qp, layer);
+                    assert_eq!(got.shape(), want.shape(), "{}", layer.kind_name());
+                    assert_eq!(
+                        got.data(),
+                        want.data(),
+                        "{} {x_qp:?} -> {output_qp:?}",
+                        layer.kind_name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl QuantParams {
     /// nearest, saturating at the width's two's-complement range).
     #[must_use]
     pub fn quantize_wide(&self, value: f32, width: OperandWidth) -> i32 {
-        let q = (value / self.scale).round() as i32 + self.zero_point;
+        let q = round_to_i32(value / self.scale) + self.zero_point;
         q.clamp(width.min_value(), width.max_value())
     }
 
@@ -151,6 +151,63 @@ impl QuantParams {
     pub fn dequantize_tensor(&self, tensor: &Tensor<i8>) -> Tensor<f32> {
         tensor.map(|&v| self.dequantize(v))
     }
+}
+
+/// `x.round() as i32`: rounds half away from zero, then casts saturating
+/// (NaN to 0), without the library call `f32::round` becomes on the x86-64
+/// baseline, so quantization loops vectorize. `x as i32` truncates, and
+/// `x - trunc(x)` is exact in `f32`, so comparing it with ±0.5 picks the
+/// same integer `round` does.
+fn round_to_i32(x: f32) -> i32 {
+    let t = x as i32;
+    let frac = x - t as f32;
+    if frac >= 0.5 {
+        t.saturating_add(1)
+    } else if frac <= -0.5 {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
+/// Per-channel symmetric quantization along `axis` (must be 0) at `width`,
+/// in two passes per channel: the abs-max scan, then the quantize, with
+/// each value stored through `store`.
+fn quantize_rows<T>(
+    tensor: &Tensor<f32>,
+    axis: usize,
+    width: OperandWidth,
+    store: impl Fn(i32) -> T,
+) -> (Tensor<T>, QuantScheme) {
+    assert_eq!(axis, 0, "per-channel quantization is only supported along axis 0");
+    let channels = tensor.shape()[0];
+    let per_channel = tensor.numel() / channels;
+    let mut params = Vec::with_capacity(channels);
+    let mut values = Vec::with_capacity(tensor.numel());
+    for c in 0..channels {
+        let slice = &tensor.data()[c * per_channel..(c + 1) * per_channel];
+        let p = QuantParams::symmetric_for_width(abs_max(slice), width);
+        values.extend(slice.iter().map(|&v| store(p.quantize_wide(v, width))));
+        params.push(p);
+    }
+    let values = Tensor::from_vec(values, tensor.shape().to_vec())
+        .expect("same element count as the source tensor");
+    (values, QuantScheme::PerChannel { axis, params })
+}
+
+/// `max |v|` over `values` (0 when empty), in eight independent lanes. The
+/// maximum of a set does not depend on the order it is taken in, so this
+/// equals the serial `fold(0.0, |m, v| m.max(v.abs()))`.
+fn abs_max(values: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    let chunks = values.chunks_exact(lanes.len());
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(v.abs());
+        }
+    }
+    rest.iter().chain(&lanes).fold(0.0f32, |m, &v| m.max(v.abs()))
 }
 
 /// Quantization scheme attached to a quantized tensor.
@@ -219,15 +276,16 @@ impl QuantizedTensor {
     ///
     /// This is the INT8 instance of
     /// [`WideQuantizedTensor::quantize_per_channel`] — one algorithm, so the
-    /// two paths cannot drift apart; INT8 values always fit `i8`.
+    /// two paths cannot drift apart; INT8 values always fit `i8` and are
+    /// stored straight into it.
     ///
     /// # Panics
     ///
     /// Panics if `axis != 0`; only the output-channel axis is supported.
     #[must_use]
     pub fn quantize_per_channel(tensor: &Tensor<f32>, axis: usize) -> Self {
-        let wide = WideQuantizedTensor::quantize_per_channel(tensor, axis, OperandWidth::Int8);
-        Self { values: wide.values.map(|&v| v as i8), scheme: wide.scheme }
+        let (values, scheme) = quantize_rows(tensor, axis, OperandWidth::Int8, |q| q as i8);
+        Self { values, scheme }
     }
 
     /// The quantized INT8 values.
@@ -315,21 +373,8 @@ impl WideQuantizedTensor {
     /// Panics if `axis != 0`; only the output-channel axis is supported.
     #[must_use]
     pub fn quantize_per_channel(tensor: &Tensor<f32>, axis: usize, width: OperandWidth) -> Self {
-        assert_eq!(axis, 0, "per-channel quantization is only supported along axis 0");
-        let channels = tensor.shape()[0];
-        let per_channel = tensor.numel() / channels;
-        let mut params = Vec::with_capacity(channels);
-        let mut values = Vec::with_capacity(tensor.numel());
-        for c in 0..channels {
-            let slice = &tensor.data()[c * per_channel..(c + 1) * per_channel];
-            let abs_max = slice.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let p = QuantParams::symmetric_for_width(abs_max, width);
-            values.extend(slice.iter().map(|&v| p.quantize_wide(v, width)));
-            params.push(p);
-        }
-        let values = Tensor::from_vec(values, tensor.shape().to_vec())
-            .expect("same element count as the source tensor");
-        Self { width, values, scheme: QuantScheme::PerChannel { axis, params } }
+        let (values, scheme) = quantize_rows(tensor, axis, width, |q| q);
+        Self { width, values, scheme }
     }
 
     /// The operand width the values are clamped to.
@@ -495,6 +540,56 @@ mod tests {
         }
         // INT16 resolution on this tensor is essentially exact.
         assert!(previous_mse < 1e-6);
+    }
+
+    #[test]
+    fn round_to_i32_equals_round_then_cast() {
+        let special = [
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            0.49999997,
+            -0.49999997,
+            8_388_607.5,
+            -8_388_607.5,
+            16_777_215.0,
+            2_147_483_520.0,
+            2_147_483_648.0,
+            -2_147_483_648.0,
+            3e9,
+            -3e9,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+        ];
+        // Every half-integer and its neighbours across the quantized
+        // ranges, then a sweep of bit patterns over all magnitudes.
+        let halves = (-70_000..70_000).flat_map(|i| {
+            let x = i as f32 + 0.5;
+            [x, f32::from_bits(x.to_bits() + 1), f32::from_bits(x.to_bits() - 1)]
+        });
+        let patterns = (0..u32::MAX / 9973).map(|i| f32::from_bits(i * 9973));
+        for x in special.into_iter().chain(halves).chain(patterns) {
+            assert_eq!(round_to_i32(x), x.round() as i32, "{x:e} ({:#x})", x.to_bits());
+        }
+    }
+
+    #[test]
+    fn abs_max_equals_the_serial_fold() {
+        for len in [0, 1, 7, 8, 9, 23, 64] {
+            let values: Vec<f32> =
+                (0..len).map(|i| ((i * 37 % 19) as f32 - 9.0) / 3.0 * (i % 3) as f32).collect();
+            let serial = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            assert_eq!(abs_max(&values).to_bits(), serial.to_bits(), "len {len}");
+        }
     }
 
     #[test]

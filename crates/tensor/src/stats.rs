@@ -64,6 +64,27 @@ impl WeightBitStats {
         }
     }
 
+    /// Statistics from counts taken elsewhere over `total_values` values of
+    /// `width`: how many are zero, and their non-zero magnitude bits and
+    /// CSD digits. [`from_wide_values`](Self::from_wide_values) of the same
+    /// values gives the same statistics.
+    #[must_use]
+    pub fn from_counts(
+        width: OperandWidth,
+        total_values: usize,
+        zero_values: usize,
+        binary_nonzero_bits: u64,
+        csd_nonzero_bits: u64,
+    ) -> Self {
+        Self {
+            bit_width: width.bits(),
+            total_values,
+            zero_values,
+            binary_nonzero_bits,
+            csd_nonzero_bits,
+        }
+    }
+
     /// Merges statistics from another set of values (e.g. another layer).
     /// Both sets must cover the same bit width for the ratios to stay
     /// meaningful; the merged statistics keep `self`'s width.
@@ -144,20 +165,32 @@ impl WeightBitStats {
 /// ```
 #[must_use]
 pub fn zero_bit_column_ratio(values: &[i8], group_size: usize) -> f64 {
+    centred_zero_bit_column_ratio(values, 0, group_size)
+}
+
+/// [`zero_bit_column_ratio`] of the operand `v - zero_point` (as an 8-bit
+/// pattern) of every value, without materializing the operands: the form
+/// the IPU sees for affine-quantized activations.
+///
+/// A group's zero columns are the zero bits of the OR of its values, so
+/// each group costs one OR-reduction and one popcount.
+///
+/// # Panics
+///
+/// Panics if `group_size` is zero.
+#[must_use]
+pub fn centred_zero_bit_column_ratio(values: &[i8], zero_point: i32, group_size: usize) -> f64 {
     assert!(group_size > 0, "group size must be non-zero");
     if values.is_empty() {
         return 1.0;
     }
+    let offset = zero_point as u8;
     let mut zero_columns = 0u64;
     let mut total_columns = 0u64;
     for group in values.chunks(group_size) {
-        for bit in 0..BIT_WIDTH {
-            total_columns += 1;
-            let all_zero = group.iter().all(|&v| (v as u8) & (1 << bit) == 0);
-            if all_zero {
-                zero_columns += 1;
-            }
-        }
+        let set = group.iter().fold(0u8, |acc, &v| acc | (v as u8).wrapping_sub(offset));
+        total_columns += u64::from(BIT_WIDTH);
+        zero_columns += u64::from(BIT_WIDTH - set.count_ones());
     }
     ratio(zero_columns, total_columns)
 }
@@ -274,6 +307,50 @@ mod tests {
         let mean: f64 = profile.iter().sum::<f64>() / profile.len() as f64;
         let ratio = zero_bit_column_ratio(&values, 8);
         assert!((mean - ratio).abs() < 1e-12);
+    }
+
+    /// The per-column scan [`zero_bit_column_ratio`] replaced.
+    fn scanned_zero_bit_column_ratio(values: &[i8], group_size: usize) -> f64 {
+        if values.is_empty() {
+            return 1.0;
+        }
+        let mut zero_columns = 0u64;
+        let mut total_columns = 0u64;
+        for group in values.chunks(group_size) {
+            for bit in 0..BIT_WIDTH {
+                total_columns += 1;
+                if group.iter().all(|&v| (v as u8) & (1 << bit) == 0) {
+                    zero_columns += 1;
+                }
+            }
+        }
+        ratio(zero_columns, total_columns)
+    }
+
+    #[test]
+    fn or_reduced_columns_equal_the_per_column_scan() {
+        let mut g = TensorGenerator::new(23);
+        let act = g.tensor(vec![1000], Distribution::Relu { zero_prob: 0.6, std: 1.0 }).unwrap();
+        let (lo, hi) = act.min_max();
+        let q = crate::quant::QuantParams::affine_from_range(lo, hi).quantize_tensor(&act);
+        // Lengths the group size divides and lengths it does not.
+        for len in [0, 1, 15, 16, 17, 100, 1000] {
+            let values = &q.data()[..len];
+            for group in [1, 3, 8, 16, 64] {
+                let scanned = scanned_zero_bit_column_ratio(values, group);
+                let ored = zero_bit_column_ratio(values, group);
+                assert_eq!(ored.to_bits(), scanned.to_bits(), "len {len} group {group}");
+                for zero_point in [-128, -37, 0, 5, 127] {
+                    let operands: Vec<i8> =
+                        values.iter().map(|&v| (i32::from(v) - zero_point) as u8 as i8).collect();
+                    assert_eq!(
+                        centred_zero_bit_column_ratio(values, zero_point, group).to_bits(),
+                        scanned_zero_bit_column_ratio(&operands, group).to_bits(),
+                        "len {len} group {group} zero point {zero_point}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

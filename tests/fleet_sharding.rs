@@ -8,7 +8,8 @@
 //!   once (straggler reassignment + worker retirement);
 //! * adversarial shard directories — overlapping shards, half-written
 //!   snapshots, snapshots answering a different spec — resume cleanly,
-//!   are skipped with a diagnostic, or error, respectively.
+//!   are skipped with a diagnostic, or error, respectively;
+//! * resuming with fewer workers leaves no stale shard journal behind.
 
 use std::collections::HashSet;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -363,6 +364,49 @@ fn legacy_one_line_shard_snapshots_resume() {
     assert_eq!(outcome.stats.resumed_points, 3);
     assert_eq!(outcome.stats.fresh_points, 5);
     assert!(outcome.report.results_match(&single));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Resuming a two-worker snapshot directory with one worker moves every
+/// entry into `shard-000.json` and removes `shard-001.json`, so later
+/// resumes read each entry once; the report and `merged.json` still match a
+/// cold run, and a further resume computes nothing.
+#[test]
+fn resuming_with_fewer_workers_removes_the_stale_shard_journals() {
+    let config = small_config();
+    let spec = small_spec();
+    let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
+    let dir = temp_dir("fewer-workers");
+    let fleet = |workers: usize| {
+        let fleet_config =
+            FleetConfig::new(config, vec![WorkerSpec::Local; workers]).with_snapshot_dir(&dir);
+        FleetDriver::new(fleet_config).run(&spec).expect("fleet runs")
+    };
+    let shard_files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("dir readable")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("shard-"))
+            .collect();
+        names.sort();
+        names
+    };
+    fleet(2);
+    assert_eq!(shard_files(), ["shard-000.json", "shard-001.json"]);
+
+    let resumed = fleet(1);
+    assert_eq!(shard_files(), ["shard-000.json"], "{:?}", resumed.stats.diagnostics);
+    assert_eq!((resumed.stats.resumed_points, resumed.stats.fresh_points), (8, 0));
+    assert!(resumed.report.results_match(&single), "resumed fleet diverges");
+    let merged = DseReport::load(dir.join("merged.json")).expect("merged loads");
+    assert!(merged.results_match(&single), "merged.json diverges");
+    let journal = std::fs::read_to_string(dir.join("shard-000.json")).expect("journal readable");
+    assert_eq!(journal.lines().count(), 1 + 8, "a header and one line per point");
+
+    let again = fleet(1);
+    assert_eq!((again.stats.resumed_points, again.stats.fresh_points), (8, 0));
+    assert!(again.stats.diagnostics.is_empty(), "{:?}", again.stats.diagnostics);
+    assert!(again.report.results_match(&single));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -76,9 +76,14 @@ fn chrome_export_covers_pipeline_phases_and_parses() {
     let phases = [
         "nn.build",
         "pipeline.quantize",
+        "nn.fold",
+        "nn.quantize",
+        "nn.calibrate",
+        "nn.quantize_weights",
         "pipeline.fta",
         "fta.stats",
         "pipeline.input_sparsity",
+        "nn.forward_i8",
         "pipeline.compile",
         "pipeline.simulate",
     ];
