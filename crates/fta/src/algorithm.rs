@@ -149,26 +149,8 @@ impl FilterApprox {
         threshold: u32,
         tables: &QueryTables,
     ) -> Result<Self, FtaError> {
-        let wide: Vec<i32> = weights.iter().map(|&w| w.into()).collect();
-        Self::approximate_wide_with_threshold(&wide, threshold, tables)
-    }
-
-    fn approximate_wide_with_threshold(
-        weights: &[i32],
-        threshold: u32,
-        tables: &QueryTables,
-    ) -> Result<Self, FtaError> {
         let table = tables.table(threshold)?;
-        // Zero is exactly representable at every threshold (it has no
-        // non-zero CSD digits), so value-pruned weights skip the query-table
-        // search entirely and a fully-pruned filter (threshold 0) never
-        // consumes a table entry. `T(0) = {0}` makes the short-circuit
-        // bit-identical to the searched result for any input.
-        let values = if threshold == 0 {
-            vec![0; weights.len()]
-        } else {
-            weights.iter().map(|&w| if w == 0 { 0 } else { table.nearest(w) }).collect()
-        };
+        let values = weights.iter().map(|&w| table.nearest(w.into())).collect();
         Ok(Self { threshold, width: tables.width(), values })
     }
 
@@ -709,10 +691,9 @@ mod tests {
 
     #[test]
     fn pruned_zeros_survive_the_approximation_losslessly() {
-        // A value-pruned filter: zeros interleaved with real weights. The
-        // zero-skip fast path must leave every zero exactly zero and every
-        // surviving weight identical to an unpruned filter of the same
-        // values, at every operand width.
+        // A value-pruned filter: zeros interleaved with real weights. Every
+        // zero must stay exactly zero and every surviving weight must take
+        // its table's nearest member, at every operand width.
         for width in OperandWidth::all() {
             let tables = QueryTables::for_width(width);
             let survivors: Vec<i32> =
@@ -728,8 +709,6 @@ mod tests {
                 if i % 2 == 0 {
                     assert_eq!(v, 0, "{width}: pruned slot {i} must stay zero");
                 } else {
-                    // The zero-skip must not perturb the searched result for
-                    // the surviving weights.
                     let table = tables.table(f.threshold()).unwrap();
                     assert_eq!(v, table.nearest(pruned[i]), "{width}: slot {i}");
                 }
@@ -739,7 +718,6 @@ mod tests {
 
     #[test]
     fn explicit_zero_threshold_snaps_everything_to_zero() {
-        // The threshold-0 short circuit must match the searched behaviour:
         // T(0) = {0} maps every value to zero.
         let f = FilterApprox::approximate_with_threshold(&[7i8, -3, 0, 127], 0, &tables()).unwrap();
         assert_eq!(f.values(), &[0, 0, 0, 0]);
