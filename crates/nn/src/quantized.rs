@@ -472,8 +472,15 @@ fn map_unary(
 
 /// The zero-centred operand `q_x - zp_x` of every input value, in `i16`
 /// (INT8 activations and zero points keep it within −255…255).
+///
+/// # Panics
+///
+/// Panics if the zero point lies outside the INT8 range; the quantizer
+/// only produces INT8 activation parameters.
 fn centred(input: &Tensor<i8>, input_qp: QuantParams) -> Vec<i16> {
-    let zp = i16::try_from(input_qp.zero_point()).expect("INT8 zero points fit i16");
+    let zp = input_qp.zero_point();
+    assert!((-128..=127).contains(&zp), "INT8 activation zero point {zp} outside -128..=127");
+    let zp = zp as i16;
     input.data().iter().map(|&v| i16::from(v) - zp).collect()
 }
 
