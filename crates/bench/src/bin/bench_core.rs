@@ -282,13 +282,16 @@ fn run(quick: bool) -> Report {
     );
     let qp = QuantParams::affine_from_range(-3.0, 3.0);
     let q_input = qp.quantize_tensor(&input);
-    let q_weight = QuantizedTensor::quantize_per_channel(&weight, 0);
-    let checksum = |out: &[i32]| out.iter().map(|&v| v as u64).sum::<u64>();
+    let q_weight = QuantizedTensor::quantize_per_channel(&weight, 0, OperandWidth::Int8);
+    // Both checksums sign-extend each sum to 64 bits, so they agree.
+    let checksum_i64 = |out: &[i64]| out.iter().map(|&v| v as u64).sum::<u64>();
+    let checksum_i32 = |out: &[i32]| out.iter().map(|&v| v as u64).sum::<u64>();
     h.bench_pair(
         ("nn/conv2d_i8", || {
-            checksum(conv2d_i8(&q_input, qp, &q_weight, &conv, "conv").expect("convolves").data())
+            let acc = conv2d_i8(&q_input, qp, &q_weight, &conv, "conv").expect("convolves");
+            checksum_i64(acc.data())
         }),
-        ("nn/conv2d_i8_scalar", || checksum(&conv2d_i8_scalar(&q_input, qp, &q_weight, &conv))),
+        ("nn/conv2d_i8_scalar", || checksum_i32(&conv2d_i8_scalar(&q_input, qp, &q_weight, &conv))),
     );
 
     let pipeline =

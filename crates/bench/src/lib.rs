@@ -19,7 +19,7 @@ use dbpim_fta::stats::{LayerFtaStats, ModelFtaStats};
 use dbpim_fta::LayerApprox;
 use dbpim_nn::Layer;
 use dbpim_tensor::quant::QuantizedTensor;
-use dbpim_tensor::stats::zero_bit_column_ratio;
+use dbpim_tensor::stats::centred_zero_bit_column_ratio;
 use dbpim_trace::TraceSink;
 
 pub mod dse;
@@ -226,12 +226,12 @@ pub fn build_model(kind: ModelKind, options: &ExperimentOptions) -> Result<Model
     Ok(kind.build_with_width(options.classes, options.seed, options.width_mult)?)
 }
 
-/// Weight-only FTA sparsity statistics of a model (Fig. 2(a), the `U_act`
-/// rows of Table 3).
+/// Weight-only FTA sparsity statistics of a model (Fig. 2(a)).
 ///
 /// This path quantizes each PIM layer's weights per output channel and runs
 /// Algorithm 1 directly, without any calibration forward passes — weights
-/// are all Fig. 2(a) needs.
+/// are all Fig. 2(a) needs. (Table 3's `U_act` rows read the shared
+/// [`ExperimentContext::zoo_sweep`] instead.)
 ///
 /// # Errors
 ///
@@ -244,9 +244,8 @@ pub fn weight_sparsity_stats(model: &Model) -> Result<ModelFtaStats, PipelineErr
             Layer::Conv2d { weight, .. } | Layer::Linear { weight, .. } => weight,
             _ => continue,
         };
-        let quantized = QuantizedTensor::quantize_per_channel(weight, 0);
-        let approx =
-            LayerApprox::from_weights(node.id, node.name.clone(), quantized.values(), &tables)?;
+        let quantized = QuantizedTensor::quantize_per_channel(weight, 0, OperandWidth::Int8);
+        let approx = LayerApprox::from_weights(node.id, node.name.clone(), quantized, &tables)?;
         layers.push(LayerFtaStats::from_layer(&approx));
     }
     Ok(ModelFtaStats { model_name: model.name().to_string(), layers })
@@ -285,10 +284,8 @@ pub fn input_column_sparsity(
                 let producer = node.inputs[0];
                 (&outputs[producer], quantized.nodes()[producer].output_qp.zero_point())
             };
-            let operand: Vec<i8> =
-                tensor.data().iter().map(|&v| (i32::from(v) - zero_point) as u8 as i8).collect();
             for (slot, &group) in group_sizes.iter().enumerate() {
-                sums[slot] += zero_bit_column_ratio(&operand, group);
+                sums[slot] += centred_zero_bit_column_ratio(tensor.data(), zero_point, group);
             }
             samples += 1;
         }

@@ -80,8 +80,8 @@ pub struct DseSpec {
     /// means "the session's configured pruning" — the identity spec by
     /// default, i.e. the classic unpruned exploration.
     pub pruning: Vec<PruningSpec>,
-    /// Evaluate accuracy fidelity where defined (INT8 width, evaluation
-    /// images configured).
+    /// Evaluate accuracy fidelity (every width, when evaluation images are
+    /// configured): each point's FTA model against the INT8 baseline.
     pub fidelity: bool,
 }
 

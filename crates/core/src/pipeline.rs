@@ -39,8 +39,8 @@ pub struct PipelineConfig {
     pub arch: ArchConfig,
     /// Weight operand width the FTA/compile/simulate stages run at. The
     /// INT8 default reproduces the paper; other widths quantize the float
-    /// weights per channel at that width and disable the (INT8-only)
-    /// fidelity evaluation.
+    /// weights per channel at that width, and their fidelity compares the
+    /// FTA model at that width against the INT8 baseline.
     pub operand_width: OperandWidth,
     /// Value-level magnitude pruning applied to the float weights before
     /// quantization. [`PruningSpec::none`] (the default presets) leaves the

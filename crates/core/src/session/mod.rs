@@ -187,9 +187,10 @@ impl ModelArtifacts {
 
         // Quantization and FTA approximation. Activations are always INT8;
         // the weight-side approximation runs at the configured operand
-        // width. The INT8 path goes through the quantized model exactly as
-        // the paper's pipeline always has, so its results stay bit-identical.
-        // Batch norms are folded once and the folded model feeds both.
+        // width. At INT8 it approximates the weight tensors the quantizer
+        // already built; other widths quantize the folded float weights at
+        // their width. Batch norms are folded once and the folded model
+        // feeds both.
         let (folded, quantized) = {
             let _span = dbpim_trace::span!("pipeline.quantize");
             let folded = fold_batch_norm(work_model)?;
@@ -270,7 +271,7 @@ impl ModelArtifacts {
         &self.summary
     }
 
-    /// The INT8-quantized model.
+    /// The INT8-quantized model (the fidelity baseline).
     #[must_use]
     pub fn quantized(&self) -> &QuantizedModel {
         &self.quantized
@@ -357,26 +358,18 @@ impl ModelArtifacts {
     }
 
     /// The fidelity report (Table 2 substitute), evaluated on first request
-    /// and cached.
+    /// and cached: the FTA model at the configured operand width against
+    /// the INT8 baseline, on the same evaluation batch.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::BadConfig`] when the configuration disables
-    /// the fidelity evaluation (`evaluation_images == 0`) or runs at a
-    /// non-INT8 operand width (the quantized executor is INT8-only), and
-    /// propagates evaluation failures.
+    /// the fidelity evaluation (`evaluation_images == 0`), and propagates
+    /// evaluation failures.
     pub fn fidelity(&self) -> Result<FidelityReport, PipelineError> {
         if self.config.evaluation_images == 0 {
             return Err(PipelineError::BadConfig {
                 reason: "fidelity requested but evaluation_images is 0".to_string(),
-            });
-        }
-        if self.config.operand_width != OperandWidth::Int8 {
-            return Err(PipelineError::BadConfig {
-                reason: format!(
-                    "fidelity is only defined for the INT8 executor, not {}",
-                    self.config.operand_width
-                ),
             });
         }
         let mut cache = lock_unpoisoned(&self.fidelity);
@@ -429,10 +422,7 @@ impl ModelArtifacts {
         sparsity: &[SparsityConfig],
         with_fidelity: bool,
     ) -> Result<CodesignResult, PipelineError> {
-        let fidelity = if with_fidelity
-            && self.config.evaluation_images > 0
-            && self.config.operand_width == OperandWidth::Int8
-        {
+        let fidelity = if with_fidelity && self.config.evaluation_images > 0 {
             Some(self.fidelity()?)
         } else {
             None
@@ -823,7 +813,8 @@ pub struct SweepSpec {
     /// configured architecture".
     pub archs: Vec<ArchConfig>,
     /// Weight operand widths to sweep; empty means "the session's
-    /// configured width". Non-INT8 widths skip the fidelity evaluation.
+    /// configured width". Every width evaluates fidelity when asked: its
+    /// FTA model against the INT8 baseline.
     pub widths: Vec<OperandWidth>,
     /// Value-level pruning specs to sweep (the joint value/bit sparsity
     /// axis); empty means "the session's configured pruning" — by default

@@ -10,13 +10,14 @@
 //!
 //! The paper runs the algorithm on INT8 weights; every type here carries an
 //! [`OperandWidth`] (taken from the [`QueryTables`] it was built with) so the
-//! same code serves INT4/INT12/INT16 weight tensors. Approximated values are
-//! stored as `i32` regardless of width; at [`OperandWidth::Int8`] they are
-//! numerically identical to the historical `i8` pipeline.
+//! same code serves INT4/INT12/INT16 weight tensors. A layer is built from
+//! one [`QuantizedTensor`] at any width and returns its approximation as a
+//! [`QuantizedTensor`] with the same per-channel scales, which
+//! [`ModelApprox::apply`] installs in the quantized executor at every width.
 
 use dbpim_csd::OperandWidth;
 use dbpim_nn::{NodeId, QuantizedModel};
-use dbpim_tensor::quant::WideQuantizedTensor;
+use dbpim_tensor::quant::QuantizedTensor;
 use dbpim_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -37,9 +38,9 @@ pub struct FilterApprox {
 impl FilterApprox {
     /// Runs Algorithm 1 on one filter's flattened weights.
     ///
-    /// Accepts any integer type that widens to `i32` (`i8` for the INT8
-    /// pipeline, `i32` for the width-generic one); the operand width is the
-    /// one the `tables` were built for.
+    /// Accepts any integer type that widens to `i32` (the `i16` values of a
+    /// [`QuantizedTensor`] among them); the operand width is the one the
+    /// `tables` were built for.
     ///
     /// # Errors
     ///
@@ -49,20 +50,18 @@ impl FilterApprox {
         weights: &[T],
         tables: &QueryTables,
     ) -> Result<Self, FtaError> {
-        let mut original = Vec::with_capacity(weights.len());
-        Ok(Self::approximate_counted(weights, tables, &mut original, &mut Vec::new()).0)
+        Ok(Self::approximate_counted(weights, tables, &mut Vec::new()).0)
     }
 
     /// Algorithm 1 on one filter in two passes over its weights, counting
-    /// what the FTA statistics need on the way. Pass one appends the
-    /// weights to `original` and takes their value histogram in `bins` (a
-    /// zeroed scratch reused across filters); pass two maps each weight to
-    /// its nearest table member. Everything else is counted per distinct
-    /// value: the φ histogram that selects the threshold, the original's
-    /// zero, binary-bit and CSD-digit counts, and the stored cells,
-    /// non-zero weights and absolute error of the approximation. A filter
-    /// shorter than its width's value range, or holding a value outside
-    /// it, is counted weight by weight instead.
+    /// what the FTA statistics need on the way. Pass one takes the weights'
+    /// value histogram in `bins` (a zeroed scratch reused across filters);
+    /// pass two maps each weight to its nearest table member. Everything
+    /// else is counted per distinct value: the φ histogram that selects the
+    /// threshold, the original's zero, binary-bit and CSD-digit counts, and
+    /// the stored cells, non-zero weights and absolute error of the
+    /// approximation. A filter shorter than its width's value range, or
+    /// holding a value outside it, is counted weight by weight instead.
     ///
     /// # Panics
     ///
@@ -72,18 +71,15 @@ impl FilterApprox {
     fn approximate_counted<T: Into<i32> + Copy>(
         weights: &[T],
         tables: &QueryTables,
-        original: &mut Vec<i32>,
         bins: &mut Vec<usize>,
     ) -> (Self, FilterCounts) {
-        let start = original.len();
-        original.extend(weights.iter().map(|&w| w.into()));
-        let original = &original[start..];
+        let original = || weights.iter().map(|&w| w.into());
         let width = tables.width();
         let (min, max) = (width.min_value(), width.max_value());
         let range = (max - min) as usize + 1;
-        let binned = range <= original.len() && {
+        let binned = range <= weights.len() && {
             bins.resize(range, 0);
-            let in_range = original.iter().all(|&v| {
+            let in_range = original().all(|v: i32| {
                 bins.get_mut(v.wrapping_sub(min) as u32 as usize).map(|count| *count += 1).is_some()
             });
             if !in_range {
@@ -91,7 +87,7 @@ impl FilterApprox {
             }
             in_range
         };
-        let weight_counts = || original.iter().map(|&v| (v, 1));
+        let weight_counts = || original().map(|v| (v, 1));
         let value_counts = || {
             bins.iter().zip(min..).filter(|&(&count, _)| count > 0).map(|(&count, v)| (v, count))
         };
@@ -110,14 +106,14 @@ impl FilterApprox {
         } else {
             weight_counts().for_each(&mut count_digits);
         }
-        let threshold = threshold_from_histogram(&hist, original.len());
+        let threshold = threshold_from_histogram(&hist, weights.len());
 
         // Zero is a member of every table (it has no non-zero CSD digits),
         // so pruned weights stay zero and `T(0) = {0}` maps a fully-pruned
         // filter to zeros.
         let nearest =
             tables.table(threshold).expect("Algorithm 1 thresholds are at most 2").nearest_lookup();
-        let values = original.iter().map(|&o| nearest(o).0).collect();
+        let values = original().map(|o| nearest(o).0).collect();
         let mut counts =
             FilterCounts { binary_bits, csd_digits, zeros: hist[0], ..FilterCounts::default() };
         let mut count_approximation = |(o, count): (i32, usize)| {
@@ -207,14 +203,14 @@ impl FilterApprox {
 
     /// Mean absolute approximation error against the original weights.
     #[must_use]
-    pub fn mean_abs_error(&self, original: &[i32]) -> f64 {
+    pub fn mean_abs_error<T: Into<i32> + Copy>(&self, original: &[T]) -> f64 {
         if original.is_empty() {
             return 0.0;
         }
         let sum: i64 = original
             .iter()
             .zip(&self.values)
-            .map(|(&o, &a)| (i64::from(o) - i64::from(a)).abs())
+            .map(|(&o, &a)| (i64::from(o.into()) - i64::from(a)).abs())
             .sum();
         sum as f64 / original.len() as f64
     }
@@ -298,16 +294,18 @@ pub struct LayerApprox {
     node_id: NodeId,
     name: String,
     width: OperandWidth,
-    weight_shape: Vec<usize>,
     filter_len: usize,
-    original: Vec<i32>,
+    /// The quantized weights the layer approximated.
+    original: QuantizedTensor,
     filters: Vec<FilterApprox>,
     /// Per-filter counts from the approximation passes.
     counts: Vec<FilterCounts>,
 }
 
 impl LayerApprox {
-    /// Approximates the INT8 weight tensor of one layer.
+    /// Runs Algorithm 1 over every filter of one layer's quantized weights,
+    /// whose values lie in the range of the `tables`' operand width. The
+    /// layer keeps `weights` as its original weights.
     ///
     /// # Errors
     ///
@@ -315,57 +313,32 @@ impl LayerApprox {
     pub fn from_weights(
         node_id: NodeId,
         name: impl Into<String>,
-        weights: &Tensor<i8>,
+        weights: QuantizedTensor,
         tables: &QueryTables,
     ) -> Result<Self, FtaError> {
-        Self::from_values(node_id, name.into(), weights.shape(), weights.data(), tables)
-    }
-
-    /// Approximates a width-generic weight tensor (`i32` values in the range
-    /// of the `tables`' operand width).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtaError::BadWeightShape`] for tensors of rank below 2.
-    pub fn from_wide_weights(
-        node_id: NodeId,
-        name: impl Into<String>,
-        weights: &Tensor<i32>,
-        tables: &QueryTables,
-    ) -> Result<Self, FtaError> {
-        Self::from_values(node_id, name.into(), weights.shape(), weights.data(), tables)
-    }
-
-    fn from_values<T: Into<i32> + Copy>(
-        node_id: NodeId,
-        name: String,
-        shape: &[usize],
-        data: &[T],
-        tables: &QueryTables,
-    ) -> Result<Self, FtaError> {
+        let shape = weights.values().shape();
         if shape.len() < 2 {
             return Err(FtaError::BadWeightShape { shape: shape.to_vec() });
         }
+        let data = weights.values().data();
         let filters_count = shape[0];
         let filter_len = data.len() / filters_count;
-        let mut original = Vec::with_capacity(data.len());
         let mut bins = Vec::new();
         let mut filters = Vec::with_capacity(filters_count);
         let mut counts = Vec::with_capacity(filters_count);
         for f in 0..filters_count {
             let slice = &data[f * filter_len..(f + 1) * filter_len];
             let (filter, filter_counts) =
-                FilterApprox::approximate_counted(slice, tables, &mut original, &mut bins);
+                FilterApprox::approximate_counted(slice, tables, &mut bins);
             filters.push(filter);
             counts.push(filter_counts);
         }
         Ok(Self {
             node_id,
-            name,
+            name: name.into(),
             width: tables.width(),
-            weight_shape: shape.to_vec(),
             filter_len,
-            original,
+            original: weights,
             filters,
             counts,
         })
@@ -409,8 +382,8 @@ impl LayerApprox {
 
     /// The original (pre-approximation) weights, flattened.
     #[must_use]
-    pub fn original_values(&self) -> &[i32] {
-        &self.original
+    pub fn original_values(&self) -> &[i16] {
+        self.original.values().data()
     }
 
     /// Per-filter counts taken while approximating.
@@ -454,39 +427,17 @@ impl LayerApprox {
         hist
     }
 
-    /// The approximated weights reassembled into the original tensor shape,
-    /// at the layer's width.
+    /// The approximated weights reassembled into the original tensor's
+    /// shape, with its per-channel scales.
     #[must_use]
-    pub fn wide_tensor(&self) -> Tensor<i32> {
-        let mut data = Vec::with_capacity(self.original.len());
+    pub fn approximated_tensor(&self) -> QuantizedTensor {
+        let mut data = Vec::with_capacity(self.original.values().numel());
         for f in &self.filters {
-            data.extend_from_slice(f.values());
+            data.extend(f.values().iter().map(|&v| v as i16));
         }
-        Tensor::from_vec(data, self.weight_shape.clone())
-            .expect("filter decomposition preserves the element count")
-    }
-
-    /// The approximated weights reassembled into the original tensor shape
-    /// as INT8 values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the layer's width exceeds [`OperandWidth::Int8`]: wider
-    /// values do not fit `i8`. Use [`wide_tensor`](Self::wide_tensor) for
-    /// width-generic consumers.
-    #[must_use]
-    pub fn approximated_tensor(&self) -> Tensor<i8> {
-        assert!(
-            self.width <= OperandWidth::Int8,
-            "{} values do not fit an INT8 tensor; use wide_tensor()",
-            self.width
-        );
-        let mut data = Vec::with_capacity(self.original.len());
-        for f in &self.filters {
-            data.extend(f.values().iter().map(|&v| v as i8));
-        }
-        Tensor::from_vec(data, self.weight_shape.clone())
-            .expect("filter decomposition preserves the element count")
+        let values = Tensor::from_vec(data, self.original.values().shape().to_vec())
+            .expect("filter decomposition preserves the element count");
+        QuantizedTensor::new(values, self.original.scheme().clone())
     }
 }
 
@@ -500,27 +451,24 @@ pub struct ModelApprox {
 
 impl ModelApprox {
     /// Runs Algorithm 1 over every convolution and fully-connected layer of
-    /// an INT8-quantized model (the paper's pipeline).
+    /// an INT8-quantized model (the paper's pipeline), approximating the
+    /// weight tensors the executor holds.
     ///
     /// # Errors
     ///
     /// Propagates weight-shape errors from the individual layers.
     pub fn from_quantized(model: &QuantizedModel) -> Result<Self, FtaError> {
-        let _span = dbpim_trace::span!("fta.approx", model = model.name(), width = "int8");
-        let tables = QueryTables::for_width(OperandWidth::Int8);
+        let width = OperandWidth::Int8;
+        let _span = dbpim_trace::span!("fta.approx", model = model.name(), width = width.bits());
+        let tables = QueryTables::for_width(width);
         let mut layers = Vec::new();
         for &id in &model.pim_node_ids() {
             let node = &model.nodes()[id];
             let weight =
                 node.layer.weight().expect("pim_node_ids only returns layers with weights");
-            layers.push(LayerApprox::from_weights(
-                id,
-                node.name.clone(),
-                weight.values(),
-                &tables,
-            )?);
+            layers.push(LayerApprox::from_weights(id, node.name.clone(), weight.clone(), &tables)?);
         }
-        Ok(Self { model_name: model.name().to_string(), width: OperandWidth::Int8, layers })
+        Ok(Self { model_name: model.name().to_string(), width, layers })
     }
 
     /// Runs Algorithm 1 at an arbitrary operand width, quantizing the float
@@ -529,9 +477,9 @@ impl ModelApprox {
     /// This is the entry point for INT4/INT12/INT16 workloads: the float
     /// model provides the weights (batch norms folded into their producing
     /// convolutions first, exactly as the INT8 quantizer does),
-    /// [`WideQuantizedTensor`] clamps them to the width's range, and the
-    /// approximation proceeds exactly as the INT8 pipeline does. Callers
-    /// that already hold the folded model call
+    /// [`QuantizedTensor::quantize_per_channel`] clamps them to the width's
+    /// range, and the approximation proceeds exactly as the INT8 pipeline
+    /// does. Callers that already hold the folded model call
     /// [`from_folded_wide`](Self::from_folded_wide).
     ///
     /// # Errors
@@ -554,23 +502,25 @@ impl ModelApprox {
         width: OperandWidth,
     ) -> Result<Self, FtaError> {
         let _span = dbpim_trace::span!("fta.approx", model = folded.name(), width = width.bits());
-        let tables = QueryTables::for_width(width);
-        let mut layers = Vec::new();
-        for node in folded.nodes() {
-            let weight = match &node.layer {
+        let quantize_span = dbpim_trace::span!("fta.quantize", width = width.bits());
+        let weights: Vec<_> = folded
+            .nodes()
+            .iter()
+            .filter_map(|node| match &node.layer {
                 dbpim_nn::Layer::Conv2d { weight, .. } | dbpim_nn::Layer::Linear { weight, .. } => {
-                    weight
+                    Some((node, QuantizedTensor::quantize_per_channel(weight, 0, width)))
                 }
-                _ => continue,
-            };
-            let quantized = WideQuantizedTensor::quantize_per_channel(weight, 0, width);
-            layers.push(LayerApprox::from_wide_weights(
-                node.id,
-                node.name.clone(),
-                quantized.values(),
-                &tables,
-            )?);
-        }
+                _ => None,
+            })
+            .collect();
+        drop(quantize_span);
+        let tables = QueryTables::for_width(width);
+        let layers = weights
+            .into_iter()
+            .map(|(node, weight)| {
+                LayerApprox::from_weights(node.id, node.name.clone(), weight, &tables)
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Self { model_name: folded.name().to_string(), width, layers })
     }
 
@@ -618,25 +568,30 @@ impl ModelApprox {
     }
 
     /// Builds the FTA variant of a quantized model by substituting every
-    /// approximated weight tensor.
+    /// approximated weight tensor — values and per-channel scales at the
+    /// approximation's width — for the model's PIM weights. Activations
+    /// stay INT8.
     ///
     /// # Errors
     ///
-    /// Returns [`FtaError::UnsupportedWidth`] for non-INT8 approximations —
-    /// the quantized executor stores INT8 weights with INT8 scales, so even
-    /// narrower (INT4) values would be installed against mismatched
-    /// per-channel scales — and an error when the model's graph no longer
-    /// matches the approximation (e.g. different shapes).
+    /// Returns an error when the model's graph no longer matches the
+    /// approximation (e.g. different shapes).
     pub fn apply(&self, model: &QuantizedModel) -> Result<QuantizedModel, FtaError> {
-        if self.width != OperandWidth::Int8 {
-            return Err(FtaError::UnsupportedWidth { bits: self.width.bits() });
-        }
         let mut fta_model = model.clone();
         for layer in &self.layers {
-            fta_model.replace_weight_values(layer.node_id, layer.approximated_tensor())?;
+            fta_model.replace_weight(layer.node_id, layer.approximated_tensor())?;
         }
         Ok(fta_model)
     }
+}
+
+/// `values` of `shape` as a quantized weight tensor with unit scales.
+#[cfg(test)]
+pub(crate) fn unit_scale_weights(values: Vec<i16>, shape: Vec<usize>) -> QuantizedTensor {
+    use dbpim_tensor::quant::{QuantParams, QuantScheme};
+    let params = vec![QuantParams::new(1.0, 0); shape[0]];
+    let values = Tensor::from_vec(values, shape).expect("values fill the shape");
+    QuantizedTensor::new(values, QuantScheme::PerChannel { axis: 0, params })
 }
 
 #[cfg(test)]
@@ -769,9 +724,8 @@ mod tests {
 
     #[test]
     fn layer_approx_round_trips_shape() {
-        let weights =
-            Tensor::from_vec((0..32).map(|v| (v * 7 % 120) as i8).collect(), vec![4, 8]).unwrap();
-        let layer = LayerApprox::from_weights(3, "conv", &weights, &tables()).unwrap();
+        let weights = unit_scale_weights((0..32).map(|v| v * 7 % 120).collect(), vec![4, 8]);
+        let layer = LayerApprox::from_weights(3, "conv", weights.clone(), &tables()).unwrap();
         assert_eq!(layer.node_id(), 3);
         assert_eq!(layer.name(), "conv");
         assert_eq!(layer.width(), OperandWidth::Int8);
@@ -779,52 +733,60 @@ mod tests {
         assert_eq!(layer.filter_len(), 8);
         assert_eq!(layer.thresholds().len(), 4);
         assert_eq!(layer.threshold_histogram().iter().sum::<usize>(), 4);
+        assert_eq!(layer.original_values(), weights.values().data());
         let t = layer.approximated_tensor();
-        assert_eq!(t.shape(), weights.shape());
-        let wide = layer.wide_tensor();
-        for (&a, &b) in t.data().iter().zip(wide.data()) {
-            assert_eq!(i32::from(a), b);
-        }
+        assert_eq!(t.values().shape(), weights.values().shape());
+        assert_eq!(t.scheme(), weights.scheme());
+        let filters = layer.filters().iter().flat_map(|f| f.values().iter().map(|&v| v as i16));
+        assert!(t.values().data().iter().copied().eq(filters));
     }
 
     #[test]
-    fn apply_rejects_any_non_int8_approximation() {
+    fn apply_installs_every_width_on_the_pim_layers() {
         use dbpim_nn::zoo;
         use dbpim_tensor::random::TensorGenerator;
         let model = zoo::tiny_cnn(10, 31).unwrap();
+        let folded = dbpim_nn::fold_batch_norm(&model).unwrap();
         let mut gen = TensorGenerator::new(32);
         let (calibration, _) = gen.labelled_batch(1, 3, 32, 32, 10).unwrap();
         let quantized = QuantizedModel::quantize(&model, &calibration).unwrap();
-        // Narrower approximations carry non-INT8 scales and must be rejected
-        // just like wider ones, not silently installed.
-        for width in [OperandWidth::Int4, OperandWidth::Int12, OperandWidth::Int16] {
+        for width in OperandWidth::all() {
             let approx = ModelApprox::from_model_wide(&model, width).unwrap();
-            assert!(
-                matches!(
-                    approx.apply(&quantized),
-                    Err(FtaError::UnsupportedWidth { bits }) if bits == width.bits()
-                ),
-                "{width} approximation was applied to the INT8 executor"
-            );
+            let fta_model = approx.apply(&quantized).unwrap();
+            for (base, node) in quantized.nodes().iter().zip(fta_model.nodes()) {
+                let Some(installed) = node.layer.weight() else {
+                    assert_eq!(base, node, "{width}: non-PIM node {} changed", base.name);
+                    continue;
+                };
+                let layer = approx.layer(node.id).unwrap();
+                assert_eq!(installed, &layer.approximated_tensor(), "{width} {}", node.name);
+                // The width's own per-channel scales, not the INT8 ones.
+                let float_weight = match &folded.nodes()[node.id].layer {
+                    dbpim_nn::Layer::Conv2d { weight, .. }
+                    | dbpim_nn::Layer::Linear { weight, .. } => weight,
+                    other => panic!("{} is not a PIM layer", other.kind_name()),
+                };
+                let scales = QuantizedTensor::quantize_per_channel(float_weight, 0, width);
+                assert_eq!(installed.scheme(), scales.scheme(), "{width} {}", node.name);
+                assert_eq!(
+                    installed.scheme() == base.layer.weight().unwrap().scheme(),
+                    width == OperandWidth::Int8,
+                    "{width} {}",
+                    node.name
+                );
+            }
+            assert_eq!(fta_model.forward(&calibration[0]).unwrap().shape(), &[10]);
         }
+        // At INT8 the width path approximates exactly the executor's tensors.
         let int8 = ModelApprox::from_quantized(&quantized).unwrap();
-        assert!(int8.apply(&quantized).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "do not fit an INT8 tensor")]
-    fn wide_layers_refuse_the_int8_tensor_view() {
-        let tables = QueryTables::for_width(OperandWidth::Int16);
-        let weights = Tensor::from_vec(vec![1024i32, -2048, 0, 512], vec![2, 2]).unwrap();
-        let layer = LayerApprox::from_wide_weights(0, "wide", &weights, &tables).unwrap();
-        let _ = layer.approximated_tensor();
+        assert_eq!(int8, ModelApprox::from_model_wide(&model, OperandWidth::Int8).unwrap());
     }
 
     #[test]
     fn rank_one_weights_are_rejected() {
-        let weights = Tensor::from_vec(vec![1i8, 2, 3], vec![3]).unwrap();
+        let weights = unit_scale_weights(vec![1, 2, 3], vec![3]);
         assert!(matches!(
-            LayerApprox::from_weights(0, "bad", &weights, &tables()),
+            LayerApprox::from_weights(0, "bad", weights, &tables()),
             Err(FtaError::BadWeightShape { .. })
         ));
     }
@@ -832,12 +794,11 @@ mod tests {
     #[test]
     fn layer_counts_value_sparsity_per_filter() {
         // Filter 0 fully pruned, filter 1 half pruned, filter 2 dense.
-        let weights = Tensor::from_vec(
-            vec![0i8, 0, 0, 0, /* f1 */ 0, 5, 0, 9, /* f2 */ 1, 2, 3, 4],
+        let weights = unit_scale_weights(
+            vec![0, 0, 0, 0, /* f1 */ 0, 5, 0, 9, /* f2 */ 1, 2, 3, 4],
             vec![3, 4],
-        )
-        .unwrap();
-        let layer = LayerApprox::from_weights(0, "pruned", &weights, &tables()).unwrap();
+        );
+        let layer = LayerApprox::from_weights(0, "pruned", weights, &tables()).unwrap();
         assert_eq!(layer.filter_nonzero_counts(), vec![0, 2, 4]);
         assert!((layer.value_zero_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(layer.thresholds()[0], 0);

@@ -36,12 +36,6 @@ pub enum FtaError {
         /// The requested graph node id.
         node_id: usize,
     },
-    /// An operand width unusable for the requested operation (e.g. applying
-    /// a wider-than-INT8 approximation to the INT8 quantized executor).
-    UnsupportedWidth {
-        /// The offending width's bit count.
-        bits: u32,
-    },
 }
 
 impl fmt::Display for FtaError {
@@ -60,9 +54,6 @@ impl fmt::Display for FtaError {
             }
             FtaError::UnknownLayer { node_id } => {
                 write!(f, "no approximated layer for graph node {node_id}")
-            }
-            FtaError::UnsupportedWidth { bits } => {
-                write!(f, "operand width {bits} is not supported by this INT8-only path")
             }
         }
     }

@@ -7,6 +7,11 @@
 //! compared on (a) top-1 agreement between the two models, (b) "accuracy"
 //! against the synthetic labels and (c) logit SQNR. The quantity standing in
 //! for the paper's accuracy drop is `baseline_accuracy - fta_accuracy`.
+//!
+//! Fidelity is defined at every operand width: the FTA model is the INT8
+//! baseline with its PIM weights replaced by the W-bit approximation
+//! ([`ModelApprox::apply`](crate::ModelApprox::apply)), and both run on the
+//! same evaluation batch with INT8 activations.
 
 use dbpim_nn::QuantizedModel;
 use dbpim_tensor::Tensor;
@@ -14,7 +19,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::FtaError;
 
-/// Result of comparing a baseline INT8 model against its FTA variant.
+/// Result of comparing a baseline INT8 model against its FTA variant at
+/// any operand width.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FidelityReport {
     /// Number of evaluated images.

@@ -15,7 +15,7 @@
 //! * [`stats`] — Fig. 2(a)-style sparsity ratios and the `U_act` utilization
 //!   of Table 3.
 //! * [`fidelity`] — the Table 2 substitute comparing the INT8 baseline model
-//!   against its FTA variant.
+//!   against its FTA variant at any operand width.
 //!
 //! # Example
 //!

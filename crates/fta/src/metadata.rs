@@ -239,7 +239,6 @@ impl LayerMetadata {
 mod tests {
     use super::*;
     use crate::table::QueryTables;
-    use dbpim_tensor::Tensor;
 
     #[test]
     fn slots_reconstruct_the_weight() {
@@ -321,17 +320,17 @@ mod tests {
     #[test]
     fn layer_metadata_is_lossless_and_utilization_below_one() {
         let tables = QueryTables::for_width(OperandWidth::Int8);
-        let values: Vec<i8> = (0..64).map(|i| ((i * 13 + 7) % 251) as i8).collect();
-        let weights = Tensor::from_vec(values, vec![8, 8]).unwrap();
+        let values: Vec<i16> = (0..64).map(|i| i16::from(((i * 13 + 7) % 251) as i8)).collect();
+        let weights = crate::algorithm::unit_scale_weights(values, vec![8, 8]);
         let layer =
-            crate::algorithm::LayerApprox::from_weights(1, "conv", &weights, &tables).unwrap();
+            crate::algorithm::LayerApprox::from_weights(1, "conv", weights, &tables).unwrap();
         let meta = LayerMetadata::from_layer(&layer);
 
         // Reconstruction equals the approximated tensor.
         let approx = layer.approximated_tensor();
         for (f, filter_meta) in meta.filters.iter().enumerate() {
             for (j, slots) in filter_meta.weights.iter().enumerate() {
-                assert_eq!(slots.reconstruct(), i32::from(approx.data()[f * 8 + j]));
+                assert_eq!(slots.reconstruct(), i32::from(approx.values().data()[f * 8 + j]));
             }
         }
 
@@ -344,9 +343,9 @@ mod tests {
     #[test]
     fn all_zero_layer_has_full_utilization_by_convention() {
         let tables = QueryTables::for_width(OperandWidth::Int8);
-        let weights = Tensor::from_vec(vec![0i8; 16], vec![4, 4]).unwrap();
+        let weights = crate::algorithm::unit_scale_weights(vec![0; 16], vec![4, 4]);
         let layer =
-            crate::algorithm::LayerApprox::from_weights(0, "zeros", &weights, &tables).unwrap();
+            crate::algorithm::LayerApprox::from_weights(0, "zeros", weights, &tables).unwrap();
         let meta = LayerMetadata::from_layer(&layer);
         assert_eq!(meta.allocated_cells(), 0);
         assert_eq!(meta.utilization(), 1.0);

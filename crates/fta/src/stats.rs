@@ -194,25 +194,24 @@ impl ModelFtaStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::LayerApprox;
+    use crate::algorithm::{unit_scale_weights, LayerApprox};
     use crate::metadata::LayerMetadata;
     use crate::table::QueryTables;
     use dbpim_tensor::prune::PruningSpec;
-    use dbpim_tensor::quant::{QuantizedTensor, WideQuantizedTensor};
+    use dbpim_tensor::quant::QuantizedTensor;
     use dbpim_tensor::random::TensorGenerator;
-    use dbpim_tensor::Tensor;
 
     fn realistic_layer(seed: u64, filters: usize, len: usize) -> LayerApprox {
         let mut gen = TensorGenerator::new(seed);
         let w = gen.weight_tensor(vec![filters, len]).unwrap();
-        let q = QuantizedTensor::quantize_per_channel(&w, 0);
-        LayerApprox::from_weights(
-            0,
-            "conv",
-            q.values(),
-            &QueryTables::for_width(OperandWidth::Int8),
-        )
-        .unwrap()
+        let q = QuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int8);
+        LayerApprox::from_weights(0, "conv", q, &QueryTables::for_width(OperandWidth::Int8))
+            .unwrap()
+    }
+
+    /// A layer's original or approximated values, widened.
+    fn widened(values: &[i16]) -> Vec<i32> {
+        values.iter().map(|&v| i32::from(v)).collect()
     }
 
     /// A `filters x len` layer at `width`, with `prune` of its float
@@ -225,9 +224,8 @@ mod tests {
         if zero_filter {
             w.data_mut()[..len].fill(0.0);
         }
-        let q = WideQuantizedTensor::quantize_per_channel(&w, 0, width);
-        LayerApprox::from_wide_weights(0, "conv", q.values(), &QueryTables::for_width(width))
-            .unwrap()
+        let q = QuantizedTensor::quantize_per_channel(&w, 0, width);
+        LayerApprox::from_weights(0, "conv", q, &QueryTables::for_width(width)).unwrap()
     }
 
     #[test]
@@ -321,8 +319,9 @@ mod tests {
                 let layer = layer_at(width, seed, prune, zero_filter);
                 let case = format!("{width} prune {prune} zero filter {zero_filter}");
                 let (want_values, want) =
-                    oracle_stats(layer.original_values(), layer.filter_count(), width);
-                assert_eq!(layer.wide_tensor().data(), want_values.as_slice(), "{case}");
+                    oracle_stats(&widened(layer.original_values()), layer.filter_count(), width);
+                let approximated = layer.approximated_tensor();
+                assert_eq!(widened(approximated.values().data()), want_values, "{case}");
                 let got = LayerFtaStats::from_layer(&layer);
                 assert_eq!(got, want, "{case}");
                 for (g, w) in [
@@ -349,35 +348,33 @@ mod tests {
                 let (filters, len) = (6, 600);
                 let mut w = TensorGenerator::new(11).weight_tensor(vec![filters, len]).unwrap();
                 PruningSpec::unstructured(prune).apply(w.data_mut(), filters);
-                let q = WideQuantizedTensor::quantize_per_channel(&w, 0, width);
-                let layer = LayerApprox::from_wide_weights(
-                    0,
-                    "conv",
-                    q.values(),
-                    &QueryTables::for_width(width),
-                )
-                .unwrap();
-                let (want_values, want) = oracle_stats(q.values().data(), filters, width);
-                assert_eq!(layer.wide_tensor().data(), want_values.as_slice(), "{width} {prune}");
+                let q = QuantizedTensor::quantize_per_channel(&w, 0, width);
+                let (want_values, want) = oracle_stats(&widened(q.values().data()), filters, width);
+                let layer = LayerApprox::from_weights(0, "conv", q, &QueryTables::for_width(width))
+                    .unwrap();
+                let approximated = layer.approximated_tensor();
+                assert_eq!(widened(approximated.values().data()), want_values, "{width} {prune}");
                 assert_eq!(LayerFtaStats::from_layer(&layer), want, "{width} {prune}");
             }
         }
         // Extreme values at every width: the range ends, ±1, zero, and
-        // values outside the width (which the INT4 filter cannot bin).
+        // values outside the width (which the INT4 filter cannot bin; the
+        // `i16` store holds no value outside INT16).
         for width in OperandWidth::all() {
             let (min, max) = (width.min_value(), width.max_value());
-            let values: Vec<i32> = [min, max, -1, 1, 0, min + 1, max - 1, 0, min - 3, max + 3]
+            let values: Vec<i16> = [min, max, -1, 1, 0, min + 1, max - 1, 0, min - 3, max + 3]
                 .iter()
+                .filter_map(|&v| i16::try_from(v).ok())
                 .cycle()
                 .take(64)
-                .copied()
                 .collect();
-            let tensor = Tensor::from_vec(values.clone(), vec![8, 8]).unwrap();
+            let weights = unit_scale_weights(values.clone(), vec![8, 8]);
             let layer =
-                LayerApprox::from_wide_weights(0, "conv", &tensor, &QueryTables::for_width(width))
+                LayerApprox::from_weights(0, "conv", weights, &QueryTables::for_width(width))
                     .unwrap();
-            let (want_values, want) = oracle_stats(&values, 8, width);
-            assert_eq!(layer.wide_tensor().data(), want_values.as_slice(), "{width}");
+            let (want_values, want) = oracle_stats(&widened(&values), 8, width);
+            let approximated = layer.approximated_tensor();
+            assert_eq!(widened(approximated.values().data()), want_values, "{width}");
             assert_eq!(LayerFtaStats::from_layer(&layer), want, "{width}");
         }
     }
@@ -414,20 +411,12 @@ mod tests {
     #[test]
     fn model_aggregates_weight_layers() {
         let tables = QueryTables::for_width(OperandWidth::Int8);
-        let a = LayerApprox::from_weights(
-            0,
-            "a",
-            &Tensor::from_vec(vec![1i8; 16], vec![4, 4]).unwrap(),
-            &tables,
-        )
-        .unwrap();
-        let b = LayerApprox::from_weights(
-            1,
-            "b",
-            &Tensor::from_vec(vec![0i8; 64], vec![8, 8]).unwrap(),
-            &tables,
-        )
-        .unwrap();
+        let a =
+            LayerApprox::from_weights(0, "a", unit_scale_weights(vec![1; 16], vec![4, 4]), &tables)
+                .unwrap();
+        let b =
+            LayerApprox::from_weights(1, "b", unit_scale_weights(vec![0; 64], vec![8, 8]), &tables)
+                .unwrap();
         let stats = ModelFtaStats {
             model_name: "toy".to_string(),
             layers: vec![LayerFtaStats::from_layer(&a), LayerFtaStats::from_layer(&b)],

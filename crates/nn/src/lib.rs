@@ -3,7 +3,7 @@
 //! The paper's experiments run five CIFAR-100 CNNs (AlexNet, VGG-19,
 //! ResNet-18, MobileNetV2, EfficientNet-B0) through an 8b/8b quantization
 //! flow, the FTA approximation and finally the DB-PIM architecture simulator.
-//! This crate provides everything up to (and including) INT8 inference:
+//! This crate provides everything up to (and including) quantized inference:
 //!
 //! * [`Layer`] / [`Model`] / [`ModelBuilder`] — a small DAG-of-layers graph
 //!   representation with a float executor ([`ops`] holds the reference
@@ -11,7 +11,7 @@
 //! * [`QuantizedModel`] — post-training INT8 quantization (per-channel
 //!   symmetric weights, per-tensor affine activations) with true integer
 //!   accumulation for the convolution / fully-connected layers that the PIM
-//!   macros execute.
+//!   macros execute; their weights can be replaced at any operand width.
 //! * [`zoo`] — the five paper topologies adapted to 32×32 inputs, built with
 //!   distribution-matched synthetic weights.
 //! * `reference` (feature `scalar-reference`) — the scalar convolution

@@ -1,14 +1,18 @@
-//! INT8 post-training quantization and the quantized executor.
+//! Post-training quantization and the quantized executor.
 //!
 //! The paper evaluates every model at 8b/8b precision: weights are quantized
-//! symmetrically per output channel, activations affinely per tensor. The
-//! convolution and fully-connected layers — the only layers mapped onto the
-//! PIM macros — are executed with true integer arithmetic
-//! (`acc += (q_x - zp_x) * q_w`), exactly the accumulation the DB-PIM macro
-//! performs bit-serially. All other layers belong to the SIMD core and are
-//! executed at float precision between dequantize/requantize steps.
+//! symmetrically per output channel, activations affinely per tensor.
+//! [`QuantizedModel::quantize`] builds that INT8 model. A weight tensor at
+//! any other operand width (INT4/INT12/INT16) replaces a PIM layer's values
+//! and per-channel scales together ([`QuantizedModel::replace_weight`]);
+//! activations stay INT8 at every weight width. The convolution and
+//! fully-connected layers — the only layers mapped onto the PIM macros — are
+//! executed with true integer arithmetic (`acc += (q_x - zp_x) * q_w`,
+//! exact in `i64`), the accumulation the DB-PIM macro performs bit-serially.
+//! All other layers belong to the SIMD core and are executed at float
+//! precision between dequantize/requantize steps.
 
-use dbpim_tensor::quant::{QuantParams, QuantizedTensor};
+use dbpim_tensor::quant::{OperandWidth, QuantParams, QuantScheme, QuantizedTensor};
 use dbpim_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +24,8 @@ use crate::ops;
 /// One layer of a quantized model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QuantizedLayer {
-    /// INT8 convolution (weights per-output-channel symmetric).
+    /// Integer convolution (INT8 activations, weights per-output-channel
+    /// symmetric at any operand width).
     Conv2d {
         /// Geometry configuration.
         cfg: Conv2dCfg,
@@ -30,7 +35,7 @@ pub enum QuantizedLayer {
         /// post-processing units do).
         bias: Option<Vec<f32>>,
     },
-    /// INT8 fully-connected layer.
+    /// Integer fully-connected layer.
     Linear {
         /// Geometry configuration.
         cfg: LinearCfg,
@@ -105,11 +110,11 @@ pub struct QuantizedNode {
     pub output_qp: QuantParams,
 }
 
-/// A fully INT8-quantized model.
+/// A quantized model: INT8 activations, per-channel quantized weights.
 ///
-/// Built from a float [`Model`] with [`QuantizedModel::quantize`]; the FTA
-/// algorithm then rewrites the PIM-layer weights in place via
-/// [`QuantizedModel::replace_weight_values`].
+/// Built from a float [`Model`] with [`QuantizedModel::quantize`] (INT8
+/// weights); the FTA algorithm then substitutes the PIM-layer weights, at
+/// its own operand width, via [`QuantizedModel::replace_weight`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedModel {
     name: String,
@@ -184,12 +189,12 @@ impl QuantizedModel {
             let layer = match &node.layer {
                 Layer::Conv2d { cfg, weight, bias } => QuantizedLayer::Conv2d {
                     cfg: *cfg,
-                    weight: QuantizedTensor::quantize_per_channel(weight, 0),
+                    weight: QuantizedTensor::quantize_per_channel(weight, 0, OperandWidth::Int8),
                     bias: bias.clone(),
                 },
                 Layer::Linear { cfg, weight, bias } => QuantizedLayer::Linear {
                     cfg: *cfg,
-                    weight: QuantizedTensor::quantize_per_channel(weight, 0),
+                    weight: QuantizedTensor::quantize_per_channel(weight, 0, OperandWidth::Int8),
                     bias: bias.clone(),
                 },
                 Layer::BatchNorm(_) => QuantizedLayer::Identity,
@@ -247,16 +252,22 @@ impl QuantizedModel {
         self.nodes.iter().filter(|n| n.layer.is_pim_layer()).map(|n| n.id).collect()
     }
 
-    /// Replaces the INT8 weight values of a PIM node, keeping the scheme.
+    /// Replaces the weight tensor of a PIM node — values and per-channel
+    /// scales together, at any operand width.
     ///
     /// This is how the FTA algorithm injects approximated weights.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::UnknownNode`] for an invalid id,
-    /// [`NnError::BadParameters`] when the node is not a PIM layer or the
-    /// shapes differ.
-    pub fn replace_weight_values(&mut self, id: NodeId, values: Tensor<i8>) -> Result<(), NnError> {
+    /// Returns [`NnError::UnknownNode`] for an invalid id and
+    /// [`NnError::BadParameters`] when the node is not a PIM layer, the
+    /// shapes differ, or the replacement's scheme does not hold exactly one
+    /// scale per output channel.
+    pub fn replace_weight(
+        &mut self,
+        id: NodeId,
+        replacement: QuantizedTensor,
+    ) -> Result<(), NnError> {
         let node = self.nodes.get_mut(id).ok_or(NnError::UnknownNode { id })?;
         let weight = match &mut node.layer {
             QuantizedLayer::Conv2d { weight, .. } | QuantizedLayer::Linear { weight, .. } => weight,
@@ -267,18 +278,23 @@ impl QuantizedModel {
                 })
             }
         };
-        if weight.values().shape() != values.shape() {
-            return Err(NnError::BadParameters {
-                layer: node.name.clone(),
-                reason: format!(
-                    "replacement weight shape {:?} does not match {:?}",
-                    values.shape(),
-                    weight.values().shape()
-                ),
-            });
-        }
-        *weight.values_mut() = values;
-        Ok(())
+        let shape = weight.values().shape();
+        let QuantScheme::PerChannel { axis, params } = replacement.scheme();
+        let reason = if replacement.values().shape() != shape {
+            format!(
+                "replacement weight shape {:?} does not match {shape:?}",
+                replacement.values().shape()
+            )
+        } else if (*axis, params.len()) != (0, shape[0]) {
+            format!(
+                "replacement weight has {} scales along axis {axis}, not one per output channel",
+                params.len()
+            )
+        } else {
+            *weight = replacement;
+            return Ok(());
+        };
+        Err(NnError::BadParameters { layer: node.name.clone(), reason })
     }
 
     /// Runs the quantized model on one `[C, H, W]` float image, returning the
@@ -484,9 +500,27 @@ fn centred(input: &Tensor<i8>, input_qp: QuantParams) -> Vec<i16> {
     input.data().iter().map(|&v| i16::from(v) - zp).collect()
 }
 
-/// `Σ a·b` of two `i16` vectors, summed in `i32`; integer sums are exact in
-/// any order, and this form lowers to multiply-add pair instructions.
-fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
+/// `Σ a·b` of zero-centred INT8 activations `a` (within ±255) and weights
+/// `b` of any operand width up to INT16, exact in `i64`: each block of
+/// [`FLUSH`] products is summed exactly in `i32`, and the block sums in
+/// `i64`. The final partial block goes through an outlined copy of the
+/// block kernel: inlined next to the block loop it compiled to a loop 2–3×
+/// slower on the zoo's 144-tap filters.
+fn dot_i16(a: &[i16], b: &[i16]) -> i64 {
+    let (ca, cb) = (a.chunks_exact(FLUSH), b.chunks_exact(FLUSH));
+    let rest = i64::from(dot_partial_block(ca.remainder(), cb.remainder()));
+    rest + ca.zip(cb).map(|(a, b)| i64::from(dot_block(a, b))).sum::<i64>()
+}
+
+/// Products one `i32` block sum of [`dot_i16`] holds: one product is at
+/// most 255 · 32,768 in magnitude, and 256 of them stay below 2^31.
+const FLUSH: usize = 256;
+
+/// `Σ a·b` of at most [`FLUSH`] products, exact in `i32`. Sixteen lanes
+/// take the products; their sum is exact in any order, so the loop lowers
+/// to multiply-add pair instructions.
+#[inline(always)]
+fn dot_block(a: &[i16], b: &[i16]) -> i32 {
     let mut lanes = [0i32; 16];
     let (ca, cb) = (a.chunks_exact(16), b.chunks_exact(16));
     let tail: i32 =
@@ -499,19 +533,27 @@ fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
     tail + lanes.iter().sum::<i32>()
 }
 
+/// [`dot_block`] outlined, for the final partial block of [`dot_i16`].
+#[inline(never)]
+fn dot_partial_block(a: &[i16], b: &[i16]) -> i32 {
+    dot_block(a, b)
+}
+
 /// Filters shorter than this (depthwise layers, and pointwise layers over
 /// few channels) accumulate tap by tap into whole output rows instead of
-/// dotting one im2col patch per output position.
+/// dotting one im2col patch per output position. Their sums fit `i32` at
+/// every weight width (31 · 255 · 32,768 < 2^31).
 const SHORT_PATCH: usize = 32;
 
 /// Integer convolution accumulation: `acc[o, y, x] = Σ (q_x - zp_x) * q_w`.
 ///
-/// The zero-centred input and the weights are held as `i16` and summed in
-/// `i32`; integer sums are exact in any order. Filters shorter than
-/// [`SHORT_PATCH`] (depthwise layers above all) accumulate each kernel tap
-/// into whole output rows; longer ones build one im2col patch per output
-/// position (interior ones by row copies, padding taps stored as 0) and
-/// dot it with every filter of the group.
+/// The zero-centred input and the weights are held as `i16` and the sums
+/// are exact at every weight width up to INT16, for any filter length.
+/// Filters shorter than [`SHORT_PATCH`] (depthwise layers above all)
+/// accumulate each kernel tap into whole `i32` output rows; longer ones
+/// build one im2col patch per output position (interior ones by row
+/// copies, padding taps stored as 0) and dot it with every filter of the
+/// group through [`dot_i16`].
 ///
 /// # Errors
 ///
@@ -523,7 +565,7 @@ pub fn conv2d_i8(
     weight: &QuantizedTensor,
     cfg: &Conv2dCfg,
     name: &str,
-) -> Result<Tensor<i32>, NnError> {
+) -> Result<Tensor<i64>, NnError> {
     let shape = input.shape();
     if shape.len() != 3 || shape[0] != cfg.in_channels {
         return Err(NnError::InputShape {
@@ -539,9 +581,9 @@ pub fn conv2d_i8(
     let out_per_group = cfg.out_channels / cfg.groups;
     let x = centred(input, input_qp);
     let wv = weight.values().data();
-    let mut out = vec![0i32; cfg.out_channels * oh * ow];
     let patch_len = in_per_group * k * k;
     if patch_len < SHORT_PATCH {
+        let mut out = vec![0i32; cfg.out_channels * oh * ow];
         for (oc, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
             let ic_base = oc / out_per_group * in_per_group;
             let filter = &wv[oc * patch_len..(oc + 1) * patch_len];
@@ -549,9 +591,9 @@ pub fn conv2d_i8(
                 let channel = &x[(ic_base + ic) * h * w..][..h * w];
                 if (k, stride, padding) == (1, 1, 0) {
                     // A pointwise tap covers the whole plane at once.
-                    let q_w = i16::from(filter[ic]);
+                    let q_w = i32::from(filter[ic]);
                     for (acc, &v) in plane.iter_mut().zip(channel) {
-                        *acc += i32::from(v) * i32::from(q_w);
+                        *acc += i32::from(v) * q_w;
                     }
                     continue;
                 }
@@ -587,11 +629,12 @@ pub fn conv2d_i8(
                 }
             }
         }
+        let out = out.into_iter().map(i64::from).collect();
         return Ok(Tensor::from_vec(out, vec![cfg.out_channels, oh, ow])?);
     }
     let interior =
         |o: usize, extent: usize| o * stride >= padding && o * stride + k <= extent + padding;
-    let w16: Vec<i16> = wv.iter().map(|&v| i16::from(v)).collect();
+    let mut out = vec![0i64; cfg.out_channels * oh * ow];
     let mut patch = vec![0i16; patch_len];
     for group in 0..cfg.groups {
         let ic_base = group * in_per_group;
@@ -626,7 +669,7 @@ pub fn conv2d_i8(
                 }
                 for oc in group * out_per_group..(group + 1) * out_per_group {
                     out[(oc * oh + oy) * ow + ox] =
-                        dot_i16(&patch, &w16[oc * patch_len..(oc + 1) * patch_len]);
+                        dot_i16(&patch, &wv[oc * patch_len..(oc + 1) * patch_len]);
                 }
             }
         }
@@ -634,15 +677,15 @@ pub fn conv2d_i8(
     Ok(Tensor::from_vec(out, vec![cfg.out_channels, oh, ow])?)
 }
 
-/// Integer fully-connected accumulation, with the zero-centred input and
-/// each weight row in `i16`.
+/// Integer fully-connected accumulation: the zero-centred input dotted
+/// with each weight row in place.
 fn linear_i8(
     input: &Tensor<i8>,
     input_qp: QuantParams,
     weight: &QuantizedTensor,
     cfg: &LinearCfg,
     name: &str,
-) -> Result<Tensor<i32>, NnError> {
+) -> Result<Tensor<i64>, NnError> {
     if input.numel() != cfg.in_features {
         return Err(NnError::InputShape {
             layer: name.to_string(),
@@ -650,17 +693,8 @@ fn linear_i8(
             actual: input.shape().to_vec(),
         });
     }
-    let n = cfg.in_features;
-    let x = centred(input, input_qp);
-    let wv = weight.values().data();
-    let mut row16 = vec![0i16; n];
-    let mut out = vec![0i32; cfg.out_features];
-    for (o, out_v) in out.iter_mut().enumerate() {
-        for (r, &q_w) in row16.iter_mut().zip(&wv[o * n..(o + 1) * n]) {
-            *r = i16::from(q_w);
-        }
-        *out_v = dot_i16(&x, &row16);
-    }
+    let (n, x, wv) = (cfg.in_features, centred(input, input_qp), weight.values().data());
+    let out = (0..cfg.out_features).map(|o| dot_i16(&x, &wv[o * n..(o + 1) * n])).collect();
     Ok(Tensor::from_vec(out, vec![cfg.out_features])?)
 }
 
@@ -669,8 +703,10 @@ fn linear_i8(
 /// The accumulator is first mapped back to real values with
 /// `acc * s_input * s_weight(channel)` (the per-channel weight scale), the
 /// float bias is added and the result is quantized with the output params.
+/// `a as f32` rounds an integer to the same `f32` whatever its integer type,
+/// so an INT8 model's bytes do not depend on the `i64` accumulator.
 fn requantize_acc(
-    acc: &Tensor<i32>,
+    acc: &Tensor<i64>,
     input_qp: QuantParams,
     weight: &QuantizedTensor,
     bias: Option<&[f32]>,
@@ -815,6 +851,16 @@ mod tests {
         assert!(before.mse(&after).unwrap() < 1e-8);
     }
 
+    /// An all-zero weight tensor of `shape` with `scales` unit scales
+    /// along axis 0.
+    fn zero_weight(shape: Vec<usize>, scales: usize) -> QuantizedTensor {
+        let params = vec![QuantParams::new(1.0, 0); scales];
+        QuantizedTensor::new(
+            Tensor::zeros(shape).unwrap(),
+            QuantScheme::PerChannel { axis: 0, params },
+        )
+    }
+
     #[test]
     fn replace_weight_values_validates_shape_and_kind() {
         let model = small_model(9);
@@ -823,16 +869,98 @@ mod tests {
         let pim = q.pim_node_ids();
         let conv_id = pim[0];
         let shape = q.nodes()[conv_id].layer.weight().unwrap().values().shape().to_vec();
-        let zeros = Tensor::<i8>::zeros(shape).unwrap();
-        q.replace_weight_values(conv_id, zeros).unwrap();
+        let channels = shape[0];
+        q.replace_weight(conv_id, zero_weight(shape, channels)).unwrap();
+        assert!(q.nodes()[conv_id].layer.weight().unwrap().values().data().iter().all(|&v| v == 0));
 
-        let wrong = Tensor::<i8>::zeros(vec![1, 1]).unwrap();
-        assert!(q.replace_weight_values(conv_id, wrong).is_err());
+        assert!(q.replace_weight(conv_id, zero_weight(vec![1, 1], 1)).is_err());
         // Replacing a non-PIM node's weights is rejected.
         let flatten_id = q.nodes().iter().find(|n| n.name == "flatten").unwrap().id;
-        let any = Tensor::<i8>::zeros(vec![1]).unwrap();
-        assert!(q.replace_weight_values(flatten_id, any).is_err());
-        assert!(q.replace_weight_values(999, Tensor::<i8>::zeros(vec![1]).unwrap()).is_err());
+        assert!(q.replace_weight(flatten_id, zero_weight(vec![1], 1)).is_err());
+        assert!(q.replace_weight(999, zero_weight(vec![1], 1)).is_err());
+    }
+
+    #[test]
+    fn replace_weight_refuses_a_scheme_without_one_scale_per_channel() {
+        let model = small_model(13);
+        let cal = calibration(14, 1);
+        let mut q = QuantizedModel::quantize(&model, &cal).unwrap();
+        for id in q.pim_node_ids() {
+            let before = q.nodes()[id].layer.weight().unwrap().clone();
+            let shape = before.values().shape().to_vec();
+            let channels = shape[0];
+            for scales in [channels - 1, channels + 1, 1] {
+                let err = q.replace_weight(id, zero_weight(shape.clone(), scales)).unwrap_err();
+                assert!(err.to_string().contains("scales"), "{scales} scales: {err}");
+                assert_eq!(q.nodes()[id].layer.weight(), Some(&before), "refused, not installed");
+            }
+            // A scheme along another axis does not hold the output channels' scales.
+            let other_axis = QuantizedTensor::new(
+                Tensor::zeros(shape).unwrap(),
+                QuantScheme::PerChannel {
+                    axis: 1,
+                    params: vec![QuantParams::new(1.0, 0); channels],
+                },
+            );
+            assert!(q.replace_weight(id, other_axis).is_err());
+        }
+    }
+
+    /// The direct convolution summed in `i64`: the oracle at every weight
+    /// width (the bench oracle `conv2d_i8_scalar` sums in `i32`).
+    fn conv2d_i64_oracle(
+        x: &Tensor<i8>,
+        qp: QuantParams,
+        weight: &QuantizedTensor,
+        cfg: &Conv2dCfg,
+    ) -> Vec<i64> {
+        let (h, w) = (x.shape()[1], x.shape()[2]);
+        let (oh, ow) = cfg.output_hw(h, w);
+        let (k, in_per_group) = (cfg.kernel, cfg.in_channels / cfg.groups);
+        let out_per_group = cfg.out_channels / cfg.groups;
+        let wv = weight.values().data();
+        let mut out = Vec::with_capacity(cfg.out_channels * oh * ow);
+        for oc in 0..cfg.out_channels {
+            let ic_base = oc / out_per_group * in_per_group;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0i64;
+                    for ic in 0..in_per_group {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = (oy * cfg.stride + ky).checked_sub(cfg.padding);
+                                let ix = (ox * cfg.stride + kx).checked_sub(cfg.padding);
+                                let (Some(iy), Some(ix)) = (iy, ix) else { continue };
+                                if iy >= h || ix >= w {
+                                    continue;
+                                }
+                                let v = i64::from(x.data()[((ic_base + ic) * h + iy) * w + ix]);
+                                let q_w = wv[((oc * in_per_group + ic) * k + ky) * k + kx];
+                                acc += (v - i64::from(qp.zero_point())) * i64::from(q_w);
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+        out
+    }
+
+    /// The fully-connected layer summed in `i64`.
+    fn linear_i64_oracle(x: &Tensor<i8>, qp: QuantParams, weight: &QuantizedTensor) -> Vec<i64> {
+        let zp = i64::from(qp.zero_point());
+        weight
+            .values()
+            .data()
+            .chunks_exact(x.numel())
+            .map(|row| {
+                row.iter()
+                    .zip(x.data())
+                    .map(|(&q_w, &v)| (i64::from(v) - zp) * i64::from(q_w))
+                    .sum()
+            })
+            .collect()
     }
 
     #[test]
@@ -859,10 +987,10 @@ mod tests {
                         .with_stride(stride)
                         .with_padding(padding)
                         .with_groups(groups);
-                    let weight = QuantizedTensor::quantize_per_channel(
-                        &gen.weight_tensor(cfg.weight_dims()).unwrap(),
-                        0,
-                    );
+                    let float_weight = gen.weight_tensor(cfg.weight_dims()).unwrap();
+                    let weights = OperandWidth::all().map(|width| {
+                        (width, QuantizedTensor::quantize_per_channel(&float_weight, 0, width))
+                    });
                     for (h, w) in [(9, 7), (6, 21), (kernel, kernel), (1, 2)] {
                         let image = gen
                             .tensor(
@@ -875,13 +1003,68 @@ mod tests {
                         for (lo, hi) in [(-1.0, 3.0), (0.0, 2.0), (-2.0, 0.0)] {
                             let qp = QuantParams::affine_from_range(lo, hi);
                             let x = qp.quantize_tensor(&image);
-                            let got = conv2d_i8(&x, qp, &weight, &cfg, "conv").unwrap();
-                            let want = conv2d_i8_scalar(&x, qp, &weight, &cfg);
-                            let case =
-                                format!("{cfg:?} on {h}x{w}, zero point {}", qp.zero_point());
-                            assert_eq!(got.data(), want.as_slice(), "{case}");
+                            for (width, weight) in &weights {
+                                let got = conv2d_i8(&x, qp, weight, &cfg, "conv").unwrap();
+                                let want = conv2d_i64_oracle(&x, qp, weight, &cfg);
+                                let case = format!(
+                                    "{width} {cfg:?} on {h}x{w}, zero point {}",
+                                    qp.zero_point()
+                                );
+                                assert_eq!(got.data(), want.as_slice(), "{case}");
+                                if *width == OperandWidth::Int8 {
+                                    let scalar = conv2d_i8_scalar(&x, qp, weight, &cfg);
+                                    let scalar: Vec<i64> =
+                                        scalar.into_iter().map(i64::from).collect();
+                                    assert_eq!(got.data(), scalar.as_slice(), "{case}");
+                                }
+                            }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_weights_and_zero_points_sum_exactly_at_every_width() {
+        // 512 channels of 3x3 taps: 4,608 taps, the zoo's longest filter
+        // (INT16 sums reach 3.9e10, past i32), in 18 whole blocks. The
+        // linear layer's 9,000 taps end in a partial block whose last
+        // chunk is partial too.
+        let conv = Conv2dCfg::new(512, 2, 3).with_padding(1);
+        let linear = LinearCfg::new(9_000, 2);
+        let scheme = QuantScheme::PerChannel { axis: 0, params: vec![QuantParams::new(1.0, 0); 2] };
+        for width in OperandWidth::all() {
+            // Filter 0 at the width's minimum, filter 1 at its maximum.
+            let extremes = |len: usize| {
+                let (lo, hi) = (width.min_value() as i16, width.max_value() as i16);
+                [vec![lo; len], vec![hi; len]].concat()
+            };
+            let conv_weight = QuantizedTensor::new(
+                Tensor::from_vec(extremes(4_608), conv.weight_dims()).unwrap(),
+                scheme.clone(),
+            );
+            let linear_weight = QuantizedTensor::new(
+                Tensor::from_vec(extremes(9_000), vec![2, 9_000]).unwrap(),
+                scheme.clone(),
+            );
+            // Every activation as far from its zero point as INT8 allows.
+            for (value, zero_point) in [(127i8, -128), (-128, 127)] {
+                let qp = QuantParams::new(1.0, zero_point);
+                let case = format!("{width}, value {value}, zero point {zero_point}");
+                let x = Tensor::from_vec(vec![value; 512 * 3 * 3], vec![512, 3, 3]).unwrap();
+                let got = conv2d_i8(&x, qp, &conv_weight, &conv, "conv").unwrap();
+                let want = conv2d_i64_oracle(&x, qp, &conv_weight, &conv);
+                assert_eq!(got.data(), want.as_slice(), "conv {case}");
+                let centre = 255 * 4_608 * i64::from(width.max_value());
+                assert_eq!(got.data()[9 + 4].abs(), centre, "conv {case}");
+
+                let x = Tensor::from_vec(vec![value; 9_000], vec![9_000]).unwrap();
+                let got = linear_i8(&x, qp, &linear_weight, &linear, "fc").unwrap();
+                let want = linear_i64_oracle(&x, qp, &linear_weight);
+                assert_eq!(got.data(), want.as_slice(), "linear {case}");
+                if width == OperandWidth::Int16 {
+                    assert!(got.data().iter().all(|&a| i32::try_from(a).is_err()), "{case}");
                 }
             }
         }
@@ -957,7 +1140,7 @@ mod tests {
 
     #[test]
     fn zeroed_weights_change_predictions_structurally() {
-        // Sanity check that replace_weight_values actually affects execution.
+        // Sanity check that replace_weight actually affects execution.
         let model = small_model(11);
         let cal = calibration(12, 2);
         let mut q = QuantizedModel::quantize(&model, &cal).unwrap();
@@ -965,7 +1148,8 @@ mod tests {
         let before = q.forward(image).unwrap();
         for id in q.pim_node_ids() {
             let shape = q.nodes()[id].layer.weight().unwrap().values().shape().to_vec();
-            q.replace_weight_values(id, Tensor::<i8>::zeros(shape).unwrap()).unwrap();
+            let channels = shape[0];
+            q.replace_weight(id, zero_weight(shape, channels)).unwrap();
         }
         let after = q.forward(image).unwrap();
         assert!(before.mse(&after).unwrap() > 0.0);

@@ -85,7 +85,8 @@ pub fn linear_scalar(
 
 /// The `i32` im2col integer convolution: one zero-centred patch per output
 /// position (padding taps stored as 0), dotted with every filter of the
-/// group.
+/// group. Its sums are exact for INT8 weights, the width `bench_core`
+/// times it at; long INT16 filters would overflow them.
 ///
 /// # Panics
 ///

@@ -117,8 +117,9 @@ pub enum Request {
         width: Option<OperandWidth>,
         /// Geometry override; `None` uses the daemon's configured geometry.
         arch: Option<ArchConfig>,
-        /// Evaluate accuracy fidelity (honoured only when the daemon was
-        /// started with evaluation images and the width is INT8).
+        /// Evaluate accuracy fidelity (honoured when the daemon was started
+        /// with evaluation images): the FTA model at the requested width
+        /// against the INT8 baseline.
         fidelity: bool,
         /// Give up after this many milliseconds: an expired request is
         /// answered with [`ErrorKind::DeadlineExceeded`] instead of running
@@ -132,7 +133,8 @@ pub enum Request {
     Sweep {
         /// The point set (models × sparsity × archs × widths).
         spec: SweepSpec,
-        /// Evaluate accuracy fidelity per model where defined.
+        /// Evaluate accuracy fidelity per point (every width, when the
+        /// daemon was started with evaluation images).
         fidelity: bool,
         /// Streaming deadline in milliseconds: the stream ends with a
         /// [`ErrorKind::DeadlineExceeded`] error once it expires (already

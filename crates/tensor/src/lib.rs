@@ -1,12 +1,13 @@
-//! Dense tensors, INT8 quantization and bit-level sparsity statistics.
+//! Dense tensors, quantization and bit-level sparsity statistics.
 //!
 //! This crate is the data substrate of the DB-PIM reproduction. It provides:
 //!
-//! * [`Tensor`] — a simple dense row-major tensor over `f32`, `i8` or `i32`
+//! * [`Tensor`] — a simple dense row-major tensor over `f32` or integer
 //!   elements with shape/stride bookkeeping and the handful of operations the
 //!   neural-network substrate needs (indexing, mapping, im2col).
-//! * [`quant`] — affine/symmetric INT8 quantization (per-tensor and
-//!   per-output-channel), mirroring the 8b/8b setting of the paper.
+//! * [`quant`] — per-tensor affine INT8 quantization of activations and
+//!   per-output-channel symmetric quantization of weights at every operand
+//!   width; INT8 weights are the paper's 8b/8b setting.
 //! * [`prune`] — deterministic magnitude pruning ([`PruningSpec`]), the
 //!   value-level-sparsity mask applied before quantization so zero weights
 //!   flow through the whole bit-sparsity pipeline.
@@ -22,9 +23,10 @@
 //! ```
 //! use dbpim_tensor::{Tensor, quant::QuantParams};
 //!
-//! let weights = Tensor::from_vec(vec![0.5f32, -0.25, 0.0, 1.0], vec![2, 2])?;
-//! let params = QuantParams::symmetric_from_tensor(&weights);
-//! let q = params.quantize_tensor(&weights);
+//! let activations = Tensor::from_vec(vec![0.5f32, -0.25, 0.0, 1.0], vec![2, 2])?;
+//! let (min, max) = activations.min_max();
+//! let params = QuantParams::affine_from_range(min, max);
+//! let q = params.quantize_tensor(&activations);
 //! assert_eq!(q.shape(), &[2, 2]);
 //! # Ok::<(), dbpim_tensor::TensorError>(())
 //! ```

@@ -1,21 +1,18 @@
 //! Affine and symmetric quantization, parameterized over operand width.
 //!
-//! The paper evaluates every model at 8b/8b precision; [`QuantParams`] and
-//! [`QuantizedTensor`] implement that INT8 path. Weights use symmetric
-//! per-output-channel quantization (zero point 0), activations use per-tensor
-//! affine quantization; both are standard post-training quantization choices
-//! that the FTA algorithm operates on top of.
-//!
-//! [`WideQuantizedTensor`] generalizes the *weight* side to any supported
-//! [`OperandWidth`] (INT4/INT8/INT12/INT16): values are stored as `i32`
-//! clamped to the width's two's-complement range, with per-channel symmetric
-//! scales whose `q_max` is the width's largest value. At [`OperandWidth::Int8`]
-//! the produced values are numerically identical to the INT8 path.
+//! Weights use symmetric per-output-channel quantization (zero point 0) at
+//! any supported [`OperandWidth`] (INT4/INT8/INT12/INT16): a
+//! [`QuantizedTensor`] holds the values as `i16`, which every width fits,
+//! with one scale per output channel whose `q_max` is the width's largest
+//! value. The paper's 8b/8b setting is the [`OperandWidth::Int8`] instance.
+//! Activations use per-tensor affine quantization and stay INT8 at every
+//! weight width: the IPU streams eight bit-serial input columns.
 
-use dbpim_csd::OperandWidth;
+/// The width [`QuantizedTensor::quantize_per_channel`] quantizes to,
+/// re-exported for crates that quantize without depending on the CSD crate.
+pub use dbpim_csd::OperandWidth;
 use serde::{Deserialize, Serialize};
 
-use crate::error::TensorError;
 use crate::tensor::Tensor;
 
 /// Scale/zero-point pair mapping a real value `x` to `q = round(x / scale) + zero_point`.
@@ -59,30 +56,15 @@ impl QuantParams {
         self.zero_point
     }
 
-    /// Symmetric parameters (zero point 0) covering `[-abs_max, abs_max]`.
+    /// Symmetric parameters (zero point 0) whose `q_max` is the largest
+    /// value of an operand width, so `abs_max` maps onto `width.max_value()`.
     ///
     /// A zero or degenerate `abs_max` falls back to a scale of 1, so an
-    /// all-zero tensor quantizes to all zeros.
-    #[must_use]
-    pub fn symmetric(abs_max: f32) -> Self {
-        Self::symmetric_for_width(abs_max, OperandWidth::Int8)
-    }
-
-    /// Symmetric parameters whose `q_max` is the largest value of an operand
-    /// width, so `abs_max` maps onto `width.max_value()`.
-    ///
-    /// At [`OperandWidth::Int8`] this is identical to
-    /// [`symmetric`](Self::symmetric).
+    /// all-zero channel quantizes to all zeros.
     #[must_use]
     pub fn symmetric_for_width(abs_max: f32, width: OperandWidth) -> Self {
         let scale = if abs_max > f32::EPSILON { abs_max / width.max_value() as f32 } else { 1.0 };
         Self { scale, zero_point: 0 }
-    }
-
-    /// Symmetric parameters calibrated from the absolute maximum of a tensor.
-    #[must_use]
-    pub fn symmetric_from_tensor(tensor: &Tensor<f32>) -> Self {
-        Self::symmetric(tensor.abs_max())
     }
 
     /// Affine INT8 parameters covering the closed range `[min, max]`.
@@ -170,31 +152,6 @@ fn round_to_i32(x: f32) -> i32 {
     }
 }
 
-/// Per-channel symmetric quantization along `axis` (must be 0) at `width`,
-/// in two passes per channel: the abs-max scan, then the quantize, with
-/// each value stored through `store`.
-fn quantize_rows<T>(
-    tensor: &Tensor<f32>,
-    axis: usize,
-    width: OperandWidth,
-    store: impl Fn(i32) -> T,
-) -> (Tensor<T>, QuantScheme) {
-    assert_eq!(axis, 0, "per-channel quantization is only supported along axis 0");
-    let channels = tensor.shape()[0];
-    let per_channel = tensor.numel() / channels;
-    let mut params = Vec::with_capacity(channels);
-    let mut values = Vec::with_capacity(tensor.numel());
-    for c in 0..channels {
-        let slice = &tensor.data()[c * per_channel..(c + 1) * per_channel];
-        let p = QuantParams::symmetric_for_width(abs_max(slice), width);
-        values.extend(slice.iter().map(|&v| store(p.quantize_wide(v, width))));
-        params.push(p);
-    }
-    let values = Tensor::from_vec(values, tensor.shape().to_vec())
-        .expect("same element count as the source tensor");
-    (values, QuantScheme::PerChannel { axis, params })
-}
-
 /// `max |v|` over `values` (0 when empty), in eight independent lanes. The
 /// maximum of a set does not depend on the order it is taken in, so this
 /// equals the serial `fold(0.0, |m, v| m.max(v.abs()))`.
@@ -213,8 +170,6 @@ fn abs_max(values: &[f32]) -> f32 {
 /// Quantization scheme attached to a quantized tensor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QuantScheme {
-    /// One scale/zero-point pair for the whole tensor.
-    PerTensor(QuantParams),
     /// One symmetric scale per slice along `axis` (the output-channel axis for
     /// convolution and linear weights).
     PerChannel {
@@ -226,166 +181,85 @@ pub enum QuantScheme {
 }
 
 impl QuantScheme {
+    /// One parameter set per slice along the scheme's axis.
+    #[must_use]
+    pub fn params(&self) -> &[QuantParams] {
+        let QuantScheme::PerChannel { params, .. } = self;
+        params
+    }
+
     /// The parameters applying to the slice `channel` along the scheme's axis.
     ///
-    /// For a per-tensor scheme the channel is ignored.
+    /// # Panics
+    ///
+    /// Panics if `channel` is not below the number of parameter sets.
     #[must_use]
     pub fn params_for_channel(&self, channel: usize) -> QuantParams {
-        match self {
-            QuantScheme::PerTensor(p) => *p,
-            QuantScheme::PerChannel { params, .. } => params[channel % params.len()],
-        }
+        self.params()[channel]
     }
 }
 
-/// An INT8 tensor together with the scheme that produced it.
+/// A quantized weight tensor at any [`OperandWidth`]: `i16` values (every
+/// width fits) with one symmetric scale per output channel.
 ///
 /// # Examples
 ///
 /// ```
+/// use dbpim_csd::OperandWidth;
 /// use dbpim_tensor::{Tensor, quant::QuantizedTensor};
 ///
 /// let w = Tensor::from_vec(vec![0.1f32, -0.9, 0.4, 0.0], vec![2, 2])?;
-/// let q = QuantizedTensor::quantize_per_channel(&w, 0);
-/// let back = q.dequantize();
-/// assert_eq!(back.shape(), w.shape());
+/// let q = QuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int12);
+/// assert!(q.values().data().iter().all(|&v| OperandWidth::Int12.contains(i32::from(v))));
+/// assert_eq!(q.dequantize().shape(), w.shape());
 /// # Ok::<(), dbpim_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedTensor {
-    values: Tensor<i8>,
+    values: Tensor<i16>,
     scheme: QuantScheme,
 }
 
 impl QuantizedTensor {
     /// Wraps already-quantized values with their scheme.
     #[must_use]
-    pub fn new(values: Tensor<i8>, scheme: QuantScheme) -> Self {
+    pub fn new(values: Tensor<i16>, scheme: QuantScheme) -> Self {
         Self { values, scheme }
-    }
-
-    /// Per-tensor symmetric quantization of a float tensor.
-    #[must_use]
-    pub fn quantize_per_tensor(tensor: &Tensor<f32>) -> Self {
-        let params = QuantParams::symmetric_from_tensor(tensor);
-        Self { values: params.quantize_tensor(tensor), scheme: QuantScheme::PerTensor(params) }
     }
 
     /// Per-channel symmetric quantization along `axis` (must be axis 0 of a
-    /// rank >= 1 tensor, the output-channel convention used for weights).
-    ///
-    /// This is the INT8 instance of
-    /// [`WideQuantizedTensor::quantize_per_channel`] — one algorithm, so the
-    /// two paths cannot drift apart; INT8 values always fit `i8` and are
-    /// stored straight into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis != 0`; only the output-channel axis is supported.
-    #[must_use]
-    pub fn quantize_per_channel(tensor: &Tensor<f32>, axis: usize) -> Self {
-        let (values, scheme) = quantize_rows(tensor, axis, OperandWidth::Int8, |q| q as i8);
-        Self { values, scheme }
-    }
-
-    /// The quantized INT8 values.
-    #[must_use]
-    pub fn values(&self) -> &Tensor<i8> {
-        &self.values
-    }
-
-    /// Mutable access to the quantized values (used by the FTA approximation,
-    /// which rewrites weights in place while keeping the original scheme).
-    pub fn values_mut(&mut self) -> &mut Tensor<i8> {
-        &mut self.values
-    }
-
-    /// The quantization scheme.
-    #[must_use]
-    pub fn scheme(&self) -> &QuantScheme {
-        &self.scheme
-    }
-
-    /// Dequantizes back to a float tensor.
-    #[must_use]
-    pub fn dequantize(&self) -> Tensor<f32> {
-        match &self.scheme {
-            QuantScheme::PerTensor(p) => p.dequantize_tensor(&self.values),
-            QuantScheme::PerChannel { params, .. } => {
-                let channels = self.values.shape()[0];
-                let per_channel = self.values.numel() / channels;
-                let mut out = Vec::with_capacity(self.values.numel());
-                for (c, p) in params.iter().enumerate().take(channels) {
-                    out.extend(
-                        self.values.data()[c * per_channel..(c + 1) * per_channel]
-                            .iter()
-                            .map(|&v| p.dequantize(v)),
-                    );
-                }
-                Tensor::from_vec(out, self.values.shape().to_vec())
-                    .expect("same element count as the quantized tensor")
-            }
-        }
-    }
-
-    /// Quantization error (mean squared) introduced relative to `reference`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] when shapes differ.
-    pub fn quantization_mse(&self, reference: &Tensor<f32>) -> Result<f32, TensorError> {
-        reference.mse(&self.dequantize())
-    }
-}
-
-/// A width-generic quantized weight tensor: `i32` values clamped to an
-/// [`OperandWidth`]'s range, with per-channel symmetric scales.
-///
-/// This is the INT4/INT12/INT16 counterpart of [`QuantizedTensor`]; at
-/// [`OperandWidth::Int8`] the values agree element-wise with
-/// [`QuantizedTensor::quantize_per_channel`].
-///
-/// # Examples
-///
-/// ```
-/// use dbpim_csd::OperandWidth;
-/// use dbpim_tensor::{Tensor, quant::WideQuantizedTensor};
-///
-/// let w = Tensor::from_vec(vec![0.1f32, -0.9, 0.4, 0.0], vec![2, 2])?;
-/// let q = WideQuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int12);
-/// assert!(q.values().data().iter().all(|&v| OperandWidth::Int12.contains(v)));
-/// assert_eq!(q.dequantize().shape(), w.shape());
-/// # Ok::<(), dbpim_tensor::TensorError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WideQuantizedTensor {
-    width: OperandWidth,
-    values: Tensor<i32>,
-    scheme: QuantScheme,
-}
-
-impl WideQuantizedTensor {
-    /// Per-channel symmetric quantization along `axis` (must be axis 0, the
-    /// output-channel convention used for weights) at the given width.
+    /// rank >= 1 tensor, the output-channel convention used for weights) at
+    /// `width`, in two passes per channel: the abs-max scan, then the
+    /// quantize. The quantize clamps with `max`/`min` against bounds read
+    /// once: `clamp` asserts `min <= max` on every element when the bounds
+    /// are not constants, and that branch keeps the loop from vectorizing.
     ///
     /// # Panics
     ///
     /// Panics if `axis != 0`; only the output-channel axis is supported.
     #[must_use]
     pub fn quantize_per_channel(tensor: &Tensor<f32>, axis: usize, width: OperandWidth) -> Self {
-        let (values, scheme) = quantize_rows(tensor, axis, width, |q| q);
-        Self { width, values, scheme }
-    }
-
-    /// The operand width the values are clamped to.
-    #[must_use]
-    pub fn width(&self) -> OperandWidth {
-        self.width
+        assert_eq!(axis, 0, "per-channel quantization is only supported along axis 0");
+        let channels = tensor.shape()[0];
+        let per_channel = tensor.numel() / channels;
+        let (lo, hi) = (width.min_value(), width.max_value());
+        let mut params = Vec::with_capacity(channels);
+        let mut values = Vec::with_capacity(tensor.numel());
+        for c in 0..channels {
+            let slice = &tensor.data()[c * per_channel..(c + 1) * per_channel];
+            let p = QuantParams::symmetric_for_width(abs_max(slice), width);
+            let scale = p.scale();
+            values.extend(slice.iter().map(|&v| round_to_i32(v / scale).max(lo).min(hi) as i16));
+            params.push(p);
+        }
+        let values = Tensor::from_vec(values, tensor.shape().to_vec())
+            .expect("same element count as the source tensor");
+        Self { values, scheme: QuantScheme::PerChannel { axis, params } }
     }
 
     /// The quantized values.
     #[must_use]
-    pub fn values(&self) -> &Tensor<i32> {
+    pub fn values(&self) -> &Tensor<i16> {
         &self.values
     }
 
@@ -398,23 +272,18 @@ impl WideQuantizedTensor {
     /// Dequantizes back to a float tensor.
     #[must_use]
     pub fn dequantize(&self) -> Tensor<f32> {
-        match &self.scheme {
-            QuantScheme::PerTensor(p) => self.values.map(|&v| p.dequantize_wide(v)),
-            QuantScheme::PerChannel { params, .. } => {
-                let channels = self.values.shape()[0];
-                let per_channel = self.values.numel() / channels;
-                let mut out = Vec::with_capacity(self.values.numel());
-                for (c, p) in params.iter().enumerate().take(channels) {
-                    out.extend(
-                        self.values.data()[c * per_channel..(c + 1) * per_channel]
-                            .iter()
-                            .map(|&v| p.dequantize_wide(v)),
-                    );
-                }
-                Tensor::from_vec(out, self.values.shape().to_vec())
-                    .expect("same element count as the quantized tensor")
-            }
+        let channels = self.values.shape()[0];
+        let per_channel = self.values.numel() / channels;
+        let mut out = Vec::with_capacity(self.values.numel());
+        for (c, p) in self.scheme.params().iter().enumerate().take(channels) {
+            out.extend(
+                self.values.data()[c * per_channel..(c + 1) * per_channel]
+                    .iter()
+                    .map(|&v| p.dequantize_wide(i32::from(v))),
+            );
         }
+        Tensor::from_vec(out, self.values.shape().to_vec())
+            .expect("same element count as the quantized tensor")
     }
 }
 
@@ -424,9 +293,9 @@ mod tests {
 
     #[test]
     fn symmetric_quantization_round_trips_small_error() {
-        let t = Tensor::from_vec(vec![0.5f32, -1.0, 0.25, 0.0, 0.99, -0.33], vec![6]).unwrap();
-        let q = QuantizedTensor::quantize_per_tensor(&t);
-        let err = q.quantization_mse(&t).unwrap();
+        let t = Tensor::from_vec(vec![0.5f32, -1.0, 0.25, 0.0, 0.99, -0.33], vec![2, 3]).unwrap();
+        let q = QuantizedTensor::quantize_per_channel(&t, 0, OperandWidth::Int8);
+        let err = t.mse(&q.dequantize()).unwrap();
         assert!(err < 1e-4, "quantization error too large: {err}");
     }
 
@@ -435,10 +304,12 @@ mod tests {
         // Channel 0 has tiny values, channel 1 large ones; per-channel
         // quantization must not crush channel 0 to zero.
         let t = Tensor::from_vec(vec![0.01f32, -0.02, 5.0, -4.0], vec![2, 2]).unwrap();
-        let q = QuantizedTensor::quantize_per_channel(&t, 0);
+        let q = QuantizedTensor::quantize_per_channel(&t, 0, OperandWidth::Int8);
         assert!(q.values().data()[0].unsigned_abs() > 30);
-        let per_tensor = QuantizedTensor::quantize_per_tensor(&t);
-        assert!(per_tensor.values().data()[0].unsigned_abs() <= 1);
+        // The same values as one channel share channel 1's scale.
+        let one = Tensor::from_vec(t.data().to_vec(), vec![1, 4]).unwrap();
+        let shared = QuantizedTensor::quantize_per_channel(&one, 0, OperandWidth::Int8);
+        assert!(shared.values().data()[0].unsigned_abs() <= 1);
     }
 
     #[test]
@@ -494,8 +365,8 @@ mod tests {
 
     #[test]
     fn all_zero_tensor_stays_zero() {
-        let t = Tensor::<f32>::zeros(vec![4]).unwrap();
-        let q = QuantizedTensor::quantize_per_tensor(&t);
+        let t = Tensor::<f32>::zeros(vec![2, 2]).unwrap();
+        let q = QuantizedTensor::quantize_per_channel(&t, 0, OperandWidth::Int8);
         assert!(q.values().data().iter().all(|&v| v == 0));
         assert!(q.dequantize().data().iter().all(|&v| v == 0.0));
     }
@@ -503,7 +374,7 @@ mod tests {
     #[test]
     fn scheme_lookup_per_channel() {
         let t = Tensor::from_vec(vec![1.0f32, 2.0, 4.0, 8.0], vec![2, 2]).unwrap();
-        let q = QuantizedTensor::quantize_per_channel(&t, 0);
+        let q = QuantizedTensor::quantize_per_channel(&t, 0, OperandWidth::Int8);
         let p0 = q.scheme().params_for_channel(0);
         let p1 = q.scheme().params_for_channel(1);
         assert!(p1.scale() > p0.scale());
@@ -516,24 +387,14 @@ mod tests {
     }
 
     #[test]
-    fn wide_int8_matches_the_int8_path_elementwise() {
-        let t = Tensor::from_vec(vec![0.01f32, -0.02, 5.0, -4.0, 0.7, -0.7], vec![2, 3]).unwrap();
-        let narrow = QuantizedTensor::quantize_per_channel(&t, 0);
-        let wide = WideQuantizedTensor::quantize_per_channel(&t, 0, OperandWidth::Int8);
-        for (&a, &b) in narrow.values().data().iter().zip(wide.values().data()) {
-            assert_eq!(i32::from(a), b);
-        }
-        assert_eq!(wide.width(), OperandWidth::Int8);
-    }
-
-    #[test]
     fn wide_widths_respect_their_ranges_and_resolution_order() {
         let t = Tensor::from_vec((0..32).map(|i| (i as f32 - 16.0) / 5.0).collect(), vec![2, 16])
             .unwrap();
         let mut previous_mse = f32::INFINITY;
         for width in OperandWidth::all() {
-            let q = WideQuantizedTensor::quantize_per_channel(&t, 0, width);
-            assert!(q.values().data().iter().all(|&v| width.contains(v)), "{width}");
+            let q = QuantizedTensor::quantize_per_channel(&t, 0, width);
+            assert!(q.values().data().iter().all(|&v| width.contains(i32::from(v))), "{width}");
+            assert_eq!(q.scheme().params().len(), 2, "{width}");
             let mse = t.mse(&q.dequantize()).unwrap();
             assert!(mse <= previous_mse, "{width}: mse {mse} > previous {previous_mse}");
             previous_mse = mse;

@@ -228,15 +228,16 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::WideQuantizedTensor;
+    use crate::quant::QuantizedTensor;
     use crate::random::{Distribution, TensorGenerator};
 
     #[test]
     fn csd_zero_ratio_is_at_least_binary_for_realistic_weights() {
         let mut g = TensorGenerator::new(11);
         let w = g.weight_tensor(vec![64, 3, 3, 3]).unwrap();
-        let q = WideQuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int8);
-        let s = WeightBitStats::from_wide_values(q.values().data(), OperandWidth::Int8);
+        let q = QuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int8);
+        let values: Vec<i32> = q.values().data().iter().map(|&v| i32::from(v)).collect();
+        let s = WeightBitStats::from_wide_values(&values, OperandWidth::Int8);
         assert!(s.csd_zero_ratio() >= s.binary_zero_ratio());
         // Fig. 2(a): realistic weights show at least ~60 % zero bits.
         assert!(s.binary_zero_ratio() > 0.6, "binary zero ratio {}", s.binary_zero_ratio());
@@ -277,10 +278,10 @@ mod tests {
     fn phi_mode_of_typical_weights_is_one_or_two() {
         let mut g = TensorGenerator::new(13);
         let w = g.weight_tensor(vec![128, 64, 3, 3]).unwrap();
-        let q = WideQuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int8);
+        let q = QuantizedTensor::quantize_per_channel(&w, 0, OperandWidth::Int8);
         let mut hist = [0usize; 5];
         for &v in q.values().data() {
-            hist[dbpim_csd::phi(v) as usize] += 1;
+            hist[dbpim_csd::phi(i32::from(v)) as usize] += 1;
         }
         let mode = (0..hist.len()).max_by_key(|&phi| (hist[phi], std::cmp::Reverse(phi)));
         assert!(mode <= Some(2), "mode {mode:?} unexpectedly high");

@@ -72,7 +72,7 @@ fn metadata_reconstruction_is_lossless_for_every_pim_layer() {
         let filter_len = layer.filter_len();
         for (f, filter_meta) in metadata.filters.iter().enumerate() {
             for (j, slots) in filter_meta.weights.iter().enumerate() {
-                let expected = i32::from(approx_tensor.data()[f * filter_len + j]);
+                let expected = i32::from(approx_tensor.values().data()[f * filter_len + j]);
                 assert_eq!(slots.reconstruct(), expected, "node {node_id}, filter {f}, weight {j}");
             }
         }

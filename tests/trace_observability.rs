@@ -127,6 +127,36 @@ fn chrome_export_covers_pipeline_phases_and_parses() {
     assert_eq!(metadata, 1 + threads.len());
 }
 
+/// A traced INT4 preparation shows the width path's weight quantization
+/// (`fta.quantize`) apart from Algorithm 1, inside `fta.approx`; the INT8
+/// path approximates the quantizer's own tensors and has no such span.
+/// Both tag `fta.approx` with the width's bit count.
+#[test]
+fn fta_approx_tags_its_width_and_splits_out_wide_quantization() {
+    let _guard = trace_lock().lock().expect("trace test lock");
+    let model = ModelKind::AlexNet.build_with_width(10, 42, 0.25).expect("model builds");
+    for (width, quantize_spans) in [(OperandWidth::Int4, 1), (OperandWidth::Int8, 0)] {
+        let collector = Arc::new(TraceCollector::new());
+        dbpim_trace::install(Arc::clone(&collector));
+        let config = small_config().without_fidelity().with_operand_width(width);
+        let prepared = ModelArtifacts::prepare(&config, &model);
+        dbpim_trace::uninstall();
+        prepared.expect("prepares");
+        let spans = collector.snapshot();
+        let approx: Vec<_> = spans.iter().filter(|s| s.name == "fta.approx").collect();
+        assert_eq!(approx.len(), 1, "{width}");
+        let bits = width.bits().to_string();
+        assert!(approx[0].args.contains(&("width", bits)), "{width}: {:?}", approx[0].args);
+        let quantize: Vec<_> = spans.iter().filter(|s| s.name == "fta.quantize").collect();
+        assert_eq!(quantize.len(), quantize_spans, "{width}");
+        for span in quantize {
+            assert!(span.thread == approx[0].thread && span.depth > approx[0].depth, "{width}");
+            assert!(span.start_micros >= approx[0].start_micros, "{width}");
+            assert!(span.end_micros() <= approx[0].end_micros(), "{width}");
+        }
+    }
+}
+
 /// Spans on one thread either nest or are disjoint — never partially
 /// overlapping — and a deeper span lies inside some shallower one.
 #[test]

@@ -233,7 +233,7 @@ fn compiled_programs_follow_the_width_geometry() {
 /// The INT8 results of the width-parameterized session layer are
 /// byte-identical to the pre-existing `Pipeline` path (the INT8 goldens are
 /// preserved, not re-recorded), and a width sweep produces one entry per
-/// requested width with fidelity only on INT8.
+/// requested width, each with its fidelity against the INT8 baseline.
 #[test]
 fn int8_sweep_results_remain_byte_identical_to_the_pipeline() {
     let mut config = PipelineConfig::fast();
@@ -245,6 +245,7 @@ fn int8_sweep_results_remain_byte_identical_to_the_pipeline() {
     // Golden: the historical single-model pipeline result.
     let pipeline = Pipeline::new(config).expect("valid config");
     let golden = pipeline.run_kind(ModelKind::AlexNet).expect("pipeline runs");
+    let golden_fidelity = golden.fidelity.expect("golden evaluates fidelity");
 
     // A sweep with an explicit INT8 width axis must reproduce it exactly.
     let runner = BatchRunner::new(config).expect("valid config");
@@ -257,7 +258,7 @@ fn int8_sweep_results_remain_byte_identical_to_the_pipeline() {
         "INT8 sweep result diverges from the historical pipeline"
     );
 
-    // The full width axis: one entry per width, fidelity only at INT8, and
+    // The full width axis: one entry per width, each with fidelity, and
     // the INT8 entry still byte-identical to the golden.
     let spec = SweepSpec::new(vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity])
@@ -270,11 +271,10 @@ fn int8_sweep_results_remain_byte_identical_to_the_pipeline() {
         assert_eq!(entry.kind, ModelKind::AlexNet);
         assert_eq!(entry.width, width);
         assert_eq!(entry.result.runs.len(), 2);
-        if width == OperandWidth::Int8 {
-            assert!(entry.result.fidelity.is_some(), "INT8 keeps fidelity");
-        } else {
-            assert!(entry.result.fidelity.is_none(), "{width} has no INT8 fidelity");
-        }
+        let fidelity = entry.result.fidelity.expect("every width evaluates fidelity");
+        assert_eq!(fidelity.images, 2, "{width}");
+        assert!((0.0..=1.0).contains(&fidelity.top1_agreement), "{width}: {fidelity:?}");
+        assert_eq!(fidelity.baseline_accuracy, golden_fidelity.baseline_accuracy, "{width}");
         let hybrid = entry.result.speedup(SparsityConfig::HybridSparsity);
         assert!(hybrid > 1.0, "{width}: hybrid speedup {hybrid}");
         let u = entry.result.utilization();
@@ -283,6 +283,7 @@ fn int8_sweep_results_remain_byte_identical_to_the_pipeline() {
     let int8_entry =
         report.result_at_width(ModelKind::AlexNet, OperandWidth::Int8).expect("INT8 swept");
     assert_eq!(int8_entry.fta_stats, golden.fta_stats);
+    assert_eq!(int8_entry.fidelity, golden.fidelity);
     for sparsity in [SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity] {
         assert_eq!(
             int8_entry.run(sparsity),
