@@ -106,9 +106,15 @@ pub fn table2(context: &ExperimentContext) -> Result<String, PipelineError> {
     let paper_drop = [0.98, 0.64, 0.56, 0.16, 0.52];
     let sweep = context.zoo_sweep(true)?;
     let mut out = String::new();
+    // The paper's width goes unnamed; other widths name theirs, so saved
+    // outputs at different widths can be told apart.
+    let operands = match options.operand_width {
+        OperandWidth::Int8 => String::new(),
+        width => format!(", {width} operands"),
+    };
     let _ = writeln!(
         out,
-        "Table 2 - FTA fidelity on synthetic batches (width x{}, {} images)",
+        "Table 2 - FTA fidelity on synthetic batches (width x{}, {} images{operands})",
         options.width_mult, options.evaluation_images
     );
     let _ = writeln!(
@@ -526,6 +532,30 @@ mod tests {
         let t4 = table4(&small_context());
         assert!(t4.contains("Meta-RFs"));
         assert!(t4.contains("Total"));
+    }
+
+    #[test]
+    fn table2_titles_name_widths_other_than_int8() {
+        let title = |operand_width| {
+            let options = ExperimentOptions {
+                width_mult: 0.0625,
+                classes: 10,
+                calibration_images: 1,
+                evaluation_images: 1,
+                operand_width,
+                ..ExperimentOptions::default()
+            };
+            let report = table2(&ExperimentContext::new(options).unwrap()).unwrap();
+            report.lines().next().unwrap().to_string()
+        };
+        assert_eq!(
+            title(OperandWidth::Int8),
+            "Table 2 - FTA fidelity on synthetic batches (width x0.0625, 1 images)"
+        );
+        assert_eq!(
+            title(OperandWidth::Int4),
+            "Table 2 - FTA fidelity on synthetic batches (width x0.0625, 1 images, int4 operands)"
+        );
     }
 
     #[test]

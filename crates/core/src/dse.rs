@@ -41,7 +41,8 @@ use dbpim_nn::ModelKind;
 use dbpim_sim::dse::{pareto_frontier, ArchGrid, GridError, ParetoMetrics};
 use dbpim_sim::{AreaModel, SparsityConfig};
 use dbpim_tensor::PruningSpec;
-use serde::value::{get_field, type_error, Value};
+use serde::de::{self, Reader};
+use serde::ser::Writer;
 use serde::{Deserialize, Error, Serialize};
 
 use crate::error::PipelineError;
@@ -86,37 +87,41 @@ pub struct DseSpec {
 }
 
 impl Serialize for DseSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("grid".to_string(), self.grid.to_value()),
-            ("models".to_string(), self.models.to_value()),
-            ("sparsity".to_string(), self.sparsity.to_value()),
-            ("widths".to_string(), self.widths.to_value()),
-            ("fidelity".to_string(), self.fidelity.to_value()),
-        ];
+    fn serialize(&self, out: &mut Writer) {
+        let mut object = out.object();
+        object
+            .field("grid", &self.grid)
+            .field("models", &self.models)
+            .field("sparsity", &self.sparsity)
+            .field("widths", &self.widths)
+            .field("fidelity", &self.fidelity);
         if !self.pruning.is_empty() {
-            entries.push(("pruning".to_string(), self.pruning.to_value()));
+            object.field("pruning", &self.pruning);
         }
-        Value::Map(entries)
+        object.end();
     }
 }
 
 impl Deserialize for DseSpec {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("DSE spec map", value))?;
-        let field = |name: &str| {
-            get_field(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-        };
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut grid, mut models, mut sparsity, mut widths, mut pruning, mut fidelity) =
+            (None, None, None, None, None, None);
+        input.object(|input, key| match key {
+            "grid" => de::field(input, &mut grid),
+            "models" => de::field(input, &mut models),
+            "sparsity" => de::field(input, &mut sparsity),
+            "widths" => de::field(input, &mut widths),
+            "pruning" => de::field(input, &mut pruning),
+            "fidelity" => de::field(input, &mut fidelity),
+            _ => input.skip(),
+        })?;
         Ok(Self {
-            grid: ArchGrid::from_value(field("grid")?)?,
-            models: Vec::from_value(field("models")?)?,
-            sparsity: Vec::from_value(field("sparsity")?)?,
-            widths: Vec::from_value(field("widths")?)?,
-            pruning: match get_field(entries, "pruning") {
-                Some(found) => Vec::from_value(found)?,
-                None => Vec::new(),
-            },
-            fidelity: bool::from_value(field("fidelity")?)?,
+            grid: de::required(grid, "grid")?,
+            models: de::required(models, "models")?,
+            sparsity: de::required(sparsity, "sparsity")?,
+            widths: de::required(widths, "widths")?,
+            pruning: pruning.unwrap_or_default(),
+            fidelity: de::required(fidelity, "fidelity")?,
         })
     }
 }
@@ -396,37 +401,41 @@ pub struct DseEntry {
 }
 
 impl Serialize for DseEntry {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("kind".to_string(), self.kind.to_value()),
-            ("width".to_string(), self.width.to_value()),
-            ("arch".to_string(), self.arch.to_value()),
-            ("result".to_string(), self.result.to_value()),
-            ("computed_at_ms".to_string(), self.computed_at_ms.to_value()),
-        ];
+    fn serialize(&self, out: &mut Writer) {
+        let mut object = out.object();
+        object
+            .field("kind", &self.kind)
+            .field("width", &self.width)
+            .field("arch", &self.arch)
+            .field("result", &self.result)
+            .field("computed_at_ms", &self.computed_at_ms);
         if self.pruning.is_active() {
-            entries.push(("pruning".to_string(), self.pruning.to_value()));
+            object.field("pruning", &self.pruning);
         }
-        Value::Map(entries)
+        object.end();
     }
 }
 
 impl Deserialize for DseEntry {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("DSE entry map", value))?;
-        let field = |name: &str| {
-            get_field(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-        };
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut kind, mut width, mut pruning, mut arch, mut result, mut computed_at_ms) =
+            (None, None, None, None, None, None);
+        input.object(|input, key| match key {
+            "kind" => de::field(input, &mut kind),
+            "width" => de::field(input, &mut width),
+            "pruning" => de::field(input, &mut pruning),
+            "arch" => de::field(input, &mut arch),
+            "result" => de::field(input, &mut result),
+            "computed_at_ms" => de::field(input, &mut computed_at_ms),
+            _ => input.skip(),
+        })?;
         Ok(Self {
-            kind: ModelKind::from_value(field("kind")?)?,
-            width: OperandWidth::from_value(field("width")?)?,
-            pruning: match get_field(entries, "pruning") {
-                Some(found) => PruningSpec::from_value(found)?,
-                None => PruningSpec::none(),
-            },
-            arch: ArchConfig::from_value(field("arch")?)?,
-            result: CodesignResult::from_value(field("result")?)?,
-            computed_at_ms: u64::from_value(field("computed_at_ms")?)?,
+            kind: de::required(kind, "kind")?,
+            width: de::required(width, "width")?,
+            pruning: pruning.unwrap_or_else(PruningSpec::none),
+            arch: de::required(arch, "arch")?,
+            result: de::required(result, "result")?,
+            computed_at_ms: de::required(computed_at_ms, "computed_at_ms")?,
         })
     }
 }

@@ -48,7 +48,8 @@ use dbpim_nn::{fold_batch_norm, Model, ModelKind, ModelSummary, QuantizedModel};
 use dbpim_sim::{RunReport, SimConfig, Simulator, SparsityConfig};
 use dbpim_tensor::random::TensorGenerator;
 use dbpim_tensor::PruningSpec;
-use serde::value::{get_field, type_error, Value};
+use serde::de::{self, Reader};
+use serde::ser::Writer;
 use serde::{Deserialize, Error, Serialize};
 
 use self::par::lock_unpoisoned;
@@ -823,35 +824,38 @@ pub struct SweepSpec {
 }
 
 impl Serialize for SweepSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("models".to_string(), self.models.to_value()),
-            ("sparsity".to_string(), self.sparsity.to_value()),
-            ("archs".to_string(), self.archs.to_value()),
-            ("widths".to_string(), self.widths.to_value()),
-        ];
+    fn serialize(&self, out: &mut Writer) {
+        let mut object = out.object();
+        object
+            .field("models", &self.models)
+            .field("sparsity", &self.sparsity)
+            .field("archs", &self.archs)
+            .field("widths", &self.widths);
         if !self.pruning.is_empty() {
-            entries.push(("pruning".to_string(), self.pruning.to_value()));
+            object.field("pruning", &self.pruning);
         }
-        Value::Map(entries)
+        object.end();
     }
 }
 
 impl Deserialize for SweepSpec {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("sweep spec map", value))?;
-        let field = |name: &str| {
-            get_field(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-        };
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut models, mut sparsity, mut archs, mut widths, mut pruning) =
+            (None, None, None, None, None);
+        input.object(|input, key| match key {
+            "models" => de::field(input, &mut models),
+            "sparsity" => de::field(input, &mut sparsity),
+            "archs" => de::field(input, &mut archs),
+            "widths" => de::field(input, &mut widths),
+            "pruning" => de::field(input, &mut pruning),
+            _ => input.skip(),
+        })?;
         Ok(Self {
-            models: Vec::from_value(field("models")?)?,
-            sparsity: Vec::from_value(field("sparsity")?)?,
-            archs: Vec::from_value(field("archs")?)?,
-            widths: Vec::from_value(field("widths")?)?,
-            pruning: match get_field(entries, "pruning") {
-                Some(found) => Vec::from_value(found)?,
-                None => Vec::new(),
-            },
+            models: de::required(models, "models")?,
+            sparsity: de::required(sparsity, "sparsity")?,
+            archs: de::required(archs, "archs")?,
+            widths: de::required(widths, "widths")?,
+            pruning: pruning.unwrap_or_default(),
         })
     }
 }
@@ -963,35 +967,38 @@ pub struct SweepEntry {
 }
 
 impl Serialize for SweepEntry {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("kind".to_string(), self.kind.to_value()),
-            ("width".to_string(), self.width.to_value()),
-            ("arch".to_string(), self.arch.to_value()),
-            ("result".to_string(), self.result.to_value()),
-        ];
+    fn serialize(&self, out: &mut Writer) {
+        let mut object = out.object();
+        object
+            .field("kind", &self.kind)
+            .field("width", &self.width)
+            .field("arch", &self.arch)
+            .field("result", &self.result);
         if self.pruning.is_active() {
-            entries.push(("pruning".to_string(), self.pruning.to_value()));
+            object.field("pruning", &self.pruning);
         }
-        Value::Map(entries)
+        object.end();
     }
 }
 
 impl Deserialize for SweepEntry {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("sweep entry map", value))?;
-        let field = |name: &str| {
-            get_field(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-        };
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut kind, mut width, mut pruning, mut arch, mut result) =
+            (None, None, None, None, None);
+        input.object(|input, key| match key {
+            "kind" => de::field(input, &mut kind),
+            "width" => de::field(input, &mut width),
+            "pruning" => de::field(input, &mut pruning),
+            "arch" => de::field(input, &mut arch),
+            "result" => de::field(input, &mut result),
+            _ => input.skip(),
+        })?;
         Ok(Self {
-            kind: ModelKind::from_value(field("kind")?)?,
-            width: OperandWidth::from_value(field("width")?)?,
-            pruning: match get_field(entries, "pruning") {
-                Some(found) => PruningSpec::from_value(found)?,
-                None => PruningSpec::none(),
-            },
-            arch: ArchConfig::from_value(field("arch")?)?,
-            result: CodesignResult::from_value(field("result")?)?,
+            kind: de::required(kind, "kind")?,
+            width: de::required(width, "width")?,
+            pruning: pruning.unwrap_or_else(PruningSpec::none),
+            arch: de::required(arch, "arch")?,
+            result: de::required(result, "result")?,
         })
     }
 }

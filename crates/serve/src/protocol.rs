@@ -24,6 +24,7 @@ use dbpim_arch::ArchConfig;
 use dbpim_csd::OperandWidth;
 use dbpim_nn::ModelKind;
 use dbpim_sim::SparsityConfig;
+use serde::ser::{ObjectWriter, Writer};
 use serde::{Deserialize, Serialize};
 
 /// Version of the wire protocol; bumped on incompatible changes. The server
@@ -200,61 +201,63 @@ impl Request {
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> serde::value::Value {
-        use serde::value::Value;
+    fn serialize(&self, out: &mut Writer) {
         // Mirrors the derive's externally-tagged encoding field-for-field
         // (declaration order), except that a `None` trace context is
         // omitted instead of serialized as `null` — see the type docs.
-        let variant = |name: &str, fields: Vec<(String, Value)>| {
-            Value::Map(vec![(name.to_string(), Value::Map(fields))])
-        };
-        let push_trace = |fields: &mut Vec<(String, Value)>, trace: &Option<TraceContext>| {
+        let trace_last = |object: &mut ObjectWriter<'_>, trace: &Option<TraceContext>| {
             if let Some(context) = trace {
-                fields.push(("trace".to_string(), context.to_value()));
+                object.field("trace", context);
             }
         };
         match self {
-            Request::Ping => Value::Str("Ping".to_string()),
-            Request::Auth { token } => {
-                variant("Auth", vec![("token".to_string(), token.to_value())])
-            }
-            Request::ListModels => Value::Str("ListModels".to_string()),
+            Request::Ping => out.str("Ping"),
+            Request::Auth { token } => out.variant("Auth", |out| {
+                let mut object = out.object();
+                object.field("token", token);
+                object.end();
+            }),
+            Request::ListModels => out.str("ListModels"),
             Request::RunModel { model, sparsity, width, arch, fidelity, deadline_ms, trace } => {
-                let mut fields = vec![
-                    ("model".to_string(), model.to_value()),
-                    ("sparsity".to_string(), sparsity.to_value()),
-                    ("width".to_string(), width.to_value()),
-                    ("arch".to_string(), arch.to_value()),
-                    ("fidelity".to_string(), fidelity.to_value()),
-                    ("deadline_ms".to_string(), deadline_ms.to_value()),
-                ];
-                push_trace(&mut fields, trace);
-                variant("RunModel", fields)
+                out.variant("RunModel", |out| {
+                    let mut object = out.object();
+                    object
+                        .field("model", model)
+                        .field("sparsity", sparsity)
+                        .field("width", width)
+                        .field("arch", arch)
+                        .field("fidelity", fidelity)
+                        .field("deadline_ms", deadline_ms);
+                    trace_last(&mut object, trace);
+                    object.end();
+                });
             }
-            Request::Sweep { spec, fidelity, deadline_ms, trace } => {
-                let mut fields = vec![
-                    ("spec".to_string(), spec.to_value()),
-                    ("fidelity".to_string(), fidelity.to_value()),
-                    ("deadline_ms".to_string(), deadline_ms.to_value()),
-                ];
-                push_trace(&mut fields, trace);
-                variant("Sweep", fields)
-            }
+            Request::Sweep { spec, fidelity, deadline_ms, trace } => out.variant("Sweep", |out| {
+                let mut object = out.object();
+                object
+                    .field("spec", spec)
+                    .field("fidelity", fidelity)
+                    .field("deadline_ms", deadline_ms);
+                trace_last(&mut object, trace);
+                object.end();
+            }),
             Request::Explore { spec, deadline_ms, shard, trace } => {
-                let mut fields = vec![
-                    ("spec".to_string(), spec.to_value()),
-                    ("deadline_ms".to_string(), deadline_ms.to_value()),
-                    ("shard".to_string(), shard.to_value()),
-                ];
-                push_trace(&mut fields, trace);
-                variant("Explore", fields)
+                out.variant("Explore", |out| {
+                    let mut object = out.object();
+                    object
+                        .field("spec", spec)
+                        .field("deadline_ms", deadline_ms)
+                        .field("shard", shard);
+                    trace_last(&mut object, trace);
+                    object.end();
+                });
             }
-            Request::CacheStats => Value::Str("CacheStats".to_string()),
-            Request::Stats => Value::Str("Stats".to_string()),
-            Request::ShardStatus => Value::Str("ShardStatus".to_string()),
-            Request::TraceSnapshot => Value::Str("TraceSnapshot".to_string()),
-            Request::MetricsSnapshot => Value::Str("MetricsSnapshot".to_string()),
-            Request::Shutdown => Value::Str("Shutdown".to_string()),
+            Request::CacheStats => out.str("CacheStats"),
+            Request::Stats => out.str("Stats"),
+            Request::ShardStatus => out.str("ShardStatus"),
+            Request::TraceSnapshot => out.str("TraceSnapshot"),
+            Request::MetricsSnapshot => out.str("MetricsSnapshot"),
+            Request::Shutdown => out.str("Shutdown"),
         }
     }
 }
@@ -526,12 +529,26 @@ impl From<std::io::Error> for WireError {
 
 /// Serializes `message` as one JSON line and flushes it.
 ///
+/// The JSON text and its `\n` go out as two writes. On a socket without
+/// `TCP_NODELAY` the newline then waits for the peer's ACK of the text,
+/// which a delayed ACK can hold for ~40 ms; ROADMAP's "Daemon
+/// `TCP_NODELAY`" item tracks sending a frame in one write.
+///
 /// # Errors
 ///
 /// Propagates stream write failures.
 pub fn write_message<T: Serialize>(writer: &mut impl Write, message: &T) -> std::io::Result<()> {
-    let json = serde_json::to_string(message)
-        .map_err(|e| std::io::Error::other(format!("serialize message: {e}")))?;
+    write_frame(writer, &encode_message(message)?)
+}
+
+/// The JSON text of one frame (without its newline).
+pub(crate) fn encode_message<T: Serialize>(message: &T) -> std::io::Result<String> {
+    serde_json::to_string(message)
+        .map_err(|e| std::io::Error::other(format!("serialize message: {e}")))
+}
+
+/// Writes `json` and its newline (see [`write_message`]) and flushes.
+pub(crate) fn write_frame(writer: &mut impl Write, json: &str) -> std::io::Result<()> {
     writer.write_all(json.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
@@ -873,6 +890,39 @@ mod tests {
         assert_eq!(read_message::<Request>(&mut reader).unwrap(), Some(Request::Ping));
         assert_eq!(read_message::<Request>(&mut reader).unwrap(), Some(Request::ListModels));
         assert_eq!(read_message::<Request>(&mut reader).unwrap(), None);
+    }
+
+    /// A `Write` that records every `write` call.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_its_json_and_one_newline_then_a_flush() {
+        let message = Response::ExploreFinished { total_points: 3, wall_time: Duration::ZERO };
+        let mut writer = RecordingWriter::default();
+        write_message(&mut writer, &message).unwrap();
+        let frame = writer.writes.concat();
+        let json = serde_json::to_string(&message).unwrap();
+        assert_eq!(frame, format!("{json}\n").into_bytes());
+        assert_eq!(writer.flushes, 1);
+        let mut reader = std::io::BufReader::new(frame.as_slice());
+        assert_eq!(read_message::<Response>(&mut reader).unwrap(), Some(message));
+        assert_eq!(read_message::<Response>(&mut reader).unwrap(), None);
     }
 
     #[test]

@@ -52,8 +52,8 @@ use dbpim_sim::SparsityConfig;
 use dbpim_trace::{log_debug, log_info, log_warn, ChromeTrace, MetricsRegistry, TraceCollector};
 
 use crate::protocol::{
-    write_message, ErrorKind, ErrorResponse, Request, RequestLatency, Response, ServerStats,
-    ShardAnnotation, ShardState, ShardStatus, PROTOCOL_VERSION,
+    encode_message, write_frame, write_message, ErrorKind, ErrorResponse, Request, RequestLatency,
+    Response, ServerStats, ShardAnnotation, ShardState, ShardStatus, PROTOCOL_VERSION,
 };
 
 /// Upper bound on distinct shards the progress registry remembers; beyond
@@ -876,10 +876,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Writes one response; returns `true` when the connection should close
-/// (write failure — the peer is gone).
+/// Writes one response frame (see [`write_message`]); returns `true` when
+/// the connection should close (write failure — the peer is gone). Traced
+/// as `serve.encode` then `serve.write`.
 fn respond(writer: &mut TcpStream, response: &Response) -> bool {
-    write_message(writer, response).is_err()
+    let json = {
+        let _span = dbpim_trace::span!("serve.encode");
+        encode_message(response)
+    };
+    let Ok(json) = json else { return true };
+    let _span = dbpim_trace::span!("serve.write", bytes = json.len() + 1);
+    write_frame(writer, &json).is_err()
 }
 
 /// Applies the connection's auth state machine, then hands authorized

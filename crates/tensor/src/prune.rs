@@ -17,7 +17,8 @@
 
 use std::fmt;
 
-use serde::value::{get_field, type_error, Value};
+use serde::de::{self, Reader};
+use serde::ser::Writer;
 use serde::{Deserialize, Error, Serialize};
 
 /// Which granularity the magnitude mask removes weights at.
@@ -213,34 +214,31 @@ impl std::str::FromStr for PruningSpec {
 }
 
 impl Serialize for PruningSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("mode".to_string(), Value::Str(self.mode.name().to_string())),
-            ("fraction".to_string(), Value::F64(self.fraction)),
-        ])
+    fn serialize(&self, out: &mut Writer) {
+        let mut object = out.object();
+        object.field("mode", self.mode.name()).field("fraction", &self.fraction);
+        object.end();
     }
 }
 
 impl Deserialize for PruningSpec {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("pruning spec map", value))?;
-        let mode = match get_field(entries, "mode") {
-            Some(Value::Str(name)) => match name.as_str() {
-                "unstructured" => PruningMode::Unstructured,
-                "structured" => PruningMode::Structured,
-                other => return Err(Error::custom(format!("unknown pruning mode `{other}`"))),
-            },
-            Some(other) => return Err(type_error("pruning mode string", other)),
-            None => return Err(Error::custom("missing field `mode`".to_string())),
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut mode, mut fraction) = (None, None);
+        input.object(|input, key| match key {
+            "mode" => de::field::<String>(input, &mut mode),
+            // A number, never `null`: a pruning fraction is always finite.
+            "fraction" if fraction.is_none() => {
+                fraction = Some(input.number()?.as_f64());
+                Ok(())
+            }
+            _ => input.skip(),
+        })?;
+        let mode = match de::required(mode, "mode")?.as_str() {
+            "unstructured" => PruningMode::Unstructured,
+            "structured" => PruningMode::Structured,
+            other => return Err(Error::custom(format!("unknown pruning mode `{other}`"))),
         };
-        let fraction = match get_field(entries, "fraction") {
-            Some(Value::F64(f)) => *f,
-            Some(Value::I64(i)) => *i as f64,
-            Some(Value::U64(u)) => *u as f64,
-            Some(other) => return Err(type_error("pruning fraction number", other)),
-            None => return Err(Error::custom("missing field `fraction`".to_string())),
-        };
-        Ok(Self { mode, fraction }.canonical())
+        Ok(Self { mode, fraction: de::required(fraction, "fraction")? }.canonical())
     }
 }
 
@@ -420,16 +418,38 @@ mod tests {
         assert!(PruningSpec::unstructured(f64::NAN).validate().is_err());
     }
 
+    fn to_json(spec: &PruningSpec) -> String {
+        let mut out = Writer::new();
+        spec.serialize(&mut out);
+        out.into_string()
+    }
+
+    fn from_json(text: &str) -> Result<PruningSpec, Error> {
+        let mut input = Reader::new(text);
+        let spec = PruningSpec::deserialize(&mut input)?;
+        input.finish()?;
+        Ok(spec)
+    }
+
     #[test]
     fn serde_round_trips_and_is_stable() {
         for spec in
             [PruningSpec::none(), PruningSpec::unstructured(0.25), PruningSpec::structured(0.5)]
         {
-            let value = spec.to_value();
-            let back = PruningSpec::from_value(&value).unwrap();
+            let back = from_json(&to_json(&spec)).unwrap();
             assert_eq!(back, spec);
         }
-        assert!(PruningSpec::from_value(&Value::Str("nope".to_string())).is_err());
+        assert_eq!(
+            to_json(&PruningSpec::structured(0.5)),
+            "{\"mode\":\"structured\",\"fraction\":0.5}"
+        );
+        assert!(from_json("\"nope\"").is_err());
+        // The first of duplicate keys wins; a fraction is a number, not null.
+        let first = from_json("{\"mode\":\"structured\",\"fraction\":1,\"fraction\":0.5}");
+        assert_eq!(first.unwrap().fraction, 1.0);
+        assert!(from_json("{\"mode\":\"structured\",\"fraction\":null}").is_err());
+        let missing = from_json("{\"mode\":\"structured\"}").unwrap_err();
+        assert!(missing.to_string().contains("`fraction`"), "{missing}");
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl ChromeTrace {
             ("traceEvents".to_string(), Value::Seq(trace_events)),
             ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
         ]);
-        serde_json::to_string(&document).expect("the value model always serializes")
+        serde_json::to_string(&document).expect("a JSON document always serializes")
     }
 }
 
@@ -205,15 +205,12 @@ mod tests {
 
     fn events_of(json: &str) -> Vec<Value> {
         let value: Value = serde_json::from_str(json).expect("well-formed JSON");
-        let entries = value.as_map().expect("object document").to_vec();
-        serde::value::get_field(&entries, "traceEvents")
-            .and_then(Value::as_seq)
-            .expect("traceEvents array")
-            .to_vec()
+        value.get("traceEvents").and_then(Value::as_seq).expect("traceEvents array").to_vec()
     }
 
     fn field<'a>(event: &'a Value, name: &str) -> Option<&'a Value> {
-        serde::value::get_field(event.as_map().expect("event object"), name)
+        assert!(event.as_map().is_some(), "event object");
+        event.get(name)
     }
 
     // Parsed JSON integers come back as `I64` when they fit; rendered ones
@@ -251,13 +248,10 @@ mod tests {
         assert_eq!(field(first, "name").and_then(Value::as_str), Some("pipeline.quantize"));
         // The real process id replaces the historical hardcoded `pid: 1`.
         assert_eq!(field(first, "pid").and_then(as_num), Some(u64::from(std::process::id())));
-        let args = field(first, "args").and_then(Value::as_map).expect("args");
-        assert_eq!(
-            serde::value::get_field(args, "model").and_then(Value::as_str),
-            Some("resnet18")
-        );
+        let args = field(first, "args").expect("args");
+        assert_eq!(field(args, "model").and_then(Value::as_str), Some("resnet18"));
         // The span id rides along for cross-process correlation.
-        assert_eq!(serde::value::get_field(args, "span").and_then(as_num), Some(7));
+        assert_eq!(field(args, "span").and_then(as_num), Some(7));
     }
 
     #[test]
@@ -286,10 +280,7 @@ mod tests {
             .iter()
             .filter(|e| field(e, "name").and_then(Value::as_str) == Some("process_name"))
             .filter_map(|e| {
-                field(e, "args")
-                    .and_then(Value::as_map)
-                    .and_then(|args| serde::value::get_field(args, "name"))
-                    .and_then(Value::as_str)
+                field(e, "args").and_then(|args| field(args, "name")).and_then(Value::as_str)
             })
             .collect();
         assert_eq!(labels, vec!["dbpim-fleet", "dbpim-served 127.0.0.1:7641"]);

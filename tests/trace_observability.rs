@@ -100,10 +100,7 @@ fn chrome_export_covers_pipeline_phases_and_parses() {
 
     let json = ChromeTrace::render(&spans);
     let value: Value = serde_json::from_str(&json).expect("the export is well-formed JSON");
-    let document = value.as_map().expect("object document");
-    let events = serde::value::get_field(document, "traceEvents")
-        .and_then(Value::as_seq)
-        .expect("traceEvents array");
+    let events = value.get("traceEvents").and_then(Value::as_seq).expect("traceEvents array");
     // One complete (`ph:"X"`) event per span, plus the lane's labelling
     // metadata: one `process_name` and one `thread_name` per thread.
     let threads: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.thread).collect();
@@ -111,13 +108,13 @@ fn chrome_export_covers_pipeline_phases_and_parses() {
     let mut complete = 0usize;
     let mut metadata = 0usize;
     for event in events {
-        let event = event.as_map().expect("event object");
-        assert!(serde::value::get_field(event, "name").and_then(Value::as_str).is_some());
-        match serde::value::get_field(event, "ph").and_then(Value::as_str) {
+        assert!(event.as_map().is_some(), "event object");
+        assert!(event.get("name").and_then(Value::as_str).is_some());
+        match event.get("ph").and_then(Value::as_str) {
             Some("X") => {
                 complete += 1;
-                assert!(serde::value::get_field(event, "ts").is_some());
-                assert!(serde::value::get_field(event, "dur").is_some());
+                assert!(event.get("ts").is_some());
+                assert!(event.get("dur").is_some());
             }
             Some("M") => metadata += 1,
             other => panic!("unexpected event phase {other:?}"),
@@ -279,12 +276,29 @@ fn trace_snapshot_drains_context_tagged_request_spans() {
     assert!(request_span.id != 0, "recorded spans carry non-sentinel ids");
     // The pipeline work executed inside the daemon landed in the same buffer.
     assert!(snapshot.spans.iter().any(|span| span.name == "pipeline.simulate"));
+    // Every streamed frame was encoded and written inside the request span.
+    let request_end = request_span.start_micros + request_span.duration_micros;
+    for name in ["serve.encode", "serve.write"] {
+        let inside: Vec<_> = snapshot
+            .spans
+            .iter()
+            .filter(|span| span.name == name && span.thread == request_span.thread)
+            .filter(|span| span.start_micros >= request_span.start_micros)
+            .filter(|span| span.start_micros + span.duration_micros <= request_end)
+            .collect();
+        assert!(!inside.is_empty(), "no {name} span under the Explore serve.request");
+        assert!(inside.iter().all(|span| span.depth == request_span.depth + 1), "{name} depth");
+    }
 
     let drained = client.trace_snapshot().expect("second snapshot");
     // Draining twice yields at most the spans recorded since the first
-    // drain (the TraceSnapshot request itself); the explore spans are gone.
+    // drain (the TraceSnapshot request and its answer's encode and write);
+    // the explore spans are gone.
     assert!(
-        drained.spans.iter().all(|span| span.name == "serve.request"),
+        drained
+            .spans
+            .iter()
+            .all(|span| ["serve.request", "serve.encode", "serve.write"].contains(&&*span.name)),
         "first drain cleared the buffer"
     );
 
