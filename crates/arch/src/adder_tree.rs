@@ -84,64 +84,6 @@ impl CsdAdderTree {
         let stats = AdderTreeStats { operands: products.len(), effective_operands: ones as usize };
         (if signed_msb { -magnitude } else { magnitude }, stats)
     }
-
-    /// Word-packed reduction of one `(filter, row)` pair against a packed
-    /// input mask.
-    ///
-    /// `sign_planes` holds `2 × words` words per CSD shift amount `k`,
-    /// positive plane first: bit `c` of plane `(k, sign)` is set when
-    /// compartment `c` holds an occupied cell contributing `sign · 2^k` (see
-    /// the bit-plane layout in [`PimMacro`](crate::PimMacro)). The mask may
-    /// carry fewer words than `words` for a ragged final row group; missing
-    /// words are all-zero by construction.
-    ///
-    /// Returns the signed partial sum `Σ_k (popcount(mask ∧ pos_k) −
-    /// popcount(mask ∧ neg_k)) · 2^k` together with the number of effective
-    /// cell operations (every AND survivor), exactly the values the
-    /// cell-at-a-time [`reduce`](Self::reduce) accumulates one operand at a
-    /// time.
-    #[must_use]
-    pub fn reduce_planes(self, mask: &[u64], sign_planes: &[u64], words: usize) -> (i32, u64) {
-        debug_assert!(words > 0 && sign_planes.len().is_multiple_of(2 * words));
-        let mut sum = 0i32;
-        let mut effective = 0u64;
-        for (k, pair) in sign_planes.chunks_exact(2 * words).enumerate() {
-            let (pos, neg) = pair.split_at(words);
-            let mut ones_pos = 0u32;
-            let mut ones_neg = 0u32;
-            for (w, &m) in mask.iter().enumerate().take(words) {
-                ones_pos += (m & pos[w]).count_ones();
-                ones_neg += (m & neg[w]).count_ones();
-            }
-            sum += (ones_pos as i32 - ones_neg as i32) << k;
-            effective += u64::from(ones_pos + ones_neg);
-        }
-        (sum, effective)
-    }
-
-    /// Word-packed dense reduction of one `(filter, row)` pair: one plane of
-    /// `words` words per weight bit, least significant first, the last plane
-    /// being the negatively weighted two's-complement MSB.
-    ///
-    /// Returns the signed partial sum and the effective cell operations, the
-    /// values [`reduce_dense`](Self::reduce_dense) produces per bit.
-    #[must_use]
-    pub fn reduce_dense_planes(self, mask: &[u64], bit_planes: &[u64], words: usize) -> (i32, u64) {
-        debug_assert!(words > 0 && bit_planes.len().is_multiple_of(words));
-        let bits = bit_planes.len() / words;
-        let mut sum = 0i32;
-        let mut effective = 0u64;
-        for (b, plane) in bit_planes.chunks_exact(words).enumerate() {
-            let mut ones = 0u32;
-            for (w, &m) in mask.iter().enumerate().take(words) {
-                ones += (m & plane[w]).count_ones();
-            }
-            let magnitude = (ones as i32) << b;
-            sum += if b == bits - 1 { -magnitude } else { magnitude };
-            effective += u64::from(ones);
-        }
-        (sum, effective)
-    }
 }
 
 #[cfg(test)]
@@ -207,55 +149,5 @@ mod tests {
         let (sum, stats) = tree.reduce(&[]);
         assert_eq!(sum, 0);
         assert_eq!(stats.operands, 0);
-    }
-
-    #[test]
-    fn packed_reduction_matches_the_scalar_reduce() {
-        // Three compartments holding cells of shift 1 (+), 4 (−) and 1 (+);
-        // input mask selects compartments 0 and 2.
-        let tree = CsdAdderTree;
-        let words = 1usize;
-        let shifts = 6usize;
-        let mut planes = vec![0u64; shifts * 2 * words];
-        planes[2 * words] |= 1; // k=1, positive, compartment 0
-        planes[2 * 4 * words + words] |= 1 << 1; // k=4, negative, compartment 1
-        planes[2 * words] |= 1 << 2; // k=1, positive, compartment 2
-        let (sum, effective) = tree.reduce_planes(&[0b101u64], &planes, words);
-        assert_eq!(sum, 2 + 2);
-        assert_eq!(effective, 2);
-        // All three selected: the negative cell now contributes −16.
-        let (sum, effective) = tree.reduce_planes(&[0b111u64], &planes, words);
-        assert_eq!(sum, 2 + 2 - 16);
-        assert_eq!(effective, 3);
-    }
-
-    #[test]
-    fn packed_reduction_spans_word_boundaries() {
-        // Compartment 70 lives in the second mask word.
-        let tree = CsdAdderTree;
-        let words = 2usize;
-        let mut planes = vec![0u64; 2 * words]; // single shift k=0
-        planes[1] |= 1 << (70 - 64); // k=0, positive, compartment 70
-        let (sum, effective) = tree.reduce_planes(&[0, 1 << (70 - 64)], &planes, words);
-        assert_eq!((sum, effective), (1, 1));
-        // A short (ragged) mask leaves the second word unselected.
-        let (sum, effective) = tree.reduce_planes(&[u64::MAX], &planes, words);
-        assert_eq!((sum, effective), (0, 0));
-    }
-
-    #[test]
-    fn packed_dense_reduction_matches_reduce_dense() {
-        let tree = CsdAdderTree;
-        let words = 1usize;
-        // 4-bit planes; compartments 0 and 1 both store weight bits {0, 3}.
-        let planes = vec![0b11u64, 0, 0, 0b11u64];
-        let mask = [0b11u64];
-        let (sum, effective) = tree.reduce_dense_planes(&mask, &planes, words);
-        // Per compartment: +1 (bit 0) − 8 (signed MSB) = −7, twice.
-        assert_eq!(sum, -14);
-        assert_eq!(effective, 4);
-        let (scalar_bit0, _) = tree.reduce_dense(&[true, true], 0, false);
-        let (scalar_bit3, _) = tree.reduce_dense(&[true, true], 3, true);
-        assert_eq!(sum, scalar_bit0 + scalar_bit3);
     }
 }

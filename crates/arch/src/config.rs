@@ -9,9 +9,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ArchError;
 
-/// Number of dyadic blocks per INT8 weight (8 digits / 2 digits per block);
-/// the `OperandWidth::Int8` instance of [`OperandWidth::blocks`].
-pub const BLOCKS_PER_WEIGHT: usize = OperandWidth::Int8.blocks();
 /// Bit width of the paper's 8b/8b evaluation. Input features are always
 /// streamed at this width; weight widths vary per [`OperandWidth`].
 pub const OPERAND_BITS: usize = OperandWidth::Int8.bits() as usize;

@@ -55,75 +55,6 @@ impl IpuResult {
     }
 }
 
-/// Bit-packed result of pre-processing one group: the emitted columns as
-/// `u64` compartment masks instead of per-feature `Vec<bool>`s.
-///
-/// All buffers are reused across [`InputPreprocessor::process_packed`] calls,
-/// so the bit-serial front end of a tile execution performs no per-column
-/// allocation. Column `i` carries [`words`](Self::words) mask words; bit
-/// `c % 64` of word `c / 64` is input feature `c`'s bit at
-/// [`position(i)`](Self::position).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PackedColumns {
-    group_size: usize,
-    words: usize,
-    skipped_columns: usize,
-    positions: Vec<u32>,
-    masks: Vec<u64>,
-    scratch: Vec<u64>,
-}
-
-impl PackedColumns {
-    /// Creates an empty, reusable column buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of emitted (non-skipped) columns.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// `true` when no column was emitted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
-    /// Number of input features in the processed group.
-    #[must_use]
-    pub fn group_size(&self) -> usize {
-        self.group_size
-    }
-
-    /// Mask words per column (`ceil(group_size / 64)`).
-    #[must_use]
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Number of all-zero columns that were skipped.
-    #[must_use]
-    pub fn skipped_columns(&self) -> usize {
-        self.skipped_columns
-    }
-
-    /// Bit position of emitted column `column` (columns are ordered
-    /// most-significant first, like [`IpuResult::columns`]).
-    #[must_use]
-    pub fn position(&self, column: usize) -> u32 {
-        self.positions[column]
-    }
-
-    /// The packed compartment mask of emitted column `column`.
-    #[must_use]
-    pub fn mask(&self, column: usize) -> &[u64] {
-        &self.masks[column * self.words..(column + 1) * self.words]
-    }
-}
-
 /// The input pre-processing unit.
 ///
 /// `detect_sparsity == false` models the dense baseline's front end, which
@@ -170,60 +101,6 @@ impl InputPreprocessor {
             }
         }
         IpuResult { group_size: group.len(), columns, skipped_columns: skipped }
-    }
-
-    /// Pre-processes one group into reusable packed column masks.
-    ///
-    /// Emits exactly the columns [`process`](Self::process) emits, in the
-    /// same most-significant-first order, but as `u64` compartment masks and
-    /// without allocating once `out`'s buffers have grown to the group size.
-    pub fn process_packed(&self, group: &[i8], out: &mut PackedColumns) {
-        let words = group.len().div_ceil(64);
-        out.group_size = group.len();
-        out.words = words;
-        out.skipped_columns = 0;
-        out.positions.clear();
-        out.masks.clear();
-        out.scratch.clear();
-        out.scratch.resize(OPERAND_BITS * words, 0);
-        for (c, &v) in group.iter().enumerate() {
-            let v = v as u8;
-            let word = c / 64;
-            let bit = 1u64 << (c % 64);
-            for position in 0..OPERAND_BITS {
-                if (v >> position) & 1 == 1 {
-                    out.scratch[position * words + word] |= bit;
-                }
-            }
-        }
-        for position in (0..OPERAND_BITS).rev() {
-            let mask = &out.scratch[position * words..(position + 1) * words];
-            if self.detect_sparsity && mask.iter().all(|&w| w == 0) {
-                out.skipped_columns += 1;
-            } else {
-                out.positions.push(position as u32);
-                out.masks.extend_from_slice(mask);
-            }
-        }
-    }
-
-    /// Average fraction of skipped columns over a full feature map processed
-    /// in groups of `group_size`.
-    #[must_use]
-    pub fn skip_ratio_over(&self, values: &[i8], group_size: usize) -> f64 {
-        assert!(group_size > 0, "group size must be non-zero");
-        if values.is_empty() {
-            return 0.0;
-        }
-        let mut packed = PackedColumns::new();
-        let mut skipped = 0usize;
-        let mut total = 0usize;
-        for group in values.chunks(group_size) {
-            self.process_packed(group, &mut packed);
-            skipped += packed.skipped_columns();
-            total += OPERAND_BITS;
-        }
-        skipped as f64 / total as f64
     }
 }
 
@@ -282,53 +159,5 @@ mod tests {
         // Bit 0 column: values 1 and 3.
         let col0 = result.columns.iter().find(|c| c.position == 0).unwrap();
         assert_eq!(col0.ones(), 2);
-    }
-
-    #[test]
-    fn packed_columns_agree_with_the_scalar_columns() {
-        let groups: Vec<Vec<i8>> = vec![
-            vec![],
-            vec![0; 16],
-            vec![1, 3, 0],
-            (0..80).map(|i| (i * 7 % 251) as i8).collect(),
-            vec![0b0100_1001u8 as i8, 0b0000_1101u8 as i8, 0b0100_0100u8 as i8, 1],
-        ];
-        for ipu in [InputPreprocessor::new(), InputPreprocessor::without_sparsity()] {
-            let mut packed = PackedColumns::new();
-            for group in &groups {
-                let scalar = ipu.process(group);
-                ipu.process_packed(group, &mut packed);
-                assert_eq!(packed.group_size(), scalar.group_size);
-                assert_eq!(packed.skipped_columns(), scalar.skipped_columns);
-                assert_eq!(packed.len(), scalar.columns.len());
-                assert_eq!(packed.is_empty(), scalar.columns.is_empty());
-                for (i, column) in scalar.columns.iter().enumerate() {
-                    assert_eq!(packed.position(i), column.position);
-                    for (c, &bit) in column.bits.iter().enumerate() {
-                        let word = packed.mask(i)[c / 64];
-                        assert_eq!((word >> (c % 64)) & 1 == 1, bit, "column {i} feature {c}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn skip_ratio_over_a_feature_map() {
-        let ipu = InputPreprocessor::new();
-        // Half the values are zero, the rest small: high-order columns skip.
-        let values: Vec<i8> =
-            (0..256).map(|i| if i % 2 == 0 { 0 } else { (i % 4) as i8 }).collect();
-        let ratio = ipu.skip_ratio_over(&values, 16);
-        assert!(ratio >= 0.7, "ratio {ratio}");
-        assert_eq!(ipu.skip_ratio_over(&[], 16), 0.0);
-        let dense = InputPreprocessor::without_sparsity();
-        assert_eq!(dense.skip_ratio_over(&values, 16), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "group size")]
-    fn zero_group_size_panics() {
-        let _ = InputPreprocessor::new().skip_ratio_over(&[1], 0);
     }
 }

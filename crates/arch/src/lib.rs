@@ -13,15 +13,13 @@
 //! * [`InputPreprocessor`] — block-wise zero-column detection and leading-one
 //!   selection of input bit columns.
 //! * [`PimMacro`] — the full macro supporting both the DB-PIM (sparse) tile
-//!   mapping and the dense-baseline mapping; every execution returns event
-//!   counts ([`MacroComputeStats`]) the performance simulator consumes. The
-//!   compute phase runs on word-packed bit-planes (AND + popcount per CSD
-//!   shift) and loading is split from execution
-//!   ([`PimMacro::load_sparse_tile`] / [`PimMacro::execute_loaded`]); the
-//!   original cell-at-a-time model survives as the `scalar-reference`
-//!   feature's `ScalarPimMacro` correctness oracle.
+//!   mapping and the dense-baseline mapping, cell by cell; every execution
+//!   returns its outputs and event counts ([`MacroComputeStats`]). Loading
+//!   is split from execution ([`PimMacro::load_sparse_tile`] /
+//!   [`PimMacro::execute_loaded`]).
 //! * [`ArchConfig`] — the Section 4.1 geometry (4 macros × 16 Kb, 500 MHz,
-//!   272 KB of buffers).
+//!   272 KB of buffers). The geometry and [`OPERAND_BITS`] are what the
+//!   performance simulator reads from this crate.
 //!
 //! # Example
 //!
@@ -49,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod adder_tree;
-mod buffers;
 mod cell;
 mod config;
 mod dbmu;
@@ -58,18 +55,13 @@ mod ipu;
 mod lpu;
 mod macro_unit;
 mod ppu;
-#[cfg(any(test, feature = "scalar-reference"))]
-pub mod reference;
 
 pub use adder_tree::{AdderTreeStats, CellMeta, CsdAdderTree};
-pub use buffers::TrackedBuffer;
 pub use cell::SixTCell;
-pub use config::{ArchConfig, BLOCKS_PER_WEIGHT, OPERAND_BITS};
+pub use config::{ArchConfig, OPERAND_BITS};
 pub use dbmu::Dbmu;
 pub use error::ArchError;
-pub use ipu::{InputColumn, InputPreprocessor, IpuResult, PackedColumns};
+pub use ipu::{InputColumn, InputPreprocessor, IpuResult};
 pub use lpu::{LocalProcessingUnit, LpuOutput};
 pub use macro_unit::{MacroComputeStats, PimMacro, TileExecution};
 pub use ppu::{PostProcessingUnit, INPUT_BITS};
-#[cfg(any(test, feature = "scalar-reference"))]
-pub use reference::ScalarPimMacro;

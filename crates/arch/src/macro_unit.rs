@@ -12,33 +12,23 @@
 //! paper compares against: eight plain binary bit-cells per weight, two
 //! filters per macro, no zero-bit skipping.
 //!
-//! # Bit-plane execution
-//!
-//! Internally the macro stores a loaded tile as packed `u64` *bit-planes*
-//! rather than individual cells: for every `(filter, row)` pair there is one
-//! plane per CSD shift amount `k = 2·db_index + high` and digit sign, whose
-//! bit `c` says "compartment `c` holds an occupied cell contributing
-//! `±2^k`". One compute column then reduces to a word-wide AND against the
-//! IPU's packed input mask followed by popcounts — the same arithmetic the
-//! cell-at-a-time model performs, several dozen cells per machine
-//! instruction. The cell-level implementation is preserved as
-//! [`ScalarPimMacro`](crate::reference::ScalarPimMacro) (under
-//! `cfg(any(test, feature = "scalar-reference"))`) and the differential suite
-//! `tests/kernel_equivalence.rs` proves outputs and every
-//! [`MacroComputeStats`] counter bit-identical between the two.
-//!
-//! Loading is split from execution ([`PimMacro::load_sparse_tile`] /
-//! [`PimMacro::execute_loaded`]) so callers multiplying one weight tile
-//! against many input vectors no longer re-write identical weights per tile.
+//! The model is cell-level: one [`Dbmu`] per `(compartment, column)`, a
+//! metadata register file holding each occupied cell's [`CellMeta`], and
+//! every cell's LPU evaluated and reduced through the [`CsdAdderTree`] one
+//! operand at a time, as the hardware does. Loading is split from execution
+//! ([`PimMacro::load_sparse_tile`] / [`PimMacro::execute_loaded`]) so
+//! callers multiplying one weight tile against many input vectors do not
+//! re-write identical weights per tile.
 
-use dbpim_csd::{OperandWidth, Sign};
+use dbpim_csd::OperandWidth;
 use dbpim_fta::metadata::FilterMetadata;
 use serde::{Deserialize, Serialize};
 
-use crate::adder_tree::CsdAdderTree;
+use crate::adder_tree::{CellMeta, CsdAdderTree};
 use crate::config::ArchConfig;
+use crate::dbmu::Dbmu;
 use crate::error::ArchError;
-use crate::ipu::{InputPreprocessor, PackedColumns};
+use crate::ipu::InputPreprocessor;
 use crate::ppu::PostProcessingUnit;
 
 /// Event counts of one tile execution on a macro.
@@ -81,61 +71,25 @@ pub struct TileExecution {
     pub stats: MacroComputeStats,
 }
 
-/// A sparse (DB-PIM) tile packed into sign-split CSD shift planes.
-///
-/// `planes` is indexed `[filter][row][shift k][sign][word]` (row-major): bit
-/// `c % 64` of word `c / 64` is set when compartment `c` holds an occupied
-/// cell whose contribution is `±2^k` (`k = 2·db_index + high`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct SparsePlanes {
-    filters: usize,
-    weights_len: usize,
-    /// Column stride per filter (`φ_th` of the tile), charged per cell read
-    /// whether or not a slot is occupied.
-    slots: usize,
-    /// Number of CSD shift planes (`2 × blocks` of the widest filter).
-    shifts: usize,
-    rows: usize,
-    words: usize,
-    planes: Vec<u64>,
-    cell_writes: u64,
-    /// One flag per `(filter, row)` plane segment: `false` means no stored
-    /// bit anywhere in the segment, so execution elides its reduction (the
-    /// charged counters are unchanged — the hardware still issues the cycle).
-    row_has_bits: Vec<bool>,
-    /// Allocated cell slots that belong to exactly-zero (value-pruned)
-    /// weights.
-    pruned_cells: u64,
-}
-
-/// A dense-baseline tile packed into weight-bit planes.
-///
-/// `planes` is indexed `[filter][row][bit][word]`; bit `c` of a word is the
-/// two's-complement weight bit `b` of the weight held by compartment `c`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct DensePlanes {
-    filters: usize,
-    weights_len: usize,
-    weight_bits: usize,
-    rows: usize,
-    words: usize,
-    planes: Vec<u64>,
-    cell_writes: u64,
-}
-
-/// The tile currently held by the macro's storage array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-enum LoadedTile {
-    None,
-    Sparse(SparsePlanes),
-    Dense(DensePlanes),
+/// How the tile currently held by the macro's storage array is laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum TileLayout {
+    /// A DB-PIM tile: `slots` (`φ_th` of the tile) DBMU columns per filter,
+    /// charged per cell read whether or not a slot is occupied.
+    Sparse { slots: usize, filters: usize, weights_len: usize },
+    /// A dense-baseline tile: one DBMU column per weight bit.
+    Dense { weight_bits: usize, filters: usize, weights_len: usize },
 }
 
 /// The bit-accurate PIM macro model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PimMacro {
     config: ArchConfig,
-    tile: LoadedTile,
+    /// The cell array: `dbmus[compartment][column]`.
+    dbmus: Vec<Vec<Dbmu>>,
+    /// Metadata register file: `meta[compartment][column][row]`.
+    meta: Vec<Vec<Vec<Option<CellMeta>>>>,
+    loaded: Option<TileLayout>,
 }
 
 impl PimMacro {
@@ -146,7 +100,11 @@ impl PimMacro {
     /// Returns a validation error for a degenerate configuration.
     pub fn new(config: ArchConfig) -> Result<Self, ArchError> {
         config.validate()?;
-        Ok(Self { config, tile: LoadedTile::None })
+        let columns = config.dbmus_per_compartment;
+        let rows = config.rows_per_dbmu;
+        let dbmus = vec![vec![Dbmu::new(rows); columns]; config.compartments_per_macro];
+        let meta = vec![vec![vec![None; rows]; columns]; config.compartments_per_macro];
+        Ok(Self { config, dbmus, meta, loaded: None })
     }
 
     /// The macro's geometry.
@@ -155,33 +113,15 @@ impl PimMacro {
         &self.config
     }
 
-    /// Clears every cell and its metadata (drops the loaded tile).
+    /// Clears every cell and its metadata.
     pub fn reset(&mut self) {
-        self.tile = LoadedTile::None;
-    }
-
-    /// Allocated cell slots of the loaded sparse tile that belong to
-    /// exactly-zero (value-pruned) weights — capacity the pruning wasted
-    /// rather than compacted away. Zero for dense tiles or when nothing is
-    /// loaded.
-    #[must_use]
-    pub fn loaded_pruned_cells(&self) -> u64 {
-        match &self.tile {
-            LoadedTile::Sparse(t) => t.pruned_cells,
-            _ => 0,
+        for dbmu in self.dbmus.iter_mut().flatten() {
+            dbmu.reset();
         }
-    }
-
-    /// Number of `(filter, row)` plane segments of the loaded sparse tile
-    /// with no stored bits at all. Execution elides each segment's adder
-    /// reduction per input column while charging the regular counters, so
-    /// results and accounting stay bit-identical to the scalar reference.
-    #[must_use]
-    pub fn loaded_zero_rows(&self) -> u64 {
-        match &self.tile {
-            LoadedTile::Sparse(t) => t.row_has_bits.iter().filter(|&&b| !b).count() as u64,
-            _ => 0,
+        for column in self.meta.iter_mut().flatten() {
+            column.fill(None);
         }
+        self.loaded = None;
     }
 
     /// Loads one DB-PIM (sparse) tile without executing it, returning the
@@ -201,7 +141,7 @@ impl PimMacro {
         let _span = dbpim_trace::kernel_span("arch.load");
         let weights_len = filters.first().map_or(0, |f| f.weights.len());
         self.validate_sparse(filters, weights_len, "tile weights")?;
-        Ok(self.load_sparse_planes(filters, weights_len))
+        self.load_sparse_cells(filters)
     }
 
     /// Loads one dense-baseline tile at an arbitrary weight width without
@@ -223,7 +163,7 @@ impl PimMacro {
         let _span = dbpim_trace::kernel_span("arch.load");
         let weights_len = filters.first().map_or(0, Vec::len);
         self.validate_dense(filters, weights_len, width, "tile weights")?;
-        Ok(self.load_dense_planes(filters, width))
+        self.load_dense_cells(filters, width)
     }
 
     /// Executes the currently loaded tile against one input vector.
@@ -243,11 +183,9 @@ impl PimMacro {
         ipu: &InputPreprocessor,
     ) -> Result<TileExecution, ArchError> {
         let _span = dbpim_trace::kernel_span("arch.execute");
-        let (filters, weights_len) = match &self.tile {
-            LoadedTile::None => return Err(ArchError::NoTileLoaded),
-            LoadedTile::Sparse(t) => (t.filters, t.weights_len),
-            LoadedTile::Dense(t) => (t.filters, t.weights_len),
-        };
+        let Some(tile) = self.loaded else { return Err(ArchError::NoTileLoaded) };
+        let (TileLayout::Sparse { filters, weights_len, .. }
+        | TileLayout::Dense { filters, weights_len, .. }) = tile;
         if inputs.len() > self.config.weights_per_filter_capacity() {
             return Err(ArchError::CapacityExceeded {
                 resource: "weights per filter",
@@ -263,7 +201,7 @@ impl PimMacro {
                 right_len: inputs.len(),
             });
         }
-        Ok(self.execute_planes(inputs, ipu))
+        self.execute_cells(tile, inputs, ipu)
     }
 
     /// Executes one DB-PIM (sparse) tile: `filters` hold the dyadic-block
@@ -285,10 +223,8 @@ impl PimMacro {
         ipu: &InputPreprocessor,
     ) -> Result<TileExecution, ArchError> {
         self.validate_sparse(filters, inputs.len(), "inputs")?;
-        let writes = self.load_sparse_planes(filters, inputs.len());
-        let mut exec = self.execute_planes(inputs, ipu);
-        exec.stats.cell_writes = writes;
-        Ok(exec)
+        let writes = self.load_sparse_cells(filters)?;
+        self.execute_written(writes, inputs, ipu)
     }
 
     /// Executes one dense-baseline tile at a weight width: every weight
@@ -314,8 +250,20 @@ impl PimMacro {
         width: OperandWidth,
     ) -> Result<TileExecution, ArchError> {
         self.validate_dense(filters, inputs.len(), width, "inputs")?;
-        let writes = self.load_dense_planes(filters, width);
-        let mut exec = self.execute_planes(inputs, ipu);
+        let writes = self.load_dense_cells(filters, width)?;
+        self.execute_written(writes, inputs, ipu)
+    }
+
+    /// Executes the tile a one-call entry point just wrote, charging its
+    /// `writes`.
+    fn execute_written(
+        &self,
+        writes: u64,
+        inputs: &[i8],
+        ipu: &InputPreprocessor,
+    ) -> Result<TileExecution, ArchError> {
+        let tile = self.loaded.expect("tile was just loaded");
+        let mut exec = self.execute_cells(tile, inputs, ipu)?;
         exec.stats.cell_writes = writes;
         Ok(exec)
     }
@@ -403,162 +351,133 @@ impl PimMacro {
         Ok(())
     }
 
-    /// Packs a validated sparse tile into shift/sign bit-planes. Weight `j`
-    /// of filter `f` maps to compartment `j mod C`, row `j div C`, columns
-    /// `[f·slots, f·slots + slots)` — the same mapping the scalar reference
-    /// writes cell by cell.
-    fn load_sparse_planes(&mut self, filters: &[FilterMetadata], weights_len: usize) -> u64 {
+    /// Writes a validated sparse tile cell by cell: weight `j` of filter `f`
+    /// goes to compartment `j mod C`, row `j div C`, columns
+    /// `[f·slots, f·slots + slots)`. Returns the word-line writes.
+    fn load_sparse_cells(&mut self, filters: &[FilterMetadata]) -> Result<u64, ArchError> {
+        self.reset();
         let compartments = self.config.compartments_per_macro;
         let threshold = filters.iter().map(|f| f.threshold).max().unwrap_or(0).max(1);
         let slots = threshold as usize;
-        let rows = weights_len.div_ceil(compartments);
-        let words = compartments.div_ceil(64);
-        let shifts = filters.iter().map(|f| 2 * f.width.blocks()).max().unwrap_or(0);
-        let mut planes = vec![0u64; filters.len() * rows * shifts * 2 * words];
-        let mut row_has_bits = vec![false; filters.len() * rows];
-        let mut pruned_cells = 0u64;
+        let weights_len = filters.first().map_or(0, |f| f.weights.len());
         let mut cell_writes = 0u64;
         for (f, filter) in filters.iter().enumerate() {
             for (j, weight) in filter.weights.iter().enumerate() {
-                let c = j % compartments;
-                let r = j / compartments;
-                if weight.stored() == 0 {
-                    // A value-pruned weight: its φ_th slots are allocated but
-                    // never written.
-                    pruned_cells += u64::from(filter.threshold);
+                let compartment = j % compartments;
+                let row = j / compartments;
+                for (s, slot) in weight.slots.iter().enumerate() {
+                    let column = f * slots + s;
+                    let dbmu = &mut self.dbmus[compartment][column];
+                    if let Some(block) = slot {
+                        dbmu.write_row(row, block.high)?;
+                        self.meta[compartment][column][row] =
+                            Some(CellMeta::new(block.db_index, block.sign));
+                        cell_writes += 1;
+                    } else {
+                        dbmu.clear_row(row)?;
+                        self.meta[compartment][column][row] = None;
+                    }
                 }
-                for block in weight.slots.iter().flatten() {
-                    let k = 2 * usize::from(block.db_index) + usize::from(block.high);
-                    let sign = usize::from(matches!(block.sign, Sign::Negative));
-                    let idx = (((f * rows + r) * shifts + k) * 2 + sign) * words + c / 64;
-                    planes[idx] |= 1u64 << (c % 64);
-                    row_has_bits[f * rows + r] = true;
+            }
+        }
+        self.loaded = Some(TileLayout::Sparse { slots, filters: filters.len(), weights_len });
+        Ok(cell_writes)
+    }
+
+    /// Writes a validated dense tile: bit `b` of weight `j` of filter `f`
+    /// goes to compartment `j mod C`, row `j div C`, column `f·bits + b`.
+    /// The low `width.bits()` bits of the two's-complement value are exact
+    /// for any in-range weight, and every bit-cell is written, set or not.
+    fn load_dense_cells(
+        &mut self,
+        filters: &[Vec<i32>],
+        width: OperandWidth,
+    ) -> Result<u64, ArchError> {
+        self.reset();
+        let compartments = self.config.compartments_per_macro;
+        let weight_bits = width.bits() as usize;
+        let weights_len = filters.first().map_or(0, Vec::len);
+        let mut cell_writes = 0u64;
+        for (f, filter) in filters.iter().enumerate() {
+            for (j, &w) in filter.iter().enumerate() {
+                let compartment = j % compartments;
+                let row = j / compartments;
+                for b in 0..weight_bits {
+                    let bit = (w as u32 >> b) & 1 == 1;
+                    self.dbmus[compartment][f * weight_bits + b].write_row(row, bit)?;
                     cell_writes += 1;
                 }
             }
         }
-        self.tile = LoadedTile::Sparse(SparsePlanes {
-            filters: filters.len(),
-            weights_len,
-            slots,
-            shifts,
-            rows,
-            words,
-            planes,
-            cell_writes,
-            row_has_bits,
-            pruned_cells,
-        });
-        cell_writes
+        self.loaded = Some(TileLayout::Dense { weight_bits, filters: filters.len(), weights_len });
+        Ok(cell_writes)
     }
 
-    /// Packs a validated dense tile into weight-bit planes (same weight →
-    /// compartment/row mapping as the sparse load, columns `f·bits + b`).
-    fn load_dense_planes(&mut self, filters: &[Vec<i32>], width: OperandWidth) -> u64 {
-        let compartments = self.config.compartments_per_macro;
-        let weight_bits = width.bits() as usize;
-        let weights_len = filters.first().map_or(0, |f| f.len());
-        let rows = weights_len.div_ceil(compartments);
-        let words = compartments.div_ceil(64);
-        let mut planes = vec![0u64; filters.len() * rows * weight_bits * words];
-        for (f, filter) in filters.iter().enumerate() {
-            for (j, &w) in filter.iter().enumerate() {
-                let c = j % compartments;
-                let r = j / compartments;
-                for b in 0..weight_bits {
-                    if (w as u32 >> b) & 1 == 1 {
-                        let idx = ((f * rows + r) * weight_bits + b) * words + c / 64;
-                        planes[idx] |= 1u64 << (c % 64);
-                    }
-                }
-            }
-        }
-        // Every bit-cell of every weight is written, set or not.
-        let cell_writes = (filters.len() * weights_len * weight_bits) as u64;
-        self.tile = LoadedTile::Dense(DensePlanes {
-            filters: filters.len(),
-            weights_len,
-            weight_bits,
-            rows,
-            words,
-            planes,
-            cell_writes,
-        });
-        cell_writes
-    }
-
-    /// The word-packed compute phase. Bit-serial over the IPU-selected
-    /// columns, row by row, exactly like the scalar reference — but each
-    /// `(filter, column)` reduction is a handful of AND + popcount words.
-    fn execute_planes(&self, inputs: &[i8], ipu: &InputPreprocessor) -> TileExecution {
+    /// The compute phase: bit-serial over the IPU-selected columns, row by
+    /// row, every cell's LPU evaluated and reduced through the CSD adder
+    /// tree (`cell_writes` left at zero for the caller to fill in).
+    fn execute_cells(
+        &self,
+        tile: TileLayout,
+        inputs: &[i8],
+        ipu: &InputPreprocessor,
+    ) -> Result<TileExecution, ArchError> {
+        let mut stats = MacroComputeStats::default();
         let compartments = self.config.compartments_per_macro;
         let tree = CsdAdderTree;
-        let mut stats = MacroComputeStats::default();
-        let filter_count = match &self.tile {
-            LoadedTile::None => 0,
-            LoadedTile::Sparse(t) => t.filters,
-            LoadedTile::Dense(t) => t.filters,
-        };
-        let mut ppus: Vec<PostProcessingUnit> = vec![PostProcessingUnit::new(); filter_count];
-        let mut packed = PackedColumns::new();
-        let rows_used = inputs.len().div_ceil(compartments);
-        for row in 0..rows_used {
-            let start = row * compartments;
-            let end = (start + compartments).min(inputs.len());
-            let group = &inputs[start..end];
-            ipu.process_packed(group, &mut packed);
-            stats.skipped_columns += packed.skipped_columns() as u64;
-            for col in 0..packed.len() {
+        let (TileLayout::Sparse { filters, .. } | TileLayout::Dense { filters, .. }) = tile;
+        let mut ppus = vec![PostProcessingUnit::new(); filters];
+        for (row, group) in inputs.chunks(compartments).enumerate() {
+            let ipu_result = ipu.process(group);
+            stats.skipped_columns += ipu_result.skipped_columns as u64;
+            for column_bits in &ipu_result.columns {
                 stats.compute_cycles += 1;
-                let mask = packed.mask(col);
-                let position = packed.position(col);
-                match &self.tile {
-                    LoadedTile::None => {}
-                    LoadedTile::Sparse(t) => {
-                        let per_filter = t.shifts * 2 * t.words;
-                        for (f, ppu) in ppus.iter_mut().enumerate() {
-                            // A (filter, row) segment with no stored bits —
-                            // e.g. a fully value-pruned stretch of weights —
-                            // contributes exactly zero: elide the word
-                            // reductions and the PPU update, charging the
-                            // same counters the issued cycle would.
-                            stats.cell_reads += (group.len() * t.slots) as u64;
-                            stats.adder_reductions += 1;
-                            stats.ppu_operations += 1;
-                            if !t.row_has_bits[f * t.rows + row] {
-                                continue;
+                for (f, ppu) in ppus.iter_mut().enumerate() {
+                    let partial = match tile {
+                        TileLayout::Sparse { slots, .. } => {
+                            let mut operands = Vec::with_capacity(group.len() * slots);
+                            for (c, &input_bit) in column_bits.bits.iter().enumerate() {
+                                for column in f * slots..(f + 1) * slots {
+                                    let out = self.dbmus[c][column].compute(row, input_bit)?;
+                                    let meta = self.meta[c][column][row];
+                                    stats.cell_reads += 1;
+                                    if meta.is_some() && out.block_magnitude() != 0 {
+                                        stats.effective_cell_ops += 1;
+                                    }
+                                    operands.push((out, meta));
+                                }
                             }
-                            let base = (f * t.rows + row) * per_filter;
-                            let (partial, effective) = tree.reduce_planes(
-                                mask,
-                                &t.planes[base..base + per_filter],
-                                t.words,
-                            );
-                            stats.effective_cell_ops += effective;
-                            ppu.accumulate_bit(partial, position);
+                            tree.reduce(&operands).0
                         }
-                    }
-                    LoadedTile::Dense(t) => {
-                        let per_filter = t.weight_bits * t.words;
-                        for (f, ppu) in ppus.iter_mut().enumerate() {
-                            let base = (f * t.rows + row) * per_filter;
-                            let (partial, effective) = tree.reduce_dense_planes(
-                                mask,
-                                &t.planes[base..base + per_filter],
-                                t.words,
-                            );
-                            stats.cell_reads += (group.len() * t.weight_bits) as u64;
-                            stats.effective_cell_ops += effective;
-                            stats.adder_reductions += 1;
-                            ppu.accumulate_bit(partial, position);
-                            stats.ppu_operations += 1;
+                        TileLayout::Dense { weight_bits, .. } => {
+                            let mut partial = 0i32;
+                            for b in 0..weight_bits {
+                                let column = f * weight_bits + b;
+                                let mut products = Vec::with_capacity(group.len());
+                                for (c, &input_bit) in column_bits.bits.iter().enumerate() {
+                                    // In dense mode the stored bit is the
+                                    // cell's Q node.
+                                    let out = self.dbmus[c][column].compute(row, input_bit)?;
+                                    stats.cell_reads += 1;
+                                    if out.o_q {
+                                        stats.effective_cell_ops += 1;
+                                    }
+                                    products.push(out.o_q);
+                                }
+                                let signed_msb = b == weight_bits - 1;
+                                partial += tree.reduce_dense(&products, b as u32, signed_msb).0;
+                            }
+                            partial
                         }
-                    }
+                    };
+                    stats.adder_reductions += 1;
+                    ppu.accumulate_bit(partial, column_bits.position);
+                    stats.ppu_operations += 1;
                 }
             }
         }
         let outputs = ppus.iter_mut().map(PostProcessingUnit::drain).collect();
-        TileExecution { outputs, stats }
+        Ok(TileExecution { outputs, stats })
     }
 }
 
@@ -601,7 +520,21 @@ mod tests {
                 pim.execute_sparse_tile(&[meta], &inputs, &InputPreprocessor::new()).unwrap();
             assert_eq!(exec.outputs.len(), 1);
             assert_eq!(exec.outputs[0], reference_dot(approx.values(), &inputs), "trial {trial}");
+            assert!(exec.stats.cell_writes > 0);
         }
+    }
+
+    #[test]
+    fn patterned_sparse_tile_matches_reference_dot_product() {
+        let tables = QueryTables::for_width(OperandWidth::Int8);
+        let raw: Vec<i8> = (0..48).map(|i| ((i * 29) % 160) as i8).collect();
+        let inputs: Vec<i8> = (0..48).map(|i| ((i * 13) % 100) as i8 - 50).collect();
+        let approx = FilterApprox::approximate(&raw, &tables).unwrap();
+        let meta = FilterMetadata::from_filter(0, &approx);
+        let mut pim = PimMacro::new(ArchConfig::paper()).unwrap();
+        let exec = pim.execute_sparse_tile(&[meta], &inputs, &InputPreprocessor::new()).unwrap();
+        assert_eq!(exec.outputs[0], reference_dot(approx.values(), &inputs));
+        assert!(exec.stats.cell_writes > 0);
     }
 
     #[test]
@@ -654,6 +587,28 @@ mod tests {
             adjusted.cell_writes = mono.stats.cell_writes;
             assert_eq!(adjusted, mono.stats);
         }
+    }
+
+    #[test]
+    fn split_matches_monolithic_and_guards_load_state() {
+        let tables = QueryTables::for_width(OperandWidth::Int8);
+        let raw: Vec<i8> = (0..20).map(|i| (i * 11) as i8).collect();
+        let inputs: Vec<i8> = (0..20).map(|i| (i * 3 % 50) as i8).collect();
+        let approx = FilterApprox::approximate(&raw, &tables).unwrap();
+        let meta = FilterMetadata::from_filter(0, &approx);
+
+        let mut pim = PimMacro::new(ArchConfig::paper()).unwrap();
+        assert_eq!(
+            pim.execute_loaded(&inputs, &InputPreprocessor::new()),
+            Err(ArchError::NoTileLoaded)
+        );
+        let writes = pim.load_sparse_tile(std::slice::from_ref(&meta)).unwrap();
+        let split = pim.execute_loaded(&inputs, &InputPreprocessor::new()).unwrap();
+        let mut fresh = PimMacro::new(ArchConfig::paper()).unwrap();
+        let mono = fresh.execute_sparse_tile(&[meta], &inputs, &InputPreprocessor::new()).unwrap();
+        assert_eq!(split.outputs, mono.outputs);
+        assert_eq!(split.stats.cell_writes, 0);
+        assert_eq!(writes, mono.stats.cell_writes);
     }
 
     #[test]
@@ -710,6 +665,26 @@ mod tests {
         let mut pim = PimMacro::new(ArchConfig::paper()).unwrap();
         let exec = pim
             .execute_dense_tile_for_width(&filters, &inputs, &no_skip, OperandWidth::Int8)
+            .unwrap();
+        for (out, filter) in exec.outputs.iter().zip(&filters) {
+            assert_eq!(*out, reference_dot(filter, &inputs));
+        }
+    }
+
+    #[test]
+    fn patterned_dense_tile_matches_reference_dot_product() {
+        let inputs: Vec<i8> = (0..33).map(|i| (i * 5 % 90) as i8 - 45).collect();
+        let filters: Vec<Vec<i32>> = (0..2)
+            .map(|f| (0..33).map(|i| i32::from(((i + f * 7) * 17 % 256) as i8)).collect())
+            .collect();
+        let mut pim = PimMacro::new(ArchConfig::paper()).unwrap();
+        let exec = pim
+            .execute_dense_tile_for_width(
+                &filters,
+                &inputs,
+                &InputPreprocessor::without_sparsity(),
+                OperandWidth::Int8,
+            )
             .unwrap();
         for (out, filter) in exec.outputs.iter().zip(&filters) {
             assert_eq!(*out, reference_dot(filter, &inputs));

@@ -1,15 +1,11 @@
 //! `bench_core` — the core-kernel performance harness behind
 //! `BENCH_core.json`.
 //!
-//! Times the hot kernels of the simulator with plain wall-clock sampling
-//! (the vendored criterion stand-in has no machine-readable output):
+//! Times the hot kernels of the co-design pipeline with plain wall-clock
+//! sampling:
 //!
-//! * `macro/sparse_tile_load` / `macro/sparse_tile_compute` — the bit-plane
-//!   macro, load phase and compute phase separately.
-//! * `macro/sparse_tile_compute_scalar` — the cell-at-a-time reference
-//!   (`scalar-reference` feature) on the identical tile.
-//! * `macro/dense_tile_compute` / `macro/dense_tile_compute_scalar` — the
-//!   dense-baseline mapping, both implementations.
+//! * `fta/approximate_filter_1152` — Algorithm 1 on one 128×3×3 INT8
+//!   filter, the per-filter loop of FTA preparation.
 //! * `nn/tiny_cnn_forward` — a quantized forward pass dominated by
 //!   `conv2d_i8`.
 //! * `nn/conv2d_f32` / `nn/conv2d_f32_scalar` and `nn/conv2d_i8` /
@@ -28,15 +24,12 @@
 //!   kernel regressed by more than `--max-regression` (default 1.5×) after
 //!   normalizing out the overall machine-speed difference between the two
 //!   runs. On a noisy runner, pass a larger `--max-regression` to override.
-//! * `--min-speedup` (default 3.0) — required `sparse_tile_compute` speedup
-//!   of the bit-plane kernels over the scalar reference; this ratio is
-//!   measured within one run, so it is machine-independent.
 //!
-//! The two convolution speedups over their scalar loops are likewise
-//! within-run ratios; each must stay above its fixed floor
-//! ([`CONV_F32_FLOOR`], [`CONV_I8_FLOOR`]), set under the ratio measured on
-//! a 2-vCPU VM so that drift between runs cannot fail it but a reverted
-//! kernel does.
+//! The two convolution speedups over their scalar loops are within-run
+//! ratios, so they are machine-independent; each must stay above its fixed
+//! floor ([`CONV_F32_FLOOR`], [`CONV_I8_FLOOR`]), set under the ratio
+//! measured on a 2-vCPU VM so that drift between runs cannot fail it but a
+//! reverted kernel does.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -49,9 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use db_pim::flags::{self, Flag};
 use db_pim::{Pipeline, PipelineConfig};
-use dbpim_arch::{ArchConfig, InputPreprocessor, PimMacro, ScalarPimMacro};
 use dbpim_csd::OperandWidth;
-use dbpim_fta::metadata::FilterMetadata;
 use dbpim_fta::{FilterApprox, QueryTables};
 use dbpim_nn::reference::{conv2d_i8, conv2d_i8_scalar, conv2d_scalar};
 use dbpim_nn::{ops, Conv2dCfg, QuantizedModel};
@@ -73,7 +64,6 @@ const BENCH_FLAGS: &[Flag] = &[
     Flag::value("--json", "<path>"),
     Flag::value("--compare", "<path>"),
     Flag::value("--max-regression", "<factor>"),
-    Flag::value("--min-speedup", "<factor>"),
 ];
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -89,10 +79,6 @@ struct KernelSample {
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Derived {
-    /// `sparse_tile_compute_scalar` / `sparse_tile_compute` median ratio.
-    sparse_compute_speedup_vs_scalar: f64,
-    /// `dense_tile_compute_scalar` / `dense_tile_compute` median ratio.
-    dense_compute_speedup_vs_scalar: f64,
     /// `nn/conv2d_f32_scalar` / `nn/conv2d_f32` median ratio (`None` in
     /// reports written before it was measured).
     conv2d_f32_speedup_vs_scalar: Option<f64>,
@@ -107,7 +93,7 @@ struct Report {
     mode: String,
     kernels: Vec<KernelSample>,
     derived: Derived,
-    /// Per-span phase breakdown (load vs compute vs requantize) from a
+    /// Per-span phase breakdown (quantize vs requantize) from a
     /// separate fully-sampled traced pass — the timed loops above run with
     /// tracing uninstalled so the numbers the gate compares are never
     /// perturbed. `None` in reports written before the field existed.
@@ -204,63 +190,15 @@ fn vgg_conv() -> (Conv2dCfg, dbpim_tensor::Tensor<f32>, dbpim_tensor::Tensor<f32
     (cfg, weight, input)
 }
 
-fn sparse_tile() -> (Vec<FilterMetadata>, Vec<i8>) {
-    let tables = QueryTables::for_width(OperandWidth::Int8);
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let len = 256usize;
-    let inputs: Vec<i8> = (0..len).map(|_| rng.gen_range(0i8..=63)).collect();
-    let metadata = (0..8)
-        .map(|i| {
-            let raw: Vec<i8> = {
-                let mut wrng = ChaCha8Rng::seed_from_u64(10 + i);
-                (0..len).map(|_| wrng.gen()).collect()
-            };
-            let approx =
-                FilterApprox::approximate_with_threshold(&raw, 2, &tables).expect("approximates");
-            FilterMetadata::from_filter(i as usize, &approx)
-        })
-        .collect();
-    (metadata, inputs)
-}
-
-fn dense_tile() -> (Vec<Vec<i32>>, Vec<i8>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let len = 256usize;
-    let filters = (0..2).map(|_| (0..len).map(|_| i32::from(rng.gen::<i8>())).collect()).collect();
-    let inputs = (0..len).map(|_| rng.gen_range(0i8..=63)).collect();
-    (filters, inputs)
-}
-
 fn run(quick: bool) -> Report {
     let mut h = Harness { quick, kernels: Vec::new() };
-    let config = ArchConfig::paper();
-    let (metadata, inputs) = sparse_tile();
-    let (dense_filters, dense_inputs) = dense_tile();
-    let hybrid = InputPreprocessor::new();
-    let no_skip = InputPreprocessor::without_sparsity();
 
-    let mut pim = PimMacro::new(config).expect("macro builds");
-    h.bench("macro/sparse_tile_load", || pim.load_sparse_tile(&metadata).expect("loads"));
-    pim.load_sparse_tile(&metadata).expect("loads");
-    h.bench("macro/sparse_tile_compute", || {
-        pim.execute_loaded(&inputs, &hybrid).expect("executes").outputs[0] as u64
-    });
-
-    let mut scalar = ScalarPimMacro::new(config).expect("macro builds");
-    scalar.load_sparse_tile(&metadata).expect("loads");
-    h.bench("macro/sparse_tile_compute_scalar", || {
-        scalar.execute_loaded(&inputs, &hybrid).expect("executes").outputs[0] as u64
-    });
-
-    let mut pim = PimMacro::new(config).expect("macro builds");
-    pim.load_dense_tile_for_width(&dense_filters, OperandWidth::Int8).expect("loads");
-    h.bench("macro/dense_tile_compute", || {
-        pim.execute_loaded(&dense_inputs, &no_skip).expect("executes").outputs[0] as u64
-    });
-    let mut scalar = ScalarPimMacro::new(config).expect("macro builds");
-    scalar.load_dense_tile_for_width(&dense_filters, OperandWidth::Int8).expect("loads");
-    h.bench("macro/dense_tile_compute_scalar", || {
-        scalar.execute_loaded(&dense_inputs, &no_skip).expect("executes").outputs[0] as u64
+    let tables = QueryTables::for_width(OperandWidth::Int8);
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let filter: Vec<i8> = (0..1152).map(|_| rng.gen()).collect();
+    h.bench("fta/approximate_filter_1152", || {
+        let approx = FilterApprox::approximate(&filter, &tables).expect("approximates");
+        u64::from(black_box(approx).threshold())
     });
 
     let model = dbpim_nn::zoo::tiny_cnn(10, 2).expect("model builds");
@@ -302,10 +240,6 @@ fn run(quick: bool) -> Report {
     });
 
     let derived = Derived {
-        sparse_compute_speedup_vs_scalar: h.median_ns("macro/sparse_tile_compute_scalar")
-            / h.median_ns("macro/sparse_tile_compute"),
-        dense_compute_speedup_vs_scalar: h.median_ns("macro/dense_tile_compute_scalar")
-            / h.median_ns("macro/dense_tile_compute"),
         conv2d_f32_speedup_vs_scalar: Some(
             h.median_ns("nn/conv2d_f32_scalar") / h.median_ns("nn/conv2d_f32"),
         ),
@@ -322,22 +256,13 @@ fn run(quick: bool) -> Report {
     }
 }
 
-/// Exercises the macro load/compute kernels and the quantized forward pass
-/// once with every kernel span sampled, and folds the spans into the
-/// per-phase rows the JSON report carries. Runs *after* the timed loops,
-/// with its own collector, so sampling never contaminates the gate numbers.
+/// Runs the quantized forward pass once with every kernel span sampled, and
+/// folds the spans into the per-phase rows the JSON report carries. Runs
+/// *after* the timed loops, with its own collector, so sampling never
+/// contaminates the gate numbers.
 fn traced_phases() -> Vec<PhaseSummary> {
     let collector = std::sync::Arc::new(TraceCollector::new().with_kernel_sampling(1));
     dbpim_trace::install(std::sync::Arc::clone(&collector));
-
-    let config = ArchConfig::paper();
-    let (metadata, inputs) = sparse_tile();
-    let hybrid = InputPreprocessor::new();
-    let mut pim = PimMacro::new(config).expect("macro builds");
-    for _ in 0..8 {
-        pim.load_sparse_tile(&metadata).expect("loads");
-        black_box(pim.execute_loaded(&inputs, &hybrid).expect("executes").outputs[0]);
-    }
 
     let model = dbpim_nn::zoo::tiny_cnn(10, 2).expect("model builds");
     let mut gen = TensorGenerator::new(3);
@@ -386,7 +311,7 @@ fn compare(report: &Report, baseline: &Report, max_regression: f64) -> Result<()
 }
 
 fn main() -> ExitCode {
-    let (quick, json_path, compare_path, max_regression, min_speedup) =
+    let (quick, json_path, compare_path, max_regression) =
         flags::from_args("bench_core", &[BENCH_FLAGS], |flags| {
             flags.no_positionals()?;
             Ok((
@@ -394,28 +319,15 @@ fn main() -> ExitCode {
                 flags.raw("--json").map(String::from),
                 flags.raw("--compare").map(String::from),
                 flags.get::<f64>("--max-regression")?.unwrap_or(1.5),
-                flags.get::<f64>("--min-speedup")?.unwrap_or(3.0),
             ))
         });
 
     let report = run(quick);
-    eprintln!(
-        "sparse compute speedup vs scalar reference: {:.2}x (dense {:.2}x)",
-        report.derived.sparse_compute_speedup_vs_scalar,
-        report.derived.dense_compute_speedup_vs_scalar,
-    );
     if let Some(phases) = &report.phases {
         eprint!("{}", dbpim_trace::render_phase_table(phases));
     }
 
     let mut ok = true;
-    if report.derived.sparse_compute_speedup_vs_scalar < min_speedup {
-        eprintln!(
-            "FAIL: sparse compute speedup {:.2}x below the required {min_speedup}x",
-            report.derived.sparse_compute_speedup_vs_scalar
-        );
-        ok = false;
-    }
     for (kernel, speedup, floor) in [
         ("conv2d_f32", report.derived.conv2d_f32_speedup_vs_scalar, CONV_F32_FLOOR),
         ("conv2d_i8", report.derived.conv2d_i8_speedup_vs_scalar, CONV_I8_FLOOR),

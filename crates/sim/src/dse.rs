@@ -331,9 +331,10 @@ impl std::error::Error for GridError {
 /// minimized.
 ///
 /// `fidelity_loss` is `1 - top1_agreement`; points without a fidelity
-/// evaluation (non-INT8 widths, fidelity-disabled runs) carry the
-/// conservative maximum `1.0`, so they can never dominate an evaluated
-/// point on the fidelity axis but remain comparable on the other three.
+/// evaluation (fidelity-disabled runs, or runs with no evaluation images)
+/// carry the conservative maximum `1.0`, so they can never dominate an
+/// evaluated point on the fidelity axis but remain comparable on the other
+/// three.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ParetoMetrics {
     /// End-to-end latency in milliseconds.

@@ -195,28 +195,6 @@ pub fn centred_zero_bit_column_ratio(values: &[i8], zero_point: i32, group_size:
     ratio(zero_columns, total_columns)
 }
 
-/// Per-bit-position zero-column counts for a group size, exposed for the
-/// IPU model and for detailed Fig. 2(b) style breakdowns.
-#[must_use]
-pub fn zero_bit_column_profile(values: &[i8], group_size: usize) -> [f64; BIT_WIDTH as usize] {
-    assert!(group_size > 0, "group size must be non-zero");
-    let mut zero = [0u64; BIT_WIDTH as usize];
-    let mut groups = 0u64;
-    for group in values.chunks(group_size) {
-        groups += 1;
-        for (bit, z) in zero.iter_mut().enumerate() {
-            if group.iter().all(|&v| (v as u8) & (1 << bit) == 0) {
-                *z += 1;
-            }
-        }
-    }
-    let mut out = [0.0; BIT_WIDTH as usize];
-    for (o, &z) in out.iter_mut().zip(zero.iter()) {
-        *o = ratio(z, groups);
-    }
-    out
-}
-
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
@@ -299,15 +277,6 @@ mod tests {
         let r16 = zero_bit_column_ratio(q.data(), 16);
         assert!(r1 >= r8 && r8 >= r16, "ratios not monotone: {r1} {r8} {r16}");
         assert!(r8 > 0.1, "group-of-8 ratio unexpectedly low: {r8}");
-    }
-
-    #[test]
-    fn zero_bit_column_profile_matches_ratio() {
-        let values: Vec<i8> = (0..128).map(|i| (i % 7) as i8).collect();
-        let profile = zero_bit_column_profile(&values, 8);
-        let mean: f64 = profile.iter().sum::<f64>() / profile.len() as f64;
-        let ratio = zero_bit_column_ratio(&values, 8);
-        assert!((mean - ratio).abs() < 1e-12);
     }
 
     /// The per-column scan [`zero_bit_column_ratio`] replaced.

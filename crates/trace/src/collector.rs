@@ -7,8 +7,8 @@
 //! span), so opening a span costs nothing but an `Instant::now()` and a
 //! thread-local depth bump while a collector is installed — and nothing at
 //! all while none is. Per-tile kernel events go through [`kernel_span`],
-//! which additionally applies the collector's sampling knob so the
-//! bit-plane hot path records one span in N instead of millions.
+//! which additionally applies the collector's sampling knob so a per-tile
+//! hot path records one span in N instead of millions.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -395,8 +395,8 @@ pub fn start_span(name: &'static str, args: Vec<(&'static str, String)>) -> Span
 }
 
 /// Opens a *sampled* kernel-level span: subject to the collector's 1-in-N
-/// sampling knob, so per-tile events in the bit-plane hot path do not
-/// flood the ring buffer (or pay per-event formatting).
+/// sampling knob, so per-tile events on a hot path do not flood the ring
+/// buffer (or pay per-event formatting).
 pub fn kernel_span(name: &'static str) -> SpanGuard {
     match current() {
         Some(collector) if collector.sample_kernel() => open(collector, name, Vec::new()),

@@ -9,7 +9,7 @@
 //!   timestamps into a bounded ring buffer. The [`span!`] macro opens a
 //!   span whose guard records it on drop; when no collector is installed
 //!   the whole thing is one relaxed atomic load, so instrumented hot
-//!   paths (the PR 6 bit-plane kernels) stay hot. Per-tile kernel events
+//!   paths (the macro and requantize kernels) stay hot. Per-tile kernel events
 //!   additionally pass a sampling knob ([`kernel_span`]) so a collector
 //!   can keep one in N instead of drowning in them.
 //! * **Metrics** ([`metrics`]) — a [`MetricsRegistry`] unifying named
