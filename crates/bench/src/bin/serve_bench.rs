@@ -178,7 +178,7 @@ fn main() {
         total_requests as f64 / elapsed.as_secs_f64(),
     );
 
-    match client.cache_stats() {
+    match client.stats() {
         Ok(stats) => println!(
             "\nDaemon counters: {} requests, {} errors, {} connections; cache: {} artifact \
              builds, {} artifact hits, {} compilations, {} program hits, {} resident artifact sets.",

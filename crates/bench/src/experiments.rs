@@ -122,16 +122,15 @@ pub fn table2(context: &ExperimentContext) -> Result<String, PipelineError> {
         "{:<16} {:>12} {:>14} {:>14} {:>12} {:>12}",
         "model", "agreement", "disagreement", "logit SQNR", "label drop", "paper drop"
     );
-    for (kind, paper) in paper_models().into_iter().zip(paper_drop) {
-        let result = sweep.result(kind).expect("zoo sweep covers every paper model");
-        let fidelity = result.fidelity.as_ref().ok_or_else(|| PipelineError::BadConfig {
+    for (entry, paper) in sweep.entries.iter().zip(paper_drop) {
+        let fidelity = entry.result.fidelity.as_ref().ok_or_else(|| PipelineError::BadConfig {
             reason: "Table 2 needs at least one evaluation image (pass --images 1 or more)"
                 .to_string(),
         })?;
         let _ = writeln!(
             out,
             "{:<16} {:>12} {:>14} {:>11.1} dB {:>12} {:>11.2}%",
-            kind.name(),
+            entry.kind.name(),
             pct(fidelity.top1_agreement),
             pct(1.0 - fidelity.top1_agreement),
             fidelity.mean_logit_sqnr_db,
@@ -172,12 +171,12 @@ pub fn fig7(context: &ExperimentContext) -> Result<String, PipelineError> {
         "model", "input x", "weight x", "hybrid x", "saving", "paper wx", "paper hx", "paper save"
     );
     let paper = reference::paper_fig7_rows();
-    for (kind, paper_row) in paper_models().into_iter().zip(paper) {
-        let result = sweep.result(kind).expect("zoo sweep covers every paper model");
+    for (entry, paper_row) in sweep.entries.iter().zip(paper) {
+        let result = &entry.result;
         let _ = writeln!(
             out,
             "{:<16} {:>7.2}x {:>7.2}x {:>7.2}x {:>10} | {:>8.2}x {:>8.2}x {:>11}",
-            kind.name(),
+            entry.kind.name(),
             result.speedup(SparsityConfig::InputSparsity),
             result.speedup(SparsityConfig::WeightSparsity),
             result.speedup(SparsityConfig::HybridSparsity),
@@ -213,8 +212,8 @@ pub fn table3(context: &ExperimentContext) -> Result<String, PipelineError> {
     let mut max_eff = 0.0f64;
     let mut min_power = f64::INFINITY;
     let mut max_power = 0.0f64;
-    for kind in paper_models() {
-        let result = sweep.result(kind).expect("zoo sweep covers every paper model");
+    for entry in &sweep.entries {
+        let result = &entry.result;
         let hybrid = result.run(SparsityConfig::HybridSparsity).expect("hybrid simulated");
         let eff = hybrid.energy_efficiency_tops_per_w();
         let power = hybrid.average_power_mw();
@@ -222,7 +221,7 @@ pub fn table3(context: &ExperimentContext) -> Result<String, PipelineError> {
         max_eff = max_eff.max(eff);
         min_power = min_power.min(power);
         max_power = max_power.max(power);
-        utilization_rows.push((kind.name(), result.utilization()));
+        utilization_rows.push((entry.kind.name(), result.utilization()));
     }
 
     let mut out = String::new();
@@ -311,9 +310,9 @@ pub fn table3(context: &ExperimentContext) -> Result<String, PipelineError> {
 /// Propagates pipeline failures.
 pub fn width_sweep(context: &ExperimentContext) -> Result<String, PipelineError> {
     let options = context.options();
-    let spec =
-        db_pim::SweepSpec::new(paper_models().to_vec()).with_widths(OperandWidth::all().to_vec());
-    let report = context.runner().run(&spec)?;
+    let spec = DseSpec::new(ArchGrid::around(context.arch()), paper_models().to_vec())
+        .with_widths(OperandWidth::all().to_vec());
+    let report = context.sweep(&spec)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -326,23 +325,20 @@ pub fn width_sweep(context: &ExperimentContext) -> Result<String, PipelineError>
         "{:<16} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9}",
         "model", "width", "U_act", "FTA_zero", "weight x", "hybrid x", "saving"
     );
-    for kind in paper_models() {
-        for width in OperandWidth::all() {
-            let result = report
-                .result_at_width(kind, width)
-                .expect("width sweep covers every (model, width)");
-            let _ = writeln!(
-                out,
-                "{:<16} {:>6} {:>8} {:>9} {:>8.2}x {:>8.2}x {:>9}",
-                kind.name(),
-                width.to_string(),
-                pct(result.utilization()),
-                pct(result.fta_stats.fta_zero_ratio()),
-                result.speedup(SparsityConfig::WeightSparsity),
-                result.speedup(SparsityConfig::HybridSparsity),
-                pct(result.energy_saving(SparsityConfig::HybridSparsity)),
-            );
-        }
+    // Canonical entry order: models, then widths narrow to wide.
+    for entry in &report.entries {
+        let result = &entry.result;
+        let _ = writeln!(
+            out,
+            "{:<16} {:>6} {:>8} {:>9} {:>8.2}x {:>8.2}x {:>9}",
+            entry.kind.name(),
+            entry.width.to_string(),
+            pct(result.utilization()),
+            pct(result.fta_stats.fta_zero_ratio()),
+            result.speedup(SparsityConfig::WeightSparsity),
+            result.speedup(SparsityConfig::HybridSparsity),
+            pct(result.energy_saving(SparsityConfig::HybridSparsity)),
+        );
     }
     let _ = writeln!(
         out,
@@ -581,9 +577,10 @@ mod tests {
     fn fig7_report_renders_for_one_small_run() {
         // Restrict to the smallest model by sweeping it directly.
         let context = small_context();
-        let report =
-            context.runner().run(&db_pim::SweepSpec::new(vec![ModelKind::MobileNetV2])).unwrap();
-        let result = report.result(ModelKind::MobileNetV2).unwrap();
+        let spec = DseSpec::new(ArchGrid::around(context.arch()), vec![ModelKind::MobileNetV2]);
+        let report = context.sweep(&spec).unwrap();
+        assert_eq!(report.entries[0].kind, ModelKind::MobileNetV2);
+        let result = &report.entries[0].result;
         assert!(result.speedup(SparsityConfig::HybridSparsity) > 1.0);
     }
 }

@@ -12,8 +12,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::{Arc, Mutex};
+
 use db_pim::flags::{self, Flag, Flags, OptionsError, PIPELINE_FLAGS, TRACE_FLAGS};
 use db_pim::prelude::*;
+use db_pim::session::par::lock_unpoisoned;
 use db_pim::PipelineError;
 use dbpim_fta::stats::{LayerFtaStats, ModelFtaStats};
 use dbpim_fta::LayerApprox;
@@ -120,9 +123,9 @@ impl ExperimentOptions {
 #[derive(Debug)]
 pub struct ExperimentContext {
     options: ExperimentOptions,
-    runner: BatchRunner,
+    runner: Arc<BatchRunner>,
     /// Memoized zoo sweeps: `[without fidelity, with fidelity]`.
-    zoo_sweeps: std::sync::Mutex<[Option<SweepReport>; 2]>,
+    zoo_sweeps: Mutex<[Option<Arc<DseReport>>; 2]>,
 }
 
 impl ExperimentContext {
@@ -132,8 +135,8 @@ impl ExperimentContext {
     ///
     /// Returns [`PipelineError::BadConfig`] for unusable option values.
     pub fn new(options: ExperimentOptions) -> Result<Self, PipelineError> {
-        let runner = BatchRunner::new(options.pipeline_config())?;
-        Ok(Self { options, runner, zoo_sweeps: std::sync::Mutex::new([None, None]) })
+        let runner = Arc::new(BatchRunner::new(options.pipeline_config())?);
+        Ok(Self { options, runner, zoo_sweeps: Mutex::new([None, None]) })
     }
 
     /// The parsed command-line options.
@@ -142,7 +145,7 @@ impl ExperimentContext {
         &self.options
     }
 
-    /// The batch runner executing sweeps for this context.
+    /// The batch runner executing every point for this context.
     #[must_use]
     pub fn runner(&self) -> &BatchRunner {
         &self.runner
@@ -160,21 +163,39 @@ impl ExperimentContext {
         self.session().config().arch
     }
 
-    /// Sweeps all five paper models over the four Fig. 7 sparsity
-    /// configurations, reusing cached artifacts. The report itself is
-    /// memoized, so repeated calls (Fig. 7 then Table 3) return the cached
-    /// sweep without re-simulating.
+    /// Runs `spec` — a grid of one geometry, [`ArchGrid::around`] the
+    /// context's [`arch`](Self::arch) — through a [`DseDriver`] on the
+    /// shared runner. Entries come back in canonical order: models as
+    /// given, then widths narrow to wide.
     ///
     /// # Errors
     ///
     /// Propagates pipeline failures.
-    pub fn zoo_sweep(&self, with_fidelity: bool) -> Result<SweepReport, PipelineError> {
+    pub fn sweep(&self, spec: &DseSpec) -> Result<DseReport, PipelineError> {
+        // Nothing is journaled, so the points run as one batch: a thread
+        // that finishes a point takes the next one instead of waiting for
+        // the slowest point of its batch.
+        DseDriver::from_runner(Arc::clone(&self.runner)).with_batch_size(usize::MAX).run(spec)
+    }
+
+    /// Sweeps all five paper models over the four Fig. 7 sparsity
+    /// configurations, reusing cached artifacts; entries are in
+    /// [`paper_models`] order. The report itself is memoized, so repeated
+    /// calls (Fig. 7 then Table 3) return the cached sweep without
+    /// re-simulating.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pipeline failures.
+    pub fn zoo_sweep(&self, with_fidelity: bool) -> Result<Arc<DseReport>, PipelineError> {
         let slot = usize::from(with_fidelity);
-        if let Some(report) = &self.zoo_sweeps.lock().expect("sweep cache lock")[slot] {
-            return Ok(report.clone());
+        if let Some(report) = &lock_unpoisoned(&self.zoo_sweeps)[slot] {
+            return Ok(Arc::clone(report));
         }
-        let report = self.runner.run_with_fidelity(&SweepSpec::zoo(), with_fidelity)?;
-        self.zoo_sweeps.lock().expect("sweep cache lock")[slot] = Some(report.clone());
+        let mut spec = DseSpec::new(ArchGrid::around(self.arch()), paper_models().to_vec());
+        spec.fidelity = with_fidelity;
+        let report = Arc::new(self.sweep(&spec)?);
+        lock_unpoisoned(&self.zoo_sweeps)[slot] = Some(Arc::clone(&report));
         Ok(report)
     }
 }

@@ -1,25 +1,27 @@
-//! Design-space exploration: persisted, resumable grids over architecture
-//! geometry × models × sparsity × operand width.
+//! Design-space exploration: persisted, resumable point sets over
+//! architecture geometry × models × sparsity × operand width × pruning.
 //!
 //! The paper's evaluation fixes one geometry (Section 4.1); its *claim* is a
-//! methodology that should win across geometries. This module turns the
-//! session layer into a DSE engine:
+//! methodology that should win across geometries. This module is the one
+//! way the workspace runs a point set: the paper's own sweep (models × the
+//! four sparsity configurations) is a [`DseSpec`] over
+//! [`ArchGrid::around`] the Section 4.1 geometry, a grid of one.
 //!
 //! * [`DseSpec`] — an [`ArchGrid`] (axis grids over the [`ArchConfig`]
-//!   parameters) crossed with models, sparsity configurations and operand
-//!   widths. Enumeration is deterministic and infeasible geometries are
-//!   rejected with structured errors.
+//!   parameters) crossed with models, sparsity configurations, operand
+//!   widths and pruning specs. Enumeration is deterministic and infeasible
+//!   geometries are rejected with structured errors.
 //! * [`DseReport`] — the persisted result set: one [`DseEntry`] per (model,
-//!   width, geometry) point. A run in progress persists it as a
+//!   width, pruning, geometry) point. A run in progress persists it as a
 //!   [`DseJournal`] — a header line, then one appended line per finished
 //!   point — so a killed run loses at most its in-flight points and a
 //!   point's persistence cost does not grow with the report. A finished
 //!   run saves the whole report as one line, which is the journal with
 //!   every entry in its header; [`DseReport::load`] reads both.
 //! * [`DseDriver`] — executes the missing points of a spec against a warm
-//!   [`BatchRunner`] cache (quantize / FTA run once per (model, width)
-//!   regardless of grid size) and resumes from a snapshot by re-simulating
-//!   only absent points.
+//!   [`BatchRunner`] cache (quantize / FTA run once per (model, width,
+//!   pruning) regardless of grid size) and resumes from a snapshot by
+//!   re-simulating only absent points.
 //! * Pareto-frontier extraction over latency / energy / area / fidelity
 //!   via [`DseReport::pareto_frontier`].
 //!
@@ -169,71 +171,10 @@ impl DseSpec {
         self
     }
 
-    /// The spec's model, sparsity, width and pruning axes.
-    #[must_use]
-    pub fn axes(&self) -> PointAxes<'_> {
-        PointAxes {
-            models: &self.models,
-            sparsity: &self.sparsity,
-            widths: &self.widths,
-            pruning: &self.pruning,
-        }
-    }
-
-    /// Every (model, width, pruning, geometry) point of the exploration in
-    /// canonical order (see [`PointAxes::points`]), geometries in grid
-    /// enumeration order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] for an oversized or infeasible
-    /// grid, including a geometry that cannot hold one weight of a swept
-    /// width (the message names the offending point and constraint).
-    pub fn points(
-        &self,
-        session_width: OperandWidth,
-        session_pruning: PruningSpec,
-    ) -> Result<Vec<DsePoint>, PipelineError> {
-        let archs = self.grid.enumerate().map_err(grid_error)?;
-        let axes = self.axes();
-        let widths = axes.effective_widths(session_width);
-        for (index, arch) in archs.iter().enumerate() {
-            for &width in &widths {
-                arch.dense_filters_per_macro_for(width).map_err(|source| {
-                    grid_error(GridError::Infeasible { index, arch: Box::new(*arch), source })
-                })?;
-            }
-        }
-        Ok(axes.points(&archs, session_width, session_pruning))
-    }
-}
-
-fn grid_error(e: GridError) -> PipelineError {
-    PipelineError::BadConfig { reason: e.to_string() }
-}
-
-/// The model, sparsity, width and pruning axes of a
-/// [`SweepSpec`](crate::SweepSpec) or a [`DseSpec`], borrowed from the
-/// spec. This is the one place both specs canonicalize their axes and
-/// expand into [`DsePoint`]s, so a sweep and an exploration over the same
-/// axes run the same points in the same order.
-#[derive(Debug, Clone, Copy)]
-pub struct PointAxes<'a> {
-    /// Requested models (duplicates are executed once).
-    pub(crate) models: &'a [ModelKind],
-    /// Requested sparsity configurations (duplicates are executed once).
-    pub(crate) sparsity: &'a [SparsityConfig],
-    /// Requested operand widths; empty means the session's.
-    pub(crate) widths: &'a [OperandWidth],
-    /// Requested pruning specs; empty means the session's.
-    pub(crate) pruning: &'a [PruningSpec],
-}
-
-impl PointAxes<'_> {
     /// The requested models, duplicates removed, in first-seen order.
     #[must_use]
     pub fn unique_models(&self) -> Vec<ModelKind> {
-        first_seen(self.models)
+        first_seen(&self.models)
     }
 
     /// The requested sparsity configurations in canonical Fig. 7 order,
@@ -262,38 +203,54 @@ impl PointAxes<'_> {
         if self.pruning.is_empty() {
             return vec![session_pruning];
         }
-        first_seen(self.pruning)
+        first_seen(&self.pruning)
     }
 
-    /// Every (model, width, pruning, geometry) point over `archs` in
+    /// Every (model, width, pruning, geometry) point of the exploration in
     /// canonical order: models outermost (first-seen), then widths (narrow
-    /// to wide), then pruning specs (request order), then `archs` in the
-    /// order given.
-    #[must_use]
+    /// to wide), then pruning specs (request order), then geometries in
+    /// grid enumeration order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::BadConfig`] for an oversized or infeasible
+    /// grid, including a geometry that cannot hold one weight of a swept
+    /// width (the message names the offending point and constraint).
     pub fn points(
         &self,
-        archs: &[ArchConfig],
         session_width: OperandWidth,
         session_pruning: PruningSpec,
-    ) -> Vec<DsePoint> {
+    ) -> Result<Vec<DsePoint>, PipelineError> {
+        let archs = self.grid.enumerate().map_err(grid_error)?;
         let widths = self.effective_widths(session_width);
+        for (index, arch) in archs.iter().enumerate() {
+            for &width in &widths {
+                arch.dense_filters_per_macro_for(width).map_err(|source| {
+                    grid_error(GridError::Infeasible { index, arch: Box::new(*arch), source })
+                })?;
+            }
+        }
         let prunings = self.effective_pruning(session_pruning);
         let mut points = Vec::new();
         for kind in self.unique_models() {
             for &width in &widths {
                 for &pruning in &prunings {
-                    for &arch in archs {
+                    for &arch in &archs {
                         points.push(DsePoint { kind, width, pruning, arch });
                     }
                 }
             }
         }
-        points
+        Ok(points)
     }
 }
 
+fn grid_error(e: GridError) -> PipelineError {
+    PipelineError::BadConfig { reason: e.to_string() }
+}
+
 /// `items` with duplicates removed, in first-seen order.
-pub(crate) fn first_seen<T: Copy + PartialEq>(items: &[T]) -> Vec<T> {
+fn first_seen<T: Copy + PartialEq>(items: &[T]) -> Vec<T> {
     let mut seen = Vec::with_capacity(items.len());
     for &item in items {
         if !seen.contains(&item) {
@@ -501,7 +458,8 @@ pub struct DseReport {
     /// The spec the report answers. Resuming against a different spec is a
     /// structured error, never a silent partial reuse.
     pub spec: DseSpec,
-    /// One entry per completed (model, width, geometry) point, in canonical
+    /// One entry per completed (model, width, pruning, geometry) point, in
+    /// canonical
     /// spec order.
     pub entries: Vec<DseEntry>,
     /// Total points the spec enumerates; `entries.len() == total_points`
@@ -945,7 +903,7 @@ impl CanonicalOrder {
     fn new(spec: &DseSpec) -> Self {
         let archs = spec.grid.enumerate().unwrap_or_default();
         Self {
-            models: spec.axes().unique_models(),
+            models: spec.unique_models(),
             pruning: first_seen(&spec.pruning).iter().map(PruningSpec::key_bits).collect(),
             // A geometry the grid repeats takes its last index.
             archs: archs.iter().enumerate().map(|(index, arch)| (arch_key(arch), index)).collect(),
@@ -1028,16 +986,13 @@ impl DseDriver {
         Ok(Self::from_runner(Arc::new(BatchRunner::new(config)?)))
     }
 
-    /// Wraps an existing (possibly shared, already warm) runner.
+    /// Wraps an existing (possibly shared, already warm) runner. Points run
+    /// on as many threads as the runner was built with (see
+    /// [`BatchRunner::with_threads`]) unless [`with_threads`](Self::with_threads)
+    /// overrides it.
     #[must_use]
     pub fn from_runner(runner: Arc<BatchRunner>) -> Self {
-        Self {
-            runner,
-            snapshot: None,
-            threads: par::default_parallelism(),
-            batch_size: 8,
-            point_limit: None,
-        }
+        Self { threads: runner.threads, runner, snapshot: None, batch_size: 8, point_limit: None }
     }
 
     /// Persists and resumes from a snapshot at `path`.
@@ -1102,7 +1057,7 @@ impl DseDriver {
         let session_pruning = self.runner.session().config().pruning;
         let points = spec.points(session_width, session_pruning)?;
         let _span = dbpim_trace::span!("dse.run", points = points.len());
-        let sparsity = spec.axes().unique_sparsity();
+        let sparsity = spec.unique_sparsity();
         let start = Instant::now();
 
         let mut report = self.load_or_new(spec, points.len())?;
@@ -1223,6 +1178,65 @@ mod tests {
         assert_eq!((points[3].arch.macros, points[3].arch.rows_per_dbmu), (4, 64));
         assert_eq!(points[4].width, OperandWidth::Int8);
         assert_eq!(points[8].kind, ModelKind::AlexNet);
+    }
+
+    #[test]
+    fn spec_dedupes_and_keeps_canonical_order() {
+        let spec = DseSpec::new(
+            ArchGrid::around(ArchConfig::paper()),
+            vec![ModelKind::Vgg19, ModelKind::AlexNet, ModelKind::Vgg19],
+        )
+        .with_sparsity(vec![
+            SparsityConfig::HybridSparsity,
+            SparsityConfig::DenseBaseline,
+            SparsityConfig::HybridSparsity,
+        ]);
+        assert_eq!(spec.unique_models(), vec![ModelKind::Vgg19, ModelKind::AlexNet]);
+        assert_eq!(
+            spec.unique_sparsity(),
+            vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]
+        );
+        let points = spec.points(OperandWidth::Int8, PruningSpec::none()).unwrap();
+        let archs: Vec<ArchConfig> = points.iter().map(|p| p.arch).collect();
+        assert_eq!(archs, vec![ArchConfig::paper(); 2], "a grid of one geometry");
+    }
+
+    #[test]
+    fn width_axis_defaults_to_the_session_width_and_dedupes() {
+        let spec = DseSpec::new(grid(), vec![ModelKind::AlexNet]);
+        assert!(spec.widths.is_empty());
+        assert_eq!(spec.effective_widths(OperandWidth::Int8), vec![OperandWidth::Int8]);
+        assert_eq!(spec.effective_widths(OperandWidth::Int4), vec![OperandWidth::Int4]);
+        let spec = spec.with_widths(vec![
+            OperandWidth::Int16,
+            OperandWidth::Int4,
+            OperandWidth::Int16,
+            OperandWidth::Int8,
+        ]);
+        // Canonical narrow-to-wide order, duplicates executed once.
+        assert_eq!(
+            spec.effective_widths(OperandWidth::Int8),
+            vec![OperandWidth::Int4, OperandWidth::Int8, OperandWidth::Int16]
+        );
+    }
+
+    #[test]
+    fn zoo_spec_covers_all_models_and_configs() {
+        let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), ModelKind::all().to_vec());
+        assert_eq!(spec.unique_models().len(), 5);
+        assert_eq!(spec.unique_sparsity().len(), 4);
+        let points = spec.points(OperandWidth::Int8, PruningSpec::none()).unwrap();
+        assert_eq!(points.len(), 5, "one point per model on the one geometry");
+    }
+
+    #[test]
+    fn empty_sweep_returns_empty_report() {
+        let driver = DseDriver::new(PipelineConfig::fast()).unwrap();
+        let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), Vec::new());
+        let report = driver.run(&spec).unwrap();
+        assert!(report.entries.is_empty());
+        assert!(report.is_complete());
+        assert_eq!(driver.cache_stats().artifact_misses, 0);
     }
 
     #[test]

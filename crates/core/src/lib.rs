@@ -17,17 +17,20 @@
 //!   / area simulator ([`dbpim_sim`]).
 //!
 //! This crate ties everything together into a single [`Pipeline`], and the
-//! [`session`] module scales that flow up: a [`SimSession`] caches the
-//! expensive per-model artifacts (quantization, FTA, compiled programs) so a
-//! [`BatchRunner`] can sweep models × sparsity configurations ×
-//! architectures in parallel and return structured [`SweepReport`]s.
+//! [`session`] and [`dse`] modules scale that flow up: a [`SimSession`]
+//! caches the expensive per-model artifacts (quantization, FTA, compiled
+//! programs) so a [`DseDriver`] can run models × sparsity configurations ×
+//! widths × pruning × geometries in parallel through a [`BatchRunner`] and
+//! return a structured [`DseReport`]. The paper's sweep is a [`DseSpec`]
+//! over a grid of one geometry.
 //!
 //! ```
 //! use db_pim::prelude::*;
 //!
-//! let runner = BatchRunner::new(PipelineConfig::fast().without_fidelity())?;
-//! let report = runner.run(&SweepSpec::new(vec![]))?;
-//! assert!(report.is_empty());
+//! let driver = DseDriver::new(PipelineConfig::fast().without_fidelity())?;
+//! let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![]);
+//! let report = driver.run(&spec)?;
+//! assert!(report.entries.is_empty() && report.is_complete());
 //! # Ok::<(), db_pim::PipelineError>(())
 //! ```
 //!
@@ -66,7 +69,6 @@ pub use error::PipelineError;
 pub use pipeline::{CodesignResult, Pipeline, PipelineConfig};
 pub use session::{
     BatchRunner, ModelArtifacts, ModelPrograms, SessionCacheStats, SimSession, SweepEntry,
-    SweepReport, SweepSpec,
 };
 pub use stats::LatencyHistogram;
 

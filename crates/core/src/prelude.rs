@@ -17,7 +17,6 @@ pub use crate::measure::measure_input_sparsity;
 pub use crate::pipeline::{CodesignResult, Pipeline, PipelineConfig};
 pub use crate::session::{
     BatchRunner, ModelArtifacts, ModelPrograms, SessionCacheStats, SimSession, SweepEntry,
-    SweepReport, SweepSpec,
 };
 pub use crate::stats::LatencyHistogram;
 

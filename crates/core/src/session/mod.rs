@@ -1,9 +1,9 @@
-//! Simulation sessions and batched, parallel sweeps.
+//! Simulation sessions and the one point executor.
 //!
-//! Every experiment in the paper's evaluation section is a sweep: models ×
-//! sparsity configurations (× architecture geometries). Before this module
-//! existed, each experiment binary re-ran the full `model → quantize → FTA →
-//! compile → simulate` pipeline per point, recomputing the expensive
+//! Every experiment in the paper's evaluation section is a point set:
+//! models × sparsity configurations (× architecture geometries). Before this
+//! module existed, each experiment binary re-ran the full `model → quantize
+//! → FTA → compile → simulate` pipeline per point, recomputing the expensive
 //! model-side stages four times per model (once per Fig. 7 configuration).
 //!
 //! The session layer splits the pipeline at its natural seam:
@@ -17,12 +17,15 @@
 //!   width, pruning), under one LRU bound, shared by every consumer
 //!   (experiment binaries, examples, benches, the serving daemon). Every
 //!   variant of a zoo model shares one float model, built once.
-//! * [`BatchRunner`] — executes a [`SweepSpec`] (models × sparsity × arch ×
-//!   operand width × pruning) as a list of [`DsePoint`]s, in parallel over
-//!   scoped std threads (see [`par`]; rayon is unavailable in the offline
-//!   build environment), and returns a structured [`SweepReport`].
-//!   Persisted, resumable and merged point sets are
-//!   [`DseReport`](crate::DseReport)s.
+//! * [`BatchRunner`] — runs one (model, width, pruning, geometry) point
+//!   against a shared session and returns its [`SweepEntry`]. Point sets
+//!   are [`DseSpec`](crate::DseSpec)s: a
+//!   [`DseDriver`](crate::DseDriver) runs their points through the runner
+//!   in parallel over scoped std threads (see [`par`]; rayon is
+//!   unavailable in the offline build environment) and returns, persists,
+//!   resumes and merges [`DseReport`](crate::DseReport)s. The paper's
+//!   one-geometry sweep is a spec over
+//!   [`ArchGrid::around`](dbpim_sim::ArchGrid::around) its geometry.
 //!
 //! Results are bit-identical to independent [`Pipeline`](crate::Pipeline)
 //! runs — [`Pipeline::run_model`](crate::Pipeline::run_model) itself is a
@@ -34,7 +37,6 @@ pub mod par;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::{Duration, Instant};
 
 use dbpim_arch::ArchConfig;
 use dbpim_compiler::{
@@ -53,7 +55,6 @@ use serde::ser::Writer;
 use serde::{Deserialize, Error, Serialize};
 
 use self::par::lock_unpoisoned;
-use crate::dse::{first_seen, DsePoint, PointAxes};
 use crate::error::PipelineError;
 use crate::measure::measure_input_sparsity;
 use crate::pipeline::{CodesignResult, PipelineConfig};
@@ -796,159 +797,14 @@ impl SimSession {
     }
 }
 
-/// The point set of a sweep: models × sparsity configurations ×
-/// architecture geometries × operand widths × pruning specs.
-///
-/// Specs serialize (vendored serde_json), so a sweep request can travel over
-/// the wire to a serving daemon or be persisted next to its report. The
-/// serializer is hand-written: the `pruning` axis is omitted when empty and
-/// tolerated when absent, so specs produced before the axis existed — and
-/// specs that simply don't prune — keep their historical wire bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepSpec {
-    /// Zoo models to sweep (duplicates are executed once).
-    pub models: Vec<ModelKind>,
-    /// Sparsity configurations per model (duplicates are executed once).
-    pub sparsity: Vec<SparsityConfig>,
-    /// Geometries to compile and simulate for; empty means "the session's
-    /// configured architecture".
-    pub archs: Vec<ArchConfig>,
-    /// Weight operand widths to sweep; empty means "the session's
-    /// configured width". Every width evaluates fidelity when asked: its
-    /// FTA model against the INT8 baseline.
-    pub widths: Vec<OperandWidth>,
-    /// Value-level pruning specs to sweep (the joint value/bit sparsity
-    /// axis); empty means "the session's configured pruning" — by default
-    /// the identity spec, i.e. the classic unpruned sweep.
-    pub pruning: Vec<PruningSpec>,
-}
-
-impl Serialize for SweepSpec {
-    fn serialize(&self, out: &mut Writer) {
-        let mut object = out.object();
-        object
-            .field("models", &self.models)
-            .field("sparsity", &self.sparsity)
-            .field("archs", &self.archs)
-            .field("widths", &self.widths);
-        if !self.pruning.is_empty() {
-            object.field("pruning", &self.pruning);
-        }
-        object.end();
-    }
-}
-
-impl Deserialize for SweepSpec {
-    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
-        let (mut models, mut sparsity, mut archs, mut widths, mut pruning) =
-            (None, None, None, None, None);
-        input.object(|input, key| match key {
-            "models" => de::field(input, &mut models),
-            "sparsity" => de::field(input, &mut sparsity),
-            "archs" => de::field(input, &mut archs),
-            "widths" => de::field(input, &mut widths),
-            "pruning" => de::field(input, &mut pruning),
-            _ => input.skip(),
-        })?;
-        Ok(Self {
-            models: de::required(models, "models")?,
-            sparsity: de::required(sparsity, "sparsity")?,
-            archs: de::required(archs, "archs")?,
-            widths: de::required(widths, "widths")?,
-            pruning: pruning.unwrap_or_default(),
-        })
-    }
-}
-
-impl SweepSpec {
-    /// A sweep of the given models over all four Fig. 7 sparsity
-    /// configurations on the session geometry.
-    #[must_use]
-    pub fn new(models: Vec<ModelKind>) -> Self {
-        Self {
-            models,
-            sparsity: SparsityConfig::all().to_vec(),
-            archs: Vec::new(),
-            widths: Vec::new(),
-            pruning: Vec::new(),
-        }
-    }
-
-    /// The paper's evaluation sweep: all five zoo models × all four
-    /// sparsity configurations.
-    #[must_use]
-    pub fn zoo() -> Self {
-        Self::new(ModelKind::all().to_vec())
-    }
-
-    /// Restricts the sparsity configurations.
-    #[must_use]
-    pub fn with_sparsity(mut self, sparsity: Vec<SparsityConfig>) -> Self {
-        self.sparsity = sparsity;
-        self
-    }
-
-    /// Adds explicit architecture geometries.
-    #[must_use]
-    pub fn with_archs(mut self, archs: Vec<ArchConfig>) -> Self {
-        self.archs = archs;
-        self
-    }
-
-    /// Adds explicit operand widths (the precision axis).
-    #[must_use]
-    pub fn with_widths(mut self, widths: Vec<OperandWidth>) -> Self {
-        self.widths = widths;
-        self
-    }
-
-    /// Adds explicit pruning specs (the value-sparsity axis).
-    #[must_use]
-    pub fn with_pruning(mut self, pruning: Vec<PruningSpec>) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
-    /// The spec's model, sparsity, width and pruning axes.
-    #[must_use]
-    pub fn axes(&self) -> PointAxes<'_> {
-        PointAxes {
-            models: &self.models,
-            sparsity: &self.sparsity,
-            widths: &self.widths,
-            pruning: &self.pruning,
-        }
-    }
-
-    /// The geometries the sweep actually runs: the explicit list (deduped,
-    /// in request order), or `session_arch` when none were given.
-    #[must_use]
-    pub fn effective_archs(&self, session_arch: ArchConfig) -> Vec<ArchConfig> {
-        if self.archs.is_empty() {
-            return vec![session_arch];
-        }
-        first_seen(&self.archs)
-    }
-
-    /// Every (model, width, pruning, geometry) point of the sweep in
-    /// canonical order (see [`PointAxes::points`]), geometries from
-    /// [`effective_archs`](Self::effective_archs); unset axes take the
-    /// `session` configuration's value.
-    #[must_use]
-    pub fn points(&self, session: &PipelineConfig) -> Vec<DsePoint> {
-        self.axes().points(
-            &self.effective_archs(session.arch),
-            session.operand_width,
-            session.pruning,
-        )
-    }
-}
-
-/// One (model, width, pruning, geometry) result of a sweep.
+/// One computed (model, width, pruning, geometry) point: the result of
+/// [`BatchRunner::run_point`] and the daemon's answer to `RunModel`.
+/// [`DseEntry::from_sweep`](crate::DseEntry::from_sweep) timestamps it into
+/// a report entry.
 ///
 /// Serialization is hand-written so an identity `pruning` spec is omitted —
-/// unpruned sweep reports stay byte-identical to reports written before the
-/// pruning axis existed, and old reports load with `pruning` defaulting to
+/// unpruned entries stay byte-identical to entries written before the
+/// pruning axis existed, and old entries load with `pruning` defaulting to
 /// [`PruningSpec::none`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepEntry {
@@ -1003,63 +859,21 @@ impl Deserialize for SweepEntry {
     }
 }
 
-/// The structured outcome of a [`BatchRunner`] sweep.
+/// Runs points against a shared [`SimSession`].
 ///
-/// Reports serialize through the vendored `serde_json`. Persisted,
-/// resumable and merged point sets are [`DseReport`](crate::DseReport)s:
-/// run the point set as a [`DseSpec`](crate::DseSpec) through a
-/// [`DseDriver`](crate::DseDriver).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepReport {
-    /// One entry per (model, width, pruning, geometry), in spec order
-    /// (models outer, then widths, then pruning specs, then archs).
-    pub entries: Vec<SweepEntry>,
-    /// Wall-clock duration of the sweep.
-    pub wall_time: Duration,
-    /// Distinct (model, width, pruning) artifact sets prepared.
-    pub prepared_models: usize,
-    /// Simulation runs executed.
-    pub simulated_runs: usize,
-}
-
-impl SweepReport {
-    /// `true` when the sweep contained no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The result for `kind` on the first swept width and geometry.
-    #[must_use]
-    pub fn result(&self, kind: ModelKind) -> Option<&CodesignResult> {
-        self.entries.iter().find(|e| e.kind == kind).map(|e| &e.result)
-    }
-
-    /// The result for `kind` at a specific operand width (first swept
-    /// geometry).
-    #[must_use]
-    pub fn result_at_width(&self, kind: ModelKind, width: OperandWidth) -> Option<&CodesignResult> {
-        self.entries.iter().find(|e| e.kind == kind && e.width == width).map(|e| &e.result)
-    }
-
-    /// All results in entry order.
-    pub fn results(&self) -> impl Iterator<Item = &CodesignResult> {
-        self.entries.iter().map(|e| &e.result)
-    }
-}
-
-/// Executes [`SweepSpec`]s against a shared [`SimSession`], in parallel.
-///
-/// A sweep is a list of [`DsePoint`]s, and every point runs through
-/// [`run_point_pruned`](Self::run_point_pruned), the path the DSE driver,
-/// the fleet and the serving daemon use too. Points fan out over worker
-/// threads; the session's single-flight cache prepares each (model, width,
-/// pruning) artifact set once, and each point fetches its dense and DB-PIM
-/// programs once and simulates every sparsity configuration from them.
+/// Every point — of a [`DseDriver`](crate::DseDriver) run, a fleet worker,
+/// the serving daemon's `RunModel` and `Explore` — runs through
+/// [`run_point_pruned`](Self::run_point_pruned). The session's
+/// single-flight cache prepares each (model, width, pruning) artifact set
+/// once, and each point fetches its dense and DB-PIM programs once and
+/// simulates every sparsity configuration from them. A driver built on the
+/// runner ([`DseDriver::from_runner`](crate::DseDriver::from_runner)) runs
+/// as many points at once as the runner has threads.
 #[derive(Debug)]
 pub struct BatchRunner {
     session: SimSession,
-    threads: usize,
+    /// Points a driver built on this runner runs at once.
+    pub(crate) threads: usize,
 }
 
 impl BatchRunner {
@@ -1079,7 +893,8 @@ impl BatchRunner {
         Self { session, threads: par::default_parallelism() }
     }
 
-    /// Overrides the worker-thread count (`1` forces sequential execution).
+    /// Overrides how many points run at once (`1` forces sequential
+    /// execution).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -1108,10 +923,9 @@ impl BatchRunner {
         self.session.cache_stats()
     }
 
-    /// Runs one (model, width, geometry) sweep point and returns its entry,
-    /// reusing every cached artifact. `arch == None` means "the session's
-    /// configured geometry". A full [`Self::run_with_fidelity`] sweep runs
-    /// each of its points through here too.
+    /// Runs one (model, width, geometry) point at the session's pruning and
+    /// returns its entry, reusing every cached artifact. `arch == None`
+    /// means "the session's configured geometry".
     ///
     /// # Errors
     ///
@@ -1168,124 +982,11 @@ impl BatchRunner {
         let result = artifacts.codesign_result_for_arch(arch, sparsity, fidelity)?;
         Ok(SweepEntry { kind, width, pruning, arch, result })
     }
-
-    /// Runs a sweep without fidelity evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first point failure.
-    pub fn run(&self, spec: &SweepSpec) -> Result<SweepReport, PipelineError> {
-        self.run_with_fidelity(spec, false)
-    }
-
-    /// Runs a sweep, optionally evaluating fidelity per model (honoured only
-    /// when the session configuration has evaluation images).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first point failure.
-    pub fn run_with_fidelity(
-        &self,
-        spec: &SweepSpec,
-        with_fidelity: bool,
-    ) -> Result<SweepReport, PipelineError> {
-        let start = Instant::now();
-        let axes = spec.axes();
-        let models = axes.unique_models();
-        let _span =
-            dbpim_trace::span!("batch.sweep", models = models.len(), fidelity = with_fidelity);
-        let session = self.session.config();
-        let archs = spec.effective_archs(session.arch);
-        let widths = axes.effective_widths(session.operand_width);
-        let prunings = axes.effective_pruning(session.pruning);
-        // Reject infeasible (geometry, width) pairs or pruning overrides
-        // before any expensive work.
-        for arch in &archs {
-            for &width in &widths {
-                arch.validate_for(width)?;
-            }
-        }
-        for pruning in &prunings {
-            pruning.validate().map_err(|reason| PipelineError::BadConfig { reason })?;
-        }
-        let sparsity = axes.unique_sparsity();
-        let entries = par::par_map(spec.points(session), self.threads, |point| {
-            self.run_point_pruned(
-                point.kind,
-                point.width,
-                point.pruning,
-                Some(point.arch),
-                &sparsity,
-                with_fidelity,
-            )
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        Ok(SweepReport {
-            simulated_runs: entries.len() * sparsity.len(),
-            entries,
-            wall_time: start.elapsed(),
-            prepared_models: models.len() * widths.len() * prunings.len(),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_dedupes_and_keeps_canonical_order() {
-        let spec = SweepSpec::new(vec![ModelKind::Vgg19, ModelKind::AlexNet, ModelKind::Vgg19])
-            .with_sparsity(vec![
-                SparsityConfig::HybridSparsity,
-                SparsityConfig::DenseBaseline,
-                SparsityConfig::HybridSparsity,
-            ]);
-        assert_eq!(spec.axes().unique_models(), vec![ModelKind::Vgg19, ModelKind::AlexNet]);
-        assert_eq!(
-            spec.axes().unique_sparsity(),
-            vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]
-        );
-        let archs = spec.effective_archs(ArchConfig::paper());
-        assert_eq!(archs, vec![ArchConfig::paper()]);
-    }
-
-    #[test]
-    fn width_axis_defaults_to_the_session_width_and_dedupes() {
-        let spec = SweepSpec::new(vec![ModelKind::AlexNet]);
-        assert!(spec.widths.is_empty());
-        assert_eq!(spec.axes().effective_widths(OperandWidth::Int8), vec![OperandWidth::Int8]);
-        assert_eq!(spec.axes().effective_widths(OperandWidth::Int4), vec![OperandWidth::Int4]);
-        let spec = spec.with_widths(vec![
-            OperandWidth::Int16,
-            OperandWidth::Int4,
-            OperandWidth::Int16,
-            OperandWidth::Int8,
-        ]);
-        // Canonical narrow-to-wide order, duplicates executed once.
-        assert_eq!(
-            spec.axes().effective_widths(OperandWidth::Int8),
-            vec![OperandWidth::Int4, OperandWidth::Int8, OperandWidth::Int16]
-        );
-    }
-
-    #[test]
-    fn zoo_spec_covers_all_models_and_configs() {
-        let spec = SweepSpec::zoo();
-        assert_eq!(spec.models.len(), 5);
-        assert_eq!(spec.sparsity.len(), 4);
-        assert!(spec.archs.is_empty());
-    }
-
-    #[test]
-    fn empty_sweep_returns_empty_report() {
-        let runner = BatchRunner::new(PipelineConfig::fast()).unwrap();
-        let report = runner.run(&SweepSpec::new(Vec::new())).unwrap();
-        assert!(report.is_empty());
-        assert_eq!(report.prepared_models, 0);
-        assert_eq!(report.simulated_runs, 0);
-    }
 
     #[test]
     fn cache_capacity_is_clamped_and_reported() {

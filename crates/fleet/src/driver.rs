@@ -417,7 +417,7 @@ impl FleetDriver {
 
         let context = JobContext {
             sparsity: spec.sparsity.clone(),
-            unique_sparsity: spec.axes().unique_sparsity(),
+            unique_sparsity: spec.unique_sparsity(),
             fidelity: spec.fidelity,
             fleet: self.config.fleet_id.clone(),
             shards: plan.shards.len(),

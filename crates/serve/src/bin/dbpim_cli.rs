@@ -10,7 +10,9 @@
 //!       [--sparsity <name>]    restrict to one configuration
 //!       [--operand-width <w>]  override the daemon's default width
 //!       [--fidelity]           request the accuracy-fidelity evaluation
-//!   sweep [--models a,b,c]     sweep models (default: all five)
+//!   sweep [--models a,b,c]     sweep models (default: all five) on the
+//!                              paper geometry: an `Explore` over one
+//!                              geometry
 //!       [--sparsity <name>]    restrict to one configuration
 //!       [--widths 4,8,...]     sweep several operand widths
 //!       [--pruning none,0.3]   value-level pruning axis (u/s<fraction>)
@@ -50,7 +52,7 @@
 use std::time::Duration;
 
 use db_pim::flags::{self, Flag, Flags, OptionsError, TRACE_FLAGS};
-use db_pim::{DseSpec, PruningSpec, SweepReport, SweepSpec};
+use db_pim::{DseEntry, DseReport, DseSpec, PruningSpec};
 use dbpim_arch::ArchConfig;
 use dbpim_csd::OperandWidth;
 use dbpim_nn::ModelKind;
@@ -170,10 +172,32 @@ fn command(words: &[String]) -> Result<Command, OptionsError> {
     }
 }
 
-fn print_report(report: &SweepReport) {
+/// The point set of `sweep` and `explore`: `grid` crossed with the model,
+/// sparsity, width, pruning and fidelity flags.
+fn point_set(options: &CliOptions, grid: ArchGrid) -> DseSpec {
+    let models = options.models.clone().unwrap_or_else(|| ModelKind::all().to_vec());
+    let mut spec = DseSpec::new(grid, models);
+    if let Some(sparsity) = options.sparsity {
+        spec = spec.with_sparsity(vec![sparsity]);
+    }
+    if let Some(widths) = &options.widths {
+        spec = spec.with_widths(widths.clone());
+    }
+    if let Some(pruning) = &options.pruning {
+        spec = spec.with_pruning(pruning.clone());
+    }
+    if options.fidelity {
+        spec = spec.with_fidelity();
+    }
+    spec
+}
+
+/// Prints one row per simulated run of `entries`, then a summary line
+/// naming `prepared_models` artifact sets and the server's `wall_time`.
+fn print_table(entries: &[DseEntry], prepared_models: usize, wall_time: Duration) {
     println!("| model | width | arch macros | sparsity | cycles | speedup | energy saving |");
     println!("|---|---|---|---|---|---|---|");
-    for entry in &report.entries {
+    for entry in entries {
         // Speedups are relative to the dense baseline; a query restricted
         // to a non-baseline sparsity configuration has nothing to compare
         // against.
@@ -207,16 +231,17 @@ fn print_report(report: &SweepReport) {
             );
         }
     }
+    let simulated_runs: usize = entries.iter().map(|e| e.result.runs.len()).sum();
     println!(
         "({} entries, {} prepared model/width artifact sets, {} simulated runs, server wall time {:?})",
-        report.entries.len(),
-        report.prepared_models,
-        report.simulated_runs,
-        report.wall_time,
+        entries.len(),
+        prepared_models,
+        simulated_runs,
+        wall_time,
     );
 }
 
-fn print_explore(report: &db_pim::DseReport) {
+fn print_explore(report: &DseReport) {
     println!("| model | width | macros | comp | dbmus | rows | MHz | hybrid cycles | speedup |");
     println!("|---|---|---|---|---|---|---|---|---|");
     for entry in &report.entries {
@@ -252,8 +277,8 @@ fn print_explore(report: &db_pim::DseReport) {
         report.total_points,
         report.wall_time,
     );
-    for &kind in &report.spec.axes().unique_models() {
-        for sparsity in report.spec.axes().unique_sparsity() {
+    for kind in report.spec.unique_models() {
+        for sparsity in report.spec.unique_sparsity() {
             let frontier = report.pareto_frontier(kind, sparsity);
             if frontier.is_empty() {
                 continue;
@@ -402,70 +427,42 @@ fn main() {
                 if let Some(fidelity) = &entry.result.fidelity {
                     println!("fidelity: top-1 agreement {:.2}%", 100.0 * fidelity.top1_agreement);
                 }
-                let report = SweepReport {
-                    wall_time: Duration::ZERO,
-                    prepared_models: 1,
-                    simulated_runs: entry.result.runs.len(),
-                    entries: vec![entry],
-                };
-                print_report(&report);
+                print_table(&[DseEntry::from_sweep(entry)], 1, Duration::ZERO);
             })
         }
         Command::Sweep => {
-            let models = options.models.unwrap_or_else(|| ModelKind::all().to_vec());
-            let mut spec = SweepSpec::new(models);
-            if let Some(sparsity) = options.sparsity {
-                spec = spec.with_sparsity(vec![sparsity]);
-            }
-            if let Some(widths) = options.widths {
-                spec = spec.with_widths(widths);
-            }
-            if let Some(pruning) = options.pruning {
-                spec = spec.with_pruning(pruning);
-            }
+            // The daemon has no geometry flag, so the paper geometry is the
+            // one it runs.
+            let spec = point_set(&options, ArchGrid::around(ArchConfig::paper()));
             client
-                .sweep_streaming(
-                    &spec,
-                    options.fidelity,
-                    options.deadline_ms,
-                    None,
-                    |index, entry| {
-                        eprintln!("… entry {index}: {} @ {} done", entry.kind.name(), entry.width);
-                    },
-                )
-                .map(|report| print_report(&report))
+                .explore_streaming(&spec, options.deadline_ms, None, None, |index, entry| {
+                    eprintln!("… entry {index}: {} @ {} done", entry.kind.name(), entry.width);
+                })
+                .map(|report| {
+                    let prepared_models = spec.unique_models().len()
+                        * spec.effective_widths(OperandWidth::Int8).len()
+                        * spec.effective_pruning(PruningSpec::none()).len();
+                    print_table(&report.entries, prepared_models, report.wall_time);
+                })
         }
         Command::Explore => {
             let mut grid = ArchGrid::around(ArchConfig::paper());
-            if let Some(macros) = options.macros {
+            if let Some(macros) = options.macros.clone() {
                 grid = grid.with_macros(macros);
             }
-            if let Some(compartments) = options.compartments {
+            if let Some(compartments) = options.compartments.clone() {
                 grid = grid.with_compartments(compartments);
             }
-            if let Some(dbmus) = options.dbmus {
+            if let Some(dbmus) = options.dbmus.clone() {
                 grid = grid.with_dbmus(dbmus);
             }
-            if let Some(rows) = options.rows {
+            if let Some(rows) = options.rows.clone() {
                 grid = grid.with_rows(rows);
             }
-            if let Some(freqs) = options.freqs {
+            if let Some(freqs) = options.freqs.clone() {
                 grid = grid.with_frequencies(freqs);
             }
-            let models = options.models.unwrap_or_else(|| ModelKind::all().to_vec());
-            let mut spec = DseSpec::new(grid, models);
-            if let Some(sparsity) = options.sparsity {
-                spec = spec.with_sparsity(vec![sparsity]);
-            }
-            if let Some(widths) = options.widths {
-                spec = spec.with_widths(widths);
-            }
-            if let Some(pruning) = options.pruning {
-                spec = spec.with_pruning(pruning);
-            }
-            if options.fidelity {
-                spec = spec.with_fidelity();
-            }
+            let spec = point_set(&options, grid);
             client
                 .explore_streaming(&spec, options.deadline_ms, None, None, |index, entry| {
                     eprintln!(
@@ -554,6 +551,27 @@ mod tests {
         assert_eq!(options.command, Command::Sweep);
         assert_eq!(options.models, Some(vec![ModelKind::AlexNet, ModelKind::Vgg19]));
         assert_eq!(options.widths, Some(vec![OperandWidth::Int4, OperandWidth::Int16]));
+    }
+
+    #[test]
+    fn sweep_is_an_exploration_of_the_paper_geometry() {
+        let options = parse(&[
+            "sweep",
+            "--models",
+            "alexnet",
+            "--widths",
+            "8,4",
+            "--pruning",
+            "none,0.5",
+            "--fidelity",
+        ])
+        .unwrap();
+        let spec = point_set(&options, ArchGrid::around(ArchConfig::paper()));
+        assert!(spec.fidelity);
+        let points = spec.points(OperandWidth::Int8, PruningSpec::none()).unwrap();
+        assert_eq!(points.len(), 4, "1 model x 2 widths x 2 prunings");
+        assert!(points.iter().all(|p| p.arch == ArchConfig::paper()));
+        assert_eq!(points[0].width, OperandWidth::Int4, "widths run narrow to wide");
     }
 
     #[test]

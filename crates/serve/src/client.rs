@@ -9,7 +9,7 @@ use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use db_pim::{DseEntry, DseReport, DseSpec, SweepEntry, SweepReport, SweepSpec};
+use db_pim::{DseEntry, DseReport, DseSpec, SweepEntry};
 use dbpim_arch::ArchConfig;
 use dbpim_csd::OperandWidth;
 use dbpim_nn::ModelKind;
@@ -298,72 +298,6 @@ impl Client {
         }
     }
 
-    /// Runs a sweep, discarding the stream granularity and returning the
-    /// reassembled report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures and server-side pipeline errors.
-    pub fn sweep(&mut self, spec: &SweepSpec, fidelity: bool) -> Result<SweepReport, ClientError> {
-        self.sweep_streaming(spec, fidelity, None, None, |_, _| {})
-    }
-
-    /// Runs a sweep, invoking `on_entry(index, entry)` as each streamed
-    /// entry arrives, then returns the reassembled report — entry-for-entry
-    /// identical to a local [`db_pim::BatchRunner`] run of the same spec.
-    ///
-    /// `deadline_ms` asks the daemon to end the stream with a structured
-    /// `DeadlineExceeded` error once it elapses. `trace` is the protocol-v5
-    /// distributed-tracing context: when present, the daemon opens its
-    /// `serve.request` span as a child of the caller's; `None` leaves the
-    /// request byte-identical to a v4 one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures and server-side errors (including
-    /// the deadline).
-    pub fn sweep_streaming(
-        &mut self,
-        spec: &SweepSpec,
-        fidelity: bool,
-        deadline_ms: Option<u64>,
-        trace: Option<TraceContext>,
-        mut on_entry: impl FnMut(usize, &SweepEntry),
-    ) -> Result<SweepReport, ClientError> {
-        self.send(&Request::Sweep { spec: spec.clone(), fidelity, deadline_ms, trace })?;
-        let expected = match self.recv()? {
-            Response::SweepStarted { entries } => entries,
-            Response::Error { error } => return Err(ClientError::Server(error)),
-            other => return Err(unexpected("SweepStarted", &other)),
-        };
-        let mut entries = Vec::with_capacity(expected);
-        loop {
-            match self.recv()? {
-                Response::SweepPoint { index, entry } => {
-                    if index != entries.len() {
-                        return Err(ClientError::Protocol(format!(
-                            "sweep entries arrived out of order: got {index}, expected {}",
-                            entries.len()
-                        )));
-                    }
-                    on_entry(index, &entry);
-                    entries.push(entry);
-                }
-                Response::SweepFinished { prepared_models, simulated_runs, wall_time } => {
-                    if entries.len() != expected {
-                        return Err(ClientError::Protocol(format!(
-                            "sweep finished after {} of {expected} entries",
-                            entries.len()
-                        )));
-                    }
-                    return Ok(SweepReport { entries, wall_time, prepared_models, simulated_runs });
-                }
-                Response::Error { error } => return Err(ClientError::Server(error)),
-                other => return Err(unexpected("SweepPoint or SweepFinished", &other)),
-            }
-        }
-    }
-
     /// Runs a design-space exploration, discarding the stream granularity
     /// and returning the reassembled [`DseReport`].
     ///
@@ -381,9 +315,12 @@ impl Client {
     /// [`db_pim::DseDriver`] run of the same spec, which the protocol test
     /// suite asserts via [`DseReport::results_match`].
     ///
-    /// `deadline_ms` and `trace` work as in
-    /// [`sweep_streaming`](Self::sweep_streaming); a `shard` tag makes the
-    /// daemon record the request's progress for
+    /// `deadline_ms` asks the daemon to end the stream with a structured
+    /// `DeadlineExceeded` error once it elapses. `trace` is the
+    /// distributed-tracing context: when present, the daemon opens its
+    /// `serve.request` span as a child of the caller's; `None` leaves the
+    /// request byte-identical to a v4 one. A `shard` tag makes the daemon
+    /// record the request's progress for
     /// [`shard_statuses`](Self::shard_statuses).
     ///
     /// # Errors
@@ -448,21 +385,9 @@ impl Client {
         Ok(())
     }
 
-    /// Snapshots the daemon's counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection and server failures.
-    pub fn cache_stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.round_trip(&Request::CacheStats)? {
-            Response::Stats { stats } => Ok(stats),
-            other => Err(unexpected("Stats", &other)),
-        }
-    }
-
     /// Snapshots the daemon's full observability surface ([`Request::Stats`]):
-    /// request counters, queue depths, rejection counters and the
-    /// per-request-type latency histograms.
+    /// request counters, warm-cache statistics, queue depths, rejection
+    /// counters and the per-request-type latency histograms.
     ///
     /// # Errors
     ///

@@ -14,7 +14,7 @@
 //!   framing ([`protocol::read_message`] / [`protocol::write_message`]).
 //! * [`server`] — the daemon: a TCP acceptor feeding a worker thread pool,
 //!   the shared warm cache ([`db_pim::BatchRunner`] inside), incremental
-//!   result streaming for sweeps, graceful shutdown, and the production
+//!   result streaming for explorations, graceful shutdown, and the production
 //!   hardening (admission control, shared-secret auth, bounded request
 //!   framing, per-request-type latency histograms).
 //! * [`client`] — a blocking client library the `dbpim-cli` binary and the

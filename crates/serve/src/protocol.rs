@@ -7,19 +7,21 @@
 //! variant is a single-entry object (`{"RunModel":{...}}`).
 //!
 //! A connection carries any number of requests, answered in order. Most
-//! requests produce exactly one response line; [`Request::Sweep`] streams:
-//! one [`Response::SweepStarted`], then one [`Response::SweepPoint`] per
-//! (model, width, geometry) entry *as each completes*, then one
-//! [`Response::SweepFinished`]. Malformed input never drops the connection —
-//! the server answers with a structured [`Response::Error`] and keeps
-//! reading (mirroring the strict-parse behaviour of the experiment binaries'
-//! option parsing: bad input is reported, not silently swallowed).
+//! requests produce exactly one response line; [`Request::Explore`]
+//! streams: one [`Response::ExploreStarted`], then one
+//! [`Response::ExplorePoint`] per (model, width, pruning, geometry) point
+//! *as each completes*, then one [`Response::ExploreFinished`]. Malformed
+//! input, including a request name this version does not know, never drops
+//! the connection — the server answers with a structured [`Response::Error`]
+//! and keeps reading (mirroring the strict-parse behaviour of the
+//! experiment binaries' option parsing: bad input is reported, not silently
+//! swallowed).
 
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
-use db_pim::{DseEntry, DseSpec, LatencyHistogram, SessionCacheStats, SweepEntry, SweepSpec};
+use db_pim::{DseEntry, DseSpec, LatencyHistogram, SessionCacheStats, SweepEntry};
 use dbpim_arch::ArchConfig;
 use dbpim_csd::OperandWidth;
 use dbpim_nn::ModelKind;
@@ -36,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// [`Response::ExploreFinished`]).
 ///
 /// v3 added request deadlines (`deadline_ms` on [`Request::RunModel`] /
-/// [`Request::Sweep`] / [`Request::Explore`], answered with
+/// `Sweep` / [`Request::Explore`], answered with
 /// [`ErrorKind::DeadlineExceeded`] when exceeded), the fleet-orchestration
 /// shard tag on `Explore` ([`ShardAnnotation`]) and the
 /// [`Request::ShardStatus`] progress probe the `dbpim-fleet` driver and
@@ -51,16 +53,23 @@ use serde::{Deserialize, Serialize};
 /// ([`Request::Stats`]) with per-request-type latency histograms, queue
 /// depths and rejection counters.
 ///
-/// v5 adds distributed tracing: an optional [`TraceContext`] on
-/// [`Request::RunModel`] / [`Request::Sweep`] / [`Request::Explore`]
-/// (omitted from the wire when absent, so context-free requests stay
-/// byte-identical to v4), the [`Request::TraceSnapshot`] /
-/// [`Request::MetricsSnapshot`] observability pulls answered with
-/// [`Response::TraceSpans`] / [`Response::Metrics`], and a server
-/// wall-clock timestamp on [`Response::Pong`] from which clients estimate
-/// the clock offset to the daemon (the fleet driver uses it to align
-/// remote spans onto its own timeline).
-pub const PROTOCOL_VERSION: u32 = 5;
+/// v5 added distributed tracing: an optional [`TraceContext`] on
+/// [`Request::RunModel`] / `Sweep` / [`Request::Explore`] (omitted from the
+/// wire when absent, so context-free requests stay byte-identical to v4),
+/// the [`Request::TraceSnapshot`] / [`Request::MetricsSnapshot`]
+/// observability pulls answered with [`Response::TraceSpans`] /
+/// [`Response::Metrics`], and a server wall-clock timestamp on
+/// [`Response::Pong`] from which clients estimate the clock offset to the
+/// daemon (the fleet driver uses it to align remote spans onto its own
+/// timeline).
+///
+/// v6 removes the `Sweep` request with its three reply frames, and the
+/// `CacheStats` request. A sweep is an [`Request::Explore`] over a grid of
+/// one geometry, and [`Request::Stats`] answers everything `CacheStats`
+/// did. A daemon answers either old name as it answers any unknown
+/// request: one [`ErrorKind::BadRequest`] line, with the connection left
+/// open. Every other message keeps its v5 encoding.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// The distributed-tracing context a fleet driver (or any tracing client)
 /// attaches to work requests, so the daemon's `serve.request` span records
@@ -130,29 +139,17 @@ pub enum Request {
         /// Distributed-tracing context; omitted from the wire when `None`.
         trace: Option<TraceContext>,
     },
-    /// Run a full sweep; results stream incrementally.
-    Sweep {
-        /// The point set (models × sparsity × archs × widths).
-        spec: SweepSpec,
-        /// Evaluate accuracy fidelity per point (every width, when the
-        /// daemon was started with evaluation images).
-        fidelity: bool,
-        /// Streaming deadline in milliseconds: the stream ends with a
-        /// [`ErrorKind::DeadlineExceeded`] error once it expires (already
-        /// streamed entries stand). `None` means no deadline.
-        deadline_ms: Option<u64>,
-        /// Distributed-tracing context; omitted from the wire when `None`.
-        trace: Option<TraceContext>,
-    },
     /// Run a design-space exploration; grid entries stream incrementally
     /// from the daemon's warm artifact cache.
     Explore {
         /// The exploration point set (geometry grid × models × sparsity ×
-        /// widths). Oversized or infeasible grids are answered with a
+        /// widths × pruning). Oversized or infeasible grids are answered with a
         /// structured [`Response::Error`] before any point executes.
         /// (Boxed: the grid axes dwarf every other request variant.)
         spec: Box<DseSpec>,
-        /// Streaming deadline in milliseconds (see [`Request::Sweep`]).
+        /// Streaming deadline in milliseconds: the stream ends with a
+        /// [`ErrorKind::DeadlineExceeded`] error once it expires (already
+        /// streamed points stand). `None` means no deadline.
         deadline_ms: Option<u64>,
         /// Fleet-orchestration tag: when present, the daemon records the
         /// stream's progress under this shard so [`Request::ShardStatus`]
@@ -161,13 +158,10 @@ pub enum Request {
         /// Distributed-tracing context; omitted from the wire when `None`.
         trace: Option<TraceContext>,
     },
-    /// Snapshot the daemon's request counters and warm-cache statistics.
-    CacheStats,
-    /// Snapshot the daemon's full observability surface: everything
-    /// [`Request::CacheStats`] reports plus queue depths, rejection
-    /// counters and per-request-type latency histograms. Both requests are
-    /// answered with [`Response::Stats`]; `CacheStats` is kept for v3
-    /// clients.
+    /// Snapshot the daemon's full observability surface: request counters,
+    /// warm-cache statistics, queue depths, rejection counters and
+    /// per-request-type latency histograms, answered with
+    /// [`Response::Stats`].
     Stats,
     /// Report the progress of every shard-tagged exploration this daemon
     /// has served (see [`ShardAnnotation`]); the fleet CLI polls this to
@@ -192,9 +186,7 @@ impl Request {
     #[must_use]
     pub fn trace_context(&self) -> Option<&TraceContext> {
         match self {
-            Request::RunModel { trace, .. }
-            | Request::Sweep { trace, .. }
-            | Request::Explore { trace, .. } => trace.as_ref(),
+            Request::RunModel { trace, .. } | Request::Explore { trace, .. } => trace.as_ref(),
             _ => None,
         }
     }
@@ -232,15 +224,6 @@ impl Serialize for Request {
                     object.end();
                 });
             }
-            Request::Sweep { spec, fidelity, deadline_ms, trace } => out.variant("Sweep", |out| {
-                let mut object = out.object();
-                object
-                    .field("spec", spec)
-                    .field("fidelity", fidelity)
-                    .field("deadline_ms", deadline_ms);
-                trace_last(&mut object, trace);
-                object.end();
-            }),
             Request::Explore { spec, deadline_ms, shard, trace } => {
                 out.variant("Explore", |out| {
                     let mut object = out.object();
@@ -252,7 +235,6 @@ impl Serialize for Request {
                     object.end();
                 });
             }
-            Request::CacheStats => out.str("CacheStats"),
             Request::Stats => out.str("Stats"),
             Request::ShardStatus => out.str("ShardStatus"),
             Request::TraceSnapshot => out.str("TraceSnapshot"),
@@ -369,7 +351,7 @@ pub struct RequestLatency {
 }
 
 /// Daemon-side request counters, admission gauges, latency histograms and
-/// cache statistics ([`Request::Stats`] / [`Request::CacheStats`]).
+/// cache statistics ([`Request::Stats`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Requests processed (including ones answered with an error).
@@ -423,35 +405,14 @@ pub enum Response {
     },
     /// Answer to [`Request::RunModel`].
     RunResult {
-        /// The computed (model, width, geometry) entry.
+        /// The computed (model, width, pruning, geometry) entry.
         entry: SweepEntry,
-    },
-    /// First line of a sweep stream: how many entries will follow.
-    SweepStarted {
-        /// Number of (model, width, geometry) entries the sweep produces.
-        entries: usize,
-    },
-    /// One completed sweep entry (streamed as soon as it is computed).
-    SweepPoint {
-        /// Position of this entry in the sweep's deterministic order.
-        index: usize,
-        /// The computed entry.
-        entry: SweepEntry,
-    },
-    /// Last line of a sweep stream: the report-level counters, mirroring
-    /// `SweepReport`'s fields so the client can reassemble one.
-    SweepFinished {
-        /// Distinct (model, width) artifact sets the sweep drew from.
-        prepared_models: usize,
-        /// Simulation runs the sweep covers.
-        simulated_runs: usize,
-        /// Server-side wall-clock duration of the sweep.
-        wall_time: Duration,
     },
     /// First line of an exploration stream: how many grid points will
     /// follow.
     ExploreStarted {
-        /// Number of (model, width, geometry) points the spec enumerates.
+        /// Number of (model, width, pruning, geometry) points the spec
+        /// enumerates.
         total_points: usize,
     },
     /// One completed exploration point (streamed as soon as it is
@@ -469,7 +430,7 @@ pub enum Response {
         /// Server-side wall-clock duration of the exploration.
         wall_time: Duration,
     },
-    /// Answer to [`Request::Stats`] and [`Request::CacheStats`].
+    /// Answer to [`Request::Stats`].
     Stats {
         /// The counters snapshot.
         stats: ServerStats,
@@ -589,7 +550,6 @@ mod tests {
         round_trip(&Request::Ping);
         round_trip(&Request::Auth { token: "fleet-secret-42".to_string() });
         round_trip(&Request::ListModels);
-        round_trip(&Request::CacheStats);
         round_trip(&Request::Stats);
         round_trip(&Request::Shutdown);
         round_trip(&Request::ShardStatus);
@@ -616,12 +576,6 @@ mod tests {
                 point: "efficientnet-b0/int8".to_string(),
                 parent_span: 42,
             }),
-        });
-        round_trip(&Request::Sweep {
-            spec: SweepSpec::zoo().with_widths(vec![OperandWidth::Int4, OperandWidth::Int16]),
-            fidelity: true,
-            deadline_ms: Some(60_000),
-            trace: None,
         });
         round_trip(&Request::Explore {
             spec: Box::new(
@@ -668,15 +622,6 @@ mod tests {
             "{\"RunModel\":{\"model\":\"AlexNet\",\"sparsity\":null,\"width\":null,\
              \"arch\":null,\"fidelity\":false,\"deadline_ms\":null}}"
         );
-        let sweep = Request::Sweep {
-            spec: SweepSpec::new(vec![ModelKind::AlexNet]),
-            fidelity: false,
-            deadline_ms: None,
-            trace: None,
-        };
-        let sweep_json = serde_json::to_string(&sweep).unwrap();
-        assert!(!sweep_json.contains("trace"), "{sweep_json}");
-        assert!(sweep_json.ends_with("\"fidelity\":false,\"deadline_ms\":null}}"), "{sweep_json}");
         let explore = Request::Explore {
             spec: Box::new(DseSpec::new(
                 dbpim_sim::ArchGrid::around(ArchConfig::paper()),
@@ -749,12 +694,6 @@ mod tests {
             },
         });
         round_trip(&Response::Models { models: ModelKind::all().to_vec() });
-        round_trip(&Response::SweepStarted { entries: 20 });
-        round_trip(&Response::SweepFinished {
-            prepared_models: 5,
-            simulated_runs: 20,
-            wall_time: Duration::from_millis(1234),
-        });
         round_trip(&Response::ExploreStarted { total_points: 48 });
         round_trip(&Response::ExploreFinished {
             total_points: 48,

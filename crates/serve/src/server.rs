@@ -8,10 +8,9 @@
 //! (model, width) trigger exactly one artifact preparation (the session
 //! layer's single-flight guarantee) and every later request is served warm.
 //!
-//! Sweeps and explorations stream through one loop: each (model, width,
-//! pruning, geometry) point is written to the client as soon as it is
-//! computed, so a long sweep delivers its first results while the rest are
-//! still simulating.
+//! Explorations stream: each (model, width, pruning, geometry) point is
+//! written to the client as soon as it is computed, so a long exploration
+//! delivers its first results while the rest are still simulating.
 //!
 //! The daemon is production-hardened along three axes:
 //!
@@ -46,7 +45,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use db_pim::session::par::lock_unpoisoned;
-use db_pim::{BatchRunner, DseEntry, DsePoint, PipelineConfig, PipelineError, SweepEntry};
+use db_pim::{BatchRunner, DseEntry, DseSpec, PipelineConfig, PipelineError};
 use dbpim_nn::ModelKind;
 use dbpim_sim::SparsityConfig;
 use dbpim_trace::{log_debug, log_info, log_warn, ChromeTrace, MetricsRegistry, TraceCollector};
@@ -64,14 +63,12 @@ const MAX_TRACKED_SHARDS: usize = 256;
 
 /// Request variant names, in the order the latency registry indexes them
 /// (see [`request_type_index`]).
-const REQUEST_TYPES: [&str; 12] = [
+const REQUEST_TYPES: [&str; 10] = [
     "Ping",
     "Auth",
     "ListModels",
     "RunModel",
-    "Sweep",
     "Explore",
-    "CacheStats",
     "Stats",
     "ShardStatus",
     "TraceSnapshot",
@@ -103,14 +100,12 @@ fn request_type_index(request: &Request) -> usize {
         Request::Auth { .. } => 1,
         Request::ListModels => 2,
         Request::RunModel { .. } => 3,
-        Request::Sweep { .. } => 4,
-        Request::Explore { .. } => 5,
-        Request::CacheStats => 6,
-        Request::Stats => 7,
-        Request::ShardStatus => 8,
-        Request::TraceSnapshot => 9,
-        Request::MetricsSnapshot => 10,
-        Request::Shutdown => 11,
+        Request::Explore { .. } => 4,
+        Request::Stats => 5,
+        Request::ShardStatus => 6,
+        Request::TraceSnapshot => 7,
+        Request::MetricsSnapshot => 8,
+        Request::Shutdown => 9,
     }
 }
 
@@ -158,7 +153,7 @@ pub struct ServeConfig {
     pub pipeline: PipelineConfig,
     /// LRU cap on resident prepared models, one bound for the whole process
     /// across every (model, width, pruning) variant (`None` = unbounded, the
-    /// historical behaviour). Evictions are counted in the `CacheStats`
+    /// historical behaviour). Evictions are counted in the `Stats`
     /// response.
     pub cache_cap: Option<usize>,
     /// Shared secret clients must present via [`Request::Auth`] before any
@@ -959,9 +954,7 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
         Request::ListModels => {
             respond(writer, &Response::Models { models: ModelKind::all().to_vec() })
         }
-        Request::CacheStats | Request::Stats => {
-            respond(writer, &Response::Stats { stats: shared.stats() })
-        }
+        Request::Stats => respond(writer, &Response::Stats { stats: shared.stats() }),
         Request::ShardStatus => {
             respond(writer, &Response::ShardStatuses { shards: shared.shard_statuses() })
         }
@@ -1012,107 +1005,27 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
                 }
             }
         }
-        Request::Sweep { spec, fidelity, deadline_ms, trace: _ } => {
-            let deadline = Deadline::new(deadline_ms);
-            let session = shared.runner.session().config();
-            let axes = spec.axes();
-            let prepared_models = axes.unique_models().len()
-                * axes.effective_widths(session.operand_width).len()
-                * axes.effective_pruning(session.pruning).len();
-            let sparsity = axes.unique_sparsity();
-            let runs_per_point = sparsity.len();
-            let stream = PointStream {
-                request: "Sweep",
-                point_name: "sweep point",
-                points: Ok(spec.points(session)),
-                sparsity,
-                fidelity,
-                shard: None,
-                started: |entries| Response::SweepStarted { entries },
-                point: |index, entry| Response::SweepPoint { index, entry },
-                finished: |entries, wall_time| Response::SweepFinished {
-                    prepared_models,
-                    simulated_runs: entries * runs_per_point,
-                    wall_time,
-                },
-            };
-            stream_points(stream, deadline, writer, shared)
-        }
         Request::Explore { spec, deadline_ms, shard, trace: _ } => {
-            let deadline = Deadline::new(deadline_ms);
-            let session = shared.runner.session().config();
-            let stream = PointStream {
-                request: "Explore",
-                point_name: "exploration point",
-                points: spec.points(session.operand_width, session.pruning),
-                sparsity: spec.axes().unique_sparsity(),
-                fidelity: spec.fidelity,
-                shard: shard.as_ref(),
-                started: |total_points| Response::ExploreStarted { total_points },
-                point: |index, entry| Response::ExplorePoint {
-                    index,
-                    entry: DseEntry::from_sweep(entry),
-                },
-                finished: |total_points, wall_time| Response::ExploreFinished {
-                    total_points,
-                    wall_time,
-                },
-            };
-            stream_points(stream, deadline, writer, shared)
+            stream_points(&spec, Deadline::new(deadline_ms), shard.as_ref(), writer, shared)
         }
     }
 }
 
-/// One streaming request — `Sweep` or `Explore` — as the point list it
-/// runs and the frames it answers with; [`stream_points`] is the one loop
-/// both share.
-struct PointStream<'a, F> {
-    /// The request name deadline errors carry.
-    request: &'static str,
-    /// What a failing point is called in its error message.
-    point_name: &'static str,
-    /// The canonical point list, or the error that rejects the request
-    /// before any point runs.
-    points: Result<Vec<DsePoint>, PipelineError>,
-    /// Sparsity configurations simulated per point, canonical order.
-    sparsity: Vec<SparsityConfig>,
-    /// Evaluate fidelity where defined.
-    fidelity: bool,
-    /// The fleet shard tag whose progress the daemon records.
-    shard: Option<&'a ShardAnnotation>,
-    /// The opening frame, given the point count.
-    started: fn(usize) -> Response,
-    /// One point's frame, given its index and entry.
-    point: fn(usize, SweepEntry) -> Response,
-    /// The closing frame, given the point count and the stream's wall time.
-    finished: F,
-}
-
-/// Streams one point list: the request's opening frame, one point frame per
-/// point as it completes (canonical order, warm-cache artifacts reused
-/// across geometries), then its closing frame. A rejected point list is
+/// Streams one exploration: an `ExploreStarted` frame, one `ExplorePoint`
+/// per point as it completes (canonical order, warm-cache artifacts reused
+/// across geometries), then `ExploreFinished`. A rejected point list is
 /// answered with a structured pipeline error before any point executes; a
 /// failing point or an expired deadline ends the stream (but not the
 /// connection) the same way, and a point that finishes after its deadline
 /// is withheld. A shard-tagged request additionally reports its progress
 /// into the daemon's `ShardStatus` registry.
-fn stream_points<F: FnOnce(usize, Duration) -> Response>(
-    stream: PointStream<'_, F>,
+fn stream_points(
+    spec: &DseSpec,
     deadline: Deadline,
+    shard: Option<&ShardAnnotation>,
     writer: &mut TcpStream,
     shared: &Shared,
 ) -> bool {
-    let PointStream {
-        request,
-        point_name,
-        points,
-        sparsity,
-        fidelity,
-        shard,
-        started,
-        point,
-        finished,
-    } = stream;
     let fail = |writer: &mut TcpStream, response: Response| {
         shared.metrics.incr(M_ERRORS);
         if let Some(tag) = shard {
@@ -1121,24 +1034,26 @@ fn stream_points<F: FnOnce(usize, Duration) -> Response>(
         respond(writer, &response)
     };
     if deadline.expired() {
-        return fail(writer, Deadline::error(request));
+        return fail(writer, Deadline::error("Explore"));
     }
-    let points = match points {
+    let session = shared.runner.session().config();
+    let points = match spec.points(session.operand_width, session.pruning) {
         Ok(points) => points,
         Err(e) => return fail(writer, error_response(ErrorKind::Pipeline, e.to_string())),
     };
     if let Some(tag) = shard {
         shared.shard_touch(tag, 0, ShardState::Running);
     }
-    let total = points.len();
-    if respond(writer, &started(total)) {
+    let total_points = points.len();
+    if respond(writer, &Response::ExploreStarted { total_points }) {
         return true;
     }
 
+    let sparsity = spec.unique_sparsity();
     let start = Instant::now();
     for (index, p) in points.into_iter().enumerate() {
         if deadline.expired() {
-            return fail(writer, Deadline::error(request));
+            return fail(writer, Deadline::error("Explore"));
         }
         let computed = shared.runner.run_point_pruned(
             p.kind,
@@ -1146,16 +1061,17 @@ fn stream_points<F: FnOnce(usize, Duration) -> Response>(
             p.pruning,
             Some(p.arch),
             &sparsity,
-            fidelity,
+            spec.fidelity,
         );
         match computed {
             // A point the client gave up on mid-compute is withheld, same
             // policy as RunModel: the deadline promises when answers stop
             // being useful, and a fleet has already requeued the point
             // elsewhere by now.
-            Ok(_) if deadline.expired() => return fail(writer, Deadline::error(request)),
+            Ok(_) if deadline.expired() => return fail(writer, Deadline::error("Explore")),
             Ok(entry) => {
-                if respond(writer, &point(index, entry)) {
+                let entry = DseEntry::from_sweep(entry);
+                if respond(writer, &Response::ExplorePoint { index, entry }) {
                     return true;
                 }
                 if let Some(tag) = shard {
@@ -1163,13 +1079,13 @@ fn stream_points<F: FnOnce(usize, Duration) -> Response>(
                 }
             }
             Err(e) => {
-                let message = format!("{point_name} {index} failed: {e}");
+                let message = format!("exploration point {index} failed: {e}");
                 return fail(writer, error_response(ErrorKind::Pipeline, message));
             }
         }
     }
 
-    respond(writer, &finished(total, start.elapsed()))
+    respond(writer, &Response::ExploreFinished { total_points, wall_time: start.elapsed() })
 }
 
 #[cfg(test)]
@@ -1204,7 +1120,6 @@ mod tests {
             REQUEST_TYPES[request_type_index(&Request::Auth { token: String::new() })],
             "Auth"
         );
-        assert_eq!(REQUEST_TYPES[request_type_index(&Request::CacheStats)], "CacheStats");
         assert_eq!(REQUEST_TYPES[request_type_index(&Request::Stats)], "Stats");
         assert_eq!(REQUEST_TYPES[request_type_index(&Request::TraceSnapshot)], "TraceSnapshot");
         assert_eq!(REQUEST_TYPES[request_type_index(&Request::MetricsSnapshot)], "MetricsSnapshot");

@@ -10,10 +10,11 @@
 //! any other name exits with status 2. The example reports the
 //! Fig. 2(a) style zero-bit ratios, the per-filter threshold distribution, a
 //! forced-threshold ablation that shows the accuracy/sparsity trade-off
-//! Algorithm 1 navigates, and a four-configuration sweep rendered from a
-//! [`BatchRunner`] `SweepReport`.
+//! Algorithm 1 navigates, and the four Fig. 7 configurations simulated as
+//! one [`BatchRunner`] point.
 
 use std::error::Error;
+use std::time::Instant;
 
 use db_pim::prelude::*;
 use dbpim_fta::{FilterApprox, LayerApprox};
@@ -72,8 +73,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     ablation(widest)?;
 
     println!("\n== Fig. 7 sweep (batch runner, artifacts reused) ==");
-    let report = runner.run(&SweepSpec::new(vec![kind]))?;
-    let result = report.result(kind).expect("model swept");
+    let start = Instant::now();
+    let entry =
+        runner.run_point(kind, config.operand_width, None, &SparsityConfig::all(), false)?;
+    let wall_time = start.elapsed();
+    let result = &entry.result;
     for sparsity in SparsityConfig::all() {
         let run = result.run(sparsity).expect("all four configurations simulated");
         println!(
@@ -85,10 +89,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
     println!(
-        "sweep: {} model(s), {} simulation run(s) in {:.1} ms",
-        report.prepared_models,
-        report.simulated_runs,
-        report.wall_time.as_secs_f64() * 1e3
+        "sweep: 1 model(s), {} simulation run(s) in {:.1} ms",
+        result.runs.len(),
+        wall_time.as_secs_f64() * 1e3
     );
     Ok(())
 }

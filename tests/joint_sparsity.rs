@@ -34,31 +34,38 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 /// the unpruned code path has always produced.
 #[test]
 fn fraction_zero_pruning_is_byte_identical_to_the_unpruned_path() {
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet])
+    let spec = DseSpec::new(ArchGrid::around(small_config().arch), vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity])
         .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
+    let run = |config: PipelineConfig, spec: &DseSpec| {
+        DseDriver::new(config).expect("valid config").run(spec).expect("runs")
+    };
+    let results = |report: &DseReport| -> Vec<CodesignResult> {
+        report.entries.iter().map(|e| e.result.clone()).collect()
+    };
 
-    let baseline =
-        BatchRunner::new(small_config()).expect("valid config").run(&spec).expect("baseline");
+    let baseline = run(small_config(), &spec);
 
     // Identity pruning via the pipeline config, in both modes.
     for identity in [PruningSpec::unstructured(0.0), PruningSpec::structured(0.0)] {
         assert!(!identity.is_active());
-        let config = small_config().with_pruning(identity);
-        let report = BatchRunner::new(config).expect("valid config").run(&spec).expect("runs");
-        assert_eq!(report.entries, baseline.entries, "{identity:?} changed results");
+        let report = run(small_config().with_pruning(identity), &spec);
+        assert!(report.results_match(&baseline), "{identity:?} changed results");
     }
 
     // Identity pruning via the sweep spec.
     let explicit = spec.clone().with_pruning(vec![PruningSpec::none()]);
-    let report =
-        BatchRunner::new(small_config()).expect("valid config").run(&explicit).expect("runs");
-    assert_eq!(report.entries, baseline.entries);
+    let report = run(small_config(), &explicit);
+    assert_eq!(results(&report), results(&baseline));
+    assert!(report.entries.iter().all(|e| e.pruning == PruningSpec::none()));
 
     // Byte identity: identity entries serialize without any `pruning` key,
     // so the on-disk/wire shape equals the pre-pruning format exactly.
-    let baseline_json = serde_json::to_string(&baseline.entries).expect("serializes");
-    let explicit_json = serde_json::to_string(&report.entries).expect("serializes");
+    let strip = |report: &DseReport| -> Vec<DseEntry> {
+        report.entries.iter().map(|e| DseEntry { computed_at_ms: 0, ..e.clone() }).collect()
+    };
+    let baseline_json = serde_json::to_string(&strip(&baseline)).expect("serializes");
+    let explicit_json = serde_json::to_string(&strip(&report)).expect("serializes");
     assert_eq!(baseline_json, explicit_json, "identity pruning leaked into the bytes");
     assert!(!baseline_json.contains("pruning"), "unpruned entries must omit the field");
 
@@ -76,19 +83,15 @@ fn fraction_zero_pruning_is_byte_identical_to_the_unpruned_path() {
 /// with the missing field defaulting to the identity spec everywhere.
 #[test]
 fn legacy_snapshots_without_a_pruning_field_still_parse() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let report = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet])
-                .with_sparsity(vec![SparsityConfig::HybridSparsity]),
-        )
-        .expect("runs");
+    let spec = DseSpec::new(ArchGrid::around(small_config().arch), vec![ModelKind::AlexNet])
+        .with_sparsity(vec![SparsityConfig::HybridSparsity]);
+    let report = DseDriver::new(small_config()).expect("valid config").run(&spec).expect("runs");
 
     // An unpruned report's own bytes *are* the legacy format (no `pruning`
     // key), so parsing them is exactly the legacy-snapshot scenario.
     let json = serde_json::to_string(&report).expect("serializes");
     assert!(!json.contains("pruning"));
-    let back: SweepReport = serde_json::from_str(&json).expect("legacy report parses");
+    let back: DseReport = serde_json::from_str(&json).expect("legacy report parses");
     assert_eq!(back, report);
     assert!(back.entries.iter().all(|e| e.pruning == PruningSpec::none()));
 

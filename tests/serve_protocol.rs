@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use db_pim::prelude::{ArchConfig, ArchGrid, SparsityConfig};
-use db_pim::{DseDriver, DseSpec, PipelineConfig, SweepSpec};
+use db_pim::{DseDriver, DseSpec, PipelineConfig};
 use dbpim_nn::ModelKind;
 use dbpim_serve::protocol::{ErrorKind, Response, ShardAnnotation, ShardState};
 use dbpim_serve::{Client, ClientError, RunQuery, ServeConfig, Server, ServerHandle};
@@ -72,8 +72,9 @@ fn assert_bad_request(response: &Response) {
     }
 }
 
-/// Garbage, truncated JSON, unknown variants and mistyped payloads each get
-/// a structured error, and the connection keeps working afterwards.
+/// Garbage, truncated JSON, unknown variants, mistyped payloads and the
+/// requests protocol v6 removed each get a structured error, and the
+/// connection keeps working afterwards.
 #[test]
 fn malformed_requests_get_structured_errors_not_disconnects() {
     let handle = spawn_server();
@@ -95,7 +96,7 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
         "{\"RunModel\":{\"model\":\"LeNet5\",\"fidelity\":false}}",
     ));
     // Known variant, payload of the wrong JSON type.
-    assert_bad_request(&raw_exchange(&mut reader, &mut writer, "{\"Sweep\":[1,2,3]}"));
+    assert_bad_request(&raw_exchange(&mut reader, &mut writer, "{\"Explore\":[1,2,3]}"));
 
     // The same connection still answers real requests.
     match raw_exchange(&mut reader, &mut writer, "\"Ping\"") {
@@ -103,11 +104,25 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
         other => panic!("connection should have survived the garbage, got {other:?}"),
     }
 
+    // A v5 client's well-formed `Sweep` and `CacheStats` lines, which v6
+    // removed, each get exactly one BadRequest line: the next line on the
+    // connection answers the following `Ping`.
+    let v5_sweep = "{\"Sweep\":{\"spec\":{\"models\":[\"AlexNet\"],\
+                    \"sparsity\":[\"HybridSparsity\"],\"archs\":[],\"widths\":[]},\
+                    \"fidelity\":false,\"deadline_ms\":null}}";
+    for removed in [v5_sweep, "\"CacheStats\""] {
+        assert_bad_request(&raw_exchange(&mut reader, &mut writer, removed));
+        match raw_exchange(&mut reader, &mut writer, "\"Ping\"") {
+            Response::Pong { .. } => {}
+            other => panic!("{removed} was answered with more than one line: {other:?}"),
+        }
+    }
+
     // The daemon counted the failures.
     let mut client = Client::connect(handle.addr()).expect("connects");
-    let stats = client.cache_stats().expect("stats");
-    assert_eq!(stats.errors, 5, "every malformed line is counted");
-    assert!(stats.requests >= 6, "malformed lines still count as requests");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.errors, 7, "every malformed line is counted");
+    assert!(stats.requests >= 10, "malformed lines still count as requests");
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
@@ -208,7 +223,7 @@ fn explore_grid_failures_are_structured_errors_not_disconnects() {
         other => panic!("raw connection should have survived, got {other:?}"),
     }
     client.ping().expect("client connection survived");
-    let stats = client.cache_stats().expect("stats");
+    let stats = client.stats().expect("stats");
     assert_eq!(stats.errors, 5, "every failed explore is counted");
 
     client.shutdown().expect("shutdown acknowledged");
@@ -251,7 +266,7 @@ fn explore_stream_merges_into_the_same_report_as_a_local_run() {
     assert!(merged.results_match(&local));
 
     // The daemon served the whole grid from one artifact build.
-    let stats = client.cache_stats().expect("stats");
+    let stats = client.stats().expect("stats");
     assert_eq!(stats.cache.artifact_misses, 1);
     assert_eq!(stats.cache.program_misses, 2, "one compilation per geometry");
 
@@ -279,12 +294,6 @@ fn expired_deadlines_are_structured_errors_not_hangs() {
     let query = RunQuery::new(ModelKind::AlexNet).with_deadline_ms(0);
     expect_deadline(client.run_model(&query).map(|_| "RunModel"));
 
-    let sweep = SweepSpec::new(vec![ModelKind::AlexNet])
-        .with_sparsity(vec![SparsityConfig::HybridSparsity]);
-    expect_deadline(
-        client.sweep_streaming(&sweep, false, Some(0), None, |_, _| {}).map(|_| "Sweep"),
-    );
-
     let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet]);
     expect_deadline(
         client.explore_streaming(&spec, Some(0), None, None, |_, _| {}).map(|_| "Explore"),
@@ -297,8 +306,8 @@ fn expired_deadlines_are_structured_errors_not_hangs() {
     let direct = client.run_model(&RunQuery::new(ModelKind::AlexNet)).expect("no deadline");
     assert_eq!(entry, direct, "a deadline must never change the computed result");
 
-    let stats = client.cache_stats().expect("stats");
-    assert_eq!(stats.errors, 3, "every expired deadline is counted");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.errors, 2, "every expired deadline is counted");
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
@@ -654,7 +663,7 @@ fn stats_counters_match_a_scripted_request_sequence() {
     // A Stats answer is serialized before its own latency sample lands, so
     // the in-flight snapshot cannot include itself yet.
     assert_eq!(count_of("Stats"), 0);
-    assert_eq!(count_of("Sweep"), 0, "unserved request types report no histogram");
+    assert_eq!(count_of("Explore"), 0, "unserved request types report no histogram");
     let run_latency =
         stats.latency.iter().find(|entry| entry.request == "RunModel").expect("recorded");
     assert!(run_latency.histogram.max_micros > 0, "a real run takes measurable time");

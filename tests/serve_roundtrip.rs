@@ -1,6 +1,6 @@
 //! The serving layer's headline contract: a daemon-served answer is
 //! bit-identical to the same query run directly through `Pipeline` /
-//! `BatchRunner`, repeated requests are served from the warm artifact cache
+//! `DseDriver`, repeated requests are served from the warm artifact cache
 //! (asserted via the session cache-hit counters, not timing), and N
 //! concurrent clients asking for the same (model, width) trigger exactly
 //! one artifact build.
@@ -95,40 +95,34 @@ fn served_results_are_bit_identical_with_auth_on_and_off() {
     locked_handle.join().expect("daemon exits cleanly");
 }
 
-/// A served sweep streams its entries in deterministic order and reassembles
-/// into exactly the report `BatchRunner` produces locally (modulo wall time,
-/// which is measured, not computed). This holds with and without the
-/// `archs` axis, which only wire clients set; there, each served entry also
-/// equals the `DseDriver` entry at its geometry.
+/// A served sweep — an `Explore` over the daemon's one geometry — streams
+/// its entries in deterministic order and reassembles into exactly the
+/// results a local `DseDriver` produces (timestamps and wall time, which
+/// are measured, aside). The same holds on a grid of two geometries.
 #[test]
 fn served_sweep_matches_direct_batch_runner() {
     let config = small_config().without_fidelity();
     let models = vec![ModelKind::AlexNet, ModelKind::MobileNetV2];
     let widths = vec![OperandWidth::Int4, OperandWidth::Int8];
-    let grid = ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]);
-    let archs = grid.enumerate().expect("feasible grid");
-    assert_eq!(archs.len(), 2);
-    let specs = [
-        SweepSpec::new(models.clone()).with_widths(widths.clone()),
-        SweepSpec::new(models.clone()).with_widths(widths.clone()).with_archs(archs),
+    let grids = [
+        ArchGrid::around(config.arch),
+        ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]),
     ];
 
     let handle = spawn_server(config, 2);
     let mut client = Client::connect(handle.addr()).expect("connects");
     let runner = Arc::new(BatchRunner::new(config).expect("valid config"));
     let mut served_reports = Vec::new();
-    for spec in &specs {
+    for grid in grids {
+        let spec = DseSpec::new(grid, models.clone()).with_widths(widths.clone());
         let mut streamed = Vec::new();
         let served = client
-            .sweep_streaming(spec, false, None, None, |index, entry| {
+            .explore_streaming(&spec, None, None, None, |index, entry| {
                 streamed.push((index, entry.kind));
             })
             .expect("served sweep succeeds");
-        let direct = runner.run(spec).expect("direct sweep succeeds");
-
-        assert_eq!(served.entries, direct.entries, "served sweep diverges from BatchRunner");
-        assert_eq!(served.prepared_models, direct.prepared_models);
-        assert_eq!(served.simulated_runs, direct.simulated_runs);
+        let direct = DseDriver::from_runner(Arc::clone(&runner)).run(&spec).expect("driver runs");
+        assert!(served.results_match(&direct), "served sweep diverges from DseDriver");
 
         // The stream arrived incrementally and in entry order.
         assert_eq!(streamed.len(), served.entries.len());
@@ -138,23 +132,9 @@ fn served_sweep_matches_direct_batch_runner() {
         }
         served_reports.push(served);
     }
-
-    let with_archs = &served_reports[1];
-    assert_eq!(with_archs.entries.len(), 2 * 2 * 2, "models x widths x geometries");
-    let explored = DseDriver::from_runner(Arc::clone(&runner))
-        .run(&DseSpec::new(grid, models).with_widths(widths))
-        .expect("driver runs");
-    assert_eq!(explored.entries.len(), with_archs.entries.len());
-    for entry in &with_archs.entries {
-        let point = DsePoint {
-            kind: entry.kind,
-            width: entry.width,
-            pruning: entry.pruning,
-            arch: entry.arch,
-        };
-        let at = explored.entry(&point).expect("the driver ran the same geometry");
-        assert_eq!(at.result, entry.result, "served sweep diverges from DseDriver at {point:?}");
-    }
+    assert_eq!(served_reports[0].entries.len(), 2 * 2, "models x widths");
+    assert!(served_reports[0].entries.iter().all(|e| e.arch == config.arch));
+    assert_eq!(served_reports[1].entries.len(), 2 * 2 * 2, "models x widths x geometries");
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
@@ -162,7 +142,7 @@ fn served_sweep_matches_direct_batch_runner() {
 
 /// Pruning-carrying specs cross the wire intact: a served joint
 /// (pruning × width) sweep and a pruning-grid `Explore` are bit-identical
-/// to their direct `BatchRunner` / `DseDriver` counterparts.
+/// to their direct `DseDriver` counterparts.
 #[test]
 fn served_joint_sparsity_queries_match_direct_drivers() {
     let config = small_config().without_fidelity();
@@ -170,17 +150,15 @@ fn served_joint_sparsity_queries_match_direct_drivers() {
 
     let handle = spawn_server(config, 2);
     let mut client = Client::connect(handle.addr()).expect("connects");
+    let driver = DseDriver::new(config).expect("valid config");
 
-    let sweep_spec = SweepSpec::new(vec![ModelKind::AlexNet])
+    let sweep_spec = DseSpec::new(ArchGrid::around(config.arch), vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::HybridSparsity])
         .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8])
         .with_pruning(prunings.clone());
-    let served = client.sweep(&sweep_spec, false).expect("served sweep succeeds");
-    let direct = BatchRunner::new(config)
-        .expect("valid config")
-        .run(&sweep_spec)
-        .expect("direct sweep succeeds");
-    assert_eq!(served.entries, direct.entries, "served joint sweep diverges from BatchRunner");
+    let served = client.explore(&sweep_spec).expect("served sweep succeeds");
+    let direct = driver.run(&sweep_spec).expect("direct sweep succeeds");
+    assert!(served.results_match(&direct), "served joint sweep diverges from DseDriver");
     assert_eq!(served.entries.len(), 4, "2 widths x 2 prunings");
     assert!(served.entries.iter().any(|e| e.pruning.is_active()), "pruning lost over the wire");
 
@@ -191,10 +169,7 @@ fn served_joint_sparsity_queries_match_direct_drivers() {
     .with_sparsity(vec![SparsityConfig::HybridSparsity])
     .with_pruning(prunings);
     let served = client.explore(&explore_spec).expect("served explore succeeds");
-    let direct = DseDriver::new(config)
-        .expect("valid config")
-        .run(&explore_spec)
-        .expect("direct explore succeeds");
+    let direct = driver.run(&explore_spec).expect("direct explore succeeds");
     assert_eq!(served.total_points, 4, "2 geometries x 2 prunings");
     assert!(
         served.results_match(&direct),
@@ -215,14 +190,14 @@ fn repeated_requests_are_served_from_warm_cache() {
 
     let query = RunQuery::new(ModelKind::AlexNet);
     let cold = client.run_model(&query).expect("cold run succeeds");
-    let after_cold = client.cache_stats().expect("stats").cache;
+    let after_cold = client.stats().expect("stats").cache;
     assert_eq!(after_cold.artifact_misses, 1, "first request builds once");
     assert_eq!(after_cold.program_misses, 1, "first request compiles once");
     assert_eq!(after_cold.resident_artifacts, 1);
 
     let warm = client.run_model(&query).expect("warm run succeeds");
     assert_eq!(warm, cold, "warm result diverges from the cold one");
-    let after_warm = client.cache_stats().expect("stats").cache;
+    let after_warm = client.stats().expect("stats").cache;
     assert_eq!(after_warm.artifact_misses, 1, "no re-preparation on a repeat");
     assert_eq!(after_warm.program_misses, 1, "no recompilation on a repeat");
     assert!(after_warm.artifact_hits > after_cold.artifact_hits, "repeat was a cache hit");
@@ -231,7 +206,7 @@ fn repeated_requests_are_served_from_warm_cache() {
     // A second client shares the same warm cache.
     let mut other = Client::connect(handle.addr()).expect("second client connects");
     other.run_model(&query).expect("other client's run succeeds");
-    let after_other = other.cache_stats().expect("stats").cache;
+    let after_other = other.stats().expect("stats").cache;
     assert_eq!(after_other.artifact_misses, 1, "second client reuses the same artifacts");
 
     client.shutdown().expect("shutdown acknowledged");
@@ -268,7 +243,7 @@ fn concurrent_clients_share_one_artifact_build() {
     }
 
     let mut client = Client::connect(addr).expect("connects");
-    let stats = client.cache_stats().expect("stats");
+    let stats = client.stats().expect("stats");
     assert_eq!(
         stats.cache.artifact_misses, 1,
         "{CLIENTS} concurrent requests must build artifacts exactly once"

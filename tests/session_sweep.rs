@@ -1,6 +1,8 @@
 //! Workspace integration tests for the simulation-session layer: batched
 //! sweeps must be bit-identical to independent `Pipeline` runs, artifact
 //! caching must actually share work, and degenerate sweeps must behave.
+//! A sweep is a `DseSpec` over a grid of one geometry, run by a `DseDriver`
+//! on a shared `BatchRunner`.
 
 use std::sync::Arc;
 
@@ -14,25 +16,35 @@ fn small_config() -> PipelineConfig {
     config
 }
 
+/// `models` × all four sparsity configurations on the session geometry.
+fn sweep_spec(models: Vec<ModelKind>) -> DseSpec {
+    DseSpec::new(ArchGrid::around(small_config().arch), models)
+}
+
+/// Runs `spec` through a driver on `runner`.
+fn sweep(runner: &Arc<BatchRunner>, spec: &DseSpec) -> DseReport {
+    DseDriver::from_runner(Arc::clone(runner)).run(spec).expect("sweep runs")
+}
+
 /// Artifact reuse across the four sparsity configurations produces
 /// bit-identical `CodesignResult`s (including every `RunReport`) to
 /// independent `Pipeline` runs.
 #[test]
 fn batch_runner_matches_independent_pipeline_runs() {
     let config = small_config();
-    let runner = BatchRunner::new(config).expect("valid config");
+    let runner = Arc::new(BatchRunner::new(config).expect("valid config"));
     let kinds = vec![ModelKind::AlexNet, ModelKind::MobileNetV2];
-    let report =
-        runner.run_with_fidelity(&SweepSpec::new(kinds.clone()), true).expect("sweep runs");
+    let report = sweep(&runner, &sweep_spec(kinds.clone()).with_fidelity());
     assert_eq!(report.entries.len(), 2);
-    assert_eq!(report.prepared_models, 2);
-    assert_eq!(report.simulated_runs, 8);
+    assert_eq!(runner.cache_stats().artifact_misses, 2, "one preparation per model");
+    let simulated: usize = report.entries.iter().map(|e| e.result.runs.len()).sum();
+    assert_eq!(simulated, 8);
 
     let pipeline = Pipeline::new(config).expect("valid config");
-    for kind in kinds {
+    for (entry, kind) in report.entries.iter().zip(kinds) {
+        assert_eq!((entry.kind, entry.arch), (kind, config.arch));
         let independent = pipeline.run_kind(kind).expect("pipeline runs");
-        let swept = report.result(kind).expect("model swept");
-        assert_eq!(swept, &independent, "{kind:?} sweep result diverges from Pipeline");
+        assert_eq!(entry.result, independent, "{kind:?} sweep result diverges from Pipeline");
     }
 }
 
@@ -96,29 +108,31 @@ fn capped_sessions_evict_least_recently_used_artifacts() {
 /// resident, the INT4 one evicted.
 #[test]
 fn batch_runner_cache_cap_reaches_width_sessions() {
-    let runner = BatchRunner::new(small_config())
-        .expect("valid config")
-        .with_threads(1)
-        .with_cache_cap(Some(1));
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet])
+    let runner = Arc::new(
+        BatchRunner::new(small_config())
+            .expect("valid config")
+            .with_threads(1)
+            .with_cache_cap(Some(1)),
+    );
+    let spec = sweep_spec(vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::HybridSparsity])
         .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
-    let report = runner.run(&spec).expect("sweep runs");
+    let report = sweep(&runner, &spec);
     assert_eq!(report.entries.len(), 2);
     let stats = runner.cache_stats();
     assert_eq!(stats.resident_artifacts, 1, "the cap did not cover the INT4 variant: {stats:?}");
     assert_eq!((stats.artifact_misses, stats.artifact_evictions), (2, 1), "{stats:?}");
 }
 
-/// An empty sweep returns an empty report.
+/// An empty sweep returns an empty, complete report and prepares nothing.
 #[test]
 fn empty_sweep_returns_empty_report() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let report = runner.run(&SweepSpec::new(Vec::new())).expect("empty sweep runs");
-    assert!(report.is_empty());
-    assert_eq!(report.prepared_models, 0);
-    assert_eq!(report.simulated_runs, 0);
-    assert!(report.results().next().is_none());
+    let runner = Arc::new(BatchRunner::new(small_config()).expect("valid config"));
+    let report = sweep(&runner, &sweep_spec(Vec::new()));
+    assert!(report.entries.is_empty());
+    assert_eq!(report.total_points, 0);
+    assert!(report.is_complete());
+    assert_eq!(runner.cache_stats(), SessionCacheStats::default());
 }
 
 /// The session hands out the *same* artifacts (pointer-equal) on repeated
@@ -157,32 +171,30 @@ fn prepared_models_keep_one_compiled_geometry() {
     assert_eq!((stats.program_misses, stats.program_hits), (3, 1));
 }
 
-/// Parallel and sequential execution of the same sweep agree exactly.
+/// Parallel and sequential execution of the same sweep agree exactly: the
+/// runner's thread count is how many points its driver runs at once.
 #[test]
 fn parallelism_does_not_change_results() {
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet]);
-    let sequential = BatchRunner::new(small_config())
-        .expect("valid config")
-        .with_threads(1)
-        .run(&spec)
-        .expect("sequential sweep");
-    let parallel = BatchRunner::new(small_config())
-        .expect("valid config")
-        .with_threads(8)
-        .run(&spec)
-        .expect("parallel sweep");
-    assert_eq!(sequential.entries, parallel.entries);
+    let spec = sweep_spec(vec![ModelKind::AlexNet])
+        .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
+    let runner = |threads| {
+        Arc::new(BatchRunner::new(small_config()).expect("valid config").with_threads(threads))
+    };
+    let sequential = sweep(&runner(1), &spec);
+    let parallel = sweep(&runner(8), &spec);
+    assert_eq!(sequential.entries.len(), 2);
+    assert!(sequential.results_match(&parallel), "thread count changed results");
 }
 
 /// A sparsity subset sweeps only the requested configurations, in canonical
 /// Fig. 7 order.
 #[test]
 fn sparsity_subset_is_honoured() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet])
+    let runner = Arc::new(BatchRunner::new(small_config()).expect("valid config"));
+    let spec = sweep_spec(vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::HybridSparsity, SparsityConfig::DenseBaseline]);
-    let report = runner.run(&spec).expect("subset sweep");
-    let result = report.result(ModelKind::AlexNet).expect("model swept");
+    let report = sweep(&runner, &spec);
+    let result = &report.entries[0].result;
     assert_eq!(result.runs.len(), 2);
     assert_eq!(result.runs[0].sparsity, SparsityConfig::DenseBaseline);
     assert_eq!(result.runs[1].sparsity, SparsityConfig::HybridSparsity);
@@ -225,14 +237,13 @@ fn session_codesign_model_matches_pipeline() {
 /// model shares a single float model.
 #[test]
 fn width_sweeps_reuse_cached_artifacts_across_runs() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet])
+    let runner = Arc::new(BatchRunner::new(small_config()).expect("valid config"));
+    let spec = sweep_spec(vec![ModelKind::AlexNet])
         .with_sparsity(vec![SparsityConfig::DenseBaseline])
         .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
 
-    let first = runner.run(&spec).expect("first sweep runs");
+    let first = sweep(&runner, &spec);
     assert_eq!(first.entries.len(), 2);
-    assert_eq!(first.prepared_models, 2);
 
     // The configured width (INT8) is the session's own variant...
     let session = runner.session();
@@ -249,60 +260,40 @@ fn width_sweeps_reuse_cached_artifacts_across_runs() {
     assert!(std::ptr::eq(int4_a.model(), int8.model()), "each width built its own float model");
     assert_eq!(runner.cache_stats().artifact_misses, 2);
 
-    // A second identical sweep reproduces the first bit-for-bit.
-    let second = runner.run(&spec).expect("second sweep runs");
-    assert_eq!(first.entries, second.entries);
+    // A second identical sweep reproduces the first bit-for-bit, from the
+    // same two preparations.
+    let second = sweep(&runner, &spec);
+    assert!(first.results_match(&second));
+    assert_eq!(runner.cache_stats().artifact_misses, 2);
 }
 
-/// Runs `models` × `widths` under `sparsity` both as a `BatchRunner` sweep
-/// and as the same point set through a `DseDriver` (a `DseSpec` over the
-/// session geometry), checks the two agree point for point, and returns the
-/// shared runner, the spec, the sweep report and the complete DSE report.
-/// Persisted and merged sweeps are `DseReport`s.
-fn sweep_as_dse_report(
+/// Runs `models` × `widths` under `sparsity` on the session geometry and
+/// returns the shared runner, the spec and the complete report. Persisted
+/// and merged sweeps are `DseReport`s.
+fn sweep_report(
     models: Vec<ModelKind>,
     widths: Vec<OperandWidth>,
     sparsity: Vec<SparsityConfig>,
-) -> (Arc<BatchRunner>, DseSpec, SweepReport, DseReport) {
-    let config = small_config();
-    let runner = Arc::new(BatchRunner::new(config).expect("valid config"));
-    let sweep = runner
-        .run(
-            &SweepSpec::new(models.clone())
-                .with_sparsity(sparsity.clone())
-                .with_widths(widths.clone()),
-        )
-        .expect("sweep runs");
-
-    let spec = DseSpec::new(ArchGrid::around(config.arch), models)
-        .with_sparsity(sparsity)
-        .with_widths(widths);
-    let full = DseDriver::from_runner(Arc::clone(&runner)).run(&spec).expect("driver runs");
+) -> (Arc<BatchRunner>, DseSpec, DseReport) {
+    let runner = Arc::new(BatchRunner::new(small_config()).expect("valid config"));
+    let spec = sweep_spec(models).with_sparsity(sparsity).with_widths(widths);
+    let full = sweep(&runner, &spec);
     assert!(full.is_complete());
-    let explored: Vec<_> =
-        full.entries.iter().map(|e| (e.kind, e.width, e.pruning, e.arch, &e.result)).collect();
-    let swept: Vec<_> =
-        sweep.entries.iter().map(|e| (e.kind, e.width, e.pruning, e.arch, &e.result)).collect();
-    assert_eq!(explored, swept, "a sweep and its DSE point set diverge");
-    (runner, spec, sweep, full)
+    (runner, spec, full)
 }
 
-/// A sweep round-trips through the vendored serde_json both as the
-/// `SweepReport` `BatchRunner::run` returns and as the `DseReport` of its
-/// point set, and shards of that report merge: entries concatenate, wall
-/// time is the shard maximum.
+/// A sweep's report round-trips through the vendored serde_json, and
+/// shards of that report merge: entries concatenate, wall time is the shard
+/// maximum.
 #[test]
 fn sweep_report_merges_and_round_trips_through_serde_json() {
-    let (runner, spec, sweep, full) = sweep_as_dse_report(
+    let (runner, spec, full) = sweep_report(
         vec![ModelKind::AlexNet, ModelKind::MobileNetV2],
         vec![OperandWidth::Int8, OperandWidth::Int16],
         vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity],
     );
 
     // Serialization round-trip is lossless for every field.
-    let json = serde_json::to_string(&sweep).expect("serializes");
-    let back: SweepReport = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(sweep, back, "sweep report did not survive the JSON round trip");
     let json = serde_json::to_string(&full).expect("serializes");
     let back: DseReport = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(full, back, "DSE report did not survive the JSON round trip");
@@ -337,7 +328,7 @@ fn sweep_report_merges_and_round_trips_through_serde_json() {
 /// the result is bit-identical to merging in memory.
 #[test]
 fn sweep_report_shards_round_trip_through_disk_snapshots() {
-    let (runner, spec, _, full) = sweep_as_dse_report(
+    let (runner, spec, full) = sweep_report(
         vec![ModelKind::AlexNet, ModelKind::MobileNetV2],
         Vec::new(),
         vec![SparsityConfig::DenseBaseline, SparsityConfig::WeightSparsity],
@@ -383,7 +374,7 @@ fn sweep_report_shards_round_trip_through_disk_snapshots() {
 /// and deterministic.
 #[test]
 fn overlapping_shards_dedupe_deterministically_on_merge() {
-    let (runner, spec, _, shard_ab) = sweep_as_dse_report(
+    let (runner, spec, shard_ab) = sweep_report(
         vec![ModelKind::AlexNet, ModelKind::MobileNetV2],
         Vec::new(),
         vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity],

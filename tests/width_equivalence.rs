@@ -248,9 +248,11 @@ fn int8_sweep_results_remain_byte_identical_to_the_pipeline() {
     let golden_fidelity = golden.fidelity.expect("golden evaluates fidelity");
 
     // A sweep with an explicit INT8 width axis must reproduce it exactly.
-    let runner = BatchRunner::new(config).expect("valid config");
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet]).with_widths(vec![OperandWidth::Int8]);
-    let report = runner.run_with_fidelity(&spec, true).expect("sweep runs");
+    let driver = DseDriver::new(config).expect("valid config");
+    let spec = DseSpec::new(ArchGrid::around(config.arch), vec![ModelKind::AlexNet])
+        .with_widths(vec![OperandWidth::Int8])
+        .with_fidelity();
+    let report = driver.run(&spec).expect("sweep runs");
     assert_eq!(report.entries.len(), 1);
     assert_eq!(report.entries[0].width, OperandWidth::Int8);
     assert_eq!(
@@ -260,13 +262,12 @@ fn int8_sweep_results_remain_byte_identical_to_the_pipeline() {
 
     // The full width axis: one entry per width, each with fidelity, and
     // the INT8 entry still byte-identical to the golden.
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet])
+    let spec = spec
         .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity])
         .with_widths(OperandWidth::all().to_vec());
-    let report = runner.run_with_fidelity(&spec, true).expect("width sweep runs");
+    let report = driver.run(&spec).expect("width sweep runs");
     assert_eq!(report.entries.len(), 4);
-    assert_eq!(report.prepared_models, 4);
-    assert_eq!(report.simulated_runs, 8);
+    assert_eq!(driver.cache_stats().artifact_misses, 4, "one preparation per width");
     for (entry, width) in report.entries.iter().zip(OperandWidth::all()) {
         assert_eq!(entry.kind, ModelKind::AlexNet);
         assert_eq!(entry.width, width);
@@ -280,8 +281,8 @@ fn int8_sweep_results_remain_byte_identical_to_the_pipeline() {
         let u = entry.result.utilization();
         assert!(u > 0.0 && u <= 1.0, "{width}: utilization {u}");
     }
-    let int8_entry =
-        report.result_at_width(ModelKind::AlexNet, OperandWidth::Int8).expect("INT8 swept");
+    let int8_entry = &report.entries[1].result;
+    assert_eq!(report.entries[1].width, OperandWidth::Int8);
     assert_eq!(int8_entry.fta_stats, golden.fta_stats);
     assert_eq!(int8_entry.fidelity, golden.fidelity);
     for sparsity in [SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity] {
