@@ -15,9 +15,9 @@
 //!             [--fleet-id <name>]
 //! ```
 //!
-//! `dse_sweep`'s driver flags (`--snapshot`, `--limit-points`, `--batch`,
-//! `--threads`) are not in the table ([`FLEET_TABLE`]), so `--snapshot`
-//! fails with a hint at `--snapshot-dir`.
+//! `dse_sweep`'s driver flags (`--snapshot`, `--limit-points`, `--threads`)
+//! are not in the table ([`FLEET_TABLE`]), so `--snapshot` fails with a
+//! hint at `--snapshot-dir`.
 //!
 //! `--status` skips the sweep entirely: it asks every endpoint for its
 //! shard registry, folds the answers into one deduplicated progress view
@@ -34,7 +34,11 @@
 //! one line appended per completed point. The run resumes from whatever
 //! those files already cover — journals or whole-report snapshots, including
 //! ones written by a previous run with a different worker count; a record a
-//! kill cut short is dropped and recomputed.
+//! kill cut short is dropped and recomputed. `merged.json` holds the merged
+//! report whole, on one line.
+//!
+//! Remote points equal local ones only when each daemon runs the fleet's
+//! pipeline flags; `--cal` defaults to 4 for `dbpim-served` and 2 here.
 
 use std::io::Write as _;
 use std::time::Instant;

@@ -8,7 +8,7 @@
 //!           [--models alexnet,vgg19] [--widths 4,8] [--pruning 0.3,s0.5]
 //!           [--sparsity base,hybrid]
 //!           [--fidelity] [--snapshot <path>] [--limit-points <n>]
-//!           [--batch <n>] [--threads <n>] [--trace-out <path>] [--log-level <level>]
+//!           [--threads <n>] [--trace-out <path>] [--log-level <level>]
 //! ```
 //!
 //! The rendered report (stdout) is a pure function of the computed results —
@@ -46,7 +46,6 @@ pub const GRID_FLAGS: &[Flag] = &[
 pub const DRIVER_FLAGS: &[Flag] = &[
     Flag::value("--snapshot", "<path>"),
     Flag::value("--limit-points", "<n>"),
-    Flag::value("--batch", "<n>"),
     Flag::value("--threads", "<n>"),
 ];
 
@@ -95,9 +94,6 @@ pub struct DseSweepOptions {
     pub snapshot: Option<String>,
     /// Compute at most this many missing points this run.
     pub limit_points: Option<usize>,
-    /// Points computed in parallel per batch; a batch's finished entries
-    /// are appended to the snapshot together.
-    pub batch: Option<usize>,
     /// Worker threads.
     pub threads: Option<usize>,
 }
@@ -127,7 +123,6 @@ impl DseSweepOptions {
             fidelity: flags.switch("--fidelity"),
             snapshot: flags.raw("--snapshot").map(String::from),
             limit_points: flags.get("--limit-points")?,
-            batch: flags.get("--batch")?,
             threads: flags.get("--threads")?,
         })
     }
@@ -173,9 +168,6 @@ impl DseSweepOptions {
         }
         if let Some(limit) = self.limit_points {
             driver = driver.with_point_limit(limit);
-        }
-        if let Some(batch) = self.batch {
-            driver = driver.with_batch_size(batch);
         }
         if let Some(threads) = self.threads {
             driver = driver.with_threads(threads);
@@ -226,18 +218,11 @@ pub fn render_report(report: &DseReport) -> String {
             } else {
                 "n/a".to_string()
             };
-            // An active pruning spec rides in the width cell (`int8/u0.50`);
-            // unpruned rows keep the historical rendering byte-for-byte.
-            let width_cell = if entry.pruning.is_active() {
-                format!("{}/{}", entry.width, entry.pruning.label())
-            } else {
-                entry.width.to_string()
-            };
             let _ = writeln!(
                 out,
                 "{:<16} {:>6} {:>7} {:>5} {:>6} {:>5} {:>6} | {:<16} {:>12} {:>10.4} {:>10.3} {:>8}",
                 entry.kind.name(),
-                width_cell,
+                entry.width_label(),
                 entry.arch.macros,
                 entry.arch.compartments_per_macro,
                 entry.arch.dbmus_per_compartment,
@@ -329,8 +314,6 @@ mod tests {
             "/tmp/dse.json",
             "--limit-points",
             "24",
-            "--batch",
-            "4",
             "--threads",
             "2",
             "--fidelity",
@@ -349,7 +332,6 @@ mod tests {
         );
         assert_eq!(options.snapshot.as_deref(), Some("/tmp/dse.json"));
         assert_eq!(options.limit_points, Some(24));
-        assert_eq!(options.batch, Some(4));
         assert_eq!(options.threads, Some(2));
         assert!(options.fidelity);
 
@@ -392,7 +374,7 @@ mod tests {
         assert!(err.message.contains("did you mean `--endpoints`?"), "{err}");
         let err = parse_with(FLEET_TABLE, &["--snapshot", "x"]).unwrap_err();
         assert!(err.message.contains("did you mean `--snapshot-dir`?"), "{err}");
-        for flag in ["--limit-points", "--batch", "--threads"] {
+        for flag in ["--limit-points", "--threads"] {
             let err = parse_with(FLEET_TABLE, &[flag, "2"]).unwrap_err();
             assert_eq!(err.flag, flag);
             assert!(err.message.starts_with("unknown flag"), "{err}");

@@ -172,10 +172,7 @@ impl ExperimentContext {
     ///
     /// Propagates pipeline failures.
     pub fn sweep(&self, spec: &DseSpec) -> Result<DseReport, PipelineError> {
-        // Nothing is journaled, so the points run as one batch: a thread
-        // that finishes a point takes the next one instead of waiting for
-        // the slowest point of its batch.
-        DseDriver::from_runner(Arc::clone(&self.runner)).with_batch_size(usize::MAX).run(spec)
+        DseDriver::from_runner(Arc::clone(&self.runner)).run(spec)
     }
 
     /// Sweeps all five paper models over the four Fig. 7 sparsity

@@ -15,9 +15,11 @@
 //!   width, pruning, geometry) point. A run in progress persists it as a
 //!   [`DseJournal`] — a header line, then one appended line per finished
 //!   point — so a killed run loses at most its in-flight points and a
-//!   point's persistence cost does not grow with the report. A finished
-//!   run saves the whole report as one line, which is the journal with
-//!   every entry in its header; [`DseReport::load`] reads both.
+//!   point's persistence cost does not grow with the report. The file stays
+//!   a journal when the run finishes. [`DseReport::save`] writes a whole
+//!   report as one line (the journal with every entry in its header), as
+//!   the fleet's merged report and older snapshots are; [`DseReport::load`]
+//!   reads both.
 //! * [`DseDriver`] — executes the missing points of a spec against a warm
 //!   [`BatchRunner`] cache (quantize / FTA run once per (model, width,
 //!   pruning) regardless of grid size) and resumes from a snapshot by
@@ -34,7 +36,8 @@ use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 use dbpim_arch::ArchConfig;
@@ -432,6 +435,18 @@ impl DseEntry {
         DsePointKey(self.key())
     }
 
+    /// The width cell of the rendered tables: the width, then an active
+    /// pruning spec after a slash (`int8/u0.50`). An unpruned entry renders
+    /// the width alone, as before the pruning axis existed.
+    #[must_use]
+    pub fn width_label(&self) -> String {
+        if self.pruning.is_active() {
+            format!("{}/{}", self.width, self.pruning.label())
+        } else {
+            self.width.to_string()
+        }
+    }
+
     /// The entry's position in the DSE objective space for one sparsity
     /// configuration, or `None` when that configuration was not simulated.
     #[must_use]
@@ -449,7 +464,7 @@ impl DseEntry {
 /// The persisted outcome of a design-space exploration.
 ///
 /// Reports serialize through the vendored `serde_json`; [`DseDriver`]
-/// journals every finished batch (see [`DseJournal`]), so a killed run
+/// journals every finished point (see [`DseJournal`]), so a killed run
 /// resumes from disk by computing only the missing points. Entries are kept
 /// in the spec's canonical point order regardless of the order resumes
 /// filled them in.
@@ -468,9 +483,11 @@ pub struct DseReport {
     /// Points computed (not served from the snapshot) by the most recent
     /// driver run that produced this report.
     pub fresh_points: usize,
-    /// Cumulative wall-clock time across the run and every resume (a
-    /// journal's header holds the time up to its run's start, so a killed
-    /// run's own time is not counted).
+    /// Wall-clock time of the run that returned the report plus the time
+    /// recorded in the snapshot it resumed from. A journal's header holds
+    /// the time up to its run's start, so a journal never counts the run
+    /// that wrote it, finished or killed; only a report saved whole
+    /// ([`save`](Self::save)) records its own time.
     pub wall_time: Duration,
     /// Unix-epoch milliseconds of the last snapshot save. Ignored by
     /// [`results_match`](Self::results_match).
@@ -802,12 +819,14 @@ fn write_atomically(path: &Path, contents: &str) -> Result<(), PipelineError> {
     })
 }
 
-/// An append-only snapshot of a [`DseReport`] in progress.
+/// An append-only snapshot of a [`DseReport`].
 ///
 /// Line 1 is the header: the report with no entries (spec, total points,
 /// counters). Every later line is one [`DseEntry`], appended with a single
 /// write as its point finishes, so persisting a point costs one entry's
-/// encoding however large the report has grown. There is no fsync.
+/// encoding however large the report has grown. Threads finishing points
+/// at once share one journal: each encodes its entry with no lock held and
+/// takes the journal's lock only for the write. There is no fsync.
 /// [`DseReport::load`] reads the file back, dropping a final line a kill
 /// cut short.
 #[derive(Debug)]
@@ -816,7 +835,7 @@ pub struct DseJournal {
     /// `None` after a failed write: the file then ends in at most one torn
     /// record, which a later load drops, instead of a malformed line in its
     /// middle.
-    file: Option<File>,
+    file: Mutex<Option<File>>,
 }
 
 impl DseJournal {
@@ -831,53 +850,39 @@ impl DseJournal {
     /// the write or reopening the file for appends fails.
     pub fn create(path: impl Into<PathBuf>, report: &DseReport) -> Result<Self, PipelineError> {
         let path = path.into();
-        let header = DseReport {
-            spec: report.spec.clone(),
-            entries: Vec::new(),
-            total_points: report.total_points,
-            fresh_points: report.fresh_points,
-            wall_time: report.wall_time,
-            saved_at_ms: report.saved_at_ms,
-        };
+        let header = DseReport { spec: report.spec.clone(), entries: Vec::new(), ..*report };
         let mut contents = encode(&header)?;
         contents.push('\n');
         for entry in &report.entries {
-            contents.push_str(&Self::record(entry)?);
+            contents.push_str(&encode(entry)?);
+            contents.push('\n');
         }
         write_atomically(&path, &contents)?;
         let file =
             File::options().append(true).open(&path).map_err(|e| PipelineError::BadConfig {
                 reason: format!("cannot open DSE snapshot {} for appends: {e}", path.display()),
             })?;
-        Ok(Self { path, file: Some(file) })
+        Ok(Self { path, file: Mutex::new(Some(file)) })
     }
 
-    /// `entry` encoded as one journal record: its JSON and a newline.
-    /// Encode outside any lock; [`append`](Self::append) only writes.
+    /// Appends `entry` as one line: encoded with no lock held, then written
+    /// with a single write under the journal's lock. After a failed write
+    /// the journal accepts no further entries.
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::BadConfig`] when serialization fails.
-    pub fn record(entry: &DseEntry) -> Result<String, PipelineError> {
+    /// Returns [`PipelineError::BadConfig`] (naming the file) when encoding
+    /// or the write fails, or an earlier write did.
+    pub fn append(&self, entry: &DseEntry) -> Result<(), PipelineError> {
         let mut record = encode(entry)?;
         record.push('\n');
-        Ok(record)
-    }
-
-    /// Appends one [`record`](Self::record) with a single write. After a
-    /// failed write the journal accepts no further records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] (naming the file) when the write
-    /// fails or an earlier one did.
-    pub fn append(&mut self, record: &str) -> Result<(), PipelineError> {
-        let written = match self.file.as_mut() {
+        let mut file = par::lock_unpoisoned(&self.file);
+        let written = match file.as_mut() {
             Some(file) => file.write_all(record.as_bytes()).map_err(|e| e.to_string()),
             None => Err("an earlier write failed".to_string()),
         };
         written.map_err(|e| {
-            self.file = None;
+            *file = None;
             PipelineError::BadConfig {
                 reason: format!("cannot append to DSE snapshot {}: {e}", self.path.display()),
             }
@@ -952,11 +957,10 @@ pub struct MixCandidate {
 /// resumable snapshot as it goes.
 ///
 /// With a snapshot path, a run starts a [`DseJournal`] there holding the
-/// entries it adopted and appends each batch's finished entries to it. A
-/// run that returns `Ok` — complete, or stopped by
-/// [`with_point_limit`](Self::with_point_limit) — replaces the journal
-/// with the whole report ([`DseReport::save`]); a point error or a kill
-/// leaves the journal, and the next run resumes from it.
+/// entries it adopted, and the thread that finishes a point appends it.
+/// The file stays a journal whether the run finishes, stops at
+/// [`with_point_limit`](Self::with_point_limit), fails or is killed, and
+/// the next run resumes from it.
 ///
 /// The driver's contract, asserted by `tests/dse_exploration.rs`:
 ///
@@ -965,14 +969,13 @@ pub struct MixCandidate {
 /// * resuming from a snapshot recomputes only the missing points (the
 ///   expensive model-side artifacts are reused through the session cache,
 ///   and present entries are adopted verbatim, timestamps included);
-/// * execution order (batching, parallelism) never changes results — the
-///   returned and saved report is in canonical point order.
+/// * execution order (parallelism, completion order in the journal) never
+///   changes results — the returned report is in canonical point order.
 #[derive(Debug)]
 pub struct DseDriver {
     runner: Arc<BatchRunner>,
     snapshot: Option<PathBuf>,
     threads: usize,
-    batch_size: usize,
     point_limit: Option<usize>,
 }
 
@@ -992,7 +995,7 @@ impl DseDriver {
     /// overrides it.
     #[must_use]
     pub fn from_runner(runner: Arc<BatchRunner>) -> Self {
-        Self { threads: runner.threads, runner, snapshot: None, batch_size: 8, point_limit: None }
+        Self { threads: runner.threads, runner, snapshot: None, point_limit: None }
     }
 
     /// Persists and resumes from a snapshot at `path`.
@@ -1009,15 +1012,6 @@ impl DseDriver {
         self
     }
 
-    /// Points computed in parallel per batch (default 8). A batch's
-    /// finished entries are appended to the journal together, so a kill
-    /// loses at most the batch in flight.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
     /// Computes at most `limit` missing points this run, leaving the report
     /// incomplete but resumable — useful for time-boxed shards and the CI
     /// resume smoke test.
@@ -1025,12 +1019,6 @@ impl DseDriver {
     pub fn with_point_limit(mut self, limit: usize) -> Self {
         self.point_limit = Some(limit);
         self
-    }
-
-    /// The underlying runner (shared warm artifact cache).
-    #[must_use]
-    pub fn runner(&self) -> &BatchRunner {
-        &self.runner
     }
 
     /// The underlying session's cache counters.
@@ -1041,17 +1029,19 @@ impl DseDriver {
 
     /// Runs (or resumes) the exploration described by `spec`.
     ///
-    /// Missing points execute in parallel batches; after every batch its
-    /// finished entries are appended to the journal (when a snapshot path is
-    /// configured), so a killed run loses at most one batch. A failing point
-    /// still persists the batch's successful siblings before the error
-    /// propagates.
+    /// Missing points run on one pool of worker threads, and the thread
+    /// that finishes a point appends it to the journal (when a snapshot
+    /// path is configured), so a killed run loses only its in-flight
+    /// points. A failing point stops the points after it in canonical
+    /// order from starting; points already running finish and are
+    /// journaled before the error propagates.
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::BadConfig`] for oversized / infeasible grids
-    /// and for a snapshot recorded under a different spec; propagates the
-    /// first point failure otherwise.
+    /// Returns [`PipelineError::BadConfig`] for oversized / infeasible grids,
+    /// for a snapshot recorded under a different spec and for a failed
+    /// journal write; propagates the first point failure in canonical order
+    /// otherwise.
     pub fn run(&self, spec: &DseSpec) -> Result<DseReport, PipelineError> {
         let session_width = self.runner.session().config().operand_width;
         let session_pruning = self.runner.session().config().pruning;
@@ -1061,11 +1051,10 @@ impl DseDriver {
         let start = Instant::now();
 
         let mut report = self.load_or_new(spec, points.len())?;
-        let prior_wall = report.wall_time;
         report.fresh_points = 0;
         // Rewritten first, so a torn final record is gone before anything
         // is appended after it.
-        let mut journal = match &self.snapshot {
+        let journal = match &self.snapshot {
             Some(path) => {
                 let _span = dbpim_trace::span!("dse.persist", points = report.entries.len());
                 report.saved_at_ms = unix_time_ms();
@@ -1078,15 +1067,21 @@ impl DseDriver {
         // spec has tens of thousands of points, and linear `ArchConfig`
         // scans per point would dwarf the simulations.
         let have: HashSet<PointKey> = report.entries.iter().map(DseEntry::key).collect();
-        let mut missing: Vec<DsePoint> =
-            points.iter().filter(|p| !have.contains(&p.key())).copied().collect();
+        let mut missing: Vec<(usize, DsePoint)> =
+            points.iter().filter(|p| !have.contains(&p.key())).copied().enumerate().collect();
         if let Some(limit) = self.point_limit {
             missing.truncate(limit);
         }
 
-        for batch in missing.chunks(self.batch_size) {
-            let _batch_span = dbpim_trace::span!("dse.batch", points = batch.len());
-            let computed = par::par_map(batch.to_vec(), self.threads, |point| {
+        // The position of the first failed point in `missing`; no point
+        // after it starts. It publishes no other data (results come back
+        // through `par_map`), so `Relaxed` suffices.
+        let first_failure = AtomicUsize::new(usize::MAX);
+        let finished = par::par_map(missing, self.threads, |(index, point)| {
+            if first_failure.load(Ordering::Relaxed) < index {
+                return None;
+            }
+            let computed = {
                 let _span = dbpim_trace::span!(
                     "dse.point",
                     model = point.kind.name(),
@@ -1104,35 +1099,26 @@ impl DseDriver {
                         spec.fidelity,
                     )
                     .map(DseEntry::from_sweep)
+            };
+            let persisted = computed.and_then(|entry| match &journal {
+                Some(journal) => {
+                    let _span = dbpim_trace::span!("dse.persist", points = 1);
+                    journal.append(&entry).map(|()| entry)
+                }
+                None => Ok(entry),
             });
-            let mut failure = None;
-            let mut finished = Vec::with_capacity(batch.len());
-            for result in computed {
-                match result {
-                    Ok(entry) => finished.push(entry),
-                    Err(e) => failure = failure.or(Some(e)),
-                }
+            if persisted.is_err() {
+                first_failure.fetch_min(index, Ordering::Relaxed);
             }
-            if let Some(journal) = &mut journal {
-                let _span = dbpim_trace::span!("dse.persist", points = finished.len());
-                for entry in &finished {
-                    journal.append(&DseJournal::record(entry)?)?;
-                }
-            }
-            report.fresh_points += finished.len();
-            report.entries.extend(finished);
-            if let Some(e) = failure {
-                return Err(e);
-            }
+            Some(persisted)
+        });
+        for entry in finished.into_iter().flatten() {
+            report.entries.push(entry?);
+            report.fresh_points += 1;
         }
 
         report.sort_canonical();
-        report.wall_time = prior_wall + start.elapsed();
-        if let Some(path) = &self.snapshot {
-            let _span = dbpim_trace::span!("dse.persist", points = report.entries.len());
-            report.saved_at_ms = unix_time_ms();
-            report.save(path)?;
-        }
+        report.wall_time += start.elapsed();
         Ok(report)
     }
 

@@ -184,6 +184,13 @@ impl Flags {
         self.values.get(name).map(String::as_str)
     }
 
+    /// The first flag given, in name order, that `groups` do not declare:
+    /// for a binary whose commands each read part of its table.
+    #[must_use]
+    pub fn outside(&self, groups: &[&[Flag]]) -> Option<&'static str> {
+        self.values.keys().copied().find(|&name| !declared(groups).any(|flag| flag.name == name))
+    }
+
     /// The words that were not flags or flag values, in order.
     #[must_use]
     pub fn positionals(&self) -> &[String] {
@@ -361,6 +368,15 @@ mod tests {
             let err = parse(&[typo]).unwrap_err();
             assert_eq!(err, OptionsError::new(typo, "unknown flag"));
         }
+    }
+
+    #[test]
+    fn flags_outside_part_of_the_table_are_named_in_name_order() {
+        let flags = parse(&["--port", "1", "--log-level", "warn", "--fidelity"]).unwrap();
+        assert_eq!(flags.outside(TABLE), None);
+        assert_eq!(flags.outside(&[TRACE_FLAGS]), Some("--fidelity"));
+        assert_eq!(flags.outside(&[SERVER]), Some("--log-level"));
+        assert_eq!(parse(&[]).unwrap().outside(&[]), None);
     }
 
     #[test]

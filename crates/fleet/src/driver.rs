@@ -29,7 +29,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use db_pim::dse::unix_time_ms;
@@ -240,10 +240,11 @@ pub struct FleetConfig {
     pub point_timeout: Duration,
     /// Failed attempts per point before the whole run aborts.
     pub max_point_attempts: usize,
-    /// Consecutive failures before a worker must pass a heartbeat to keep
-    /// claiming points.
-    pub worker_failure_limit: usize,
 }
+
+/// Consecutive failures before a worker must pass a heartbeat to keep
+/// claiming points.
+const WORKER_FAILURE_LIMIT: usize = 2;
 
 impl FleetConfig {
     /// A configuration with the given roster and every knob at its default:
@@ -260,7 +261,6 @@ impl FleetConfig {
             auth_token: None,
             point_timeout: Duration::from_secs(120),
             max_point_attempts: 3,
-            worker_failure_limit: 2,
         }
     }
 
@@ -500,8 +500,8 @@ impl FleetDriver {
             };
 
         // One journal per shard, holding what the shard adopted; workers
-        // append to it under its own lock, one line per finished point.
-        let journals: Option<Vec<Mutex<DseJournal>>> = match &self.config.snapshot_dir {
+        // append one line per finished point.
+        let journals: Option<Vec<DseJournal>> = match &self.config.snapshot_dir {
             Some(dir) => Some(
                 state
                     .shard_entries
@@ -518,7 +518,7 @@ impl FleetDriver {
                         adopted.saved_at_ms = unix_time_ms();
                         let journal = DseJournal::create(shard_snapshot_path(dir, shard), &adopted);
                         *entries = adopted.entries;
-                        journal.map(Mutex::new)
+                        journal
                     })
                     .collect::<Result<_, _>>()
                     .map_err(FleetError::Persist)?,
@@ -573,7 +573,7 @@ impl FleetDriver {
             }
         });
 
-        let mut state = sync.0.into_inner().expect("no worker panicked with the state lock");
+        let mut state = sync.0.into_inner().unwrap_or_else(PoisonError::into_inner);
         if let Some(error) = state.aborted {
             return Err(error);
         }
@@ -651,13 +651,13 @@ impl FleetDriver {
         points: &[DsePoint],
         owners: &[usize],
         shard_sizes: &[usize],
-        journals: Option<&[Mutex<DseJournal>]>,
+        journals: Option<&[DseJournal]>,
     ) {
         let (mutex, cv) = sync;
         let label = worker_spec.to_string();
         let _span = dbpim_trace::span!("fleet.worker", worker = worker, backend = label);
         let retire = |reason: String| {
-            let mut state = mutex.lock().expect("fleet state lock");
+            let mut state = lock_unpoisoned(mutex);
             state.diagnostics.push(format!("worker {worker} ({label}) retired: {reason}"));
             state.worker_retired[worker] = Some(reason.clone());
             drop(state);
@@ -690,7 +690,7 @@ impl FleetDriver {
         loop {
             // Claim the next point (or learn that the run is over).
             let claimed = {
-                let mut state = mutex.lock().expect("fleet state lock");
+                let mut state = lock_unpoisoned(mutex);
                 loop {
                     if state.aborted.is_some() {
                         return;
@@ -710,7 +710,7 @@ impl FleetDriver {
                     }
                     let (next, _timeout) = cv
                         .wait_timeout(state, Duration::from_millis(100))
-                        .expect("fleet state lock");
+                        .unwrap_or_else(PoisonError::into_inner);
                     state = next;
                 }
             };
@@ -744,17 +744,14 @@ impl FleetDriver {
                 Ok(entry) => {
                     consecutive_failures = 0;
                     let owner = owners[point_index];
-                    // Persist before the point counts as done: encode with
-                    // no lock held, then one append under the shard's lock.
-                    // A duplicate completion appends a second line, which
-                    // loading drops.
+                    // Persist before the point counts as done. A duplicate
+                    // completion appends a second line, which loading drops.
                     let persisted = journals.map(|journals| {
                         let _span = dbpim_trace::span!("fleet.persist", shard = owner);
-                        DseJournal::record(&entry)
-                            .and_then(|record| lock_unpoisoned(&journals[owner]).append(&record))
+                        journals[owner].append(&entry)
                     });
                     let (completed, total) = {
-                        let mut state = mutex.lock().expect("fleet state lock");
+                        let mut state = lock_unpoisoned(mutex);
                         state.in_flight -= 1;
                         state.point_latency.record(point_elapsed);
                         if let Some(Err(e)) = persisted {
@@ -772,7 +769,7 @@ impl FleetDriver {
                 }
                 Err(error) => {
                     let attempt = {
-                        let mut state = mutex.lock().expect("fleet state lock");
+                        let mut state = lock_unpoisoned(mutex);
                         state.in_flight -= 1;
                         state.retried += 1;
                         let attempts = state.attempts.entry(point_index).or_insert(0);
@@ -806,7 +803,7 @@ impl FleetDriver {
                         error: error.clone(),
                     });
                     consecutive_failures += 1;
-                    if consecutive_failures >= self.config.worker_failure_limit {
+                    if consecutive_failures >= WORKER_FAILURE_LIMIT {
                         match executor.heartbeat() {
                             Ok(()) => consecutive_failures = 0,
                             Err(reason) => {

@@ -46,8 +46,9 @@
 //! ```
 //!
 //! The command line is strict ([`db_pim::flags`]): exactly one command
-//! word, and an unknown flag, a stray word or a known flag with a missing
-//! or malformed value aborts with usage on stderr (exit status 2).
+//! word, and an unknown flag, a flag the command does not read (beside
+//! `--addr --port --auth-token --trace-out --log-level`), a stray word or a
+//! malformed value aborts with usage on stderr (exit status 2).
 
 use std::time::Duration;
 
@@ -63,29 +64,49 @@ use dbpim_sim::{ArchGrid, SparsityConfig};
 const PROGRAM: &str =
     "dbpim-cli <ping|models|run|sweep|explore|stats|metrics|shard-status|shutdown>";
 
-const CLI_FLAGS: &[Flag] = &[
+// The flag groups; `COMMANDS` says which command reads which.
+const CONNECTION_FLAGS: &[Flag] = &[
     Flag::value("--addr", "<ip>"),
     Flag::value("--port", "<u16>"),
     Flag::value("--auth-token", "<secret>"),
-    Flag::value("--model", "<name>"),
-    Flag::value("--models", "a,b,c"),
+];
+
+const QUERY_FLAGS: &[Flag] = &[
     Flag::value("--sparsity", "<name>"),
-    Flag::value("--operand-width", "<4|8|12|16>"),
+    Flag::switch("--fidelity"),
+    Flag::value("--deadline-ms", "<n>"),
+];
+
+const RUN_FLAGS: &[Flag] =
+    &[Flag::value("--model", "<name>"), Flag::value("--operand-width", "<4|8|12|16>")];
+
+const POINT_SET_FLAGS: &[Flag] = &[
+    Flag::value("--models", "a,b,c"),
     Flag::value("--widths", "4,8,..."),
     Flag::value("--pruning", "none,0.3,s0.5,..."),
+];
+
+const GRID_FLAGS: &[Flag] = &[
     Flag::value("--macros", "a,b"),
     Flag::value("--compartments", "a,b"),
     Flag::value("--dbmus", "a,b"),
     Flag::value("--rows", "a,b"),
     Flag::value("--freqs", "a,b"),
-    Flag::value("--deadline-ms", "<n>"),
-    Flag::switch("--fidelity"),
-    Flag::value("--watch", "<secs>"),
 ];
 
-const CLI_TABLE: &[&[Flag]] = &[CLI_FLAGS, TRACE_FLAGS];
+const STATS_FLAGS: &[Flag] = &[Flag::value("--watch", "<secs>")];
 
-#[derive(Debug, Clone, PartialEq)]
+const CLI_TABLE: &[&[Flag]] = &[
+    CONNECTION_FLAGS,
+    QUERY_FLAGS,
+    RUN_FLAGS,
+    POINT_SET_FLAGS,
+    GRID_FLAGS,
+    STATS_FLAGS,
+    TRACE_FLAGS,
+];
+
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Command {
     Ping,
     Models,
@@ -122,6 +143,7 @@ struct CliOptions {
 
 impl CliOptions {
     fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
+        let command = command(flags)?;
         let options = Self {
             addr: flags.raw("--addr").unwrap_or("127.0.0.1").to_string(),
             port: flags.get("--port")?.unwrap_or(7531),
@@ -141,7 +163,7 @@ impl CliOptions {
             fidelity: flags.switch("--fidelity"),
             // Zero would busy-poll the daemon; clamp like `--threads 0`.
             watch: flags.get::<u64>("--watch")?.map(|secs| secs.max(1)),
-            command: command(flags.positionals())?,
+            command,
         };
         if options.command == Command::Run && options.model.is_none() {
             return Err(OptionsError::new("--model", "required for `run`"));
@@ -150,25 +172,38 @@ impl CliOptions {
     }
 }
 
-/// The one command word of the command line.
-fn command(words: &[String]) -> Result<Command, OptionsError> {
-    let expected = "expected one of: ping, models, run, sweep, explore, stats, metrics, \
-                    shard-status, shutdown";
-    match words {
-        [] => Err(OptionsError::new("<command>", expected)),
-        [word] => match word.as_str() {
-            "ping" => Ok(Command::Ping),
-            "models" => Ok(Command::Models),
-            "run" => Ok(Command::Run),
-            "sweep" => Ok(Command::Sweep),
-            "explore" => Ok(Command::Explore),
-            "stats" => Ok(Command::Stats),
-            "metrics" => Ok(Command::Metrics),
-            "shard-status" => Ok(Command::ShardStatus),
-            "shutdown" => Ok(Command::Shutdown),
-            _ => Err(OptionsError::new("<command>", format!("`{word}` — {expected}"))),
-        },
-        [_, extra, ..] => Err(OptionsError::new(extra.clone(), "unexpected argument")),
+/// Every command word, its command and the flags it reads beside
+/// [`CONNECTION_FLAGS`] and [`TRACE_FLAGS`].
+const COMMANDS: &[(&str, Command, &[&[Flag]])] = &[
+    ("ping", Command::Ping, &[]),
+    ("models", Command::Models, &[]),
+    ("run", Command::Run, &[QUERY_FLAGS, RUN_FLAGS]),
+    ("sweep", Command::Sweep, &[QUERY_FLAGS, POINT_SET_FLAGS]),
+    ("explore", Command::Explore, &[QUERY_FLAGS, POINT_SET_FLAGS, GRID_FLAGS]),
+    ("stats", Command::Stats, &[STATS_FLAGS]),
+    ("metrics", Command::Metrics, &[]),
+    ("shard-status", Command::ShardStatus, &[]),
+    ("shutdown", Command::Shutdown, &[]),
+];
+
+/// The one command word of the command line, once every flag given is one
+/// the command reads.
+fn command(flags: &Flags) -> Result<Command, OptionsError> {
+    let words: Vec<&str> = COMMANDS.iter().map(|&(word, ..)| word).collect();
+    let expected = format!("expected one of: {}", words.join(", "));
+    let word = match flags.positionals() {
+        [] => return Err(OptionsError::new("<command>", expected)),
+        [word] => word,
+        [_, extra, ..] => return Err(OptionsError::new(extra.clone(), "unexpected argument")),
+    };
+    let Some(&(word, command, own)) = COMMANDS.iter().find(|&&(name, ..)| name == word) else {
+        return Err(OptionsError::new("<command>", format!("`{word}` — {expected}")));
+    };
+    let read: Vec<&[Flag]> =
+        [CONNECTION_FLAGS, TRACE_FLAGS].into_iter().chain(own.iter().copied()).collect();
+    match flags.outside(&read) {
+        Some(flag) => Err(OptionsError::new(flag, format!("not a flag of `{word}`"))),
+        None => Ok(command),
     }
 }
 
@@ -211,18 +246,10 @@ fn print_table(entries: &[DseEntry], prepared_models: usize, wall_time: Duration
             } else {
                 ("n/a".to_string(), "n/a".to_string())
             };
-            // An active pruning spec rides in the width cell (`int8/u0.50`),
-            // matching the dse_sweep table convention; unpruned rows render
-            // exactly as before.
-            let width_cell = if entry.pruning.is_active() {
-                format!("{}/{}", entry.width, entry.pruning.label())
-            } else {
-                entry.width.to_string()
-            };
             println!(
                 "| {} | {} | {} | {} | {} | {} | {} |",
                 entry.kind.name(),
-                width_cell,
+                entry.width_label(),
                 entry.arch.macros,
                 run.sparsity,
                 run.total_cycles(),
@@ -253,15 +280,10 @@ fn print_explore(report: &DseReport) {
         } else {
             "n/a".to_string()
         };
-        let width_cell = if entry.pruning.is_active() {
-            format!("{}/{}", entry.width, entry.pruning.label())
-        } else {
-            entry.width.to_string()
-        };
         println!(
             "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
             entry.kind.name(),
-            width_cell,
+            entry.width_label(),
             entry.arch.macros,
             entry.arch.compartments_per_macro,
             entry.arch.dbmus_per_compartment,
@@ -683,6 +705,38 @@ mod tests {
         // A counter-reset (daemon restart) renders as zero, not underflow.
         let line = render_stats_delta(&later, &base, 10);
         assert!(line.starts_with("+0 req (0.0/s)"), "{line}");
+    }
+
+    /// `sweep --macros 2` used to run the paper's 4 macros, and `run` and
+    /// `stats` parsed the other commands' flags the same way.
+    #[test]
+    fn a_flag_the_command_does_not_read_is_rejected() {
+        for (line, flag, word) in [
+            (&["sweep", "--macros", "2"][..], "--macros", "sweep"),
+            (&["run", "--model", "alexnet", "--widths", "4"][..], "--widths", "run"),
+            (&["stats", "--model", "alexnet"][..], "--model", "stats"),
+            (&["ping", "--fidelity"][..], "--fidelity", "ping"),
+            (&["explore", "--watch", "1"][..], "--watch", "explore"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert_eq!(err, OptionsError::new(flag, format!("not a flag of `{word}`")));
+        }
+        // The connection and trace flags belong to every command.
+        for word in ["ping", "models", "stats", "metrics", "shard-status", "shutdown"] {
+            let options = parse(&[
+                word,
+                "--addr",
+                "127.0.0.2",
+                "--port",
+                "9000",
+                "--auth-token",
+                "t",
+                "--log-level",
+                "warn",
+            ])
+            .unwrap();
+            assert_eq!((options.addr.as_str(), options.port), ("127.0.0.2", 9000));
+        }
     }
 
     #[test]

@@ -75,9 +75,8 @@ fn resume_from_snapshot_recomputes_only_missing_points() {
     let path = temp_path("resume.json");
     let spec = DseSpec::new(small_grid(), vec![ModelKind::AlexNet]).with_fidelity();
 
-    // Cold run, snapshotted per batch of 2.
-    let cold_driver =
-        DseDriver::new(config).expect("valid config").with_snapshot(&path).with_batch_size(2);
+    // Cold run, journaled per point.
+    let cold_driver = DseDriver::new(config).expect("valid config").with_snapshot(&path);
     let cold = cold_driver.run(&spec).expect("cold run");
     assert_eq!(cold.fresh_points, 4);
     let saved = DseReport::load(&path).expect("snapshot readable");
@@ -90,8 +89,7 @@ fn resume_from_snapshot_recomputes_only_missing_points() {
     torn.save(&path).expect("torn snapshot saves");
 
     // Resume with a *fresh* driver (empty caches, as after a real kill).
-    let resume_driver =
-        DseDriver::new(config).expect("valid config").with_snapshot(&path).with_batch_size(2);
+    let resume_driver = DseDriver::new(config).expect("valid config").with_snapshot(&path);
     let resumed = resume_driver.run(&spec).expect("resume runs");
 
     assert_eq!(resumed.fresh_points, 2, "resume recomputed more than the missing points");
@@ -132,8 +130,7 @@ fn snapshotted_cold_run(name: &str) -> (DseReport, std::path::PathBuf, DseSpec) 
         .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]);
     let driver = DseDriver::new(small_config().without_fidelity())
         .expect("valid config")
-        .with_snapshot(&path)
-        .with_batch_size(2);
+        .with_snapshot(&path);
     let cold = driver.run(&spec).expect("cold run");
     assert_eq!(cold.entries.len(), 4);
     (cold, path, spec)
@@ -144,19 +141,41 @@ fn header_of(report: &DseReport) -> DseReport {
     DseReport { entries: Vec::new(), ..report.clone() }
 }
 
-/// A finished run leaves the whole report as one line — the form CI's
-/// `jq` edits and older runs wrote — and a journal of header, adopted
-/// entries and appended records loads back as the same report: entries in
-/// canonical order whatever the append order, and of two records for one
-/// point the first.
+/// `entry` as one journal line, newline included.
+fn record(entry: &DseEntry) -> String {
+    serde_json::to_string(entry).expect("encodes") + "\n"
+}
+
+/// A finished run leaves a journal — its header, then one line per entry —
+/// that loads back as the report the run returned; a whole report on one
+/// line (what `DseReport::save` and older runs wrote) or spread over many
+/// lines (as `jq` rewrites it) loads as that report; and a journal of
+/// header, adopted entries and appended records loads back as the same
+/// report: entries in canonical order whatever the append order, and of two
+/// records for one point the first.
 #[test]
-fn snapshot_journals_round_trip_and_finished_runs_save_one_line() {
+fn snapshot_journals_round_trip_and_finished_runs_leave_a_journal() {
     let (cold, path, _) = snapshotted_cold_run("journal-round-trip.json");
     let text = std::fs::read_to_string(&path).expect("snapshot readable");
-    assert!(!text.contains('\n'), "a finished snapshot is one line");
-    let whole: DseReport = serde_json::from_str(&text).expect("one whole report");
+    assert_eq!(text.lines().count(), 1 + cold.entries.len(), "a header and one line per entry");
+    let (finished, torn) = DseReport::load_journal(&path).expect("the journal loads");
+    assert_eq!(torn, None);
+    assert_eq!(finished.entries, cold.entries, "the journaled entries, timestamps included");
+    assert!(finished.results_match(&cold) && finished.is_complete());
+    let header: DseReport =
+        serde_json::from_str(text.lines().next().expect("a header")).expect("header parses");
+    assert!(header.entries.is_empty());
+    assert_eq!(
+        (header.fresh_points, header.wall_time, header.saved_at_ms),
+        (0, std::time::Duration::ZERO, cold.saved_at_ms),
+        "the counters and wall time at the run's start"
+    );
+
+    let whole = DseReport { saved_at_ms: cold.saved_at_ms + 1, ..cold.clone() };
+    whole.save(&path).expect("saves");
+    let text = std::fs::read_to_string(&path).expect("snapshot readable");
+    assert!(!text.contains('\n'), "a saved report is one line");
     assert_eq!(DseReport::load(&path).expect("loads"), whole);
-    assert!(whole.results_match(&cold) && whole.is_complete());
     // A whole report spread over many lines, as `jq` rewrites it, is still
     // one report, not a journal with a malformed header.
     std::fs::write(&path, text.replace("\":", "\":\n  ")).expect("writes");
@@ -164,11 +183,11 @@ fn snapshot_journals_round_trip_and_finished_runs_save_one_line() {
 
     let mut adopted = header_of(&cold);
     adopted.entries = cold.entries[2..].to_vec();
-    let mut journal = DseJournal::create(&path, &adopted).expect("journal created");
+    let journal = DseJournal::create(&path, &adopted).expect("journal created");
     let mut duplicate = cold.entries[3].clone();
     duplicate.computed_at_ms += 1;
     for entry in [&cold.entries[1], &duplicate, &cold.entries[0]] {
-        journal.append(&DseJournal::record(entry).expect("encodes")).expect("appends");
+        journal.append(entry).expect("appends");
     }
     drop(journal);
     let text = std::fs::read_to_string(&path).expect("journal readable");
@@ -190,7 +209,7 @@ fn a_torn_final_record_is_dropped_and_only_its_point_recomputed() {
     let mut adopted = header_of(&cold);
     adopted.entries = cold.entries[..3].to_vec();
     drop(DseJournal::create(&path, &adopted).expect("journal created"));
-    let record = DseJournal::record(&cold.entries[3]).expect("encodes");
+    let record = record(&cold.entries[3]);
     let cut = &record[..record.len() / 2];
     let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("opens");
     std::io::Write::write_all(&mut file, cut.as_bytes()).expect("torn write");
@@ -221,7 +240,7 @@ fn a_torn_header_or_malformed_middle_line_is_an_error() {
         .with_snapshot(&path);
 
     let header = serde_json::to_string(&header_of(&cold)).expect("encodes");
-    let record = DseJournal::record(&cold.entries[0]).expect("encodes");
+    let record = record(&cold.entries[0]);
     std::fs::write(&path, format!("{header}\n{{\"kind\":\n{record}")).expect("writes");
     let err = driver.run(&spec).expect_err("a malformed middle line must not resume");
     assert!(err.to_string().contains("journal-malformed.json (line 2)"), "{err}");
@@ -230,6 +249,49 @@ fn a_torn_header_or_malformed_middle_line_is_an_error() {
     let err = driver.run(&spec).expect_err("a torn header must not resume");
     assert!(err.to_string().contains("journal-malformed.json (line 1)"), "{err}");
     std::fs::remove_file(&path).ok();
+}
+
+/// A failing point stops the points after it in canonical order from
+/// starting, the points before it stay journaled, and the run returns the
+/// failure. An out-of-range pruning fraction fails only when its points
+/// run, so it serves as the failing point.
+#[test]
+fn a_failing_point_stops_later_points_and_earlier_ones_stay_journaled() {
+    let path = temp_path("journal-failure.json");
+    let bad = PruningSpec::unstructured(1.5);
+    let spec = |pruning| {
+        DseSpec::new(small_grid().with_rows(vec![64]), vec![ModelKind::AlexNet])
+            .with_sparsity(vec![SparsityConfig::HybridSparsity])
+            .with_pruning(pruning)
+    };
+    let driver = |threads| {
+        DseDriver::new(small_config().without_fidelity())
+            .expect("valid config")
+            .with_snapshot(&path)
+            .with_threads(threads)
+    };
+
+    // The failure comes first: on one thread, nothing after it starts.
+    let first = driver(1);
+    let err = first.run(&spec(vec![bad, PruningSpec::none()])).expect_err("point 0 fails");
+    assert!(err.to_string().contains("pruning fraction must be in [0, 1)"), "{err}");
+    assert_eq!(first.cache_stats().artifact_misses, 0, "a later point was prepared");
+    let (journal, torn) = DseReport::load_journal(&path).expect("the journal loads");
+    assert_eq!((journal.entries.len(), torn), (0, None));
+
+    // The failure comes after two good points: they finish and are
+    // journaled, whatever ran beside them.
+    std::fs::remove_file(&path).expect("removes");
+    for threads in [1, 2] {
+        let err = driver(threads)
+            .run(&spec(vec![PruningSpec::none(), bad]))
+            .expect_err("points 2 and 3 fail");
+        assert!(err.to_string().contains("pruning fraction must be in [0, 1)"), "{err}");
+        let journal = DseReport::load(&path).expect("the journal loads");
+        assert_eq!(journal.entries.len(), 2, "{threads} threads");
+        assert!(journal.entries.iter().all(|e| !e.pruning.is_active()));
+        std::fs::remove_file(&path).expect("removes");
+    }
 }
 
 /// Snapshots written before journals existed are whole reports on one

@@ -168,8 +168,7 @@ fn resume_over_a_pruning_grid_recomputes_only_missing_points() {
         .with_sparsity(vec![SparsityConfig::HybridSparsity])
         .with_pruning(vec![PruningSpec::none(), PruningSpec::unstructured(0.5)]);
 
-    let cold_driver =
-        DseDriver::new(config).expect("valid config").with_snapshot(&path).with_batch_size(2);
+    let cold_driver = DseDriver::new(config).expect("valid config").with_snapshot(&path);
     let cold = cold_driver.run(&spec).expect("cold run");
     assert_eq!(cold.total_points, 4, "2 prunings x 2 geometries");
     assert_eq!(cold.fresh_points, 4);
@@ -179,14 +178,13 @@ fn resume_over_a_pruning_grid_recomputes_only_missing_points() {
     assert!(json.contains("pruning"));
     assert_eq!(cold.entries.iter().filter(|e| e.pruning.is_active()).count(), 2);
 
-    // "Kill" the run after the first batch and resume with a fresh driver.
+    // "Kill" the run after two points and resume with a fresh driver.
     let saved = DseReport::load(&path).expect("snapshot loads");
     let mut torn = saved.clone();
     torn.entries.truncate(2);
     torn.save(&path).expect("torn snapshot saves");
 
-    let resume_driver =
-        DseDriver::new(config).expect("valid config").with_snapshot(&path).with_batch_size(2);
+    let resume_driver = DseDriver::new(config).expect("valid config").with_snapshot(&path);
     let resumed = resume_driver.run(&spec).expect("resume runs");
     assert_eq!(resumed.fresh_points, 2, "resume recomputed more than the missing points");
     assert!(resumed.is_complete());
