@@ -6,7 +6,6 @@
 //! ```text
 //! dbpim-fleet [dse_sweep grid/pipeline flags]
 //!             [--workers <n>] [--endpoints host:port,...]
-//!             [--strategy round-robin|contiguous|cost-weighted]
 //!             [--snapshot-dir <dir>] [--fleet-id <name>]
 //!             [--auth-token <secret>]
 //!             [--point-timeout-ms <n>] [--retries <n>]
@@ -29,13 +28,16 @@
 //! against a cold single-driver run of the same grid. Worker narration,
 //! retirement notices and statistics go to stderr.
 //!
-//! With `--snapshot-dir`, each shard keeps a journal, `shard-NNN.json`: a
-//! header line written at run start with the points the shard adopted, then
-//! one line appended per completed point. The run resumes from whatever
-//! those files already cover — journals or whole-report snapshots, including
-//! ones written by a previous run with a different worker count; a record a
-//! kill cut short is dropped and recomputed. `merged.json` holds the merged
-//! report whole, on one line.
+//! Worker `w`'s shard is the `w`-th contiguous block of the grid's
+//! canonical point list; an idle worker steals from the largest backlog.
+//! With `--snapshot-dir`, the run keeps one journal there, `merged.json`,
+//! as `dse_sweep --snapshot` does: a header line written at run start with
+//! the points it adopted, then one line appended per completed point. The
+//! run resumes from whatever the journal covers, whatever the worker count
+//! of the run that wrote it; a record a kill cut short is dropped and
+//! recomputed. A journal that cannot be read or answers another grid, or a
+//! directory holding an earlier release's `shard-NNN.json` journals, fails
+//! the run and is left as it was.
 //!
 //! Remote points equal local ones only when each daemon runs the fleet's
 //! pipeline flags; `--cal` defaults to 4 for `dbpim-served` and 2 here.
@@ -67,11 +69,10 @@ fn main() {
     let spec = sweep.spec();
     let config = fleet.fleet_config(sweep.base.pipeline_config());
     eprintln!(
-        "dbpim-fleet {}: {} workers ({} remote), strategy {}, snapshots {}",
+        "dbpim-fleet {}: {} workers ({} remote), snapshots {}",
         config.fleet_id,
         config.workers.len(),
         fleet.endpoints.len(),
-        config.strategy,
         config.snapshot_dir.as_ref().map_or("off".to_string(), |d| d.display().to_string()),
     );
 
@@ -91,9 +92,6 @@ fn main() {
         }
         FleetEvent::PointRetried { worker, shard, attempt, error } => {
             log_warn!("fleet", "retry: worker {worker}, shard {shard}, attempt {attempt}: {error}");
-        }
-        FleetEvent::SnapshotSkipped { path, reason } => {
-            log_warn!("fleet", "skipped snapshot {}: {reason}", path.display());
         }
     });
 

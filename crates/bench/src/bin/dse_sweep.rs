@@ -32,13 +32,12 @@ fn main() {
             flags::finish_trace("dse_sweep", trace);
             let stats = driver.cache_stats();
             eprintln!(
-                "dse_sweep: {} fresh + {} resumed of {} points in {:.2?} \
-                 (cumulative {:.2?}); artifacts {} built / {} hits, programs {} compiled / {} hits",
+                "dse_sweep: {} fresh + {} resumed of {} points in {:.2?}; artifacts {} built / \
+                 {} hits, programs {} compiled / {} hits",
                 report.fresh_points,
                 report.entries.len() - report.fresh_points,
                 report.total_points,
                 start.elapsed(),
-                report.wall_time,
                 stats.artifact_misses,
                 stats.artifact_hits,
                 stats.program_misses,

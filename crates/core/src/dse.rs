@@ -18,8 +18,7 @@
 //!   point's persistence cost does not grow with the report. The file stays
 //!   a journal when the run finishes. [`DseReport::save`] writes a whole
 //!   report as one line (the journal with every entry in its header), as
-//!   the fleet's merged report and older snapshots are; [`DseReport::load`]
-//!   reads both.
+//!   snapshots written before journals are; [`DseReport::load`] reads both.
 //! * [`DseDriver`] — executes the missing points of a spec against a warm
 //!   [`BatchRunner`] cache (quantize / FTA run once per (model, width,
 //!   pruning) regardless of grid size) and resumes from a snapshot by
@@ -318,7 +317,7 @@ impl DsePoint {
     }
 
     /// The point's opaque hashable identity — what deduplication across
-    /// shard reports keys on.
+    /// reports keys on.
     #[must_use]
     pub fn canonical_key(&self) -> DsePointKey {
         DsePointKey(self.key())
@@ -484,10 +483,12 @@ pub struct DseReport {
     /// driver run that produced this report.
     pub fresh_points: usize,
     /// Wall-clock time of the run that returned the report plus the time
-    /// recorded in the snapshot it resumed from. A journal's header holds
-    /// the time up to its run's start, so a journal never counts the run
-    /// that wrote it, finished or killed; only a report saved whole
-    /// ([`save`](Self::save)) records its own time.
+    /// recorded in the snapshot it resumed from. A loaded journal
+    /// contributes only its header's time, written as its run started and
+    /// never updated: the runs that appended to it, finished or killed,
+    /// are not counted, so after a resume this is about the resuming run's
+    /// own time. A report saved whole ([`save`](Self::save)) contributes
+    /// the time it holds.
     pub wall_time: Duration,
     /// Unix-epoch milliseconds of the last snapshot save. Ignored by
     /// [`results_match`](Self::results_match).

@@ -1,33 +1,37 @@
-//! The fleet driver: claims, executes, retries and merges.
+//! The fleet driver: claims, executes, retries and journals.
 //!
-//! [`FleetDriver::run`] turns a [`DseSpec`] into one merged [`DseReport`]
-//! by fanning the spec's points out across N workers:
+//! [`FleetDriver::run`] turns a [`DseSpec`] into one [`DseReport`] by
+//! fanning the spec's points out across N workers:
 //!
-//! 1. **Plan** — the canonical point list is partitioned into one shard per
-//!    worker by the configured [`ShardStrategy`] (a pure function, so every
-//!    resume derives the same plan).
-//! 2. **Resume** — existing `shard-*.json` snapshots in the snapshot
-//!    directory — journals or whole reports — are adopted point-by-point;
-//!    a journal's torn final record is dropped with a diagnostic, a file
-//!    that is unreadable in any other way is skipped with one, and a
-//!    snapshot answering a *different spec* is a hard error. Each shard's
-//!    [`DseJournal`] is then rewritten to hold the entries it adopted.
+//! 1. **Plan** — worker `w`'s shard is the `w`-th contiguous block of the
+//!    canonical point list, earlier blocks taking the remainder (a pure
+//!    function of the point and worker counts, so every resume derives the
+//!    same plan). Adjacent points usually share a (model, width), so each
+//!    worker prepares few artifact sets.
+//! 2. **Resume** — with a snapshot directory, the run resumes from and
+//!    appends to one [`DseJournal`], `merged.json`, as
+//!    [`DseDriver`](db_pim::DseDriver) does with its snapshot: the file is
+//!    loaded by [`DseReport::load_journal`] (a torn final record is dropped
+//!    with a diagnostic) and rewritten by [`DseJournal::create`] with the
+//!    entries it held. A file that cannot be read, answers a *different
+//!    spec* or sits beside `shard-*.json` journals of an earlier release is
+//!    a hard error, and the directory is left as it was.
 //! 3. **Execute** — workers claim points from their own shard first and
 //!    *steal* from the largest backlog once their shard drains (straggler
 //!    reassignment). A failed attempt requeues the point for anyone else;
 //!    repeated failures trigger a heartbeat and retire the worker; a point
 //!    failing [`FleetConfig::max_point_attempts`] times aborts the run.
-//!    Each finished point is appended to its shard's journal as one line,
-//!    so a killed fleet resumes with at most the in-flight points lost and
-//!    persisting a point never re-encodes the rest of its shard.
-//! 4. **Merge** — the shard entries merge through the spec-checked,
-//!    key-deduplicating [`DseReport::merge`]; the result is verified to
-//!    cover every point exactly once and is bit-identical (timestamps
-//!    aside) to a single [`DseDriver`](db_pim::DseDriver) run —
+//!    The worker that finishes a point appends it to the journal as one
+//!    line ([`DseJournal::append`]), so a killed fleet resumes with at most
+//!    the in-flight points lost.
+//! 4. **Verify** — the adopted and fresh entries, in canonical order, must
+//!    cover every point exactly once; the report is then bit-identical
+//!    (timestamps aside) to a single `DseDriver` run —
 //!    `tests/fleet_sharding.rs` asserts exactly that.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -35,14 +39,16 @@ use std::time::{Duration, Instant};
 use db_pim::dse::unix_time_ms;
 use db_pim::session::par::lock_unpoisoned;
 use db_pim::{
-    BatchRunner, DseJournal, DsePoint, DsePointKey, DseReport, DseSpec, PipelineConfig,
+    BatchRunner, DseEntry, DseJournal, DsePoint, DsePointKey, DseReport, DseSpec, PipelineConfig,
     PipelineError,
 };
 
-use crate::shard::{ShardPlan, ShardStrategy};
 use crate::worker::{
     JobContext, LocalExecutor, PointExecutor, PointJob, RemoteExecutor, WorkerSpec,
 };
+
+/// The snapshot journal's file name inside the snapshot directory.
+const JOURNAL_FILE: &str = "merged.json";
 
 /// A fleet-level failure.
 #[derive(Debug)]
@@ -51,11 +57,18 @@ pub enum FleetError {
     Spec(PipelineError),
     /// The configuration names no workers.
     NoWorkers,
-    /// A shard snapshot in the snapshot directory answers a different spec;
-    /// resuming would silently mix incompatible results.
+    /// The snapshot journal answers a different spec; resuming would
+    /// silently mix incompatible results.
     SnapshotSpecMismatch {
-        /// The offending snapshot.
+        /// The journal.
         path: PathBuf,
+    },
+    /// The snapshot directory holds the per-shard journals of an earlier
+    /// release, which this one does not read; resuming beside them would
+    /// recompute their points.
+    LegacyShardJournals {
+        /// The `shard-*.json` files, name-sorted.
+        files: Vec<PathBuf>,
     },
     /// One point kept failing across workers and retries.
     PointFailed {
@@ -75,13 +88,13 @@ pub enum FleetError {
         /// Worker / snapshot diagnostics accumulated during the run.
         diagnostics: Vec<String>,
     },
-    /// A shard journal or the merged snapshot could not be written.
+    /// The snapshot directory or journal could not be read or created.
     Persist(PipelineError),
-    /// The merged report failed its exactly-once coverage check (a bug, not
-    /// an operational failure — surfaced loudly instead of returning a
+    /// The report failed its exactly-once coverage check (a bug, not an
+    /// operational failure — surfaced loudly instead of returning a
     /// silently short report).
     Incomplete {
-        /// Points present in the merged report.
+        /// Points present in the report.
         merged: usize,
         /// Points the spec enumerates.
         total: usize,
@@ -95,9 +108,19 @@ impl fmt::Display for FleetError {
             FleetError::NoWorkers => write!(f, "fleet has no workers (local or remote)"),
             FleetError::SnapshotSpecMismatch { path } => write!(
                 f,
-                "shard snapshot {} answers a different spec; refusing to resume",
+                "fleet snapshot {} answers a different spec; refusing to resume",
                 path.display()
             ),
+            FleetError::LegacyShardJournals { files } => {
+                let files: Vec<String> = files.iter().map(|p| p.display().to_string()).collect();
+                write!(
+                    f,
+                    "the snapshot dir holds shard journals of an earlier release, which this \
+                     one does not resume ({}); finish that run with its release or move them \
+                     out of the dir",
+                    files.join(", ")
+                )
+            }
             FleetError::PointFailed { point, attempts, last_error } => {
                 write!(f, "point {point} failed {attempts} attempts; last error: {last_error}")
             }
@@ -106,10 +129,10 @@ impl fmt::Display for FleetError {
                 "fleet stalled at {completed}/{total} points with no live workers ({})",
                 diagnostics.join("; ")
             ),
-            FleetError::Persist(e) => write!(f, "cannot persist fleet snapshot: {e}"),
+            FleetError::Persist(e) => write!(f, "fleet snapshot: {e}"),
             FleetError::Incomplete { merged, total } => write!(
                 f,
-                "merged report covers {merged} of {total} points despite a completed run \
+                "report covers {merged} of {total} points despite a completed run \
                  (fleet bookkeeping bug)"
             ),
         }
@@ -163,13 +186,6 @@ pub enum FleetEvent {
         /// The failure.
         error: String,
     },
-    /// A snapshot file in the shard directory was unreadable and skipped.
-    SnapshotSkipped {
-        /// The skipped file.
-        path: PathBuf,
-        /// Why it was skipped.
-        reason: String,
-    },
 }
 
 /// Per-worker outcome counters.
@@ -188,7 +204,7 @@ pub struct WorkerStats {
 pub struct FleetStats {
     /// One entry per configured worker.
     pub workers: Vec<WorkerStats>,
-    /// Points adopted from shard snapshots instead of recomputed.
+    /// Points adopted from the snapshot journal instead of recomputed.
     pub resumed_points: usize,
     /// Points computed fresh this run.
     pub fresh_points: usize,
@@ -197,18 +213,19 @@ pub struct FleetStats {
     pub reassigned_points: usize,
     /// Failed attempts that were requeued.
     pub retried_attempts: usize,
-    /// Diagnostics for snapshots that were skipped or failed to save.
+    /// Notes on the run: a torn journal record dropped on resume, journal
+    /// appends that failed, workers that retired.
     pub diagnostics: Vec<String>,
     /// Wall-time distribution of fresh point executions across every
     /// worker (log₂-bucketed; resumed points are not sampled).
     pub point_latency: dbpim_trace::LatencyHistogram,
 }
 
-/// The merged report plus the run's bookkeeping.
+/// The report plus the run's bookkeeping.
 #[derive(Debug)]
 pub struct FleetOutcome {
-    /// The merged, dedup-verified report — `results_match` a single-driver
-    /// run of the same spec.
+    /// The exactly-once-verified report, in canonical order —
+    /// `results_match` a single-driver run of the same spec.
     pub report: DseReport,
     /// Run statistics.
     pub stats: FleetStats,
@@ -220,13 +237,12 @@ pub struct FleetConfig {
     /// The pipeline configuration local workers run and remote daemons are
     /// assumed to run (results are only bit-identical when they match).
     pub pipeline: PipelineConfig,
-    /// The worker roster; one shard is planned per worker.
+    /// The worker roster; worker `w`'s shard is the `w`-th contiguous block
+    /// of the spec's canonical point list.
     pub workers: Vec<WorkerSpec>,
-    /// How points are partitioned into shards.
-    pub strategy: ShardStrategy,
-    /// Directory for the per-shard journals (`shard-NNN.json`, one line
-    /// appended per finished point) and the merged report (`merged.json`);
-    /// `None` disables persistence and resume.
+    /// Directory of the snapshot journal, `merged.json` (a header line,
+    /// then one line appended per finished point); `None` disables
+    /// persistence and resume.
     pub snapshot_dir: Option<PathBuf>,
     /// Identifier shard-tagged remote requests carry (shows up in
     /// `dbpim-cli shard-status`).
@@ -248,27 +264,19 @@ const WORKER_FAILURE_LIMIT: usize = 2;
 
 impl FleetConfig {
     /// A configuration with the given roster and every knob at its default:
-    /// round-robin sharding, no snapshots, a 120 s point timeout, 3
-    /// attempts per point, heartbeat after 2 consecutive worker failures.
+    /// no snapshots, a 120 s point timeout, 3 attempts per point, heartbeat
+    /// after 2 consecutive worker failures.
     #[must_use]
     pub fn new(pipeline: PipelineConfig, workers: Vec<WorkerSpec>) -> Self {
         Self {
             pipeline,
             workers,
-            strategy: ShardStrategy::default(),
             snapshot_dir: None,
             fleet_id: format!("fleet-{}", unix_time_ms()),
             auth_token: None,
             point_timeout: Duration::from_secs(120),
             max_point_attempts: 3,
         }
-    }
-
-    /// Sets the shard strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Enables snapshot persistence and resume under `dir`.
@@ -314,15 +322,15 @@ struct FleetState {
     pending: Vec<VecDeque<usize>>,
     /// Claimed-but-unfinished points.
     in_flight: usize,
-    /// Completed point keys (exactly-once bookkeeping).
+    /// Completed point keys, adopted ones included (exactly-once
+    /// bookkeeping).
     done: HashSet<DsePointKey>,
-    /// Completed entries per owning shard.
-    shard_entries: Vec<Vec<db_pim::DseEntry>>,
+    /// Entries computed this run.
+    fresh: Vec<DseEntry>,
     /// Failed attempts per point index.
     attempts: HashMap<usize, usize>,
     /// First fatal error; set once, aborts every worker.
     aborted: Option<FleetError>,
-    fresh: usize,
     reassigned: usize,
     retried: usize,
     worker_points: Vec<usize>,
@@ -384,18 +392,18 @@ impl FleetDriver {
         }
     }
 
-    /// Runs (or resumes) the fleet over `spec` and returns the merged
-    /// report with run statistics.
+    /// Runs (or resumes) the fleet over `spec` and returns the report with
+    /// run statistics.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::Spec`] for unusable specs/configurations,
-    /// [`FleetError::SnapshotSpecMismatch`] when the snapshot directory
-    /// holds a foreign shard, [`FleetError::PointFailed`] when a point
-    /// exhausts its attempts, [`FleetError::Stalled`] when every worker
-    /// retires early, and [`FleetError::Persist`] when a shard journal
-    /// cannot be created or the merged snapshot cannot be written.
-    #[allow(clippy::too_many_lines)]
+    /// [`FleetError::SnapshotSpecMismatch`] when the snapshot journal
+    /// answers another spec, [`FleetError::LegacyShardJournals`] when the
+    /// snapshot directory holds an earlier release's shard journals,
+    /// [`FleetError::Persist`] when the journal cannot be read or created,
+    /// [`FleetError::PointFailed`] when a point exhausts its attempts and
+    /// [`FleetError::Stalled`] when every worker retires early.
     pub fn run(&self, spec: &DseSpec) -> Result<FleetOutcome, FleetError> {
         if self.config.workers.is_empty() {
             return Err(FleetError::NoWorkers);
@@ -404,90 +412,40 @@ impl FleetDriver {
         let points = spec
             .points(self.config.pipeline.operand_width, self.config.pipeline.pruning)
             .map_err(FleetError::Spec)?;
+        let workers = self.config.workers.len();
         let _span = dbpim_trace::span!(
             "fleet.run",
             fleet = self.config.fleet_id,
             points = points.len(),
-            workers = self.config.workers.len(),
+            workers = workers,
         );
-        let plan = ShardPlan::partition(&points, self.config.workers.len(), self.config.strategy);
-        let owners = plan.owners();
-        let key_to_index: HashMap<DsePointKey, usize> =
-            points.iter().enumerate().map(|(i, p)| (p.canonical_key(), i)).collect();
+        let start = Instant::now();
+        let mut diagnostics = Vec::new();
+        let (mut report, journal) = match &self.config.snapshot_dir {
+            Some(dir) => {
+                let (report, journal) = resume(dir, spec, &points, &mut diagnostics)?;
+                (report, Some(journal))
+            }
+            None => (DseReport::empty(spec.clone(), points.len()), None),
+        };
+        let done: HashSet<DsePointKey> =
+            report.entries.iter().map(DseEntry::canonical_key).collect();
+        let resumed = done.len();
+        let blocks: Vec<Range<usize>> =
+            (0..workers).map(|w| block(points.len(), workers, w)).collect();
+        let shard_sizes: Vec<usize> = blocks.iter().map(ExactSizeIterator::len).collect();
+        let pending = blocks
+            .into_iter()
+            .map(|block| block.filter(|&i| !done.contains(&points[i].canonical_key())).collect())
+            .collect();
 
         let context = JobContext {
             sparsity: spec.sparsity.clone(),
             unique_sparsity: spec.unique_sparsity(),
             fidelity: spec.fidelity,
             fleet: self.config.fleet_id.clone(),
-            shards: plan.shards.len(),
+            shards: workers,
         };
-
-        let mut state = FleetState {
-            pending: vec![VecDeque::new(); plan.shards.len()],
-            in_flight: 0,
-            done: HashSet::new(),
-            shard_entries: vec![Vec::new(); plan.shards.len()],
-            attempts: HashMap::new(),
-            aborted: None,
-            fresh: 0,
-            reassigned: 0,
-            retried: 0,
-            worker_points: vec![0; self.config.workers.len()],
-            worker_retired: vec![None; self.config.workers.len()],
-            diagnostics: Vec::new(),
-            point_latency: dbpim_trace::LatencyHistogram::new(),
-        };
-
-        // Adopt whatever previous shard snapshots already computed. Entries
-        // are re-homed into the *current* plan's shards, so resuming with a
-        // different worker count (or strategy) still reuses every point.
-        let mut adopted_files = Vec::new();
-        if let Some(dir) = &self.config.snapshot_dir {
-            std::fs::create_dir_all(dir).map_err(|e| {
-                FleetError::Persist(PipelineError::BadConfig {
-                    reason: format!("cannot create snapshot dir {}: {e}", dir.display()),
-                })
-            })?;
-            for path in shard_snapshot_files(dir) {
-                match DseReport::load_journal(&path) {
-                    Err(e) => {
-                        let reason = e.to_string();
-                        state
-                            .diagnostics
-                            .push(format!("skipped snapshot {}: {reason}", path.display()));
-                        self.emit(&FleetEvent::SnapshotSkipped { path, reason });
-                    }
-                    Ok((report, _)) if report.spec != *spec => {
-                        return Err(FleetError::SnapshotSpecMismatch { path });
-                    }
-                    Ok((report, torn)) => {
-                        if let Some(bytes) = torn {
-                            state.diagnostics.push(format!(
-                                "dropped a torn final record ({bytes} bytes) from {}",
-                                path.display()
-                            ));
-                        }
-                        for entry in report.entries {
-                            let key = entry.canonical_key();
-                            let Some(&index) = key_to_index.get(&key) else { continue };
-                            if state.done.insert(key) {
-                                state.shard_entries[owners[index]].push(entry);
-                            }
-                        }
-                        adopted_files.push(path);
-                    }
-                }
-            }
-        }
-        let resumed = state.done.len();
-        for shard in &plan.shards {
-            for &point in &shard.points {
-                if !state.done.contains(&points[point].canonical_key()) {
-                    state.pending[shard.id].push_back(point);
-                }
-            }
-        }
 
         // One warm in-process runner shared by every local worker: the
         // session layer's single-flight cache means N local workers build
@@ -499,63 +457,29 @@ impl FleetDriver {
                 None
             };
 
-        // One journal per shard, holding what the shard adopted; workers
-        // append one line per finished point.
-        let journals: Option<Vec<DseJournal>> = match &self.config.snapshot_dir {
-            Some(dir) => Some(
-                state
-                    .shard_entries
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(shard, entries)| {
-                        let _span = dbpim_trace::span!(
-                            "fleet.persist",
-                            shard = shard,
-                            points = entries.len(),
-                        );
-                        let mut adopted = DseReport::empty(spec.clone(), points.len());
-                        adopted.entries = std::mem::take(entries);
-                        adopted.saved_at_ms = unix_time_ms();
-                        let journal = DseJournal::create(shard_snapshot_path(dir, shard), &adopted);
-                        *entries = adopted.entries;
-                        journal
-                    })
-                    .collect::<Result<_, _>>()
-                    .map_err(FleetError::Persist)?,
-            ),
-            None => None,
+        let state = FleetState {
+            pending,
+            in_flight: 0,
+            done,
+            fresh: Vec::new(),
+            attempts: HashMap::new(),
+            aborted: None,
+            reassigned: 0,
+            retried: 0,
+            worker_points: vec![0; workers],
+            worker_retired: vec![None; workers],
+            diagnostics,
+            point_latency: dbpim_trace::LatencyHistogram::new(),
         };
-        // The current plan's journals now hold every adopted entry, so an
-        // adopted file the plan has no shard for (a resume with fewer
-        // workers) is only a duplicate for later resumes to re-read. Files
-        // that failed to load stay; their diagnostic names them.
-        if let Some(dir) = &self.config.snapshot_dir {
-            let current: HashSet<PathBuf> =
-                (0..plan.shards.len()).map(|shard| shard_snapshot_path(dir, shard)).collect();
-            for path in adopted_files.into_iter().filter(|path| !current.contains(path)) {
-                let note = match std::fs::remove_file(&path) {
-                    Ok(()) => format!(
-                        "removed {}: its entries moved to this plan's shards",
-                        path.display()
-                    ),
-                    Err(e) => format!("cannot remove stale {}: {e}", path.display()),
-                };
-                state.diagnostics.push(note);
-            }
-        }
-
-        let shard_sizes: Vec<usize> = plan.shards.iter().map(|s| s.points.len()).collect();
         let sync = (Mutex::new(state), Condvar::new());
-        let start = Instant::now();
 
         std::thread::scope(|scope| {
             for (worker, worker_spec) in self.config.workers.iter().enumerate() {
                 let sync = &sync;
                 let context = &context;
                 let points = &points;
-                let owners = &owners;
                 let shard_sizes = &shard_sizes;
-                let journals = journals.as_deref();
+                let journal = journal.as_ref();
                 let local_runner = local_runner.clone();
                 scope.spawn(move || {
                     self.worker_loop(
@@ -565,15 +489,14 @@ impl FleetDriver {
                         sync,
                         context,
                         points,
-                        owners,
                         shard_sizes,
-                        journals,
+                        journal,
                     );
                 });
             }
         });
 
-        let mut state = sync.0.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let state = sync.0.into_inner().unwrap_or_else(PoisonError::into_inner);
         if let Some(error) = state.aborted {
             return Err(error);
         }
@@ -585,33 +508,24 @@ impl FleetDriver {
             });
         }
 
-        // The journals already hold every point; the spec-checked dedup
-        // merge takes the shard entries out of the state.
-        let merge_span = dbpim_trace::span!("fleet.merge", points = points.len());
-        let mut merged = DseReport::empty(spec.clone(), points.len());
-        for entries in std::mem::take(&mut state.shard_entries) {
-            let mut shard = DseReport::empty(spec.clone(), points.len());
-            shard.entries = entries;
-            merged = merged.merge(shard).map_err(FleetError::Spec)?;
-        }
-        merged.fresh_points = state.fresh;
-        merged.wall_time = start.elapsed();
-        merged.saved_at_ms = unix_time_ms();
-        if let Some(dir) = &self.config.snapshot_dir {
-            merged.save(dir.join("merged.json")).map_err(FleetError::Persist)?;
-        }
-        drop(merge_span);
+        // The report adds this run's entries to the adopted ones (a journal
+        // already holds them all).
+        let fresh_points = state.fresh.len();
+        report.entries.extend(state.fresh);
+        report.sort_canonical();
+        report.fresh_points = fresh_points;
+        report.wall_time += start.elapsed();
 
-        // Exactly-once verification: the merge must cover every point of
+        // Exactly-once verification: the report must cover every point of
         // the spec, once.
-        let merged_keys: HashSet<DsePointKey> =
-            merged.entries.iter().map(db_pim::DseEntry::canonical_key).collect();
-        if merged.entries.len() != points.len()
-            || merged_keys.len() != points.len()
-            || !points.iter().all(|p| merged_keys.contains(&p.canonical_key()))
+        let keys: HashSet<DsePointKey> =
+            report.entries.iter().map(DseEntry::canonical_key).collect();
+        if report.entries.len() != points.len()
+            || keys.len() != points.len()
+            || !points.iter().all(|p| keys.contains(&p.canonical_key()))
         {
             return Err(FleetError::Incomplete {
-                merged: merged.entries.len(),
+                merged: report.entries.len(),
                 total: points.len(),
             });
         }
@@ -629,13 +543,13 @@ impl FleetDriver {
                 })
                 .collect(),
             resumed_points: resumed,
-            fresh_points: state.fresh,
+            fresh_points,
             reassigned_points: state.reassigned,
             retried_attempts: state.retried,
             diagnostics: state.diagnostics,
             point_latency: state.point_latency,
         };
-        Ok(FleetOutcome { report: merged, stats })
+        Ok(FleetOutcome { report, stats })
     }
 
     /// One worker's life: initialize a backend, then claim–execute–report
@@ -649,9 +563,8 @@ impl FleetDriver {
         sync: &(Mutex<FleetState>, Condvar),
         context: &JobContext,
         points: &[DsePoint],
-        owners: &[usize],
         shard_sizes: &[usize],
-        journals: Option<&[DseJournal]>,
+        journal: Option<&DseJournal>,
     ) {
         let (mutex, cv) = sync;
         let label = worker_spec.to_string();
@@ -743,23 +656,21 @@ impl FleetDriver {
             match executed {
                 Ok(entry) => {
                     consecutive_failures = 0;
-                    let owner = owners[point_index];
                     // Persist before the point counts as done. A duplicate
                     // completion appends a second line, which loading drops.
-                    let persisted = journals.map(|journals| {
-                        let _span = dbpim_trace::span!("fleet.persist", shard = owner);
-                        journals[owner].append(&entry)
+                    let persisted = journal.map(|journal| {
+                        let _span = dbpim_trace::span!("fleet.persist", shard = shard);
+                        journal.append(&entry)
                     });
                     let (completed, total) = {
                         let mut state = lock_unpoisoned(mutex);
                         state.in_flight -= 1;
                         state.point_latency.record(point_elapsed);
                         if let Some(Err(e)) = persisted {
-                            state.diagnostics.push(format!("shard {owner} journal: {e}"));
+                            state.diagnostics.push(format!("journal append failed: {e}"));
                         }
                         if state.done.insert(entry.canonical_key()) {
-                            state.shard_entries[owner].push(entry);
-                            state.fresh += 1;
+                            state.fresh.push(entry);
                             state.worker_points[worker] += 1;
                         }
                         (state.done.len(), points.len())
@@ -791,7 +702,7 @@ impl FleetDriver {
                         } else {
                             // Requeue at the front of the owning shard so an
                             // idle worker picks it up before fresh work.
-                            state.pending[owners[point_index]].push_front(point_index);
+                            state.pending[shard].push_front(point_index);
                         }
                         attempt
                     };
@@ -834,23 +745,69 @@ fn point_label(point: &DsePoint) -> String {
     )
 }
 
-/// `dir/shard-NNN.json`.
-fn shard_snapshot_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard:03}.json"))
+/// Worker `worker`'s shard: the `worker`-th of `workers` contiguous blocks
+/// of the point indices `0..points`, earlier blocks taking the remainder.
+fn block(points: usize, workers: usize, worker: usize) -> Range<usize> {
+    let (size, extra) = (points / workers, points % workers);
+    let start = worker * size + worker.min(extra);
+    start..start + size + usize::from(worker < extra)
 }
 
-/// Every `shard-*.json` in `dir`, name-sorted for deterministic adoption
-/// and diagnostics order.
-fn shard_snapshot_files(dir: &Path) -> Vec<PathBuf> {
+/// The report a run over `points` resumes from and the journal it appends
+/// to: `dir/merged.json` loaded when it exists (a torn final record
+/// dropped with a diagnostic, entries the points do not name left out),
+/// then rewritten to hold the adopted entries. Every refusal happens before
+/// the rewrite, so it leaves the file as it was.
+fn resume(
+    dir: &Path,
+    spec: &DseSpec,
+    points: &[DsePoint],
+    diagnostics: &mut Vec<String>,
+) -> Result<(DseReport, DseJournal), FleetError> {
+    std::fs::create_dir_all(dir).map_err(|e| {
+        FleetError::Persist(PipelineError::BadConfig {
+            reason: format!("cannot create snapshot dir {}: {e}", dir.display()),
+        })
+    })?;
+    let legacy = legacy_shard_files(dir);
+    if !legacy.is_empty() {
+        return Err(FleetError::LegacyShardJournals { files: legacy });
+    }
+    let path = dir.join(JOURNAL_FILE);
+    let mut report = DseReport::empty(spec.clone(), points.len());
+    if path.exists() {
+        let (loaded, torn) = DseReport::load_journal(&path).map_err(FleetError::Persist)?;
+        if loaded.spec != *spec {
+            return Err(FleetError::SnapshotSpecMismatch { path });
+        }
+        if let Some(bytes) = torn {
+            diagnostics.push(format!(
+                "dropped a torn final record ({bytes} bytes) from {}",
+                path.display()
+            ));
+        }
+        let keys: HashSet<DsePointKey> = points.iter().map(DsePoint::canonical_key).collect();
+        report = DseReport { total_points: points.len(), fresh_points: 0, ..loaded };
+        report.entries.retain(|e| keys.contains(&e.canonical_key()));
+    }
+    let _span = dbpim_trace::span!("fleet.persist", points = report.entries.len());
+    report.saved_at_ms = unix_time_ms();
+    let journal = DseJournal::create(path, &report).map_err(FleetError::Persist)?;
+    Ok((report, journal))
+}
+
+/// `true` for the file name of an earlier release's shard journal.
+fn is_legacy_shard_file(name: &str) -> bool {
+    name.starts_with("shard-") && name.ends_with(".json")
+}
+
+/// Every earlier-release shard journal in `dir`, name-sorted.
+fn legacy_shard_files(dir: &Path) -> Vec<PathBuf> {
     let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
     let mut files: Vec<PathBuf> = entries
         .filter_map(Result::ok)
         .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".json"))
-        })
+        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(is_legacy_shard_file))
         .collect();
     files.sort();
     files
@@ -873,14 +830,63 @@ mod tests {
 
     #[test]
     fn snapshot_paths_are_stable() {
-        let dir = Path::new("/tmp/fleet");
-        assert_eq!(shard_snapshot_path(dir, 7), Path::new("/tmp/fleet/shard-007.json"));
+        assert_eq!(JOURNAL_FILE, "merged.json");
+        assert!(!is_legacy_shard_file(JOURNAL_FILE));
+        assert!(is_legacy_shard_file("shard-007.json"));
+        assert!(!is_legacy_shard_file("shard-007.tmp"), "a temp file is not a journal");
+    }
+
+    fn blocks(points: usize, workers: usize) -> Vec<Range<usize>> {
+        (0..workers).map(|w| block(points, workers, w)).collect()
+    }
+
+    /// The plan covers `0..N` exactly once, for worker counts below, at
+    /// and above the point count.
+    #[test]
+    fn contiguous_blocks_cover_every_point_exactly_once() {
+        for points in [0, 1, 12, 16] {
+            for workers in [1, 2, 3, 7, 16, 21] {
+                let mut seen = HashSet::new();
+                for point in blocks(points, workers).into_iter().flatten() {
+                    assert!(point < points, "{point} out of range over {workers} workers");
+                    assert!(seen.insert(point), "{point} in two blocks over {workers} workers");
+                }
+                assert_eq!(seen.len(), points, "gaps: {points} over {workers} workers");
+            }
+        }
+    }
+
+    /// Every worker gets a block, each block starts where the one before
+    /// it ends, sizes differ by at most one point with the larger blocks
+    /// first, and workers past the point count get empty blocks.
+    #[test]
+    fn contiguous_blocks_give_every_worker_a_balanced_share() {
+        let points = 12;
+        for workers in [1, 2, 3, 5, points, points + 3] {
+            let blocks = blocks(points, workers);
+            assert_eq!(blocks.len(), workers);
+            assert_eq!(blocks[0].start, 0);
+            assert_eq!(blocks[workers - 1].end, points, "{workers} workers");
+            assert!(blocks.windows(2).all(|w| w[0].end == w[1].start), "{blocks:?}");
+            let sizes: Vec<usize> = blocks.iter().map(ExactSizeIterator::len).collect();
+            assert!(sizes.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1), "{sizes:?}");
+            assert_eq!(sizes.iter().filter(|&&s| s == 0).count(), workers.saturating_sub(points));
+        }
+    }
+
+    /// Blocks are runs of adjacent indices, in worker order, with the
+    /// remainder going to the earliest workers.
+    #[test]
+    fn contiguous_blocks_chunk_the_point_list_in_order() {
+        assert_eq!(blocks(12, 3), [0..4, 4..8, 8..12]);
+        assert_eq!(blocks(7, 3), [0..3, 3..5, 5..7]);
+        assert_eq!(blocks(2, 4), [0..1, 1..2, 2..2, 2..2]);
     }
 
     #[test]
     fn config_defaults_are_sane() {
         let config = FleetConfig::new(PipelineConfig::fast(), vec![WorkerSpec::Local]);
-        assert_eq!(config.strategy, ShardStrategy::RoundRobin);
+        assert_eq!(config.snapshot_dir, None);
         assert_eq!(config.max_point_attempts, 3);
         assert!(config.fleet_id.starts_with("fleet-"));
         assert_eq!(config.clone().with_max_point_attempts(0).max_point_attempts, 1);

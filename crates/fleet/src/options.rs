@@ -4,8 +4,7 @@
 //! --workers <n>           local in-process workers (default: 1 when no
 //!                         endpoints are given, else 0)
 //! --endpoints a:p,b:p     remote dbpim-served endpoints, one worker each
-//! --strategy <name>       round-robin | contiguous | cost-weighted
-//! --snapshot-dir <dir>    per-shard journals + merged report; enables resume
+//! --snapshot-dir <dir>    the journal merged.json; enables resume
 //! --fleet-id <name>       identifier shard-tagged requests carry
 //! --auth-token <secret>   shared secret presented to every remote daemon
 //! --point-timeout-ms <n>  remote per-point deadline / liveness timeout
@@ -24,14 +23,12 @@ use db_pim::flags::{Flag, Flags, OptionsError};
 use db_pim::PipelineConfig;
 
 use crate::driver::FleetConfig;
-use crate::shard::ShardStrategy;
 use crate::worker::WorkerSpec;
 
 /// The fleet-specific flags.
 pub const FLEET_FLAGS: &[Flag] = &[
     Flag::value("--workers", "<n>"),
     Flag::value("--endpoints", "host:port,..."),
-    Flag::value("--strategy", "round-robin|contiguous|cost-weighted"),
     Flag::value("--snapshot-dir", "<dir>"),
     Flag::value("--fleet-id", "<name>"),
     Flag::value("--auth-token", "<secret>"),
@@ -48,8 +45,6 @@ pub struct FleetOptions {
     pub workers: Option<usize>,
     /// Remote daemon endpoints, one worker each.
     pub endpoints: Vec<String>,
-    /// Shard strategy.
-    pub strategy: ShardStrategy,
     /// Snapshot directory (enables persistence and resume).
     pub snapshot_dir: Option<PathBuf>,
     /// Fleet identifier override.
@@ -67,7 +62,6 @@ impl Default for FleetOptions {
         Self {
             workers: None,
             endpoints: Vec::new(),
-            strategy: ShardStrategy::default(),
             snapshot_dir: None,
             fleet_id: None,
             auth_token: None,
@@ -95,7 +89,6 @@ impl FleetOptions {
         Ok(Self {
             workers: flags.get("--workers")?,
             endpoints: endpoints.unwrap_or_default(),
-            strategy: flags.get("--strategy")?.unwrap_or(defaults.strategy),
             snapshot_dir: flags.raw("--snapshot-dir").map(PathBuf::from),
             fleet_id: flags.raw("--fleet-id").map(String::from),
             auth_token: flags.raw("--auth-token").map(String::from),
@@ -123,7 +116,6 @@ impl FleetOptions {
     #[must_use]
     pub fn fleet_config(&self, pipeline: PipelineConfig) -> FleetConfig {
         let mut config = FleetConfig::new(pipeline, self.worker_specs())
-            .with_strategy(self.strategy)
             .with_point_timeout(Duration::from_millis(self.point_timeout_ms))
             .with_max_point_attempts(self.retries);
         if let Some(dir) = &self.snapshot_dir {
@@ -161,8 +153,6 @@ mod tests {
             "2",
             "--endpoints",
             "127.0.0.1:7641, 127.0.0.1:7642",
-            "--strategy",
-            "cost-weighted",
             "--snapshot-dir",
             "/tmp/fleet",
             "--fleet-id",
@@ -177,7 +167,6 @@ mod tests {
         .unwrap();
         assert_eq!(options.workers, Some(2));
         assert_eq!(options.endpoints, vec!["127.0.0.1:7641", "127.0.0.1:7642"]);
-        assert_eq!(options.strategy, ShardStrategy::CostWeighted);
         assert_eq!(options.snapshot_dir, Some(PathBuf::from("/tmp/fleet")));
         assert_eq!(options.fleet_id.as_deref(), Some("ci-run"));
         assert_eq!(options.auth_token.as_deref(), Some("sesame"));
@@ -221,9 +210,10 @@ mod tests {
         let err = parse(&["--workers", "two"]).unwrap_err();
         assert_eq!(err.flag, "--workers");
 
-        let err = parse(&["--strategy", "random"]).unwrap_err();
+        // The plan is fixed (contiguous blocks), so there is no strategy
+        // to choose: the flag is unknown.
+        let err = parse(&["--strategy", "contiguous"]).unwrap_err();
         assert_eq!(err.flag, "--strategy");
-        assert!(err.message.contains("random"), "{err}");
 
         let err = parse(&["--endpoints", " , "]).unwrap_err();
         assert_eq!(err.flag, "--endpoints");

@@ -255,25 +255,6 @@ impl ArchGrid {
     }
 }
 
-/// A deterministic relative-cost heuristic for simulating one geometry:
-/// the total DBMU cell count (`macros × compartments × DBMU columns ×
-/// rows`). The cycle-accurate engine walks every occupied cell of every
-/// tile, so simulation time grows roughly linearly with this product —
-/// which makes it the load-balancing weight the fleet orchestrator's
-/// cost-weighted shard strategy uses to split a grid across workers.
-///
-/// The heuristic deliberately ignores frequency (it rescales reported
-/// latency, not simulated work) and buffer sizes (they bound feasibility,
-/// not per-tile work).
-#[must_use]
-pub fn geometry_cost(arch: &ArchConfig) -> u64 {
-    (arch.macros as u64)
-        .saturating_mul(arch.compartments_per_macro as u64)
-        .saturating_mul(arch.dbmus_per_compartment as u64)
-        .saturating_mul(arch.rows_per_dbmu as u64)
-        .max(1)
-}
-
 /// A structured grid-enumeration failure.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -490,20 +471,6 @@ mod tests {
         let json = serde_json::to_string(&grid).unwrap();
         let back: ArchGrid = serde_json::from_str(&json).unwrap();
         assert_eq!(grid, back);
-    }
-
-    #[test]
-    fn geometry_cost_scales_with_cell_count_and_ignores_frequency() {
-        let base = ArchConfig::paper();
-        let mut doubled = base;
-        doubled.macros *= 2;
-        assert_eq!(geometry_cost(&doubled), 2 * geometry_cost(&base));
-        let mut faster = base;
-        faster.frequency_mhz *= 4.0;
-        assert_eq!(geometry_cost(&faster), geometry_cost(&base));
-        let mut degenerate = base;
-        degenerate.macros = 0;
-        assert_eq!(geometry_cost(&degenerate), 1, "degenerate points cost at least one unit");
     }
 
     fn m(latency: f64, energy: f64, area: f64, loss: f64) -> ParetoMetrics {

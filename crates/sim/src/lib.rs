@@ -45,9 +45,7 @@ mod report;
 
 pub use area::{AreaComponent, AreaModel};
 pub use config::{SimConfig, SparsityConfig};
-pub use dse::{
-    geometry_cost, pareto_frontier, ArchGrid, GridError, ParetoMetrics, MAX_GRID_POINTS,
-};
+pub use dse::{pareto_frontier, ArchGrid, GridError, ParetoMetrics, MAX_GRID_POINTS};
 pub use energy::{CostModel, EnergyBreakdown};
 pub use engine::Simulator;
 pub use error::SimError;

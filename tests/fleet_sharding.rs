@@ -1,24 +1,22 @@
 //! The fleet orchestrator's contract:
 //!
-//! * every partition strategy covers the spec with no duplicates and no
-//!   gaps;
-//! * a merged fleet report is bit-identical (timestamps ignored) to a
-//!   single `DseDriver` run of the same spec;
+//! * a fleet report is bit-identical (timestamps ignored) to a single
+//!   `DseDriver` run of the same spec, whatever the worker count;
 //! * killing a worker mid-run still completes with every point exactly
 //!   once (straggler reassignment + worker retirement);
-//! * adversarial shard directories — overlapping shards, half-written
-//!   snapshots, snapshots answering a different spec — resume cleanly,
-//!   are skipped with a diagnostic, or error, respectively;
-//! * resuming with fewer workers leaves no stale shard journal behind.
+//! * the snapshot directory holds one journal, `merged.json`: duplicate and
+//!   torn records resume cleanly, whatever the worker count; a malformed
+//!   journal, a journal answering a different spec and an earlier
+//!   release's shard journals are refused, and the files are left as they
+//!   were.
 
 use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use db_pim::prelude::*;
-use dbpim_fleet::{
-    FleetConfig, FleetDriver, FleetError, FleetEvent, ShardPlan, ShardStrategy, WorkerSpec,
-};
+use dbpim_fleet::{FleetConfig, FleetDriver, FleetError, FleetEvent, WorkerSpec};
 use dbpim_serve::{ServeConfig, Server};
 
 fn small_config() -> PipelineConfig {
@@ -37,43 +35,26 @@ fn small_spec() -> DseSpec {
     .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity])
 }
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
+fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dbpim-fleet-test-{}-{name}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }
 
-/// Every strategy partitions the spec's canonical point list completely:
-/// each point in exactly one shard, across a range of worker counts.
-#[test]
-fn every_strategy_covers_the_spec_with_no_duplicates_or_gaps() {
-    let spec = small_spec().with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
-    let points = spec.points(OperandWidth::Int8, PruningSpec::none()).expect("feasible spec");
-    assert_eq!(points.len(), 16, "2 models x 2 widths x 4 geometries");
-    for strategy in ShardStrategy::all() {
-        for workers in [1, 2, 3, 7, 16, 21] {
-            let plan = ShardPlan::partition(&points, workers, strategy);
-            assert!(
-                plan.is_complete_partition(),
-                "{strategy} over {workers} workers is not a complete partition"
-            );
-            // The invariant the helper checks, re-asserted independently:
-            // indices 0..N each appear exactly once across all shards.
-            let mut seen = HashSet::new();
-            for shard in &plan.shards {
-                for &point in &shard.points {
-                    assert!(seen.insert(point), "{strategy}: point {point} in two shards");
-                }
-            }
-            assert_eq!(seen.len(), points.len(), "{strategy}: gaps over {workers} workers");
-        }
-    }
+/// The names of the files in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("dir readable")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 /// The headline bit-identity contract: a fleet of local workers produces a
-/// merged report whose results match a single-driver run exactly, for
-/// every partition strategy.
+/// report whose results match a single-driver run exactly, for one, two
+/// and three workers.
 #[test]
 fn fleet_merge_is_bit_identical_to_a_single_driver_run() {
     let config = small_config();
@@ -81,23 +62,22 @@ fn fleet_merge_is_bit_identical_to_a_single_driver_run() {
     let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
     assert!(single.is_complete());
 
-    for strategy in ShardStrategy::all() {
-        let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local, WorkerSpec::Local])
-            .with_strategy(strategy);
+    for workers in 1..=3 {
+        let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local; workers]);
         let outcome = FleetDriver::new(fleet_config).run(&spec).expect("fleet run");
-        assert!(outcome.report.is_complete(), "{strategy}: incomplete report");
+        assert!(outcome.report.is_complete(), "{workers} workers: incomplete report");
         assert!(
             outcome.report.results_match(&single),
-            "{strategy}: merged fleet report diverges from the single-driver run"
+            "{workers} workers: fleet report diverges from the single-driver run"
         );
-        // Exactly-once: no duplicate keys survived the merge.
+        // Exactly-once: no duplicate keys survived.
         let keys: HashSet<DsePointKey> =
             outcome.report.entries.iter().map(|e| e.canonical_key()).collect();
-        assert_eq!(keys.len(), outcome.report.entries.len(), "{strategy}: duplicate entries");
+        assert_eq!(keys.len(), outcome.report.entries.len(), "{workers} workers: duplicates");
         assert_eq!(outcome.stats.fresh_points, single.entries.len());
         assert_eq!(outcome.stats.resumed_points, 0);
         let worked: usize = outcome.stats.workers.iter().map(|w| w.points).sum();
-        assert_eq!(worked, single.entries.len(), "{strategy}: worker counters disagree");
+        assert_eq!(worked, single.entries.len(), "{workers} workers: worker counters disagree");
     }
 }
 
@@ -182,7 +162,6 @@ fn killing_a_worker_mid_run_reassigns_its_points() {
     };
 
     let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Remote(addr), WorkerSpec::Local])
-        .with_strategy(ShardStrategy::Contiguous)
         .with_point_timeout(Duration::from_secs(30))
         .with_fleet_id("kill-test")
         .with_auth_token("fleet-secret");
@@ -203,7 +182,7 @@ fn killing_a_worker_mid_run_reassigns_its_points() {
     assert!(outcome.report.is_complete(), "killed worker left gaps");
     let keys: HashSet<DsePointKey> =
         outcome.report.entries.iter().map(|e| e.canonical_key()).collect();
-    assert_eq!(keys.len(), total, "a point ran twice into the merged report");
+    assert_eq!(keys.len(), total, "a point ran twice into the report");
 
     // The remote worker died before finishing its 6-point shard, so the
     // local worker must have stolen work; the run records both.
@@ -220,9 +199,9 @@ fn killing_a_worker_mid_run_reassigns_its_points() {
     assert!(outcome.report.results_match(&single), "kill/reassign changed results");
 }
 
-/// Overlapping shard snapshots dedupe on adoption, a half-written snapshot
-/// is skipped with a diagnostic (and recomputed), and the resumed fleet
-/// recomputes only the genuinely missing points.
+/// Duplicate journal records dedupe on adoption, a half-written final
+/// record is dropped with a diagnostic (and its point recomputed), and the
+/// resumed fleet recomputes only the genuinely missing points.
 #[test]
 fn overlapping_and_half_written_shard_snapshots_resume_cleanly() {
     let config = small_config();
@@ -232,53 +211,59 @@ fn overlapping_and_half_written_shard_snapshots_resume_cleanly() {
     assert_eq!(total, 8);
 
     let dir = temp_dir("adversarial");
-    // Shard 0 and shard 1 snapshots overlap at entry 2; together they cover
-    // entries 0..5.
-    let mut shard_a = DseReport::empty(spec.clone(), total);
-    shard_a.entries = single.entries[0..3].to_vec();
-    shard_a.save(dir.join("shard-000.json")).expect("shard a saves");
-    let mut shard_b = DseReport::empty(spec.clone(), total);
-    shard_b.entries = single.entries[2..5].to_vec();
-    shard_b.save(dir.join("shard-001.json")).expect("shard b saves");
-    // A half-written snapshot, as a kill mid-`write` would leave without
-    // the atomic rename: valid prefix, torn tail.
-    std::fs::write(dir.join("shard-002.json"), "{\"spec\":{\"grid\":{\"base\"")
-        .expect("torn snapshot writes");
+    let path = dir.join("merged.json");
+    // Entries 0..3, then 2..5 appended: entry 2 twice, together 0..5.
+    let mut adopted = DseReport::empty(spec.clone(), total);
+    adopted.entries = single.entries[0..3].to_vec();
+    let journal = DseJournal::create(&path, &adopted).expect("journal writes");
+    for entry in &single.entries[2..5] {
+        journal.append(entry).expect("record appends");
+    }
+    drop(journal);
+    // A half-written record, as a kill mid-append leaves: valid prefix, no
+    // newline.
+    let record = serde_json::to_string(&single.entries[5]).expect("serializes");
+    let mut text = std::fs::read_to_string(&path).expect("journal readable");
+    text.push_str(&record[..record.len() / 2]);
+    std::fs::write(&path, text).expect("torn record writes");
 
-    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local])
-        .with_snapshot_dir(&dir)
-        .with_strategy(ShardStrategy::RoundRobin);
+    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local]).with_snapshot_dir(&dir);
     let outcome = FleetDriver::new(fleet_config).run(&spec).expect("resume runs");
 
     assert!(outcome.report.results_match(&single), "resumed fleet diverges");
     assert_eq!(outcome.stats.resumed_points, 5, "overlap was not deduped: {:?}", outcome.stats);
     assert_eq!(outcome.stats.fresh_points, total - 5, "resume recomputed adopted points");
     assert!(
-        outcome.stats.diagnostics.iter().any(|d| d.contains("shard-002")),
-        "torn snapshot was not diagnosed: {:?}",
+        outcome.stats.diagnostics.iter().any(|d| d.contains("torn") && d.contains("merged.json")),
+        "torn record was not diagnosed: {:?}",
         outcome.stats.diagnostics
     );
 
-    // The run left a fresh, valid merged snapshot behind.
-    let merged = DseReport::load(dir.join("merged.json")).expect("merged snapshot loads");
+    // The run left a valid journal behind: each point once.
+    let merged = DseReport::load(&path).expect("merged snapshot loads");
     assert!(merged.results_match(&single));
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    assert_eq!(text.lines().count(), 1 + total, "a header and one line per point");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A shard snapshot recorded under a different spec refuses to resume —
-/// a structured error, never a silent partial mix.
+/// A snapshot recorded under a different spec refuses to resume — a
+/// structured error, never a silent partial mix — and is left untouched.
 #[test]
 fn mismatched_spec_shards_are_refused() {
     let config = small_config();
     let spec = small_spec();
     let foreign_spec = small_spec().with_sparsity(vec![SparsityConfig::HybridSparsity]);
     let dir = temp_dir("mismatch");
-    DseReport::empty(foreign_spec, 4).save(dir.join("shard-000.json")).expect("foreign saves");
+    let path = dir.join("merged.json");
+    DseReport::empty(foreign_spec, 4).save(&path).expect("foreign saves");
+    let before = std::fs::read(&path).expect("readable");
 
     let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local]).with_snapshot_dir(&dir);
-    let err = FleetDriver::new(fleet_config).run(&spec).expect_err("foreign shard must refuse");
+    let err = FleetDriver::new(fleet_config).run(&spec).expect_err("foreign journal must refuse");
     assert!(matches!(err, FleetError::SnapshotSpecMismatch { .. }), "{err}");
     assert!(err.to_string().contains("different spec"), "{err}");
+    assert_eq!(std::fs::read(&path).expect("readable"), before, "the refusal rewrote the file");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -289,7 +274,7 @@ fn foreign_spec_journal_headers_are_refused() {
     let config = small_config();
     let foreign_spec = small_spec().with_sparsity(vec![SparsityConfig::HybridSparsity]);
     let dir = temp_dir("foreign-journal");
-    DseJournal::create(dir.join("shard-000.json"), &DseReport::empty(foreign_spec, 4))
+    DseJournal::create(dir.join("merged.json"), &DseReport::empty(foreign_spec, 4))
         .expect("foreign journal writes");
 
     let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local]).with_snapshot_dir(&dir);
@@ -298,10 +283,9 @@ fn foreign_spec_journal_headers_are_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Shards are journals: a finished run leaves a header plus one line per
-/// point. Cutting the last record short, as a kill mid-append would, costs
-/// exactly that point on resume; a shard file with a malformed line before
-/// its last is skipped, and the diagnostics name both files.
+/// The snapshot is a journal: a finished run leaves a header plus one line
+/// per point. Cutting the last record short, as a kill mid-append would,
+/// costs exactly that point on resume, and the diagnostics name the file.
 #[test]
 fn a_torn_shard_journal_record_recomputes_only_that_point() {
     let config = small_config();
@@ -314,17 +298,13 @@ fn a_torn_shard_journal_record_recomputes_only_that_point() {
         FleetDriver::new(fleet_config).run(&spec).expect("fleet runs")
     };
     fleet();
-    let shard = dir.join("shard-000.json");
-    let text = std::fs::read_to_string(&shard).expect("journal readable");
+    let path = dir.join("merged.json");
+    let text = std::fs::read_to_string(&path).expect("journal readable");
     assert_eq!(text.lines().count(), 1 + 8, "a header and one line per point");
 
-    let file = std::fs::OpenOptions::new().write(true).open(&shard).expect("opens");
+    let file = std::fs::OpenOptions::new().write(true).open(&path).expect("opens");
     file.set_len(text.len() as u64 - 20).expect("cuts the last record");
     drop(file);
-    let header = text.lines().next().expect("header");
-    let record = text.lines().nth(1).expect("a record");
-    std::fs::write(dir.join("shard-001.json"), format!("{header}\n{{\"kind\"\n{record}\n"))
-        .expect("malformed shard writes");
 
     let outcome = fleet();
     assert_eq!(outcome.stats.resumed_points, 7, "{:?}", outcome.stats);
@@ -332,31 +312,78 @@ fn a_torn_shard_journal_record_recomputes_only_that_point() {
     assert!(outcome.report.results_match(&single), "resumed fleet diverges");
     let diagnostics = &outcome.stats.diagnostics;
     assert!(
-        diagnostics.iter().any(|d| d.contains("torn") && d.contains("shard-000")),
-        "{diagnostics:?}"
-    );
-    assert!(
-        diagnostics.iter().any(|d| d.contains("skipped") && d.contains("shard-001")),
+        diagnostics.iter().any(|d| d.contains("torn") && d.contains("merged.json")),
         "{diagnostics:?}"
     );
     // The resume rewrote the journal without the torn tail.
-    assert_eq!(DseReport::load_journal(&shard).expect("loads").1, None);
+    assert_eq!(DseReport::load_journal(&path).expect("loads").1, None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Shard snapshots written before journals existed — one whole report on
-/// one line, as `DseReport::save` writes — are adopted.
+/// A journal with a malformed line before its last is not a kill's torn
+/// record: the run fails with an error naming the file and leaves it byte
+/// for byte as it was, instead of recomputing every point over it.
+#[test]
+fn a_malformed_middle_journal_line_fails_the_run_and_leaves_the_file() {
+    let config = small_config();
+    let spec = small_spec();
+    let dir = temp_dir("malformed-journal");
+    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local]).with_snapshot_dir(&dir);
+    FleetDriver::new(fleet_config.clone()).run(&spec).expect("cold run");
+    let path = dir.join("merged.json");
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[3] = "{\"kind\"";
+    let malformed = format!("{}\n", lines.join("\n"));
+    std::fs::write(&path, &malformed).expect("malformed journal writes");
+
+    let err = FleetDriver::new(fleet_config).run(&spec).expect_err("malformed journal must fail");
+    assert!(matches!(err, FleetError::Persist(_)), "{err}");
+    assert!(err.to_string().contains(&path.display().to_string()), "{err}");
+    assert_eq!(std::fs::read_to_string(&path).expect("readable"), malformed, "file rewritten");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory holding an earlier release's per-shard journals is refused
+/// with an error naming them, before anything is written there.
+#[test]
+fn earlier_release_shard_journals_are_refused() {
+    let config = small_config();
+    let spec = small_spec();
+    let dir = temp_dir("legacy-shards");
+    for name in ["shard-000.json", "shard-001.json"] {
+        DseJournal::create(dir.join(name), &DseReport::empty(spec.clone(), 8))
+            .expect("shard journal writes");
+    }
+
+    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local]).with_snapshot_dir(&dir);
+    let err = FleetDriver::new(fleet_config).run(&spec).expect_err("shard journals must refuse");
+    match &err {
+        FleetError::LegacyShardJournals { files } => {
+            assert_eq!(files, &[dir.join("shard-000.json"), dir.join("shard-001.json")]);
+        }
+        other => panic!("expected LegacyShardJournals, got {other}"),
+    }
+    let message = err.to_string();
+    assert!(message.contains("shard-000.json") && message.contains("shard-001.json"), "{message}");
+    assert_eq!(file_names(&dir), ["shard-000.json", "shard-001.json"], "the refusal wrote a file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Snapshots written before journals existed — one whole report on one
+/// line, as `DseReport::save` writes and the fleet's closing merge once
+/// wrote `merged.json` — are adopted.
 #[test]
 fn legacy_one_line_shard_snapshots_resume() {
     let config = small_config();
     let spec = small_spec();
     let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
-    let dir = temp_dir("legacy-shard");
+    let dir = temp_dir("legacy-merged");
     let mut legacy = single.clone();
     legacy.entries.truncate(3);
     let json = serde_json::to_string(&legacy).expect("serializes");
     assert!(!json.contains('\n'));
-    std::fs::write(dir.join("shard-000.json"), json).expect("legacy shard writes");
+    std::fs::write(dir.join("merged.json"), json).expect("legacy snapshot writes");
 
     let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local, WorkerSpec::Local])
         .with_snapshot_dir(&dir);
@@ -367,68 +394,60 @@ fn legacy_one_line_shard_snapshots_resume() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Resuming a two-worker snapshot directory with one worker moves every
-/// entry into `shard-000.json` and removes `shard-001.json`, so later
-/// resumes read each entry once; the report and `merged.json` still match a
-/// cold run, and a further resume computes nothing.
+/// One journal serves every worker count: a two-worker run, resumed with
+/// one worker and then three, computes nothing on either resume, and the
+/// directory holds only `merged.json`, a header and one line per point.
 #[test]
-fn resuming_with_fewer_workers_removes_the_stale_shard_journals() {
+fn resuming_with_any_worker_count_adopts_every_journaled_point() {
     let config = small_config();
     let spec = small_spec();
     let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
-    let dir = temp_dir("fewer-workers");
+    let dir = temp_dir("any-worker-count");
     let fleet = |workers: usize| {
         let fleet_config =
             FleetConfig::new(config, vec![WorkerSpec::Local; workers]).with_snapshot_dir(&dir);
         FleetDriver::new(fleet_config).run(&spec).expect("fleet runs")
     };
-    let shard_files = || {
-        let mut names: Vec<String> = std::fs::read_dir(&dir)
-            .expect("dir readable")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .filter(|name| name.starts_with("shard-"))
-            .collect();
-        names.sort();
-        names
-    };
-    fleet(2);
-    assert_eq!(shard_files(), ["shard-000.json", "shard-001.json"]);
+    let cold = fleet(2);
+    assert_eq!((cold.stats.resumed_points, cold.stats.fresh_points), (0, 8));
 
-    let resumed = fleet(1);
-    assert_eq!(shard_files(), ["shard-000.json"], "{:?}", resumed.stats.diagnostics);
-    assert_eq!((resumed.stats.resumed_points, resumed.stats.fresh_points), (8, 0));
-    assert!(resumed.report.results_match(&single), "resumed fleet diverges");
-    let merged = DseReport::load(dir.join("merged.json")).expect("merged loads");
-    assert!(merged.results_match(&single), "merged.json diverges");
-    let journal = std::fs::read_to_string(dir.join("shard-000.json")).expect("journal readable");
-    assert_eq!(journal.lines().count(), 1 + 8, "a header and one line per point");
-
-    let again = fleet(1);
-    assert_eq!((again.stats.resumed_points, again.stats.fresh_points), (8, 0));
-    assert!(again.stats.diagnostics.is_empty(), "{:?}", again.stats.diagnostics);
-    assert!(again.report.results_match(&single));
+    for workers in [1, 3] {
+        let resumed = fleet(workers);
+        assert_eq!(
+            (resumed.stats.resumed_points, resumed.stats.fresh_points),
+            (8, 0),
+            "{workers} workers"
+        );
+        assert!(resumed.stats.diagnostics.is_empty(), "{:?}", resumed.stats.diagnostics);
+        assert!(resumed.report.results_match(&single), "{workers} workers: resume diverges");
+        assert_eq!(file_names(&dir), ["merged.json"]);
+        let journal = std::fs::read_to_string(dir.join("merged.json")).expect("readable");
+        assert_eq!(journal.lines().count(), 1 + 8, "a header and one line per point");
+        let merged = DseReport::load(dir.join("merged.json")).expect("merged loads");
+        assert!(merged.results_match(&single), "merged.json diverges");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Two local workers appending to one shard's journal leave only whole,
-/// parseable lines. Shard 1 is fully resumed, so worker 1 can only steal
-/// from shard 0, and worker 0 waits after its first point until worker 1
-/// has finished one: both workers append to `shard-000.json`.
+/// Two local workers appending to the one journal leave only whole,
+/// parseable lines. Worker 1's shard (the second contiguous block) is
+/// fully resumed, so worker 1 can only steal from worker 0's, and worker 0
+/// waits after its first point until worker 1 has finished one: both
+/// workers append to `merged.json`.
 #[test]
 fn workers_sharing_a_shard_append_only_parseable_lines() {
     let config = small_config();
     let spec = small_spec();
     let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
     let dir = temp_dir("shared-journal");
-    // Round-robin over two workers gives shard 1 the odd point indices,
-    // and the canonical entry order is the point order.
+    // Two workers over 8 points give shard 1 the points 4..8, and the
+    // canonical entry order is the point order.
     let mut shard_1 = single.clone();
-    shard_1.entries = single.entries.iter().skip(1).step_by(2).cloned().collect();
-    shard_1.save(dir.join("shard-001.json")).expect("shard 1 saves");
+    shard_1.entries = single.entries[4..].to_vec();
+    shard_1.save(dir.join("merged.json")).expect("shard 1 saves");
 
     let stolen = Latch::default();
     let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local, WorkerSpec::Local])
-        .with_strategy(ShardStrategy::RoundRobin)
         .with_snapshot_dir(&dir);
     let driver = FleetDriver::new(fleet_config).with_observer(move |event| match event {
         FleetEvent::PointDone { worker: 0, .. } => stolen.wait("a point stolen by worker 1"),
@@ -440,13 +459,13 @@ fn workers_sharing_a_shard_append_only_parseable_lines() {
     assert_eq!((outcome.stats.resumed_points, outcome.stats.fresh_points), (4, 4));
     assert!(outcome.stats.workers.iter().all(|w| w.points > 0), "{:?}", outcome.stats);
 
-    let text = std::fs::read_to_string(dir.join("shard-000.json")).expect("journal readable");
+    let text = std::fs::read_to_string(dir.join("merged.json")).expect("journal readable");
     let mut lines = text.lines();
     let header: DseReport = serde_json::from_str(lines.next().expect("header")).expect("parses");
     assert_eq!(header.spec, spec);
     let records: Vec<DseEntry> =
         lines.map(|line| serde_json::from_str(line).expect("every record parses")).collect();
-    assert_eq!(records.len(), 4, "one line per shard-0 point");
+    assert_eq!(records.len(), 8, "the 4 adopted entries, then one line per fresh point");
     std::fs::remove_dir_all(&dir).ok();
 }
 
