@@ -31,12 +31,12 @@
 //! `dse_exploration.rs` asserts exactly that, plus resume-only-missing and
 //! the frontier against a brute-force reference.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 use dbpim_arch::ArchConfig;
@@ -51,7 +51,8 @@ use serde::{Deserialize, Error, Serialize};
 
 use crate::error::PipelineError;
 use crate::pipeline::{CodesignResult, PipelineConfig};
-use crate::session::{par, BatchRunner, SessionCacheStats, SweepEntry};
+use crate::session::par::lock_unpoisoned;
+use crate::session::{BatchRunner, SessionCacheStats, SweepEntry};
 
 /// Milliseconds since the Unix epoch — the timestamp resolution of DSE
 /// snapshots. Timestamps record *when* a point was computed; every equality
@@ -877,7 +878,7 @@ impl DseJournal {
     pub fn append(&self, entry: &DseEntry) -> Result<(), PipelineError> {
         let mut record = encode(entry)?;
         record.push('\n');
-        let mut file = par::lock_unpoisoned(&self.file);
+        let mut file = lock_unpoisoned(&self.file);
         let written = match file.as_mut() {
             Some(file) => file.write_all(record.as_bytes()).map_err(|e| e.to_string()),
             None => Err("an earlier write failed".to_string()),
@@ -954,8 +955,61 @@ pub struct MixCandidate {
     pub metrics: ParetoMetrics,
 }
 
-/// Executes [`DseSpec`]s against a warm [`BatchRunner`] cache, persisting a
-/// resumable snapshot as it goes.
+/// The plan a point set runs by, on [`DseDriver`] threads and on fleet
+/// workers alike: worker `w` starts on the `w`-th contiguous block of the
+/// canonical point list (earlier blocks take the remainder) and works
+/// through it in order; once its block is empty it takes the front point of
+/// the largest remaining block, ties going to the lowest. Adjacent points
+/// usually share a (model, width), so the workers start on different
+/// artifact sets and each prepares few of them.
+#[derive(Debug)]
+pub struct PointQueue {
+    /// Each block's point indices, claimed or not.
+    blocks: Vec<Range<usize>>,
+    /// Each block's unclaimed point indices, in claim order.
+    pending: Vec<VecDeque<usize>>,
+}
+
+impl PointQueue {
+    /// Splits the point indices `0..points` into one block per worker (at
+    /// least one) and queues the indices `queued` accepts.
+    pub fn new(points: usize, workers: usize, queued: impl Fn(usize) -> bool) -> Self {
+        let workers = workers.max(1);
+        let bound = |w: usize| w * (points / workers) + w.min(points % workers);
+        let blocks: Vec<Range<usize>> = (0..workers).map(|w| bound(w)..bound(w + 1)).collect();
+        let pending = blocks.iter().map(|b| b.clone().filter(|&i| queued(i)).collect()).collect();
+        Self { blocks, pending }
+    }
+
+    /// Block `block`'s point indices, claimed or not.
+    #[must_use]
+    pub fn block(&self, block: usize) -> Range<usize> {
+        self.blocks[block].clone()
+    }
+
+    /// Claims `worker`'s next point: the front of its own block, else the
+    /// front of the largest remaining block. Returns the point index and
+    /// the block it came from.
+    pub fn claim(&mut self, worker: usize) -> Option<(usize, usize)> {
+        if let Some(point) = self.pending.get_mut(worker).and_then(VecDeque::pop_front) {
+            return Some((point, worker));
+        }
+        let block = (0..self.pending.len())
+            .filter(|&b| !self.pending[b].is_empty())
+            .max_by_key(|&b| (self.pending[b].len(), usize::MAX - b))?;
+        self.pending[block].pop_front().map(|point| (point, block))
+    }
+
+    /// Puts `point` back at the front of `block`: it is that block's next
+    /// claim.
+    pub fn requeue(&mut self, block: usize, point: usize) {
+        self.pending[block].push_front(point);
+    }
+}
+
+/// Executes [`DseSpec`]s against a warm [`BatchRunner`] cache on threads
+/// claiming from one [`PointQueue`], persisting a resumable snapshot as it
+/// goes.
 ///
 /// With a snapshot path, a run starts a [`DseJournal`] there holding the
 /// entries it adopted, and the thread that finishes a point appends it.
@@ -1006,7 +1060,8 @@ impl DseDriver {
         self
     }
 
-    /// Overrides the worker-thread count (`1` forces sequential execution).
+    /// Overrides how many threads claim points from the run's
+    /// [`PointQueue`] (`1` forces sequential execution).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -1030,12 +1085,14 @@ impl DseDriver {
 
     /// Runs (or resumes) the exploration described by `spec`.
     ///
-    /// Missing points run on one pool of worker threads, and the thread
-    /// that finishes a point appends it to the journal (when a snapshot
-    /// path is configured), so a killed run loses only its in-flight
-    /// points. A failing point stops the points after it in canonical
-    /// order from starting; points already running finish and are
-    /// journaled before the error propagates.
+    /// The missing points (the first [`with_point_limit`](Self::with_point_limit)
+    /// of them, in canonical order) run on at most
+    /// [`with_threads`](Self::with_threads) threads claiming from one
+    /// [`PointQueue`]. The thread that finishes a point appends it to the
+    /// journal (when a snapshot path is configured), so a killed run loses
+    /// only its in-flight points. Once a point fails, no claim after it in
+    /// canonical order starts; points before it still run, and every
+    /// started point finishes and is journaled before the error propagates.
     ///
     /// # Errors
     ///
@@ -1068,20 +1125,26 @@ impl DseDriver {
         // spec has tens of thousands of points, and linear `ArchConfig`
         // scans per point would dwarf the simulations.
         let have: HashSet<PointKey> = report.entries.iter().map(DseEntry::key).collect();
-        let mut missing: Vec<(usize, DsePoint)> =
-            points.iter().filter(|p| !have.contains(&p.key())).copied().enumerate().collect();
+        let mut missing: Vec<DsePoint> =
+            points.iter().filter(|p| !have.contains(&p.key())).copied().collect();
         if let Some(limit) = self.point_limit {
             missing.truncate(limit);
         }
 
-        // The position of the first failed point in `missing`; no point
-        // after it starts. It publishes no other data (results come back
-        // through `par_map`), so `Relaxed` suffices.
-        let first_failure = AtomicUsize::new(usize::MAX);
-        let finished = par::par_map(missing, self.threads, |(index, point)| {
-            if first_failure.load(Ordering::Relaxed) < index {
-                return None;
-            }
+        // The plan, and the position in `missing` of the first failed
+        // point: no claim after it starts.
+        let workers = self.threads.min(missing.len());
+        let plan = Mutex::new((PointQueue::new(missing.len(), workers, |_| true), usize::MAX));
+        let finished = Mutex::new(Vec::with_capacity(missing.len()));
+        let work = |worker: usize| loop {
+            let claimed = {
+                let mut plan = lock_unpoisoned(&plan);
+                let (queue, first_failure) = &mut *plan;
+                std::iter::from_fn(|| queue.claim(worker))
+                    .find(|&(index, _)| index < *first_failure)
+            };
+            let Some((index, _)) = claimed else { return };
+            let point = missing[index];
             let computed = {
                 let _span = dbpim_trace::span!(
                     "dse.point",
@@ -1109,11 +1172,26 @@ impl DseDriver {
                 None => Ok(entry),
             });
             if persisted.is_err() {
-                first_failure.fetch_min(index, Ordering::Relaxed);
+                let first_failure = &mut lock_unpoisoned(&plan).1;
+                *first_failure = index.min(*first_failure);
             }
-            Some(persisted)
-        });
-        for entry in finished.into_iter().flatten() {
+            lock_unpoisoned(&finished).push((index, persisted));
+        };
+        // A single worker runs on the calling thread, as sequential runs
+        // always have: a spawned one read ~5 % slower (EXPERIMENTS.md, "One
+        // exploration plan").
+        if workers == 1 {
+            work(0);
+        } else {
+            std::thread::scope(|scope| {
+                for worker in 0..workers {
+                    scope.spawn(move || work(worker));
+                }
+            });
+        }
+        let mut finished = finished.into_inner().unwrap_or_else(PoisonError::into_inner);
+        finished.sort_unstable_by_key(|&(index, _)| index);
+        for (_, entry) in finished {
             report.entries.push(entry?);
             report.fresh_points += 1;
         }
@@ -1246,6 +1324,89 @@ mod tests {
         let merged = a.clone().merge(DseReport::empty(spec_a, 4)).unwrap();
         assert!(merged.entries.is_empty());
         assert!(!merged.is_complete());
+    }
+
+    fn blocks(points: usize, workers: usize) -> Vec<Range<usize>> {
+        let queue = PointQueue::new(points, workers, |_| true);
+        (0..workers).map(|w| queue.block(w)).collect()
+    }
+
+    /// The plan covers `0..N` exactly once, for worker counts below, at
+    /// and above the point count.
+    #[test]
+    fn contiguous_blocks_cover_every_point_exactly_once() {
+        for points in [0, 1, 12, 16] {
+            for workers in [1, 2, 3, 7, 16, 21] {
+                let mut seen = HashSet::new();
+                for point in blocks(points, workers).into_iter().flatten() {
+                    assert!(point < points, "{point} out of range over {workers} workers");
+                    assert!(seen.insert(point), "{point} in two blocks over {workers} workers");
+                }
+                assert_eq!(seen.len(), points, "gaps: {points} over {workers} workers");
+            }
+        }
+    }
+
+    /// Every worker gets a block, each block starts where the one before
+    /// it ends, sizes differ by at most one point with the larger blocks
+    /// first, and workers past the point count get empty blocks.
+    #[test]
+    fn contiguous_blocks_give_every_worker_a_balanced_share() {
+        let points = 12;
+        for workers in [1, 2, 3, 5, points, points + 3] {
+            let blocks = blocks(points, workers);
+            assert_eq!(blocks.len(), workers);
+            assert_eq!(blocks[0].start, 0);
+            assert_eq!(blocks[workers - 1].end, points, "{workers} workers");
+            assert!(blocks.windows(2).all(|w| w[0].end == w[1].start), "{blocks:?}");
+            let sizes: Vec<usize> = blocks.iter().map(ExactSizeIterator::len).collect();
+            assert!(sizes.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1), "{sizes:?}");
+            assert_eq!(sizes.iter().filter(|&&s| s == 0).count(), workers.saturating_sub(points));
+        }
+    }
+
+    /// Blocks are runs of adjacent indices, in worker order, with the
+    /// remainder going to the earliest workers.
+    #[test]
+    fn contiguous_blocks_chunk_the_point_list_in_order() {
+        assert_eq!(blocks(12, 3), [0..4, 4..8, 8..12]);
+        assert_eq!(blocks(7, 3), [0..3, 3..5, 5..7]);
+        assert_eq!(blocks(2, 4), [0..1, 1..2, 2..2, 2..2]);
+    }
+
+    /// Worker `w`'s first claim is the first point of block `w`; a worker
+    /// whose block is empty takes the front of the largest remaining block,
+    /// the lowest on a tie; a requeued point is its block's next claim.
+    #[test]
+    fn claims_drain_the_own_block_then_the_largest_remaining_one() {
+        // Blocks 0..4, 4..7 and 7..10.
+        let mut queue = PointQueue::new(10, 3, |_| true);
+        assert_eq!(queue.claim(1), Some((4, 1)));
+        assert_eq!(queue.claim(0), Some((0, 0)));
+        assert_eq!(queue.claim(2), Some((7, 2)));
+        assert_eq!(queue.claim(2), Some((8, 2)));
+        assert_eq!(queue.claim(2), Some((9, 2)));
+        // Block 2 is empty; block 0 holds 1..4 and block 1 holds 5..7.
+        assert_eq!(queue.claim(2), Some((1, 0)), "the largest block");
+        assert_eq!(queue.claim(2), Some((2, 0)), "a tie goes to the lowest block");
+        assert_eq!(queue.claim(2), Some((5, 1)));
+        queue.requeue(1, 5);
+        assert_eq!(queue.claim(1), Some((5, 1)), "a requeued point comes first");
+        queue.requeue(0, 2);
+        assert_eq!(queue.claim(2), Some((2, 0)), "and is stolen first too");
+        assert_eq!(queue.claim(0), Some((3, 0)));
+        assert_eq!(queue.claim(0), Some((6, 1)));
+        assert_eq!(queue.claim(1), None);
+
+        // Workers past the point count start by stealing; points the
+        // predicate leaves out are never claimed but keep their block.
+        let mut queue = PointQueue::new(2, 4, |_| true);
+        assert_eq!(queue.claim(3), Some((0, 0)));
+        assert_eq!(queue.claim(2), Some((1, 1)));
+        let mut queue = PointQueue::new(6, 2, |i| i % 3 != 0);
+        assert_eq!((queue.block(0), queue.block(1)), (0..3, 3..6));
+        assert_eq!(queue.claim(1), Some((4, 1)));
+        assert_eq!(queue.claim(0), Some((1, 0)));
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //!   against a shared session and returns its [`SweepEntry`]. Point sets
 //!   are [`DseSpec`](crate::DseSpec)s: a
 //!   [`DseDriver`](crate::DseDriver) runs their points through the runner
-//!   in parallel over scoped std threads (see [`par`]; rayon is
-//!   unavailable in the offline build environment) and returns, persists,
-//!   resumes and merges [`DseReport`](crate::DseReport)s. The paper's
-//!   one-geometry sweep is a spec over
-//!   [`ArchGrid::around`](dbpim_sim::ArchGrid::around) its geometry.
+//!   on scoped std threads, each starting on its own contiguous block of
+//!   the points ([`PointQueue`](crate::dse::PointQueue), the plan fleet
+//!   workers claim from too), and returns, persists, resumes and merges
+//!   [`DseReport`](crate::DseReport)s. The paper's one-geometry sweep is a
+//!   spec over [`ArchGrid::around`](dbpim_sim::ArchGrid::around) its
+//!   geometry.
 //!
 //! Results are bit-identical to independent [`Pipeline`](crate::Pipeline)
 //! runs — [`Pipeline::run_model`](crate::Pipeline::run_model) itself is a

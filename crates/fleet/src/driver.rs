@@ -3,11 +3,13 @@
 //! [`FleetDriver::run`] turns a [`DseSpec`] into one [`DseReport`] by
 //! fanning the spec's points out across N workers:
 //!
-//! 1. **Plan** — worker `w`'s shard is the `w`-th contiguous block of the
-//!    canonical point list, earlier blocks taking the remainder (a pure
-//!    function of the point and worker counts, so every resume derives the
-//!    same plan). Adjacent points usually share a (model, width), so each
-//!    worker prepares few artifact sets.
+//! 1. **Plan** — one [`PointQueue`], the plan
+//!    [`DseDriver`](db_pim::DseDriver)'s threads claim from too: worker
+//!    `w`'s shard is the `w`-th contiguous block of the canonical point
+//!    list, earlier blocks taking the remainder (a pure function of the
+//!    point and worker counts, so every resume derives the same plan).
+//!    Adjacent points usually share a (model, width), so each worker
+//!    prepares few artifact sets.
 //! 2. **Resume** — with a snapshot directory, the run resumes from and
 //!    appends to one [`DseJournal`], `merged.json`, as
 //!    [`DseDriver`](db_pim::DseDriver) does with its snapshot: the file is
@@ -18,25 +20,25 @@
 //!    a hard error, and the directory is left as it was.
 //! 3. **Execute** — workers claim points from their own shard first and
 //!    *steal* from the largest backlog once their shard drains (straggler
-//!    reassignment). A failed attempt requeues the point for anyone else;
-//!    repeated failures trigger a heartbeat and retire the worker; a point
-//!    failing [`FleetConfig::max_point_attempts`] times aborts the run.
-//!    The worker that finishes a point appends it to the journal as one
-//!    line ([`DseJournal::append`]), so a killed fleet resumes with at most
-//!    the in-flight points lost.
+//!    reassignment). A failed attempt requeues the point at the front of
+//!    its shard for anyone else; repeated failures trigger a heartbeat and
+//!    retire the worker; a point failing
+//!    [`FleetConfig::max_point_attempts`] times aborts the run. The worker
+//!    that finishes a point appends it to the journal as one line
+//!    ([`DseJournal::append`]), so a killed fleet resumes with at most the
+//!    in-flight points lost.
 //! 4. **Verify** — the adopted and fresh entries, in canonical order, must
 //!    cover every point exactly once; the report is then bit-identical
 //!    (timestamps aside) to a single `DseDriver` run —
 //!    `tests/fleet_sharding.rs` asserts exactly that.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use db_pim::dse::unix_time_ms;
+use db_pim::dse::{unix_time_ms, PointQueue};
 use db_pim::session::par::lock_unpoisoned;
 use db_pim::{
     BatchRunner, DseEntry, DseJournal, DsePoint, DsePointKey, DseReport, DseSpec, PipelineConfig,
@@ -318,8 +320,8 @@ impl FleetConfig {
 /// Shared mutable state of one run (behind a mutex; the condvar wakes
 /// waiting workers on requeues, completions and aborts).
 struct FleetState {
-    /// Per-shard queues of point indices not yet completed or claimed.
-    pending: Vec<VecDeque<usize>>,
+    /// The plan: each shard's point indices not yet completed or claimed.
+    queue: PointQueue,
     /// Claimed-but-unfinished points.
     in_flight: usize,
     /// Completed point keys, adopted ones included (exactly-once
@@ -339,22 +341,6 @@ struct FleetState {
     /// Per-point wall-time distribution across every worker (fresh
     /// executions only; adopted snapshot points cost nothing).
     point_latency: dbpim_trace::LatencyHistogram,
-}
-
-impl FleetState {
-    /// Claims the next point for `worker`: its own shard first, then the
-    /// largest remaining backlog (straggler reassignment). Returns the
-    /// point index, its owning shard and whether it was stolen.
-    fn claim(&mut self, worker: usize) -> Option<(usize, usize, bool)> {
-        if let Some(point) = self.pending.get_mut(worker).and_then(VecDeque::pop_front) {
-            return Some((point, worker, false));
-        }
-        let victim = (0..self.pending.len())
-            .filter(|&s| !self.pending[s].is_empty())
-            .max_by_key(|&s| (self.pending[s].len(), usize::MAX - s))?;
-        let point = self.pending[victim].pop_front().expect("victim shard is non-empty");
-        Some((point, victim, true))
-    }
 }
 
 /// A progress callback (called from worker threads).
@@ -431,13 +417,8 @@ impl FleetDriver {
         let done: HashSet<DsePointKey> =
             report.entries.iter().map(DseEntry::canonical_key).collect();
         let resumed = done.len();
-        let blocks: Vec<Range<usize>> =
-            (0..workers).map(|w| block(points.len(), workers, w)).collect();
-        let shard_sizes: Vec<usize> = blocks.iter().map(ExactSizeIterator::len).collect();
-        let pending = blocks
-            .into_iter()
-            .map(|block| block.filter(|&i| !done.contains(&points[i].canonical_key())).collect())
-            .collect();
+        let queue =
+            PointQueue::new(points.len(), workers, |i| !done.contains(&points[i].canonical_key()));
 
         let context = JobContext {
             sparsity: spec.sparsity.clone(),
@@ -458,7 +439,7 @@ impl FleetDriver {
             };
 
         let state = FleetState {
-            pending,
+            queue,
             in_flight: 0,
             done,
             fresh: Vec::new(),
@@ -478,7 +459,6 @@ impl FleetDriver {
                 let sync = &sync;
                 let context = &context;
                 let points = &points;
-                let shard_sizes = &shard_sizes;
                 let journal = journal.as_ref();
                 let local_runner = local_runner.clone();
                 scope.spawn(move || {
@@ -489,7 +469,6 @@ impl FleetDriver {
                         sync,
                         context,
                         points,
-                        shard_sizes,
                         journal,
                     );
                 });
@@ -563,7 +542,6 @@ impl FleetDriver {
         sync: &(Mutex<FleetState>, Condvar),
         context: &JobContext,
         points: &[DsePoint],
-        shard_sizes: &[usize],
         journal: Option<&DseJournal>,
     ) {
         let (mutex, cv) = sync;
@@ -608,12 +586,10 @@ impl FleetDriver {
                     if state.aborted.is_some() {
                         return;
                     }
-                    if let Some((point, shard, stolen)) = state.claim(worker) {
+                    if let Some((point, shard)) = state.queue.claim(worker) {
                         state.in_flight += 1;
-                        if stolen {
-                            state.reassigned += 1;
-                        }
-                        break Some((point, shard, stolen));
+                        state.reassigned += usize::from(shard != worker);
+                        break Some((point, shard, state.queue.block(shard).len()));
                     }
                     if state.in_flight == 0 {
                         // Nothing pending, nothing running: the run is done
@@ -627,10 +603,10 @@ impl FleetDriver {
                     state = next;
                 }
             };
-            let Some((point_index, shard, stolen)) = claimed else { return };
+            let Some((point_index, shard, shard_points)) = claimed else { return };
 
-            let job =
-                PointJob { point: points[point_index], shard, shard_points: shard_sizes[shard] };
+            let stolen = shard != worker;
+            let job = PointJob { point: points[point_index], shard, shard_points };
             let point = point_label(&job.point);
             let point_span = dbpim_trace::span!(
                 "fleet.point",
@@ -702,7 +678,7 @@ impl FleetDriver {
                         } else {
                             // Requeue at the front of the owning shard so an
                             // idle worker picks it up before fresh work.
-                            state.pending[shard].push_front(point_index);
+                            state.queue.requeue(shard, point_index);
                         }
                         attempt
                     };
@@ -743,14 +719,6 @@ fn point_label(point: &DsePoint) -> String {
         point.arch.macros,
         point.arch.rows_per_dbmu
     )
-}
-
-/// Worker `worker`'s shard: the `worker`-th of `workers` contiguous blocks
-/// of the point indices `0..points`, earlier blocks taking the remainder.
-fn block(points: usize, workers: usize, worker: usize) -> Range<usize> {
-    let (size, extra) = (points / workers, points % workers);
-    let start = worker * size + worker.min(extra);
-    start..start + size + usize::from(worker < extra)
 }
 
 /// The report a run over `points` resumes from and the journal it appends
@@ -834,53 +802,6 @@ mod tests {
         assert!(!is_legacy_shard_file(JOURNAL_FILE));
         assert!(is_legacy_shard_file("shard-007.json"));
         assert!(!is_legacy_shard_file("shard-007.tmp"), "a temp file is not a journal");
-    }
-
-    fn blocks(points: usize, workers: usize) -> Vec<Range<usize>> {
-        (0..workers).map(|w| block(points, workers, w)).collect()
-    }
-
-    /// The plan covers `0..N` exactly once, for worker counts below, at
-    /// and above the point count.
-    #[test]
-    fn contiguous_blocks_cover_every_point_exactly_once() {
-        for points in [0, 1, 12, 16] {
-            for workers in [1, 2, 3, 7, 16, 21] {
-                let mut seen = HashSet::new();
-                for point in blocks(points, workers).into_iter().flatten() {
-                    assert!(point < points, "{point} out of range over {workers} workers");
-                    assert!(seen.insert(point), "{point} in two blocks over {workers} workers");
-                }
-                assert_eq!(seen.len(), points, "gaps: {points} over {workers} workers");
-            }
-        }
-    }
-
-    /// Every worker gets a block, each block starts where the one before
-    /// it ends, sizes differ by at most one point with the larger blocks
-    /// first, and workers past the point count get empty blocks.
-    #[test]
-    fn contiguous_blocks_give_every_worker_a_balanced_share() {
-        let points = 12;
-        for workers in [1, 2, 3, 5, points, points + 3] {
-            let blocks = blocks(points, workers);
-            assert_eq!(blocks.len(), workers);
-            assert_eq!(blocks[0].start, 0);
-            assert_eq!(blocks[workers - 1].end, points, "{workers} workers");
-            assert!(blocks.windows(2).all(|w| w[0].end == w[1].start), "{blocks:?}");
-            let sizes: Vec<usize> = blocks.iter().map(ExactSizeIterator::len).collect();
-            assert!(sizes.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1), "{sizes:?}");
-            assert_eq!(sizes.iter().filter(|&&s| s == 0).count(), workers.saturating_sub(points));
-        }
-    }
-
-    /// Blocks are runs of adjacent indices, in worker order, with the
-    /// remainder going to the earliest workers.
-    #[test]
-    fn contiguous_blocks_chunk_the_point_list_in_order() {
-        assert_eq!(blocks(12, 3), [0..4, 4..8, 8..12]);
-        assert_eq!(blocks(7, 3), [0..3, 3..5, 5..7]);
-        assert_eq!(blocks(2, 4), [0..1, 1..2, 2..2, 2..2]);
     }
 
     #[test]

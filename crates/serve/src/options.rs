@@ -32,8 +32,8 @@
 //! --trace-every <n> requests per --trace-dir dump (default 64)
 //! --trace-buffer <spans>  install a trace collector bounded to <spans>
 //!                   spans, held for remote collection via TraceSnapshot
-//!                   requests instead of file dumps (default off; ignored
-//!                   when --trace-dir is set)
+//!                   requests instead of file dumps (default off; given
+//!                   with --trace-dir, an error)
 //! ```
 
 use std::path::PathBuf;
@@ -68,10 +68,14 @@ pub const SERVED_TABLE: &[&[Flag]] = &[SERVED_FLAGS, PIPELINE_FLAGS];
 ///
 /// # Errors
 ///
-/// Returns [`OptionsError`] naming a flag with a malformed value, or the
-/// first positional word: the daemon takes none.
+/// Returns [`OptionsError`] naming a flag with a malformed value, the
+/// first positional word (the daemon takes none), or `--trace-buffer`
+/// given with `--trace-dir`: the two are different tracing modes.
 pub fn serve_config(flags: &Flags) -> Result<(ServeConfig, LogLevel), OptionsError> {
     flags.no_positionals()?;
+    if flags.raw("--trace-dir").is_some() && flags.raw("--trace-buffer").is_some() {
+        return Err(OptionsError::new("--trace-buffer", "cannot be combined with `--trace-dir`"));
+    }
     let defaults = ServeConfig::default();
     let mut pipeline = defaults.pipeline;
     pipeline.width_mult = flags.get("--width")?.unwrap_or(pipeline.width_mult);
@@ -244,6 +248,14 @@ mod tests {
         let err = parse(&["--trace-buffer", "lots"]).unwrap_err();
         assert_eq!(err.flag, "--trace-buffer");
         assert_eq!(parse(&[]).unwrap().trace_buffer, None, "off by default");
+        // Next to `--trace-dir` it used to be dropped without a word: the
+        // daemon took the file-dump mode and buffered nothing.
+        let err = parse(&["--trace-dir", "traces", "--trace-buffer", "8"]).unwrap_err();
+        assert_eq!(err.flag, "--trace-buffer");
+        assert!(err.to_string().contains("--trace-dir"), "{err}");
+        let config = parse(&["--trace-dir", "traces", "--trace-every", "2"]).unwrap();
+        assert_eq!(config.trace_dir, Some(PathBuf::from("traces")));
+        assert_eq!((config.trace_every, config.trace_buffer), (2, None));
     }
 
     #[test]

@@ -280,9 +280,11 @@ fn a_failing_point_stops_later_points_and_earlier_ones_stay_journaled() {
     assert_eq!((journal.entries.len(), torn), (0, None));
 
     // The failure comes after two good points: they finish and are
-    // journaled, whatever ran beside them.
+    // journaled, whatever ran beside them. On 3 threads the blocks are
+    // 0..2, 2..3 and 3..4, so the failing points start at once and the
+    // second good point runs after the first failure.
     std::fs::remove_file(&path).expect("removes");
-    for threads in [1, 2] {
+    for threads in [1, 2, 3] {
         let err = driver(threads)
             .run(&spec(vec![PruningSpec::none(), bad]))
             .expect_err("points 2 and 3 fail");

@@ -171,19 +171,26 @@ fn prepared_models_keep_one_compiled_geometry() {
     assert_eq!((stats.program_misses, stats.program_hits), (3, 1));
 }
 
-/// Parallel and sequential execution of the same sweep agree exactly: the
-/// runner's thread count is how many points its driver runs at once.
+/// Parallel and sequential execution of the same exploration agree
+/// exactly: the runner's thread count is how many points its driver runs
+/// at once. Two models × two widths × two geometries make four (model,
+/// width) sets of two points; 3 threads take blocks of 3, 3 and 2 points,
+/// so blocks split sets and a thread whose block drains steals.
 #[test]
 fn parallelism_does_not_change_results() {
-    let spec = sweep_spec(vec![ModelKind::AlexNet])
-        .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
+    let grid = ArchGrid::around(small_config().arch).with_macros(vec![2, 4]);
+    let spec = DseSpec::new(grid, vec![ModelKind::AlexNet, ModelKind::MobileNetV2])
+        .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8])
+        .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]);
     let runner = |threads| {
         Arc::new(BatchRunner::new(small_config()).expect("valid config").with_threads(threads))
     };
     let sequential = sweep(&runner(1), &spec);
-    let parallel = sweep(&runner(8), &spec);
-    assert_eq!(sequential.entries.len(), 2);
-    assert!(sequential.results_match(&parallel), "thread count changed results");
+    assert_eq!(sequential.entries.len(), 8);
+    for threads in [2, 3] {
+        let parallel = sweep(&runner(threads), &spec);
+        assert!(sequential.results_match(&parallel), "{threads} threads changed results");
+    }
 }
 
 /// A sparsity subset sweeps only the requested configurations, in canonical

@@ -307,6 +307,53 @@ fn trace_snapshot_drains_context_tagged_request_spans() {
     dbpim_trace::uninstall();
 }
 
+/// A daemon in `--trace-dir` mode with `--trace-every 2` that serves four
+/// requests leaves `trace-2.json`, `trace-4.json` and, at shutdown,
+/// `trace-final.json`, each a Chrome trace holding `serve.request` spans.
+#[test]
+fn trace_dir_dumps_a_chrome_trace_every_n_requests_and_at_shutdown() {
+    let _guard = trace_lock().lock().expect("trace test lock");
+    let dir = std::env::temp_dir().join(format!("dbpim-trace-dir-test-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let handle = Server::spawn(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        poll_interval: Duration::from_millis(50),
+        pipeline: small_config(),
+        trace_dir: Some(dir.clone()),
+        trace_every: 2,
+        ..ServeConfig::default()
+    })
+    .expect("server spawns");
+
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    for _ in 0..4 {
+        client.ping().expect("pings");
+    }
+    handle.request_shutdown();
+    handle.join().expect("daemon exits cleanly");
+
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the daemon created the trace dir")
+        .map(|entry| entry.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["trace-2.json", "trace-4.json", "trace-final.json"]);
+    for file in &files {
+        let json = std::fs::read_to_string(dir.join(file)).expect("the dump reads");
+        let value: Value = serde_json::from_str(&json).expect("the dump is well-formed JSON");
+        let events = value.get("traceEvents").and_then(Value::as_seq).expect("traceEvents array");
+        assert!(
+            events.iter().any(|event| {
+                event.get("name").and_then(Value::as_str) == Some("serve.request")
+                    && event.get("ph").and_then(Value::as_str) == Some("X")
+            }),
+            "no serve.request span in {file}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `MetricsSnapshot` ships the daemon's registry over the wire, and its
 /// Prometheus rendering exposes the serve counters.
 #[test]
