@@ -28,16 +28,17 @@
 //! against a cold single-driver run of the same grid. Worker narration,
 //! retirement notices and statistics go to stderr.
 //!
-//! Worker `w`'s shard is the `w`-th contiguous block of the grid's
-//! canonical point list; an idle worker steals from the largest backlog.
-//! With `--snapshot-dir`, the run keeps one journal there, `merged.json`,
-//! as `dse_sweep --snapshot` does: a header line written at run start with
-//! the points it adopted, then one line appended per completed point. The
-//! run resumes from whatever the journal covers, whatever the worker count
-//! of the run that wrote it; a record a kill cut short is dropped and
-//! recomputed. A journal that cannot be read or answers another grid, or a
-//! directory holding an earlier release's `shard-NNN.json` journals, fails
-//! the run and is left as it was.
+//! The points run on the loop `dse_sweep` runs, one worker per endpoint,
+//! then one per local worker: worker `w` starts on the `w`-th contiguous
+//! block of the points the run computes and steals from the largest
+//! backlog. A deterministic point failure fails the run at once; a
+//! transient one is retried, up to `--retries` attempts. With
+//! `--snapshot-dir`, the run keeps one journal there, `merged.json`, as
+//! `dse_sweep --snapshot` does, and resumes from whatever it covers,
+//! whatever the worker count of the run that wrote it; a record a kill cut
+//! short is dropped and recomputed. A journal that cannot be read or
+//! answers another grid, or a directory holding an earlier release's
+//! `shard-NNN.json` journals, fails the run and is left as it was.
 //!
 //! Remote points equal local ones only when each daemon runs the fleet's
 //! pipeline flags; `--cal` defaults to 4 for `dbpim-served` and 2 here.
@@ -127,16 +128,10 @@ fn main() {
                     latency.count,
                 );
             }
-            for (index, worker) in stats.workers.iter().enumerate() {
-                match &worker.retired {
-                    Some(reason) => eprintln!(
-                        "  worker {index} ({}): {} points, retired: {reason}",
-                        worker.label, worker.points
-                    ),
-                    None => {
-                        eprintln!("  worker {index} ({}): {} points", worker.label, worker.points)
-                    }
-                }
+            for (index, w) in stats.workers.iter().enumerate() {
+                let retired =
+                    w.retired.as_ref().map_or(String::new(), |r| format!(", retired: {r}"));
+                eprintln!("  worker {index} ({}): {} points{retired}", w.label, w.points);
             }
             for diagnostic in &stats.diagnostics {
                 eprintln!("  note: {diagnostic}");

@@ -222,7 +222,7 @@ pub fn render_report(report: &DseReport) -> String {
                 out,
                 "{:<16} {:>6} {:>7} {:>5} {:>6} {:>5} {:>6} | {:<16} {:>12} {:>10.4} {:>10.3} {:>8}",
                 entry.kind.name(),
-                entry.width_label(),
+                entry.point().width_label(),
                 entry.arch.macros,
                 entry.arch.compartments_per_macro,
                 entry.arch.dbmus_per_compartment,

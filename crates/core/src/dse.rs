@@ -19,10 +19,14 @@
 //!   a journal when the run finishes. [`DseReport::save`] writes a whole
 //!   report as one line (the journal with every entry in its header), as
 //!   snapshots written before journals are; [`DseReport::load`] reads both.
-//! * [`DseDriver`] — executes the missing points of a spec against a warm
-//!   [`BatchRunner`] cache (quantize / FTA run once per (model, width,
-//!   pruning) regardless of grid size) and resumes from a snapshot by
-//!   re-simulating only absent points.
+//! * [`DseDriver`] — the one run loop: executes the missing points of a
+//!   spec on a list of [`PointExecutor`] workers claiming from one
+//!   [`PointQueue`] — its own threads on a warm [`BatchRunner`] cache
+//!   (quantize / FTA run once per (model, width, pruning) regardless of
+//!   grid size), or `dbpim-fleet`'s mix of those and serve daemons — and
+//!   resumes from a snapshot by re-simulating only absent points. A
+//!   [`PointError`] says whether a failed attempt was the point's fault
+//!   (attempted once) or the worker's (retried).
 //! * Pareto-frontier extraction over latency / energy / area / fidelity
 //!   via [`DseReport::pareto_frontier`].
 //!
@@ -36,7 +40,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 use dbpim_arch::ArchConfig;
@@ -218,7 +222,8 @@ impl DseSpec {
     ///
     /// Returns [`PipelineError::BadConfig`] for an oversized or infeasible
     /// grid, including a geometry that cannot hold one weight of a swept
-    /// width (the message names the offending point and constraint).
+    /// width (the message names the offending point and constraint), and
+    /// for a pruning spec out of range (the message names the fraction).
     pub fn points(
         &self,
         session_width: OperandWidth,
@@ -234,6 +239,9 @@ impl DseSpec {
             }
         }
         let prunings = self.effective_pruning(session_pruning);
+        for pruning in &prunings {
+            pruning.validate().map_err(|reason| PipelineError::BadConfig { reason })?;
+        }
         let mut points = Vec::new();
         for kind in self.unique_models() {
             for &width in &widths {
@@ -317,24 +325,27 @@ impl DsePoint {
         point_key(self.kind, self.width, self.pruning, &self.arch)
     }
 
-    /// The point's opaque hashable identity — what deduplication across
-    /// reports keys on.
+    /// A human-readable identity (`AlexNet/int8@4x64`: model,
+    /// [width cell](Self::width_label), macros and rows) for diagnostics and
+    /// trace correlation; not a key.
     #[must_use]
-    pub fn canonical_key(&self) -> DsePointKey {
-        DsePointKey(self.key())
+    pub fn label(&self) -> String {
+        let (kind, width, arch) = (self.kind.name(), self.width_label(), self.arch);
+        format!("{kind}/{width}@{}x{}", arch.macros, arch.rows_per_dbmu)
+    }
+
+    /// The width cell of the rendered tables: the width, then an active
+    /// pruning spec after a slash (`int8/u0.50`). An unpruned point renders
+    /// the width alone, as before the pruning axis existed.
+    #[must_use]
+    pub fn width_label(&self) -> String {
+        if self.pruning.is_active() {
+            format!("{}/{}", self.width, self.pruning.label())
+        } else {
+            self.width.to_string()
+        }
     }
 }
-
-/// An opaque, hashable identity of one (model, width, pruning, geometry)
-/// point.
-///
-/// `ArchConfig` and `PruningSpec` cannot implement `Hash`/`Eq` (they hold
-/// `f64` fields), so consumers that need set/map semantics over points — the
-/// fleet orchestrator's exactly-once bookkeeping, shard dedup — go through
-/// this key instead. Two points compare equal here iff they compare equal
-/// field-for-field (floats by bit pattern).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DsePointKey(PointKey);
 
 /// One computed point of a [`DseReport`].
 ///
@@ -426,25 +437,6 @@ impl DseEntry {
 
     fn key(&self) -> PointKey {
         point_key(self.kind, self.width, self.pruning, &self.arch)
-    }
-
-    /// The opaque hashable identity of the entry's point (see
-    /// [`DsePointKey`]).
-    #[must_use]
-    pub fn canonical_key(&self) -> DsePointKey {
-        DsePointKey(self.key())
-    }
-
-    /// The width cell of the rendered tables: the width, then an active
-    /// pruning spec after a slash (`int8/u0.50`). An unpruned entry renders
-    /// the width alone, as before the pruning axis existed.
-    #[must_use]
-    pub fn width_label(&self) -> String {
-        if self.pruning.is_active() {
-            format!("{}/{}", self.width, self.pruning.label())
-        } else {
-            self.width.to_string()
-        }
     }
 
     /// The entry's position in the DSE objective space for one sparsity
@@ -955,13 +947,12 @@ pub struct MixCandidate {
     pub metrics: ParetoMetrics,
 }
 
-/// The plan a point set runs by, on [`DseDriver`] threads and on fleet
-/// workers alike: worker `w` starts on the `w`-th contiguous block of the
-/// canonical point list (earlier blocks take the remainder) and works
-/// through it in order; once its block is empty it takes the front point of
-/// the largest remaining block, ties going to the lowest. Adjacent points
-/// usually share a (model, width), so the workers start on different
-/// artifact sets and each prepares few of them.
+/// The plan a point set runs by, whatever executes its points: worker `w`
+/// starts on the `w`-th contiguous block of the points (earlier blocks take
+/// the remainder) and works through it in order; once its block is empty it
+/// takes the front point of the largest remaining block, ties going to the
+/// lowest. Adjacent points usually share a (model, width), so the workers
+/// start on different artifact sets and each prepares few of them.
 #[derive(Debug)]
 pub struct PointQueue {
     /// Each block's point indices, claimed or not.
@@ -972,12 +963,13 @@ pub struct PointQueue {
 
 impl PointQueue {
     /// Splits the point indices `0..points` into one block per worker (at
-    /// least one) and queues the indices `queued` accepts.
-    pub fn new(points: usize, workers: usize, queued: impl Fn(usize) -> bool) -> Self {
+    /// least one) and queues them all.
+    #[must_use]
+    pub fn new(points: usize, workers: usize) -> Self {
         let workers = workers.max(1);
         let bound = |w: usize| w * (points / workers) + w.min(points % workers);
         let blocks: Vec<Range<usize>> = (0..workers).map(|w| bound(w)..bound(w + 1)).collect();
-        let pending = blocks.iter().map(|b| b.clone().filter(|&i| queued(i)).collect()).collect();
+        let pending = blocks.iter().map(|b| b.clone().collect()).collect();
         Self { blocks, pending }
     }
 
@@ -1007,12 +999,165 @@ impl PointQueue {
     }
 }
 
-/// Executes [`DseSpec`]s against a warm [`BatchRunner`] cache on threads
-/// claiming from one [`PointQueue`], persisting a resumable snapshot as it
-/// goes.
+/// Why one attempt at a point failed.
+#[derive(Debug)]
+pub enum PointError {
+    /// The point fails the same way on every attempt and worker (a
+    /// configuration, compile or pipeline error, a request a daemon refuses
+    /// as bad or unauthorized): it is attempted once.
+    Deterministic(PipelineError),
+    /// The worker failed, not the point (IO, a closed connection, a
+    /// timeout, a passed deadline, an overloaded daemon): it is retried.
+    Transient(String),
+}
+
+/// One claimed point and its place in the plan.
+#[derive(Debug, Clone, Copy)]
+pub struct PointJob<'a> {
+    /// The point.
+    pub point: DsePoint,
+    /// The spec being explored.
+    pub spec: &'a DseSpec,
+    /// The block the point was claimed from.
+    pub block: usize,
+    /// Blocks in the plan.
+    pub blocks: usize,
+    /// Points in the claimed block.
+    pub block_points: usize,
+    /// The open `dse.point` span's id while a trace collector is installed.
+    pub span: Option<u64>,
+}
+
+/// Where one worker of a run executes its points: in process on a
+/// [`BatchRunner`] ([`DseDriver::local_executor`]), or on a serve daemon
+/// (`dbpim-fleet`'s remote workers).
+pub trait PointExecutor: Send {
+    /// A human-readable description (`local`, `remote(host:port)`).
+    fn label(&self) -> String;
+
+    /// A liveness probe, made before the worker's first claim and after
+    /// consecutive transient failures; an `Err` (why) retires the worker.
+    /// The default, for in-process executors, always passes.
+    fn heartbeat(&mut self) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Executes one point; an `Err` says whether the point or the worker
+    /// failed.
+    fn run(&mut self, job: &PointJob<'_>) -> Result<DseEntry, PointError>;
+}
+
+impl PointExecutor for &BatchRunner {
+    fn label(&self) -> String {
+        "local".to_string()
+    }
+
+    fn run(&mut self, job: &PointJob<'_>) -> Result<DseEntry, PointError> {
+        let DsePoint { kind, width, pruning, arch } = job.point;
+        let sparsity = job.spec.unique_sparsity();
+        self.run_point_pruned(kind, width, pruning, Some(arch), &sparsity, job.spec.fidelity)
+            .map(DseEntry::from_sweep)
+            .map_err(PointError::Deterministic)
+    }
+}
+
+/// Progress a run reports to its observer, on the named worker's thread.
+#[derive(Debug, Clone)]
+pub enum DseEvent {
+    /// A worker passed its first heartbeat and is claiming points.
+    WorkerReady {
+        /// The worker's position in the executor list.
+        worker: usize,
+        /// Human-readable backend description.
+        label: String,
+    },
+    /// A worker failed a heartbeat and stopped claiming points.
+    WorkerRetired {
+        /// The worker's position in the executor list.
+        worker: usize,
+        /// Human-readable backend description.
+        label: String,
+        /// Why it retired.
+        reason: String,
+    },
+    /// A point was computed and journaled.
+    PointDone {
+        /// The worker that computed it.
+        worker: usize,
+        /// The block the point belongs to.
+        shard: usize,
+        /// `true` when the point came from another worker's block.
+        stolen: bool,
+        /// Points completed so far, resumed ones included.
+        completed: usize,
+        /// Points the spec enumerates.
+        total: usize,
+    },
+    /// A point attempt failed transiently.
+    PointRetried {
+        /// The worker that failed it.
+        worker: usize,
+        /// The block the point belongs to.
+        shard: usize,
+        /// The attempt that just failed (1-based).
+        attempt: usize,
+        /// The failure.
+        error: String,
+    },
+}
+
+/// Per-worker outcome counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkerStats {
+    /// Human-readable backend description (`local` / `remote(addr)`).
+    pub label: String,
+    /// Points this worker completed.
+    pub points: usize,
+    /// Why the worker retired, when it did.
+    pub retired: Option<String>,
+}
+
+/// Outcome counters of one run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DseStats {
+    /// One entry per executor, in executor-list order.
+    pub workers: Vec<WorkerStats>,
+    /// Points adopted from the snapshot instead of recomputed.
+    pub resumed_points: usize,
+    /// Points computed this run.
+    pub fresh_points: usize,
+    /// Points claimed from another worker's block.
+    pub reassigned_points: usize,
+    /// Point attempts that failed transiently.
+    pub retried_attempts: usize,
+    /// Notes on the run: a torn snapshot record dropped on resume, workers
+    /// that retired.
+    pub diagnostics: Vec<String>,
+    /// Wall-time distribution of the points computed this run.
+    pub point_latency: dbpim_trace::LatencyHistogram,
+}
+
+/// A run's report, in canonical order, plus its counters.
+#[derive(Debug)]
+pub struct DseOutcome {
+    /// The report.
+    pub report: DseReport,
+    /// Run statistics.
+    pub stats: DseStats,
+}
+
+/// A run's progress callback, called on the workers' threads.
+pub type DseObserver = dyn Fn(&DseEvent) + Send + Sync;
+
+/// Consecutive transient failures after which a worker must pass a
+/// heartbeat to keep claiming points.
+const WORKER_FAILURE_LIMIT: usize = 2;
+
+/// Executes [`DseSpec`]s on workers claiming from one [`PointQueue`],
+/// persisting a resumable snapshot as it goes.
 ///
 /// With a snapshot path, a run starts a [`DseJournal`] there holding the
-/// entries it adopted, and the thread that finishes a point appends it.
+/// entries it adopted, and the worker that finishes a point appends it.
 /// The file stays a journal whether the run finishes, stops at
 /// [`with_point_limit`](Self::with_point_limit), fails or is killed, and
 /// the next run resumes from it.
@@ -1026,12 +1171,13 @@ impl PointQueue {
 ///   and present entries are adopted verbatim, timestamps included);
 /// * execution order (parallelism, completion order in the journal) never
 ///   changes results — the returned report is in canonical point order.
-#[derive(Debug)]
 pub struct DseDriver {
     runner: Arc<BatchRunner>,
     snapshot: Option<PathBuf>,
     threads: usize,
     point_limit: Option<usize>,
+    max_point_attempts: usize,
+    observer: Option<Arc<DseObserver>>,
 }
 
 impl DseDriver {
@@ -1050,7 +1196,14 @@ impl DseDriver {
     /// overrides it.
     #[must_use]
     pub fn from_runner(runner: Arc<BatchRunner>) -> Self {
-        Self { threads: runner.threads, runner, snapshot: None, point_limit: None }
+        Self {
+            threads: runner.threads,
+            runner,
+            snapshot: None,
+            point_limit: None,
+            max_point_attempts: 3,
+            observer: None,
+        }
     }
 
     /// Persists and resumes from a snapshot at `path`.
@@ -1060,8 +1213,8 @@ impl DseDriver {
         self
     }
 
-    /// Overrides how many threads claim points from the run's
-    /// [`PointQueue`] (`1` forces sequential execution).
+    /// Overrides how many local workers [`run`](Self::run) starts (`1`
+    /// forces sequential execution).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -1077,147 +1230,401 @@ impl DseDriver {
         self
     }
 
+    /// Overrides the attempts (3, at least 1) a point failing transiently
+    /// gets before it fails the run.
+    #[must_use]
+    pub fn with_max_point_attempts(mut self, attempts: usize) -> Self {
+        self.max_point_attempts = attempts.max(1);
+        self
+    }
+
+    /// Registers a progress observer, called on the workers' threads.
+    #[must_use]
+    pub fn with_observer(mut self, observer: impl Fn(&DseEvent) + Send + Sync + 'static) -> Self {
+        self.observer = Some(Arc::new(observer));
+        self
+    }
+
     /// The underlying session's cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> SessionCacheStats {
         self.runner.cache_stats()
     }
 
-    /// Runs (or resumes) the exploration described by `spec`.
-    ///
-    /// The missing points (the first [`with_point_limit`](Self::with_point_limit)
-    /// of them, in canonical order) run on at most
-    /// [`with_threads`](Self::with_threads) threads claiming from one
-    /// [`PointQueue`]. The thread that finishes a point appends it to the
-    /// journal (when a snapshot path is configured), so a killed run loses
-    /// only its in-flight points. Once a point fails, no claim after it in
-    /// canonical order starts; points before it still run, and every
-    /// started point finishes and is journaled before the error propagates.
+    /// A worker that runs points in process on this driver's runner.
+    #[must_use]
+    pub fn local_executor(&self) -> Box<dyn PointExecutor + '_> {
+        Box::new(&*self.runner)
+    }
+
+    /// [`run_on`](Self::run_on) with [`with_threads`](Self::with_threads)
+    /// local workers, but no more than there are points to compute, logging
+    /// the run's diagnostics as warnings.
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::BadConfig`] for oversized / infeasible grids,
-    /// for a snapshot recorded under a different spec and for a failed
-    /// journal write; propagates the first point failure in canonical order
-    /// otherwise.
+    /// As [`run_on`](Self::run_on).
     pub fn run(&self, spec: &DseSpec) -> Result<DseReport, PipelineError> {
-        let session_width = self.runner.session().config().operand_width;
-        let session_pruning = self.runner.session().config().pruning;
-        let points = spec.points(session_width, session_pruning)?;
+        let outcome = self.run_with(spec, |missing| {
+            (0..self.threads.min(missing).max(1)).map(|_| self.local_executor()).collect()
+        })?;
+        for diagnostic in &outcome.stats.diagnostics {
+            dbpim_trace::log_warn!("dse", "{diagnostic}");
+        }
+        Ok(outcome.report)
+    }
+
+    /// Runs (or resumes) `spec` on `executors`, worker `w` being the `w`-th.
+    ///
+    /// The missing points (the first [`with_point_limit`](Self::with_point_limit)
+    /// of them) get one contiguous block per worker, and every worker
+    /// starts: one whose block is empty steals, so a live worker finishes
+    /// the blocks of workers that retire. A single worker runs on the
+    /// calling thread. A worker passes a heartbeat before its first claim,
+    /// and journals each point it finishes before the point counts as done.
+    /// A [deterministic](PointError::Deterministic) failure, an entry for
+    /// another point or a failed append is final: no claim after the point
+    /// in canonical order starts, points before it still run, and the first
+    /// failure in canonical order is returned. A
+    /// [transient](PointError::Transient) failure requeues the point at the
+    /// front of its block, until its
+    /// [attempts](Self::with_max_point_attempts) are spent; a worker
+    /// failing twice in a row must pass a heartbeat or retire.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::NoWorkers`], an unusable spec or snapshot,
+    /// [`PipelineError::Stalled`] when every worker retired early, or the
+    /// first point failure in canonical order.
+    pub fn run_on(
+        &self,
+        spec: &DseSpec,
+        executors: Vec<Box<dyn PointExecutor + '_>>,
+    ) -> Result<DseOutcome, PipelineError> {
+        if executors.is_empty() {
+            return Err(PipelineError::NoWorkers);
+        }
+        self.run_with(spec, |_| executors)
+    }
+
+    /// [`run_on`](Self::run_on) on the executors `executors` builds for the
+    /// number of points this run computes.
+    fn run_with<'e>(
+        &self,
+        spec: &DseSpec,
+        executors: impl FnOnce(usize) -> Vec<Box<dyn PointExecutor + 'e>>,
+    ) -> Result<DseOutcome, PipelineError> {
+        let config = self.runner.session().config();
+        let points = spec.points(config.operand_width, config.pruning)?;
         let _span = dbpim_trace::span!("dse.run", points = points.len());
-        let sparsity = spec.unique_sparsity();
         let start = Instant::now();
-
-        let mut report = self.load_or_new(spec, points.len())?;
-        report.fresh_points = 0;
-        // Rewritten first, so a torn final record is gone before anything
-        // is appended after it.
-        let journal = match &self.snapshot {
-            Some(path) => {
-                let _span = dbpim_trace::span!("dse.persist", points = report.entries.len());
-                report.saved_at_ms = unix_time_ms();
-                Some(DseJournal::create(path, &report)?)
-            }
-            None => None,
-        };
-
-        // Hashed point bookkeeping, built once per run: the largest legal
-        // spec has tens of thousands of points, and linear `ArchConfig`
-        // scans per point would dwarf the simulations.
+        let mut diagnostics = Vec::new();
+        let (mut report, journal) =
+            resume(self.snapshot.as_deref(), spec, &points, &mut diagnostics)?;
+        // Hashed point bookkeeping: the largest legal spec has tens of
+        // thousands of points.
         let have: HashSet<PointKey> = report.entries.iter().map(DseEntry::key).collect();
         let mut missing: Vec<DsePoint> =
             points.iter().filter(|p| !have.contains(&p.key())).copied().collect();
-        if let Some(limit) = self.point_limit {
-            missing.truncate(limit);
-        }
+        missing.truncate(self.point_limit.unwrap_or(usize::MAX));
 
-        // The plan, and the position in `missing` of the first failed
-        // point: no claim after it starts.
-        let workers = self.threads.min(missing.len());
-        let plan = Mutex::new((PointQueue::new(missing.len(), workers, |_| true), usize::MAX));
-        let finished = Mutex::new(Vec::with_capacity(missing.len()));
-        let work = |worker: usize| loop {
-            let claimed = {
-                let mut plan = lock_unpoisoned(&plan);
-                let (queue, first_failure) = &mut *plan;
-                std::iter::from_fn(|| queue.claim(worker))
-                    .find(|&(index, _)| index < *first_failure)
-            };
-            let Some((index, _)) = claimed else { return };
-            let point = missing[index];
-            let computed = {
-                let _span = dbpim_trace::span!(
-                    "dse.point",
-                    model = point.kind.name(),
-                    width = point.width.bits(),
-                    macros = point.arch.macros,
-                    rows = point.arch.rows_per_dbmu,
-                );
-                self.runner
-                    .run_point_pruned(
-                        point.kind,
-                        point.width,
-                        point.pruning,
-                        Some(point.arch),
-                        &sparsity,
-                        spec.fidelity,
-                    )
-                    .map(DseEntry::from_sweep)
-            };
-            let persisted = computed.and_then(|entry| match &journal {
-                Some(journal) => {
-                    let _span = dbpim_trace::span!("dse.persist", points = 1);
-                    journal.append(&entry).map(|()| entry)
-                }
-                None => Ok(entry),
-            });
-            if persisted.is_err() {
-                let first_failure = &mut lock_unpoisoned(&plan).1;
-                *first_failure = index.min(*first_failure);
-            }
-            lock_unpoisoned(&finished).push((index, persisted));
+        let executors = executors(missing.len());
+        let worker_stats =
+            executors.iter().map(|e| WorkerStats { label: e.label(), points: 0, retired: None });
+        let stats = DseStats {
+            workers: worker_stats.collect(),
+            resumed_points: report.entries.len(),
+            diagnostics,
+            ..DseStats::default()
         };
+        let run = Run {
+            driver: self,
+            spec,
+            missing: &missing,
+            journal: journal.as_ref(),
+            total: points.len(),
+            blocks: executors.len(),
+            state: Mutex::new(RunState {
+                queue: PointQueue::new(missing.len(), executors.len()),
+                in_flight: 0,
+                failure: None,
+                attempts: vec![0; missing.len()],
+                finished: Vec::with_capacity(missing.len()),
+                stats,
+                abandoned: false,
+            }),
+            changed: Condvar::new(),
+        };
+        let mut executors: Vec<_> = executors.into_iter().enumerate().collect();
         // A single worker runs on the calling thread, as sequential runs
         // always have: a spawned one read ~5 % slower (EXPERIMENTS.md, "One
         // exploration plan").
-        if workers == 1 {
-            work(0);
+        if let [(worker, executor)] = executors.as_mut_slice() {
+            run.work(*worker, executor.as_mut());
         } else {
             std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    scope.spawn(move || work(worker));
+                for (worker, mut executor) in executors {
+                    let run = &run;
+                    scope.spawn(move || run.work(worker, executor.as_mut()));
                 }
             });
         }
-        let mut finished = finished.into_inner().unwrap_or_else(PoisonError::into_inner);
-        finished.sort_unstable_by_key(|&(index, _)| index);
-        for (_, entry) in finished {
-            report.entries.push(entry?);
-            report.fresh_points += 1;
-        }
 
+        let RunState { failure, finished, mut stats, .. } =
+            run.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, error)) = failure {
+            return Err(error);
+        }
+        let completed = report.entries.len() + finished.len();
+        if finished.len() < missing.len() {
+            let diagnostics = stats.diagnostics;
+            return Err(PipelineError::Stalled { completed, total: points.len(), diagnostics });
+        }
+        stats.fresh_points = finished.len();
+        report.fresh_points = finished.len();
+        report.entries.extend(finished);
         report.sort_canonical();
         report.wall_time += start.elapsed();
-        Ok(report)
+        Ok(DseOutcome { report, stats })
+    }
+}
+
+/// The report a run over `points` resumes from and the journal it appends
+/// to: a snapshot that exists is loaded (a torn final record reported,
+/// entries outside `points` dropped), then rewritten with the adopted
+/// entries; every refusal comes first, leaving the file as it was.
+fn resume(
+    path: Option<&Path>,
+    spec: &DseSpec,
+    points: &[DsePoint],
+    diagnostics: &mut Vec<String>,
+) -> Result<(DseReport, Option<DseJournal>), PipelineError> {
+    let mut report = DseReport::empty(spec.clone(), points.len());
+    let Some(path) = path else { return Ok((report, None)) };
+    if path.exists() {
+        let (loaded, torn) = DseReport::load_journal(path)?;
+        if loaded.spec != *spec {
+            return Err(PipelineError::SnapshotSpecMismatch { path: path.to_path_buf() });
+        }
+        if let Some(bytes) = torn {
+            let path = path.display();
+            diagnostics.push(format!("dropped a torn final record ({bytes} bytes) from {path}"));
+        }
+        let keys: HashSet<PointKey> = points.iter().map(DsePoint::key).collect();
+        report = DseReport { total_points: points.len(), fresh_points: 0, ..loaded };
+        report.entries.retain(|e| keys.contains(&e.key()));
+    }
+    let _span = dbpim_trace::span!("dse.persist", points = report.entries.len());
+    report.saved_at_ms = unix_time_ms();
+    let journal = DseJournal::create(path, &report)?;
+    Ok((report, Some(journal)))
+}
+
+/// What the workers of one run share.
+struct Run<'a> {
+    driver: &'a DseDriver,
+    spec: &'a DseSpec,
+    missing: &'a [DsePoint],
+    journal: Option<&'a DseJournal>,
+    total: usize,
+    blocks: usize,
+    state: Mutex<RunState>,
+    /// Signalled whenever a point leaves flight.
+    changed: Condvar,
+}
+
+struct RunState {
+    queue: PointQueue,
+    /// Claimed, unsettled points: while any remain, a worker with nothing
+    /// to claim waits, as a transient failure may requeue one.
+    in_flight: usize,
+    /// The failed point with the lowest position in `missing`: no claim at
+    /// or after it starts.
+    failure: Option<(usize, PipelineError)>,
+    /// Transient failures per position in `missing`.
+    attempts: Vec<usize>,
+    finished: Vec<DseEntry>,
+    stats: DseStats,
+    /// A worker unwound: no claim starts, and no worker waits.
+    abandoned: bool,
+}
+
+/// Ends a run whose worker unwinds, so the others do not wait forever for
+/// the point it held; the scope then carries the panic to the caller.
+struct Abandon<'r, 'a>(&'r Run<'a>);
+
+impl Drop for Abandon<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock_unpoisoned(&self.0.state).abandoned = true;
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+impl Run<'_> {
+    /// One worker's life: serve until nothing is left to claim, or retire.
+    fn work(&self, worker: usize, executor: &mut dyn PointExecutor) {
+        let _abandon = Abandon(self);
+        let label = executor.label();
+        let Err(reason) = self.serve(worker, &label, executor) else { return };
+        {
+            let mut state = lock_unpoisoned(&self.state);
+            state.stats.diagnostics.push(format!("worker {worker} ({label}) retired: {reason}"));
+            state.stats.workers[worker].retired = Some(reason.clone());
+        }
+        self.emit(&DseEvent::WorkerRetired { worker, label, reason });
     }
 
-    fn load_or_new(&self, spec: &DseSpec, total_points: usize) -> Result<DseReport, PipelineError> {
-        let Some(path) = &self.snapshot else {
-            return Ok(DseReport::empty(spec.clone(), total_points));
-        };
-        if !path.exists() {
-            return Ok(DseReport::empty(spec.clone(), total_points));
-        }
-        let loaded = DseReport::load(path)?;
-        if loaded.spec != *spec {
-            return Err(PipelineError::BadConfig {
-                reason: format!(
-                    "DSE snapshot {} was recorded for a different spec; refusing to resume",
-                    path.display()
-                ),
+    /// Claims, executes and settles points; `Err` is why the worker must
+    /// retire.
+    fn serve(
+        &self,
+        worker: usize,
+        label: &str,
+        executor: &mut dyn PointExecutor,
+    ) -> Result<(), String> {
+        executor.heartbeat()?;
+        self.emit(&DseEvent::WorkerReady { worker, label: label.to_string() });
+        let mut failures = 0;
+        while let Some((index, shard, block_points)) = self.claim(worker) {
+            let point = self.missing[index];
+            let stolen = shard != worker;
+            let span = dbpim_trace::span!(
+                "dse.point",
+                worker = worker,
+                shard = shard,
+                stolen = stolen,
+                model = point.kind.name(),
+                width = point.width.bits(),
+                macros = point.arch.macros,
+                rows = point.arch.rows_per_dbmu,
+            );
+            let job = PointJob {
+                point,
+                spec: self.spec,
+                block: shard,
+                blocks: self.blocks,
+                block_points,
+                span: span.id(),
+            };
+            let started = Instant::now();
+            let executed = executor.run(&job);
+            let elapsed = started.elapsed();
+            drop(span);
+            let settled = executed.and_then(|entry| answers(point, entry)).and_then(|entry| {
+                match self.journal {
+                    Some(journal) => {
+                        let _span = dbpim_trace::span!("dse.persist", points = 1);
+                        journal.append(&entry).map(|()| entry).map_err(PointError::Deterministic)
+                    }
+                    None => Ok(entry),
+                }
             });
+            let mut state = lock_unpoisoned(&self.state);
+            state.in_flight -= 1;
+            let (event, transient) = match settled {
+                Ok(entry) => {
+                    state.stats.point_latency.record(elapsed);
+                    state.stats.workers[worker].points += 1;
+                    state.finished.push(entry);
+                    let completed = state.stats.resumed_points + state.finished.len();
+                    let total = self.total;
+                    (Some(DseEvent::PointDone { worker, shard, stolen, completed, total }), None)
+                }
+                Err(PointError::Deterministic(error)) => {
+                    state.fail(index, error);
+                    (None, None)
+                }
+                Err(PointError::Transient(error)) => {
+                    state.stats.retried_attempts += 1;
+                    state.attempts[index] += 1;
+                    let attempt = state.attempts[index];
+                    if attempt < self.driver.max_point_attempts {
+                        state.queue.requeue(shard, index);
+                    } else {
+                        let (point, last_error) = (point.label(), error.clone());
+                        state.fail(
+                            index,
+                            PipelineError::PointFailed { point, attempts: attempt, last_error },
+                        );
+                    }
+                    let retried =
+                        DseEvent::PointRetried { worker, shard, attempt, error: error.clone() };
+                    (Some(retried), Some(error))
+                }
+            };
+            drop(state);
+            self.changed.notify_all();
+            if let Some(event) = event {
+                self.emit(&event);
+            }
+            let Some(error) = transient else {
+                failures = 0;
+                continue;
+            };
+            failures += 1;
+            if failures >= WORKER_FAILURE_LIMIT {
+                executor.heartbeat().map_err(|reason| {
+                    format!(
+                        "heartbeat failed after {failures} consecutive errors (last point \
+                         error: {error}): {reason}"
+                    )
+                })?;
+                failures = 0;
+            }
         }
-        Ok(DseReport { total_points, ..loaded })
+        Ok(())
+    }
+
+    /// `worker`'s next point: its position in `missing`, its block and the
+    /// block's size. Waits while nothing is left to claim but points are in
+    /// flight; `None` once nothing is left at all.
+    fn claim(&self, worker: usize) -> Option<(usize, usize, usize)> {
+        let mut state = lock_unpoisoned(&self.state);
+        loop {
+            let first_failure = state.failure.as_ref().map_or(usize::MAX, |&(index, _)| index);
+            let open = if state.abandoned { 0 } else { first_failure };
+            let claimed =
+                std::iter::from_fn(|| state.queue.claim(worker)).find(|&(index, _)| index < open);
+            if let Some((index, block)) = claimed {
+                state.in_flight += 1;
+                state.stats.reassigned_points += usize::from(block != worker);
+                return Some((index, block, state.queue.block(block).len()));
+            }
+            if state.in_flight == 0 || state.abandoned {
+                return None;
+            }
+            state = self.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn emit(&self, event: &DseEvent) {
+        if let Some(observer) = &self.driver.observer {
+            observer(event);
+        }
+    }
+}
+
+/// `entry` when it is `point`'s: an executor answering another point (a
+/// daemon running another pipeline configuration, say) fails it, as it
+/// would again.
+fn answers(point: DsePoint, entry: DseEntry) -> Result<DseEntry, PointError> {
+    let answered = entry.point();
+    if answered.key() == point.key() {
+        return Ok(entry);
+    }
+    let last_error = format!("the worker answered {} instead", answered.label());
+    let point = point.label();
+    Err(PointError::Deterministic(PipelineError::PointFailed { point, attempts: 1, last_error }))
+}
+
+impl RunState {
+    /// Records the point at position `index` as failed.
+    fn fail(&mut self, index: usize, error: PipelineError) {
+        if self.failure.as_ref().is_none_or(|&(first, _)| index < first) {
+            self.failure = Some((index, error));
+        }
     }
 }
 
@@ -1327,7 +1734,7 @@ mod tests {
     }
 
     fn blocks(points: usize, workers: usize) -> Vec<Range<usize>> {
-        let queue = PointQueue::new(points, workers, |_| true);
+        let queue = PointQueue::new(points, workers);
         (0..workers).map(|w| queue.block(w)).collect()
     }
 
@@ -1380,7 +1787,7 @@ mod tests {
     #[test]
     fn claims_drain_the_own_block_then_the_largest_remaining_one() {
         // Blocks 0..4, 4..7 and 7..10.
-        let mut queue = PointQueue::new(10, 3, |_| true);
+        let mut queue = PointQueue::new(10, 3);
         assert_eq!(queue.claim(1), Some((4, 1)));
         assert_eq!(queue.claim(0), Some((0, 0)));
         assert_eq!(queue.claim(2), Some((7, 2)));
@@ -1398,15 +1805,10 @@ mod tests {
         assert_eq!(queue.claim(0), Some((6, 1)));
         assert_eq!(queue.claim(1), None);
 
-        // Workers past the point count start by stealing; points the
-        // predicate leaves out are never claimed but keep their block.
-        let mut queue = PointQueue::new(2, 4, |_| true);
+        // Workers past the point count start by stealing.
+        let mut queue = PointQueue::new(2, 4);
         assert_eq!(queue.claim(3), Some((0, 0)));
         assert_eq!(queue.claim(2), Some((1, 1)));
-        let mut queue = PointQueue::new(6, 2, |i| i % 3 != 0);
-        assert_eq!((queue.block(0), queue.block(1)), (0..3, 3..6));
-        assert_eq!(queue.claim(1), Some((4, 1)));
-        assert_eq!(queue.claim(0), Some((1, 0)));
     }
 
     #[test]

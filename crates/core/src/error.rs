@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::path::PathBuf;
 
 use dbpim_arch::ArchError;
 use dbpim_compiler::CompileError;
@@ -32,6 +33,38 @@ pub enum PipelineError {
         /// Human-readable description of the problem.
         reason: String,
     },
+    /// A point-set run was given no workers.
+    NoWorkers,
+    /// A snapshot answers a different spec, so resuming would mix results.
+    SnapshotSpecMismatch {
+        /// The snapshot.
+        path: PathBuf,
+    },
+    /// A fleet snapshot directory holds an earlier release's per-shard
+    /// journals, which this one does not read.
+    LegacyShardJournals {
+        /// The `shard-*.json` files, name-sorted.
+        files: Vec<PathBuf>,
+    },
+    /// A point failed on a remote worker, or failed transiently on every
+    /// attempt.
+    PointFailed {
+        /// Human-readable identity of the point.
+        point: String,
+        /// Attempts made.
+        attempts: usize,
+        /// The last failure.
+        last_error: String,
+    },
+    /// Every worker retired before the run's points were computed.
+    Stalled {
+        /// Points completed, resumed ones included.
+        completed: usize,
+        /// Points the spec enumerates.
+        total: usize,
+        /// The run's diagnostics.
+        diagnostics: Vec<String>,
+    },
 }
 
 impl fmt::Display for PipelineError {
@@ -46,6 +79,30 @@ impl fmt::Display for PipelineError {
             PipelineError::BadConfig { reason } => {
                 write!(f, "invalid pipeline configuration: {reason}")
             }
+            PipelineError::NoWorkers => write!(f, "the run has no workers (local or remote)"),
+            PipelineError::SnapshotSpecMismatch { path } => write!(
+                f,
+                "snapshot {} answers a different spec; refusing to resume",
+                path.display()
+            ),
+            PipelineError::LegacyShardJournals { files } => {
+                let files: Vec<String> = files.iter().map(|p| p.display().to_string()).collect();
+                write!(
+                    f,
+                    "the snapshot dir holds shard journals of an earlier release, which this \
+                     one does not resume ({}); finish that run with its release or move them \
+                     out of the dir",
+                    files.join(", ")
+                )
+            }
+            PipelineError::PointFailed { point, attempts, last_error } => {
+                write!(f, "point {point} failed {attempts} attempts; last error: {last_error}")
+            }
+            PipelineError::Stalled { completed, total, diagnostics } => write!(
+                f,
+                "run stalled at {completed}/{total} points with no live workers ({})",
+                diagnostics.join("; ")
+            ),
         }
     }
 }
@@ -59,7 +116,7 @@ impl Error for PipelineError {
             PipelineError::Fta(e) => Some(e),
             PipelineError::Compile(e) => Some(e),
             PipelineError::Sim(e) => Some(e),
-            PipelineError::BadConfig { .. } => None,
+            _ => None,
         }
     }
 }

@@ -62,9 +62,7 @@ pub mod prelude;
 pub mod session;
 pub mod stats;
 
-pub use dse::{
-    DseDriver, DseEntry, DseJournal, DsePoint, DsePointKey, DseReport, DseSpec, MixCandidate,
-};
+pub use dse::{DseDriver, DseEntry, DseJournal, DsePoint, DseReport, DseSpec, MixCandidate};
 pub use error::PipelineError;
 pub use pipeline::{CodesignResult, Pipeline, PipelineConfig};
 pub use session::{

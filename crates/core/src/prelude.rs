@@ -9,9 +9,7 @@
 //! # Ok::<(), db_pim::PipelineError>(())
 //! ```
 
-pub use crate::dse::{
-    DseDriver, DseEntry, DseJournal, DsePoint, DsePointKey, DseReport, DseSpec, MixCandidate,
-};
+pub use crate::dse::{DseDriver, DseEntry, DseJournal, DsePoint, DseReport, DseSpec, MixCandidate};
 pub use crate::error::PipelineError;
 pub use crate::measure::measure_input_sparsity;
 pub use crate::pipeline::{CodesignResult, Pipeline, PipelineConfig};

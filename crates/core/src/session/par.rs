@@ -1,8 +1,8 @@
 //! The default worker count, and the poison-tolerant lock helper shared by
-//! the session cache, the DSE journal and the point-set drivers. Point sets
+//! the session cache, the DSE journal and the point-set driver. Point sets
 //! run on scoped std threads claiming from one
 //! [`PointQueue`](crate::dse::PointQueue) (see
-//! [`DseDriver::run`](crate::DseDriver::run)).
+//! [`DseDriver::run_on`](crate::DseDriver::run_on)).
 
 use std::sync::{Mutex, MutexGuard};
 

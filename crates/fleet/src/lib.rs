@@ -13,15 +13,16 @@
 //! * [`WorkerSpec`] — where points execute: in-process (every local worker
 //!   shares one warm [`BatchRunner`](db_pim::BatchRunner) cache) or against
 //!   a daemon endpoint via single-point, shard-tagged `Explore` streams
-//!   (protocol v4, authenticating with [`FleetConfig::auth_token`] when
-//!   the daemons require it), each bounded by a per-point deadline.
-//! * [`FleetDriver`] — the orchestrator: worker `w`'s shard is the `w`-th
-//!   contiguous block of the spec's canonical point list, so each worker
-//!   prepares few (model, width) artifact sets; an idle worker steals from
-//!   the largest backlog (straggler reassignment); per-point retry with a
-//!   global attempt budget, heartbeat-based worker retirement, one
-//!   snapshot journal (`merged.json`) that takes one appended line per
-//!   finished point, and an exactly-once check of the finished report.
+//!   (authenticating with [`FleetConfig::auth_token`] when the daemons
+//!   require it), each bounded by a per-point deadline.
+//! * [`FleetDriver`] — runs the roster as workers of
+//!   [`DseDriver::run_on`](db_pim::DseDriver::run_on), the loop `dse_sweep`
+//!   runs too: contiguous blocks with stealing, one attempt for a
+//!   deterministic point failure and retries for a transient one,
+//!   heartbeat-based retirement, and one snapshot journal (`merged.json`)
+//!   taking one line per finished point. [`FleetEvent`], [`FleetStats`] and
+//!   [`FleetError`] are that loop's `DseEvent`, `DseStats` and
+//!   `PipelineError`.
 //! * [`FleetProgress`] — the monitoring surface: per-daemon `ShardStatus`
 //!   answers folded into one deduplicated fleet-wide view (completions
 //!   capped per shard, failure dominating), rendered by
@@ -57,9 +58,11 @@ pub mod progress;
 pub mod trace;
 mod worker;
 
-pub use driver::{
-    FleetConfig, FleetDriver, FleetError, FleetEvent, FleetOutcome, FleetStats, WorkerStats,
+pub use db_pim::dse::{
+    DseEvent as FleetEvent, DseOutcome as FleetOutcome, DseStats as FleetStats, WorkerStats,
 };
+pub use db_pim::PipelineError as FleetError;
+pub use driver::{FleetConfig, FleetDriver};
 pub use options::FleetOptions;
 pub use progress::{FleetProgress, ShardProgress};
 pub use trace::{collect_remote_trace, remote_lane, RemoteTrace};

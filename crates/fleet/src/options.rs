@@ -8,7 +8,7 @@
 //! --fleet-id <name>       identifier shard-tagged requests carry
 //! --auth-token <secret>   shared secret presented to every remote daemon
 //! --point-timeout-ms <n>  remote per-point deadline / liveness timeout
-//! --retries <n>           attempts per point before the run aborts
+//! --retries <n>           attempts a transiently failing point gets
 //! --status                print the fleet's progress instead of sweeping
 //! ```
 //!
@@ -53,7 +53,7 @@ pub struct FleetOptions {
     pub auth_token: Option<String>,
     /// Per-point timeout in milliseconds.
     pub point_timeout_ms: u64,
-    /// Attempts per point before the run aborts.
+    /// Attempts a transiently failing point gets before the run fails.
     pub retries: usize,
 }
 

@@ -1,6 +1,6 @@
 //! Remote trace collection and clock alignment for merged fleet traces.
 //!
-//! A fleet run spans processes: the driver dispatches `fleet.point` work,
+//! A fleet run spans processes: the driver dispatches `dse.point` work,
 //! remote daemons execute it inside `serve.request` spans. Each process
 //! records spans against its *own* monotonic epoch and its *own* wall
 //! clock, so merging them into one Chrome trace needs two corrections:
@@ -15,7 +15,7 @@
 //! The result of [`remote_lane`] is a [`ProcessLane`] whose timestamps are
 //! microseconds since the *driver's* collector epoch — directly mergeable
 //! by `ChromeTrace::render_lanes`, so daemon-side `serve.request` spans
-//! nest visually under the driver's `fleet.point` dispatches. Alignment is
+//! nest visually under the driver's `dse.point` dispatches. Alignment is
 //! only as good as the offset estimate (half the ping round-trip bounds
 //! the error); sub-millisecond nesting across hosts is not guaranteed.
 

@@ -1,27 +1,27 @@
 //! Fleet workers: where a claimed DSE point actually executes.
 //!
-//! A worker is either **local** — an in-process session sharing one warm
-//! [`BatchRunner`] cache with every other local worker — or **remote** — a
-//! blocking [`Client`] connection to a `dbpim-serve` daemon, dispatching
-//! each point as a single-point `Explore` stream tagged with its shard so
-//! the daemon's `ShardStatus` registry tracks fleet progress.
-//!
-//! Both backends run the exact same `run_point` pipeline underneath, so a
-//! point's result is bit-identical no matter which worker computes it —
-//! the property that makes straggler reassignment and retry safe.
+//! A worker is either **local** — the [`DseDriver`](db_pim::DseDriver)'s
+//! in-process executor on the runner every local worker shares — or
+//! **remote** — a blocking [`Client`] connection to a `dbpim-serve` daemon,
+//! dispatching each point as a single-point `Explore` stream tagged with
+//! its shard so the daemon's `ShardStatus` registry tracks fleet progress.
+//! Both run the same `run_point` pipeline, so a point's result is
+//! bit-identical whichever worker computes it: retries and reassignment
+//! are safe.
 
-use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
-use db_pim::{BatchRunner, DseEntry, DsePoint, DseSpec};
-use dbpim_serve::{Client, ShardAnnotation, TraceContext};
-use dbpim_sim::{ArchGrid, SparsityConfig};
+use db_pim::dse::{PointError, PointExecutor, PointJob};
+use db_pim::{DseEntry, DsePoint, DseSpec, PipelineError, PruningSpec};
+use dbpim_serve::{Client, ClientError, ErrorKind, ShardAnnotation, TraceContext};
+use dbpim_sim::ArchGrid;
+
+use crate::FleetConfig;
 
 /// Where one fleet worker executes its points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerSpec {
-    /// In-process, against a shared warm [`BatchRunner`].
+    /// In-process, against a shared warm [`BatchRunner`](db_pim::BatchRunner).
     Local,
     /// Against the `dbpim-serve` daemon at this `host:port` endpoint. The
     /// daemon must run the *same pipeline configuration* as the fleet
@@ -30,92 +30,8 @@ pub enum WorkerSpec {
     Remote(String),
 }
 
-impl fmt::Display for WorkerSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WorkerSpec::Local => f.write_str("local"),
-            WorkerSpec::Remote(addr) => write!(f, "remote({addr})"),
-        }
-    }
-}
-
-/// One claimed unit of work: a point plus its owning shard's identity (the
-/// shard tag remote requests carry).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PointJob {
-    pub point: DsePoint,
-    pub shard: usize,
-    pub shard_points: usize,
-}
-
-/// The spec-derived context every executor shares.
-#[derive(Debug, Clone)]
-pub(crate) struct JobContext {
-    /// The raw sparsity request of the fleet spec (ordering preserved so a
-    /// remote single-point spec equals the local one field-for-field).
-    pub sparsity: Vec<SparsityConfig>,
-    /// Canonicalized sparsity list local `run_point` calls use.
-    pub unique_sparsity: Vec<SparsityConfig>,
-    pub fidelity: bool,
-    pub fleet: String,
-    pub shards: usize,
-}
-
-/// A point-execution backend. Errors are strings: the driver's retry /
-/// retire logic only needs a diagnostic, and the underlying error types
-/// (pipeline vs. client) do not unify.
-pub(crate) trait PointExecutor {
-    /// Executes one point. An `Err` marks the attempt failed; the driver
-    /// requeues the point and decides the worker's fate. The trace context
-    /// (present only while a collector is installed) identifies the
-    /// driver-side `fleet.point` span; remote backends propagate it on the
-    /// wire so the daemon's `serve.request` span nests under it in a
-    /// merged fleet trace.
-    fn run(
-        &mut self,
-        job: &PointJob,
-        context: &JobContext,
-        trace: Option<TraceContext>,
-    ) -> Result<DseEntry, String>;
-
-    /// Cheap liveness probe after failures: `Ok` lets the worker keep
-    /// claiming points, `Err` retires it.
-    fn heartbeat(&mut self) -> Result<(), String>;
-}
-
-/// In-process execution on the shared warm runner.
-pub(crate) struct LocalExecutor {
-    pub runner: Arc<BatchRunner>,
-}
-
-impl PointExecutor for LocalExecutor {
-    fn run(
-        &mut self,
-        job: &PointJob,
-        context: &JobContext,
-        // In-process execution already happens *inside* the driver's
-        // fleet.point span; there is nothing to propagate.
-        _trace: Option<TraceContext>,
-    ) -> Result<DseEntry, String> {
-        let point = job.point;
-        self.runner
-            .run_point_pruned(
-                point.kind,
-                point.width,
-                point.pruning,
-                Some(point.arch),
-                &context.unique_sparsity,
-                context.fidelity,
-            )
-            .map(DseEntry::from_sweep)
-            .map_err(|e| e.to_string())
-    }
-
-    fn heartbeat(&mut self) -> Result<(), String> {
-        // An in-process session cannot go away.
-        Ok(())
-    }
-}
+/// A failed exchange with a daemon: what was attempted, and how it failed.
+type Failed = (String, ClientError);
 
 /// Execution over a serve-daemon connection, one single-point `Explore`
 /// stream per job. The connection is rebuilt lazily after failures, and a
@@ -123,14 +39,21 @@ impl PointExecutor for LocalExecutor {
 /// that timeout *is* the fleet's failure detector for remote workers.
 pub(crate) struct RemoteExecutor {
     addr: String,
+    fleet: String,
     timeout: Duration,
     auth_token: Option<String>,
     client: Option<Client>,
 }
 
 impl RemoteExecutor {
-    pub fn new(addr: String, timeout: Duration, auth_token: Option<String>) -> Self {
-        Self { addr, timeout, auth_token, client: None }
+    pub fn new(addr: String, config: &FleetConfig) -> Self {
+        Self {
+            addr,
+            fleet: config.fleet_id.clone(),
+            timeout: config.point_timeout,
+            auth_token: config.auth_token.clone(),
+            client: None,
+        }
     }
 
     /// The live connection, (re)established, version-checked and — when the
@@ -139,16 +62,16 @@ impl RemoteExecutor {
     /// auth rejects every work request until the handshake lands, which is
     /// why it happens here, inside the reconnect path, and not once at
     /// startup.
-    fn client(&mut self) -> Result<&mut Client, String> {
+    fn client(&mut self) -> Result<&mut Client, Failed> {
         if self.client.is_none() {
-            let mut client = Client::connect_timeout(self.addr.as_str(), self.timeout)
-                .map_err(|e| format!("connect to {}: {e}", self.addr))?;
-            client
-                .set_response_timeout(Some(self.timeout))
-                .map_err(|e| format!("configure {}: {e}", self.addr))?;
-            client.ping().map_err(|e| format!("ping {}: {e}", self.addr))?;
+            let addr = &self.addr;
+            let at = |stage: &'static str| move |e: ClientError| (format!("{stage} {addr}"), e);
+            let mut client =
+                Client::connect_timeout(addr.as_str(), self.timeout).map_err(at("connect to"))?;
+            client.set_response_timeout(Some(self.timeout)).map_err(at("configure"))?;
+            client.ping().map_err(at("ping"))?;
             if let Some(token) = &self.auth_token {
-                client.authenticate(token).map_err(|e| format!("auth {}: {e}", self.addr))?;
+                client.authenticate(token).map_err(at("auth"))?;
             }
             self.client = Some(client);
         }
@@ -159,48 +82,75 @@ impl RemoteExecutor {
     /// grid, its model and width pinned, the fleet's sparsity/fidelity
     /// settings verbatim. The daemon runs it through the same `run_point`
     /// path a local worker uses.
-    fn single_point_spec(job: &PointJob, context: &JobContext) -> DseSpec {
+    fn single_point_spec(job: &PointJob<'_>) -> DseSpec {
         DseSpec {
             grid: ArchGrid::around(job.point.arch),
             models: vec![job.point.kind],
-            sparsity: context.sparsity.clone(),
+            sparsity: job.spec.sparsity.clone(),
             widths: vec![job.point.width],
             // An identity spec travels as an empty axis, keeping the wire
             // request byte-identical to pre-pruning daemons' expectations.
-            pruning: if job.point.pruning.is_active() {
-                vec![job.point.pruning]
-            } else {
-                Vec::new()
-            },
-            fidelity: context.fidelity,
+            pruning: Some(job.point.pruning).filter(PruningSpec::is_active).into_iter().collect(),
+            fidelity: job.spec.fidelity,
         }
     }
 }
 
+/// How a failed exchange about `point` counts: IO and protocol failures (a
+/// killed daemon reads as `Protocol("server closed the connection")`) and
+/// `DeadlineExceeded` or `Overloaded` answers are transient; any other
+/// answer refuses or fails the point itself, as it would again.
+fn point_error(point: &DsePoint, (context, error): Failed) -> PointError {
+    let transient = match &error {
+        ClientError::Io(_) | ClientError::Protocol(_) => true,
+        ClientError::Server(e) => {
+            matches!(e.kind, ErrorKind::DeadlineExceeded | ErrorKind::Overloaded)
+        }
+    };
+    let last_error = format!("{context}: {error}");
+    if transient {
+        PointError::Transient(last_error)
+    } else {
+        let point = point.label();
+        PointError::Deterministic(PipelineError::PointFailed { point, attempts: 1, last_error })
+    }
+}
+
 impl PointExecutor for RemoteExecutor {
-    fn run(
-        &mut self,
-        job: &PointJob,
-        context: &JobContext,
-        trace: Option<TraceContext>,
-    ) -> Result<DseEntry, String> {
-        let spec = Self::single_point_spec(job, context);
+    fn label(&self) -> String {
+        format!("remote({})", self.addr)
+    }
+
+    fn heartbeat(&mut self) -> Result<(), String> {
+        self.client = None; // force a fresh connect + ping
+        self.client().map(|_| ()).map_err(|(context, e)| format!("{context}: {e}"))
+    }
+
+    fn run(&mut self, job: &PointJob<'_>) -> Result<DseEntry, PointError> {
+        let spec = Self::single_point_spec(job);
         let annotation = ShardAnnotation {
-            fleet: context.fleet.clone(),
-            shard: job.shard,
-            of: context.shards,
-            points: job.shard_points,
+            fleet: self.fleet.clone(),
+            shard: job.block,
+            of: job.blocks,
+            points: job.block_points,
         };
+        // With a collector installed the open `dse.point` span becomes the
+        // parent of the daemon's `serve.request` span in a merged fleet
+        // trace; without one there is no context and wire requests stay
+        // byte-identical to their untraced form.
+        let trace = job.span.map(|parent_span| TraceContext {
+            fleet: self.fleet.clone(),
+            point: job.point.label(),
+            parent_span,
+        });
         let deadline_ms = u64::try_from(self.timeout.as_millis()).unwrap_or(u64::MAX);
         let addr = self.addr.clone();
-        let outcome = self.client()?.explore_streaming(
-            &spec,
-            Some(deadline_ms),
-            Some(annotation),
-            trace,
-            |_, _| {},
-        );
-        match outcome {
+        let explored = self.client().and_then(|client| {
+            client
+                .explore_streaming(&spec, Some(deadline_ms), Some(annotation), trace, |_, _| {})
+                .map_err(|e| (addr, e))
+        });
+        match explored {
             Ok(mut report) if report.entries.len() == 1 => {
                 Ok(report.entries.pop().expect("length checked"))
             }
@@ -208,71 +158,150 @@ impl PointExecutor for RemoteExecutor {
                 // A daemon answering a 1-point spec with anything else is
                 // not speaking our dialect; drop the connection.
                 self.client = None;
-                Err(format!(
-                    "{addr} answered a single-point exploration with {} entries",
+                Err(PointError::Transient(format!(
+                    "{} answered a single-point exploration with {} entries",
+                    self.addr,
                     report.entries.len()
-                ))
+                )))
             }
-            Err(e) => {
+            Err((context, e)) => {
                 // Any failure invalidates the connection (a timeout leaves
                 // the stream in an unknown position); reconnect on the next
                 // attempt.
                 self.client = None;
-                Err(format!("{addr}: {e}"))
+                Err(point_error(&job.point, (context, e)))
             }
         }
-    }
-
-    fn heartbeat(&mut self) -> Result<(), String> {
-        self.client = None; // force a fresh connect + ping
-        self.client().map(|_| ())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+
     use db_pim::PipelineConfig;
     use dbpim_arch::ArchConfig;
     use dbpim_csd::OperandWidth;
     use dbpim_nn::ModelKind;
+    use dbpim_serve::protocol::{write_message, ErrorResponse, Response, PROTOCOL_VERSION};
+    use dbpim_sim::SparsityConfig;
 
-    #[test]
-    fn single_point_specs_pin_exactly_one_point() {
-        let point = DsePoint {
+    use super::*;
+
+    fn point() -> DsePoint {
+        DsePoint {
             kind: ModelKind::AlexNet,
             width: OperandWidth::Int4,
             pruning: db_pim::PruningSpec::unstructured(0.25),
             arch: ArchConfig::paper(),
-        };
-        let context = JobContext {
-            sparsity: vec![SparsityConfig::HybridSparsity, SparsityConfig::DenseBaseline],
-            unique_sparsity: vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity],
-            fidelity: false,
-            fleet: "test".to_string(),
-            shards: 2,
-        };
-        let job = PointJob { point, shard: 1, shard_points: 5 };
-        let spec = RemoteExecutor::single_point_spec(&job, &context);
-        let points = spec
+        }
+    }
+
+    fn job<'a>(spec: &'a DseSpec, span: Option<u64>) -> PointJob<'a> {
+        PointJob { point: point(), spec, block: 1, blocks: 2, block_points: 5, span }
+    }
+
+    #[test]
+    fn single_point_specs_pin_exactly_one_point() {
+        let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet])
+            .with_sparsity(vec![SparsityConfig::HybridSparsity, SparsityConfig::DenseBaseline]);
+        let single = RemoteExecutor::single_point_spec(&job(&spec, None));
+        let points = single
             .points(PipelineConfig::fast().operand_width, db_pim::PruningSpec::none())
             .expect("feasible");
         assert_eq!(points.len(), 1);
-        assert_eq!(points[0].kind, point.kind);
-        assert_eq!(points[0].width, point.width);
-        assert_eq!(points[0].pruning, point.pruning);
-        assert_eq!(points[0].arch, point.arch);
+        assert_eq!(points[0], point());
         // The raw sparsity request is carried verbatim (the daemon
         // canonicalizes exactly like a local run_point does).
-        assert_eq!(spec.sparsity, context.sparsity);
+        assert_eq!(single.sparsity, spec.sparsity);
     }
 
     #[test]
     fn dead_endpoints_fail_with_a_named_address() {
         // A port from the reserved test range nothing listens on.
-        let mut executor =
-            RemoteExecutor::new("127.0.0.1:9".to_string(), Duration::from_millis(200), None);
+        let config = FleetConfig::new(PipelineConfig::fast(), Vec::new())
+            .with_point_timeout(Duration::from_millis(200));
+        let mut executor = RemoteExecutor::new("127.0.0.1:9".to_string(), &config);
         let err = executor.heartbeat().unwrap_err();
         assert!(err.contains("127.0.0.1:9"), "{err}");
+    }
+
+    /// IO and protocol failures, and a daemon's deadline and overload
+    /// answers, are transient; every other answer fails the point at once.
+    #[test]
+    fn client_errors_map_to_transient_or_deterministic_point_errors() {
+        let failed = |error| point_error(&point(), ("ping 127.0.0.1:7641".to_string(), error));
+        let server = |kind| ClientError::Server(ErrorResponse { kind, message: "no".to_string() });
+        let transient = [
+            ClientError::Io(std::io::ErrorKind::TimedOut.into()),
+            ClientError::Protocol("server closed the connection".to_string()),
+            server(ErrorKind::DeadlineExceeded),
+            server(ErrorKind::Overloaded),
+        ];
+        for error in transient {
+            let shown = error.to_string();
+            match failed(error) {
+                PointError::Transient(reason) => {
+                    assert_eq!(reason, format!("ping 127.0.0.1:7641: {shown}"));
+                }
+                other => panic!("{shown} is transient, got {other:?}"),
+            }
+        }
+        let deterministic = [
+            ErrorKind::BadRequest,
+            ErrorKind::Pipeline,
+            ErrorKind::Unauthorized,
+            ErrorKind::FrameTooLarge,
+        ];
+        for kind in deterministic {
+            match failed(server(kind)) {
+                PointError::Deterministic(PipelineError::PointFailed {
+                    point,
+                    attempts,
+                    last_error,
+                }) => {
+                    assert_eq!((point.as_str(), attempts), ("AlexNet/int4/u0.25@4x64", 1));
+                    assert!(last_error.starts_with("ping 127.0.0.1:7641: server error"));
+                }
+                other => panic!("{kind:?} is deterministic, got {other:?}"),
+            }
+        }
+    }
+
+    /// A daemon that dies mid-request closes the connection, which the
+    /// client reports as `Protocol("server closed the connection")`: a
+    /// transient failure naming the endpoint.
+    #[test]
+    fn a_daemon_closing_mid_request_is_a_transient_failure() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound").to_string();
+        // Answers the connect-time ping, then reads the point's request and
+        // hangs up, as a killed daemon would.
+        let daemon = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            let mut writer = stream.try_clone().expect("clones");
+            let mut lines = BufReader::new(stream).lines();
+            lines.next().expect("a ping").expect("reads");
+            let pong = Response::Pong { version: PROTOCOL_VERSION, server_time_micros: None };
+            write_message(&mut writer, &pong).expect("answers");
+            lines.next().expect("a request").expect("reads");
+        });
+        let config = FleetConfig::new(PipelineConfig::fast(), Vec::new())
+            .with_point_timeout(Duration::from_secs(30));
+        let mut executor = RemoteExecutor::new(addr.clone(), &config);
+        let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet]);
+        let err = executor.run(&job(&spec, None)).expect_err("the daemon hung up");
+        daemon.join().expect("daemon thread");
+        match err {
+            PointError::Transient(reason) => {
+                assert!(reason.starts_with(&addr), "{reason}");
+                assert!(
+                    reason.ends_with("protocol error: server closed the connection"),
+                    "{reason}"
+                );
+            }
+            other => panic!("a closed connection is transient, got {other:?}"),
+        }
     }
 }

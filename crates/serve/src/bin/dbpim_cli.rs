@@ -249,7 +249,7 @@ fn print_table(entries: &[DseEntry], prepared_models: usize, wall_time: Duration
             println!(
                 "| {} | {} | {} | {} | {} | {} | {} |",
                 entry.kind.name(),
-                entry.width_label(),
+                entry.point().width_label(),
                 entry.arch.macros,
                 run.sparsity,
                 run.total_cycles(),
@@ -283,7 +283,7 @@ fn print_explore(report: &DseReport) {
         println!(
             "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
             entry.kind.name(),
-            entry.width_label(),
+            entry.point().width_label(),
             entry.arch.macros,
             entry.arch.compartments_per_macro,
             entry.arch.dbmus_per_compartment,

@@ -18,7 +18,7 @@
 //!   hardening (admission control, shared-secret auth, bounded request
 //!   framing, per-request-type latency histograms).
 //! * [`client`] — a blocking client library the `dbpim-cli` binary and the
-//!   `serve_bench` load generator are built on.
+//!   fleet's remote workers are built on.
 //!
 //! In-process usage (the binaries speak the same protocol over real
 //! sockets):

@@ -74,7 +74,7 @@ pub const PROTOCOL_VERSION: u32 = 6;
 /// The distributed-tracing context a fleet driver (or any tracing client)
 /// attaches to work requests, so the daemon's `serve.request` span records
 /// *whose* work it executes: the remote span becomes a child of the
-/// driver's `fleet.point` span in the merged trace.
+/// driver's `dse.point` span in the merged trace.
 ///
 /// Serialized omit-when-absent on the carrying requests: a `None` context
 /// contributes no bytes, keeping context-free requests byte-identical to

@@ -316,10 +316,17 @@ impl Shared {
         self.metrics.observe(&latency_metric(REQUEST_TYPES[type_index]), elapsed);
     }
 
-    /// Counts one served request and, when periodic trace dumping is
-    /// configured, writes a Chrome trace file every N-th request.
-    fn count_request(&self) {
-        let served = self.metrics.incr(M_REQUESTS);
+    /// Counts one served request and returns the count, which
+    /// [`dump_trace`](Self::dump_trace) takes once the request is handled.
+    fn count_request(&self) -> u64 {
+        self.metrics.incr(M_REQUESTS)
+    }
+
+    /// When periodic trace dumping is configured, writes a Chrome trace
+    /// file after every N-th request: `served` is the handled request's
+    /// count, so `trace-<served>.json` holds requests `served - N + 1` to
+    /// `served`, its own span included.
+    fn dump_trace(&self, served: u64) {
         let Some(dump) = &self.trace else { return };
         if !served.is_multiple_of(dump.every.max(1)) {
             return;
@@ -618,8 +625,8 @@ impl Server {
     }
 
     /// Binds and runs the daemon on a background thread, returning a handle
-    /// with the bound address — the in-process form used by tests and the
-    /// `serve_bench` load generator.
+    /// with the bound address — the in-process form tests and benchmarks
+    /// use.
     ///
     /// # Errors
     ///
@@ -793,7 +800,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 continue;
             }
             FrameOutcome::Invalid => {
-                shared.count_request();
+                shared.dump_trace(shared.count_request());
                 shared.metrics.incr(M_ERRORS);
                 let response = error_response(
                     ErrorKind::BadRequest,
@@ -805,7 +812,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 continue;
             }
             FrameOutcome::TooLarge => {
-                shared.count_request();
+                shared.dump_trace(shared.count_request());
                 shared.metrics.incr(M_ERRORS);
                 shared.metrics.incr(M_REJECTED_FRAMES);
                 let response = error_response(
@@ -828,12 +835,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        shared.count_request();
+        let served = shared.count_request();
         let disconnect = match serde_json::from_str::<Request>(text) {
             Ok(request) => {
                 let type_index = request_type_index(&request);
                 // A request carrying a propagated trace context opens its
-                // span as a child of the driver's fleet.point span, so the
+                // span as a child of the driver's dse.point span, so the
                 // merged fleet trace can correlate remote execution with
                 // the dispatch that caused it.
                 let _span = match request.trace_context() {
@@ -865,6 +872,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 )
             }
         };
+        // After the request's span closed, so a dump holds the request.
+        shared.dump_trace(served);
         if disconnect {
             break;
         }

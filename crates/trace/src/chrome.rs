@@ -259,7 +259,7 @@ mod tests {
         let driver = ProcessLane {
             pid: 100,
             name: "dbpim-fleet".to_string(),
-            spans: vec![(&record("fleet.point", 0, 50, 400, Vec::new())).into()],
+            spans: vec![(&record("dse.point", 0, 50, 400, Vec::new())).into()],
         };
         let daemon = ProcessLane {
             pid: 200,

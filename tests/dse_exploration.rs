@@ -7,6 +7,9 @@
 //!   `SessionCacheStats`; report timestamps are ignored in equality);
 //! * the extracted Pareto frontier matches a brute-force O(n²) reference.
 
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+use db_pim::dse::{DseEvent, PointError, PointExecutor, PointJob};
 use db_pim::prelude::*;
 
 fn small_config() -> PipelineConfig {
@@ -253,27 +256,40 @@ fn a_torn_header_or_malformed_middle_line_is_an_error() {
 
 /// A failing point stops the points after it in canonical order from
 /// starting, the points before it stay journaled, and the run returns the
-/// failure. An out-of-range pruning fraction fails only when its points
-/// run, so it serves as the failing point.
+/// failure. Test workers fail the points at one pruning spec as an
+/// out-of-range fraction would: a spec can no longer carry one to a point.
 #[test]
 fn a_failing_point_stops_later_points_and_earlier_ones_stay_journaled() {
     let path = temp_path("journal-failure.json");
-    let bad = PruningSpec::unstructured(1.5);
+    let bad = PruningSpec::unstructured(0.5);
     let spec = |pruning| {
         DseSpec::new(small_grid().with_rows(vec![64]), vec![ModelKind::AlexNet])
             .with_sparsity(vec![SparsityConfig::HybridSparsity])
             .with_pruning(pruning)
     };
-    let driver = |threads| {
+    let driver = || {
         DseDriver::new(small_config().without_fidelity())
             .expect("valid config")
             .with_snapshot(&path)
-            .with_threads(threads)
+    };
+    let run = |driver: &DseDriver, threads: usize, spec: &DseSpec| {
+        let executors = (0..threads)
+            .map(|_| {
+                let mut executor = Scripted::new(driver);
+                executor.on_attempt = Box::new(move |job| {
+                    let reason = PruningSpec::unstructured(1.5).validate().err()?;
+                    let error = PointError::Deterministic(PipelineError::BadConfig { reason });
+                    (job.point.pruning == bad).then_some(error)
+                });
+                executor.boxed()
+            })
+            .collect();
+        driver.run_on(spec, executors)
     };
 
     // The failure comes first: on one thread, nothing after it starts.
-    let first = driver(1);
-    let err = first.run(&spec(vec![bad, PruningSpec::none()])).expect_err("point 0 fails");
+    let first = driver();
+    let err = run(&first, 1, &spec(vec![bad, PruningSpec::none()])).expect_err("point 0 fails");
     assert!(err.to_string().contains("pruning fraction must be in [0, 1)"), "{err}");
     assert_eq!(first.cache_stats().artifact_misses, 0, "a later point was prepared");
     let (journal, torn) = DseReport::load_journal(&path).expect("the journal loads");
@@ -285,8 +301,7 @@ fn a_failing_point_stops_later_points_and_earlier_ones_stay_journaled() {
     // second good point runs after the first failure.
     std::fs::remove_file(&path).expect("removes");
     for threads in [1, 2, 3] {
-        let err = driver(threads)
-            .run(&spec(vec![PruningSpec::none(), bad]))
+        let err = run(&driver(), threads, &spec(vec![PruningSpec::none(), bad]))
             .expect_err("points 2 and 3 fail");
         assert!(err.to_string().contains("pruning fraction must be in [0, 1)"), "{err}");
         let journal = DseReport::load(&path).expect("the journal loads");
@@ -472,7 +487,7 @@ fn aggregate_frontier_matches_a_brute_force_reference() {
 
 /// A geometry that cannot hold one weight of a swept width fails before any
 /// model is prepared, at every entry point: a DSE spec's point list and a
-/// single point.
+/// single point. So does a spec with an out-of-range pruning fraction.
 #[test]
 fn infeasible_widths_fail_before_any_model_is_prepared() {
     let config = small_config().without_fidelity();
@@ -504,6 +519,18 @@ fn infeasible_widths_fail_before_any_model_is_prepared() {
 
     // INT4 weights fit the same geometry.
     point(OperandWidth::Int4).expect("4 weight bit columns fit");
+
+    // An out-of-range pruning fraction is refused with the spec, before a
+    // model is prepared or a journal written.
+    let path = temp_path("bad-pruning.json");
+    std::fs::remove_file(&path).ok();
+    let driver = DseDriver::new(config).expect("valid config").with_snapshot(&path);
+    let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet])
+        .with_pruning(vec![PruningSpec::none(), PruningSpec::unstructured(1.5)]);
+    let err = driver.run(&spec).expect_err("a fraction of 1.5 is out of range");
+    assert!(err.to_string().contains("got 1.5"), "{err}");
+    assert_eq!(driver.cache_stats().artifact_misses, 0, "the spec prepared a model");
+    assert!(!path.exists(), "the spec wrote a snapshot");
 }
 
 /// Structured failure shapes: infeasible grids are rejected before any
@@ -555,4 +582,364 @@ fn infeasible_grids_and_foreign_snapshots_are_structured_errors() {
     assert!(err.to_string().contains("different spec"), "{err}");
 
     std::fs::remove_file(&path).ok();
+}
+
+// ------------------------------------------------------------ fault suite
+//
+// The `fault_` tests run `DseDriver::run_on` on scripted test workers and
+// order them with latches, never with sleeps; CI loops them in release.
+
+/// How long a latch waits for the event it orders on before failing the
+/// test.
+const ORDERING_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
+
+/// A flag one thread raises and others wait on, for a bounded time.
+#[derive(Default)]
+struct Latch {
+    raised: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Latch {
+    fn raise(&self) {
+        *self.raised.lock().expect("latch lock") = true;
+        self.cv.notify_all();
+    }
+
+    /// Blocks until the latch is raised; panics after [`ORDERING_TIMEOUT`].
+    fn wait(&self, what: &str) {
+        let raised = self.raised.lock().expect("latch lock");
+        let (raised, _) = self
+            .cv
+            .wait_timeout_while(raised, ORDERING_TIMEOUT, |raised| !*raised)
+            .expect("latch lock");
+        assert!(*raised, "waited {ORDERING_TIMEOUT:?} for {what}");
+    }
+}
+
+/// A scripted test worker over a driver's local executor. `on_heartbeat`
+/// runs at every heartbeat (the first comes before the worker's first
+/// claim), and `on_attempt` sees every attempt first and may fail it
+/// instead of running it. Once `lives` points are done, every attempt and
+/// heartbeat fails transiently, as a killed daemon's would. With
+/// `answering` set, every attempt answers with that point's entry.
+struct Scripted<'a> {
+    inner: Box<dyn PointExecutor + 'a>,
+    on_heartbeat: Box<dyn FnMut() + Send + 'a>,
+    on_attempt: Box<OnAttempt<'a>>,
+    lives: usize,
+    answering: Option<DsePoint>,
+}
+
+/// A test worker's script: `Some` fails the attempt instead of running it.
+type OnAttempt<'a> = dyn FnMut(&PointJob<'_>) -> Option<PointError> + Send + 'a;
+
+impl<'a> Scripted<'a> {
+    fn new(driver: &'a DseDriver) -> Self {
+        Self {
+            inner: driver.local_executor(),
+            on_heartbeat: Box::new(|| {}),
+            on_attempt: Box::new(|_| None),
+            lives: usize::MAX,
+            answering: None,
+        }
+    }
+
+    fn boxed(self) -> Box<dyn PointExecutor + 'a> {
+        Box::new(self)
+    }
+}
+
+impl PointExecutor for Scripted<'_> {
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+
+    fn heartbeat(&mut self) -> Result<(), String> {
+        (self.on_heartbeat)();
+        if self.lives == 0 {
+            return Err("the worker is dead".to_string());
+        }
+        self.inner.heartbeat()
+    }
+
+    fn run(&mut self, job: &PointJob<'_>) -> Result<DseEntry, PointError> {
+        if self.lives == 0 {
+            return Err(PointError::Transient("the worker is dead".to_string()));
+        }
+        if let Some(error) = (self.on_attempt)(job) {
+            return Err(error);
+        }
+        let job = PointJob { point: self.answering.unwrap_or(job.point), ..*job };
+        let entry = self.inner.run(&job)?;
+        self.lives -= 1;
+        Ok(entry)
+    }
+}
+
+/// One runner for every fault test: each process prepares AlexNet once.
+fn fault_runner() -> Arc<BatchRunner> {
+    static RUNNER: OnceLock<Arc<BatchRunner>> = OnceLock::new();
+    let runner = RUNNER.get_or_init(|| {
+        Arc::new(BatchRunner::new(small_config().without_fidelity()).expect("valid config"))
+    });
+    Arc::clone(runner)
+}
+
+/// AlexNet's hybrid configuration over `macros` × 32/64 rows, its points,
+/// and the report of a plain run.
+fn fault_spec(macros: Vec<usize>) -> (DseSpec, Vec<DsePoint>, DseReport) {
+    let spec = DseSpec::new(
+        ArchGrid::around(ArchConfig::paper()).with_macros(macros).with_rows(vec![32, 64]),
+        vec![ModelKind::AlexNet],
+    )
+    .with_sparsity(vec![SparsityConfig::HybridSparsity]);
+    let config = *fault_runner().session().config();
+    let points = spec.points(config.operand_width, config.pruning).expect("feasible");
+    let cold = DseDriver::from_runner(fault_runner()).run(&spec).expect("cold run");
+    (spec, points, cold)
+}
+
+/// The canonical position of `job`'s point.
+fn position(points: &[DsePoint], job: &PointJob<'_>) -> usize {
+    points.iter().position(|p| *p == job.point).expect("a point of the spec")
+}
+
+fn refused(job: &PointJob<'_>) -> PointError {
+    let reason = format!("refused {}", job.point.label());
+    PointError::Deterministic(PipelineError::BadConfig { reason })
+}
+
+/// A deterministic failure is attempted once: no claim after it in
+/// canonical order starts, the points before it run and are journaled, and
+/// the run returns it. On 3 workers the blocks are 0..2, 2..4 and 4..6;
+/// worker 1 fails point 2 while workers 0 and 2 wait in their first
+/// heartbeat, and lets them go once it has moved on to point 0.
+#[test]
+fn fault_a_deterministic_failure_is_attempted_once_and_stops_later_claims() {
+    let (spec, points, cold) = fault_spec(vec![2, 4, 8]);
+    assert_eq!(points.len(), 6);
+    for workers in [1, 3] {
+        let path = temp_path(&format!("fault-deterministic-{workers}.json"));
+        std::fs::remove_file(&path).ok();
+        let driver = DseDriver::from_runner(fault_runner()).with_snapshot(&path);
+        let attempts = Mutex::new(Vec::new());
+        let failed = Latch::default();
+        let executors = (0..workers)
+            .map(|worker| {
+                let (attempts, failed, points) = (&attempts, &failed, &points);
+                let mut executor = Scripted::new(&driver);
+                let failing = usize::from(workers > 1);
+                if worker != failing {
+                    executor.on_heartbeat = Box::new(move || failed.wait("the failure"));
+                }
+                executor.on_attempt = Box::new(move |job| {
+                    let index = position(points, job);
+                    attempts.lock().expect("log lock").push(index);
+                    if index == 2 {
+                        return Some(refused(job));
+                    }
+                    if worker == failing {
+                        failed.raise();
+                    }
+                    None
+                });
+                executor.boxed()
+            })
+            .collect();
+        let err = driver.run_on(&spec, executors).expect_err("point 2 fails");
+        assert_eq!(err.to_string(), refused_message(&points[2]), "{workers} workers");
+        let mut attempts = attempts.into_inner().expect("log lock");
+        attempts.sort_unstable();
+        assert_eq!(attempts, [0, 1, 2], "{workers} workers: each point before 2 once, none after");
+        let journal = DseReport::load(&path).expect("the journal loads");
+        let mut before = cold.clone();
+        before.entries.truncate(2);
+        assert!(journal.results_match(&before), "{workers} workers: points 0 and 1 journaled");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+fn refused_message(point: &DsePoint) -> String {
+    PipelineError::BadConfig { reason: format!("refused {}", point.label()) }.to_string()
+}
+
+/// An entry for another point fails the point it answers as a
+/// deterministic failure: attempted once, never journaled, and no point
+/// after it starts.
+#[test]
+fn fault_an_entry_for_another_point_fails_the_point_it_answers() {
+    let (spec, points, _) = fault_spec(vec![2]);
+    let path = temp_path("fault-misanswered.json");
+    std::fs::remove_file(&path).ok();
+    let driver = DseDriver::from_runner(fault_runner()).with_snapshot(&path);
+    let attempts = Mutex::new(Vec::new());
+    let mut executor = Scripted::new(&driver);
+    executor.answering = Some(points[1]);
+    let (log, list) = (&attempts, &points);
+    executor.on_attempt = Box::new(move |job| {
+        log.lock().expect("log lock").push(position(list, job));
+        None
+    });
+    let err = driver.run_on(&spec, vec![executor.boxed()]).expect_err("point 0 is misanswered");
+    match &err {
+        PipelineError::PointFailed { point, attempts, last_error } => {
+            assert_eq!(point, &points[0].label());
+            assert_eq!(*attempts, 1);
+            assert!(last_error.contains(&points[1].label()), "{last_error}");
+        }
+        other => panic!("expected PointFailed, got {other}"),
+    }
+    assert_eq!(attempts.into_inner().expect("log lock"), [0], "point 0 once, point 1 never");
+    let journal = DseReport::load(&path).expect("the journal loads");
+    assert!(journal.entries.is_empty(), "the misanswered entry was journaled");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A transient failure requeues the point at the front of its block, and
+/// an idle worker takes it: worker 0 fails point 0 once and waits in the
+/// observer until worker 1, held back until the requeue, has stolen and
+/// finished it.
+#[test]
+fn fault_a_transient_failure_is_retried_by_another_worker() {
+    let (spec, points, cold) = fault_spec(vec![2]);
+    assert_eq!(points.len(), 2);
+    let requeued = Arc::new(Latch::default());
+    let stolen = Arc::new(Latch::default());
+    let driver = {
+        let (requeued, stolen) = (Arc::clone(&requeued), Arc::clone(&stolen));
+        DseDriver::from_runner(fault_runner()).with_observer(move |event| match event {
+            DseEvent::PointRetried { worker: 0, .. } => {
+                requeued.raise();
+                stolen.wait("worker 1 finishing the stolen point");
+            }
+            DseEvent::PointDone { worker: 1, stolen: true, .. } => stolen.raise(),
+            _ => {}
+        })
+    };
+    let attempts = Mutex::new(Vec::new());
+    let executors = (0..2)
+        .map(|worker| {
+            let (attempts, points, requeued) = (&attempts, &points, &requeued);
+            let mut failed_once = false;
+            let mut executor = Scripted::new(&driver);
+            executor.on_attempt = Box::new(move |job| {
+                let index = position(points, job);
+                attempts.lock().expect("log lock").push((index, worker));
+                match (worker, index) {
+                    (0, 0) if !failed_once => {
+                        failed_once = true;
+                        Some(PointError::Transient("flaky connection".to_string()))
+                    }
+                    (1, 1) => {
+                        requeued.wait("the requeue of point 0");
+                        None
+                    }
+                    _ => None,
+                }
+            });
+            executor.boxed()
+        })
+        .collect();
+    let outcome = driver.run_on(&spec, executors).expect("the retry succeeds");
+    assert!(outcome.report.results_match(&cold), "the retry changed results");
+    assert_eq!(outcome.stats.retried_attempts, 1, "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.reassigned_points, 1, "{:?}", outcome.stats);
+    let worked: Vec<usize> = outcome.stats.workers.iter().map(|w| w.points).collect();
+    assert_eq!(worked, [0, 2]);
+    let attempts = attempts.into_inner().expect("log lock");
+    let point_0: Vec<usize> = attempts.iter().filter(|a| a.0 == 0).map(|a| a.1).collect();
+    assert_eq!(point_0, [0, 1], "point 0: worker 0 failed it, worker 1 retried it");
+}
+
+/// A point that fails transiently on every attempt fails the run once its
+/// attempts are spent, and no point after it starts.
+#[test]
+fn fault_a_point_failing_transiently_on_every_attempt_fails_the_run() {
+    let (spec, points, _) = fault_spec(vec![2]);
+    for max_attempts in [1, 3] {
+        let driver = DseDriver::from_runner(fault_runner()).with_max_point_attempts(max_attempts);
+        let attempts = Mutex::new(Vec::new());
+        let mut executor = Scripted::new(&driver);
+        let (log, list) = (&attempts, &points);
+        executor.on_attempt = Box::new(move |job| {
+            let index = position(list, job);
+            log.lock().expect("log lock").push(index);
+            (index == 0).then(|| PointError::Transient("timed out".to_string()))
+        });
+        let err = driver.run_on(&spec, vec![executor.boxed()]).expect_err("point 0 fails");
+        match &err {
+            PipelineError::PointFailed { point, attempts, last_error } => {
+                assert_eq!(point, &points[0].label());
+                assert_eq!(*attempts, max_attempts);
+                assert_eq!(last_error, "timed out");
+            }
+            other => panic!("expected PointFailed, got {other}"),
+        }
+        assert_eq!(attempts.into_inner().expect("log lock"), vec![0; max_attempts]);
+    }
+}
+
+/// A worker that dies after one point fails its next attempts, fails its
+/// heartbeat and retires; the other worker, held back until then, finishes
+/// its own block and the dead worker's.
+#[test]
+fn fault_a_worker_dying_mid_run_retires_and_the_others_finish_its_block() {
+    let (spec, points, cold) = fault_spec(vec![2, 4, 8]);
+    let retired = Arc::new(Latch::default());
+    let driver = {
+        let retired = Arc::clone(&retired);
+        DseDriver::from_runner(fault_runner()).with_observer(move |event| {
+            if let DseEvent::WorkerRetired { worker: 0, .. } = event {
+                retired.raise();
+            }
+        })
+    };
+    let mut dying = Scripted::new(&driver);
+    dying.lives = 1;
+    let mut survivor = Scripted::new(&driver);
+    let mut first = true;
+    survivor.on_attempt = Box::new(move |_| {
+        if std::mem::take(&mut first) {
+            retired.wait("worker 0's retirement");
+        }
+        None
+    });
+    let outcome =
+        driver.run_on(&spec, vec![dying.boxed(), survivor.boxed()]).expect("the survivor finishes");
+    assert!(outcome.report.is_complete());
+    assert!(outcome.report.results_match(&cold), "the retirement changed results");
+    let stats = &outcome.stats;
+    assert_eq!(stats.workers[0].points, 1, "{stats:?}");
+    assert!(stats.workers[0].retired.as_ref().is_some_and(|r| r.contains("dead")), "{stats:?}");
+    assert_eq!((stats.workers[1].points, stats.workers[1].retired.clone()), (5, None));
+    assert_eq!((stats.retried_attempts, stats.reassigned_points), (2, 2), "{stats:?}");
+    assert_eq!(stats.fresh_points, points.len());
+    assert!(stats.diagnostics.iter().any(|d| d.starts_with("worker 0 (local) retired: ")));
+}
+
+/// When every worker dies, the run stalls with a structured error that
+/// counts what was computed and names each retirement.
+#[test]
+fn fault_a_roster_whose_workers_all_die_stalls() {
+    let (spec, points, _) = fault_spec(vec![2, 4]);
+    assert_eq!(points.len(), 4);
+    let driver = DseDriver::from_runner(fault_runner());
+    let executors = (0..2)
+        .map(|_| {
+            let mut executor = Scripted::new(&driver);
+            executor.lives = 1;
+            executor.boxed()
+        })
+        .collect();
+    match driver.run_on(&spec, executors).expect_err("no worker survives") {
+        PipelineError::Stalled { completed, total, diagnostics } => {
+            assert_eq!((completed, total), (2, 4), "one point per worker before it died");
+            for worker in 0..2 {
+                let retired = format!("worker {worker} (local) retired: ");
+                assert!(diagnostics.iter().any(|d| d.starts_with(&retired)), "{diagnostics:?}");
+            }
+        }
+        other => panic!("expected Stalled, got {other}"),
+    }
 }

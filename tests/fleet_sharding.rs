@@ -70,10 +70,10 @@ fn fleet_merge_is_bit_identical_to_a_single_driver_run() {
             outcome.report.results_match(&single),
             "{workers} workers: fleet report diverges from the single-driver run"
         );
-        // Exactly-once: no duplicate keys survived.
-        let keys: HashSet<DsePointKey> =
-            outcome.report.entries.iter().map(|e| e.canonical_key()).collect();
-        assert_eq!(keys.len(), outcome.report.entries.len(), "{workers} workers: duplicates");
+        // Exactly-once: no duplicate points survived.
+        let points: HashSet<String> =
+            outcome.report.entries.iter().map(|e| e.point().label()).collect();
+        assert_eq!(points.len(), outcome.report.entries.len(), "{workers} workers: duplicates");
         assert_eq!(outcome.stats.fresh_points, single.entries.len());
         assert_eq!(outcome.stats.resumed_points, 0);
         let worked: usize = outcome.stats.workers.iter().map(|w| w.points).sum();
@@ -180,9 +180,9 @@ fn killing_a_worker_mid_run_reassigns_its_points() {
     killer.join().expect("killer thread").expect("daemon exits cleanly");
 
     assert!(outcome.report.is_complete(), "killed worker left gaps");
-    let keys: HashSet<DsePointKey> =
-        outcome.report.entries.iter().map(|e| e.canonical_key()).collect();
-    assert_eq!(keys.len(), total, "a point ran twice into the report");
+    let points: HashSet<String> =
+        outcome.report.entries.iter().map(|e| e.point().label()).collect();
+    assert_eq!(points.len(), total, "a point ran twice into the report");
 
     // The remote worker died before finishing its 6-point shard, so the
     // local worker must have stolen work; the run records both.
@@ -338,7 +338,7 @@ fn a_malformed_middle_journal_line_fails_the_run_and_leaves_the_file() {
     std::fs::write(&path, &malformed).expect("malformed journal writes");
 
     let err = FleetDriver::new(fleet_config).run(&spec).expect_err("malformed journal must fail");
-    assert!(matches!(err, FleetError::Persist(_)), "{err}");
+    assert!(matches!(err, FleetError::BadConfig { .. }), "{err}");
     assert!(err.to_string().contains(&path.display().to_string()), "{err}");
     assert_eq!(std::fs::read_to_string(&path).expect("readable"), malformed, "file rewritten");
     std::fs::remove_dir_all(&dir).ok();
@@ -430,34 +430,40 @@ fn resuming_with_any_worker_count_adopts_every_journaled_point() {
 }
 
 /// Two local workers appending to the one journal leave only whole,
-/// parseable lines. Worker 1's shard (the second contiguous block) is
-/// fully resumed, so worker 1 can only steal from worker 0's, and worker 0
-/// waits after its first point until worker 1 has finished one: both
-/// workers append to `merged.json`.
+/// parseable lines, also when both append points of one block. Points 4..8
+/// are resumed, so each worker's block holds 2 of the 4 missing points.
+/// Worker 1 waits before its first claim until worker 0 has drained its own
+/// block and stolen the front of worker 1's, and worker 0 then waits until
+/// worker 1 has finished the other.
 #[test]
 fn workers_sharing_a_shard_append_only_parseable_lines() {
     let config = small_config();
     let spec = small_spec();
     let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
     let dir = temp_dir("shared-journal");
-    // Two workers over 8 points give shard 1 the points 4..8, and the
-    // canonical entry order is the point order.
-    let mut shard_1 = single.clone();
-    shard_1.entries = single.entries[4..].to_vec();
-    shard_1.save(dir.join("merged.json")).expect("shard 1 saves");
+    // The canonical entry order is the point order.
+    let mut resumed = single.clone();
+    resumed.entries = single.entries[4..].to_vec();
+    resumed.save(dir.join("merged.json")).expect("the snapshot saves");
 
-    let stolen = Latch::default();
+    let (drained, finished) = (Latch::default(), Latch::default());
     let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local, WorkerSpec::Local])
         .with_snapshot_dir(&dir);
     let driver = FleetDriver::new(fleet_config).with_observer(move |event| match event {
-        FleetEvent::PointDone { worker: 0, .. } => stolen.wait("a point stolen by worker 1"),
-        FleetEvent::PointDone { worker: 1, .. } => stolen.raise(),
+        FleetEvent::WorkerReady { worker: 1, .. } => drained.wait("worker 0 stealing from block 1"),
+        FleetEvent::PointDone { worker: 0, stolen: true, .. } => {
+            drained.raise();
+            finished.wait("worker 1 finishing its own point");
+        }
+        FleetEvent::PointDone { worker: 1, .. } => finished.raise(),
         _ => {}
     });
     let outcome = driver.run(&spec).expect("fleet runs");
     assert!(outcome.report.results_match(&single));
     assert_eq!((outcome.stats.resumed_points, outcome.stats.fresh_points), (4, 4));
-    assert!(outcome.stats.workers.iter().all(|w| w.points > 0), "{:?}", outcome.stats);
+    let worked: Vec<usize> = outcome.stats.workers.iter().map(|w| w.points).collect();
+    assert_eq!(worked, [3, 1], "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.reassigned_points, 1, "{:?}", outcome.stats);
 
     let text = std::fs::read_to_string(dir.join("merged.json")).expect("journal readable");
     let mut lines = text.lines();
@@ -467,6 +473,27 @@ fn workers_sharing_a_shard_append_only_parseable_lines() {
         lines.map(|line| serde_json::from_str(line).expect("every record parses")).collect();
     assert_eq!(records.len(), 8, "the 4 adopted entries, then one line per fresh point");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every roster worker starts, also when the run computes fewer points
+/// than the roster has workers: a dead endpoint listed before a local
+/// worker retires, and the local worker steals the run's one point.
+#[test]
+fn a_local_worker_after_a_dead_endpoint_finishes_a_one_point_run() {
+    let config = small_config();
+    let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet])
+        .with_sparsity(vec![SparsityConfig::HybridSparsity]);
+    let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
+    // Port 9 (discard) on loopback: nothing is listening.
+    let roster = vec![WorkerSpec::Remote("127.0.0.1:9".to_string()), WorkerSpec::Local];
+    let fleet_config =
+        FleetConfig::new(config, roster).with_point_timeout(Duration::from_millis(300));
+    let outcome = FleetDriver::new(fleet_config).run(&spec).expect("the local worker finishes");
+    assert!(outcome.report.results_match(&single), "the fleet diverges");
+    let stats = &outcome.stats;
+    assert_eq!((stats.workers[1].points, stats.reassigned_points), (1, 1), "{stats:?}");
+    let retired = "worker 0 (remote(127.0.0.1:9)) retired: ";
+    assert!(stats.diagnostics.iter().any(|d| d.starts_with(retired)), "{stats:?}");
 }
 
 /// A fleet whose only worker is a dead endpoint stalls with a structured

@@ -308,8 +308,9 @@ fn trace_snapshot_drains_context_tagged_request_spans() {
 }
 
 /// A daemon in `--trace-dir` mode with `--trace-every 2` that serves four
-/// requests leaves `trace-2.json`, `trace-4.json` and, at shutdown,
-/// `trace-final.json`, each a Chrome trace holding `serve.request` spans.
+/// pings and a shutdown leaves `trace-2.json`, `trace-4.json` and, at
+/// shutdown, `trace-final.json`, each a Chrome trace holding the
+/// `serve.request` spans of the requests it is named for.
 #[test]
 fn trace_dir_dumps_a_chrome_trace_every_n_requests_and_at_shutdown() {
     let _guard = trace_lock().lock().expect("trace test lock");
@@ -330,7 +331,8 @@ fn trace_dir_dumps_a_chrome_trace_every_n_requests_and_at_shutdown() {
     for _ in 0..4 {
         client.ping().expect("pings");
     }
-    handle.request_shutdown();
+    // A fifth request leaves a span for the shutdown dump.
+    client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
 
     let mut files: Vec<String> = std::fs::read_dir(&dir)
@@ -339,17 +341,23 @@ fn trace_dir_dumps_a_chrome_trace_every_n_requests_and_at_shutdown() {
         .collect();
     files.sort();
     assert_eq!(files, ["trace-2.json", "trace-4.json", "trace-final.json"]);
-    for file in &files {
+    // Each periodic dump holds the requests it is named for, the last one
+    // included: pings 1-2, then pings 3-4, then the shutdown.
+    for (file, pings) in files.iter().zip([2, 2, 0]) {
         let json = std::fs::read_to_string(dir.join(file)).expect("the dump reads");
         let value: Value = serde_json::from_str(&json).expect("the dump is well-formed JSON");
         let events = value.get("traceEvents").and_then(Value::as_seq).expect("traceEvents array");
-        assert!(
-            events.iter().any(|event| {
+        let requests: Vec<&str> = events
+            .iter()
+            .filter(|event| {
                 event.get("name").and_then(Value::as_str) == Some("serve.request")
                     && event.get("ph").and_then(Value::as_str) == Some("X")
-            }),
-            "no serve.request span in {file}"
-        );
+            })
+            .filter_map(|event| event.get("args")?.get("kind")?.as_str())
+            .collect();
+        assert!(!requests.is_empty(), "no serve.request span in {file}");
+        let counted = requests.iter().filter(|&&kind| kind == "Ping").count();
+        assert_eq!(counted, pings, "Ping spans in {file}: {requests:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
