@@ -14,15 +14,27 @@ use db_pim::flags;
 use dbpim_bench::{experiment_args, experiments, ExperimentContext};
 
 fn main() {
-    let (options, trace) = experiment_args("all_experiments");
-    let context = match ExperimentContext::new(options) {
+    let (config, trace) = experiment_args("all_experiments");
+    let context = match ExperimentContext::new(config) {
         Ok(context) => context,
         Err(e) => {
             eprintln!("invalid configuration: {e}");
             std::process::exit(2);
         }
     };
-    println!("DB-PIM reproduction: all experiments (options: {options:?})\n");
+    // The header names the pipeline flags as it always has, so recorded
+    // runs still diff clean.
+    println!(
+        "DB-PIM reproduction: all experiments (options: ExperimentOptions {{ width_mult: {:?}, \
+         seed: {}, evaluation_images: {}, calibration_images: {}, classes: {}, operand_width: \
+         {:?} }})\n",
+        config.width_mult,
+        config.seed,
+        config.evaluation_images,
+        config.calibration_images,
+        config.classes,
+        config.operand_width,
+    );
 
     println!("{}", experiments::table1());
     type Generator = fn(&ExperimentContext) -> Result<String, db_pim::PipelineError>;

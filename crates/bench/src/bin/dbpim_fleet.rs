@@ -1,7 +1,7 @@
 //! `dbpim-fleet` — the sharded sweep orchestrator binary.
 //!
-//! Takes the same grid / pipeline flags as `dse_sweep` (they describe the
-//! *what*) plus the fleet flags (the *who*):
+//! Takes the same grid / pipeline flags as `dse_sweep`, read by the same
+//! readers (they describe the *what*), plus the fleet flags (the *who*):
 //!
 //! ```text
 //! dbpim-fleet [dse_sweep grid/pipeline flags]
@@ -40,35 +40,39 @@
 //! answers another grid, or a directory holding an earlier release's
 //! `shard-NNN.json` journals, fails the run and is left as it was.
 //!
-//! Remote points equal local ones only when each daemon runs the fleet's
-//! pipeline flags; `--cal` defaults to 4 for `dbpim-served` and 2 here.
+//! Remote points equal local ones when each daemon runs the fleet's
+//! pipeline flags; both default to [`PipelineConfig::paper`].
 
 use std::io::Write as _;
 use std::time::Instant;
 
+use db_pim::dse::render_report;
 use db_pim::flags::{self, OptionsError};
-use dbpim_bench::dse::{render_report, DseSweepOptions, FLEET_TABLE};
+use db_pim::{DseSpec, PipelineConfig};
+use dbpim_bench::dse::FLEET_TABLE;
 use dbpim_fleet::{FleetDriver, FleetEvent, FleetOptions, FleetProgress};
 use dbpim_trace::{log_debug, log_info, log_warn, TraceSink};
 
 fn main() {
-    let (sweep, fleet, status, trace) = flags::from_args("dbpim-fleet", FLEET_TABLE, |flags| {
-        let fleet = FleetOptions::from_flags(flags)?;
-        let status = flags.switch("--status");
-        if status && fleet.endpoints.is_empty() {
-            return Err(OptionsError::new(
-                "--status",
-                "needs --endpoints to know which daemons to ask",
-            ));
-        }
-        Ok((DseSweepOptions::from_flags(flags)?, fleet, status, flags::install_trace(flags)?))
-    });
+    let (pipeline, spec, fleet, status, trace) =
+        flags::from_args("dbpim-fleet", FLEET_TABLE, |flags| {
+            let fleet = FleetOptions::from_flags(flags)?;
+            let status = flags.switch("--status");
+            if status && fleet.endpoints.is_empty() {
+                return Err(OptionsError::new(
+                    "--status",
+                    "needs --endpoints to know which daemons to ask",
+                ));
+            }
+            let pipeline = PipelineConfig::from_flags(flags)?;
+            let spec = DseSpec::from_flags(flags)?;
+            Ok((pipeline, spec, fleet, status, flags::install_trace(flags)?))
+        });
     if status {
         status_mode(&fleet);
     }
 
-    let spec = sweep.spec();
-    let config = fleet.fleet_config(sweep.base.pipeline_config());
+    let config = fleet.fleet_config(pipeline);
     eprintln!(
         "dbpim-fleet {}: {} workers ({} remote), snapshots {}",
         config.fleet_id,

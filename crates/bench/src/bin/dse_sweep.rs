@@ -8,23 +8,25 @@
 
 use std::time::Instant;
 
+use db_pim::dse::render_report;
 use db_pim::flags;
-use dbpim_bench::dse::{render_report, DseSweepOptions, DSE_SWEEP_TABLE};
+use db_pim::{DseSpec, PipelineConfig};
+use dbpim_bench::dse::{DseSweepOptions, DSE_SWEEP_TABLE};
 
 fn main() {
-    let (options, trace) = flags::from_args("dse_sweep", DSE_SWEEP_TABLE, |flags| {
-        Ok((DseSweepOptions::from_flags(flags)?, flags::install_trace(flags)?))
+    let (config, spec, options, trace) = flags::from_args("dse_sweep", DSE_SWEEP_TABLE, |flags| {
+        let config = PipelineConfig::from_flags(flags)?;
+        let spec = DseSpec::from_flags(flags)?;
+        Ok((config, spec, DseSweepOptions::from_flags(flags)?, flags::install_trace(flags)?))
     });
 
-    let driver = match options.driver() {
+    let driver = match options.driver(config) {
         Ok(driver) => driver,
         Err(e) => {
             eprintln!("dse_sweep failed: {e}");
             std::process::exit(1);
         }
     };
-    let spec = options.spec();
-
     let start = Instant::now();
     match driver.run(&spec) {
         Ok(report) => {

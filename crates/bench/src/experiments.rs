@@ -8,7 +8,7 @@
 //! All generators draw from one [`ExperimentContext`]: models are built
 //! once, pipeline artifacts are prepared once, and the Fig. 7 / Table 2 /
 //! Table 3 sweeps share compiled programs through the context's
-//! [`BatchRunner`](db_pim::BatchRunner) instead of re-running the pipeline
+//! [`BatchRunner`] instead of re-running the pipeline
 //! per table.
 
 use std::fmt::Write as _;
@@ -26,9 +26,9 @@ use crate::{input_column_sparsity, paper_models, pct, weight_sparsity_stats, Exp
 ///
 /// Propagates model-construction or approximation failures.
 pub fn fig2a(context: &ExperimentContext) -> Result<String, PipelineError> {
-    let options = context.options();
+    let config = context.config();
     let mut out = String::new();
-    let _ = writeln!(out, "Fig. 2(a) - zero-bit ratio in weights (width x{})", options.width_mult);
+    let _ = writeln!(out, "Fig. 2(a) - zero-bit ratio in weights (width x{})", config.width_mult);
     let _ = writeln!(out, "{:<16} {:>10} {:>10} {:>10}", "model", "Ori_Zero", "CSD_Zero", "Ours");
     for kind in paper_models() {
         let model = context.session().model(kind)?;
@@ -53,17 +53,17 @@ pub fn fig2a(context: &ExperimentContext) -> Result<String, PipelineError> {
 ///
 /// Propagates quantization or inference failures.
 pub fn fig2b(context: &ExperimentContext) -> Result<String, PipelineError> {
-    let options = context.options();
+    let config = context.config();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Fig. 2(b) - zero bit-columns in input features (width x{})",
-        options.width_mult
+        config.width_mult
     );
     let _ = writeln!(out, "{:<16} {:>10} {:>10} {:>10}", "model", "group 1", "group 8", "group 16");
     for kind in paper_models() {
         let model = context.session().model(kind)?;
-        let [g1, g8, g16] = input_column_sparsity(&model, options)?;
+        let [g1, g8, g16] = input_column_sparsity(&model, config)?;
         let _ =
             writeln!(out, "{:<16} {:>10} {:>10} {:>10}", kind.name(), pct(g1), pct(g8), pct(g16));
     }
@@ -102,20 +102,20 @@ pub fn table1() -> String {
 ///
 /// Propagates pipeline failures.
 pub fn table2(context: &ExperimentContext) -> Result<String, PipelineError> {
-    let options = context.options();
+    let config = context.config();
     let paper_drop = [0.98, 0.64, 0.56, 0.16, 0.52];
     let sweep = context.zoo_sweep(true)?;
     let mut out = String::new();
     // The paper's width goes unnamed; other widths name theirs, so saved
     // outputs at different widths can be told apart.
-    let operands = match options.operand_width {
+    let operands = match config.operand_width {
         OperandWidth::Int8 => String::new(),
         width => format!(", {width} operands"),
     };
     let _ = writeln!(
         out,
         "Table 2 - FTA fidelity on synthetic batches (width x{}, {} images{operands})",
-        options.width_mult, options.evaluation_images
+        config.width_mult, config.evaluation_images
     );
     let _ = writeln!(
         out,
@@ -157,13 +157,13 @@ pub fn table2(context: &ExperimentContext) -> Result<String, PipelineError> {
 ///
 /// Propagates pipeline failures.
 pub fn fig7(context: &ExperimentContext) -> Result<String, PipelineError> {
-    let options = context.options();
+    let config = context.config();
     let sweep = context.zoo_sweep(false)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Fig. 7 - speedup and energy saving over the dense PIM baseline (width x{})",
-        options.width_mult
+        config.width_mult
     );
     let _ = writeln!(
         out,
@@ -198,7 +198,7 @@ pub fn fig7(context: &ExperimentContext) -> Result<String, PipelineError> {
 ///
 /// Propagates pipeline failures.
 pub fn table3(context: &ExperimentContext) -> Result<String, PipelineError> {
-    let options = context.options();
+    let config = context.config();
     let arch = context.arch();
     let area = AreaModel::calibrated_28nm();
     let headline = reference::paper_headline();
@@ -252,7 +252,7 @@ pub fn table3(context: &ExperimentContext) -> Result<String, PipelineError> {
     let _ = writeln!(
         out,
         "\n-- this work (measured by this reproduction, width x{}) --",
-        options.width_mult
+        config.width_mult
     );
     let _ = writeln!(out, "technology              : 28 nm (cost-model calibration)");
     let _ = writeln!(
@@ -309,7 +309,7 @@ pub fn table3(context: &ExperimentContext) -> Result<String, PipelineError> {
 ///
 /// Propagates pipeline failures.
 pub fn width_sweep(context: &ExperimentContext) -> Result<String, PipelineError> {
-    let options = context.options();
+    let config = context.config();
     let spec = DseSpec::new(ArchGrid::around(context.arch()), paper_models().to_vec())
         .with_widths(OperandWidth::all().to_vec());
     let report = context.sweep(&spec)?;
@@ -318,7 +318,7 @@ pub fn width_sweep(context: &ExperimentContext) -> Result<String, PipelineError>
     let _ = writeln!(
         out,
         "Width sweep - DB-PIM across weight operand widths (channel width x{})",
-        options.width_mult
+        config.width_mult
     );
     let _ = writeln!(
         out,
@@ -362,7 +362,7 @@ pub fn width_sweep(context: &ExperimentContext) -> Result<String, PipelineError>
 ///
 /// Propagates preparation, compilation or simulation failures.
 pub fn joint_sparsity(context: &ExperimentContext) -> Result<String, PipelineError> {
-    let options = context.options();
+    let config = context.config();
     let kind = ModelKind::AlexNet;
     let arch = context.arch();
     let widths = [OperandWidth::Int4, OperandWidth::Int8];
@@ -402,7 +402,7 @@ pub fn joint_sparsity(context: &ExperimentContext) -> Result<String, PipelineErr
         out,
         "Joint sparsity - value pruning x operand width on {} (width x{})",
         kind.name(),
-        options.width_mult
+        config.width_mult
     );
     let _ = writeln!(
         out,
@@ -506,18 +506,17 @@ pub fn table4(context: &ExperimentContext) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExperimentOptions;
 
     fn small_context() -> ExperimentContext {
-        let options = ExperimentOptions {
+        let config = PipelineConfig {
             width_mult: 0.25,
             classes: 10,
             calibration_images: 1,
             evaluation_images: 2,
             seed: 5,
-            ..ExperimentOptions::default()
+            ..PipelineConfig::paper()
         };
-        ExperimentContext::new(options).expect("valid options")
+        ExperimentContext::new(config).expect("valid config")
     }
 
     #[test]
@@ -533,15 +532,15 @@ mod tests {
     #[test]
     fn table2_titles_name_widths_other_than_int8() {
         let title = |operand_width| {
-            let options = ExperimentOptions {
+            let config = PipelineConfig {
                 width_mult: 0.0625,
                 classes: 10,
                 calibration_images: 1,
                 evaluation_images: 1,
                 operand_width,
-                ..ExperimentOptions::default()
+                ..PipelineConfig::paper()
             };
-            let report = table2(&ExperimentContext::new(options).unwrap()).unwrap();
+            let report = table2(&ExperimentContext::new(config).unwrap()).unwrap();
             report.lines().next().unwrap().to_string()
         };
         assert_eq!(

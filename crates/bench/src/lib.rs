@@ -1,20 +1,24 @@
 //! Shared infrastructure for the experiment report generators.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation section. This library provides the pieces they share: strict
-//! command-line option parsing, the [`ExperimentContext`] (a
-//! [`BatchRunner`]-backed simulation session every generator draws cached
-//! artifacts from), lightweight weight-only sparsity analysis (Fig. 2(a)),
-//! activation bit-column analysis (Fig. 2(b)), full sweeps (Table 2, Fig. 7,
-//! Table 3) and the published reference numbers of the prior works quoted in
-//! Tables 1 and 3.
+//! evaluation section. This library provides the pieces they share: the
+//! report binaries' flag table ([`EXPERIMENT_TABLE`]), the
+//! [`ExperimentContext`] (a [`BatchRunner`]-backed simulation session every
+//! generator draws cached artifacts from), lightweight weight-only sparsity
+//! analysis (Fig. 2(a)), activation bit-column analysis (Fig. 2(b)), full
+//! sweeps (Table 2, Fig. 7, Table 3) and the published reference numbers of
+//! the prior works quoted in Tables 1 and 3.
+//!
+//! The pipeline and grid flag groups, their readers and the one DSE report
+//! renderer live in core ([`db_pim::flags`]), so `dse_sweep`, `dbpim-fleet`
+//! and `dbpim-cli explore` read and print a point set the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::{Arc, Mutex};
 
-use db_pim::flags::{self, Flag, Flags, OptionsError, PIPELINE_FLAGS, TRACE_FLAGS};
+use db_pim::flags::{self, Flag, PIPELINE_FLAGS, TRACE_FLAGS};
 use db_pim::prelude::*;
 use db_pim::session::par::lock_unpoisoned;
 use db_pim::PipelineError;
@@ -29,91 +33,19 @@ pub mod dse;
 pub mod experiments;
 pub mod reference;
 
-/// Command-line options shared by every experiment binary.
-///
-/// ```text
-/// --width <f32>    channel width multiplier (default 1.0 = the paper's models)
-/// --seed <u64>     synthetic-weight seed (default 42)
-/// --images <usize> evaluation images for fidelity experiments (default 16)
-/// --cal <usize>    calibration images (default 2)
-/// --classes <usize> output classes (default 100)
-/// --operand-width <4|8|12|16>  weight operand width (default 8 = the paper)
-/// ```
+/// The flag table of every report binary: the pipeline flags (`--width
+/// --seed --images --cal --classes --operand-width`), read by
+/// [`PipelineConfig::from_flags`] with [`PipelineConfig::paper`] as the
+/// defaults, plus `--trace-out` and `--log-level`.
 ///
 /// Parsing is strict ([`db_pim::flags`]): an unknown flag, a stray word and a
 /// known flag with a missing or malformed value are all errors — silently
 /// falling back to defaults would mislabel every number in the generated
-/// report. `--operand-width` in particular rejects anything that is not one
-/// of the supported widths (e.g. `--operand-width 10` or `wide`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExperimentOptions {
-    /// Channel width multiplier applied to every zoo model.
-    pub width_mult: f32,
-    /// Seed for synthetic weights and data.
-    pub seed: u64,
-    /// Number of labelled evaluation images (Table 2).
-    pub evaluation_images: usize,
-    /// Number of calibration images (quantization + input sparsity).
-    pub calibration_images: usize,
-    /// Number of output classes.
-    pub classes: usize,
-    /// Weight operand width the pipeline runs at (INT8 = the paper).
-    pub operand_width: OperandWidth,
-}
-
-impl Default for ExperimentOptions {
-    fn default() -> Self {
-        Self {
-            width_mult: 1.0,
-            seed: 42,
-            evaluation_images: 16,
-            calibration_images: 2,
-            classes: 100,
-            operand_width: OperandWidth::Int8,
-        }
-    }
-}
-
-/// The flag table of every report binary: the pipeline flags plus
-/// `--trace-out` and `--log-level`.
+/// report.
 pub const EXPERIMENT_TABLE: &[&[Flag]] = &[PIPELINE_FLAGS, TRACE_FLAGS];
 
-impl ExperimentOptions {
-    /// Reads the [`PIPELINE_FLAGS`]; a flag not given keeps its default.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptionsError`] naming a flag with a malformed value, or the
-    /// first positional word: no binary reading these options takes one.
-    pub fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
-        flags.no_positionals()?;
-        let defaults = Self::default();
-        Ok(Self {
-            width_mult: flags.get("--width")?.unwrap_or(defaults.width_mult),
-            seed: flags.get("--seed")?.unwrap_or(defaults.seed),
-            evaluation_images: flags.get("--images")?.unwrap_or(defaults.evaluation_images),
-            calibration_images: flags.get("--cal")?.unwrap_or(defaults.calibration_images),
-            classes: flags.get("--classes")?.unwrap_or(defaults.classes),
-            operand_width: flags.get("--operand-width")?.unwrap_or(defaults.operand_width),
-        })
-    }
-
-    /// The pipeline configuration equivalent to these options.
-    #[must_use]
-    pub fn pipeline_config(&self) -> PipelineConfig {
-        let mut config = PipelineConfig::paper();
-        config.width_mult = self.width_mult;
-        config.seed = self.seed;
-        config.calibration_images = self.calibration_images.max(1);
-        config.evaluation_images = self.evaluation_images;
-        config.classes = self.classes;
-        config.operand_width = self.operand_width;
-        config
-    }
-}
-
-/// The shared state of one experiment invocation: parsed options plus a
-/// [`BatchRunner`] whose [`SimSession`] caches per-model artifacts.
+/// The shared state of one experiment invocation: a [`BatchRunner`] whose
+/// [`SimSession`] caches per-model artifacts.
 ///
 /// Every table/figure generator takes a context, so a binary that renders
 /// several reports (`all_experiments`) quantizes, approximates and compiles
@@ -122,27 +54,26 @@ impl ExperimentOptions {
 /// (Fig. 7, Table 3) do not re-simulate it.
 #[derive(Debug)]
 pub struct ExperimentContext {
-    options: ExperimentOptions,
     runner: Arc<BatchRunner>,
     /// Memoized zoo sweeps: `[without fidelity, with fidelity]`.
     zoo_sweeps: Mutex<[Option<Arc<DseReport>>; 2]>,
 }
 
 impl ExperimentContext {
-    /// Creates the context for the given options.
+    /// Creates the context for the given pipeline.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::BadConfig`] for unusable option values.
-    pub fn new(options: ExperimentOptions) -> Result<Self, PipelineError> {
-        let runner = Arc::new(BatchRunner::new(options.pipeline_config())?);
-        Ok(Self { options, runner, zoo_sweeps: Mutex::new([None, None]) })
+    pub fn new(config: PipelineConfig) -> Result<Self, PipelineError> {
+        let runner = Arc::new(BatchRunner::new(config)?);
+        Ok(Self { runner, zoo_sweeps: Mutex::new([None, None]) })
     }
 
-    /// The parsed command-line options.
+    /// The pipeline every report runs.
     #[must_use]
-    pub fn options(&self) -> &ExperimentOptions {
-        &self.options
+    pub fn config(&self) -> &PipelineConfig {
+        self.session().config()
     }
 
     /// The batch runner executing every point for this context.
@@ -201,9 +132,9 @@ impl ExperimentContext {
 /// applying the trace flags; see [`flags::from_args`] for `--help` and
 /// malformed lines.
 #[must_use]
-pub fn experiment_args(program: &str) -> (ExperimentOptions, Option<TraceSink>) {
+pub fn experiment_args(program: &str) -> (PipelineConfig, Option<TraceSink>) {
     flags::from_args(program, EXPERIMENT_TABLE, |flags| {
-        Ok((ExperimentOptions::from_flags(flags)?, flags::install_trace(flags)?))
+        Ok((PipelineConfig::from_flags(flags)?, flags::install_trace(flags)?))
     })
 }
 
@@ -217,8 +148,8 @@ pub fn run_report_binary<F>(name: &str, generate: F)
 where
     F: FnOnce(&ExperimentContext) -> Result<String, PipelineError>,
 {
-    let (options, trace) = experiment_args(name);
-    let result = ExperimentContext::new(options).and_then(|context| generate(&context));
+    let (config, trace) = experiment_args(name);
+    let result = ExperimentContext::new(config).and_then(|context| generate(&context));
     flags::finish_trace(name, trace);
     match result {
         Ok(report) => print!("{report}"),
@@ -233,15 +164,6 @@ where
 #[must_use]
 pub fn paper_models() -> [ModelKind; 5] {
     ModelKind::all()
-}
-
-/// Builds one zoo model under the given options.
-///
-/// # Errors
-///
-/// Propagates model-construction errors.
-pub fn build_model(kind: ModelKind, options: &ExperimentOptions) -> Result<Model, PipelineError> {
-    Ok(kind.build_with_width(options.classes, options.seed, options.width_mult)?)
 }
 
 /// Weight-only FTA sparsity statistics of a model (Fig. 2(a)).
@@ -277,15 +199,15 @@ pub fn weight_sparsity_stats(model: &Model) -> Result<ModelFtaStats, PipelineErr
 /// Propagates quantization or inference errors.
 pub fn input_column_sparsity(
     model: &Model,
-    options: &ExperimentOptions,
+    config: &PipelineConfig,
 ) -> Result<[f64; 3], PipelineError> {
-    let mut gen = TensorGenerator::new(options.seed ^ 0xf19);
+    let mut gen = TensorGenerator::new(config.seed ^ 0xf19);
     let (images, _) = gen.labelled_batch(
-        options.calibration_images.max(1),
+        config.calibration_images.max(1),
         model.input_shape()[0],
         model.input_shape()[1],
         model.input_shape()[2],
-        options.classes,
+        config.classes,
     )?;
     let quantized = QuantizedModel::quantize(model, &images)?;
     let group_sizes = [1usize, 8, 16];
@@ -317,23 +239,6 @@ pub fn input_column_sparsity(
     Ok(out)
 }
 
-/// Runs the full co-design pipeline for one model through a one-shot
-/// session.
-///
-/// Callers rendering several reports should share an [`ExperimentContext`]
-/// instead, so artifacts are cached across reports.
-///
-/// # Errors
-///
-/// Propagates any pipeline stage failure.
-pub fn run_pipeline(
-    kind: ModelKind,
-    options: &ExperimentOptions,
-    with_fidelity: bool,
-) -> Result<CodesignResult, PipelineError> {
-    SimSession::new(options.pipeline_config())?.codesign(kind, with_fidelity)
-}
-
 /// Formats a fraction as a percentage with one decimal.
 #[must_use]
 pub fn pct(fraction: f64) -> String {
@@ -342,26 +247,30 @@ pub fn pct(fraction: f64) -> String {
 
 #[cfg(test)]
 mod tests {
+    use db_pim::flags::{Flags, OptionsError};
+
     use super::*;
 
     /// Parses `raw` (without the program name) as a report binary does.
-    fn parse(raw: &[&str]) -> Result<ExperimentOptions, OptionsError> {
+    fn parse(raw: &[&str]) -> Result<PipelineConfig, OptionsError> {
         let args: Vec<String> = raw.iter().map(ToString::to_string).collect();
-        ExperimentOptions::from_flags(&Flags::parse(EXPERIMENT_TABLE, &args)?)
+        PipelineConfig::from_flags(&Flags::parse(EXPERIMENT_TABLE, &args)?)
     }
 
     #[test]
     fn options_parse_known_flags_and_ignore_the_rest() {
         let known =
             ["--width", "0.5", "--seed", "7", "--images", "4", "--cal", "3", "--classes", "10"];
-        let options = parse(&known).unwrap();
-        assert!((options.width_mult - 0.5).abs() < 1e-6);
-        assert_eq!(options.seed, 7);
-        assert_eq!(options.evaluation_images, 4);
-        assert_eq!(options.calibration_images, 3);
-        assert_eq!(options.classes, 10);
-        let config = options.pipeline_config();
+        let config = parse(&known).unwrap();
+        assert!((config.width_mult - 0.5).abs() < 1e-6);
+        assert_eq!(config.seed, 7);
+        assert_eq!(config.evaluation_images, 4);
+        assert_eq!(config.calibration_images, 3);
         assert_eq!(config.classes, 10);
+        // The flags not given keep the paper's values, and `--cal 0` reads
+        // as the one image a pipeline needs.
+        assert_eq!(config.arch, ArchConfig::paper());
+        assert_eq!(parse(&["--cal", "0"]).unwrap().calibration_images, 1);
 
         // The rest is no longer ignored: an unknown flag or a stray word
         // fails the whole line.
@@ -394,12 +303,11 @@ mod tests {
             ("int12", OperandWidth::Int12),
             ("INT16", OperandWidth::Int16),
         ] {
-            let options = parse(&["--operand-width", raw]).unwrap();
-            assert_eq!(options.operand_width, expected, "raw `{raw}`");
-            assert_eq!(options.pipeline_config().operand_width, expected);
+            let config = parse(&["--operand-width", raw]).unwrap();
+            assert_eq!(config.operand_width, expected, "raw `{raw}`");
         }
         // The default is the paper's INT8.
-        assert_eq!(ExperimentOptions::default().operand_width, OperandWidth::Int8);
+        assert_eq!(parse(&[]).unwrap().operand_width, OperandWidth::Int8);
     }
 
     #[test]
@@ -420,18 +328,18 @@ mod tests {
         assert!(err.to_string().contains("missing"), "{err}");
         // The channel multiplier flag is unaffected: `--width` still parses
         // floats and never consumes operand widths.
-        let options = parse(&["--width", "0.5", "--operand-width", "4"]).unwrap();
-        assert!((options.width_mult - 0.5).abs() < 1e-6);
-        assert_eq!(options.operand_width, OperandWidth::Int4);
+        let config = parse(&["--width", "0.5", "--operand-width", "4"]).unwrap();
+        assert!((config.width_mult - 0.5).abs() < 1e-6);
+        assert_eq!(config.operand_width, OperandWidth::Int4);
     }
 
     #[test]
     fn flag_values_are_consumed_not_reparsed_as_flags() {
         // A value that happens to look like a flag must not be re-read as
         // one (the old parser advanced one token at a time).
-        let options = parse(&["--seed", "3", "--cal", "2"]).unwrap();
-        assert_eq!(options.seed, 3);
-        assert_eq!(options.calibration_images, 2);
+        let config = parse(&["--seed", "3", "--cal", "2"]).unwrap();
+        assert_eq!(config.seed, 3);
+        assert_eq!(config.calibration_images, 2);
     }
 
     /// `fig7 --operand_width 4` and `all_experiments --bogus x` used to run
@@ -447,9 +355,7 @@ mod tests {
 
     #[test]
     fn weight_stats_follow_fig2a_ordering_on_a_small_model() {
-        let options =
-            ExperimentOptions { width_mult: 0.25, classes: 10, ..ExperimentOptions::default() };
-        let model = build_model(ModelKind::ResNet18, &options).unwrap();
+        let model = ModelKind::ResNet18.build_with_width(10, 42, 0.25).unwrap();
         let stats = weight_sparsity_stats(&model).unwrap();
         assert!(stats.binary_zero_ratio() > 0.55);
         assert!(stats.csd_zero_ratio() >= stats.binary_zero_ratio());
@@ -459,29 +365,29 @@ mod tests {
 
     #[test]
     fn input_column_sparsity_is_monotone_in_group_size() {
-        let options = ExperimentOptions {
+        let config = PipelineConfig {
             width_mult: 0.25,
             classes: 10,
             calibration_images: 1,
-            ..ExperimentOptions::default()
+            ..PipelineConfig::paper()
         };
         let model = dbpim_nn::zoo::tiny_cnn(10, 3).unwrap();
-        let [g1, g8, g16] = input_column_sparsity(&model, &options).unwrap();
+        let [g1, g8, g16] = input_column_sparsity(&model, &config).unwrap();
         assert!(g1 >= g8 && g8 >= g16, "{g1} {g8} {g16}");
         assert!(g8 > 0.05, "group-of-8 ratio {g8}");
     }
 
     #[test]
     fn context_shares_one_session_across_reports() {
-        let options = ExperimentOptions {
+        let config = PipelineConfig {
             width_mult: 0.25,
             classes: 10,
             calibration_images: 1,
             evaluation_images: 2,
             seed: 5,
-            ..ExperimentOptions::default()
+            ..PipelineConfig::paper()
         };
-        let context = ExperimentContext::new(options).unwrap();
+        let context = ExperimentContext::new(config).unwrap();
         let a = context.session().artifacts(ModelKind::AlexNet).unwrap();
         let b = context.session().artifacts(ModelKind::AlexNet).unwrap();
         assert!(std::sync::Arc::ptr_eq(&a, &b));

@@ -36,6 +36,7 @@
 //! the frontier against a brute-force reference.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
 use std::ops::Range;
@@ -54,6 +55,7 @@ use serde::ser::Writer;
 use serde::{Deserialize, Error, Serialize};
 
 use crate::error::PipelineError;
+use crate::flags::{Flags, OptionsError};
 use crate::pipeline::{CodesignResult, PipelineConfig};
 use crate::session::par::lock_unpoisoned;
 use crate::session::{BatchRunner, SessionCacheStats, SweepEntry};
@@ -176,6 +178,46 @@ impl DseSpec {
     pub fn with_fidelity(mut self) -> Self {
         self.fidelity = true;
         self
+    }
+
+    /// Reads [`GRID_FLAGS`]: an axis not given keeps the paper value (the
+    /// Section 4.1 geometry, all five models, all four sparsity
+    /// configurations, the session's width and pruning). Buffer axes are
+    /// given in KB and converted to bytes here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptionsError`] naming the flag and the first list element
+    /// that does not parse.
+    ///
+    /// [`GRID_FLAGS`]: crate::flags::GRID_FLAGS
+    pub fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
+        let axis = |name| flags.list::<usize>(name).map(Option::unwrap_or_default);
+        let kb = |name| -> Result<Vec<usize>, OptionsError> {
+            Ok(axis(name)?.iter().map(|v| v * 1024).collect())
+        };
+        let mut grid = ArchGrid::around(ArchConfig::paper());
+        grid.macros = axis("--macros")?;
+        grid.compartments_per_macro = axis("--compartments")?;
+        grid.dbmus_per_compartment = axis("--dbmus")?;
+        grid.rows_per_dbmu = axis("--rows")?;
+        grid.frequency_mhz = flags.list("--freqs")?.unwrap_or_default();
+        grid.feature_buffer_bytes = kb("--feature-kb")?;
+        grid.weight_buffer_bytes = kb("--weight-kb")?;
+        grid.meta_buffer_bytes = kb("--meta-kb")?;
+        let models: Vec<ModelKind> = flags.list("--models")?.unwrap_or_default();
+        let widths = flags.list("--widths")?.unwrap_or_default();
+        let pruning = flags.list("--pruning")?.unwrap_or_default();
+        let sparsity: Vec<SparsityConfig> = flags.list("--sparsity")?.unwrap_or_default();
+        Ok(Self {
+            grid,
+            // A blank list means the default, as an absent one does.
+            models: if models.is_empty() { ModelKind::all().to_vec() } else { models },
+            sparsity: if sparsity.is_empty() { SparsityConfig::all().to_vec() } else { sparsity },
+            widths,
+            pruning,
+            fidelity: flags.switch("--fidelity"),
+        })
     }
 
     /// The requested models, duplicates removed, in first-seen order.
@@ -795,6 +837,109 @@ impl DseReport {
     }
 }
 
+/// Renders a [`DseReport`] as a deterministic text table: one row per
+/// (point, sparsity run) plus a Pareto-frontier section per model. It is
+/// the one renderer of a point set, for `dse_sweep`, `dbpim-fleet` and
+/// `dbpim-cli explore` alike.
+///
+/// The output is a pure function of the results — no timestamps, wall
+/// times or cache counters — so two runs over the same grid (cold, resumed
+/// from a half-deleted snapshot, sharded across a fleet or streamed from a
+/// daemon) render byte-identical reports.
+#[must_use]
+pub fn render_report(report: &DseReport) -> String {
+    let area = AreaModel::calibrated_28nm();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "DSE sweep - {} of {} grid points ({} models x {} widths x geometries)",
+        report.entries.len(),
+        report.total_points,
+        report.spec.unique_models().len(),
+        report.spec.effective_widths(OperandWidth::Int8).len(),
+    );
+    let _ = writeln!(
+        out,
+        "{:<16} {:>6} {:>7} {:>5} {:>6} {:>5} {:>6} | {:<16} {:>12} {:>10} {:>10} {:>8}",
+        "model",
+        "width",
+        "macros",
+        "comp",
+        "dbmus",
+        "rows",
+        "MHz",
+        "sparsity",
+        "cycles",
+        "lat (ms)",
+        "uJ",
+        "speedup"
+    );
+    for entry in &report.entries {
+        let has_baseline = entry.result.run(SparsityConfig::DenseBaseline).is_some();
+        for run in &entry.result.runs {
+            let speedup = if has_baseline {
+                format!("{:.2}x", entry.result.speedup(run.sparsity))
+            } else {
+                "n/a".to_string()
+            };
+            let _ = writeln!(
+                out,
+                "{:<16} {:>6} {:>7} {:>5} {:>6} {:>5} {:>6} | {:<16} {:>12} {:>10.4} {:>10.3} {:>8}",
+                entry.kind.name(),
+                entry.point().width_label(),
+                entry.arch.macros,
+                entry.arch.compartments_per_macro,
+                entry.arch.dbmus_per_compartment,
+                entry.arch.rows_per_dbmu,
+                entry.arch.frequency_mhz,
+                run.sparsity.to_string(),
+                run.total_cycles(),
+                run.latency_ms(),
+                run.total_energy_uj(),
+                speedup,
+            );
+        }
+    }
+    for kind in report.spec.unique_models() {
+        for sparsity in report.spec.unique_sparsity() {
+            let frontier = report.pareto_frontier(kind, sparsity);
+            if frontier.is_empty() {
+                continue;
+            }
+            let _ = writeln!(
+                out,
+                "pareto frontier [{} / {}] (latency, energy, area{}):",
+                kind.name(),
+                sparsity,
+                if report.spec.fidelity { ", fidelity" } else { "" },
+            );
+            for (index, metrics) in frontier {
+                let entry = &report.entries[index];
+                let pruning_tag = if entry.pruning.is_active() {
+                    format!(" [{}]", entry.pruning.label())
+                } else {
+                    String::new()
+                };
+                let _ = writeln!(
+                    out,
+                    "  {} @ {}{}: {} macros x {} rows @ {} MHz — {:.4} ms, {:.3} uJ, {:.4} mm2, loss {:.2}%",
+                    entry.kind.name(),
+                    entry.width,
+                    pruning_tag,
+                    entry.arch.macros,
+                    entry.arch.rows_per_dbmu,
+                    entry.arch.frequency_mhz,
+                    metrics.latency_ms,
+                    metrics.energy_uj,
+                    area.total_mm2(&entry.arch),
+                    100.0 * metrics.fidelity_loss,
+                );
+            }
+        }
+    }
+    out
+}
+
 /// `value` as one line of JSON.
 fn encode(value: &impl Serialize) -> Result<String, PipelineError> {
     serde_json::to_string(value).map_err(|e| PipelineError::BadConfig {
@@ -1130,8 +1275,8 @@ pub struct DseStats {
     pub reassigned_points: usize,
     /// Point attempts that failed transiently.
     pub retried_attempts: usize,
-    /// Notes on the run: a torn snapshot record dropped on resume, workers
-    /// that retired.
+    /// Notes on the run, such as a torn snapshot record dropped on resume.
+    /// A worker's retirement is in its [`WorkerStats::retired`].
     pub diagnostics: Vec<String>,
     /// Wall-time distribution of the points computed this run.
     pub point_latency: dbpim_trace::LatencyHistogram,
@@ -1377,7 +1522,11 @@ impl DseDriver {
         }
         let completed = report.entries.len() + finished.len();
         if finished.len() < missing.len() {
-            let diagnostics = stats.diagnostics;
+            let retirements = stats.workers.iter().enumerate().filter_map(|(worker, w)| {
+                let reason = w.retired.as_ref()?;
+                Some(format!("worker {worker} ({}) retired: {reason}", w.label))
+            });
+            let diagnostics = stats.diagnostics.into_iter().chain(retirements).collect();
             return Err(PipelineError::Stalled { completed, total: points.len(), diagnostics });
         }
         stats.fresh_points = finished.len();
@@ -1468,11 +1617,7 @@ impl Run<'_> {
         let _abandon = Abandon(self);
         let label = executor.label();
         let Err(reason) = self.serve(worker, &label, executor) else { return };
-        {
-            let mut state = lock_unpoisoned(&self.state);
-            state.stats.diagnostics.push(format!("worker {worker} ({label}) retired: {reason}"));
-            state.stats.workers[worker].retired = Some(reason.clone());
-        }
+        lock_unpoisoned(&self.state).stats.workers[worker].retired = Some(reason.clone());
         self.emit(&DseEvent::WorkerRetired { worker, label, reason });
     }
 
@@ -1817,5 +1962,64 @@ mod tests {
         let b = unix_time_ms();
         assert!(b >= a);
         assert!(a > 1_600_000_000_000, "clock reads as a plausible current date");
+    }
+
+    /// Parses `raw` against the pipeline and grid groups and reads both, as
+    /// `dse_sweep` and `dbpim-fleet` do.
+    fn parse(raw: &[&str]) -> Result<(PipelineConfig, DseSpec), OptionsError> {
+        use crate::flags::{GRID_FLAGS, PIPELINE_FLAGS};
+        let args: Vec<String> = raw.iter().map(ToString::to_string).collect();
+        let flags = Flags::parse(&[PIPELINE_FLAGS, GRID_FLAGS], &args)?;
+        Ok((PipelineConfig::from_flags(&flags)?, DseSpec::from_flags(&flags)?))
+    }
+
+    #[test]
+    fn malformed_grid_values_are_rejected_not_swallowed() {
+        let err = parse(&["--macros", "2,x"]).unwrap_err();
+        assert_eq!(err.flag, "--macros");
+        assert!(err.message.contains('x'), "{err}");
+
+        let err = parse(&["--freqs"]).unwrap_err();
+        assert_eq!(err.flag, "--freqs");
+        assert!(err.to_string().contains("missing"), "{err}");
+
+        let err = parse(&["--models", "lenet"]).unwrap_err();
+        assert_eq!(err.flag, "--models");
+
+        // Shared pipeline flags stay strict too.
+        let err = parse(&["--operand-width", "10"]).unwrap_err();
+        assert_eq!(err.flag, "--operand-width");
+    }
+
+    #[test]
+    fn defaults_cover_the_paper_models_on_the_paper_point() {
+        let (config, spec) = parse(&[]).unwrap();
+        assert_eq!(config, PipelineConfig::paper());
+        assert_eq!(spec.models.len(), 5);
+        assert_eq!(spec.grid, ArchGrid::around(ArchConfig::paper()));
+        assert_eq!(spec.points(OperandWidth::Int8, PruningSpec::none()).unwrap().len(), 5);
+        assert_eq!(spec.sparsity, SparsityConfig::all().to_vec());
+        assert!(!spec.fidelity);
+        // A blank list is the default, as it always was.
+        let (_, blank) = parse(&["--models", ",", "--sparsity", " "]).unwrap();
+        assert_eq!(blank, spec);
+    }
+
+    #[test]
+    fn rendered_report_is_deterministic_for_identical_results() {
+        let config = PipelineConfig::fast().without_fidelity();
+        let driver = DseDriver::new(config).unwrap();
+        let spec = DseSpec::new(
+            ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]),
+            vec![ModelKind::MobileNetV2],
+        )
+        .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]);
+        let first = driver.run(&spec).unwrap();
+        let second = driver.run(&spec).unwrap();
+        assert!(first.results_match(&second));
+        let rendered = render_report(&first);
+        assert_eq!(rendered, render_report(&second), "rendering leaked non-determinism");
+        assert!(rendered.contains("pareto frontier"));
+        assert!(rendered.contains("MobileNetV2"));
     }
 }

@@ -62,7 +62,8 @@ pub enum PipelineError {
         completed: usize,
         /// Points the spec enumerates.
         total: usize,
-        /// The run's diagnostics.
+        /// The run's diagnostics, then one line per retired worker (in
+        /// worker order) naming it and why it retired.
         diagnostics: Vec<String>,
     },
 }

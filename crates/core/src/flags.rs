@@ -1,7 +1,16 @@
 //! One strict flag table for every binary's command line.
 //!
-//! A binary declares its flags as groups of [`Flag`]s; the shared groups
-//! [`PIPELINE_FLAGS`] and [`TRACE_FLAGS`] are reused across binaries.
+//! A binary declares its flags as groups of [`Flag`]s. The shared groups
+//! are reused across binaries, and each has one reader:
+//!
+//! * [`PIPELINE_FLAGS`] — [`PipelineConfig::from_flags`], whose defaults
+//!   are [`PipelineConfig::paper`] (the report binaries, `dse_sweep`,
+//!   `dbpim-fleet` and `dbpim-served`);
+//! * [`GRID_FLAGS`] — [`DseSpec::from_flags`], the point set a
+//!   design-space exploration covers (`dse_sweep`, `dbpim-fleet` and
+//!   `dbpim-cli explore`), rendered by [`render_report`];
+//! * [`TRACE_FLAGS`] — [`install_trace`].
+//!
 //! [`Flags::parse`] walks the arguments once:
 //!
 //! * an argument starting with `-` must be a declared flag, or the parse
@@ -15,6 +24,11 @@
 //! whole job for a `main`: `--help` prints the usage line to stdout and
 //! exits 0, a malformed command line prints the error and the usage line to
 //! stderr and exits 2.
+//!
+//! [`PipelineConfig::from_flags`]: crate::PipelineConfig::from_flags
+//! [`PipelineConfig::paper`]: crate::PipelineConfig::paper
+//! [`DseSpec::from_flags`]: crate::DseSpec::from_flags
+//! [`render_report`]: crate::dse::render_report
 //!
 //! ```
 //! use db_pim::flags::{Flag, Flags};
@@ -59,7 +73,8 @@ impl Flag {
 /// Understood by every table: [`from_args`] answers it with the usage line.
 const HELP: Flag = Flag::switch("--help");
 
-/// The pipeline flags of the experiment, DSE, fleet and serving binaries.
+/// The pipeline flags of the experiment, DSE, fleet and serving binaries,
+/// read by [`PipelineConfig::from_flags`](crate::PipelineConfig::from_flags).
 pub const PIPELINE_FLAGS: &[Flag] = &[
     Flag::value("--width", "<f32>"),
     Flag::value("--seed", "<u64>"),
@@ -67,6 +82,25 @@ pub const PIPELINE_FLAGS: &[Flag] = &[
     Flag::value("--cal", "<n>"),
     Flag::value("--classes", "<n>"),
     Flag::value("--operand-width", "<4|8|12|16>"),
+];
+
+/// The axes of a design-space exploration — geometry (buffers in KB),
+/// models, operand widths, pruning, sparsity and fidelity — read by
+/// [`DseSpec::from_flags`](crate::DseSpec::from_flags).
+pub const GRID_FLAGS: &[Flag] = &[
+    Flag::value("--macros", "a,b"),
+    Flag::value("--compartments", "a,b"),
+    Flag::value("--dbmus", "a,b"),
+    Flag::value("--rows", "a,b"),
+    Flag::value("--freqs", "a,b"),
+    Flag::value("--feature-kb", "a,b"),
+    Flag::value("--weight-kb", "a,b"),
+    Flag::value("--meta-kb", "a,b"),
+    Flag::value("--models", "a,b"),
+    Flag::value("--widths", "4,8,..."),
+    Flag::value("--pruning", "0.3,s0.5,..."),
+    Flag::value("--sparsity", "base,hybrid,..."),
+    Flag::switch("--fidelity"),
 ];
 
 /// The observability flags, applied by [`install_trace`].

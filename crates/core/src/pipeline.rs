@@ -18,6 +18,7 @@ use dbpim_tensor::PruningSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PipelineError;
+use crate::flags::{Flags, OptionsError};
 use crate::session::ModelArtifacts;
 
 /// Configuration of the end-to-end pipeline.
@@ -52,14 +53,15 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// The paper's setting: CIFAR-100 classes, full-width models, the
-    /// Section 4.1 architecture.
+    /// Section 4.1 architecture. Every binary's pipeline flags default to
+    /// it ([`from_flags`](Self::from_flags)).
     #[must_use]
     pub fn paper() -> Self {
         Self {
             classes: dbpim_nn::CIFAR100_CLASSES,
             seed: 42,
             width_mult: 1.0,
-            calibration_images: 4,
+            calibration_images: 2,
             evaluation_images: 16,
             arch: ArchConfig::paper(),
             operand_width: OperandWidth::Int8,
@@ -81,6 +83,31 @@ impl PipelineConfig {
             operand_width: OperandWidth::Int8,
             pruning: PruningSpec::none(),
         }
+    }
+
+    /// Reads [`PIPELINE_FLAGS`]; a flag not given keeps its
+    /// [`paper`](Self::paper) value, and `--cal 0` is clamped to 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptionsError`] naming a flag with a malformed value, or the
+    /// first positional word: no binary reading these flags takes one.
+    ///
+    /// [`PIPELINE_FLAGS`]: crate::flags::PIPELINE_FLAGS
+    pub fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
+        flags.no_positionals()?;
+        let paper = Self::paper();
+        Ok(Self {
+            width_mult: flags.get("--width")?.unwrap_or(paper.width_mult),
+            seed: flags.get("--seed")?.unwrap_or(paper.seed),
+            evaluation_images: flags.get("--images")?.unwrap_or(paper.evaluation_images),
+            calibration_images: flags
+                .get::<usize>("--cal")?
+                .map_or(paper.calibration_images, |n| n.max(1)),
+            classes: flags.get("--classes")?.unwrap_or(paper.classes),
+            operand_width: flags.get("--operand-width")?.unwrap_or(paper.operand_width),
+            ..paper
+        })
     }
 
     /// Disables the fidelity evaluation (performance-only runs).

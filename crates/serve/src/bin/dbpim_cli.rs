@@ -6,28 +6,10 @@
 //! commands:
 //!   ping                       liveness + protocol-version check
 //!   models                     list the servable zoo models
-//!   run --model <name>         run one model (all four sparsity configs)
-//!       [--sparsity <name>]    restrict to one configuration
-//!       [--operand-width <w>]  override the daemon's default width
-//!       [--fidelity]           request the accuracy-fidelity evaluation
-//!   sweep [--models a,b,c]     sweep models (default: all five) on the
-//!                              paper geometry: an `Explore` over one
-//!                              geometry
-//!       [--sparsity <name>]    restrict to one configuration
-//!       [--widths 4,8,...]     sweep several operand widths
-//!       [--pruning none,0.3]   value-level pruning axis (u/s<fraction>)
-//!       [--fidelity]           request fidelity where defined
-//!   explore                    stream a design-space exploration
-//!       [--macros 2,4,8]       macro-count axis (default: paper value)
-//!       [--compartments a,b]   compartments-per-macro axis
-//!       [--dbmus a,b]          DBMU-columns axis
-//!       [--rows 32,64]         rows-per-DBMU axis
-//!       [--freqs 250,500]      frequency axis in MHz
-//!       [--models a,b,c]       models (default: all five)
-//!       [--sparsity <name>]    restrict to one configuration
-//!       [--widths 4,8,...]     operand-width axis
-//!       [--pruning none,0.3]   value-level pruning axis (u/s<fraction>)
-//!       [--fidelity]           request fidelity where defined
+//!   explore [grid flags]       stream a design-space exploration; the grid
+//!       [--deadline-ms <n>]    flags are dse_sweep's (default: the paper
+//!                              geometry, all five models, all four
+//!                              sparsity configurations)
 //!   stats                      daemon counters, queue depths, rejection
 //!                              counts, per-request latency + cache stats
 //!       [--watch <secs>]       re-poll every <secs> seconds and print a
@@ -37,32 +19,33 @@
 //!                              Prometheus text exposition format
 //!   shard-status               progress of shard-tagged fleet explorations
 //!   shutdown                   stop the daemon
-//!
-//! `run`, `sweep` and `explore` additionally accept `--deadline-ms <n>`:
-//! the daemon answers with a structured `DeadlineExceeded` error instead of
-//! streaming past the deadline. `--auth-token` authenticates the connection
-//! before the command runs — required against a daemon started with
-//! `--auth-token`, harmless against an open one.
 //! ```
+//!
+//! `explore` reads the grid flags with `dse_sweep`'s reader
+//! ([`DseSpec::from_flags`]) and prints the report with its renderer
+//! ([`render_report`]), so against a daemon started with the same pipeline
+//! flags its stdout is byte-identical to `dse_sweep`'s; point progress and
+//! the wall time go to stderr. A point set of one point that a `RunModel`
+//! request can name is sent as one (see [`single_point_query`]). With
+//! `--deadline-ms` the daemon answers a structured `DeadlineExceeded` error
+//! instead of streaming past the deadline. `--auth-token` authenticates the
+//! connection before the command runs — required against a daemon started
+//! with `--auth-token`, harmless against an open one.
 //!
 //! The command line is strict ([`db_pim::flags`]): exactly one command
 //! word, and an unknown flag, a flag the command does not read (beside
 //! `--addr --port --auth-token --trace-out --log-level`), a stray word or a
 //! malformed value aborts with usage on stderr (exit status 2).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use db_pim::flags::{self, Flag, Flags, OptionsError, TRACE_FLAGS};
-use db_pim::{DseEntry, DseReport, DseSpec, PruningSpec};
-use dbpim_arch::ArchConfig;
-use dbpim_csd::OperandWidth;
-use dbpim_nn::ModelKind;
-use dbpim_serve::{Client, RunQuery};
-use dbpim_sim::{ArchGrid, SparsityConfig};
+use db_pim::dse::render_report;
+use db_pim::flags::{self, Flag, Flags, OptionsError, GRID_FLAGS, TRACE_FLAGS};
+use db_pim::{DseEntry, DseReport, DseSpec};
+use dbpim_serve::{Client, ClientError, RunQuery};
 
 /// The program and its command word, as the usage line shows them.
-const PROGRAM: &str =
-    "dbpim-cli <ping|models|run|sweep|explore|stats|metrics|shard-status|shutdown>";
+const PROGRAM: &str = "dbpim-cli <ping|models|explore|stats|metrics|shard-status|shutdown>";
 
 // The flag groups; `COMMANDS` says which command reads which.
 const CONNECTION_FLAGS: &[Flag] = &[
@@ -71,47 +54,17 @@ const CONNECTION_FLAGS: &[Flag] = &[
     Flag::value("--auth-token", "<secret>"),
 ];
 
-const QUERY_FLAGS: &[Flag] = &[
-    Flag::value("--sparsity", "<name>"),
-    Flag::switch("--fidelity"),
-    Flag::value("--deadline-ms", "<n>"),
-];
-
-const RUN_FLAGS: &[Flag] =
-    &[Flag::value("--model", "<name>"), Flag::value("--operand-width", "<4|8|12|16>")];
-
-const POINT_SET_FLAGS: &[Flag] = &[
-    Flag::value("--models", "a,b,c"),
-    Flag::value("--widths", "4,8,..."),
-    Flag::value("--pruning", "none,0.3,s0.5,..."),
-];
-
-const GRID_FLAGS: &[Flag] = &[
-    Flag::value("--macros", "a,b"),
-    Flag::value("--compartments", "a,b"),
-    Flag::value("--dbmus", "a,b"),
-    Flag::value("--rows", "a,b"),
-    Flag::value("--freqs", "a,b"),
-];
+const EXPLORE_FLAGS: &[Flag] = &[Flag::value("--deadline-ms", "<n>")];
 
 const STATS_FLAGS: &[Flag] = &[Flag::value("--watch", "<secs>")];
 
-const CLI_TABLE: &[&[Flag]] = &[
-    CONNECTION_FLAGS,
-    QUERY_FLAGS,
-    RUN_FLAGS,
-    POINT_SET_FLAGS,
-    GRID_FLAGS,
-    STATS_FLAGS,
-    TRACE_FLAGS,
-];
+const CLI_TABLE: &[&[Flag]] =
+    &[CONNECTION_FLAGS, GRID_FLAGS, EXPLORE_FLAGS, STATS_FLAGS, TRACE_FLAGS];
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Command {
     Ping,
     Models,
-    Run,
-    Sweep,
     Explore,
     Stats,
     Metrics,
@@ -124,51 +77,25 @@ struct CliOptions {
     addr: String,
     port: u16,
     command: Command,
-    model: Option<ModelKind>,
-    models: Option<Vec<ModelKind>>,
-    sparsity: Option<SparsityConfig>,
-    width: Option<OperandWidth>,
-    widths: Option<Vec<OperandWidth>>,
-    pruning: Option<Vec<PruningSpec>>,
-    macros: Option<Vec<usize>>,
-    compartments: Option<Vec<usize>>,
-    dbmus: Option<Vec<usize>>,
-    rows: Option<Vec<usize>>,
-    freqs: Option<Vec<f64>>,
+    /// The point set `explore` streams.
+    spec: DseSpec,
     deadline_ms: Option<u64>,
     auth_token: Option<String>,
-    fidelity: bool,
     watch: Option<u64>,
 }
 
 impl CliOptions {
     fn from_flags(flags: &Flags) -> Result<Self, OptionsError> {
-        let command = command(flags)?;
-        let options = Self {
+        Ok(Self {
+            command: command(flags)?,
             addr: flags.raw("--addr").unwrap_or("127.0.0.1").to_string(),
             port: flags.get("--port")?.unwrap_or(7531),
-            model: flags.get("--model")?,
-            models: flags.list("--models")?,
-            sparsity: flags.get("--sparsity")?,
-            width: flags.get("--operand-width")?,
-            widths: flags.list("--widths")?,
-            pruning: flags.list("--pruning")?,
-            macros: flags.list("--macros")?,
-            compartments: flags.list("--compartments")?,
-            dbmus: flags.list("--dbmus")?,
-            rows: flags.list("--rows")?,
-            freqs: flags.list("--freqs")?,
+            spec: DseSpec::from_flags(flags)?,
             deadline_ms: flags.get("--deadline-ms")?,
             auth_token: flags.raw("--auth-token").map(String::from),
-            fidelity: flags.switch("--fidelity"),
             // Zero would busy-poll the daemon; clamp like `--threads 0`.
             watch: flags.get::<u64>("--watch")?.map(|secs| secs.max(1)),
-            command,
-        };
-        if options.command == Command::Run && options.model.is_none() {
-            return Err(OptionsError::new("--model", "required for `run`"));
-        }
-        Ok(options)
+        })
     }
 }
 
@@ -177,9 +104,7 @@ impl CliOptions {
 const COMMANDS: &[(&str, Command, &[&[Flag]])] = &[
     ("ping", Command::Ping, &[]),
     ("models", Command::Models, &[]),
-    ("run", Command::Run, &[QUERY_FLAGS, RUN_FLAGS]),
-    ("sweep", Command::Sweep, &[QUERY_FLAGS, POINT_SET_FLAGS]),
-    ("explore", Command::Explore, &[QUERY_FLAGS, POINT_SET_FLAGS, GRID_FLAGS]),
+    ("explore", Command::Explore, &[GRID_FLAGS, EXPLORE_FLAGS]),
     ("stats", Command::Stats, &[STATS_FLAGS]),
     ("metrics", Command::Metrics, &[]),
     ("shard-status", Command::ShardStatus, &[]),
@@ -207,122 +132,44 @@ fn command(flags: &Flags) -> Result<Command, OptionsError> {
     }
 }
 
-/// The point set of `sweep` and `explore`: `grid` crossed with the model,
-/// sparsity, width, pruning and fidelity flags.
-fn point_set(options: &CliOptions, grid: ArchGrid) -> DseSpec {
-    let models = options.models.clone().unwrap_or_else(|| ModelKind::all().to_vec());
-    let mut spec = DseSpec::new(grid, models);
-    if let Some(sparsity) = options.sparsity {
-        spec = spec.with_sparsity(vec![sparsity]);
+/// The `RunModel` query that answers `spec` when it names one point such a
+/// query can: one model, width and geometry, the daemon's pruning, and one
+/// or all four sparsity configurations. `RunModel` answers in one frame
+/// and `Explore` in three; the daemon writes a frame in two writes without
+/// `TCP_NODELAY`, so on a connection's second request (as after
+/// `--auth-token`) each extra frame can wait ~40 ms for a delayed ACK.
+fn single_point_query(spec: &DseSpec, deadline_ms: Option<u64>) -> Option<RunQuery> {
+    let &[model] = spec.unique_models().as_slice() else { return None };
+    let &[arch] = spec.grid.enumerate().ok()?.as_slice() else { return None };
+    let width = spec.widths.first().copied();
+    if !spec.pruning.is_empty() || spec.widths.iter().any(|&w| Some(w) != width) {
+        return None;
     }
-    if let Some(widths) = &options.widths {
-        spec = spec.with_widths(widths.clone());
-    }
-    if let Some(pruning) = &options.pruning {
-        spec = spec.with_pruning(pruning.clone());
-    }
-    if options.fidelity {
-        spec = spec.with_fidelity();
-    }
-    spec
+    let sparsity = match spec.unique_sparsity()[..] {
+        [one] => Some(one),
+        [_, _, _, _] => None, // all four
+        _ => return None,
+    };
+    let fidelity = spec.fidelity;
+    Some(RunQuery { model, sparsity, width, arch: Some(arch), fidelity, deadline_ms })
 }
 
-/// Prints one row per simulated run of `entries`, then a summary line
-/// naming `prepared_models` artifact sets and the server's `wall_time`.
-fn print_table(entries: &[DseEntry], prepared_models: usize, wall_time: Duration) {
-    println!("| model | width | arch macros | sparsity | cycles | speedup | energy saving |");
-    println!("|---|---|---|---|---|---|---|");
-    for entry in entries {
-        // Speedups are relative to the dense baseline; a query restricted
-        // to a non-baseline sparsity configuration has nothing to compare
-        // against.
-        let has_baseline = entry.result.run(SparsityConfig::DenseBaseline).is_some();
-        for run in &entry.result.runs {
-            let (speedup, saving) = if has_baseline {
-                (
-                    format!("{:.2}x", entry.result.speedup(run.sparsity)),
-                    format!("{:.2}%", 100.0 * entry.result.energy_saving(run.sparsity)),
-                )
-            } else {
-                ("n/a".to_string(), "n/a".to_string())
-            };
-            println!(
-                "| {} | {} | {} | {} | {} | {} | {} |",
-                entry.kind.name(),
-                entry.point().width_label(),
-                entry.arch.macros,
-                run.sparsity,
-                run.total_cycles(),
-                speedup,
-                saving,
-            );
-        }
-    }
-    let simulated_runs: usize = entries.iter().map(|e| e.result.runs.len()).sum();
-    println!(
-        "({} entries, {} prepared model/width artifact sets, {} simulated runs, server wall time {:?})",
-        entries.len(),
-        prepared_models,
-        simulated_runs,
-        wall_time,
-    );
-}
-
-fn print_explore(report: &DseReport) {
-    println!("| model | width | macros | comp | dbmus | rows | MHz | hybrid cycles | speedup |");
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for entry in &report.entries {
-        let hybrid = entry.result.run(SparsityConfig::HybridSparsity);
-        let has_baseline = entry.result.run(SparsityConfig::DenseBaseline).is_some();
-        let cycles = hybrid.map_or("n/a".to_string(), |run| run.total_cycles().to_string());
-        let speedup = if hybrid.is_some() && has_baseline {
-            format!("{:.2}x", entry.result.speedup(SparsityConfig::HybridSparsity))
-        } else {
-            "n/a".to_string()
-        };
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            entry.kind.name(),
-            entry.point().width_label(),
-            entry.arch.macros,
-            entry.arch.compartments_per_macro,
-            entry.arch.dbmus_per_compartment,
-            entry.arch.rows_per_dbmu,
-            entry.arch.frequency_mhz,
-            cycles,
-            speedup,
-        );
-    }
-    println!(
-        "({} of {} grid points, server wall time {:?})",
-        report.entries.len(),
-        report.total_points,
-        report.wall_time,
-    );
-    for kind in report.spec.unique_models() {
-        for sparsity in report.spec.unique_sparsity() {
-            let frontier = report.pareto_frontier(kind, sparsity);
-            if frontier.is_empty() {
-                continue;
-            }
-            let labels: Vec<String> = frontier
-                .iter()
-                .map(|(i, m)| {
-                    let e = &report.entries[*i];
-                    format!(
-                        "{}m/{}r@{} ({:.3} ms, {:.2} uJ, {:.3} mm2)",
-                        e.arch.macros,
-                        e.arch.rows_per_dbmu,
-                        e.arch.frequency_mhz,
-                        m.latency_ms,
-                        m.energy_uj,
-                        m.area_mm2
-                    )
-                })
-                .collect();
-            println!("pareto[{} / {}]: {}", kind.name(), sparsity, labels.join(", "));
-        }
-    }
+/// Runs `spec` on the daemon, one line per finished point on stderr.
+fn explore(
+    client: &mut Client,
+    spec: &DseSpec,
+    deadline: Option<u64>,
+) -> Result<DseReport, ClientError> {
+    let progress =
+        |index, entry: &DseEntry| eprintln!("… point {index}: {} done", entry.point().label());
+    let Some(query) = single_point_query(spec, deadline) else {
+        return client.explore_streaming(spec, deadline, None, None, progress);
+    };
+    let mut report = DseReport::empty(spec.clone(), 1);
+    report.entries.push(DseEntry::from_sweep(client.run_model(&query)?));
+    report.fresh_points = 1;
+    progress(0, &report.entries[0]);
+    Ok(report)
 }
 
 fn print_stats(stats: &dbpim_serve::ServerStats) {
@@ -389,7 +236,7 @@ fn render_stats_delta(
 /// `stats --watch <secs>`: print the absolute snapshot once, then one
 /// delta/rate line per interval until interrupted (or the daemon goes
 /// away, which surfaces as the client error).
-fn watch_stats(client: &mut Client, interval_secs: u64) -> Result<(), dbpim_serve::ClientError> {
+fn watch_stats(client: &mut Client, interval_secs: u64) -> Result<(), ClientError> {
     use std::io::Write as _;
 
     let interval = Duration::from_secs(interval_secs.max(1));
@@ -439,64 +286,17 @@ fn main() {
                 println!("{} (compact: {})", kind.name(), kind.is_compact());
             }
         }),
-        Command::Run => {
-            let mut query = RunQuery::new(options.model.expect("validated by the parser"));
-            query.sparsity = options.sparsity;
-            query.width = options.width;
-            query.fidelity = options.fidelity;
-            query.deadline_ms = options.deadline_ms;
-            client.run_model(&query).map(|entry| {
-                if let Some(fidelity) = &entry.result.fidelity {
-                    println!("fidelity: top-1 agreement {:.2}%", 100.0 * fidelity.top1_agreement);
-                }
-                print_table(&[DseEntry::from_sweep(entry)], 1, Duration::ZERO);
-            })
-        }
-        Command::Sweep => {
-            // The daemon has no geometry flag, so the paper geometry is the
-            // one it runs.
-            let spec = point_set(&options, ArchGrid::around(ArchConfig::paper()));
-            client
-                .explore_streaming(&spec, options.deadline_ms, None, None, |index, entry| {
-                    eprintln!("… entry {index}: {} @ {} done", entry.kind.name(), entry.width);
-                })
-                .map(|report| {
-                    let prepared_models = spec.unique_models().len()
-                        * spec.effective_widths(OperandWidth::Int8).len()
-                        * spec.effective_pruning(PruningSpec::none()).len();
-                    print_table(&report.entries, prepared_models, report.wall_time);
-                })
-        }
         Command::Explore => {
-            let mut grid = ArchGrid::around(ArchConfig::paper());
-            if let Some(macros) = options.macros.clone() {
-                grid = grid.with_macros(macros);
-            }
-            if let Some(compartments) = options.compartments.clone() {
-                grid = grid.with_compartments(compartments);
-            }
-            if let Some(dbmus) = options.dbmus.clone() {
-                grid = grid.with_dbmus(dbmus);
-            }
-            if let Some(rows) = options.rows.clone() {
-                grid = grid.with_rows(rows);
-            }
-            if let Some(freqs) = options.freqs.clone() {
-                grid = grid.with_frequencies(freqs);
-            }
-            let spec = point_set(&options, grid);
-            client
-                .explore_streaming(&spec, options.deadline_ms, None, None, |index, entry| {
-                    eprintln!(
-                        "… point {index}: {} @ {} on {} macros x {} rows @ {} MHz done",
-                        entry.kind.name(),
-                        entry.width,
-                        entry.arch.macros,
-                        entry.arch.rows_per_dbmu,
-                        entry.arch.frequency_mhz,
-                    );
-                })
-                .map(|report| print_explore(&report))
+            let start = Instant::now();
+            explore(&mut client, &options.spec, options.deadline_ms).map(|report| {
+                print!("{}", render_report(&report));
+                eprintln!(
+                    "dbpim-cli: {} of {} points, wall time {:?}",
+                    report.entries.len(),
+                    report.total_points,
+                    start.elapsed(),
+                );
+            })
         }
         Command::Stats => match options.watch {
             Some(secs) => watch_stats(&mut client, secs),
@@ -540,6 +340,8 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    use db_pim::prelude::{ArchConfig, ModelKind, OperandWidth, PruningSpec, SparsityConfig};
+
     use super::*;
 
     fn parse(raw: &[&str]) -> Result<CliOptions, OptionsError> {
@@ -550,35 +352,42 @@ mod tests {
     #[test]
     fn commands_and_flags_parse_strictly() {
         let options = parse(&[
-            "run",
-            "--model",
+            "explore",
+            "--models",
             "resnet-18",
             "--sparsity",
             "hybrid",
-            "--operand-width",
+            "--widths",
             "4",
             "--fidelity",
             "--port",
             "9000",
         ])
         .unwrap();
-        assert_eq!(options.command, Command::Run);
-        assert_eq!(options.model, Some(ModelKind::ResNet18));
-        assert_eq!(options.sparsity, Some(SparsityConfig::HybridSparsity));
-        assert_eq!(options.width, Some(OperandWidth::Int4));
-        assert!(options.fidelity);
+        assert_eq!(options.command, Command::Explore);
+        assert_eq!(options.spec.models, vec![ModelKind::ResNet18]);
+        assert_eq!(options.spec.sparsity, vec![SparsityConfig::HybridSparsity]);
+        assert_eq!(options.spec.widths, vec![OperandWidth::Int4]);
+        assert!(options.spec.fidelity);
         assert_eq!(options.port, 9000);
 
-        let options = parse(&["sweep", "--models", "alexnet,vgg19", "--widths", "4,16"]).unwrap();
-        assert_eq!(options.command, Command::Sweep);
-        assert_eq!(options.models, Some(vec![ModelKind::AlexNet, ModelKind::Vgg19]));
-        assert_eq!(options.widths, Some(vec![OperandWidth::Int4, OperandWidth::Int16]));
+        // `run` and `sweep` are gone: `explore --models` runs one model and
+        // `explore` without grid axes sweeps the paper geometry.
+        for word in ["run", "sweep"] {
+            let err = parse(&[word]).unwrap_err();
+            assert_eq!(err.flag, "<command>");
+            let expected = "expected one of: ping, models, explore, stats, metrics, \
+                            shard-status, shutdown";
+            assert_eq!(err.message, format!("`{word}` — {expected}"));
+        }
     }
 
+    /// What `sweep` did: an exploration of the paper geometry, read by the
+    /// grid reader `dse_sweep` uses.
     #[test]
     fn sweep_is_an_exploration_of_the_paper_geometry() {
         let options = parse(&[
-            "sweep",
+            "explore",
             "--models",
             "alexnet",
             "--widths",
@@ -588,12 +397,16 @@ mod tests {
             "--fidelity",
         ])
         .unwrap();
-        let spec = point_set(&options, ArchGrid::around(ArchConfig::paper()));
+        let spec = &options.spec;
         assert!(spec.fidelity);
         let points = spec.points(OperandWidth::Int8, PruningSpec::none()).unwrap();
         assert_eq!(points.len(), 4, "1 model x 2 widths x 2 prunings");
         assert!(points.iter().all(|p| p.arch == ArchConfig::paper()));
         assert_eq!(points[0].width, OperandWidth::Int4, "widths run narrow to wide");
+        assert_eq!(
+            parse(&["explore"]).unwrap().spec,
+            DseSpec::from_flags(&Flags::default()).unwrap()
+        );
     }
 
     #[test]
@@ -606,18 +419,25 @@ mod tests {
             "32,64",
             "--freqs",
             "250,500",
+            "--weight-kb",
+            "32,64",
             "--models",
             "alexnet",
             "--sparsity",
-            "hybrid",
+            "base,hybrid",
         ])
         .unwrap();
         assert_eq!(options.command, Command::Explore);
-        assert_eq!(options.macros, Some(vec![2, 4, 8]));
-        assert_eq!(options.rows, Some(vec![32, 64]));
-        assert_eq!(options.freqs, Some(vec![250.0, 500.0]));
-        assert_eq!(options.models, Some(vec![ModelKind::AlexNet]));
-        assert_eq!(options.sparsity, Some(SparsityConfig::HybridSparsity));
+        let grid = &options.spec.grid;
+        assert_eq!(grid.macros, vec![2, 4, 8]);
+        assert_eq!(grid.rows_per_dbmu, vec![32, 64]);
+        assert_eq!(grid.frequency_mhz, vec![250.0, 500.0]);
+        assert_eq!(grid.weight_buffer_bytes, vec![32 * 1024, 64 * 1024]);
+        assert_eq!(options.spec.models, vec![ModelKind::AlexNet]);
+        assert_eq!(
+            options.spec.sparsity,
+            vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]
+        );
 
         let err = parse(&["explore", "--macros", "2,x"]).unwrap_err();
         assert_eq!(err.flag, "--macros");
@@ -630,11 +450,11 @@ mod tests {
         assert_eq!(options.command, Command::ShardStatus);
         assert_eq!(options.port, 7641);
 
-        let options = parse(&["sweep", "--deadline-ms", "2500"]).unwrap();
-        assert_eq!(options.command, Command::Sweep);
+        let options = parse(&["explore", "--deadline-ms", "2500"]).unwrap();
+        assert_eq!(options.command, Command::Explore);
         assert_eq!(options.deadline_ms, Some(2500));
 
-        let err = parse(&["sweep", "--deadline-ms", "soon"]).unwrap_err();
+        let err = parse(&["explore", "--deadline-ms", "soon"]).unwrap_err();
         assert_eq!(err.flag, "--deadline-ms");
     }
 
@@ -707,14 +527,93 @@ mod tests {
         assert!(line.starts_with("+0 req (0.0/s)"), "{line}");
     }
 
-    /// `sweep --macros 2` used to run the paper's 4 macros, and `run` and
-    /// `stats` parsed the other commands' flags the same way.
+    /// A point set of one point goes as one `RunModel` query; a point set a
+    /// `RunModel` query cannot name goes as `Explore`.
+    #[test]
+    fn one_point_is_sent_as_one_run_model_query() {
+        let query = |line: &[&str]| single_point_query(&parse(line).unwrap().spec, Some(9));
+        let paper = RunQuery::new(ModelKind::AlexNet).with_arch(ArchConfig::paper());
+        assert_eq!(
+            query(&["explore", "--models", "alexnet"]),
+            Some(RunQuery { deadline_ms: Some(9), ..paper })
+        );
+        let mut arch = ArchConfig::paper();
+        arch.rows_per_dbmu = 32;
+        let one = [
+            "explore",
+            "--models",
+            "resnet-18,resnet-18",
+            "--widths",
+            "4,4",
+            "--rows",
+            "32",
+            "--sparsity",
+            "hybrid,hybrid",
+            "--fidelity",
+        ];
+        assert_eq!(
+            query(&one),
+            Some(RunQuery {
+                model: ModelKind::ResNet18,
+                sparsity: Some(SparsityConfig::HybridSparsity),
+                width: Some(OperandWidth::Int4),
+                arch: Some(arch),
+                fidelity: true,
+                deadline_ms: Some(9),
+            })
+        );
+        for line in [
+            &["explore"][..],
+            &["explore", "--models", "alexnet", "--widths", "4,8"],
+            &["explore", "--models", "alexnet", "--macros", "2,4"],
+            &["explore", "--models", "alexnet", "--sparsity", "base,hybrid"],
+            &["explore", "--models", "alexnet", "--pruning", "none"],
+        ] {
+            assert_eq!(query(line), None, "{line:?}");
+        }
+    }
+
+    /// The `RunModel` answer to one point renders as the `Explore` stream
+    /// of the same spec does, so `explore` prints what `dse_sweep` prints
+    /// on both paths.
+    #[test]
+    fn a_one_point_run_model_renders_as_its_exploration() {
+        let mut pipeline = db_pim::PipelineConfig::fast().without_fidelity();
+        pipeline.width_mult = 0.25;
+        pipeline.calibration_images = 1;
+        let handle = dbpim_serve::Server::spawn(dbpim_serve::ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 1,
+            poll_interval: Duration::from_millis(50),
+            pipeline,
+            ..dbpim_serve::ServeConfig::default()
+        })
+        .expect("server spawns");
+        let mut client = Client::connect(handle.addr()).expect("connects");
+        let spec = parse(&["explore", "--models", "alexnet", "--sparsity", "hybrid"]).unwrap().spec;
+
+        let one = explore(&mut client, &spec, None).expect("one point runs");
+        let streamed = client.explore(&spec).expect("explore runs");
+        assert!(one.results_match(&streamed));
+        assert_eq!(render_report(&one), render_report(&streamed));
+        let latency = client.stats().expect("stats").latency;
+        let count = |request: &str| {
+            latency.iter().find(|l| l.request == request).map_or(0, |l| l.histogram.count)
+        };
+        assert_eq!((count("RunModel"), count("Explore")), (1, 1));
+
+        client.shutdown().expect("shutdown acknowledged");
+        handle.join().expect("daemon exits cleanly");
+    }
+
+    /// A flag of another command is not silently ignored: `stats` never
+    /// explores, so `stats --macros 2` is an error, not a stats call.
     #[test]
     fn a_flag_the_command_does_not_read_is_rejected() {
         for (line, flag, word) in [
-            (&["sweep", "--macros", "2"][..], "--macros", "sweep"),
-            (&["run", "--model", "alexnet", "--widths", "4"][..], "--widths", "run"),
-            (&["stats", "--model", "alexnet"][..], "--model", "stats"),
+            (&["stats", "--macros", "2"][..], "--macros", "stats"),
+            (&["models", "--widths", "4"][..], "--widths", "models"),
+            (&["stats", "--deadline-ms", "5"][..], "--deadline-ms", "stats"),
             (&["ping", "--fidelity"][..], "--fidelity", "ping"),
             (&["explore", "--watch", "1"][..], "--watch", "explore"),
         ] {
@@ -743,7 +642,7 @@ mod tests {
     fn unknown_flag_values_are_not_mistaken_for_commands() {
         // An unknown flag fails the line instead of guessing whether the
         // next word is its value or the command.
-        let err = parse(&["--mytag", "run", "shutdown"]).unwrap_err();
+        let err = parse(&["--mytag", "ping", "shutdown"]).unwrap_err();
         assert_eq!(err, OptionsError::new("--mytag", "unknown flag"));
         // `dbpim-cli --verbose ping` used to fail with "expected one of: …"
         // because the skipped `--verbose` swallowed `ping`.
@@ -762,18 +661,19 @@ mod tests {
         let err = parse(&["pign"]).unwrap_err();
         assert_eq!(err.flag, "<command>");
         assert!(err.message.starts_with("`pign` — expected one of: ping,"), "{err}");
-        // `run` without a model.
-        let err = parse(&["run"]).unwrap_err();
-        assert_eq!(err.flag, "--model");
+        // A removed command word.
+        let err = parse(&["run", "--models", "alexnet"]).unwrap_err();
+        assert_eq!(err.flag, "<command>");
+        assert!(err.message.starts_with("`run` — expected one of: ping,"), "{err}");
         // Unknown model name.
-        let err = parse(&["run", "--model", "lenet"]).unwrap_err();
-        assert_eq!(err.flag, "--model");
+        let err = parse(&["explore", "--models", "lenet"]).unwrap_err();
+        assert_eq!(err.flag, "--models");
         assert!(err.message.contains("lenet"), "{err}");
         // Bad element inside a list.
-        let err = parse(&["sweep", "--widths", "4,10"]).unwrap_err();
+        let err = parse(&["explore", "--widths", "4,10"]).unwrap_err();
         assert_eq!(err.flag, "--widths");
         // Missing value.
-        let err = parse(&["sweep", "--models"]).unwrap_err();
+        let err = parse(&["explore", "--models"]).unwrap_err();
         assert_eq!(err.flag, "--models");
         assert!(err.to_string().contains("missing"), "{err}");
     }

@@ -10,12 +10,8 @@
 //! --addr <ip>       bind address (default 127.0.0.1)
 //! --port <u16>      bind port (default 7531; 0 picks a free port)
 //! --threads <n>     worker threads (default 4)
-//! --width <f32>     channel width multiplier (default 1.0)
-//! --seed <u64>      synthetic-weight seed (default 42)
-//! --images <usize>  evaluation images for fidelity queries (default 16)
-//! --cal <usize>     calibration images (default 4)
-//! --classes <usize> output classes (default 100)
-//! --operand-width <4|8|12|16>  default weight operand width (default 8)
+//! [pipeline flags: --width --seed --images --cal --classes --operand-width,
+//!                   read by PipelineConfig::from_flags as in every binary]
 //! --cache-cap <n>   LRU cap on resident prepared models, one bound for the
 //!                   whole process (default unbounded; 0 is clamped to 1)
 //! --auth-token <s>  shared secret clients must present via Auth (default
@@ -39,6 +35,7 @@
 use std::path::PathBuf;
 
 use db_pim::flags::{Flag, Flags, OptionsError, PIPELINE_FLAGS};
+use db_pim::PipelineConfig;
 use dbpim_trace::LogLevel;
 
 use crate::server::ServeConfig;
@@ -63,8 +60,10 @@ pub const SERVED_FLAGS: &[Flag] = &[
 pub const SERVED_TABLE: &[&[Flag]] = &[SERVED_FLAGS, PIPELINE_FLAGS];
 
 /// Reads [`SERVED_TABLE`] into the daemon's configuration and its stderr
-/// log level. A flag not given keeps its [`ServeConfig::default`] value;
-/// zero threads, caps, frame sizes and trace intervals are clamped to 1.
+/// log level. The pipeline flags go through [`PipelineConfig::from_flags`],
+/// the one reader every binary shares; any other flag not given keeps its
+/// [`ServeConfig::default`] value. Zero threads, caps, frame sizes and
+/// trace intervals are clamped to 1.
 ///
 /// # Errors
 ///
@@ -72,19 +71,11 @@ pub const SERVED_TABLE: &[&[Flag]] = &[SERVED_FLAGS, PIPELINE_FLAGS];
 /// first positional word (the daemon takes none), or `--trace-buffer`
 /// given with `--trace-dir`: the two are different tracing modes.
 pub fn serve_config(flags: &Flags) -> Result<(ServeConfig, LogLevel), OptionsError> {
-    flags.no_positionals()?;
+    let pipeline = PipelineConfig::from_flags(flags)?;
     if flags.raw("--trace-dir").is_some() && flags.raw("--trace-buffer").is_some() {
         return Err(OptionsError::new("--trace-buffer", "cannot be combined with `--trace-dir`"));
     }
     let defaults = ServeConfig::default();
-    let mut pipeline = defaults.pipeline;
-    pipeline.width_mult = flags.get("--width")?.unwrap_or(pipeline.width_mult);
-    pipeline.seed = flags.get("--seed")?.unwrap_or(pipeline.seed);
-    pipeline.evaluation_images = flags.get("--images")?.unwrap_or(pipeline.evaluation_images);
-    pipeline.calibration_images =
-        flags.get::<usize>("--cal")?.map_or(pipeline.calibration_images, |n| n.max(1));
-    pipeline.classes = flags.get("--classes")?.unwrap_or(pipeline.classes);
-    pipeline.operand_width = flags.get("--operand-width")?.unwrap_or(pipeline.operand_width);
     let config = ServeConfig {
         addr: format!(
             "{}:{}",

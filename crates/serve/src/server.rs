@@ -32,7 +32,7 @@
 //!   the frame they belong to across read timeouts.
 //!
 //! Every request type's handling latency is recorded into a
-//! log₂ [`LatencyHistogram`] and exposed — together with queue depths and
+//! log₂ [`LatencyHistogram`](db_pim::LatencyHistogram) and exposed — together with queue depths and
 //! rejection counters — through [`Request::Stats`].
 
 use std::collections::HashMap;

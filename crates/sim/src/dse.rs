@@ -209,7 +209,11 @@ impl ArchGrid {
     /// [`MAX_GRID_POINTS`] and [`GridError::Infeasible`] for the first point
     /// [`ArchConfig::validate`] rejects.
     pub fn enumerate(&self) -> Result<Vec<ArchConfig>, GridError> {
-        let points = self.checked_raw_points()?;
+        let count = self.point_count();
+        if count > MAX_GRID_POINTS {
+            return Err(GridError::TooLarge { points: count, max: MAX_GRID_POINTS });
+        }
+        let points = self.raw_points();
         for (index, arch) in points.iter().enumerate() {
             arch.validate().map_err(|source| GridError::Infeasible {
                 index,
@@ -218,40 +222,6 @@ impl ArchGrid {
             })?;
         }
         Ok(points)
-    }
-
-    /// Enumerates the grid, partitioning into feasible points and rejected
-    /// `(point, reason)` pairs instead of failing on the first infeasible
-    /// combination — for exploratory sweeps that want to cover the feasible
-    /// region of a partially-infeasible grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GridError::TooLarge`] when the cross product exceeds
-    /// [`MAX_GRID_POINTS`]; infeasibility is reported per point, never as an
-    /// error.
-    #[allow(clippy::type_complexity)]
-    pub fn enumerate_partitioned(
-        &self,
-    ) -> Result<(Vec<ArchConfig>, Vec<(ArchConfig, ArchError)>), GridError> {
-        let points = self.checked_raw_points()?;
-        let mut feasible = Vec::with_capacity(points.len());
-        let mut rejected = Vec::new();
-        for arch in points {
-            match arch.validate() {
-                Ok(()) => feasible.push(arch),
-                Err(source) => rejected.push((arch, source)),
-            }
-        }
-        Ok((feasible, rejected))
-    }
-
-    fn checked_raw_points(&self) -> Result<Vec<ArchConfig>, GridError> {
-        let points = self.point_count();
-        if points > MAX_GRID_POINTS {
-            return Err(GridError::TooLarge { points, max: MAX_GRID_POINTS });
-        }
-        Ok(self.raw_points())
     }
 }
 
@@ -428,13 +398,6 @@ mod tests {
             other => panic!("expected Infeasible, got {other:?}"),
         }
         assert!(err.to_string().contains("grid point 1"), "{err}");
-
-        // The partitioned form keeps the feasible half.
-        let (feasible, rejected) = grid.enumerate_partitioned().unwrap();
-        assert_eq!(feasible.len(), 1);
-        assert_eq!(feasible[0].macros, 4);
-        assert_eq!(rejected.len(), 1);
-        assert_eq!(rejected[0].0.macros, 0);
     }
 
     #[test]
@@ -445,10 +408,7 @@ mod tests {
             .with_weight_buffers(vec![1024]);
         let err = grid.enumerate().unwrap_err();
         assert!(matches!(err, GridError::Infeasible { index: 1, .. }), "{err:?}");
-        let (feasible, rejected) = grid.enumerate_partitioned().unwrap();
-        assert_eq!(feasible.len(), 1);
-        assert_eq!(rejected.len(), 1);
-        assert!(rejected[0].1.to_string().contains("weight buffer"), "{}", rejected[0].1);
+        assert!(err.to_string().contains("weight buffer"), "{err}");
     }
 
     #[test]
@@ -460,7 +420,6 @@ mod tests {
         assert_eq!(grid.point_count(), 8000);
         let err = grid.enumerate().unwrap_err();
         assert!(matches!(err, GridError::TooLarge { points: 8000, max: MAX_GRID_POINTS }), "{err}");
-        assert!(grid.enumerate_partitioned().is_err());
     }
 
     #[test]

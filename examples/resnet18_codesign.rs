@@ -17,7 +17,6 @@ use db_pim::prelude::*;
 fn main() -> Result<(), Box<dyn Error>> {
     let mut config = PipelineConfig::paper();
     config.width_mult = 0.5;
-    config.calibration_images = 2;
     config.evaluation_images = 4;
     let session = SimSession::new(config)?;
 

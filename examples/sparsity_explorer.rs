@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut config = PipelineConfig::paper();
     config.seed = 7;
     config.width_mult = 0.5;
-    config.calibration_images = 2;
     let runner = BatchRunner::new(config.without_fidelity())?;
     let artifacts = runner.session().artifacts(kind)?;
     let approx = artifacts.approx();

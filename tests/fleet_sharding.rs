@@ -492,8 +492,10 @@ fn a_local_worker_after_a_dead_endpoint_finishes_a_one_point_run() {
     assert!(outcome.report.results_match(&single), "the fleet diverges");
     let stats = &outcome.stats;
     assert_eq!((stats.workers[1].points, stats.reassigned_points), (1, 1), "{stats:?}");
-    let retired = "worker 0 (remote(127.0.0.1:9)) retired: ";
-    assert!(stats.diagnostics.iter().any(|d| d.starts_with(retired)), "{stats:?}");
+    assert_eq!(stats.workers[0].label, "remote(127.0.0.1:9)");
+    assert!(stats.workers[0].retired.is_some(), "{stats:?}");
+    // A retirement is reported once, by its worker, and not as a note.
+    assert!(stats.diagnostics.iter().all(|d| !d.contains("retired")), "{stats:?}");
 }
 
 /// A fleet whose only worker is a dead endpoint stalls with a structured

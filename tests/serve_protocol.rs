@@ -7,6 +7,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use db_pim::dse::render_report;
+use db_pim::flags::{Flags, GRID_FLAGS};
 use db_pim::prelude::{ArchConfig, ArchGrid, SparsityConfig};
 use db_pim::{DseDriver, DseSpec, PipelineConfig};
 use dbpim_nn::ModelKind;
@@ -232,15 +234,17 @@ fn explore_grid_failures_are_structured_errors_not_disconnects() {
 
 /// Streamed `Explore` entries arrive in canonical order and reassemble
 /// into the same `DseReport` a local driver produces for the same spec
-/// (timestamps aside).
+/// (timestamps aside), so `dbpim-cli explore` prints what `dse_sweep`
+/// prints: the spec is read by the one grid reader and both reports go
+/// through the one renderer.
 #[test]
 fn explore_stream_merges_into_the_same_report_as_a_local_run() {
     let handle = spawn_server();
-    let spec = DseSpec::new(
-        ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]),
-        vec![ModelKind::AlexNet],
-    )
-    .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]);
+    let args: Vec<String> = ["--macros", "2,4", "--models", "alexnet", "--sparsity", "base,hybrid"]
+        .map(String::from)
+        .to_vec();
+    let spec =
+        DseSpec::from_flags(&Flags::parse(&[GRID_FLAGS], &args).expect("parses")).expect("reads");
 
     let mut client = Client::connect(handle.addr()).expect("connects");
     let mut streamed_indices = Vec::new();
@@ -258,6 +262,10 @@ fn explore_stream_merges_into_the_same_report_as_a_local_run() {
     let local =
         DseDriver::new(server_pipeline()).expect("valid config").run(&spec).expect("local run");
     assert!(remote.results_match(&local), "served exploration diverges from the local driver");
+    let rendered = render_report(&local);
+    assert_eq!(render_report(&remote), rendered);
+    assert!(rendered.starts_with("DSE sweep - 2 of 2 grid points"), "{rendered}");
+    assert!(rendered.contains("pareto frontier [AlexNet / hybrid sparsity]"), "{rendered}");
 
     // Streamed entries merge into a local (e.g. partially resumed) report
     // without duplicating points.

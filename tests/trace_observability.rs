@@ -11,8 +11,8 @@
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
+use db_pim::dse::render_report;
 use db_pim::prelude::*;
-use dbpim_bench::dse::render_report;
 use dbpim_serve::{Client, ServeConfig, Server};
 use dbpim_trace::{phase_summary, ChromeTrace, MetricsRegistry, SpanRecord, TraceCollector};
 use serde::value::Value;
