@@ -10,18 +10,18 @@
 //!             [--auth-token <secret>]
 //!             [--point-timeout-ms <n>] [--retries <n>]
 //!             [--log-level error|warn|info|debug] [--trace-out <path>]
-//! dbpim-fleet --status --endpoints host:port,... [--auth-token <secret>]
-//!             [--fleet-id <name>]
+//! dbpim-fleet --status --snapshot-dir <dir>
 //! ```
 //!
 //! `dse_sweep`'s driver flags (`--snapshot`, `--limit-points`, `--threads`)
 //! are not in the table ([`FLEET_TABLE`]), so `--snapshot` fails with a
 //! hint at `--snapshot-dir`.
 //!
-//! `--status` skips the sweep entirely: it asks every endpoint for its
-//! shard registry, folds the answers into one deduplicated progress view
-//! per fleet ([`FleetProgress`]) and prints it — the monitoring
-//! counterpart to a fleet running elsewhere.
+//! `--status` skips the sweep entirely: it reads the run's journal,
+//! `<dir>/merged.json` ([`JOURNAL_FILE`]), and prints how many of its
+//! points are done, with a note when a kill cut its final record short. It
+//! writes nothing, so it can watch a run in progress. The journal is the
+//! one record of a fleet's progress; the daemons keep none.
 //!
 //! The rendered report (stdout) is the same pure-function-of-the-results
 //! table `dse_sweep` prints, so CI can `diff` a fleet run byte-for-byte
@@ -44,13 +44,14 @@
 //! pipeline flags; both default to [`PipelineConfig::paper`].
 
 use std::io::Write as _;
+use std::path::Path;
 use std::time::Instant;
 
 use db_pim::dse::render_report;
 use db_pim::flags::{self, OptionsError};
-use db_pim::{DseSpec, PipelineConfig};
+use db_pim::{DseReport, DseSpec, PipelineConfig};
 use dbpim_bench::dse::FLEET_TABLE;
-use dbpim_fleet::{FleetDriver, FleetEvent, FleetOptions, FleetProgress};
+use dbpim_fleet::{FleetDriver, FleetEvent, FleetOptions, JOURNAL_FILE};
 use dbpim_trace::{log_debug, log_info, log_warn, TraceSink};
 
 fn main() {
@@ -58,18 +59,20 @@ fn main() {
         flags::from_args("dbpim-fleet", FLEET_TABLE, |flags| {
             let fleet = FleetOptions::from_flags(flags)?;
             let status = flags.switch("--status");
-            if status && fleet.endpoints.is_empty() {
-                return Err(OptionsError::new(
-                    "--status",
-                    "needs --endpoints to know which daemons to ask",
-                ));
+            if status && !fleet.endpoints.is_empty() {
+                let why = "not read by --status, which reads the journal in --snapshot-dir";
+                return Err(OptionsError::new("--endpoints", why));
+            }
+            if status && fleet.snapshot_dir.is_none() {
+                let why = "missing: --status reads the journal in this dir";
+                return Err(OptionsError::new("--snapshot-dir", why));
             }
             let pipeline = PipelineConfig::from_flags(flags)?;
             let spec = DseSpec::from_flags(flags)?;
             Ok((pipeline, spec, fleet, status, flags::install_trace(flags)?))
         });
-    if status {
-        status_mode(&fleet);
+    if let (true, Some(dir)) = (status, &fleet.snapshot_dir) {
+        print_status(dir);
     }
 
     let config = fleet.fleet_config(pipeline);
@@ -183,50 +186,17 @@ fn finish_trace(sink: TraceSink, fleet: &FleetOptions) -> std::io::Result<()> {
     sink.finish_merged(lanes)
 }
 
-/// `--status`: fetch every endpoint's shard registry, aggregate, print.
-fn status_mode(fleet: &FleetOptions) -> ! {
-    use std::time::Duration;
-
-    let mut views = Vec::new();
-    let mut unreachable = 0usize;
-    for endpoint in &fleet.endpoints {
-        let statuses =
-            dbpim_serve::Client::connect_timeout(endpoint.as_str(), Duration::from_secs(5))
-                .map_err(|e| e.to_string())
-                .and_then(|mut client| {
-                    if let Some(token) = &fleet.auth_token {
-                        client.authenticate(token).map_err(|e| e.to_string())?;
-                    }
-                    client.shard_statuses().map_err(|e| e.to_string())
-                });
-        match statuses {
-            Ok(statuses) => views.push(statuses),
-            Err(e) => {
-                unreachable += 1;
-                eprintln!("dbpim-fleet: {endpoint}: {e}");
-            }
-        }
-    }
-    if views.is_empty() {
-        eprintln!("dbpim-fleet: no endpoint answered");
+/// `--status`: how many points the journal in `dir` holds, read without
+/// writing to it; exits 1 when it cannot be read.
+fn print_status(dir: &Path) -> ! {
+    let path = dir.join(JOURNAL_FILE);
+    let (report, torn) = DseReport::load_journal(&path).unwrap_or_else(|e| {
+        eprintln!("dbpim-fleet: {e}");
         std::process::exit(1);
+    });
+    println!("{}: {} of {} points", path.display(), report.entries.len(), report.total_points);
+    if let Some(bytes) = torn {
+        println!("note: a torn final record ({bytes} bytes) is not counted");
     }
-    let mut fleets = FleetProgress::aggregate(&views);
-    if let Some(id) = &fleet.fleet_id {
-        fleets.retain(|progress| &progress.fleet == id);
-        if fleets.is_empty() {
-            eprintln!("dbpim-fleet: no endpoint reports fleet {id}");
-            std::process::exit(1);
-        }
-    }
-    if fleets.is_empty() {
-        println!("no shard-tagged work reported by {} endpoint(s)", views.len());
-    }
-    for progress in &fleets {
-        print!("{progress}");
-    }
-    std::io::stdout().flush().ok();
-    // Partial coverage is an error exit so scripts don't mistake a view
-    // missing daemons for the whole story.
-    std::process::exit(i32::from(unreachable > 0));
+    std::process::exit(0);
 }

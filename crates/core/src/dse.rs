@@ -39,7 +39,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
@@ -595,34 +594,6 @@ impl DseReport {
         })
     }
 
-    /// Merges another report for the *same spec* into this one: entries of
-    /// `other` whose point is already present are dropped (first report
-    /// wins — deterministic under the bit-identical execution the driver
-    /// guarantees), the rest are adopted and the result re-sorted into
-    /// canonical order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] when the specs differ.
-    pub fn merge(mut self, other: DseReport) -> Result<DseReport, PipelineError> {
-        if self.spec != other.spec {
-            return Err(PipelineError::BadConfig {
-                reason: "cannot merge DSE reports answering different specs".to_string(),
-            });
-        }
-        let mut have: HashSet<PointKey> = self.entries.iter().map(DseEntry::key).collect();
-        for entry in other.entries {
-            if have.insert(entry.key()) {
-                self.entries.push(entry);
-            }
-        }
-        self.wall_time = self.wall_time.max(other.wall_time);
-        self.saved_at_ms = self.saved_at_ms.max(other.saved_at_ms);
-        self.fresh_points = self.fresh_points.min(self.entries.len());
-        self.sort_canonical();
-        Ok(self)
-    }
-
     /// The Pareto frontier over (latency, energy, area, fidelity) across
     /// every entry of `kind` — all widths and geometries — under one
     /// sparsity configuration. Returns `(entry index, metrics)` pairs in
@@ -920,9 +891,16 @@ pub fn render_report(report: &DseReport) -> String {
                 } else {
                     String::new()
                 };
+                // An entry without a fidelity report ranks at the maximum
+                // loss (see `DseEntry::metrics`), which is no measurement.
+                let loss = if entry.result.fidelity.is_some() {
+                    format!(", loss {:.2}%", 100.0 * metrics.fidelity_loss)
+                } else {
+                    String::new()
+                };
                 let _ = writeln!(
                     out,
-                    "  {} @ {}{}: {} macros x {} rows @ {} MHz — {:.4} ms, {:.3} uJ, {:.4} mm2, loss {:.2}%",
+                    "  {} @ {}{}: {} macros x {} rows @ {} MHz — {:.4} ms, {:.3} uJ, {:.4} mm2{}",
                     entry.kind.name(),
                     entry.width,
                     pruning_tag,
@@ -932,7 +910,7 @@ pub fn render_report(report: &DseReport) -> String {
                     metrics.latency_ms,
                     metrics.energy_uj,
                     area.total_mm2(&entry.arch),
-                    100.0 * metrics.fidelity_loss,
+                    loss,
                 );
             }
         }
@@ -1100,8 +1078,6 @@ pub struct MixCandidate {
 /// start on different artifact sets and each prepares few of them.
 #[derive(Debug)]
 pub struct PointQueue {
-    /// Each block's point indices, claimed or not.
-    blocks: Vec<Range<usize>>,
     /// Each block's unclaimed point indices, in claim order.
     pending: Vec<VecDeque<usize>>,
 }
@@ -1113,15 +1089,7 @@ impl PointQueue {
     pub fn new(points: usize, workers: usize) -> Self {
         let workers = workers.max(1);
         let bound = |w: usize| w * (points / workers) + w.min(points % workers);
-        let blocks: Vec<Range<usize>> = (0..workers).map(|w| bound(w)..bound(w + 1)).collect();
-        let pending = blocks.iter().map(|b| b.clone().collect()).collect();
-        Self { blocks, pending }
-    }
-
-    /// Block `block`'s point indices, claimed or not.
-    #[must_use]
-    pub fn block(&self, block: usize) -> Range<usize> {
-        self.blocks[block].clone()
+        Self { pending: (0..workers).map(|w| (bound(w)..bound(w + 1)).collect()).collect() }
     }
 
     /// Claims `worker`'s next point: the front of its own block, else the
@@ -1156,19 +1124,13 @@ pub enum PointError {
     Transient(String),
 }
 
-/// One claimed point and its place in the plan.
+/// One claimed point.
 #[derive(Debug, Clone, Copy)]
 pub struct PointJob<'a> {
     /// The point.
     pub point: DsePoint,
     /// The spec being explored.
     pub spec: &'a DseSpec,
-    /// The block the point was claimed from.
-    pub block: usize,
-    /// Blocks in the plan.
-    pub blocks: usize,
-    /// Points in the claimed block.
-    pub block_points: usize,
     /// The open `dse.point` span's id while a trace collector is installed.
     pub span: Option<u64>,
 }
@@ -1488,7 +1450,6 @@ impl DseDriver {
             missing: &missing,
             journal: journal.as_ref(),
             total: points.len(),
-            blocks: executors.len(),
             state: Mutex::new(RunState {
                 queue: PointQueue::new(missing.len(), executors.len()),
                 in_flight: 0,
@@ -1576,7 +1537,6 @@ struct Run<'a> {
     missing: &'a [DsePoint],
     journal: Option<&'a DseJournal>,
     total: usize,
-    blocks: usize,
     state: Mutex<RunState>,
     /// Signalled whenever a point leaves flight.
     changed: Condvar,
@@ -1632,7 +1592,7 @@ impl Run<'_> {
         executor.heartbeat()?;
         self.emit(&DseEvent::WorkerReady { worker, label: label.to_string() });
         let mut failures = 0;
-        while let Some((index, shard, block_points)) = self.claim(worker) {
+        while let Some((index, shard)) = self.claim(worker) {
             let point = self.missing[index];
             let stolen = shard != worker;
             let span = dbpim_trace::span!(
@@ -1645,14 +1605,7 @@ impl Run<'_> {
                 macros = point.arch.macros,
                 rows = point.arch.rows_per_dbmu,
             );
-            let job = PointJob {
-                point,
-                spec: self.spec,
-                block: shard,
-                blocks: self.blocks,
-                block_points,
-                span: span.id(),
-            };
+            let job = PointJob { point, spec: self.spec, span: span.id() };
             let started = Instant::now();
             let executed = executor.run(&job);
             let elapsed = started.elapsed();
@@ -1722,10 +1675,10 @@ impl Run<'_> {
         Ok(())
     }
 
-    /// `worker`'s next point: its position in `missing`, its block and the
-    /// block's size. Waits while nothing is left to claim but points are in
-    /// flight; `None` once nothing is left at all.
-    fn claim(&self, worker: usize) -> Option<(usize, usize, usize)> {
+    /// `worker`'s next point: its position in `missing` and its block. Waits
+    /// while nothing is left to claim but points are in flight; `None` once
+    /// nothing is left at all.
+    fn claim(&self, worker: usize) -> Option<(usize, usize)> {
         let mut state = lock_unpoisoned(&self.state);
         loop {
             let first_failure = state.failure.as_ref().map_or(usize::MAX, |&(index, _)| index);
@@ -1735,7 +1688,7 @@ impl Run<'_> {
             if let Some((index, block)) = claimed {
                 state.in_flight += 1;
                 state.stats.reassigned_points += usize::from(block != worker);
-                return Some((index, block, state.queue.block(block).len()));
+                return Some((index, block));
             }
             if state.in_flight == 0 || state.abandoned {
                 return None;
@@ -1775,6 +1728,8 @@ impl RunState {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
     use super::*;
 
     fn grid() -> ArchGrid {
@@ -1866,21 +1821,9 @@ mod tests {
         assert!(err.to_string().contains("infeasible"), "{err}");
     }
 
-    #[test]
-    fn report_merge_requires_matching_specs() {
-        let spec_a = DseSpec::new(grid(), vec![ModelKind::AlexNet]);
-        let spec_b = DseSpec::new(grid(), vec![ModelKind::Vgg19]);
-        let a = DseReport::empty(spec_a.clone(), 4);
-        let b = DseReport::empty(spec_b, 4);
-        assert!(a.clone().merge(b).is_err());
-        let merged = a.clone().merge(DseReport::empty(spec_a, 4)).unwrap();
-        assert!(merged.entries.is_empty());
-        assert!(!merged.is_complete());
-    }
-
-    fn blocks(points: usize, workers: usize) -> Vec<Range<usize>> {
-        let queue = PointQueue::new(points, workers);
-        (0..workers).map(|w| queue.block(w)).collect()
+    /// Each block's point indices, before any claim.
+    fn blocks(points: usize, workers: usize) -> Vec<Vec<usize>> {
+        PointQueue::new(points, workers).pending.into_iter().map(Vec::from).collect()
     }
 
     /// The plan covers `0..N` exactly once, for worker counts below, at
@@ -1908,10 +1851,9 @@ mod tests {
         for workers in [1, 2, 3, 5, points, points + 3] {
             let blocks = blocks(points, workers);
             assert_eq!(blocks.len(), workers);
-            assert_eq!(blocks[0].start, 0);
-            assert_eq!(blocks[workers - 1].end, points, "{workers} workers");
-            assert!(blocks.windows(2).all(|w| w[0].end == w[1].start), "{blocks:?}");
-            let sizes: Vec<usize> = blocks.iter().map(ExactSizeIterator::len).collect();
+            let order: Vec<usize> = blocks.concat();
+            assert_eq!(order, (0..points).collect::<Vec<_>>(), "{workers} workers: {blocks:?}");
+            let sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
             assert!(sizes.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1), "{sizes:?}");
             assert_eq!(sizes.iter().filter(|&&s| s == 0).count(), workers.saturating_sub(points));
         }
@@ -1921,9 +1863,12 @@ mod tests {
     /// remainder going to the earliest workers.
     #[test]
     fn contiguous_blocks_chunk_the_point_list_in_order() {
-        assert_eq!(blocks(12, 3), [0..4, 4..8, 8..12]);
-        assert_eq!(blocks(7, 3), [0..3, 3..5, 5..7]);
-        assert_eq!(blocks(2, 4), [0..1, 1..2, 2..2, 2..2]);
+        let chunks = |ranges: &[Range<usize>]| -> Vec<Vec<usize>> {
+            ranges.iter().map(|r| r.clone().collect()).collect()
+        };
+        assert_eq!(blocks(12, 3), chunks(&[0..4, 4..8, 8..12]));
+        assert_eq!(blocks(7, 3), chunks(&[0..3, 3..5, 5..7]));
+        assert_eq!(blocks(2, 4), chunks(&[0..1, 1..2, 2..2, 2..2]));
     }
 
     /// Worker `w`'s first claim is the first point of block `w`; a worker
@@ -2021,5 +1966,8 @@ mod tests {
         assert_eq!(rendered, render_report(&second), "rendering leaked non-determinism");
         assert!(rendered.contains("pareto frontier"));
         assert!(rendered.contains("MobileNetV2"));
+        // Without fidelity no entry measured a loss, so no line claims one.
+        assert!(first.entries.iter().all(|e| e.result.fidelity.is_none()));
+        assert!(!rendered.contains("loss"), "{rendered}");
     }
 }

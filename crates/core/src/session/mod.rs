@@ -23,7 +23,7 @@
 //!   [`DseDriver`](crate::DseDriver) runs their points through the runner
 //!   on scoped std threads, each starting on its own contiguous block of
 //!   the points ([`PointQueue`](crate::dse::PointQueue), the plan fleet
-//!   workers claim from too), and returns, persists, resumes and merges
+//!   workers claim from too), and returns, persists and resumes
 //!   [`DseReport`](crate::DseReport)s. The paper's one-geometry sweep is a
 //!   spec over [`ArchGrid::around`](dbpim_sim::ArchGrid::around) its
 //!   geometry.

@@ -24,7 +24,7 @@ use crate::worker::{RemoteExecutor, WorkerSpec};
 use crate::{FleetError, FleetEvent, FleetOutcome};
 
 /// The snapshot journal's file name inside the snapshot directory.
-const JOURNAL_FILE: &str = "merged.json";
+pub const JOURNAL_FILE: &str = "merged.json";
 
 /// Configuration of a fleet run.
 #[derive(Debug, Clone)]
@@ -39,8 +39,8 @@ pub struct FleetConfig {
     /// then one line appended per finished point); `None` disables
     /// persistence and resume.
     pub snapshot_dir: Option<PathBuf>,
-    /// Identifier shard-tagged remote requests carry (shows up in
-    /// `dbpim-cli shard-status`).
+    /// The run's identifier in the trace context of traced remote
+    /// requests, so a daemon's `serve.request` spans name the run.
     pub fleet_id: String,
     /// Shared secret presented to every remote daemon on (re)connect.
     /// Required when the endpoints run `dbpim-served --auth-token`; open

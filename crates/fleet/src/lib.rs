@@ -12,21 +12,20 @@
 //!
 //! * [`WorkerSpec`] — where points execute: in-process (every local worker
 //!   shares one warm [`BatchRunner`](db_pim::BatchRunner) cache) or against
-//!   a daemon endpoint via single-point, shard-tagged `Explore` streams
-//!   (authenticating with [`FleetConfig::auth_token`] when the daemons
-//!   require it), each bounded by a per-point deadline.
+//!   a daemon endpoint via single-point `Explore` streams (authenticating
+//!   with [`FleetConfig::auth_token`] when the daemons require it), each
+//!   bounded by a per-point deadline.
 //! * [`FleetDriver`] — runs the roster as workers of
 //!   [`DseDriver::run_on`](db_pim::DseDriver::run_on), the loop `dse_sweep`
 //!   runs too: contiguous blocks with stealing, one attempt for a
 //!   deterministic point failure and retries for a transient one,
-//!   heartbeat-based retirement, and one snapshot journal (`merged.json`)
-//!   taking one line per finished point. [`FleetEvent`], [`FleetStats`] and
-//!   [`FleetError`] are that loop's `DseEvent`, `DseStats` and
-//!   `PipelineError`.
-//! * [`FleetProgress`] — the monitoring surface: per-daemon `ShardStatus`
-//!   answers folded into one deduplicated fleet-wide view (completions
-//!   capped per shard, failure dominating), rendered by
-//!   `dbpim-fleet --status`.
+//!   heartbeat-based retirement, and one snapshot journal
+//!   ([`JOURNAL_FILE`]) taking one line per finished point. [`FleetEvent`],
+//!   [`FleetStats`] and [`FleetError`] are that loop's `DseEvent`,
+//!   `DseStats` and `PipelineError`.
+//!
+//! The journal is the one record of a fleet's progress: the daemons keep
+//! none, and `dbpim-fleet --status` reads the journal.
 //!
 //! ```no_run
 //! use db_pim::{DseSpec, PipelineConfig};
@@ -54,7 +53,6 @@
 
 pub mod driver;
 pub mod options;
-pub mod progress;
 pub mod trace;
 mod worker;
 
@@ -62,8 +60,7 @@ pub use db_pim::dse::{
     DseEvent as FleetEvent, DseOutcome as FleetOutcome, DseStats as FleetStats, WorkerStats,
 };
 pub use db_pim::PipelineError as FleetError;
-pub use driver::{FleetConfig, FleetDriver};
+pub use driver::{FleetConfig, FleetDriver, JOURNAL_FILE};
 pub use options::FleetOptions;
-pub use progress::{FleetProgress, ShardProgress};
 pub use trace::{collect_remote_trace, remote_lane, RemoteTrace};
 pub use worker::WorkerSpec;

@@ -5,11 +5,12 @@
 //!                         endpoints are given, else 0)
 //! --endpoints a:p,b:p     remote dbpim-served endpoints, one worker each
 //! --snapshot-dir <dir>    the journal merged.json; enables resume
-//! --fleet-id <name>       identifier shard-tagged requests carry
+//! --fleet-id <name>       the run's identifier in traced remote requests
 //! --auth-token <secret>   shared secret presented to every remote daemon
 //! --point-timeout-ms <n>  remote per-point deadline / liveness timeout
 //! --retries <n>           attempts a transiently failing point gets
-//! --status                print the fleet's progress instead of sweeping
+//! --status                print how much of the journal in --snapshot-dir
+//!                         is done instead of sweeping
 //! ```
 //!
 //! The `dbpim-fleet` binary's table joins this group with the `dse_sweep`

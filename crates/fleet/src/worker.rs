@@ -3,17 +3,15 @@
 //! A worker is either **local** — the [`DseDriver`](db_pim::DseDriver)'s
 //! in-process executor on the runner every local worker shares — or
 //! **remote** — a blocking [`Client`] connection to a `dbpim-serve` daemon,
-//! dispatching each point as a single-point `Explore` stream tagged with
-//! its shard so the daemon's `ShardStatus` registry tracks fleet progress.
-//! Both run the same `run_point` pipeline, so a point's result is
-//! bit-identical whichever worker computes it: retries and reassignment
-//! are safe.
+//! dispatching each point as a single-point `Explore` stream. Both run the
+//! same `run_point` pipeline, so a point's result is bit-identical
+//! whichever worker computes it: retries and reassignment are safe.
 
 use std::time::Duration;
 
 use db_pim::dse::{PointError, PointExecutor, PointJob};
 use db_pim::{DseEntry, DsePoint, DseSpec, PipelineError, PruningSpec};
-use dbpim_serve::{Client, ClientError, ErrorKind, ShardAnnotation, TraceContext};
+use dbpim_serve::{Client, ClientError, ErrorKind, TraceContext};
 use dbpim_sim::ArchGrid;
 
 use crate::FleetConfig;
@@ -128,12 +126,6 @@ impl PointExecutor for RemoteExecutor {
 
     fn run(&mut self, job: &PointJob<'_>) -> Result<DseEntry, PointError> {
         let spec = Self::single_point_spec(job);
-        let annotation = ShardAnnotation {
-            fleet: self.fleet.clone(),
-            shard: job.block,
-            of: job.blocks,
-            points: job.block_points,
-        };
         // With a collector installed the open `dse.point` span becomes the
         // parent of the daemon's `serve.request` span in a merged fleet
         // trace; without one there is no context and wire requests stay
@@ -147,7 +139,7 @@ impl PointExecutor for RemoteExecutor {
         let addr = self.addr.clone();
         let explored = self.client().and_then(|client| {
             client
-                .explore_streaming(&spec, Some(deadline_ms), Some(annotation), trace, |_, _| {})
+                .explore_streaming(&spec, Some(deadline_ms), trace, |_, _| {})
                 .map_err(|e| (addr, e))
         });
         match explored {
@@ -199,7 +191,7 @@ mod tests {
     }
 
     fn job<'a>(spec: &'a DseSpec, span: Option<u64>) -> PointJob<'a> {
-        PointJob { point: point(), spec, block: 1, blocks: 2, block_points: 5, span }
+        PointJob { point: point(), spec, span }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!                              rejection rates) until interrupted
 //!   metrics                    the daemon's full metrics registry in the
 //!                              Prometheus text exposition format
-//!   shard-status               progress of shard-tagged fleet explorations
 //!   shutdown                   stop the daemon
 //! ```
 //!
@@ -45,7 +44,7 @@ use db_pim::{DseEntry, DseReport, DseSpec};
 use dbpim_serve::{Client, ClientError, RunQuery};
 
 /// The program and its command word, as the usage line shows them.
-const PROGRAM: &str = "dbpim-cli <ping|models|explore|stats|metrics|shard-status|shutdown>";
+const PROGRAM: &str = "dbpim-cli <ping|models|explore|stats|metrics|shutdown>";
 
 // The flag groups; `COMMANDS` says which command reads which.
 const CONNECTION_FLAGS: &[Flag] = &[
@@ -68,7 +67,6 @@ enum Command {
     Explore,
     Stats,
     Metrics,
-    ShardStatus,
     Shutdown,
 }
 
@@ -107,7 +105,6 @@ const COMMANDS: &[(&str, Command, &[&[Flag]])] = &[
     ("explore", Command::Explore, &[GRID_FLAGS, EXPLORE_FLAGS]),
     ("stats", Command::Stats, &[STATS_FLAGS]),
     ("metrics", Command::Metrics, &[]),
-    ("shard-status", Command::ShardStatus, &[]),
     ("shutdown", Command::Shutdown, &[]),
 ];
 
@@ -163,7 +160,7 @@ fn explore(
     let progress =
         |index, entry: &DseEntry| eprintln!("… point {index}: {} done", entry.point().label());
     let Some(query) = single_point_query(spec, deadline) else {
-        return client.explore_streaming(spec, deadline, None, None, progress);
+        return client.explore_streaming(spec, deadline, None, progress);
     };
     let mut report = DseReport::empty(spec.clone(), 1);
     report.entries.push(DseEntry::from_sweep(client.run_model(&query)?));
@@ -305,26 +302,6 @@ fn main() {
         Command::Metrics => client.metrics_snapshot().map(|metrics| {
             print!("{}", metrics.render_prometheus());
         }),
-        Command::ShardStatus => client.shard_statuses().map(|shards| {
-            if shards.is_empty() {
-                println!("no shard-tagged explorations served yet");
-                return;
-            }
-            println!("| fleet | shard | points done | state | updated (unix ms) |");
-            println!("|---|---|---|---|---|");
-            for status in shards {
-                println!(
-                    "| {} | {}/{} | {}/{} | {:?} | {} |",
-                    status.fleet,
-                    status.shard,
-                    status.of,
-                    status.completed_points,
-                    status.total_points,
-                    status.state,
-                    status.updated_at_ms,
-                );
-            }
-        }),
         Command::Shutdown => client.shutdown().map(|()| {
             println!("daemon at {addr} is shutting down");
         }),
@@ -372,12 +349,13 @@ mod tests {
         assert_eq!(options.port, 9000);
 
         // `run` and `sweep` are gone: `explore --models` runs one model and
-        // `explore` without grid axes sweeps the paper geometry.
-        for word in ["run", "sweep"] {
+        // `explore` without grid axes sweeps the paper geometry. So is
+        // `shard-status`: a fleet's progress is its journal, which
+        // `dbpim-fleet --status` reads.
+        for word in ["run", "sweep", "shard-status"] {
             let err = parse(&[word]).unwrap_err();
             assert_eq!(err.flag, "<command>");
-            let expected = "expected one of: ping, models, explore, stats, metrics, \
-                            shard-status, shutdown";
+            let expected = "expected one of: ping, models, explore, stats, metrics, shutdown";
             assert_eq!(err.message, format!("`{word}` — {expected}"));
         }
     }
@@ -445,11 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_status_and_deadline_flags_parse() {
-        let options = parse(&["shard-status", "--port", "7641"]).unwrap();
-        assert_eq!(options.command, Command::ShardStatus);
-        assert_eq!(options.port, 7641);
-
+    fn deadline_flags_parse() {
         let options = parse(&["explore", "--deadline-ms", "2500"]).unwrap();
         assert_eq!(options.command, Command::Explore);
         assert_eq!(options.deadline_ms, Some(2500));
@@ -621,7 +595,7 @@ mod tests {
             assert_eq!(err, OptionsError::new(flag, format!("not a flag of `{word}`")));
         }
         // The connection and trace flags belong to every command.
-        for word in ["ping", "models", "stats", "metrics", "shard-status", "shutdown"] {
+        for word in ["ping", "models", "stats", "metrics", "shutdown"] {
             let options = parse(&[
                 word,
                 "--addr",

@@ -2,7 +2,9 @@
 //!
 //! One [`Client`] wraps one TCP connection; every method sends one request
 //! line and reads the response line(s), so a client is cheap to keep around
-//! for many queries — the daemon's warm cache does the heavy lifting.
+//! for many queries — the daemon's warm cache does the heavy lifting. An
+//! exploration it sends carries no shard tag (`"shard":null`), which the
+//! daemon would ignore.
 
 use std::fmt;
 use std::io::BufReader;
@@ -16,8 +18,8 @@ use dbpim_nn::ModelKind;
 use dbpim_sim::SparsityConfig;
 
 use crate::protocol::{
-    read_message, write_message, ErrorResponse, Request, Response, ServerStats, ShardAnnotation,
-    ShardStatus, TraceContext, WireError, PROTOCOL_VERSION,
+    read_message, write_message, ErrorResponse, Request, Response, ServerStats, TraceContext,
+    WireError, PROTOCOL_VERSION,
 };
 
 /// A client-side failure.
@@ -306,7 +308,7 @@ impl Client {
     /// Propagates connection failures and server-side pipeline errors
     /// (oversized / infeasible grids, failing points).
     pub fn explore(&mut self, spec: &DseSpec) -> Result<DseReport, ClientError> {
-        self.explore_streaming(spec, None, None, None, |_, _| {})
+        self.explore_streaming(spec, None, None, |_, _| {})
     }
 
     /// Runs a design-space exploration, invoking `on_entry(index, entry)`
@@ -319,9 +321,7 @@ impl Client {
     /// `DeadlineExceeded` error once it elapses. `trace` is the
     /// distributed-tracing context: when present, the daemon opens its
     /// `serve.request` span as a child of the caller's; `None` leaves the
-    /// request byte-identical to a v4 one. A `shard` tag makes the daemon
-    /// record the request's progress for
-    /// [`shard_statuses`](Self::shard_statuses).
+    /// request byte-identical to a v4 one.
     ///
     /// # Errors
     ///
@@ -331,11 +331,12 @@ impl Client {
         &mut self,
         spec: &DseSpec,
         deadline_ms: Option<u64>,
-        shard: Option<ShardAnnotation>,
         trace: Option<TraceContext>,
         mut on_entry: impl FnMut(usize, &DseEntry),
     ) -> Result<DseReport, ClientError> {
-        self.send(&Request::Explore { spec: Box::new(spec.clone()), deadline_ms, shard, trace })?;
+        let request =
+            Request::Explore { spec: Box::new(spec.clone()), deadline_ms, shard: None, trace };
+        self.send(&request)?;
         let expected = match self.recv()? {
             Response::ExploreStarted { total_points } => total_points,
             Response::Error { error } => return Err(ClientError::Server(error)),
@@ -396,19 +397,6 @@ impl Client {
         match self.round_trip(&Request::Stats)? {
             Response::Stats { stats } => Ok(stats),
             other => Err(unexpected("Stats", &other)),
-        }
-    }
-
-    /// The daemon's shard-progress registry (most recently updated first):
-    /// one entry per shard-tagged exploration it has served.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection and server failures.
-    pub fn shard_statuses(&mut self) -> Result<Vec<ShardStatus>, ClientError> {
-        match self.round_trip(&Request::ShardStatus)? {
-            Response::ShardStatuses { shards } => Ok(shards),
-            other => Err(unexpected("ShardStatuses", &other)),
         }
     }
 

@@ -52,6 +52,6 @@ pub mod server;
 pub use client::{Client, ClientError, RunQuery};
 pub use protocol::{
     ErrorKind, ErrorResponse, Request, RequestLatency, Response, ServerStats, ShardAnnotation,
-    ShardState, ShardStatus, TraceContext, WireError, PROTOCOL_VERSION,
+    TraceContext, WireError, PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, ServeError, Server, ServerHandle};

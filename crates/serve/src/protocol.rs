@@ -40,9 +40,8 @@ use serde::{Deserialize, Serialize};
 /// v3 added request deadlines (`deadline_ms` on [`Request::RunModel`] /
 /// `Sweep` / [`Request::Explore`], answered with
 /// [`ErrorKind::DeadlineExceeded`] when exceeded), the fleet-orchestration
-/// shard tag on `Explore` ([`ShardAnnotation`]) and the
-/// [`Request::ShardStatus`] progress probe the `dbpim-fleet` driver and
-/// `dbpim-cli shard-status` use to watch a sharded sweep.
+/// shard tag on `Explore` ([`ShardAnnotation`]) and a shard-progress probe
+/// answered from it.
 ///
 /// v4 production-hardens the daemon: the shared-secret handshake
 /// ([`Request::Auth`] / [`Response::AuthOk`], rejected with
@@ -69,7 +68,14 @@ use serde::{Deserialize, Serialize};
 /// did. A daemon answers either old name as it answers any unknown
 /// request: one [`ErrorKind::BadRequest`] line, with the connection left
 /// open. Every other message keeps its v5 encoding.
-pub const PROTOCOL_VERSION: u32 = 6;
+///
+/// v7 removes the shard-progress probe and its reply: a fleet's progress is
+/// its journal, which `dbpim-fleet --status` reads. A daemon answers the
+/// old request as it answers any unknown one, with one
+/// [`ErrorKind::BadRequest`] line, and keeps the connection open. The
+/// `shard` tag on [`Request::Explore`] still parses and is ignored. Every
+/// other message keeps its v6 encoding.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// The distributed-tracing context a fleet driver (or any tracing client)
 /// attaches to work requests, so the daemon's `serve.request` span records
@@ -151,9 +157,8 @@ pub enum Request {
         /// [`ErrorKind::DeadlineExceeded`] error once it expires (already
         /// streamed points stand). `None` means no deadline.
         deadline_ms: Option<u64>,
-        /// Fleet-orchestration tag: when present, the daemon records the
-        /// stream's progress under this shard so [`Request::ShardStatus`]
-        /// can report it.
+        /// A v3–v6 fleet-orchestration tag; it still parses, and the
+        /// daemon ignores it.
         shard: Option<ShardAnnotation>,
         /// Distributed-tracing context; omitted from the wire when `None`.
         trace: Option<TraceContext>,
@@ -163,10 +168,6 @@ pub enum Request {
     /// per-request-type latency histograms, answered with
     /// [`Response::Stats`].
     Stats,
-    /// Report the progress of every shard-tagged exploration this daemon
-    /// has served (see [`ShardAnnotation`]); the fleet CLI polls this to
-    /// watch a sharded sweep.
-    ShardStatus,
     /// Drain the daemon's installed trace collector over the wire
     /// (answered with [`Response::TraceSpans`]): the spans recorded since
     /// the previous drain, the drop count and the clock anchor a merger
@@ -236,7 +237,6 @@ impl Serialize for Request {
                 });
             }
             Request::Stats => out.str("Stats"),
-            Request::ShardStatus => out.str("ShardStatus"),
             Request::TraceSnapshot => out.str("TraceSnapshot"),
             Request::MetricsSnapshot => out.str("MetricsSnapshot"),
             Request::Shutdown => out.str("Shutdown"),
@@ -244,55 +244,19 @@ impl Serialize for Request {
     }
 }
 
-/// The fleet-orchestration tag a sharded exploration request carries so a
-/// daemon can attribute streamed work to one shard of one fleet run.
+/// The shard tag of a v3–v6 fleet's `Explore` request. Daemons ignore it
+/// since v7. It stays in the protocol only because `e2e_bench` still
+/// encodes one; removing it is a benchmark change.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardAnnotation {
-    /// Identifier of the fleet run (all shards of one `dbpim-fleet`
-    /// invocation share it).
+    /// Identifier of the fleet run.
     pub fleet: String,
     /// The shard this work belongs to (`0..of`).
     pub shard: usize,
     /// Total shards of the fleet run.
     pub of: usize,
-    /// Points the shard contains in total (the per-request grid may be a
-    /// single point; completion accumulates across requests).
-    pub points: usize,
-}
-
-/// Lifecycle of a shard as observed by one daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardState {
-    /// Points are still being streamed (or were, when the fleet moved on).
-    Running,
-    /// Every point of the shard this daemon saw completed successfully.
-    Finished,
-    /// The most recent tagged request for the shard failed.
-    Failed,
-}
-
-/// Progress of one shard on one daemon ([`Request::ShardStatus`]).
-///
-/// A daemon only sees the points dispatched *to it*, so under straggler
-/// reassignment `completed_points` across daemons can sum to more than
-/// `total_points` — the fleet driver's merge dedups; this is a monitoring
-/// surface, not the source of truth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardStatus {
-    /// The fleet run the shard belongs to.
-    pub fleet: String,
-    /// The shard index (`0..of`).
-    pub shard: usize,
-    /// Total shards of the fleet run.
-    pub of: usize,
     /// Points the shard contains in total.
-    pub total_points: usize,
-    /// Points this daemon has completed for the shard.
-    pub completed_points: usize,
-    /// Lifecycle state as last observed.
-    pub state: ShardState,
-    /// Unix-epoch milliseconds of the last progress update.
-    pub updated_at_ms: u64,
+    pub points: usize,
 }
 
 /// What went wrong with a request, coarsely classified.
@@ -435,12 +399,6 @@ pub enum Response {
         /// The counters snapshot.
         stats: ServerStats,
     },
-    /// Answer to [`Request::ShardStatus`]: every shard-tagged exploration
-    /// this daemon has served, most recently updated first.
-    ShardStatuses {
-        /// The progress snapshot.
-        shards: Vec<ShardStatus>,
-    },
     /// Answer to [`Request::TraceSnapshot`]: the daemon's drained span
     /// collector (empty when no collector is installed).
     TraceSpans {
@@ -552,7 +510,6 @@ mod tests {
         round_trip(&Request::ListModels);
         round_trip(&Request::Stats);
         round_trip(&Request::Shutdown);
-        round_trip(&Request::ShardStatus);
         round_trip(&Request::TraceSnapshot);
         round_trip(&Request::MetricsSnapshot);
         round_trip(&Request::RunModel {
@@ -711,17 +668,6 @@ mod tests {
                 kind: ErrorKind::DeadlineExceeded,
                 message: "sweep exceeded its 100 ms deadline after 3 entries".to_string(),
             },
-        });
-        round_trip(&Response::ShardStatuses {
-            shards: vec![ShardStatus {
-                fleet: "fleet-20260731".to_string(),
-                shard: 0,
-                of: 2,
-                total_points: 24,
-                completed_points: 7,
-                state: ShardState::Running,
-                updated_at_ms: 1_750_000_000_000,
-            }],
         });
         round_trip(&Response::AuthOk);
         round_trip(&Response::Error {

@@ -10,7 +10,10 @@
 //!
 //! Explorations stream: each (model, width, pruning, geometry) point is
 //! written to the client as soon as it is computed, so a long exploration
-//! delivers its first results while the rest are still simulating.
+//! delivers its first results while the rest are still simulating. The
+//! daemon keeps no record of whose exploration it served: a fleet's
+//! progress is the fleet's journal, and an `Explore`'s shard tag is parsed
+//! and ignored.
 //!
 //! The daemon is production-hardened along three axes:
 //!
@@ -52,25 +55,18 @@ use dbpim_trace::{log_debug, log_info, log_warn, ChromeTrace, MetricsRegistry, T
 
 use crate::protocol::{
     encode_message, write_frame, write_message, ErrorKind, ErrorResponse, Request, RequestLatency,
-    Response, ServerStats, ShardAnnotation, ShardState, ShardStatus, PROTOCOL_VERSION,
+    Response, ServerStats, PROTOCOL_VERSION,
 };
-
-/// Upper bound on distinct shards the progress registry remembers; beyond
-/// it the stalest entry is dropped — the registry is a monitoring surface,
-/// not the fleet's source of truth, so bounded forgetting beats unbounded
-/// growth in a long-lived daemon.
-const MAX_TRACKED_SHARDS: usize = 256;
 
 /// Request variant names, in the order the latency registry indexes them
 /// (see [`request_type_index`]).
-const REQUEST_TYPES: [&str; 10] = [
+const REQUEST_TYPES: [&str; 9] = [
     "Ping",
     "Auth",
     "ListModels",
     "RunModel",
     "Explore",
     "Stats",
-    "ShardStatus",
     "TraceSnapshot",
     "MetricsSnapshot",
     "Shutdown",
@@ -102,10 +98,9 @@ fn request_type_index(request: &Request) -> usize {
         Request::RunModel { .. } => 3,
         Request::Explore { .. } => 4,
         Request::Stats => 5,
-        Request::ShardStatus => 6,
-        Request::TraceSnapshot => 7,
-        Request::MetricsSnapshot => 8,
-        Request::Shutdown => 9,
+        Request::TraceSnapshot => 6,
+        Request::MetricsSnapshot => 7,
+        Request::Shutdown => 8,
     }
 }
 
@@ -279,8 +274,6 @@ struct Shared {
     /// Open-connection counts per peer IP (maintained only when
     /// `max_per_client` is set).
     per_client: Mutex<HashMap<IpAddr, usize>>,
-    /// Progress of shard-tagged explorations, keyed by (fleet, shard).
-    shards: Mutex<Vec<ShardStatus>>,
 }
 
 impl Shared {
@@ -331,17 +324,18 @@ impl Shared {
         if !served.is_multiple_of(dump.every.max(1)) {
             return;
         }
-        let spans = dump.collector.snapshot();
-        dump.collector.clear();
+        // One lock acquisition: a span another worker closes meanwhile is
+        // either in this dump or left for the next.
+        let spans = dump.collector.drain().spans;
         if spans.is_empty() {
             return;
         }
+        let count = spans.len();
         let path = dump.dir.join(format!("trace-{served}.json"));
-        match std::fs::write(&path, ChromeTrace::render(&spans)) {
+        match std::fs::write(&path, ChromeTrace::render(spans)) {
             Ok(()) => log_info!(
                 "serve",
-                "dumped {} spans covering {} requests to {}",
-                spans.len(),
+                "dumped {count} spans covering {} requests to {}",
                 dump.every,
                 path.display()
             ),
@@ -385,65 +379,6 @@ impl Shared {
                 per_client.remove(&ip);
             }
         }
-    }
-
-    /// Records shard progress: `completed_delta` freshly finished points
-    /// and a lifecycle observation. A non-failed shard auto-promotes to
-    /// `Finished` once its completed count reaches its total.
-    fn shard_touch(&self, tag: &ShardAnnotation, completed_delta: usize, state: ShardState) {
-        let now = db_pim::dse::unix_time_ms();
-        let mut shards = lock_unpoisoned(&self.shards);
-        let entry = match shards.iter_mut().find(|s| s.fleet == tag.fleet && s.shard == tag.shard) {
-            Some(entry) => entry,
-            None => {
-                if shards.len() >= MAX_TRACKED_SHARDS {
-                    if let Some(stalest) = shards
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, s)| s.updated_at_ms)
-                        .map(|(i, _)| i)
-                    {
-                        shards.remove(stalest);
-                    }
-                }
-                shards.push(ShardStatus {
-                    fleet: tag.fleet.clone(),
-                    shard: tag.shard,
-                    of: tag.of,
-                    total_points: tag.points,
-                    completed_points: 0,
-                    state: ShardState::Running,
-                    updated_at_ms: now,
-                });
-                shards.last_mut().expect("just pushed")
-            }
-        };
-        entry.of = tag.of;
-        entry.total_points = entry.total_points.max(tag.points);
-        entry.completed_points += completed_delta;
-        entry.state = match state {
-            ShardState::Failed => ShardState::Failed,
-            _ if entry.completed_points >= entry.total_points => ShardState::Finished,
-            other => other,
-        };
-        entry.updated_at_ms = now;
-        log_debug!(
-            "serve",
-            "shard {}/{} of fleet {}: {}/{} points",
-            entry.shard,
-            entry.of,
-            entry.fleet,
-            entry.completed_points,
-            entry.total_points
-        );
-    }
-
-    /// The registry snapshot, most recently updated first (stable for
-    /// equal timestamps).
-    fn shard_statuses(&self) -> Vec<ShardStatus> {
-        let mut shards = lock_unpoisoned(&self.shards).clone();
-        shards.sort_by_key(|s| std::cmp::Reverse(s.updated_at_ms));
-        shards
     }
 
     /// Flags shutdown and wakes the blocked acceptor with a dummy
@@ -507,7 +442,6 @@ impl Server {
                 trace,
                 started: Instant::now(),
                 per_client: Mutex::new(HashMap::new()),
-                shards: Mutex::new(Vec::new()),
             }),
         })
     }
@@ -964,9 +898,6 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
             respond(writer, &Response::Models { models: ModelKind::all().to_vec() })
         }
         Request::Stats => respond(writer, &Response::Stats { stats: shared.stats() }),
-        Request::ShardStatus => {
-            respond(writer, &Response::ShardStatuses { shards: shared.shard_statuses() })
-        }
         Request::TraceSnapshot => {
             // Drain whatever collector is installed (trace_dir, trace_buffer
             // or an embedding process's own); a daemon without one answers
@@ -1014,8 +945,8 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
                 }
             }
         }
-        Request::Explore { spec, deadline_ms, shard, trace: _ } => {
-            stream_points(&spec, Deadline::new(deadline_ms), shard.as_ref(), writer, shared)
+        Request::Explore { spec, deadline_ms, .. } => {
+            stream_points(&spec, Deadline::new(deadline_ms), writer, shared)
         }
     }
 }
@@ -1026,20 +957,15 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
 /// answered with a structured pipeline error before any point executes; a
 /// failing point or an expired deadline ends the stream (but not the
 /// connection) the same way, and a point that finishes after its deadline
-/// is withheld. A shard-tagged request additionally reports its progress
-/// into the daemon's `ShardStatus` registry.
+/// is withheld.
 fn stream_points(
     spec: &DseSpec,
     deadline: Deadline,
-    shard: Option<&ShardAnnotation>,
     writer: &mut TcpStream,
     shared: &Shared,
 ) -> bool {
     let fail = |writer: &mut TcpStream, response: Response| {
         shared.metrics.incr(M_ERRORS);
-        if let Some(tag) = shard {
-            shared.shard_touch(tag, 0, ShardState::Failed);
-        }
         respond(writer, &response)
     };
     if deadline.expired() {
@@ -1050,9 +976,6 @@ fn stream_points(
         Ok(points) => points,
         Err(e) => return fail(writer, error_response(ErrorKind::Pipeline, e.to_string())),
     };
-    if let Some(tag) = shard {
-        shared.shard_touch(tag, 0, ShardState::Running);
-    }
     let total_points = points.len();
     if respond(writer, &Response::ExploreStarted { total_points }) {
         return true;
@@ -1082,9 +1005,6 @@ fn stream_points(
                 let entry = DseEntry::from_sweep(entry);
                 if respond(writer, &Response::ExplorePoint { index, entry }) {
                     return true;
-                }
-                if let Some(tag) = shard {
-                    shared.shard_touch(tag, 1, ShardState::Running);
                 }
             }
             Err(e) => {

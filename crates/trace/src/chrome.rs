@@ -35,14 +35,15 @@ pub struct ProcessLane {
 pub struct ChromeTrace;
 
 impl ChromeTrace {
-    /// Renders the spans of the current process as a complete Chrome
-    /// trace-event JSON document (one lane under the real process id).
+    /// Renders the spans of the current process, recorded [`SpanRecord`]s
+    /// or drained [`TraceSpan`]s, as a complete Chrome trace-event JSON
+    /// document (one lane under the real process id).
     #[must_use]
-    pub fn render(events: &[SpanRecord]) -> String {
+    pub fn render<S: Into<TraceSpan>>(events: impl IntoIterator<Item = S>) -> String {
         let lane = ProcessLane {
             pid: u64::from(std::process::id()),
             name: process_name(),
-            spans: events.iter().map(TraceSpan::from).collect(),
+            spans: events.into_iter().map(Into::into).collect(),
         };
         Self::render_lanes(std::slice::from_ref(&lane))
     }

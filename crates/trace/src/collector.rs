@@ -215,16 +215,10 @@ impl TraceCollector {
         self.lock_ring().dropped
     }
 
-    /// Discards every stored span (the drop counter survives).
-    pub fn clear(&self) {
-        self.lock_ring().events.clear();
-    }
-
     /// Atomically copies out every stored span *and* clears the ring (one
     /// lock acquisition, so no span recorded concurrently is lost between
     /// snapshot and clear), packaged with the clock anchor a remote
-    /// consumer needs. The drop counter is reported but survives, exactly
-    /// as with [`TraceCollector::clear`].
+    /// consumer needs. The drop counter is reported but survives.
     #[must_use]
     pub fn drain(&self) -> CollectorSnapshot {
         let mut ring = self.lock_ring();

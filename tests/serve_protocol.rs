@@ -9,10 +9,10 @@ use std::time::Duration;
 
 use db_pim::dse::render_report;
 use db_pim::flags::{Flags, GRID_FLAGS};
-use db_pim::prelude::{ArchConfig, ArchGrid, SparsityConfig};
-use db_pim::{DseDriver, DseSpec, PipelineConfig};
+use db_pim::prelude::{ArchConfig, ArchGrid};
+use db_pim::{DseDriver, DseReport, DseSpec, PipelineConfig};
 use dbpim_nn::ModelKind;
-use dbpim_serve::protocol::{ErrorKind, Response, ShardAnnotation, ShardState};
+use dbpim_serve::protocol::{ErrorKind, Request, Response, ShardAnnotation};
 use dbpim_serve::{Client, ClientError, RunQuery, ServeConfig, Server, ServerHandle};
 
 fn server_pipeline() -> PipelineConfig {
@@ -75,8 +75,8 @@ fn assert_bad_request(response: &Response) {
 }
 
 /// Garbage, truncated JSON, unknown variants, mistyped payloads and the
-/// requests protocol v6 removed each get a structured error, and the
-/// connection keeps working afterwards.
+/// requests protocols v6 and v7 removed each get a structured error, and
+/// the connection keeps working afterwards.
 #[test]
 fn malformed_requests_get_structured_errors_not_disconnects() {
     let handle = spawn_server();
@@ -107,12 +107,13 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
     }
 
     // A v5 client's well-formed `Sweep` and `CacheStats` lines, which v6
-    // removed, each get exactly one BadRequest line: the next line on the
-    // connection answers the following `Ping`.
+    // removed, and a v6 client's `ShardStatus`, which v7 removed, each get
+    // exactly one BadRequest line: the next line on the connection answers
+    // the following `Ping`.
     let v5_sweep = "{\"Sweep\":{\"spec\":{\"models\":[\"AlexNet\"],\
                     \"sparsity\":[\"HybridSparsity\"],\"archs\":[],\"widths\":[]},\
                     \"fidelity\":false,\"deadline_ms\":null}}";
-    for removed in [v5_sweep, "\"CacheStats\""] {
+    for removed in [v5_sweep, "\"CacheStats\"", "\"ShardStatus\""] {
         assert_bad_request(&raw_exchange(&mut reader, &mut writer, removed));
         match raw_exchange(&mut reader, &mut writer, "\"Ping\"") {
             Response::Pong { .. } => {}
@@ -123,8 +124,8 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
     // The daemon counted the failures.
     let mut client = Client::connect(handle.addr()).expect("connects");
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.errors, 7, "every malformed line is counted");
-    assert!(stats.requests >= 10, "malformed lines still count as requests");
+    assert_eq!(stats.errors, 8, "every malformed line is counted");
+    assert!(stats.requests >= 12, "malformed lines still count as requests");
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
@@ -249,7 +250,7 @@ fn explore_stream_merges_into_the_same_report_as_a_local_run() {
     let mut client = Client::connect(handle.addr()).expect("connects");
     let mut streamed_indices = Vec::new();
     let remote = client
-        .explore_streaming(&spec, None, None, None, |index, entry| {
+        .explore_streaming(&spec, None, None, |index, entry| {
             streamed_indices.push((index, entry.arch.macros));
         })
         .expect("explore runs");
@@ -267,16 +268,26 @@ fn explore_stream_merges_into_the_same_report_as_a_local_run() {
     assert!(rendered.starts_with("DSE sweep - 2 of 2 grid points"), "{rendered}");
     assert!(rendered.contains("pareto frontier [AlexNet / hybrid sparsity]"), "{rendered}");
 
-    // Streamed entries merge into a local (e.g. partially resumed) report
-    // without duplicating points.
-    let merged = local.clone().merge(remote.clone()).expect("same spec merges");
-    assert_eq!(merged.entries.len(), 2);
-    assert!(merged.results_match(&local));
-
     // The daemon served the whole grid from one artifact build.
     let stats = client.stats().expect("stats");
     assert_eq!(stats.cache.artifact_misses, 1);
     assert_eq!(stats.cache.program_misses, 2, "one compilation per geometry");
+
+    // A v3–v6 fleet's shard tag still parses, and the daemon ignores it.
+    let shard = Some(ShardAnnotation { fleet: "v6".to_string(), shard: 1, of: 2, points: 2 });
+    let spec_box = Box::new(spec.clone());
+    let tagged = Request::Explore { spec: spec_box, deadline_ms: None, shard, trace: None };
+    client.send(&tagged).expect("sends");
+    let mut answered = DseReport::empty(spec.clone(), 2);
+    loop {
+        match client.recv().expect("a frame") {
+            Response::ExploreStarted { total_points } => assert_eq!(total_points, 2),
+            Response::ExplorePoint { entry, .. } => answered.entries.push(entry),
+            Response::ExploreFinished { .. } => break,
+            other => panic!("a tagged exploration was answered with {other:?}"),
+        }
+    }
+    assert!(answered.results_match(&local), "the tag changed the answer");
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
@@ -303,9 +314,7 @@ fn expired_deadlines_are_structured_errors_not_hangs() {
     expect_deadline(client.run_model(&query).map(|_| "RunModel"));
 
     let spec = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet]);
-    expect_deadline(
-        client.explore_streaming(&spec, Some(0), None, None, |_, _| {}).map(|_| "Explore"),
-    );
+    expect_deadline(client.explore_streaming(&spec, Some(0), None, |_, _| {}).map(|_| "Explore"));
 
     // A generous deadline changes nothing about the result.
     let entry = client
@@ -316,65 +325,6 @@ fn expired_deadlines_are_structured_errors_not_hangs() {
 
     let stats = client.stats().expect("stats");
     assert_eq!(stats.errors, 2, "every expired deadline is counted");
-
-    client.shutdown().expect("shutdown acknowledged");
-    handle.join().expect("daemon exits cleanly");
-}
-
-/// Shard-tagged explorations surface in the `ShardStatus` registry with
-/// accumulated completion counts; untagged requests never appear.
-#[test]
-fn shard_tagged_explorations_report_progress() {
-    let handle = spawn_server();
-    let mut client = Client::connect(handle.addr()).expect("connects");
-    assert!(client.shard_statuses().expect("empty registry").is_empty());
-
-    let spec = DseSpec::new(
-        ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]),
-        vec![ModelKind::AlexNet],
-    )
-    .with_sparsity(vec![SparsityConfig::HybridSparsity]);
-    // An untagged exploration leaves no trace.
-    client.explore(&spec).expect("untagged explore");
-    assert!(client.shard_statuses().expect("still empty").is_empty());
-
-    // Two tagged requests for the same shard accumulate; `points` is the
-    // shard's full size, so completing 2 of 3 leaves it Running.
-    let tag = ShardAnnotation { fleet: "progress-test".to_string(), shard: 1, of: 2, points: 3 };
-    client
-        .explore_streaming(&spec, None, Some(tag.clone()), None, |_, _| {})
-        .expect("tagged explore");
-    let statuses = client.shard_statuses().expect("registry");
-    assert_eq!(statuses.len(), 1);
-    assert_eq!(statuses[0].fleet, "progress-test");
-    assert_eq!((statuses[0].shard, statuses[0].of), (1, 2));
-    assert_eq!(statuses[0].completed_points, 2);
-    assert_eq!(statuses[0].total_points, 3);
-    assert_eq!(statuses[0].state, ShardState::Running);
-
-    // One more tagged point finishes the shard.
-    let single = DseSpec::new(ArchGrid::around(ArchConfig::paper()), vec![ModelKind::AlexNet])
-        .with_sparsity(vec![SparsityConfig::HybridSparsity]);
-    client.explore_streaming(&single, None, Some(tag), None, |_, _| {}).expect("finishing point");
-    let statuses = client.shard_statuses().expect("registry");
-    assert_eq!(statuses[0].completed_points, 3);
-    assert_eq!(statuses[0].state, ShardState::Finished);
-
-    // A tagged request that fails marks the shard Failed.
-    let infeasible = DseSpec::new(
-        ArchGrid::around(ArchConfig::paper()).with_macros(vec![0]),
-        vec![ModelKind::AlexNet],
-    );
-    let failing_tag =
-        ShardAnnotation { fleet: "progress-test".to_string(), shard: 0, of: 2, points: 3 };
-    client
-        .explore_streaming(&infeasible, None, Some(failing_tag), None, |_, _| {})
-        .expect_err("infeasible grid fails");
-    let statuses = client.shard_statuses().expect("registry");
-    assert_eq!(statuses.len(), 2, "two shards tracked");
-    let failed = statuses.iter().find(|s| s.shard == 0).expect("failed shard tracked");
-    assert_eq!(failed.state, ShardState::Failed);
-    assert_eq!(failed.completed_points, 0);
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");

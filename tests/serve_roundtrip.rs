@@ -117,7 +117,7 @@ fn served_sweep_matches_direct_batch_runner() {
         let spec = DseSpec::new(grid, models.clone()).with_widths(widths.clone());
         let mut streamed = Vec::new();
         let served = client
-            .explore_streaming(&spec, None, None, None, |index, entry| {
+            .explore_streaming(&spec, None, None, |index, entry| {
                 streamed.push((index, entry.kind));
             })
             .expect("served sweep succeeds");

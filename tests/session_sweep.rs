@@ -276,7 +276,7 @@ fn width_sweeps_reuse_cached_artifacts_across_runs() {
 
 /// Runs `models` × `widths` under `sparsity` on the session geometry and
 /// returns the shared runner, the spec and the complete report. Persisted
-/// and merged sweeps are `DseReport`s.
+/// sweeps are `DseReport`s.
 fn sweep_report(
     models: Vec<ModelKind>,
     widths: Vec<OperandWidth>,
@@ -289,9 +289,8 @@ fn sweep_report(
     (runner, spec, full)
 }
 
-/// A sweep's report round-trips through the vendored serde_json, and
-/// shards of that report merge: entries concatenate, wall time is the shard
-/// maximum.
+/// A sweep's report, complete or time-boxed, round-trips through the
+/// vendored serde_json.
 #[test]
 fn sweep_report_merges_and_round_trips_through_serde_json() {
     let (runner, spec, full) = sweep_report(
@@ -299,40 +298,25 @@ fn sweep_report_merges_and_round_trips_through_serde_json() {
         vec![OperandWidth::Int8, OperandWidth::Int16],
         vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity],
     );
-
-    // Serialization round-trip is lossless for every field.
-    let json = serde_json::to_string(&full).expect("serializes");
-    let back: DseReport = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(full, back, "DSE report did not survive the JSON round trip");
-
-    // Two shards of the models × widths point set, split by model: AlexNet's
-    // two widths lead the canonical order.
-    let shard_a = DseDriver::from_runner(Arc::clone(&runner))
+    // A time-boxed run of the same point set: AlexNet's two widths lead the
+    // canonical order.
+    let partial = DseDriver::from_runner(Arc::clone(&runner))
         .with_point_limit(2)
         .run(&spec)
-        .expect("shard a runs");
-    assert!(shard_a.entries.iter().all(|e| e.kind == ModelKind::AlexNet));
-    let mut shard_b = full.clone();
-    shard_b.entries.retain(|e| e.kind == ModelKind::MobileNetV2);
+        .expect("a time-boxed run");
+    assert!(partial.entries.iter().all(|e| e.kind == ModelKind::AlexNet));
+    assert!(!partial.is_complete());
 
-    // Merge combines the shards without touching their entries.
-    let expected_wall = shard_a.wall_time.max(shard_b.wall_time);
-    let merged = shard_a.clone().merge(shard_b.clone()).expect("same spec merges");
-    assert_eq!(merged.entries.len(), shard_a.entries.len() + shard_b.entries.len());
-    assert!(merged.is_complete());
-    assert!(merged.results_match(&full), "the merged shards diverge from the full run");
-    assert_eq!(merged.wall_time, expected_wall);
-    assert_eq!(merged.entry(&shard_a.entries[1].point()), Some(&shard_a.entries[1]));
-    assert_eq!(merged.entry(&shard_b.entries[0].point()), Some(&shard_b.entries[0]));
-    // The merged report still round-trips.
-    let json = serde_json::to_string(&merged).expect("serializes");
-    let back: DseReport = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(merged, back);
+    // Serialization round-trip is lossless for every field.
+    for report in [&full, &partial] {
+        let json = serde_json::to_string(report).expect("serializes");
+        let back: DseReport = serde_json::from_str(&json).expect("deserializes");
+        assert_eq!(report, &back, "DSE report did not survive the JSON round trip");
+    }
 }
 
-/// The disk half of sharded sweeps: two shards of a sweep's point set
-/// `save` their partial reports, a combiner `load`s and `merge`s them, and
-/// the result is bit-identical to merging in memory.
+/// Partial reports of a sweep's point set `save` and `load` back
+/// bit-identically, and a missing or torn file is a structured error.
 #[test]
 fn sweep_report_shards_round_trip_through_disk_snapshots() {
     let (runner, spec, full) = sweep_report(
@@ -361,11 +345,6 @@ fn sweep_report_shards_round_trip_through_disk_snapshots() {
     assert_eq!(loaded_a, shard_a, "shard a did not survive the disk round trip");
     assert_eq!(loaded_b, shard_b, "shard b did not survive the disk round trip");
 
-    let merged_from_disk = loaded_a.merge(loaded_b).expect("same spec merges");
-    let merged_in_memory = shard_a.merge(shard_b).expect("same spec merges");
-    assert_eq!(merged_from_disk, merged_in_memory);
-    assert!(merged_from_disk.results_match(&full));
-
     // Failure shapes are structured errors, not panics.
     assert!(DseReport::load(dir.join("missing.json")).is_err());
     let torn = dir.join("torn.json");
@@ -376,9 +355,9 @@ fn sweep_report_shards_round_trip_through_disk_snapshots() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Overlapping shards: a point present in both shards appears once in the
-/// merged report, the first report's copy wins, and merging is idempotent
-/// and deterministic.
+/// Overlapping entries: a snapshot holding a point twice loads it once, the
+/// first copy in the file wins, and the loaded report is in canonical order
+/// whatever the file's order.
 #[test]
 fn overlapping_shards_dedupe_deterministically_on_merge() {
     let (runner, spec, shard_ab) = sweep_report(
@@ -394,30 +373,32 @@ fn overlapping_shards_dedupe_deterministically_on_merge() {
     assert_eq!(shard_ab.entries.len(), 2);
     assert_eq!(shard_a.entries.len(), 1);
 
-    // The overlapping AlexNet point is kept once.
-    let merged = shard_ab.clone().merge(shard_a.clone()).expect("same spec merges");
-    assert_eq!(merged.entries, shard_ab.entries, "duplicate point was not deduped");
-
-    // Merge order only decides whose copy of the shared point is kept, never
-    // the results or their order.
-    let merged_rev = shard_a.clone().merge(shard_ab.clone()).expect("same spec merges");
-    assert_eq!(merged_rev.entries.len(), 2);
-    assert_eq!(merged_rev.entries[0], shard_a.entries[0]);
-    assert_eq!(merged_rev.entries[1], shard_ab.entries[1]);
-    assert!(merged_rev.results_match(&merged));
-
-    // Self-merge is the identity.
-    let self_merged = shard_ab.clone().merge(shard_ab.clone()).expect("self-merge");
-    assert_eq!(self_merged, shard_ab);
-
-    // A merged report still snapshots and reloads losslessly.
     let path = std::env::temp_dir().join(format!(
         "dbpim-overlap-test-{}-{}.json",
         std::process::id(),
         line!()
     ));
-    merged.save(&path).expect("merged report saves");
-    assert_eq!(DseReport::load(&path).expect("merged report loads"), merged);
+    // The overlapping AlexNet point is kept once, and the first copy wins:
+    // whose copy is kept is all the file order decides.
+    let mut overlapping = shard_ab.clone();
+    overlapping.entries.push(shard_a.entries[0].clone());
+    overlapping.save(&path).expect("overlapping report saves");
+    let loaded = DseReport::load(&path).expect("overlapping report loads");
+    assert_eq!(loaded.entries, shard_ab.entries, "duplicate point was not deduped");
+
+    let mut reversed = shard_ab.clone();
+    reversed.entries =
+        vec![shard_ab.entries[1].clone(), shard_a.entries[0].clone(), shard_ab.entries[0].clone()];
+    reversed.save(&path).expect("reversed report saves");
+    let loaded_rev = DseReport::load(&path).expect("reversed report loads");
+    assert_eq!(loaded_rev.entries.len(), 2);
+    assert_eq!(loaded_rev.entries[0], shard_a.entries[0]);
+    assert_eq!(loaded_rev.entries[1], shard_ab.entries[1]);
+    assert!(loaded_rev.results_match(&loaded));
+
+    // A report without duplicates loads back as it was saved.
+    shard_ab.save(&path).expect("report saves");
+    assert_eq!(DseReport::load(&path).expect("report loads"), shard_ab);
     std::fs::remove_file(&path).ok();
 }
 
