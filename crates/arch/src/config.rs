@@ -113,9 +113,9 @@ impl ArchConfig {
     }
 
     /// Number of filters the *dense* baseline packs per macro at a weight
-    /// width: the reference design's [`dense_filters_per_macro`]
-    /// (`ArchConfig::dense_filters_per_macro`), capped by how many
-    /// `width.bits()`-column weights fit the compartment.
+    /// width: the reference design's
+    /// [`dense_filters_per_macro`](Self::dense_filters_per_macro), capped
+    /// by how many `width.bits()`-column weights fit the compartment.
     ///
     /// At INT8 on the paper geometry this is the historical 2; INT12/INT16
     /// weights leave room for only one filter.

@@ -716,10 +716,11 @@ impl DseReport {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::BadConfig`] when serialization or the write
-    /// fails (the path is included in the message).
+    /// Returns [`PipelineError::Snapshot`] (naming the file) when
+    /// serialization or the write fails.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PipelineError> {
-        write_atomically(path.as_ref(), &encode(self)?)
+        let path = path.as_ref();
+        write_atomically(path, &encode(self, path)?)
     }
 
     /// Loads a snapshot written by [`save`](Self::save) or a
@@ -754,15 +755,13 @@ impl DseReport {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::BadConfig`] (naming the file) when it cannot
-    /// be read, or when it is not a whole report and its line 1 does not
-    /// parse as a DSE report or a line but the last does not parse as an
-    /// entry.
+    /// Returns [`PipelineError::Snapshot`] naming the file when it cannot
+    /// be read, and naming the file and line when it is not a whole report
+    /// and its line 1 does not parse as a DSE report or a line but the last
+    /// does not parse as an entry.
     pub fn load_journal(path: impl AsRef<Path>) -> Result<(Self, Option<usize>), PipelineError> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot read DSE snapshot from {}: {e}", path.display()),
-        })?;
+        let bytes = std::fs::read(path).map_err(|e| snapshot_error(path, "cannot read", &e))?;
         // On a journal this stops at the end of line 1 (the header), so it
         // costs one header parse.
         let whole =
@@ -780,8 +779,10 @@ impl DseReport {
     /// The report and torn-tail length of a journal's bytes (see
     /// [`load_journal`](Self::load_journal)).
     fn parse_journal(bytes: &[u8], path: &Path) -> Result<(Self, Option<usize>), PipelineError> {
-        let malformed = |line: usize, e: &dyn std::fmt::Display| PipelineError::BadConfig {
-            reason: format!("malformed DSE snapshot in {} (line {line}): {e}", path.display()),
+        let malformed = |line: usize, e: &dyn std::fmt::Display| PipelineError::Snapshot {
+            path: path.to_path_buf(),
+            line: Some(line),
+            reason: e.to_string(),
         };
         let mut lines = bytes.split(|&b| b == b'\n');
         let header = lines.next().unwrap_or_default();
@@ -918,22 +919,25 @@ pub fn render_report(report: &DseReport) -> String {
     out
 }
 
-/// `value` as one line of JSON.
-fn encode(value: &impl Serialize) -> Result<String, PipelineError> {
-    serde_json::to_string(value).map_err(|e| PipelineError::BadConfig {
-        reason: format!("cannot serialize DSE snapshot: {e}"),
-    })
+/// A snapshot IO failure on `path`: `what` went wrong, because of `error`.
+fn snapshot_error(path: &Path, what: &str, error: &dyn std::fmt::Display) -> PipelineError {
+    PipelineError::Snapshot {
+        path: path.to_path_buf(),
+        line: None,
+        reason: format!("{what}: {error}"),
+    }
+}
+
+/// `value` as one line of JSON, bound for the snapshot at `path`.
+fn encode(value: &impl Serialize, path: &Path) -> Result<String, PipelineError> {
+    serde_json::to_string(value).map_err(|e| snapshot_error(path, "cannot serialize", &e))
 }
 
 /// Writes `contents` to a sibling temp file, then renames it onto `path`.
 fn write_atomically(path: &Path, contents: &str) -> Result<(), PipelineError> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, contents).map_err(|e| PipelineError::BadConfig {
-        reason: format!("cannot write DSE snapshot to {}: {e}", tmp.display()),
-    })?;
-    std::fs::rename(&tmp, path).map_err(|e| PipelineError::BadConfig {
-        reason: format!("cannot move DSE snapshot into {}: {e}", path.display()),
-    })
+    std::fs::write(&tmp, contents).map_err(|e| snapshot_error(&tmp, "cannot write", &e))?;
+    std::fs::rename(&tmp, path).map_err(|e| snapshot_error(path, "cannot move into place", &e))
 }
 
 /// An append-only snapshot of a [`DseReport`].
@@ -963,22 +967,22 @@ impl DseJournal {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::BadConfig`] (naming the file) when encoding,
+    /// Returns [`PipelineError::Snapshot`] (naming the file) when encoding,
     /// the write or reopening the file for appends fails.
     pub fn create(path: impl Into<PathBuf>, report: &DseReport) -> Result<Self, PipelineError> {
         let path = path.into();
         let header = DseReport { spec: report.spec.clone(), entries: Vec::new(), ..*report };
-        let mut contents = encode(&header)?;
+        let mut contents = encode(&header, &path)?;
         contents.push('\n');
         for entry in &report.entries {
-            contents.push_str(&encode(entry)?);
+            contents.push_str(&encode(entry, &path)?);
             contents.push('\n');
         }
         write_atomically(&path, &contents)?;
-        let file =
-            File::options().append(true).open(&path).map_err(|e| PipelineError::BadConfig {
-                reason: format!("cannot open DSE snapshot {} for appends: {e}", path.display()),
-            })?;
+        let file = File::options()
+            .append(true)
+            .open(&path)
+            .map_err(|e| snapshot_error(&path, "cannot open for appends", &e))?;
         Ok(Self { path, file: Mutex::new(Some(file)) })
     }
 
@@ -988,10 +992,10 @@ impl DseJournal {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::BadConfig`] (naming the file) when encoding
+    /// Returns [`PipelineError::Snapshot`] (naming the file) when encoding
     /// or the write fails, or an earlier write did.
     pub fn append(&self, entry: &DseEntry) -> Result<(), PipelineError> {
-        let mut record = encode(entry)?;
+        let mut record = encode(entry, &self.path)?;
         record.push('\n');
         let mut file = lock_unpoisoned(&self.file);
         let written = match file.as_mut() {
@@ -1000,9 +1004,7 @@ impl DseJournal {
         };
         written.map_err(|e| {
             *file = None;
-            PipelineError::BadConfig {
-                reason: format!("cannot append to DSE snapshot {}: {e}", self.path.display()),
-            }
+            snapshot_error(&self.path, "cannot append", &e)
         })
     }
 }

@@ -35,6 +35,17 @@ pub enum PipelineError {
     },
     /// A point-set run was given no workers.
     NoWorkers,
+    /// A DSE snapshot (a report or a journal) could not be read, parsed or
+    /// written.
+    Snapshot {
+        /// The snapshot file.
+        path: PathBuf,
+        /// The 1-based line that does not parse; `None` when the file could
+        /// not be read or written.
+        line: Option<usize>,
+        /// What went wrong.
+        reason: String,
+    },
     /// A snapshot answers a different spec, so resuming would mix results.
     SnapshotSpecMismatch {
         /// The snapshot.
@@ -81,6 +92,12 @@ impl fmt::Display for PipelineError {
                 write!(f, "invalid pipeline configuration: {reason}")
             }
             PipelineError::NoWorkers => write!(f, "the run has no workers (local or remote)"),
+            PipelineError::Snapshot { path, line: Some(line), reason } => {
+                write!(f, "malformed DSE snapshot in {} (line {line}): {reason}", path.display())
+            }
+            PipelineError::Snapshot { path, line: None, reason } => {
+                write!(f, "DSE snapshot {}: {reason}", path.display())
+            }
             PipelineError::SnapshotSpecMismatch { path } => write!(
                 f,
                 "snapshot {} answers a different spec; refusing to resume",

@@ -66,7 +66,7 @@ pub use dse::{DseDriver, DseEntry, DseJournal, DsePoint, DseReport, DseSpec, Mix
 pub use error::PipelineError;
 pub use pipeline::{CodesignResult, Pipeline, PipelineConfig};
 pub use session::{
-    BatchRunner, ModelArtifacts, ModelPrograms, SessionCacheStats, SimSession, SweepEntry,
+    BatchRunner, FrontEnd, ModelArtifacts, ModelPrograms, SessionCacheStats, SimSession, SweepEntry,
 };
 pub use stats::LatencyHistogram;
 

@@ -8,11 +8,13 @@
 //!
 //! The session layer splits the pipeline at its natural seam:
 //!
-//! * [`ModelArtifacts`] — everything that depends only on the model and the
-//!   [`PipelineConfig`]: the quantized model, its FTA approximation,
-//!   sparsity statistics, the measured input-sparsity profile, and the
-//!   dense/DB-PIM programs of the most recently compiled geometry. Prepared
-//!   **once**, simulated many times.
+//! * [`ModelArtifacts`] — everything a point reads that depends only on the
+//!   model and the [`PipelineConfig`]: sparsity statistics, the measured
+//!   input-sparsity profile, both workload sets and the dense/DB-PIM
+//!   programs of the most recently compiled geometry. Prepared **once**,
+//!   simulated many times. The INT8 model and its FTA approximation
+//!   ([`FrontEnd`]) are kept only until a fidelity report is cached, and
+//!   not at all when the configuration evaluates no fidelity.
 //! * [`SimSession`] — one cache of artifacts keyed on (model, operand
 //!   width, pruning), under one LRU bound, shared by every consumer
 //!   (experiment binaries, examples, benches, the serving daemon). Every
@@ -50,7 +52,7 @@ use dbpim_fta::{evaluate_fidelity, FidelityReport, ModelApprox};
 use dbpim_nn::{fold_batch_norm, Model, ModelKind, ModelSummary, QuantizedModel};
 use dbpim_sim::{RunReport, SimConfig, Simulator, SparsityConfig};
 use dbpim_tensor::random::TensorGenerator;
-use dbpim_tensor::PruningSpec;
+use dbpim_tensor::{PruningSpec, Tensor};
 use serde::de::{self, Reader};
 use serde::ser::Writer;
 use serde::{Deserialize, Error, Serialize};
@@ -106,35 +108,66 @@ pub struct ModelPrograms {
     pub sparse: ModelProgram,
 }
 
+/// The output of preparation's front end for one model under one
+/// [`PipelineConfig`] (see [`ModelArtifacts::front_end`]).
+///
+/// A prepared model derives its FTA statistics, input-sparsity profile and
+/// workloads from it. After that only a fidelity evaluation reads it, so
+/// [`ModelArtifacts`] keeps it until its fidelity report is cached, and
+/// drops it during preparation when the configuration evaluates none.
+#[derive(Debug)]
+pub struct FrontEnd {
+    /// The INT8-quantized model, pruned when the configuration prunes: the
+    /// fidelity baseline.
+    pub quantized: QuantizedModel,
+    /// The FTA approximation of every PIM layer at the configured operand
+    /// width.
+    pub approx: ModelApprox,
+    /// Generator state right after the calibration draw; cloning it replays
+    /// the exact evaluation batch [`crate::Pipeline::run_model`] would have
+    /// drawn inline, keeping lazy fidelity bit-identical.
+    pub(crate) eval_gen: TensorGenerator,
+}
+
+/// A prepared model's fidelity slot.
+#[derive(Debug)]
+enum FidelitySlot {
+    /// The configuration evaluates no fidelity, so nothing is kept for it.
+    Disabled,
+    /// No report yet: the front end's output waits for the first request.
+    /// A request that fails or panics leaves it for the next one.
+    Pending(Box<FrontEnd>),
+    /// The report, cached; the front end's output is gone.
+    Cached(FidelityReport),
+}
+
 /// Everything the pipeline derives from one model under one
 /// [`PipelineConfig`], shareable across simulation runs.
 ///
-/// Preparation performs the expensive model-side stages exactly once:
-/// synthetic calibration data, INT8 quantization, the FTA approximation,
-/// sparsity statistics and input-sparsity measurement, plus workload
-/// extraction. Compilation is per-architecture; the most recently compiled
-/// geometry stays cached (one slot, so a long exploration holds one
-/// program pair per prepared model, not one per geometry ever seen). The
-/// fidelity evaluation is cached on first request.
+/// Preparation performs the expensive model-side stages exactly once: the
+/// [`front_end`](Self::front_end) (synthetic calibration data, INT8
+/// quantization and the FTA approximation), then sparsity statistics,
+/// input-sparsity measurement and workload extraction. What it keeps is
+/// what points read: the statistics, the profile, both workload sets and
+/// the float model (shared with every other variant of its kind).
+/// Compilation is per-architecture; the most recently compiled geometry
+/// stays cached (one slot, so a long exploration holds one program pair per
+/// prepared model, not one per geometry ever seen). The fidelity evaluation
+/// is cached on first request, and the front end's output is kept only
+/// until then.
 #[derive(Debug)]
 pub struct ModelArtifacts {
     config: PipelineConfig,
     model: Arc<Model>,
     summary: ModelSummary,
-    quantized: QuantizedModel,
-    approx: ModelApprox,
     fta_stats: ModelFtaStats,
     input_sparsity: InputSparsityProfile,
-    /// Generator state right after the calibration draw; cloning it replays
-    /// the exact evaluation batch [`crate::Pipeline::run_model`] would have
-    /// drawn inline, keeping lazy fidelity bit-identical.
-    eval_gen: TensorGenerator,
     sparse_workloads: ModelWorkloads,
     dense_workloads: ModelWorkloads,
     /// The most recently compiled geometry. Set only after a successful
     /// compile, so a slot recovered from a poisoned lock is still valid.
     programs: Mutex<Option<Arc<ModelPrograms>>>,
-    fidelity: Mutex<Option<FidelityReport>>,
+    fidelity: Mutex<FidelitySlot>,
     program_hits: AtomicU64,
     program_misses: AtomicU64,
 }
@@ -164,23 +197,73 @@ impl ModelArtifacts {
             model = model.name(),
             width = config.operand_width.bits(),
         );
-        config.validate()?;
+        let (front, calibration) = Self::front_end(config, &model)?;
         let summary = model.summary()?;
+        let fta_stats = ModelFtaStats::from_model(&front.approx);
 
-        // Value-level pruning happens here, before quantization, so every
-        // downstream stage (quantizer, FTA, metadata, compiler, simulator)
-        // sees the masked weights. The stored `model` stays the *unpruned*
-        // original — cache identity in [`SimSession`] compares against the
-        // model the caller handed in. An inactive spec takes the exact
-        // historical path: no clone, no masking, bit-identical artifacts.
-        let pruned_model;
-        let work_model: &Model = if config.pruning.is_active() {
-            pruned_model = model.pruned(config.pruning);
-            &pruned_model
-        } else {
-            &model
+        // Input bit sparsity (Fig. 2(b)) measured on the calibration batch,
+        // then the hardware-facing workloads (dyadic-block metadata) for
+        // both mappings.
+        let input_sparsity = {
+            let _span = dbpim_trace::span!("pipeline.input_sparsity");
+            measure_input_sparsity(&front.quantized, &calibration)?
         };
+        let _workloads_span = dbpim_trace::span!("pipeline.workloads");
+        // Extraction reads the graph's structure, which pruning leaves as it
+        // is, and the thresholds and counts from the approximation. Only the
+        // value-pruned flow records per-filter nonzero counts: the counts
+        // let the compiler compact DB-PIM tiles, and the unpruned flow must
+        // keep its historical tiling bit-for-bit (see
+        // `extract_workloads_with_value_sparsity`). The dense baseline
+        // always maps nominal filter lengths, so it never records counts.
+        let sparse_workloads = if config.pruning.is_active() {
+            extract_workloads_with_value_sparsity(&model, Some(&front.approx), &input_sparsity)?
+        } else {
+            extract_workloads(&model, Some(&front.approx), &input_sparsity)?
+        };
+        let dense_workloads = extract_workloads(&model, None, &input_sparsity)?;
+        drop(_workloads_span);
 
+        // Only a fidelity evaluation reads the front end's output again.
+        let fidelity = if config.evaluation_images > 0 {
+            FidelitySlot::Pending(Box::new(front))
+        } else {
+            FidelitySlot::Disabled
+        };
+        Ok(Self {
+            config: *config,
+            model,
+            summary,
+            fta_stats,
+            input_sparsity,
+            sparse_workloads,
+            dense_workloads,
+            programs: Mutex::new(None),
+            fidelity: Mutex::new(fidelity),
+            program_hits: AtomicU64::new(0),
+            program_misses: AtomicU64::new(0),
+        })
+    }
+
+    /// Preparation's front end for `model` under `config`: the calibration
+    /// draw, the configured value-level pruning, the batch-norm fold, INT8
+    /// quantization, then FTA at the configured operand width. Returns the
+    /// calibration batch beside it, which preparation measures input
+    /// sparsity on.
+    ///
+    /// [`prepare`](Self::prepare) runs exactly this, so its output is what
+    /// a prepared model's statistics and workloads were derived from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::BadConfig`] for an unusable configuration
+    /// and propagates data-generation, quantization and approximation
+    /// failures.
+    pub fn front_end(
+        config: &PipelineConfig,
+        model: &Model,
+    ) -> Result<(FrontEnd, Vec<Tensor<f32>>), PipelineError> {
+        config.validate()?;
         // Synthetic calibration batch (same stream the Pipeline always used).
         let input_shape = model.input_shape();
         let (channels, height, width) = (input_shape[0], input_shape[1], input_shape[2]);
@@ -192,11 +275,20 @@ impl ModelArtifacts {
         // the weight-side approximation runs at the configured operand
         // width. At INT8 it approximates the weight tensors the quantizer
         // already built; other widths quantize the folded float weights at
-        // their width. Batch norms are folded once and the folded model
-        // feeds both.
+        // their width. Value-level pruning comes first, so every later stage
+        // sees the masked weights; an inactive spec takes the historical
+        // path with no clone, and a prepared model keeps the unpruned
+        // original, which cache identity in [`SimSession`] compares
+        // against. Batch norms are folded once and the folded model feeds
+        // both; it and the pruned copy are whole float models, released
+        // before this returns.
         let (folded, quantized) = {
             let _span = dbpim_trace::span!("pipeline.quantize");
-            let folded = fold_batch_norm(work_model)?;
+            let folded = if config.pruning.is_active() {
+                fold_batch_norm(&model.pruned(config.pruning))?
+            } else {
+                fold_batch_norm(model)?
+            };
             let quantized = QuantizedModel::quantize_folded(&folded, &calibration)?;
             (folded, quantized)
         };
@@ -208,52 +300,7 @@ impl ModelArtifacts {
                 ModelApprox::from_folded_wide(&folded, config.operand_width)?
             }
         };
-        // The folded clone is a whole float model; release it before the
-        // INT8 forward passes below.
-        drop(folded);
-        let fta_stats = ModelFtaStats::from_model(&approx);
-
-        // The evaluation batch (fidelity) comes later and lazily; snapshot
-        // the generator so the draw matches the historical inline one.
-        let eval_gen = gen.clone();
-
-        // Input bit sparsity (Fig. 2(b)) measured on the calibration batch,
-        // then the hardware-facing workloads (dyadic-block metadata) for
-        // both mappings.
-        let input_sparsity = {
-            let _span = dbpim_trace::span!("pipeline.input_sparsity");
-            measure_input_sparsity(&quantized, &calibration)?
-        };
-        let _workloads_span = dbpim_trace::span!("pipeline.workloads");
-        // Only the value-pruned flow records per-filter nonzero counts: the
-        // counts let the compiler compact DB-PIM tiles, and the unpruned
-        // flow must keep its historical tiling bit-for-bit (see
-        // `extract_workloads_with_value_sparsity`). The dense baseline
-        // always maps nominal filter lengths, so it never records counts.
-        let sparse_workloads = if config.pruning.is_active() {
-            extract_workloads_with_value_sparsity(work_model, Some(&approx), &input_sparsity)?
-        } else {
-            extract_workloads(work_model, Some(&approx), &input_sparsity)?
-        };
-        let dense_workloads = extract_workloads(work_model, None, &input_sparsity)?;
-        drop(_workloads_span);
-
-        Ok(Self {
-            config: *config,
-            model,
-            summary,
-            quantized,
-            approx,
-            fta_stats,
-            input_sparsity,
-            eval_gen,
-            sparse_workloads,
-            dense_workloads,
-            programs: Mutex::new(None),
-            fidelity: Mutex::new(None),
-            program_hits: AtomicU64::new(0),
-            program_misses: AtomicU64::new(0),
-        })
+        Ok((FrontEnd { quantized, approx, eval_gen: gen }, calibration))
     }
 
     /// The configuration the artifacts were prepared under.
@@ -272,18 +319,6 @@ impl ModelArtifacts {
     #[must_use]
     pub fn summary(&self) -> &ModelSummary {
         &self.summary
-    }
-
-    /// The INT8-quantized model (the fidelity baseline).
-    #[must_use]
-    pub fn quantized(&self) -> &QuantizedModel {
-        &self.quantized
-    }
-
-    /// The FTA approximation of every PIM layer.
-    #[must_use]
-    pub fn approx(&self) -> &ModelApprox {
-        &self.approx
     }
 
     /// FTA sparsity and utilization statistics (Fig. 2(a), Table 3).
@@ -362,7 +397,8 @@ impl ModelArtifacts {
 
     /// The fidelity report (Table 2 substitute), evaluated on first request
     /// and cached: the FTA model at the configured operand width against
-    /// the INT8 baseline, on the same evaluation batch.
+    /// the INT8 baseline, on the same evaluation batch. The first report
+    /// cached releases the front end's output it was evaluated from.
     ///
     /// # Errors
     ///
@@ -370,18 +406,19 @@ impl ModelArtifacts {
     /// the fidelity evaluation (`evaluation_images == 0`), and propagates
     /// evaluation failures.
     pub fn fidelity(&self) -> Result<FidelityReport, PipelineError> {
-        if self.config.evaluation_images == 0 {
-            return Err(PipelineError::BadConfig {
-                reason: "fidelity requested but evaluation_images is 0".to_string(),
-            });
-        }
-        let mut cache = lock_unpoisoned(&self.fidelity);
-        if let Some(report) = cache.as_ref() {
-            return Ok(*report);
-        }
+        let mut slot = lock_unpoisoned(&self.fidelity);
+        let front = match &*slot {
+            FidelitySlot::Cached(report) => return Ok(*report),
+            FidelitySlot::Pending(front) => front,
+            FidelitySlot::Disabled => {
+                return Err(PipelineError::BadConfig {
+                    reason: "fidelity requested but evaluation_images is 0".to_string(),
+                })
+            }
+        };
         let _span = dbpim_trace::span!("pipeline.fidelity", model = self.model.name());
         let input_shape = self.model.input_shape();
-        let mut gen = self.eval_gen.clone();
+        let mut gen = front.eval_gen.clone();
         let (eval_images, eval_labels) = gen.labelled_batch(
             self.config.evaluation_images,
             input_shape[0],
@@ -389,9 +426,9 @@ impl ModelArtifacts {
             input_shape[2],
             self.config.classes,
         )?;
-        let fta_model = self.approx.apply(&self.quantized)?;
-        let report = evaluate_fidelity(&self.quantized, &fta_model, &eval_images, &eval_labels)?;
-        *cache = Some(report);
+        let fta_model = front.approx.apply(&front.quantized)?;
+        let report = evaluate_fidelity(&front.quantized, &fta_model, &eval_images, &eval_labels)?;
+        *slot = FidelitySlot::Cached(report);
         Ok(report)
     }
 
@@ -1038,8 +1075,10 @@ mod tests {
         let programs = artifacts.programs(config.arch).expect("the poisoned slot compiles");
 
         let clean = SimSession::new(config).unwrap().artifacts(kind).unwrap();
-        assert_eq!(artifacts.quantized(), clean.quantized());
-        assert_eq!(artifacts.approx(), clean.approx());
+        let (front, _) = ModelArtifacts::front_end(&config, artifacts.model()).unwrap();
+        let (clean_front, _) = ModelArtifacts::front_end(&config, clean.model()).unwrap();
+        assert_eq!(front.quantized, clean_front.quantized);
+        assert_eq!(front.approx, clean_front.approx);
         assert_eq!(artifacts.input_sparsity(), clean.input_sparsity());
         assert_eq!(*programs, *clean.programs(config.arch).unwrap());
         let all = SparsityConfig::all();
@@ -1048,6 +1087,31 @@ mod tests {
             clean.codesign_result(&all, false).unwrap()
         );
         assert_eq!(session.cache_stats().resident_artifacts, 1);
+    }
+
+    /// The front end's output waits in the fidelity slot until a report is
+    /// cached: a panic mid-evaluation leaves it for the retry, which gets
+    /// what a session that never panicked gets, and caching the report
+    /// releases it. Without fidelity nothing is kept for one.
+    #[test]
+    fn the_front_end_is_kept_only_until_a_fidelity_report_is_cached() {
+        let mut config = PipelineConfig::fast();
+        config.calibration_images = 1;
+        config.evaluation_images = 2;
+        let kind = ModelKind::AlexNet;
+        let artifacts = SimSession::new(config).unwrap().artifacts(kind).unwrap();
+        assert!(matches!(*lock_unpoisoned(&artifacts.fidelity), FidelitySlot::Pending(_)));
+
+        poison(&artifacts.fidelity);
+        let report = artifacts.fidelity().expect("the poisoned slot evaluates");
+        assert!(matches!(*lock_unpoisoned(&artifacts.fidelity), FidelitySlot::Cached(_)));
+        let clean = SimSession::new(config).unwrap().artifacts(kind).unwrap();
+        assert_eq!(report, clean.fidelity().unwrap());
+        assert_eq!(artifacts.fidelity().unwrap(), report);
+
+        let without = SimSession::new(config.without_fidelity()).unwrap().artifacts(kind).unwrap();
+        assert!(matches!(*lock_unpoisoned(&without.fidelity), FidelitySlot::Disabled));
+        assert!(matches!(without.fidelity(), Err(PipelineError::BadConfig { .. })));
     }
 
     #[test]

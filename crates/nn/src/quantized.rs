@@ -549,11 +549,11 @@ const SHORT_PATCH: usize = 32;
 ///
 /// The zero-centred input and the weights are held as `i16` and the sums
 /// are exact at every weight width up to INT16, for any filter length.
-/// Filters shorter than [`SHORT_PATCH`] (depthwise layers above all)
+/// Filters shorter than 32 weights (depthwise layers above all)
 /// accumulate each kernel tap into whole `i32` output rows; longer ones
 /// build one im2col patch per output position (interior ones by row
 /// copies, padding taps stored as 0) and dot it with every filter of the
-/// group through [`dot_i16`].
+/// group as an `i16` dot product.
 ///
 /// # Errors
 ///

@@ -312,7 +312,7 @@ pub fn collector() -> Option<Arc<TraceCollector>> {
 // ------------------------------------------------------------------ spans
 
 /// An open span; records itself into the collector when dropped. Obtained
-/// from [`span!`], [`start_span`] or [`kernel_span`].
+/// from [`span!`](crate::span!), [`start_span`] or [`kernel_span`].
 #[must_use = "a span measures the scope of its guard binding"]
 #[derive(Debug)]
 pub struct SpanGuard(Option<ActiveSpan>);
@@ -379,8 +379,8 @@ fn open(
 }
 
 /// Opens a span on the installed collector (no-op guard when none is).
-/// Prefer the [`span!`] macro, which skips argument formatting entirely
-/// while tracing is off.
+/// Prefer the [`span!`](crate::span!) macro, which skips argument
+/// formatting entirely while tracing is off.
 pub fn start_span(name: &'static str, args: Vec<(&'static str, String)>) -> SpanGuard {
     match current() {
         Some(collector) => open(collector, name, args),

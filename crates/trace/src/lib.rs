@@ -4,14 +4,15 @@
 //! simulator, DSE drivers, the serving daemon, the fleet orchestrator —
 //! reports through this crate. It has three legs:
 //!
-//! * **Spans** ([`collector`]) — a global, thread-safe [`TraceCollector`]
-//!   records nested, thread-id-tagged spans with monotonic-clock
-//!   timestamps into a bounded ring buffer. The [`span!`] macro opens a
-//!   span whose guard records it on drop; when no collector is installed
-//!   the whole thing is one relaxed atomic load, so instrumented hot
-//!   paths (the macro and requantize kernels) stay hot. Per-tile kernel events
-//!   additionally pass a sampling knob ([`kernel_span`]) so a collector
-//!   can keep one in N instead of drowning in them.
+//! * **Spans** ([`collector`](mod@collector)) — a global, thread-safe
+//!   [`TraceCollector`] records nested, thread-id-tagged spans with
+//!   monotonic-clock timestamps into a bounded ring buffer. The [`span!`]
+//!   macro opens a span whose guard records it on drop; when no collector
+//!   is installed the whole thing is one relaxed atomic load, so
+//!   instrumented hot paths (the macro and requantize kernels) stay hot.
+//!   Per-tile kernel events additionally pass a sampling knob
+//!   ([`kernel_span`]) so a collector can keep one in N instead of
+//!   drowning in them.
 //! * **Metrics** ([`metrics`]) — a [`MetricsRegistry`] unifying named
 //!   counters, gauges and the log₂-bucketed [`LatencyHistogram`]
 //!   (previously private to the serving layer; its serde wire format is

@@ -30,15 +30,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     };
     println!("model: {kind} (width 0.5, synthetic weights)");
 
-    // One session backs the whole exploration: the quantized model, the FTA
-    // approximation and the compiled programs are prepared once and shared
-    // by the statistics below and by the sweep at the end.
+    // One session backs the exploration: the model is prepared once, and
+    // its statistics below and the sweep at the end share it. A prepared
+    // model keeps no FTA weights, so the ablation reads the front end's.
     let mut config = PipelineConfig::paper();
     config.seed = 7;
     config.width_mult = 0.5;
     let runner = BatchRunner::new(config.without_fidelity())?;
     let artifacts = runner.session().artifacts(kind)?;
-    let approx = artifacts.approx();
+    let (front, _) = ModelArtifacts::front_end(runner.session().config(), artifacts.model())?;
+    let approx = &front.approx;
     let stats = artifacts.fta_stats();
 
     println!("\n== Fig. 2(a): zero-bit ratio of the weights ==");

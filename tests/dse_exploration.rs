@@ -254,6 +254,32 @@ fn a_torn_header_or_malformed_middle_line_is_an_error() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A snapshot that cannot be read or parsed is a snapshot error naming the
+/// file (and the line, for a parse failure), not a pipeline configuration
+/// error.
+#[test]
+fn unreadable_or_malformed_snapshots_are_snapshot_errors_naming_the_file() {
+    let missing = temp_path("no-such-dir").join("merged.json");
+    match DseReport::load_journal(&missing) {
+        Err(PipelineError::Snapshot { path, line: None, reason }) => {
+            assert_eq!(path, missing);
+            assert!(reason.starts_with("cannot read"), "{reason}");
+        }
+        other => panic!("expected a snapshot read error, got {other:?}"),
+    }
+    let message = DseReport::load_journal(&missing).unwrap_err().to_string();
+    assert!(message.contains("merged.json"), "{message}");
+    assert!(!message.contains("configuration"), "{message}");
+
+    let malformed = temp_path("snapshot-error-header.json");
+    std::fs::write(&malformed, "{\"spec\":\n").expect("writes");
+    match DseReport::load_journal(&malformed) {
+        Err(PipelineError::Snapshot { path, line: Some(1), .. }) => assert_eq!(path, malformed),
+        other => panic!("expected a malformed-snapshot error at line 1, got {other:?}"),
+    }
+    std::fs::remove_file(&malformed).ok();
+}
+
 /// A failing point stops the points after it in canonical order from
 /// starting, the points before it stay journaled, and the run returns the
 /// failure. Test workers fail the points at one pruning spec as an

@@ -338,7 +338,7 @@ fn a_malformed_middle_journal_line_fails_the_run_and_leaves_the_file() {
     std::fs::write(&path, &malformed).expect("malformed journal writes");
 
     let err = FleetDriver::new(fleet_config).run(&spec).expect_err("malformed journal must fail");
-    assert!(matches!(err, FleetError::BadConfig { .. }), "{err}");
+    assert!(matches!(err, FleetError::Snapshot { line: Some(4), .. }), "{err}");
     assert!(err.to_string().contains(&path.display().to_string()), "{err}");
     assert_eq!(std::fs::read_to_string(&path).expect("readable"), malformed, "file rewritten");
     std::fs::remove_dir_all(&dir).ok();

@@ -120,11 +120,12 @@ fn pruned_zero_weights_survive_the_fta_round_trip_losslessly() {
     let pruning = PruningSpec::unstructured(0.5);
     let config = small_config().with_pruning(pruning);
     let session = SimSession::new(config).expect("valid config");
-    let artifacts = session.artifacts(ModelKind::AlexNet).expect("prepares");
-    let approx = artifacts.approx();
+    let model = session.model(ModelKind::AlexNet).expect("model");
+    let (front, _) = ModelArtifacts::front_end(&config, &model).expect("prepares");
+    let approx = &front.approx;
 
     // The pruned model actually carries the requested value sparsity...
-    let pruned_model = session.model(ModelKind::AlexNet).expect("model").pruned(pruning);
+    let pruned_model = model.pruned(pruning);
     assert!(pruned_model.weight_zero_fraction() >= 0.45, "pruning was not applied");
     // ...and the quantized/approximated weights see it too (quantization can
     // only add zeros, never remove them).

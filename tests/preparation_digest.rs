@@ -40,9 +40,10 @@ fn digests(kind: ModelKind, width: OperandWidth, pruning: PruningSpec) -> [u64; 
     .with_operand_width(width)
     .with_pruning(pruning);
     let model = kind.build_with_width(config.classes, config.seed, config.width_mult).unwrap();
+    let (front, _) = ModelArtifacts::front_end(&config, &model).unwrap();
     let artifacts = ModelArtifacts::prepare(&config, &model).unwrap();
     let json = [
-        serde_json::to_string(artifacts.quantized()).unwrap(),
+        serde_json::to_string(&front.quantized).unwrap(),
         serde_json::to_string(artifacts.fta_stats()).unwrap(),
         serde_json::to_string(artifacts.input_sparsity()).unwrap(),
     ];
