@@ -51,43 +51,40 @@ use db_pim::dse::render_report;
 use db_pim::flags::{self, OptionsError};
 use db_pim::{DseReport, DseSpec, PipelineConfig};
 use dbpim_bench::dse::FLEET_TABLE;
-use dbpim_fleet::{FleetDriver, FleetEvent, FleetOptions, JOURNAL_FILE};
+use dbpim_fleet::{FleetConfig, FleetDriver, FleetEvent, JOURNAL_FILE};
 use dbpim_trace::{log_debug, log_info, log_warn, TraceSink};
 
 fn main() {
-    let (pipeline, spec, fleet, status, trace) =
-        flags::from_args("dbpim-fleet", FLEET_TABLE, |flags| {
-            let fleet = FleetOptions::from_flags(flags)?;
-            let status = flags.switch("--status");
-            if status && !fleet.endpoints.is_empty() {
-                let why = "not read by --status, which reads the journal in --snapshot-dir";
-                return Err(OptionsError::new("--endpoints", why));
-            }
-            if status && fleet.snapshot_dir.is_none() {
-                let why = "missing: --status reads the journal in this dir";
-                return Err(OptionsError::new("--snapshot-dir", why));
-            }
-            let pipeline = PipelineConfig::from_flags(flags)?;
-            let spec = DseSpec::from_flags(flags)?;
-            Ok((pipeline, spec, fleet, status, flags::install_trace(flags)?))
-        });
-    if let (true, Some(dir)) = (status, &fleet.snapshot_dir) {
+    let (config, spec, status, trace) = flags::from_args("dbpim-fleet", FLEET_TABLE, |flags| {
+        let config = FleetConfig::from_flags(flags, PipelineConfig::from_flags(flags)?)?;
+        let status = flags.switch("--status");
+        if status && config.endpoints().next().is_some() {
+            let why = "not read by --status, which reads the journal in --snapshot-dir";
+            return Err(OptionsError::new("--endpoints", why));
+        }
+        if status && config.snapshot_dir.is_none() {
+            let why = "missing: --status reads the journal in this dir";
+            return Err(OptionsError::new("--snapshot-dir", why));
+        }
+        let spec = DseSpec::from_flags(flags)?;
+        Ok((config, spec, status, flags::install_trace(flags)?))
+    });
+    if let (true, Some(dir)) = (status, &config.snapshot_dir) {
         print_status(dir);
     }
 
-    let config = fleet.fleet_config(pipeline);
     eprintln!(
         "dbpim-fleet {}: {} workers ({} remote), snapshots {}",
         config.fleet_id,
         config.workers.len(),
-        fleet.endpoints.len(),
+        config.endpoints().count(),
         config.snapshot_dir.as_ref().map_or("off".to_string(), |d| d.display().to_string()),
     );
 
     // Worker narration goes through the leveled logger: lifecycle and
     // failures at their natural levels, the per-point ticker at debug so
     // `--log-level debug` shows it and the default keeps stderr quiet.
-    let driver = FleetDriver::new(config).with_observer(move |event| match event {
+    let driver = FleetDriver::new(config.clone()).with_observer(move |event| match event {
         FleetEvent::WorkerReady { worker, label } => {
             log_info!("fleet", "worker {worker} ({label}) ready");
         }
@@ -109,7 +106,7 @@ fn main() {
             print!("{}", render_report(&outcome.report));
             std::io::stdout().flush().ok();
             if let Some(sink) = trace {
-                if let Err(e) = finish_trace(sink, &fleet) {
+                if let Err(e) = finish_trace(sink, &config) {
                     eprintln!("dbpim-fleet: writing the trace failed: {e}");
                 }
             }
@@ -156,20 +153,17 @@ fn main() {
 /// the ping-handshake offset estimate, and merged under the driver's
 /// spans as its own process lane; an unreachable (or buffer-less) daemon
 /// is warned about and skipped so the driver's own trace always lands.
-fn finish_trace(sink: TraceSink, fleet: &FleetOptions) -> std::io::Result<()> {
+fn finish_trace(sink: TraceSink, config: &FleetConfig) -> std::io::Result<()> {
     use std::time::Duration;
 
-    if fleet.endpoints.is_empty() {
+    if config.endpoints().next().is_none() {
         return sink.finish();
     }
     let driver_epoch = sink.collector().epoch_unix_micros();
     let mut lanes = Vec::new();
-    for endpoint in &fleet.endpoints {
-        match dbpim_fleet::collect_remote_trace(
-            endpoint,
-            fleet.auth_token.as_deref(),
-            Duration::from_secs(5),
-        ) {
+    for endpoint in config.endpoints() {
+        let token = config.auth_token.as_deref();
+        match dbpim_fleet::collect_remote_trace(endpoint, token, Duration::from_secs(5)) {
             Ok(remote) => {
                 if remote.snapshot.dropped > 0 {
                     log_warn!(

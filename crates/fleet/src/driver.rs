@@ -104,6 +104,14 @@ impl FleetConfig {
         self.max_point_attempts = attempts.max(1);
         self
     }
+
+    /// The endpoints of the roster's remote workers, in roster order.
+    pub fn endpoints(&self) -> impl Iterator<Item = &str> {
+        self.workers.iter().filter_map(|worker| match worker {
+            WorkerSpec::Remote(addr) => Some(addr.as_str()),
+            WorkerSpec::Local => None,
+        })
+    }
 }
 
 /// The orchestrator. See the [module docs](self) for the lifecycle.

@@ -61,6 +61,5 @@ pub use db_pim::dse::{
 };
 pub use db_pim::PipelineError as FleetError;
 pub use driver::{FleetConfig, FleetDriver, JOURNAL_FILE};
-pub use options::FleetOptions;
 pub use trace::{collect_remote_trace, remote_lane, RemoteTrace};
 pub use worker::WorkerSpec;

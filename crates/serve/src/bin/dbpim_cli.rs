@@ -15,7 +15,7 @@
 //!       [--watch <secs>]       re-poll every <secs> seconds and print a
 //!                              delta/rate line per interval (req/s,
 //!                              rejection rates) until interrupted
-//!   metrics                    the daemon's full metrics registry in the
+//!   metrics                    the counters `stats` prints, in the
 //!                              Prometheus text exposition format
 //!   shutdown                   stop the daemon
 //! ```
@@ -176,7 +176,7 @@ fn print_stats(stats: &dbpim_serve::ServerStats) {
     println!("active connections:   {}", stats.active_connections);
     println!("queued connections:   {}", stats.queued_connections);
     println!("rejected overloaded:  {}", stats.rejected_overloaded);
-    println!("rejected unauthorized:{}", stats.rejected_unauthorized);
+    println!("rejected unauthorized: {}", stats.rejected_unauthorized);
     println!("rejected frames:      {}", stats.rejected_frames);
     println!("uptime:               {:?}", stats.uptime);
     println!("artifact hits:        {}", stats.cache.artifact_hits);
@@ -299,9 +299,7 @@ fn main() {
             Some(secs) => watch_stats(&mut client, secs),
             None => client.stats().map(|stats| print_stats(&stats)),
         },
-        Command::Metrics => client.metrics_snapshot().map(|metrics| {
-            print!("{}", metrics.render_prometheus());
-        }),
+        Command::Metrics => client.stats().map(|stats| print!("{}", stats.render_prometheus())),
         Command::Shutdown => client.shutdown().map(|()| {
             println!("daemon at {addr} is shutting down");
         }),

@@ -388,7 +388,8 @@ impl Client {
 
     /// Snapshots the daemon's full observability surface ([`Request::Stats`]):
     /// request counters, warm-cache statistics, queue depths, rejection
-    /// counters and the per-request-type latency histograms.
+    /// counters and the per-request-type latency histograms. `dbpim-cli
+    /// metrics` prints it as [`ServerStats::render_prometheus`] renders it.
     ///
     /// # Errors
     ///
@@ -412,21 +413,6 @@ impl Client {
         match self.round_trip(&Request::TraceSnapshot)? {
             Response::TraceSpans { snapshot } => Ok(snapshot),
             other => Err(unexpected("TraceSpans", &other)),
-        }
-    }
-
-    /// Snapshots the daemon's full metrics registry
-    /// ([`Request::MetricsSnapshot`]): every counter, gauge and histogram
-    /// by name — the surface `dbpim-cli metrics` renders as Prometheus
-    /// text.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection and server failures.
-    pub fn metrics_snapshot(&mut self) -> Result<dbpim_trace::MetricsSnapshot, ClientError> {
-        match self.round_trip(&Request::MetricsSnapshot)? {
-            Response::Metrics { metrics } => Ok(metrics),
-            other => Err(unexpected("Metrics", &other)),
         }
     }
 

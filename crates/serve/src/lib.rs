@@ -16,7 +16,10 @@
 //!   the shared warm cache ([`db_pim::BatchRunner`] inside), incremental
 //!   result streaming for explorations, graceful shutdown, and the production
 //!   hardening (admission control, shared-secret auth, bounded request
-//!   framing, per-request-type latency histograms).
+//!   framing). Its counters and per-request-type latency histograms are one
+//!   record, read out by [`Request::Stats`] as [`ServerStats`], which
+//!   `dbpim-cli stats` prints as a table and `dbpim-cli metrics` as
+//!   Prometheus text ([`ServerStats::render_prometheus`]).
 //! * [`client`] — a blocking client library the `dbpim-cli` binary and the
 //!   fleet's remote workers are built on.
 //!

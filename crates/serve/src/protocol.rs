@@ -55,12 +55,11 @@ use serde::{Deserialize, Serialize};
 /// v5 added distributed tracing: an optional [`TraceContext`] on
 /// [`Request::RunModel`] / `Sweep` / [`Request::Explore`] (omitted from the
 /// wire when absent, so context-free requests stay byte-identical to v4),
-/// the [`Request::TraceSnapshot`] / [`Request::MetricsSnapshot`]
-/// observability pulls answered with [`Response::TraceSpans`] /
-/// [`Response::Metrics`], and a server wall-clock timestamp on
-/// [`Response::Pong`] from which clients estimate the clock offset to the
-/// daemon (the fleet driver uses it to align remote spans onto its own
-/// timeline).
+/// the [`Request::TraceSnapshot`] span pull answered with
+/// [`Response::TraceSpans`], a pull of the daemon's metrics registry, and a
+/// server wall-clock timestamp on [`Response::Pong`] from which clients
+/// estimate the clock offset to the daemon (the fleet driver uses it to
+/// align remote spans onto its own timeline).
 ///
 /// v6 removes the `Sweep` request with its three reply frames, and the
 /// `CacheStats` request. A sweep is an [`Request::Explore`] over a grid of
@@ -75,7 +74,14 @@ use serde::{Deserialize, Serialize};
 /// [`ErrorKind::BadRequest`] line, and keeps the connection open. The
 /// `shard` tag on [`Request::Explore`] still parses and is ignored. Every
 /// other message keeps its v6 encoding.
-pub const PROTOCOL_VERSION: u32 = 7;
+///
+/// v8 removes the metrics-registry pull and its reply: [`Request::Stats`]
+/// is the one record of the daemon's counters, and
+/// [`ServerStats::render_prometheus`] renders it in the Prometheus text
+/// format. A daemon answers the old request as it answers any unknown one,
+/// with one [`ErrorKind::BadRequest`] line, and keeps the connection open.
+/// Every other message keeps its v7 encoding.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// The distributed-tracing context a fleet driver (or any tracing client)
 /// attaches to work requests, so the daemon's `serve.request` span records
@@ -173,11 +179,6 @@ pub enum Request {
     /// the previous drain, the drop count and the clock anchor a merger
     /// needs. A daemon without a collector answers an empty snapshot.
     TraceSnapshot,
-    /// Snapshot the daemon's full metrics registry — every counter, gauge
-    /// and histogram by name — answered with [`Response::Metrics`]. Unlike
-    /// [`Request::Stats`] this is the raw registry, the surface the
-    /// Prometheus renderer consumes.
-    MetricsSnapshot,
     /// Stop accepting connections and exit the daemon.
     Shutdown,
 }
@@ -238,7 +239,6 @@ impl Serialize for Request {
             }
             Request::Stats => out.str("Stats"),
             Request::TraceSnapshot => out.str("TraceSnapshot"),
-            Request::MetricsSnapshot => out.str("MetricsSnapshot"),
             Request::Shutdown => out.str("Shutdown"),
         }
     }
@@ -346,6 +346,53 @@ pub struct ServerStats {
     pub latency: Vec<RequestLatency>,
 }
 
+impl ServerStats {
+    /// Renders the request, error, connection and rejection counters and
+    /// the two connection gauges in the Prometheus text exposition format,
+    /// each as one sample (0 included), then each served request type's
+    /// latency as cumulative `_bucket{le="…"}` series (log₂ bounds in
+    /// microseconds) plus `_sum` and `_count`. Names sort within each kind.
+    /// The cache counters and the uptime are not rendered.
+    #[must_use]
+    pub fn render_prometheus(&self) -> String {
+        let mut out = String::new();
+        for (kind, name, value) in [
+            ("counter", "serve_connections", self.connections),
+            ("counter", "serve_errors", self.errors),
+            ("counter", "serve_rejected_frames", self.rejected_frames),
+            ("counter", "serve_rejected_overloaded", self.rejected_overloaded),
+            ("counter", "serve_rejected_unauthorized", self.rejected_unauthorized),
+            ("counter", "serve_requests", self.requests),
+            ("gauge", "serve_active_connections", self.active_connections),
+            ("gauge", "serve_queued_connections", self.queued_connections),
+        ] {
+            out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
+        }
+        let mut latency: Vec<&RequestLatency> = self.latency.iter().collect();
+        latency.sort_by(|a, b| a.request.cmp(&b.request));
+        for RequestLatency { request, histogram } in latency {
+            let name = format!("serve_latency_{request}");
+            out.push_str(&format!("# TYPE {name} histogram\n"));
+            let mut cumulative = 0u64;
+            for (index, bucket) in histogram.buckets.iter().enumerate() {
+                cumulative += bucket;
+                let bound = LatencyHistogram::bucket_bound_micros(index);
+                if bound == u64::MAX {
+                    // The catch-all bucket *is* +Inf; emitted below.
+                    break;
+                }
+                out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
+            }
+            out.push_str(&format!(
+                "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {sum}\n{name}_count {count}\n",
+                count = histogram.count,
+                sum = histogram.total_micros,
+            ));
+        }
+        out
+    }
+}
+
 /// One server response line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
@@ -404,12 +451,6 @@ pub enum Response {
     TraceSpans {
         /// The drained spans plus the clock anchor and drop accounting.
         snapshot: dbpim_trace::CollectorSnapshot,
-    },
-    /// Answer to [`Request::MetricsSnapshot`]: the daemon's full metrics
-    /// registry.
-    Metrics {
-        /// Every counter, gauge and histogram by name.
-        metrics: dbpim_trace::MetricsSnapshot,
     },
     /// Answer to [`Request::Shutdown`]; the daemon exits after sending it.
     ShuttingDown,
@@ -511,7 +552,6 @@ mod tests {
         round_trip(&Request::Stats);
         round_trip(&Request::Shutdown);
         round_trip(&Request::TraceSnapshot);
-        round_trip(&Request::MetricsSnapshot);
         round_trip(&Request::RunModel {
             model: ModelKind::AlexNet,
             sparsity: Some(SparsityConfig::HybridSparsity),
@@ -641,15 +681,6 @@ mod tests {
                 }],
             },
         });
-        round_trip(&Response::Metrics {
-            metrics: {
-                let registry = dbpim_trace::MetricsRegistry::new();
-                registry.add("serve.requests", 9);
-                registry.set_gauge("serve.active-connections", 1);
-                registry.observe_micros("serve.latency.Ping", 120);
-                registry.snapshot()
-            },
-        });
         round_trip(&Response::Models { models: ModelKind::all().to_vec() });
         round_trip(&Response::ExploreStarted { total_points: 48 });
         round_trip(&Response::ExploreFinished {
@@ -717,15 +748,79 @@ mod tests {
         });
     }
 
+    /// What `dbpim-cli metrics` prints: every counter and gauge under its
+    /// name, 0 included, then one cumulative histogram per served request
+    /// type, names sorted within each kind.
+    #[test]
+    fn server_stats_render_as_prometheus_text() {
+        let mut ping = LatencyHistogram::new();
+        ping.record_micros(1); // bucket le="2"
+        ping.record_micros(100); // bucket le="128"
+        let mut explore = LatencyHistogram::new();
+        explore.record_micros(40_000); // bucket le="65536"
+        let stats = ServerStats {
+            requests: 7,
+            errors: 0,
+            connections: 2,
+            uptime: Duration::from_secs(5),
+            cache: SessionCacheStats::default(),
+            active_connections: 1,
+            queued_connections: 0,
+            rejected_overloaded: 0,
+            rejected_unauthorized: 2,
+            rejected_frames: 0,
+            latency: vec![
+                RequestLatency { request: "Ping".to_string(), histogram: ping },
+                RequestLatency { request: "Explore".to_string(), histogram: explore },
+            ],
+        };
+        let text = stats.render_prometheus();
+
+        let samples = "# TYPE serve_connections counter\nserve_connections 2\n\
+                       # TYPE serve_errors counter\nserve_errors 0\n\
+                       # TYPE serve_rejected_frames counter\nserve_rejected_frames 0\n\
+                       # TYPE serve_rejected_overloaded counter\nserve_rejected_overloaded 0\n\
+                       # TYPE serve_rejected_unauthorized counter\nserve_rejected_unauthorized 2\n\
+                       # TYPE serve_requests counter\nserve_requests 7\n\
+                       # TYPE serve_active_connections gauge\nserve_active_connections 1\n\
+                       # TYPE serve_queued_connections gauge\nserve_queued_connections 0\n";
+        assert!(text.starts_with(samples), "{text}");
+        // Explore sorts before Ping, whatever the order on the wire.
+        let explore_at = text.find("# TYPE serve_latency_Explore histogram\n");
+        let ping_at = text.find("# TYPE serve_latency_Ping histogram\n");
+        assert_eq!(explore_at, Some(samples.len()), "{text}");
+        assert!(ping_at > explore_at, "{text}");
+        // Cumulative buckets: le="2" holds the first sample, le="128" both.
+        for line in [
+            "serve_latency_Ping_bucket{le=\"1\"} 0\n",
+            "serve_latency_Ping_bucket{le=\"2\"} 1\n",
+            "serve_latency_Ping_bucket{le=\"64\"} 1\n",
+            "serve_latency_Ping_bucket{le=\"128\"} 2\n",
+            "serve_latency_Explore_bucket{le=\"32768\"} 0\n",
+            "serve_latency_Explore_bucket{le=\"65536\"} 1\n",
+            "serve_latency_Explore_bucket{le=\"+Inf\"} 1\n\
+             serve_latency_Explore_sum 40000\nserve_latency_Explore_count 1\n",
+        ] {
+            assert!(text.contains(line), "{line:?} missing from {text}");
+        }
+        assert!(
+            text.ends_with(
+                "serve_latency_Ping_bucket{le=\"+Inf\"} 2\n\
+                 serve_latency_Ping_sum 101\nserve_latency_Ping_count 2\n"
+            ),
+            "{text}"
+        );
+        // Per histogram: its type line, the bounded buckets, +Inf, _sum and
+        // _count.
+        let histogram_lines = 1 + (dbpim_trace::LATENCY_BUCKETS - 1) + 3;
+        assert_eq!(text.lines().count(), 16 + 2 * histogram_lines);
+    }
+
     #[test]
     fn unit_variants_use_the_compact_string_encoding() {
         assert_eq!(serde_json::to_string(&Request::Ping).unwrap(), "\"Ping\"");
         assert_eq!(serde_json::to_string(&Request::Stats).unwrap(), "\"Stats\"");
         assert_eq!(serde_json::to_string(&Request::TraceSnapshot).unwrap(), "\"TraceSnapshot\"");
-        assert_eq!(
-            serde_json::to_string(&Request::MetricsSnapshot).unwrap(),
-            "\"MetricsSnapshot\""
-        );
         assert_eq!(serde_json::to_string(&Request::Shutdown).unwrap(), "\"Shutdown\"");
         assert_eq!(serde_json::to_string(&Response::AuthOk).unwrap(), "\"AuthOk\"");
         assert_eq!(serde_json::to_string(&Response::ShuttingDown).unwrap(), "\"ShuttingDown\"");

@@ -34,62 +34,39 @@
 //!   accumulation) and keeps partial frames deterministically attached to
 //!   the frame they belong to across read timeouts.
 //!
-//! Every request type's handling latency is recorded into a
-//! log₂ [`LatencyHistogram`](db_pim::LatencyHistogram) and exposed — together with queue depths and
-//! rejection counters — through [`Request::Stats`].
+//! Every request type's handling latency is recorded into a log₂
+//! [`LatencyHistogram`] and exposed — together with queue depths and
+//! rejection counters — through [`Request::Stats`]. Those counters are the
+//! daemon's one record of what it served: `dbpim-cli stats` prints the
+//! [`ServerStats`] answer and `dbpim-cli metrics` prints its
+//! [`ServerStats::render_prometheus`] rendering.
 
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use db_pim::session::par::lock_unpoisoned;
-use db_pim::{BatchRunner, DseEntry, DseSpec, PipelineConfig, PipelineError};
+use db_pim::{BatchRunner, DseEntry, DseSpec, LatencyHistogram, PipelineConfig, PipelineError};
 use dbpim_nn::ModelKind;
 use dbpim_sim::SparsityConfig;
-use dbpim_trace::{log_debug, log_info, log_warn, ChromeTrace, MetricsRegistry, TraceCollector};
+use dbpim_trace::{log_debug, log_info, log_warn, ChromeTrace, TraceCollector};
 
 use crate::protocol::{
     encode_message, write_frame, write_message, ErrorKind, ErrorResponse, Request, RequestLatency,
     Response, ServerStats, PROTOCOL_VERSION,
 };
 
-/// Request variant names, in the order the latency registry indexes them
+/// Request variant names, in the order [`Counters::latency`] indexes them
 /// (see [`request_type_index`]).
-const REQUEST_TYPES: [&str; 9] = [
-    "Ping",
-    "Auth",
-    "ListModels",
-    "RunModel",
-    "Explore",
-    "Stats",
-    "TraceSnapshot",
-    "MetricsSnapshot",
-    "Shutdown",
-];
+const REQUEST_TYPES: [&str; 8] =
+    ["Ping", "Auth", "ListModels", "RunModel", "Explore", "Stats", "TraceSnapshot", "Shutdown"];
 
-/// Registry names of the daemon's counters and gauges. The `Stats`
-/// response is assembled *from* a [`MetricsRegistry`] snapshot under these
-/// names, so the wire numbers and the registry can never disagree.
-const M_REQUESTS: &str = "serve.requests";
-const M_ERRORS: &str = "serve.errors";
-const M_CONNECTIONS: &str = "serve.connections";
-const M_REJECTED_OVERLOADED: &str = "serve.rejected_overloaded";
-const M_REJECTED_UNAUTHORIZED: &str = "serve.rejected_unauthorized";
-const M_REJECTED_FRAMES: &str = "serve.rejected_frames";
-const G_ACTIVE: &str = "serve.active_connections";
-const G_QUEUED: &str = "serve.queued_connections";
-
-/// The registry histogram name of one request variant's handling latency.
-fn latency_metric(request_type: &str) -> String {
-    format!("serve.latency.{request_type}")
-}
-
-/// The latency-registry slot of one request variant.
+/// The [`Counters::latency`] slot of one request variant.
 fn request_type_index(request: &Request) -> usize {
     match request {
         Request::Ping => 0,
@@ -99,9 +76,30 @@ fn request_type_index(request: &Request) -> usize {
         Request::Explore { .. } => 4,
         Request::Stats => 5,
         Request::TraceSnapshot => 6,
-        Request::MetricsSnapshot => 7,
-        Request::Shutdown => 8,
+        Request::Shutdown => 7,
     }
+}
+
+/// What [`Request::Stats`] reports beside the cache statistics and the
+/// uptime, under the [`ServerStats`] field names.
+#[derive(Default)]
+struct Counters {
+    requests: AtomicU64,
+    errors: AtomicU64,
+    connections: AtomicU64,
+    rejected_overloaded: AtomicU64,
+    rejected_unauthorized: AtomicU64,
+    rejected_frames: AtomicU64,
+    active_connections: AtomicU64,
+    queued_connections: AtomicU64,
+    /// One handling-time histogram per [`REQUEST_TYPES`] entry.
+    latency: Mutex<[LatencyHistogram; REQUEST_TYPES.len()]>,
+}
+
+/// Adds one to `counter` and returns the new count. A counter publishes no
+/// other data, so `Relaxed` suffices here and in every read of one.
+fn bump(counter: &AtomicU64) -> u64 {
+    counter.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 /// A server-side request deadline, armed from a request's `deadline_ms`.
@@ -166,11 +164,6 @@ pub struct ServeConfig {
     /// IP); connections beyond it are rejected with
     /// [`ErrorKind::Overloaded`]. `None` means no per-client cap.
     pub max_connections_per_client: Option<usize>,
-    /// The metrics registry the daemon's observability counters live in.
-    /// `None` creates a private registry; injecting one lets an embedding
-    /// process (or a test) read the same numbers the `Stats` response
-    /// reports.
-    pub metrics: Option<Arc<MetricsRegistry>>,
     /// When set, the daemon installs a process-global trace collector and
     /// dumps a Chrome trace-event JSON file into this directory every
     /// [`Self::trace_every`] requests.
@@ -196,7 +189,6 @@ impl Default for ServeConfig {
             max_frame_bytes: ServeConfig::DEFAULT_MAX_FRAME_BYTES,
             max_pending_connections: ServeConfig::DEFAULT_MAX_PENDING,
             max_connections_per_client: None,
-            metrics: None,
             trace_dir: None,
             trace_every: ServeConfig::DEFAULT_TRACE_EVERY,
             trace_buffer: None,
@@ -265,9 +257,7 @@ struct Shared {
     max_pending: usize,
     max_per_client: Option<usize>,
     shutdown: AtomicBool,
-    /// Counters, gauges and per-request-type latency histograms. The
-    /// `Stats` wire response is a projection of this registry.
-    metrics: Arc<MetricsRegistry>,
+    counters: Counters,
     /// Periodic Chrome-trace dumping, when configured.
     trace: Option<TraceDump>,
     started: Instant,
@@ -278,41 +268,30 @@ struct Shared {
 
 impl Shared {
     fn stats(&self) -> ServerStats {
-        let snapshot = self.metrics.snapshot();
-        let gauge = |name: &str| u64::try_from(snapshot.gauge(name)).unwrap_or(0);
-        let latency = REQUEST_TYPES
+        let c = &self.counters;
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let latency = lock_unpoisoned(&c.latency)
             .iter()
-            .filter_map(|name| {
-                snapshot.histogram(&latency_metric(name)).map(|histogram| RequestLatency {
-                    request: (*name).to_string(),
-                    histogram: histogram.clone(),
-                })
+            .zip(REQUEST_TYPES)
+            .filter(|(histogram, _)| !histogram.is_empty())
+            .map(|(histogram, request)| RequestLatency {
+                request: request.to_string(),
+                histogram: histogram.clone(),
             })
             .collect();
         ServerStats {
-            requests: snapshot.counter(M_REQUESTS),
-            errors: snapshot.counter(M_ERRORS),
-            connections: snapshot.counter(M_CONNECTIONS),
+            requests: read(&c.requests),
+            errors: read(&c.errors),
+            connections: read(&c.connections),
             uptime: self.started.elapsed(),
             cache: self.runner.cache_stats(),
-            active_connections: gauge(G_ACTIVE),
-            queued_connections: gauge(G_QUEUED),
-            rejected_overloaded: snapshot.counter(M_REJECTED_OVERLOADED),
-            rejected_unauthorized: snapshot.counter(M_REJECTED_UNAUTHORIZED),
-            rejected_frames: snapshot.counter(M_REJECTED_FRAMES),
+            active_connections: read(&c.active_connections),
+            queued_connections: read(&c.queued_connections),
+            rejected_overloaded: read(&c.rejected_overloaded),
+            rejected_unauthorized: read(&c.rejected_unauthorized),
+            rejected_frames: read(&c.rejected_frames),
             latency,
         }
-    }
-
-    /// Records one request's handling time into its per-type histogram.
-    fn record_latency(&self, type_index: usize, elapsed: Duration) {
-        self.metrics.observe(&latency_metric(REQUEST_TYPES[type_index]), elapsed);
-    }
-
-    /// Counts one served request and returns the count, which
-    /// [`dump_trace`](Self::dump_trace) takes once the request is handled.
-    fn count_request(&self) -> u64 {
-        self.metrics.incr(M_REQUESTS)
     }
 
     /// When periodic trace dumping is configured, writes a Chrome trace
@@ -346,9 +325,11 @@ impl Shared {
     /// Admission: `true` when the backlog still has room — every worker
     /// busy *and* a full pending queue means reject, not wait.
     fn queue_admits(&self) -> bool {
-        let active = usize::try_from(self.metrics.gauge(G_ACTIVE)).unwrap_or(0);
-        let queued = usize::try_from(self.metrics.gauge(G_QUEUED)).unwrap_or(0);
-        active < self.threads || queued < self.max_pending
+        let read = |gauge: &AtomicU64| {
+            usize::try_from(gauge.load(Ordering::Relaxed)).unwrap_or(usize::MAX)
+        };
+        read(&self.counters.active_connections) < self.threads
+            || read(&self.counters.queued_connections) < self.max_pending
     }
 
     /// Admission: registers one connection from `ip` against the
@@ -438,7 +419,7 @@ impl Server {
                 max_pending: config.max_pending_connections,
                 max_per_client: config.max_connections_per_client,
                 shutdown: AtomicBool::new(false),
-                metrics: config.metrics.unwrap_or_default(),
+                counters: Counters::default(),
                 trace,
                 started: Instant::now(),
                 per_client: Mutex::new(HashMap::new()),
@@ -476,14 +457,15 @@ impl Server {
                         };
                         match next {
                             Ok((stream, ip)) => {
-                                shared.metrics.adjust_gauge(G_QUEUED, -1);
-                                shared.metrics.adjust_gauge(G_ACTIVE, 1);
+                                let counters = &shared.counters;
+                                counters.queued_connections.fetch_sub(1, Ordering::Relaxed);
+                                bump(&counters.active_connections);
                                 // A panicking handler must not shrink the
                                 // worker pool: catch, account, move on.
                                 let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
                                     handle_connection(stream, &shared);
                                 }));
-                                shared.metrics.adjust_gauge(G_ACTIVE, -1);
+                                counters.active_connections.fetch_sub(1, Ordering::Relaxed);
                                 shared.release_client(ip);
                             }
                             Err(_) => break, // acceptor hung up: drain done
@@ -499,7 +481,7 @@ impl Server {
             }
             match stream {
                 Ok(stream) => {
-                    let conn = self.shared.metrics.incr(M_CONNECTIONS);
+                    let conn = bump(&self.shared.counters.connections);
                     let ip = stream.peer_addr().ok().map(|addr| addr.ip());
                     log_debug!(
                         "serve",
@@ -523,7 +505,7 @@ impl Server {
                         );
                         continue;
                     }
-                    self.shared.metrics.adjust_gauge(G_QUEUED, 1);
+                    bump(&self.shared.counters.queued_connections);
                     if sender.send((stream, ip)).is_err() {
                         break;
                     }
@@ -581,7 +563,7 @@ impl Server {
 /// the rejected peer block the acceptor: the write gets a short timeout and
 /// the connection is dropped either way.
 fn reject_overloaded(stream: TcpStream, shared: &Shared, why: String) {
-    shared.metrics.incr(M_REJECTED_OVERLOADED);
+    bump(&shared.counters.rejected_overloaded);
     log_warn!("serve", "rejected connection: {why}");
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     let mut stream = stream;
@@ -734,8 +716,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 continue;
             }
             FrameOutcome::Invalid => {
-                shared.dump_trace(shared.count_request());
-                shared.metrics.incr(M_ERRORS);
+                shared.dump_trace(bump(&shared.counters.requests));
+                bump(&shared.counters.errors);
                 let response = error_response(
                     ErrorKind::BadRequest,
                     "request line is not valid UTF-8".to_string(),
@@ -746,9 +728,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 continue;
             }
             FrameOutcome::TooLarge => {
-                shared.dump_trace(shared.count_request());
-                shared.metrics.incr(M_ERRORS);
-                shared.metrics.incr(M_REJECTED_FRAMES);
+                shared.dump_trace(bump(&shared.counters.requests));
+                bump(&shared.counters.errors);
+                bump(&shared.counters.rejected_frames);
                 let response = error_response(
                     ErrorKind::FrameTooLarge,
                     format!("frame exceeds {} bytes; closing connection", shared.max_frame_bytes),
@@ -769,7 +751,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let served = shared.count_request();
+        let served = bump(&shared.counters.requests);
         let disconnect = match serde_json::from_str::<Request>(text) {
             Ok(request) => {
                 let type_index = request_type_index(&request);
@@ -789,7 +771,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 };
                 let started = Instant::now();
                 let disconnect = dispatch(request, &mut authed, &mut writer, shared);
-                shared.record_latency(type_index, started.elapsed());
+                lock_unpoisoned(&shared.counters.latency)[type_index].record(started.elapsed());
                 log_debug!(
                     "serve",
                     "{} handled in {:?}",
@@ -799,7 +781,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 disconnect
             }
             Err(e) => {
-                shared.metrics.incr(M_ERRORS);
+                bump(&shared.counters.errors);
                 respond(
                     &mut writer,
                     &error_response(ErrorKind::BadRequest, format!("unparseable request: {e}")),
@@ -844,8 +826,8 @@ fn dispatch(request: Request, authed: &mut bool, writer: &mut TcpStream, shared:
                 respond(writer, &Response::AuthOk)
             }
             Some(_) => {
-                shared.metrics.incr(M_ERRORS);
-                shared.metrics.incr(M_REJECTED_UNAUTHORIZED);
+                bump(&shared.counters.errors);
+                bump(&shared.counters.rejected_unauthorized);
                 log_warn!("serve", "rejected connection: invalid auth token");
                 let _ = respond(
                     writer,
@@ -862,8 +844,8 @@ fn dispatch(request: Request, authed: &mut bool, writer: &mut TcpStream, shared:
         },
         Request::Ping => respond(writer, &pong()),
         _ if !*authed => {
-            shared.metrics.incr(M_ERRORS);
-            shared.metrics.incr(M_REJECTED_UNAUTHORIZED);
+            bump(&shared.counters.errors);
+            bump(&shared.counters.rejected_unauthorized);
             respond(
                 writer,
                 &error_response(
@@ -912,9 +894,6 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
             };
             respond(writer, &Response::TraceSpans { snapshot })
         }
-        Request::MetricsSnapshot => {
-            respond(writer, &Response::Metrics { metrics: shared.metrics.snapshot() })
-        }
         Request::Shutdown => {
             let _ = respond(writer, &Response::ShuttingDown);
             shared.request_shutdown();
@@ -923,7 +902,7 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
         Request::RunModel { model, sparsity, width, arch, fidelity, deadline_ms, trace: _ } => {
             let deadline = Deadline::new(deadline_ms);
             if deadline.expired() {
-                shared.metrics.incr(M_ERRORS);
+                bump(&shared.counters.errors);
                 return respond(writer, &Deadline::error("RunModel"));
             }
             let width = width.unwrap_or(shared.runner.session().config().operand_width);
@@ -935,12 +914,12 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
                 // A result the client gave up on is withheld: the deadline
                 // is a promise about when the answer stops being useful.
                 Ok(_) if deadline.expired() => {
-                    shared.metrics.incr(M_ERRORS);
+                    bump(&shared.counters.errors);
                     respond(writer, &Deadline::error("RunModel"))
                 }
                 Ok(entry) => respond(writer, &Response::RunResult { entry }),
                 Err(e) => {
-                    shared.metrics.incr(M_ERRORS);
+                    bump(&shared.counters.errors);
                     respond(writer, &error_response(ErrorKind::Pipeline, e.to_string()))
                 }
             }
@@ -965,7 +944,7 @@ fn stream_points(
     shared: &Shared,
 ) -> bool {
     let fail = |writer: &mut TcpStream, response: Response| {
-        shared.metrics.incr(M_ERRORS);
+        bump(&shared.counters.errors);
         respond(writer, &response)
     };
     if deadline.expired() {
@@ -1051,7 +1030,6 @@ mod tests {
         );
         assert_eq!(REQUEST_TYPES[request_type_index(&Request::Stats)], "Stats");
         assert_eq!(REQUEST_TYPES[request_type_index(&Request::TraceSnapshot)], "TraceSnapshot");
-        assert_eq!(REQUEST_TYPES[request_type_index(&Request::MetricsSnapshot)], "MetricsSnapshot");
         assert_eq!(REQUEST_TYPES[request_type_index(&Request::Shutdown)], "Shutdown");
     }
 }

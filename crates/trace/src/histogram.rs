@@ -2,13 +2,12 @@
 //! surface.
 //!
 //! The serving daemon records one [`LatencyHistogram`] per request type and
-//! ships the snapshots over the wire inside its `Stats` response; the
-//! fleet's progress view aggregates them across daemons; the
-//! [`MetricsRegistry`](crate::MetricsRegistry) hands one out per named
-//! metric. The histogram is log₂-bucketed in microseconds — constant
-//! memory, constant-time recording, and merges are plain element-wise
-//! sums, so aggregation across threads, daemons and fleets never loses
-//! information beyond the bucket granularity it started with.
+//! ships the snapshots over the wire inside its `Stats` response; the DSE
+//! loop records one over its points. The histogram is log₂-bucketed in
+//! microseconds — constant memory, constant-time recording, and merges
+//! are plain element-wise sums, so aggregation across threads, daemons
+//! and fleets never loses information beyond the bucket granularity it
+//! started with.
 //!
 //! The serde encoding (`count` / `total_micros` / `max_micros` /
 //! `buckets`) is a wire format: serve protocol v4 ships it verbatim, so

@@ -13,10 +13,9 @@
 //!   Per-tile kernel events additionally pass a sampling knob
 //!   ([`kernel_span`]) so a collector can keep one in N instead of
 //!   drowning in them.
-//! * **Metrics** ([`metrics`]) — a [`MetricsRegistry`] unifying named
-//!   counters, gauges and the log₂-bucketed [`LatencyHistogram`]
-//!   (previously private to the serving layer; its serde wire format is
-//!   unchanged).
+//! * **Histograms** ([`histogram`]) — the log₂-bucketed
+//!   [`LatencyHistogram`] the serving daemon keeps per request type and
+//!   the DSE loop keeps per point (its serde encoding is a wire format).
 //! * **Exporters** ([`chrome`]) — Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`) and a human-readable per-phase
 //!   summary table, plus the `--trace-out` plumbing ([`TraceSink`])
@@ -53,7 +52,6 @@ pub mod chrome;
 pub mod collector;
 pub mod histogram;
 pub mod logger;
-pub mod metrics;
 
 pub use chrome::{phase_summary, render_phase_table, ChromeTrace, PhaseSummary, ProcessLane};
 pub use collector::{
@@ -63,4 +61,3 @@ pub use collector::{
 };
 pub use histogram::{LatencyHistogram, LATENCY_BUCKETS};
 pub use logger::{log_enabled, log_level, set_log_level, LogLevel};
-pub use metrics::{MetricsRegistry, MetricsSnapshot};

@@ -75,8 +75,8 @@ fn assert_bad_request(response: &Response) {
 }
 
 /// Garbage, truncated JSON, unknown variants, mistyped payloads and the
-/// requests protocols v6 and v7 removed each get a structured error, and
-/// the connection keeps working afterwards.
+/// requests protocols v6, v7 and v8 removed each get a structured error,
+/// and the connection keeps working afterwards.
 #[test]
 fn malformed_requests_get_structured_errors_not_disconnects() {
     let handle = spawn_server();
@@ -107,13 +107,14 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
     }
 
     // A v5 client's well-formed `Sweep` and `CacheStats` lines, which v6
-    // removed, and a v6 client's `ShardStatus`, which v7 removed, each get
-    // exactly one BadRequest line: the next line on the connection answers
-    // the following `Ping`.
+    // removed, a v6 client's `ShardStatus`, which v7 removed, and a v7
+    // client's `MetricsSnapshot`, which v8 removed, each get exactly one
+    // BadRequest line: the next line on the connection answers the
+    // following `Ping`.
     let v5_sweep = "{\"Sweep\":{\"spec\":{\"models\":[\"AlexNet\"],\
                     \"sparsity\":[\"HybridSparsity\"],\"archs\":[],\"widths\":[]},\
                     \"fidelity\":false,\"deadline_ms\":null}}";
-    for removed in [v5_sweep, "\"CacheStats\"", "\"ShardStatus\""] {
+    for removed in [v5_sweep, "\"CacheStats\"", "\"ShardStatus\"", "\"MetricsSnapshot\""] {
         assert_bad_request(&raw_exchange(&mut reader, &mut writer, removed));
         match raw_exchange(&mut reader, &mut writer, "\"Ping\"") {
             Response::Pong { .. } => {}
@@ -124,8 +125,9 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
     // The daemon counted the failures.
     let mut client = Client::connect(handle.addr()).expect("connects");
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.errors, 8, "every malformed line is counted");
-    assert!(stats.requests >= 12, "malformed lines still count as requests");
+    assert_eq!(stats.errors, 9, "every malformed line is counted");
+    // 5 malformed lines, 5 Pings and 4 removed requests, then this Stats.
+    assert_eq!(stats.requests, 15, "malformed lines still count as requests");
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
@@ -565,6 +567,44 @@ fn saturated_daemons_reject_with_a_structured_overloaded_error() {
     let mut client = recovered.expect("daemon admits connections again after the load drains");
     let stats = client.stats().expect("stats");
     assert!(stats.rejected_overloaded >= 1, "the rejection was counted");
+
+    client.shutdown().expect("shutdown acknowledged");
+    handle.join().expect("daemon exits cleanly");
+}
+
+/// Pings from several clients at once are each counted once. A request
+/// and its connection are counted before the reply is written, so once
+/// every client has its answers the totals are exact.
+#[test]
+fn concurrent_pings_are_each_counted_once() {
+    const CLIENTS: u64 = 4;
+    const PINGS: u64 = 5;
+    let handle = spawn_server();
+    let addr = handle.addr();
+    // Every client connects before any pings, so the two workers serve
+    // two of them while the other two wait in the accept queue.
+    let connected = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS as usize));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let connected = std::sync::Arc::clone(&connected);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connects");
+                connected.wait();
+                for _ in 0..PINGS {
+                    client.ping().expect("pings");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+
+    let mut client = Client::connect(addr).expect("connects");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.requests, CLIENTS * PINGS + 1, "every ping, then this Stats");
+    assert_eq!(stats.connections, CLIENTS + 1);
+    assert_eq!(stats.errors, 0);
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");

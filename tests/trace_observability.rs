@@ -4,9 +4,8 @@
 //!   bit-identical report with a collector installed and without one;
 //! * the Chrome trace-event export is well-formed JSON whose spans cover
 //!   the pipeline phases and nest properly per thread;
-//! * the serving daemon's `Stats` response is a pure projection of the
-//!   shared metrics registry, so an injected registry agrees with the wire
-//!   answer counter for counter.
+//! * the serving daemon's `Stats` answer renders as Prometheus counters,
+//!   what `dbpim-cli metrics` prints.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -14,7 +13,7 @@ use std::time::Duration;
 use db_pim::dse::render_report;
 use db_pim::prelude::*;
 use dbpim_serve::{Client, ServeConfig, Server};
-use dbpim_trace::{phase_summary, ChromeTrace, MetricsRegistry, SpanRecord, TraceCollector};
+use dbpim_trace::{phase_summary, ChromeTrace, SpanRecord, TraceCollector};
 use serde::value::Value;
 
 /// The collector install is process-global; every test that installs one
@@ -194,46 +193,6 @@ fn spans_nest_per_thread() {
     }
 }
 
-/// The daemon's `Stats` answer equals the injected registry's own view:
-/// the wire response is a projection of the shared `MetricsRegistry`, not
-/// a second set of books.
-#[test]
-fn serve_stats_mirror_the_shared_registry() {
-    let registry = Arc::new(MetricsRegistry::new());
-    let handle = Server::spawn(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 2,
-        poll_interval: Duration::from_millis(50),
-        pipeline: small_config(),
-        metrics: Some(Arc::clone(&registry)),
-        ..ServeConfig::default()
-    })
-    .expect("server spawns");
-
-    let mut client = Client::connect(handle.addr()).expect("connects");
-    client.ping().expect("pings");
-    client.ping().expect("pings");
-    let stats = client.stats().expect("stats answer");
-
-    assert_eq!(stats.requests, registry.counter("serve.requests"));
-    assert_eq!(stats.errors, registry.counter("serve.errors"));
-    assert_eq!(stats.connections, registry.counter("serve.connections"));
-    assert_eq!(stats.requests, 3, "two pings plus the stats request itself");
-    assert_eq!(stats.connections, 1);
-
-    let ping = stats
-        .latency
-        .iter()
-        .find(|row| row.request == "Ping")
-        .expect("ping latency histogram on the wire");
-    let local = registry.histogram("serve.latency.Ping").expect("ping histogram in the registry");
-    assert_eq!(ping.histogram, local);
-    assert_eq!(ping.histogram.count, 2);
-
-    client.shutdown().expect("shutdown acknowledged");
-    handle.join().expect("daemon exits cleanly");
-}
-
 /// A daemon in `--trace-buffer` mode records `serve.request` spans that
 /// carry the caller's propagated trace context, and `TraceSnapshot`
 /// drains them over the wire: the first drain returns the spans, the
@@ -362,8 +321,8 @@ fn trace_dir_dumps_a_chrome_trace_every_n_requests_and_at_shutdown() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `MetricsSnapshot` ships the daemon's registry over the wire, and its
-/// Prometheus rendering exposes the serve counters.
+/// The daemon's `Stats` answer, rendered as `dbpim-cli metrics` prints it,
+/// exposes the serve counters.
 #[test]
 fn metrics_snapshot_renders_prometheus_counters() {
     let handle = Server::spawn(ServeConfig {
@@ -378,8 +337,7 @@ fn metrics_snapshot_renders_prometheus_counters() {
     let mut client = Client::connect(handle.addr()).expect("connects");
     client.ping().expect("pings");
     client.ping().expect("pings");
-    let metrics = client.metrics_snapshot().expect("metrics answer");
-    let text = metrics.render_prometheus();
+    let text = client.stats().expect("stats answer").render_prometheus();
     assert!(text.contains("# TYPE serve_requests counter\nserve_requests 3\n"), "{text}");
     assert!(text.contains("# TYPE serve_connections counter\nserve_connections 1\n"), "{text}");
     assert!(text.contains("# TYPE serve_latency_Ping histogram\n"), "{text}");
