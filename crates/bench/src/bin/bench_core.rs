@@ -271,7 +271,7 @@ fn traced_phases() -> Vec<PhaseSummary> {
     black_box(quantized.forward_all(&cal[0]).expect("forwards").len());
 
     dbpim_trace::uninstall();
-    phase_summary(&collector.snapshot())
+    phase_summary(&collector.drain().spans)
 }
 
 /// Compares against a baseline report. Ratios are normalized by their median

@@ -148,17 +148,14 @@ fn main() {
     }
 }
 
-/// Writes the run's trace: with remote endpoints, each daemon's span
-/// buffer is drained over the wire, aligned onto the driver's clock via
-/// the ping-handshake offset estimate, and merged under the driver's
-/// spans as its own process lane; an unreachable (or buffer-less) daemon
-/// is warned about and skipped so the driver's own trace always lands.
+/// Writes the run's trace: each endpoint's span collector is drained over
+/// the wire, aligned onto the driver's clock via the ping-handshake offset
+/// estimate, and merged under the driver's spans as its own process lane.
+/// An unreachable daemon is warned about and skipped, and an untraced one
+/// adds an empty lane, so the driver's own trace always lands.
 fn finish_trace(sink: TraceSink, config: &FleetConfig) -> std::io::Result<()> {
     use std::time::Duration;
 
-    if config.endpoints().next().is_none() {
-        return sink.finish();
-    }
     let driver_epoch = sink.collector().epoch_unix_micros();
     let mut lanes = Vec::new();
     for endpoint in config.endpoints() {
@@ -168,7 +165,8 @@ fn finish_trace(sink: TraceSink, config: &FleetConfig) -> std::io::Result<()> {
                 if remote.snapshot.dropped > 0 {
                     log_warn!(
                         "fleet",
-                        "{endpoint} dropped {} spans before collection (raise --trace-buffer)",
+                        "{endpoint} dropped {} older spans before collection: its trace ring \
+                         was full",
                         remote.snapshot.dropped
                     );
                 }
@@ -177,7 +175,7 @@ fn finish_trace(sink: TraceSink, config: &FleetConfig) -> std::io::Result<()> {
             Err(e) => log_warn!("fleet", "trace collection skipped: {e}"),
         }
     }
-    sink.finish_merged(lanes)
+    sink.finish(lanes)
 }
 
 /// `--status`: how many points the journal in `dir` holds, read without

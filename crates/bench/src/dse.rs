@@ -177,7 +177,7 @@ mod tests {
     /// calibration images where every other binary took 2.
     #[test]
     fn a_default_daemon_and_a_default_sweep_run_one_pipeline() {
-        let (daemon, _) = serve_config(&flags(SERVED_TABLE, &[]).unwrap()).unwrap();
+        let daemon = serve_config(&flags(SERVED_TABLE, &[]).unwrap()).unwrap();
         let (sweep, ..) = parse(&[]).unwrap();
         assert_eq!(daemon.pipeline, sweep);
         assert_eq!(sweep.calibration_images, 2);

@@ -9,7 +9,9 @@
 //! * [`GRID_FLAGS`] — [`DseSpec::from_flags`], the point set a
 //!   design-space exploration covers (`dse_sweep`, `dbpim-fleet` and
 //!   `dbpim-cli explore`), rendered by [`render_report`];
-//! * [`TRACE_FLAGS`] — [`install_trace`].
+//! * [`TRACE_FLAGS`] — [`install_trace`], whose sink [`finish_trace`]
+//!   writes when the run ends (every binary that traces, `dbpim-served`
+//!   included).
 //!
 //! [`Flags::parse`] walks the arguments once:
 //!
@@ -293,10 +295,11 @@ pub fn install_trace(flags: &Flags) -> Result<Option<TraceSink>, OptionsError> {
     Ok(flags.raw("--trace-out").map(TraceSink::install))
 }
 
-/// Writes the trace of a sink from [`install_trace`], if any; a failed
-/// write is reported on stderr and does not fail the run.
+/// Writes the trace of a sink from [`install_trace`], if any, with no
+/// other process's lanes; a failed write is reported on stderr and does not
+/// fail the run.
 pub fn finish_trace(program: &str, sink: Option<TraceSink>) {
-    if let Err(e) = sink.map_or(Ok(()), TraceSink::finish) {
+    if let Err(e) = sink.map_or(Ok(()), |sink| sink.finish(Vec::new())) {
         eprintln!("{program}: writing the trace failed: {e}");
     }
 }

@@ -3,6 +3,10 @@
 //! Binds a TCP socket, builds the warm artifact cache lazily, and serves
 //! the NDJSON protocol until a `Shutdown` request arrives. See the README's
 //! "Serving" section for the wire-protocol specification.
+//!
+//! Like every binary, it takes `--trace-out <path>`: requests are traced
+//! from start-up on, `TraceSnapshot` requests drain the spans, and what no
+//! drain took is written to the path once the workers have stopped.
 
 use db_pim::flags;
 use dbpim_serve::options::{serve_config, SERVED_TABLE};
@@ -10,8 +14,9 @@ use dbpim_serve::Server;
 use dbpim_trace::log_error;
 
 fn main() {
-    let (config, log_level) = flags::from_args("dbpim-served", SERVED_TABLE, serve_config);
-    dbpim_trace::set_log_level(log_level);
+    let (config, trace) = flags::from_args("dbpim-served", SERVED_TABLE, |flags| {
+        Ok((serve_config(flags)?, flags::install_trace(flags)?))
+    });
     let server = match Server::bind(config.clone()) {
         Ok(server) => server,
         Err(e) => {
@@ -47,5 +52,6 @@ fn main() {
         log_error!("served", "serving failed: {e}");
         std::process::exit(1);
     }
+    flags::finish_trace("dbpim-served", trace);
     println!("dbpim-served: shut down cleanly");
 }

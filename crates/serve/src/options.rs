@@ -22,21 +22,16 @@
 //!                   busy (default 64)
 //! --max-client-conns <n>  per-client-IP cap on open connections (default
 //!                   unlimited)
-//! --log-level <error|warn|info|debug>  stderr log verbosity (default info)
-//! --trace-dir <dir> install a trace collector and dump a Chrome trace JSON
-//!                   into <dir> every N requests (default off)
-//! --trace-every <n> requests per --trace-dir dump (default 64)
-//! --trace-buffer <spans>  install a trace collector bounded to <spans>
-//!                   spans, held for remote collection via TraceSnapshot
-//!                   requests instead of file dumps (default off; given
-//!                   with --trace-dir, an error)
+//! [trace flags: --trace-out <path> --log-level <error|warn|info|debug>,
+//!                   read by flags::install_trace as in every binary]
 //! ```
+//!
+//! With `--trace-out`, the daemon records into the sink's collector from
+//! start-up on. A `TraceSnapshot` request drains it, and whatever no drain
+//! took is written to the path when the daemon shuts down.
 
-use std::path::PathBuf;
-
-use db_pim::flags::{Flag, Flags, OptionsError, PIPELINE_FLAGS};
+use db_pim::flags::{Flag, Flags, OptionsError, PIPELINE_FLAGS, TRACE_FLAGS};
 use db_pim::PipelineConfig;
-use dbpim_trace::LogLevel;
 
 use crate::server::ServeConfig;
 
@@ -50,31 +45,25 @@ pub const SERVED_FLAGS: &[Flag] = &[
     Flag::value("--max-frame-bytes", "<n>"),
     Flag::value("--max-pending", "<n>"),
     Flag::value("--max-client-conns", "<n>"),
-    Flag::value("--log-level", "<error|warn|info|debug>"),
-    Flag::value("--trace-dir", "<dir>"),
-    Flag::value("--trace-every", "<n>"),
-    Flag::value("--trace-buffer", "<spans>"),
 ];
 
-/// The flag table of `dbpim-served`: its own flags plus the pipeline flags.
-pub const SERVED_TABLE: &[&[Flag]] = &[SERVED_FLAGS, PIPELINE_FLAGS];
+/// The flag table of `dbpim-served`: its own flags plus the pipeline and
+/// trace flags.
+pub const SERVED_TABLE: &[&[Flag]] = &[SERVED_FLAGS, PIPELINE_FLAGS, TRACE_FLAGS];
 
-/// Reads [`SERVED_TABLE`] into the daemon's configuration and its stderr
-/// log level. The pipeline flags go through [`PipelineConfig::from_flags`],
-/// the one reader every binary shares; any other flag not given keeps its
-/// [`ServeConfig::default`] value. Zero threads, caps, frame sizes and
-/// trace intervals are clamped to 1.
+/// Reads [`SERVED_TABLE`] into the daemon's configuration. The pipeline
+/// flags go through [`PipelineConfig::from_flags`], the one reader every
+/// binary shares, and the trace flags are left to
+/// [`db_pim::flags::install_trace`]; any other flag not given keeps its
+/// [`ServeConfig::default`] value. Zero threads, caps and frame sizes are
+/// clamped to 1.
 ///
 /// # Errors
 ///
-/// Returns [`OptionsError`] naming a flag with a malformed value, the
-/// first positional word (the daemon takes none), or `--trace-buffer`
-/// given with `--trace-dir`: the two are different tracing modes.
-pub fn serve_config(flags: &Flags) -> Result<(ServeConfig, LogLevel), OptionsError> {
+/// Returns [`OptionsError`] naming a flag with a malformed value or the
+/// first positional word (the daemon takes none).
+pub fn serve_config(flags: &Flags) -> Result<ServeConfig, OptionsError> {
     let pipeline = PipelineConfig::from_flags(flags)?;
-    if flags.raw("--trace-dir").is_some() && flags.raw("--trace-buffer").is_some() {
-        return Err(OptionsError::new("--trace-buffer", "cannot be combined with `--trace-dir`"));
-    }
     let defaults = ServeConfig::default();
     let config = ServeConfig {
         addr: format!(
@@ -93,24 +82,22 @@ pub fn serve_config(flags: &Flags) -> Result<(ServeConfig, LogLevel), OptionsErr
             .get("--max-pending")?
             .unwrap_or(defaults.max_pending_connections),
         max_connections_per_client: flags.get::<usize>("--max-client-conns")?.map(|n| n.max(1)),
-        trace_dir: flags.raw("--trace-dir").map(PathBuf::from),
-        trace_every: flags.get::<u64>("--trace-every")?.map_or(defaults.trace_every, |n| n.max(1)),
-        trace_buffer: flags.get::<usize>("--trace-buffer")?.map(|n| n.max(1)),
         ..defaults
     };
-    Ok((config, flags.get("--log-level")?.unwrap_or(LogLevel::Info)))
+    Ok(config)
 }
 
 #[cfg(test)]
 mod tests {
     use db_pim::PipelineConfig;
     use dbpim_csd::OperandWidth;
+    use dbpim_trace::LogLevel;
 
     use super::*;
 
     fn parse(raw: &[&str]) -> Result<ServeConfig, OptionsError> {
         let args: Vec<String> = raw.iter().map(ToString::to_string).collect();
-        serve_config(&Flags::parse(SERVED_TABLE, &args)?).map(|(config, _)| config)
+        serve_config(&Flags::parse(SERVED_TABLE, &args)?)
     }
 
     #[test]
@@ -229,32 +216,33 @@ mod tests {
         assert_eq!(config.max_connections_per_client, Some(1));
     }
 
+    /// The daemon traces through the shared trace flags: its own tracing
+    /// modes and their flags are gone, and an old command line naming one
+    /// fails instead of starting a daemon that traces nothing.
     #[test]
-    fn trace_buffer_parses_strictly_and_clamps_zero() {
-        let config = parse(&["--trace-buffer", "4096"]).unwrap();
-        assert_eq!(config.trace_buffer, Some(4096));
-        // A zero-span buffer would drop everything it exists to keep.
-        let config = parse(&["--trace-buffer", "0"]).unwrap();
-        assert_eq!(config.trace_buffer, Some(1));
-        let err = parse(&["--trace-buffer", "lots"]).unwrap_err();
-        assert_eq!(err.flag, "--trace-buffer");
-        assert_eq!(parse(&[]).unwrap().trace_buffer, None, "off by default");
-        // Next to `--trace-dir` it used to be dropped without a word: the
-        // daemon took the file-dump mode and buffered nothing.
-        let err = parse(&["--trace-dir", "traces", "--trace-buffer", "8"]).unwrap_err();
-        assert_eq!(err.flag, "--trace-buffer");
-        assert!(err.to_string().contains("--trace-dir"), "{err}");
-        let config = parse(&["--trace-dir", "traces", "--trace-every", "2"]).unwrap();
-        assert_eq!(config.trace_dir, Some(PathBuf::from("traces")));
-        assert_eq!((config.trace_every, config.trace_buffer), (2, None));
+    fn the_daemon_reads_the_shared_trace_flags_and_no_others() {
+        for removed in [["--trace-dir", "traces"], ["--trace-every", "2"], ["--trace-buffer", "8"]]
+        {
+            let err = parse(&removed).unwrap_err();
+            assert_eq!(err.flag, removed[0]);
+            assert!(err.message.starts_with("unknown flag"), "{err}");
+        }
+        let args: Vec<String> =
+            ["--trace-out", "daemon.json", "--log-level", "debug"].map(String::from).to_vec();
+        let flags = Flags::parse(SERVED_TABLE, &args).unwrap();
+        assert_eq!(flags.raw("--trace-out"), Some("daemon.json"));
+        assert_eq!(flags.get::<LogLevel>("--log-level").unwrap(), Some(LogLevel::Debug));
+        assert_eq!(
+            format!("{:?}", serve_config(&flags).unwrap()),
+            format!("{:?}", parse(&[]).unwrap())
+        );
     }
 
     #[test]
     fn defaults_match_the_paper_pipeline() {
         let args: Vec<String> = Vec::new();
-        let (config, level) = serve_config(&Flags::parse(SERVED_TABLE, &args).unwrap()).unwrap();
+        let config = serve_config(&Flags::parse(SERVED_TABLE, &args).unwrap()).unwrap();
         assert_eq!(format!("{config:?}"), format!("{:?}", ServeConfig::default()));
-        assert_eq!(level, LogLevel::Info);
         assert_eq!(config.pipeline, PipelineConfig::paper());
         assert_eq!(config.addr, "127.0.0.1:7531");
         // Zero threads is clamped: a daemon with no workers would hang.

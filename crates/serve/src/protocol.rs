@@ -100,7 +100,7 @@ pub struct TraceContext {
     /// `alexnet/int8/none/4m...`), identical on both sides of the wire.
     pub point: String,
     /// Span id of the caller's enclosing span (its process-unique
-    /// `SpanRecord::id`); 0 when the caller traces without a live span.
+    /// `TraceSpan::id`); 0 when the caller traces without a live span.
     pub parent_span: u64,
 }
 
@@ -177,7 +177,11 @@ pub enum Request {
     /// Drain the daemon's installed trace collector over the wire
     /// (answered with [`Response::TraceSpans`]): the spans recorded since
     /// the previous drain, the drop count and the clock anchor a merger
-    /// needs. A daemon without a collector answers an empty snapshot.
+    /// needs. The collector is the one `dbpim-served --trace-out` installs
+    /// (a drained span is then left out of the file the daemon writes at
+    /// shutdown) or an embedding process's own. A daemon without a
+    /// collector answers no spans, no drops, its pid and the current time
+    /// as the epoch.
     TraceSnapshot,
     /// Stop accepting connections and exit the daemon.
     Shutdown,

@@ -40,12 +40,17 @@
 //! daemon's one record of what it served: `dbpim-cli stats` prints the
 //! [`ServerStats`] answer and `dbpim-cli metrics` prints its
 //! [`ServerStats::render_prometheus`] rendering.
+//!
+//! The daemon installs no trace collector of its own. Each request is a
+//! `serve.request` span in whatever collector the process has installed:
+//! `dbpim-served --trace-out` installs one through the shared trace flags,
+//! and an embedding process, such as a test, installs its own.
+//! [`Request::TraceSnapshot`] drains that collector over the wire.
 
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,7 +59,7 @@ use db_pim::session::par::lock_unpoisoned;
 use db_pim::{BatchRunner, DseEntry, DseSpec, LatencyHistogram, PipelineConfig, PipelineError};
 use dbpim_nn::ModelKind;
 use dbpim_sim::SparsityConfig;
-use dbpim_trace::{log_debug, log_info, log_warn, ChromeTrace, TraceCollector};
+use dbpim_trace::{log_debug, log_info, log_warn};
 
 use crate::protocol::{
     encode_message, write_frame, write_message, ErrorKind, ErrorResponse, Request, RequestLatency,
@@ -164,17 +169,6 @@ pub struct ServeConfig {
     /// IP); connections beyond it are rejected with
     /// [`ErrorKind::Overloaded`]. `None` means no per-client cap.
     pub max_connections_per_client: Option<usize>,
-    /// When set, the daemon installs a process-global trace collector and
-    /// dumps a Chrome trace-event JSON file into this directory every
-    /// [`Self::trace_every`] requests.
-    pub trace_dir: Option<PathBuf>,
-    /// How many requests each `trace_dir` dump covers.
-    pub trace_every: u64,
-    /// When set (and `trace_dir` is not), the daemon installs a
-    /// process-global trace collector bounded to this many spans *without*
-    /// periodic file dumping — the buffer is held for remote collection
-    /// via [`Request::TraceSnapshot`], which drains it over the wire.
-    pub trace_buffer: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -189,9 +183,6 @@ impl Default for ServeConfig {
             max_frame_bytes: ServeConfig::DEFAULT_MAX_FRAME_BYTES,
             max_pending_connections: ServeConfig::DEFAULT_MAX_PENDING,
             max_connections_per_client: None,
-            trace_dir: None,
-            trace_every: ServeConfig::DEFAULT_TRACE_EVERY,
-            trace_buffer: None,
         }
     }
 }
@@ -203,8 +194,6 @@ impl ServeConfig {
     pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
     /// Default [`Self::max_pending_connections`].
     pub const DEFAULT_MAX_PENDING: usize = 64;
-    /// Default [`Self::trace_every`].
-    pub const DEFAULT_TRACE_EVERY: u64 = 64;
 }
 
 /// A serving failure.
@@ -239,13 +228,6 @@ impl From<PipelineError> for ServeError {
     }
 }
 
-/// The per-request trace dump configured by [`ServeConfig::trace_dir`].
-struct TraceDump {
-    dir: PathBuf,
-    every: u64,
-    collector: Arc<TraceCollector>,
-}
-
 /// State shared by the acceptor and every worker.
 struct Shared {
     runner: BatchRunner,
@@ -258,8 +240,6 @@ struct Shared {
     max_per_client: Option<usize>,
     shutdown: AtomicBool,
     counters: Counters,
-    /// Periodic Chrome-trace dumping, when configured.
-    trace: Option<TraceDump>,
     started: Instant,
     /// Open-connection counts per peer IP (maintained only when
     /// `max_per_client` is set).
@@ -291,34 +271,6 @@ impl Shared {
             rejected_unauthorized: read(&c.rejected_unauthorized),
             rejected_frames: read(&c.rejected_frames),
             latency,
-        }
-    }
-
-    /// When periodic trace dumping is configured, writes a Chrome trace
-    /// file after every N-th request: `served` is the handled request's
-    /// count, so `trace-<served>.json` holds requests `served - N + 1` to
-    /// `served`, its own span included.
-    fn dump_trace(&self, served: u64) {
-        let Some(dump) = &self.trace else { return };
-        if !served.is_multiple_of(dump.every.max(1)) {
-            return;
-        }
-        // One lock acquisition: a span another worker closes meanwhile is
-        // either in this dump or left for the next.
-        let spans = dump.collector.drain().spans;
-        if spans.is_empty() {
-            return;
-        }
-        let count = spans.len();
-        let path = dump.dir.join(format!("trace-{served}.json"));
-        match std::fs::write(&path, ChromeTrace::render(spans)) {
-            Ok(()) => log_info!(
-                "serve",
-                "dumped {count} spans covering {} requests to {}",
-                dump.every,
-                path.display()
-            ),
-            Err(e) => log_warn!("serve", "trace dump to {} failed: {e}", path.display()),
         }
     }
 
@@ -390,23 +342,6 @@ impl Server {
                 std::io::Error::other(format!("unresolvable address {}", config.addr))
             })?)?;
         let local_addr = listener.local_addr()?;
-        let trace = match config.trace_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(&dir)?;
-                let collector = Arc::new(TraceCollector::new());
-                dbpim_trace::install(Arc::clone(&collector));
-                Some(TraceDump { dir, every: config.trace_every.max(1), collector })
-            }
-            None => {
-                if let Some(capacity) = config.trace_buffer {
-                    // Buffer-only mode: spans accumulate in the bounded ring
-                    // until a TraceSnapshot request drains them over the
-                    // wire; no file ever hits disk.
-                    dbpim_trace::install(Arc::new(TraceCollector::with_capacity(capacity)));
-                }
-                None
-            }
-        };
         Ok(Self {
             listener,
             shared: Arc::new(Shared {
@@ -420,7 +355,6 @@ impl Server {
                 max_per_client: config.max_connections_per_client,
                 shutdown: AtomicBool::new(false),
                 counters: Counters::default(),
-                trace,
                 started: Instant::now(),
                 per_client: Mutex::new(HashMap::new()),
             }),
@@ -434,7 +368,8 @@ impl Server {
     }
 
     /// Serves connections until a [`Request::Shutdown`] arrives, then joins
-    /// the worker pool and returns.
+    /// the worker pool and returns, so every request's span has closed by
+    /// the time a caller writes the process's trace.
     ///
     /// # Errors
     ///
@@ -523,18 +458,6 @@ impl Server {
         drop(sender);
         for worker in workers {
             let _ = worker.join();
-        }
-        if let Some(dump) = &self.shared.trace {
-            // Final dump: a short-lived daemon whose request count never
-            // reached a dump boundary still leaves one trace behind.
-            dbpim_trace::uninstall();
-            let spans = dump.collector.snapshot();
-            if !spans.is_empty() {
-                let path = dump.dir.join("trace-final.json");
-                if let Err(e) = std::fs::write(&path, ChromeTrace::render(&spans)) {
-                    log_warn!("serve", "final trace dump to {} failed: {e}", path.display());
-                }
-            }
         }
         log_info!("serve", "daemon on {} shut down", self.shared.local_addr);
         Ok(())
@@ -716,7 +639,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 continue;
             }
             FrameOutcome::Invalid => {
-                shared.dump_trace(bump(&shared.counters.requests));
+                bump(&shared.counters.requests);
                 bump(&shared.counters.errors);
                 let response = error_response(
                     ErrorKind::BadRequest,
@@ -728,7 +651,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 continue;
             }
             FrameOutcome::TooLarge => {
-                shared.dump_trace(bump(&shared.counters.requests));
+                bump(&shared.counters.requests);
                 bump(&shared.counters.errors);
                 bump(&shared.counters.rejected_frames);
                 let response = error_response(
@@ -751,7 +674,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let served = bump(&shared.counters.requests);
+        bump(&shared.counters.requests);
         let disconnect = match serde_json::from_str::<Request>(text) {
             Ok(request) => {
                 let type_index = request_type_index(&request);
@@ -788,8 +711,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 )
             }
         };
-        // After the request's span closed, so a dump holds the request.
-        shared.dump_trace(served);
         if disconnect {
             break;
         }
@@ -881,9 +802,9 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
         }
         Request::Stats => respond(writer, &Response::Stats { stats: shared.stats() }),
         Request::TraceSnapshot => {
-            // Drain whatever collector is installed (trace_dir, trace_buffer
-            // or an embedding process's own); a daemon without one answers
-            // an empty snapshot that still identifies the process.
+            // Drain whatever collector is installed (`--trace-out`'s or an
+            // embedding process's own); a daemon without one answers an
+            // empty snapshot that still identifies the process.
             let snapshot = match dbpim_trace::collector() {
                 Some(collector) => collector.drain(),
                 None => dbpim_trace::CollectorSnapshot {

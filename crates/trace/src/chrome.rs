@@ -14,7 +14,7 @@
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
-use crate::collector::{SpanRecord, TraceSpan};
+use crate::collector::TraceSpan;
 
 /// One process's worth of spans in a merged multi-process trace. The
 /// span timestamps must already be expressed on the merged document's
@@ -35,15 +35,15 @@ pub struct ProcessLane {
 pub struct ChromeTrace;
 
 impl ChromeTrace {
-    /// Renders the spans of the current process, recorded [`SpanRecord`]s
-    /// or drained [`TraceSpan`]s, as a complete Chrome trace-event JSON
-    /// document (one lane under the real process id).
+    /// Renders spans drained from this process's collector as a complete
+    /// Chrome trace-event JSON document (one lane under the real process
+    /// id).
     #[must_use]
-    pub fn render<S: Into<TraceSpan>>(events: impl IntoIterator<Item = S>) -> String {
+    pub fn render(spans: &[TraceSpan]) -> String {
         let lane = ProcessLane {
             pid: u64::from(std::process::id()),
             name: process_name(),
-            spans: events.into_iter().map(Into::into).collect(),
+            spans: spans.to_vec(),
         };
         Self::render_lanes(std::slice::from_ref(&lane))
     }
@@ -137,12 +137,12 @@ pub struct PhaseSummary {
 /// Folds spans into per-name [`PhaseSummary`] rows, ordered by descending
 /// total time (ties broken by name so the table is deterministic).
 #[must_use]
-pub fn phase_summary(events: &[SpanRecord]) -> Vec<PhaseSummary> {
-    let mut by_name: std::collections::BTreeMap<&'static str, PhaseSummary> =
+pub fn phase_summary(events: &[TraceSpan]) -> Vec<PhaseSummary> {
+    let mut by_name: std::collections::BTreeMap<&str, PhaseSummary> =
         std::collections::BTreeMap::new();
     for event in events {
-        let row = by_name.entry(event.name).or_insert_with(|| PhaseSummary {
-            name: event.name.to_string(),
+        let row = by_name.entry(&event.name).or_insert_with(|| PhaseSummary {
+            name: event.name.clone(),
             count: 0,
             total_micros: 0,
             mean_micros: 0,
@@ -187,15 +187,15 @@ mod tests {
     use super::*;
 
     fn record(
-        name: &'static str,
+        name: &str,
         thread: u64,
         start: u64,
         duration: u64,
-        args: Vec<(&'static str, String)>,
-    ) -> SpanRecord {
-        SpanRecord {
+        args: Vec<(String, String)>,
+    ) -> TraceSpan {
+        TraceSpan {
             id: 7,
-            name,
+            name: name.to_string(),
             thread,
             depth: 0,
             start_micros: start,
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn chrome_json_is_wellformed_and_parses_back() {
         let events = vec![
-            record("pipeline.quantize", 0, 10, 100, vec![("model", "resnet18".to_string())]),
+            record("pipeline.quantize", 0, 10, 100, vec![("model".into(), "resnet18".into())]),
             record("sim.layer", 1, 120, 30, Vec::new()),
         ];
         let json = ChromeTrace::render(&events);
@@ -260,12 +260,12 @@ mod tests {
         let driver = ProcessLane {
             pid: 100,
             name: "dbpim-fleet".to_string(),
-            spans: vec![(&record("dse.point", 0, 50, 400, Vec::new())).into()],
+            spans: vec![record("dse.point", 0, 50, 400, Vec::new())],
         };
         let daemon = ProcessLane {
             pid: 200,
             name: "dbpim-served 127.0.0.1:7641".to_string(),
-            spans: vec![(&record("serve.request", 3, 120, 200, Vec::new())).into()],
+            spans: vec![record("serve.request", 3, 120, 200, Vec::new())],
         };
         let json = ChromeTrace::render_lanes(&[driver, daemon]);
         let trace_events = events_of(&json);

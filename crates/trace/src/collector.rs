@@ -18,7 +18,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
 
-use crate::chrome::ChromeTrace;
+use crate::chrome::{phase_summary, process_name, render_phase_table, ChromeTrace, ProcessLane};
 
 /// Default ring-buffer capacity: enough for a full zoo sweep's phase and
 /// per-layer spans without unbounded growth under per-request serving.
@@ -28,51 +28,25 @@ pub const DEFAULT_CAPACITY: usize = 262_144;
 /// kernel event in this many.
 pub const DEFAULT_KERNEL_SAMPLING: u64 = 64;
 
-/// One completed span, as stored in the collector's ring buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
+/// One completed span, as [`TraceCollector::drain`] hands it out: what the
+/// exporters render, the daemon's `TraceSnapshot` answer carries and the
+/// fleet's merged export aligns.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TraceSpan {
     /// Process-unique span id (monotonic, never 0 for recorded spans) —
     /// the correlation handle distributed trace contexts carry.
     pub id: u64,
     /// The span name (dot-separated taxonomy, e.g. `pipeline.quantize`).
-    pub name: &'static str,
+    pub name: String,
     /// Small dense id of the recording thread (stable within a process).
     pub thread: u64,
     /// Nesting depth at the time the span opened (0 = top level).
-    pub depth: u32,
-    /// Start offset from the collector's epoch, in microseconds.
-    pub start_micros: u64,
-    /// Span duration in microseconds.
-    pub duration_micros: u64,
-    /// Structured key/value arguments (`span!("x", layer = 3)`).
-    pub args: Vec<(&'static str, String)>,
-}
-
-impl SpanRecord {
-    /// End offset from the collector's epoch, in microseconds.
-    #[must_use]
-    pub fn end_micros(&self) -> u64 {
-        self.start_micros + self.duration_micros
-    }
-}
-
-/// An owned, serializable span — the wire form of [`SpanRecord`] used by
-/// the daemon's `TraceSnapshot` response and the fleet's merged export.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceSpan {
-    /// Process-unique span id (see [`SpanRecord::id`]).
-    pub id: u64,
-    /// The span name.
-    pub name: String,
-    /// Dense thread id within the recording process.
-    pub thread: u64,
-    /// Nesting depth at open time.
     pub depth: u32,
     /// Start offset from the *recording collector's* epoch, microseconds.
     pub start_micros: u64,
     /// Span duration in microseconds.
     pub duration_micros: u64,
-    /// Structured key/value arguments.
+    /// Structured key/value arguments (`span!("x", layer = 3)`).
     pub args: Vec<(String, String)>,
 }
 
@@ -90,16 +64,30 @@ impl TraceSpan {
     }
 }
 
-impl From<&SpanRecord> for TraceSpan {
-    fn from(record: &SpanRecord) -> Self {
-        Self {
-            id: record.id,
-            name: record.name.to_string(),
-            thread: record.thread,
-            depth: record.depth,
-            start_micros: record.start_micros,
-            duration_micros: record.duration_micros,
-            args: record.args.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
+/// One completed span as the ring stores it: its name and argument keys
+/// stay `&'static str` until [`TraceCollector::drain`] hands it out as a
+/// [`TraceSpan`], so recording a span copies no name and no key.
+#[derive(Debug)]
+struct SpanRecord {
+    id: u64,
+    name: &'static str,
+    thread: u64,
+    depth: u32,
+    start_micros: u64,
+    duration_micros: u64,
+    args: Vec<(&'static str, String)>,
+}
+
+impl SpanRecord {
+    fn into_span(self) -> TraceSpan {
+        TraceSpan {
+            id: self.id,
+            name: self.name.to_string(),
+            thread: self.thread,
+            depth: self.depth,
+            start_micros: self.start_micros,
+            duration_micros: self.duration_micros,
+            args: self.args.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
     }
 }
@@ -126,8 +114,9 @@ struct Ring {
     dropped: u64,
 }
 
-/// The global span sink: a bounded ring buffer of [`SpanRecord`]s with a
-/// monotonic epoch and a sampling knob for kernel-level events.
+/// The global span sink: a bounded ring buffer of completed spans with a
+/// monotonic epoch and a sampling knob for kernel-level events. The one
+/// way to read it is [`Self::drain`].
 #[derive(Debug)]
 pub struct TraceCollector {
     epoch: Instant,
@@ -203,45 +192,20 @@ impl TraceCollector {
         ring.events.push_back(record);
     }
 
-    /// Copies out every stored span, oldest first.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        self.lock_ring().events.iter().cloned().collect()
-    }
-
-    /// Spans evicted from the ring buffer because it was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.lock_ring().dropped
-    }
-
-    /// Atomically copies out every stored span *and* clears the ring (one
-    /// lock acquisition, so no span recorded concurrently is lost between
-    /// snapshot and clear), packaged with the clock anchor a remote
-    /// consumer needs. The drop counter is reported but survives.
+    /// Moves every stored span out of the ring under one lock acquisition,
+    /// so a span recorded concurrently is either in this snapshot or left
+    /// for the next, packaged with the clock anchor a remote consumer
+    /// needs. The drop counter is reported but survives.
     #[must_use]
     pub fn drain(&self) -> CollectorSnapshot {
         let mut ring = self.lock_ring();
-        let spans = ring.events.iter().map(TraceSpan::from).collect();
-        ring.events.clear();
+        let spans = ring.events.drain(..).map(SpanRecord::into_span).collect();
         CollectorSnapshot {
             epoch_unix_micros: self.epoch_unix_micros,
             pid: u64::from(std::process::id()),
             dropped: ring.dropped,
             spans,
         }
-    }
-
-    /// Stored span count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock_ring().events.len()
-    }
-
-    /// `true` when no spans are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -295,18 +259,15 @@ pub fn enabled() -> bool {
     INSTALLED.load(Ordering::Relaxed)
 }
 
-fn current() -> Option<Arc<TraceCollector>> {
+/// The currently installed collector, if any — the handle every span
+/// entry point records into and remote `TraceSnapshot` handlers drain
+/// without uninstalling.
+#[must_use]
+pub fn collector() -> Option<Arc<TraceCollector>> {
     if !enabled() {
         return None;
     }
     COLLECTOR.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-}
-
-/// The currently installed collector, if any — the handle remote
-/// `TraceSnapshot` handlers drain without uninstalling.
-#[must_use]
-pub fn collector() -> Option<Arc<TraceCollector>> {
-    current()
 }
 
 // ------------------------------------------------------------------ spans
@@ -382,7 +343,7 @@ fn open(
 /// Prefer the [`span!`](crate::span!) macro, which skips argument
 /// formatting entirely while tracing is off.
 pub fn start_span(name: &'static str, args: Vec<(&'static str, String)>) -> SpanGuard {
-    match current() {
+    match collector() {
         Some(collector) => open(collector, name, args),
         None => SpanGuard::disabled(),
     }
@@ -392,7 +353,7 @@ pub fn start_span(name: &'static str, args: Vec<(&'static str, String)>) -> Span
 /// sampling knob, so per-tile events on a hot path do not flood the ring
 /// buffer (or pay per-event formatting).
 pub fn kernel_span(name: &'static str) -> SpanGuard {
-    match current() {
+    match collector() {
         Some(collector) if collector.sample_kernel() => open(collector, name, Vec::new()),
         _ => SpanGuard::disabled(),
     }
@@ -405,7 +366,7 @@ pub fn kernel_span_with(
     name: &'static str,
     args: impl FnOnce() -> Vec<(&'static str, String)>,
 ) -> SpanGuard {
-    match current() {
+    match collector() {
         Some(collector) if collector.sample_kernel() => open(collector, name, args()),
         _ => SpanGuard::disabled(),
     }
@@ -470,64 +431,52 @@ impl TraceSink {
         &self.path
     }
 
-    /// Uninstalls the collector, writes the Chrome trace-event JSON and
-    /// prints the per-phase summary table to stderr (stdout stays the
-    /// deterministic report surface).
+    /// Uninstalls the collector, drains it and writes what the drain took
+    /// as one Chrome trace-event document: this process's lane, then
+    /// `remote_lanes`, other processes' spans with timestamps already
+    /// aligned to this collector's epoch (how `dbpim-fleet --trace-out`
+    /// folds in its daemons). Prints one line of span counts, with the
+    /// spans this process's ring dropped, and this process's per-phase
+    /// table to stderr (stdout stays the deterministic report surface).
     ///
     /// # Errors
     ///
     /// Propagates file-write failures.
-    pub fn finish(self) -> std::io::Result<()> {
+    pub fn finish(self, remote_lanes: Vec<ProcessLane>) -> std::io::Result<()> {
         uninstall();
-        let events = self.collector.snapshot();
-        std::fs::write(&self.path, ChromeTrace::render(&events))?;
-        let dropped = self.collector.dropped();
-        if dropped > 0 {
-            eprintln!(
-                "trace: {} spans -> {} ({dropped} older spans dropped; raise the capacity \
-                 or sampling to keep them)",
-                events.len(),
-                self.path.display()
-            );
-        } else {
-            eprintln!("trace: {} spans -> {}", events.len(), self.path.display());
-        }
-        eprint!("{}", crate::chrome::render_phase_table(&crate::chrome::phase_summary(&events)));
-        Ok(())
-    }
-
-    /// Like [`Self::finish`], but merges `remote_lanes` — other processes'
-    /// spans, timestamps already aligned to this collector's epoch — into
-    /// the written document. This is how `dbpim-fleet --trace-out` folds
-    /// its daemons' drained collectors under the driver's trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-write failures.
-    pub fn finish_merged(
-        self,
-        remote_lanes: Vec<crate::chrome::ProcessLane>,
-    ) -> std::io::Result<()> {
-        uninstall();
-        let events = self.collector.snapshot();
-        let mut lanes = Vec::with_capacity(remote_lanes.len() + 1);
-        lanes.push(crate::chrome::ProcessLane {
-            pid: u64::from(std::process::id()),
-            name: crate::chrome::process_name(),
-            spans: events.iter().map(TraceSpan::from).collect(),
-        });
-        lanes.extend(remote_lanes);
+        let CollectorSnapshot { pid, dropped, spans, .. } = self.collector.drain();
+        let line = summary_line(spans.len(), dropped, &remote_lanes, &self.path);
+        let table = render_phase_table(&phase_summary(&spans));
+        let local = ProcessLane { pid, name: process_name(), spans };
+        let lanes: Vec<ProcessLane> = std::iter::once(local).chain(remote_lanes).collect();
         std::fs::write(&self.path, ChromeTrace::render_lanes(&lanes))?;
-        let remote_spans: usize = lanes[1..].iter().map(|lane| lane.spans.len()).sum();
-        eprintln!(
-            "trace: {} local + {remote_spans} remote spans across {} processes -> {}",
-            events.len(),
-            lanes.len(),
-            self.path.display()
-        );
-        eprint!("{}", crate::chrome::render_phase_table(&crate::chrome::phase_summary(&events)));
+        eprintln!("{line}");
+        eprint!("{table}");
         Ok(())
     }
+}
+
+/// The stderr line of [`TraceSink::finish`]: `local` spans of this process,
+/// `dropped` of its older spans the ring evicted before the drain, and the
+/// spans of the merged `remote_lanes`.
+fn summary_line(local: usize, dropped: u64, remote_lanes: &[ProcessLane], path: &Path) -> String {
+    let mut line = if remote_lanes.is_empty() {
+        format!("trace: {local} spans -> {}", path.display())
+    } else {
+        let remote: usize = remote_lanes.iter().map(|lane| lane.spans.len()).sum();
+        let processes = remote_lanes.len() + 1;
+        format!(
+            "trace: {local} local + {remote} remote spans across {processes} processes -> {}",
+            path.display()
+        )
+    };
+    if dropped > 0 {
+        let whose = if remote_lanes.is_empty() { "" } else { "local " };
+        line.push_str(&format!(
+            " ({dropped} older {whose}spans dropped; raise the capacity or sampling to keep them)"
+        ));
+    }
+    line
 }
 
 #[cfg(test)]
@@ -551,7 +500,7 @@ mod tests {
         let collector = Arc::new(TraceCollector::new());
         install(Arc::clone(&collector));
         uninstall();
-        assert!(collector.is_empty());
+        assert!(collector.drain().spans.is_empty());
     }
 
     #[test]
@@ -572,12 +521,12 @@ mod tests {
         worker.join().expect("worker thread");
         uninstall();
 
-        let events = collector.snapshot();
+        let events = collector.drain().spans;
         assert_eq!(events.len(), 4);
         // Drop order: inner(1), inner(2), outer, worker (joined after).
         let outer = events.iter().find(|e| e.name == "outer").expect("outer span");
         assert_eq!(outer.depth, 0);
-        assert_eq!(outer.args, vec![("model", "resnet18".to_string())]);
+        assert_eq!(outer.args, vec![("model".to_string(), "resnet18".to_string())]);
         let inners: Vec<_> = events.iter().filter(|e| e.name == "inner").collect();
         assert_eq!(inners.len(), 2);
         for inner in &inners {
@@ -600,8 +549,9 @@ mod tests {
             let _s = span!("bounded");
         }
         uninstall();
-        assert_eq!(collector.len(), 4);
-        assert_eq!(collector.dropped(), 6);
+        let snapshot = collector.drain();
+        assert_eq!(snapshot.spans.len(), 4);
+        assert_eq!(snapshot.dropped, 6);
     }
 
     #[test]
@@ -613,7 +563,7 @@ mod tests {
             let _k = kernel_span("kernel.tile");
         }
         uninstall();
-        assert_eq!(collector.len(), 8, "1 in 8 of 64 events");
+        assert_eq!(collector.drain().spans.len(), 8, "1 in 8 of 64 events");
     }
 
     #[test]
@@ -629,7 +579,7 @@ mod tests {
         drop(outer);
         uninstall();
         assert!(outer_id > 0);
-        let events = collector.snapshot();
+        let events = collector.drain().spans;
         assert_eq!(events.len(), 2);
         assert_ne!(events[0].id, events[1].id);
         assert!(events.iter().all(|e| e.id > 0));
@@ -652,8 +602,9 @@ mod tests {
         assert!(snapshot.epoch_unix_micros > 0);
         assert_eq!(snapshot.spans[0].arg("point"), Some("alexnet/int8"));
         // The ring is empty afterwards but the drop counter survives.
-        assert!(collector.is_empty());
-        assert_eq!(collector.dropped(), 3);
+        let again = collector.drain();
+        assert!(again.spans.is_empty());
+        assert_eq!(again.dropped, 3);
         // The owned spans round-trip through the wire format.
         let json = serde_json::to_string(&snapshot).expect("serializes");
         let back: CollectorSnapshot = serde_json::from_str(&json).expect("parses");
@@ -680,8 +631,9 @@ mod tests {
         uninstall();
         // Every push either lands in the ring or bumps the drop counter —
         // under one lock — so the accounting is exact, not approximate.
-        assert_eq!(collector.len(), CAPACITY);
-        assert_eq!(collector.dropped(), THREADS * SPANS_PER_THREAD - CAPACITY as u64);
+        let snapshot = collector.drain();
+        assert_eq!(snapshot.spans.len(), CAPACITY);
+        assert_eq!(snapshot.dropped, THREADS * SPANS_PER_THREAD - CAPACITY as u64);
     }
 
     #[test]
@@ -705,7 +657,7 @@ mod tests {
         // The sampling counter is one atomic fetch_add shared by every
         // thread, so exactly 1 in SAMPLING of the total fires regardless
         // of interleaving (total is a multiple of SAMPLING).
-        assert_eq!(collector.len() as u64, THREADS * EVENTS_PER_THREAD / SAMPLING);
+        assert_eq!(collector.drain().spans.len() as u64, THREADS * EVENTS_PER_THREAD / SAMPLING);
     }
 
     #[test]
@@ -725,7 +677,7 @@ mod tests {
             }
         });
         uninstall();
-        let events = collector.snapshot();
+        let events = collector.drain().spans;
         assert_eq!(events.len(), THREADS * 20);
         let threads: std::collections::BTreeSet<u64> = events.iter().map(|e| e.thread).collect();
         assert_eq!(threads.len(), THREADS);
@@ -764,9 +716,44 @@ mod tests {
         {
             let _s = span!("sink.test", point = 1);
         }
-        sink.finish().expect("writes");
+        sink.finish(Vec::new()).expect("writes");
         let text = std::fs::read_to_string(&path).expect("file exists");
         assert!(text.contains("\"sink.test\""), "{text}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn lane(spans: usize) -> ProcessLane {
+        let span = TraceSpan {
+            id: 1,
+            name: "serve.request".to_string(),
+            thread: 0,
+            depth: 0,
+            start_micros: 0,
+            duration_micros: 1,
+            args: Vec::new(),
+        };
+        ProcessLane { pid: 7, name: "dbpim-served".to_string(), spans: vec![span; spans] }
+    }
+
+    #[test]
+    fn the_summary_line_counts_local_drops_with_or_without_remote_lanes() {
+        let path = Path::new("t.json");
+        assert_eq!(summary_line(5, 0, &[], path), "trace: 5 spans -> t.json");
+        assert_eq!(
+            summary_line(5, 2, &[], path),
+            "trace: 5 spans -> t.json (2 older spans dropped; raise the capacity or sampling \
+             to keep them)"
+        );
+        let lanes = [lane(3), lane(4)];
+        assert_eq!(
+            summary_line(5, 0, &lanes, path),
+            "trace: 5 local + 7 remote spans across 3 processes -> t.json"
+        );
+        // The merged line used to leave out the spans the local ring dropped.
+        assert_eq!(
+            summary_line(5, 2, &lanes, path),
+            "trace: 5 local + 7 remote spans across 3 processes -> t.json (2 older local spans \
+             dropped; raise the capacity or sampling to keep them)"
+        );
     }
 }

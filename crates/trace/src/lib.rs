@@ -6,9 +6,11 @@
 //!
 //! * **Spans** ([`collector`](mod@collector)) — a global, thread-safe
 //!   [`TraceCollector`] records nested, thread-id-tagged spans with
-//!   monotonic-clock timestamps into a bounded ring buffer. The [`span!`]
-//!   macro opens a span whose guard records it on drop; when no collector
-//!   is installed the whole thing is one relaxed atomic load, so
+//!   monotonic-clock timestamps into a bounded ring buffer, read only by
+//!   draining it ([`TraceCollector::drain`]) into [`TraceSpan`]s, the one
+//!   span type the exporters and the wire take. The [`span!`] macro opens
+//!   a span whose guard records it on drop; when no collector is
+//!   installed the whole thing is one relaxed atomic load, so
 //!   instrumented hot paths (the macro and requantize kernels) stay hot.
 //!   Per-tile kernel events additionally pass a sampling knob
 //!   ([`kernel_span`]) so a collector can keep one in N instead of
@@ -19,7 +21,8 @@
 //! * **Exporters** ([`chrome`]) — Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`) and a human-readable per-phase
 //!   summary table, plus the `--trace-out` plumbing ([`TraceSink`])
-//!   every binary shares.
+//!   every binary shares, whose one writer also merges other processes'
+//!   lanes.
 //!
 //! A leveled, timestamped logger ([`logger`]) rides along so daemons emit
 //! grep-able `LEVEL [tag] message` lines instead of ad-hoc `eprintln!`s.
@@ -41,7 +44,7 @@
 //!     let _inner = span!("compile.layer", layer = 3);
 //! }
 //! dbpim_trace::uninstall();
-//! let json = ChromeTrace::render(&collector.snapshot());
+//! let json = ChromeTrace::render(&collector.drain().spans);
 //! assert!(json.contains("pipeline.compile"));
 //! ```
 
@@ -56,8 +59,8 @@ pub mod logger;
 pub use chrome::{phase_summary, render_phase_table, ChromeTrace, PhaseSummary, ProcessLane};
 pub use collector::{
     collector, enabled, install, kernel_span, kernel_span_with, start_span, uninstall,
-    unix_micros_now, CollectorSnapshot, SpanGuard, SpanRecord, TraceCollector, TraceSink,
-    TraceSpan, DEFAULT_CAPACITY, DEFAULT_KERNEL_SAMPLING,
+    unix_micros_now, CollectorSnapshot, SpanGuard, TraceCollector, TraceSink, TraceSpan,
+    DEFAULT_CAPACITY, DEFAULT_KERNEL_SAMPLING,
 };
 pub use histogram::{LatencyHistogram, LATENCY_BUCKETS};
 pub use logger::{log_enabled, log_level, set_log_level, LogLevel};

@@ -1,11 +1,13 @@
 //! Wire-level behaviour of the daemon: malformed input of every shape gets
 //! a structured `ErrorResponse` on the same connection (never a disconnect,
 //! never a panic), pipeline failures are classified separately from parse
-//! failures, and shutdown is acknowledged before the daemon exits.
+//! failures, shutdown is acknowledged before the daemon exits, and the
+//! `dbpim-served` binary traces through `--trace-out`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use db_pim::dse::render_report;
 use db_pim::flags::{Flags, GRID_FLAGS};
@@ -14,6 +16,7 @@ use db_pim::{DseDriver, DseReport, DseSpec, PipelineConfig};
 use dbpim_nn::ModelKind;
 use dbpim_serve::protocol::{ErrorKind, Request, Response, ShardAnnotation};
 use dbpim_serve::{Client, ClientError, RunQuery, ServeConfig, Server, ServerHandle};
+use serde::value::Value;
 
 fn server_pipeline() -> PipelineConfig {
     let mut pipeline = PipelineConfig::fast().without_fidelity();
@@ -679,4 +682,110 @@ fn stats_counters_match_a_scripted_request_sequence() {
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
+}
+
+/// No test in this file installs a trace collector, so a daemon here has
+/// none, and `TraceSnapshot` answers an empty snapshot that still names the
+/// process and its clock.
+#[test]
+fn a_daemon_without_a_collector_answers_an_empty_trace_snapshot() {
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    client.ping().expect("pings");
+    let snapshot = client.trace_snapshot().expect("trace snapshot answer");
+    assert!(snapshot.spans.is_empty(), "{:?}", snapshot.spans);
+    assert_eq!(snapshot.dropped, 0);
+    assert_eq!(snapshot.pid, u64::from(std::process::id()), "in-process daemon shares our pid");
+    assert!(snapshot.epoch_unix_micros > 0);
+
+    client.shutdown().expect("shutdown acknowledged");
+    handle.join().expect("daemon exits cleanly");
+}
+
+/// A `dbpim-served` child process, killed if a check fails before it exits.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `kind` of every `serve.request` span in a Chrome trace document, in
+/// the order the spans closed.
+fn request_kinds(json: &str) -> Vec<String> {
+    let value: Value = serde_json::from_str(json).expect("the trace is well-formed JSON");
+    let events = value.get("traceEvents").and_then(Value::as_seq).expect("traceEvents array");
+    events
+        .iter()
+        .filter(|event| {
+            event.get("ph").and_then(Value::as_str) == Some("X")
+                && event.get("name").and_then(Value::as_str) == Some("serve.request")
+        })
+        .filter_map(|event| Some(event.get("args")?.get("kind")?.as_str()?.to_string()))
+        .collect()
+}
+
+/// The daemon binary traces like every other binary: `--trace-out` installs
+/// a collector, `TraceSnapshot` drains it, and what no drain took is
+/// written to the path once the daemon has shut down. One worker serves a
+/// connection's requests in order, and the file is written after the
+/// workers are joined, so both halves are exact.
+#[test]
+fn dbpim_served_drains_to_trace_snapshot_and_writes_the_rest_at_exit() {
+    let dir = std::env::temp_dir().join(format!("dbpim-served-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("daemon.json");
+    let child = Command::new(env!("CARGO_BIN_EXE_dbpim-served"))
+        .args(["--port", "0", "--trace-out"])
+        .arg(&path)
+        .args(["--width", "0.25", "--classes", "10", "--cal", "1", "--images", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("dbpim-served starts");
+    let mut daemon = Daemon(child);
+    let mut stdout = BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(stdout.read_line(&mut line).expect("reads stdout") > 0, "no `listening on` line");
+        if let Some(rest) = line.split("listening on ").nth(1) {
+            break rest.split_whitespace().next().expect("an address").to_string();
+        }
+    };
+
+    let mut client = Client::connect(addr.as_str()).expect("connects");
+    client.ping().expect("pings");
+    let snapshot = client.trace_snapshot().expect("trace snapshot answer");
+    client.ping().expect("pings again");
+    client.shutdown().expect("shutdown acknowledged");
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("polls the daemon") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "the daemon did not exit after Shutdown");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "{status}");
+
+    // The drain took the first Ping, whose span had closed; the
+    // TraceSnapshot request's own span was still open.
+    assert_eq!(snapshot.pid, u64::from(daemon.0.id()));
+    assert!(snapshot.epoch_unix_micros > 0);
+    let drained: Vec<&str> = snapshot
+        .spans
+        .iter()
+        .filter(|span| span.name == "serve.request")
+        .filter_map(|span| span.arg("kind"))
+        .collect();
+    assert_eq!(drained, ["Ping"]);
+    // The exit-time file holds everything after the drain, and nothing the
+    // drain took.
+    let json = std::fs::read_to_string(&path).expect("the daemon wrote its trace");
+    assert_eq!(request_kinds(&json), ["TraceSnapshot", "Ping", "Shutdown"]);
+    std::fs::remove_dir_all(&dir).ok();
 }

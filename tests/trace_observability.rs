@@ -13,7 +13,7 @@ use std::time::Duration;
 use db_pim::dse::render_report;
 use db_pim::prelude::*;
 use dbpim_serve::{Client, ServeConfig, Server};
-use dbpim_trace::{phase_summary, ChromeTrace, SpanRecord, TraceCollector};
+use dbpim_trace::{phase_summary, ChromeTrace, TraceCollector, TraceSpan};
 use serde::value::Value;
 
 /// The collector install is process-global; every test that installs one
@@ -59,7 +59,7 @@ fn traced_and_untraced_sweeps_render_identical_reports() {
     let collector = Arc::new(TraceCollector::new());
     let traced = traced_sweep(Some(&collector));
     assert_eq!(baseline, traced, "tracing changed the rendered report");
-    assert!(!collector.snapshot().is_empty(), "the traced run collected no spans");
+    assert!(!collector.drain().spans.is_empty(), "the traced run collected no spans");
 }
 
 /// The traced sweep covers the pipeline phases and the per-layer simulator
@@ -70,7 +70,7 @@ fn chrome_export_covers_pipeline_phases_and_parses() {
     let _guard = trace_lock().lock().expect("trace test lock");
     let collector = Arc::new(TraceCollector::new());
     traced_sweep(Some(&collector));
-    let spans = collector.snapshot();
+    let spans = collector.drain().spans;
 
     let phases = [
         "nn.build",
@@ -138,11 +138,11 @@ fn fta_approx_tags_its_width_and_splits_out_wide_quantization() {
         let prepared = ModelArtifacts::prepare(&config, &model);
         dbpim_trace::uninstall();
         prepared.expect("prepares");
-        let spans = collector.snapshot();
+        let spans = collector.drain().spans;
         let approx: Vec<_> = spans.iter().filter(|s| s.name == "fta.approx").collect();
         assert_eq!(approx.len(), 1, "{width}");
         let bits = width.bits().to_string();
-        assert!(approx[0].args.contains(&("width", bits)), "{width}: {:?}", approx[0].args);
+        assert_eq!(approx[0].arg("width"), Some(bits.as_str()), "{width}: {:?}", approx[0].args);
         let quantize: Vec<_> = spans.iter().filter(|s| s.name == "fta.quantize").collect();
         assert_eq!(quantize.len(), quantize_spans, "{width}");
         for span in quantize {
@@ -160,10 +160,10 @@ fn spans_nest_per_thread() {
     let _guard = trace_lock().lock().expect("trace test lock");
     let collector = Arc::new(TraceCollector::new());
     traced_sweep(Some(&collector));
-    let spans = collector.snapshot();
+    let spans = collector.drain().spans;
     assert!(!spans.is_empty());
 
-    let end = |s: &SpanRecord| s.start_micros + s.duration_micros;
+    let end = |s: &TraceSpan| s.start_micros + s.duration_micros;
     for (i, a) in spans.iter().enumerate() {
         for b in &spans[i + 1..] {
             if a.thread != b.thread {
@@ -193,19 +193,19 @@ fn spans_nest_per_thread() {
     }
 }
 
-/// A daemon in `--trace-buffer` mode records `serve.request` spans that
-/// carry the caller's propagated trace context, and `TraceSnapshot`
-/// drains them over the wire: the first drain returns the spans, the
-/// second returns an empty buffer.
+/// A daemon in a process with a collector installed records
+/// `serve.request` spans that carry the caller's propagated trace context,
+/// and `TraceSnapshot` drains them over the wire: the first drain returns
+/// the spans, the second returns an empty buffer.
 #[test]
 fn trace_snapshot_drains_context_tagged_request_spans() {
     let _guard = trace_lock().lock().expect("trace test lock");
+    dbpim_trace::install(Arc::new(TraceCollector::with_capacity(4096)));
     let handle = Server::spawn(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         poll_interval: Duration::from_millis(50),
         pipeline: small_config(),
-        trace_buffer: Some(4096),
         ..ServeConfig::default()
     })
     .expect("server spawns");
@@ -266,61 +266,6 @@ fn trace_snapshot_drains_context_tagged_request_spans() {
     dbpim_trace::uninstall();
 }
 
-/// A daemon in `--trace-dir` mode with `--trace-every 2` that serves four
-/// pings and a shutdown leaves `trace-2.json`, `trace-4.json` and, at
-/// shutdown, `trace-final.json`, each a Chrome trace holding the
-/// `serve.request` spans of the requests it is named for.
-#[test]
-fn trace_dir_dumps_a_chrome_trace_every_n_requests_and_at_shutdown() {
-    let _guard = trace_lock().lock().expect("trace test lock");
-    let dir = std::env::temp_dir().join(format!("dbpim-trace-dir-test-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let handle = Server::spawn(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 2,
-        poll_interval: Duration::from_millis(50),
-        pipeline: small_config(),
-        trace_dir: Some(dir.clone()),
-        trace_every: 2,
-        ..ServeConfig::default()
-    })
-    .expect("server spawns");
-
-    let mut client = Client::connect(handle.addr()).expect("connects");
-    for _ in 0..4 {
-        client.ping().expect("pings");
-    }
-    // A fifth request leaves a span for the shutdown dump.
-    client.shutdown().expect("shutdown acknowledged");
-    handle.join().expect("daemon exits cleanly");
-
-    let mut files: Vec<String> = std::fs::read_dir(&dir)
-        .expect("the daemon created the trace dir")
-        .map(|entry| entry.expect("dir entry").file_name().to_string_lossy().into_owned())
-        .collect();
-    files.sort();
-    assert_eq!(files, ["trace-2.json", "trace-4.json", "trace-final.json"]);
-    // Each periodic dump holds the requests it is named for, the last one
-    // included: pings 1-2, then pings 3-4, then the shutdown.
-    for (file, pings) in files.iter().zip([2, 2, 0]) {
-        let json = std::fs::read_to_string(dir.join(file)).expect("the dump reads");
-        let value: Value = serde_json::from_str(&json).expect("the dump is well-formed JSON");
-        let events = value.get("traceEvents").and_then(Value::as_seq).expect("traceEvents array");
-        let requests: Vec<&str> = events
-            .iter()
-            .filter(|event| {
-                event.get("name").and_then(Value::as_str) == Some("serve.request")
-                    && event.get("ph").and_then(Value::as_str) == Some("X")
-            })
-            .filter_map(|event| event.get("args")?.get("kind")?.as_str())
-            .collect();
-        assert!(!requests.is_empty(), "no serve.request span in {file}");
-        let counted = requests.iter().filter(|&&kind| kind == "Ping").count();
-        assert_eq!(counted, pings, "Ping spans in {file}: {requests:?}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// The daemon's `Stats` answer, rendered as `dbpim-cli metrics` prints it,
 /// exposes the serve counters.
 #[test]
@@ -368,8 +313,8 @@ fn disabled_tracing_records_nothing() {
     {
         let _span = dbpim_trace::span!("test.after", ignored = 2);
     }
-    let spans = collector.snapshot();
+    let spans = collector.drain().spans;
     assert_eq!(spans.len(), 1);
     assert_eq!(spans[0].name, "test.recorded");
-    assert_eq!(spans[0].args, vec![("key", "value".to_string())]);
+    assert_eq!(spans[0].args, vec![("key".to_string(), "value".to_string())]);
 }
