@@ -151,8 +151,9 @@ fn main() {
 /// Writes the run's trace: each endpoint's span collector is drained over
 /// the wire, aligned onto the driver's clock via the ping-handshake offset
 /// estimate, and merged under the driver's spans as its own process lane.
-/// An unreachable daemon is warned about and skipped, and an untraced one
-/// adds an empty lane, so the driver's own trace always lands.
+/// An unreachable daemon is warned about and skipped, and one whose drain
+/// holds no spans (a daemon started without `--trace-out`) is warned about
+/// and adds an empty lane, so the driver's own trace always lands.
 fn finish_trace(sink: TraceSink, config: &FleetConfig) -> std::io::Result<()> {
     use std::time::Duration;
 
@@ -162,6 +163,13 @@ fn finish_trace(sink: TraceSink, config: &FleetConfig) -> std::io::Result<()> {
         let token = config.auth_token.as_deref();
         match dbpim_fleet::collect_remote_trace(endpoint, token, Duration::from_secs(5)) {
             Ok(remote) => {
+                if remote.snapshot.spans.is_empty() {
+                    log_warn!(
+                        "fleet",
+                        "{endpoint} sent no spans: a daemon traces only when started with \
+                         --trace-out"
+                    );
+                }
                 if remote.snapshot.dropped > 0 {
                     log_warn!(
                         "fleet",

@@ -188,7 +188,7 @@ pub fn weight_sparsity_stats(model: &Model) -> Result<ModelFtaStats, PipelineErr
         let approx = LayerApprox::from_weights(node.id, node.name.clone(), quantized, &tables)?;
         layers.push(LayerFtaStats::from_layer(&approx));
     }
-    Ok(ModelFtaStats { model_name: model.name().to_string(), layers })
+    Ok(ModelFtaStats { model_name: model.name().to_string(), layers: layers.into() })
 }
 
 /// Block-wise zero bit-column ratios of the input features of every PIM

@@ -6,6 +6,8 @@
 //! expands each instruction into its cycle and energy cost using the
 //! architecture geometry.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::workload::PimWorkload;
@@ -129,8 +131,8 @@ impl Instruction {
 pub struct LayerProgram {
     /// Graph node id of the layer.
     pub node_id: usize,
-    /// Layer name.
-    pub name: String,
+    /// Layer name, shared with every report simulated from this program.
+    pub name: Arc<str>,
     /// The PIM workload this program implements (`None` for SIMD-only layers).
     pub workload: Option<PimWorkload>,
     /// Instruction stream in issue order.
@@ -220,7 +222,7 @@ mod tests {
     fn program_aggregation() {
         let layer = LayerProgram {
             node_id: 0,
-            name: "conv".to_string(),
+            name: "conv".into(),
             workload: None,
             instructions: vec![
                 Instruction::LoadInputs { features: 8 },

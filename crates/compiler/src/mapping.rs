@@ -115,7 +115,7 @@ impl Compiler {
         };
         LayerProgram {
             node_id: workload.node_id,
-            name: workload.name.clone(),
+            name: workload.name.as_str().into(),
             workload: None,
             instructions: vec![Instruction::Simd {
                 kind,
@@ -247,7 +247,7 @@ impl Compiler {
 
         Ok(LayerProgram {
             node_id: workload.node_id,
-            name: workload.name.clone(),
+            name: workload.name.as_str().into(),
             workload: Some(workload.clone()),
             instructions,
         })

@@ -7,6 +7,7 @@
 //! everything else — the element count the SIMD core has to touch.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dbpim_fta::ModelApprox;
 use dbpim_nn::{Layer, Model, NodeId};
@@ -19,9 +20,12 @@ use crate::error::CompileError;
 /// For every PIM layer the profile stores the fraction of all-zero bit
 /// columns (groups of 16 features, Fig. 2(b)) of the tensor that layer reads.
 /// Layers without a measurement fall back to zero (no skippable columns).
+///
+/// The ratios sit behind one [`Arc`], so a clone is a pointer copy: every
+/// result of one prepared model shares one profile.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct InputSparsityProfile {
-    ratios: HashMap<NodeId, f64>,
+    ratios: Arc<HashMap<NodeId, f64>>,
 }
 
 impl InputSparsityProfile {
@@ -33,7 +37,7 @@ impl InputSparsityProfile {
 
     /// Records the zero-column ratio of the input consumed by `node_id`.
     pub fn set(&mut self, node_id: NodeId, ratio: f64) {
-        self.ratios.insert(node_id, ratio.clamp(0.0, 1.0));
+        Arc::make_mut(&mut self.ratios).insert(node_id, ratio.clamp(0.0, 1.0));
     }
 
     /// The zero-column ratio for a node (0.0 when unknown).

@@ -44,8 +44,10 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 use dbpim_arch::ArchConfig;
+use dbpim_compiler::InputSparsityProfile;
 use dbpim_csd::OperandWidth;
-use dbpim_nn::ModelKind;
+use dbpim_fta::stats::LayerFtaStats;
+use dbpim_nn::{ModelKind, ModelSummary};
 use dbpim_sim::dse::{pareto_frontier, ArchGrid, GridError, ParetoMetrics};
 use dbpim_sim::{AreaModel, SparsityConfig};
 use dbpim_tensor::PruningSpec;
@@ -494,6 +496,67 @@ impl DseEntry {
     }
 }
 
+/// One copy, per (model, width, pruning), of what every point of it holds
+/// alike: the model summary, the FTA statistics, the input-sparsity
+/// profile and the layer names of its runs.
+///
+/// [`adopt`](Self::adopt) points an entry at the copy held for its
+/// (model, width, pruning), part by part, where its own part is equal, so
+/// a report of many geometries holds each model's data once instead of
+/// once per point. Equality is checked, never assumed: an entry from a
+/// daemon running other pipeline flags keeps its own parts. Sharing
+/// changes no value, so no encoded or rendered byte either. The run loop
+/// (seeded with the entries it resumed), [`DseReport::load_journal`] and
+/// the serve client's `Explore` stream adopt every entry they keep.
+#[derive(Debug, Default)]
+pub struct SharedModelData {
+    held: HashMap<(ModelKind, u32, (u8, u64)), HeldModelData>,
+}
+
+/// The parts of one (model, width, pruning) that [`SharedModelData`] holds.
+#[derive(Debug)]
+struct HeldModelData {
+    summary: ModelSummary,
+    fta_layers: Arc<[LayerFtaStats]>,
+    input_sparsity: InputSparsityProfile,
+    /// The layer names of the first run held, in run order.
+    layer_names: Vec<Arc<str>>,
+}
+
+impl SharedModelData {
+    /// Points `entry` at the parts held for its (model, width, pruning)
+    /// that equal its own, layer name by layer name for its runs. The first
+    /// entry of a (model, width, pruning) has its parts held.
+    pub fn adopt(&mut self, entry: &mut DseEntry) {
+        let key = (entry.kind, entry.width.bits(), entry.pruning.key_bits());
+        let result = &mut entry.result;
+        let held = self.held.entry(key).or_insert_with(|| HeldModelData {
+            summary: result.summary.clone(),
+            fta_layers: Arc::clone(&result.fta_stats.layers),
+            input_sparsity: result.input_sparsity.clone(),
+            layer_names: result.runs.first().map_or_else(Vec::new, |run| {
+                run.layers.iter().map(|layer| Arc::clone(&layer.name)).collect()
+            }),
+        });
+        share(&mut result.summary, &held.summary);
+        share(&mut result.fta_stats.layers, &held.fta_layers);
+        share(&mut result.input_sparsity, &held.input_sparsity);
+        for run in &mut result.runs {
+            for (layer, name) in run.layers.iter_mut().zip(&held.layer_names) {
+                share(&mut layer.name, name);
+            }
+        }
+    }
+}
+
+/// Replaces `own` with a clone of `held` (a pointer copy) when the two are
+/// equal.
+fn share<T: PartialEq + Clone>(own: &mut T, held: &T) {
+    if own == held {
+        *own = held.clone();
+    }
+}
+
 /// The persisted outcome of a design-space exploration.
 ///
 /// Reports serialize through the vendored `serde_json`; [`DseDriver`]
@@ -746,8 +809,9 @@ impl DseReport {
     /// Loads a snapshot in either form: a whole report (in any layout:
     /// [`save`](Self::save)'s one line, or a pretty-printed copy a tool such
     /// as `jq` wrote), or a [`DseJournal`] — the report on line 1, then one
-    /// [`DseEntry`] per line. Entries are sorted into canonical order, and
-    /// of two entries for one point the first in the file is kept.
+    /// [`DseEntry`] per line. Entries are sorted into canonical order, of
+    /// two entries for one point the first in the file is kept, and the
+    /// kept entries share each model's data ([`SharedModelData`]).
     ///
     /// A journal's final line that does not parse is the record a kill cut
     /// short: it is dropped, and its length in bytes is returned beside the
@@ -771,7 +835,14 @@ impl DseReport {
             None => Self::parse_journal(&bytes, path)?,
         };
         let mut seen = HashSet::new();
-        report.entries.retain(|e| seen.insert(e.key()));
+        let mut shared = SharedModelData::default();
+        report.entries.retain_mut(|entry| {
+            let first = seen.insert(entry.key());
+            if first {
+                shared.adopt(entry);
+            }
+            first
+        });
         report.sort_canonical();
         Ok((report, torn))
     }
@@ -1433,6 +1504,8 @@ impl DseDriver {
         // Hashed point bookkeeping: the largest legal spec has tens of
         // thousands of points.
         let have: HashSet<PointKey> = report.entries.iter().map(DseEntry::key).collect();
+        let mut shared = SharedModelData::default();
+        report.entries.iter_mut().for_each(|entry| shared.adopt(entry));
         let mut missing: Vec<DsePoint> =
             points.iter().filter(|p| !have.contains(&p.key())).copied().collect();
         missing.truncate(self.point_limit.unwrap_or(usize::MAX));
@@ -1453,6 +1526,7 @@ impl DseDriver {
             journal: journal.as_ref(),
             total: points.len(),
             state: Mutex::new(RunState {
+                shared,
                 queue: PointQueue::new(missing.len(), executors.len()),
                 in_flight: 0,
                 failure: None,
@@ -1545,6 +1619,9 @@ struct Run<'a> {
 }
 
 struct RunState {
+    /// The data of each model of the run, shared by its finished entries
+    /// and the resumed ones.
+    shared: SharedModelData,
     queue: PointQueue,
     /// Claimed, unsettled points: while any remain, a worker with nothing
     /// to claim waits, as a transient failure may requeue one.
@@ -1624,7 +1701,8 @@ impl Run<'_> {
             let mut state = lock_unpoisoned(&self.state);
             state.in_flight -= 1;
             let (event, transient) = match settled {
-                Ok(entry) => {
+                Ok(mut entry) => {
+                    state.shared.adopt(&mut entry);
                     state.stats.point_latency.record(elapsed);
                     state.stats.workers[worker].points += 1;
                     state.finished.push(entry);
@@ -1950,6 +2028,134 @@ mod tests {
         // A blank list is the default, as it always was.
         let (_, blank) = parse(&["--models", ",", "--sparsity", " "]).unwrap();
         assert_eq!(blank, spec);
+    }
+
+    /// An AlexNet entry at `macros` built from scratch, so it shares no
+    /// part with any other: its summary counts `summary_macs`.
+    fn fresh_entry(macros: usize, summary_macs: u64) -> DseEntry {
+        use dbpim_fta::stats::ModelFtaStats;
+        use dbpim_nn::summary::LayerSummary;
+        use dbpim_sim::{EnergyBreakdown, LayerReport, RunReport};
+
+        let name = "AlexNet".to_string();
+        let summary = ModelSummary::new(
+            name.clone(),
+            vec![LayerSummary {
+                node_id: 0,
+                name: "conv".to_string(),
+                kind: "conv2d".to_string(),
+                output_shape: vec![2, 4, 4],
+                params: 6,
+                macs: summary_macs,
+                is_pim: true,
+            }],
+        );
+        let stats = LayerFtaStats {
+            node_id: 0,
+            name: "conv".to_string(),
+            width: OperandWidth::Int8,
+            filter_count: 2,
+            filter_len: 3,
+            threshold_histogram: [0, 1, 1],
+            stored_cells: 5,
+            allocated_cells: 9,
+            binary_zero_ratio: 0.5,
+            csd_zero_ratio: 0.6,
+            fta_zero_ratio: 0.7,
+            utilization: 5.0 / 9.0,
+            mean_abs_error: 0.25,
+        };
+        let layers = |scale: u64| -> Vec<LayerReport> {
+            ["conv", "fc"]
+                .iter()
+                .enumerate()
+                .map(|(node_id, layer)| LayerReport {
+                    node_id,
+                    name: (*layer).into(),
+                    is_pim: true,
+                    cycles: 100 * scale * (node_id as u64 + 1) / macros as u64,
+                    compute_cycles: 40 * scale,
+                    macs: 96,
+                    energy: EnergyBreakdown {
+                        macro_dynamic_pj: scale as f64,
+                        ..Default::default()
+                    },
+                })
+                .collect()
+        };
+        let runs = [(SparsityConfig::DenseBaseline, 4), (SparsityConfig::HybridSparsity, 1)].map(
+            |(sparsity, scale)| RunReport {
+                model_name: name.clone(),
+                sparsity,
+                frequency_mhz: 250.0,
+                layers: layers(scale),
+            },
+        );
+        DseEntry {
+            kind: ModelKind::AlexNet,
+            width: OperandWidth::Int8,
+            pruning: PruningSpec::none(),
+            arch: ArchConfig { macros, ..ArchConfig::paper() },
+            result: CodesignResult {
+                model_name: name.clone(),
+                summary,
+                fta_stats: ModelFtaStats { model_name: name, layers: Arc::from([stats]) },
+                fidelity: None,
+                input_sparsity: [(0, 0.25)].into_iter().collect(),
+                runs: runs.to_vec(),
+            },
+            computed_at_ms: 7,
+        }
+    }
+
+    fn same_summary(a: &DseEntry, b: &DseEntry) -> bool {
+        std::ptr::eq(a.result.summary.layers(), b.result.summary.layers())
+    }
+
+    #[test]
+    fn adopted_entries_of_one_model_share_its_data_and_layer_names() {
+        let mut shared = SharedModelData::default();
+        let (mut first, mut second) = (fresh_entry(2, 100), fresh_entry(4, 100));
+        let want = fresh_entry(4, 100);
+        assert!(!same_summary(&first, &second));
+        shared.adopt(&mut first);
+        shared.adopt(&mut second);
+        assert_eq!(second, want, "adopting changed a value");
+        assert!(same_summary(&first, &second));
+        assert!(Arc::ptr_eq(&first.result.fta_stats.layers, &second.result.fta_stats.layers));
+        let names = &first.result.runs[0].layers;
+        for run in first.result.runs.iter().chain(&second.result.runs) {
+            for (layer, name) in run.layers.iter().zip(names) {
+                assert!(Arc::ptr_eq(&layer.name, &name.name), "{} not shared", layer.name);
+            }
+        }
+    }
+
+    #[test]
+    fn entries_whose_data_differ_each_keep_their_own() {
+        let mut shared = SharedModelData::default();
+        let (mut first, mut other) = (fresh_entry(2, 100), fresh_entry(4, 999));
+        shared.adopt(&mut first);
+        shared.adopt(&mut other);
+        assert!(!same_summary(&first, &other), "a different summary was replaced");
+        assert_eq!(other.result.summary.total_macs(), 999);
+        // Its equal parts are still shared.
+        assert!(Arc::ptr_eq(&first.result.fta_stats.layers, &other.result.fta_stats.layers));
+        // Another width is another model's data, however equal.
+        let mut wide = fresh_entry(2, 100);
+        wide.width = OperandWidth::Int16;
+        shared.adopt(&mut wide);
+        assert!(!same_summary(&first, &wide));
+        assert!(!Arc::ptr_eq(&first.result.fta_stats.layers, &wide.result.fta_stats.layers));
+        // Different layer names stay.
+        let mut renamed = fresh_entry(8, 100);
+        renamed.result.runs[0].layers[0].name = "conv1".into();
+        shared.adopt(&mut renamed);
+        assert_eq!(&*renamed.result.runs[0].layers[0].name, "conv1");
+        assert!(Arc::ptr_eq(
+            &first.result.runs[0].layers[1].name,
+            &renamed.result.runs[0].layers[1].name
+        ));
     }
 
     #[test]

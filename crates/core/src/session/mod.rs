@@ -451,7 +451,10 @@ impl ModelArtifacts {
     /// instead of the configured one. The programs are fetched once and
     /// every requested configuration simulates from that one pair, so a
     /// concurrent point on another geometry cannot make this one compile
-    /// twice.
+    /// twice. The result holds pointer copies of the prepared model's
+    /// summary, FTA statistics and input-sparsity profile, and its runs
+    /// the compiled layers' names: a point allocates its runs and its
+    /// model-name strings, nothing of the model's own data.
     ///
     /// # Errors
     ///

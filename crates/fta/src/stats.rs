@@ -7,6 +7,8 @@
 //! * the per-layer threshold distribution that Section 4.3 uses to explain
 //!   why AlexNet accelerates more than VGG-19.
 
+use std::sync::Arc;
+
 use dbpim_csd::OperandWidth;
 use dbpim_tensor::stats::WeightBitStats;
 use serde::{Deserialize, Serialize};
@@ -122,8 +124,9 @@ impl LayerFtaStats {
 pub struct ModelFtaStats {
     /// Name of the model.
     pub model_name: String,
-    /// Per-layer statistics in execution order.
-    pub layers: Vec<LayerFtaStats>,
+    /// Per-layer statistics in execution order, shared: a clone copies the
+    /// pointer, so every result of one prepared model holds one set.
+    pub layers: Arc<[LayerFtaStats]>,
 }
 
 impl ModelFtaStats {
@@ -419,7 +422,7 @@ mod tests {
                 .unwrap();
         let stats = ModelFtaStats {
             model_name: "toy".to_string(),
-            layers: vec![LayerFtaStats::from_layer(&a), LayerFtaStats::from_layer(&b)],
+            layers: Arc::from([LayerFtaStats::from_layer(&a), LayerFtaStats::from_layer(&b)]),
         };
         assert_eq!(stats.total_weights(), 80);
         // Layer "b" is all zero, so the aggregate zero ratio exceeds layer "a"'s.
@@ -430,7 +433,7 @@ mod tests {
 
     #[test]
     fn empty_model_stats_are_neutral() {
-        let stats = ModelFtaStats { model_name: "empty".to_string(), layers: vec![] };
+        let stats = ModelFtaStats { model_name: "empty".to_string(), layers: Arc::from([]) };
         assert_eq!(stats.total_weights(), 0);
         assert_eq!(stats.utilization(), 1.0);
         assert_eq!(stats.fta_zero_ratio(), 0.0);

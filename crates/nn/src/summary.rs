@@ -1,9 +1,13 @@
 //! Per-layer and whole-model parameter / MAC accounting.
 
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+use serde::de::Reader;
+use serde::ser::Writer;
+use serde::{Deserialize, Error, Serialize};
 
 /// Summary of one graph node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerSummary {
     /// Id of the node in the model graph.
     pub node_id: usize,
@@ -23,6 +27,10 @@ pub struct LayerSummary {
 
 /// Whole-model summary: one [`LayerSummary`] per node plus totals.
 ///
+/// The data sits behind one [`Arc`], so a clone is a pointer copy: every
+/// result of one prepared model shares one summary. It serializes as the
+/// object `{"name":..,"layers":[..]}`.
+///
 /// # Examples
 ///
 /// ```
@@ -40,53 +48,69 @@ pub struct LayerSummary {
 /// assert_eq!(s.total_macs(), 221_184);
 /// assert_eq!(s.pim_layer_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelSummary {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ModelSummary(Arc<SummaryData>);
+
+/// What a [`ModelSummary`] shares.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct SummaryData {
     name: String,
     layers: Vec<LayerSummary>,
+}
+
+impl Serialize for ModelSummary {
+    fn serialize(&self, out: &mut Writer) {
+        self.0.serialize(out);
+    }
+}
+
+impl Deserialize for ModelSummary {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        Arc::deserialize(input).map(Self)
+    }
 }
 
 impl ModelSummary {
     /// Creates a summary from per-layer entries.
     #[must_use]
     pub fn new(name: String, layers: Vec<LayerSummary>) -> Self {
-        Self { name, layers }
+        Self(Arc::new(SummaryData { name, layers }))
     }
 
     /// The summarized model's name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Per-layer entries in graph order.
     #[must_use]
     pub fn layers(&self) -> &[LayerSummary] {
-        &self.layers
+        &self.0.layers
     }
 
     /// Total learned parameters.
     #[must_use]
     pub fn total_params(&self) -> u64 {
-        self.layers.iter().map(|l| l.params).sum()
+        self.layers().iter().map(|l| l.params).sum()
     }
 
     /// Total MACs for one forward pass.
     #[must_use]
     pub fn total_macs(&self) -> u64 {
-        self.layers.iter().map(|l| l.macs).sum()
+        self.layers().iter().map(|l| l.macs).sum()
     }
 
     /// Total MACs executed on the PIM macros.
     #[must_use]
     pub fn pim_macs(&self) -> u64 {
-        self.layers.iter().filter(|l| l.is_pim).map(|l| l.macs).sum()
+        self.layers().iter().filter(|l| l.is_pim).map(|l| l.macs).sum()
     }
 
     /// Number of layers mapped onto the PIM macros.
     #[must_use]
     pub fn pim_layer_count(&self) -> usize {
-        self.layers.iter().filter(|l| l.is_pim).count()
+        self.layers().iter().filter(|l| l.is_pim).count()
     }
 
     /// A fixed-width text table of the summary, one row per layer.
@@ -97,7 +121,7 @@ impl ModelSummary {
             "{:<28} {:<16} {:<16} {:>12} {:>14}\n",
             "layer", "kind", "output", "params", "macs"
         ));
-        for layer in &self.layers {
+        for layer in self.layers() {
             let shape =
                 layer.output_shape.iter().map(ToString::to_string).collect::<Vec<_>>().join("x");
             out.push_str(&format!(

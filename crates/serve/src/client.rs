@@ -11,6 +11,7 @@ use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use db_pim::dse::SharedModelData;
 use db_pim::{DseEntry, DseReport, DseSpec, SweepEntry};
 use dbpim_arch::ArchConfig;
 use dbpim_csd::OperandWidth;
@@ -315,7 +316,8 @@ impl Client {
     /// as each streamed grid point arrives, then returns the reassembled
     /// report — entry-for-entry identical (timestamps aside) to a local
     /// [`db_pim::DseDriver`] run of the same spec, which the protocol test
-    /// suite asserts via [`DseReport::results_match`].
+    /// suite asserts via [`DseReport::results_match`]. Its entries share
+    /// each model's data ([`SharedModelData`]), as a local run's do.
     ///
     /// `deadline_ms` asks the daemon to end the stream with a structured
     /// `DeadlineExceeded` error once it elapses. `trace` is the
@@ -343,15 +345,17 @@ impl Client {
             other => return Err(unexpected("ExploreStarted", &other)),
         };
         let mut report = DseReport::empty(spec.clone(), expected);
+        let mut shared = SharedModelData::default();
         loop {
             match self.recv()? {
-                Response::ExplorePoint { index, entry } => {
+                Response::ExplorePoint { index, mut entry } => {
                     if index != report.entries.len() {
                         return Err(ClientError::Protocol(format!(
                             "exploration points arrived out of order: got {index}, expected {}",
                             report.entries.len()
                         )));
                     }
+                    shared.adopt(&mut entry);
                     on_entry(index, &entry);
                     report.entries.push(entry);
                 }

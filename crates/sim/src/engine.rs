@@ -367,7 +367,7 @@ mod tests {
             operand_bits: 8,
             layers: vec![dbpim_compiler::LayerProgram {
                 node_id: 0,
-                name: "relu".to_string(),
+                name: "relu".into(),
                 workload: None,
                 instructions: vec![Instruction::Simd {
                     kind: SimdOpKind::Elementwise,

@@ -1,6 +1,8 @@
 //! Simulation reports: per-layer and whole-run results, comparisons and the
 //! derived metrics of Table 3.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use dbpim_arch::{ArchConfig, OPERAND_BITS};
@@ -13,8 +15,8 @@ use crate::energy::EnergyBreakdown;
 pub struct LayerReport {
     /// Graph node id of the layer.
     pub node_id: usize,
-    /// Layer name.
-    pub name: String,
+    /// Layer name: the compiled layer's own, shared rather than copied.
+    pub name: Arc<str>,
     /// `true` when the layer ran on the PIM macros.
     pub is_pim: bool,
     /// Total cycles attributed to the layer (macro busy time, weight loads,
@@ -199,7 +201,7 @@ mod tests {
     fn layer(cycles: u64, macs: u64, energy_pj: f64) -> LayerReport {
         LayerReport {
             node_id: 0,
-            name: "layer".to_string(),
+            name: "layer".into(),
             is_pim: true,
             cycles,
             compute_cycles: cycles,

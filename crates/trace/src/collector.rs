@@ -445,7 +445,8 @@ impl TraceSink {
     pub fn finish(self, remote_lanes: Vec<ProcessLane>) -> std::io::Result<()> {
         uninstall();
         let CollectorSnapshot { pid, dropped, spans, .. } = self.collector.drain();
-        let line = summary_line(spans.len(), dropped, &remote_lanes, &self.path);
+        let capacity = self.collector.capacity;
+        let line = summary_line(spans.len(), dropped, capacity, &remote_lanes, &self.path);
         let table = render_phase_table(&phase_summary(&spans));
         let local = ProcessLane { pid, name: process_name(), spans };
         let lanes: Vec<ProcessLane> = std::iter::once(local).chain(remote_lanes).collect();
@@ -457,9 +458,15 @@ impl TraceSink {
 }
 
 /// The stderr line of [`TraceSink::finish`]: `local` spans of this process,
-/// `dropped` of its older spans the ring evicted before the drain, and the
-/// spans of the merged `remote_lanes`.
-fn summary_line(local: usize, dropped: u64, remote_lanes: &[ProcessLane], path: &Path) -> String {
+/// `dropped` of its older spans the ring of `capacity` evicted before the
+/// drain, and the spans of the merged `remote_lanes`.
+fn summary_line(
+    local: usize,
+    dropped: u64,
+    capacity: usize,
+    remote_lanes: &[ProcessLane],
+    path: &Path,
+) -> String {
     let mut line = if remote_lanes.is_empty() {
         format!("trace: {local} spans -> {}", path.display())
     } else {
@@ -473,7 +480,7 @@ fn summary_line(local: usize, dropped: u64, remote_lanes: &[ProcessLane], path: 
     if dropped > 0 {
         let whose = if remote_lanes.is_empty() { "" } else { "local " };
         line.push_str(&format!(
-            " ({dropped} older {whose}spans dropped; raise the capacity or sampling to keep them)"
+            " ({dropped} older {whose}spans dropped; kept the newest {capacity} {whose}spans)"
         ));
     }
     line
@@ -738,22 +745,23 @@ mod tests {
     #[test]
     fn the_summary_line_counts_local_drops_with_or_without_remote_lanes() {
         let path = Path::new("t.json");
-        assert_eq!(summary_line(5, 0, &[], path), "trace: 5 spans -> t.json");
+        assert_eq!(summary_line(5, 0, 5, &[], path), "trace: 5 spans -> t.json");
+        // No flag sets the capacity or the sampling, so the note says what
+        // the trace kept rather than how to keep more.
         assert_eq!(
-            summary_line(5, 2, &[], path),
-            "trace: 5 spans -> t.json (2 older spans dropped; raise the capacity or sampling \
-             to keep them)"
+            summary_line(5, 2, 5, &[], path),
+            "trace: 5 spans -> t.json (2 older spans dropped; kept the newest 5 spans)"
         );
         let lanes = [lane(3), lane(4)];
         assert_eq!(
-            summary_line(5, 0, &lanes, path),
+            summary_line(5, 0, 5, &lanes, path),
             "trace: 5 local + 7 remote spans across 3 processes -> t.json"
         );
         // The merged line used to leave out the spans the local ring dropped.
         assert_eq!(
-            summary_line(5, 2, &lanes, path),
+            summary_line(5, 2, 5, &lanes, path),
             "trace: 5 local + 7 remote spans across 3 processes -> t.json (2 older local spans \
-             dropped; raise the capacity or sampling to keep them)"
+             dropped; kept the newest 5 local spans)"
         );
     }
 }

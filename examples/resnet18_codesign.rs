@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "{:<30} {:>8} {:>8} {:>10} {:>10} {:>10}",
         "layer", "filters", "phi-mode", "csd-zero", "fta-zero", "util"
     );
-    for layer in &result.fta_stats.layers {
+    for layer in result.fta_stats.layers.iter() {
         println!(
             "{:<30} {:>8} {:>8} {:>9.1}% {:>9.1}% {:>9.1}%",
             layer.name,

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     println!("\n== per-filter threshold distribution ==");
     let mut histogram = [0usize; 3];
-    for layer in &stats.layers {
+    for layer in stats.layers.iter() {
         for (phi, count) in layer.threshold_histogram.iter().enumerate() {
             histogram[phi] += count;
         }

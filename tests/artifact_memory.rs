@@ -1,11 +1,13 @@
-//! Resident bytes of a prepared model.
+//! Resident bytes of a prepared model and of a loaded DSE report.
 //!
 //! A prepared model keeps what its points read: the FTA statistics, the
 //! input-sparsity profile, both workload sets and its most recently
 //! compiled geometry, beside the float model every variant of its kind
 //! shares. The front end's output (the INT8 model and the FTA
 //! approximation) is kept only until a fidelity report is cached, and not
-//! at all when the configuration evaluates no fidelity.
+//! at all when the configuration evaluates no fidelity. A loaded report
+//! holds each model's summary, statistics, input sparsity and layer names
+//! once, however many geometries it covers.
 //!
 //! This binary installs a counting global allocator (std only) that tracks
 //! the live heap bytes and the allocations of each thread. Preparation,
@@ -14,8 +16,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 
 use db_pim::prelude::*;
+use dbpim_sim::LayerReport;
 
 /// A [`System`] allocator that counts per thread.
 struct Counting;
@@ -138,4 +142,47 @@ fn a_cached_fidelity_report_releases_the_front_end() {
         assert_eq!(artifacts.fidelity().expect("the cached report"), report);
         assert_eq!(allocations(), before, "a second fidelity request evaluated again");
     });
+}
+
+/// What one point of a report must hold of its own: its runs' per-layer
+/// numbers, the runs, and the model name each run, the result and its
+/// statistics carry.
+fn own_bytes(entry: &DseEntry) -> isize {
+    let runs = &entry.result.runs;
+    let layers: usize = runs.iter().map(|run| run.layers.len() * size_of::<LayerReport>()).sum();
+    let names = (runs.len() + 2) * entry.result.model_name.len();
+    (layers + runs.len() * size_of::<RunReport>() + names) as isize
+}
+
+/// A journal of one quarter-width model at four geometries loads with the
+/// model's data held once: each entry after the first adds no more than
+/// its own numbers. Journals holding 1 to 4 of the entries are loaded in
+/// turn, so each difference is one entry's share.
+#[test]
+fn a_loaded_journal_holds_each_models_data_once() {
+    let grid =
+        ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]).with_rows(vec![32, 64]);
+    let spec = DseSpec::new(grid, vec![ModelKind::AlexNet]);
+    let driver = DseDriver::new(quarter_width(0)).expect("valid config").with_threads(1);
+    let report = driver.run(&spec).expect("the grid runs");
+    assert_eq!(report.entries.len(), 4);
+
+    let dir = std::env::temp_dir().join(format!("dbpim-artifact-memory-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut kept = Vec::new();
+    for count in 1..=report.entries.len() {
+        let path = dir.join(format!("journal-{count}.json"));
+        let prefix = DseReport { entries: report.entries[..count].to_vec(), ..report.clone() };
+        DseJournal::create(&path, &prefix).expect("the journal writes");
+        let before = live_bytes();
+        let (loaded, torn) = DseReport::load_journal(&path).expect("the journal loads");
+        kept.push(live_bytes() - before);
+        assert_eq!((loaded.entries.len(), torn), (count, None));
+        assert!(loaded.results_match(&prefix), "journal of {count} entries");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    for (index, entry) in report.entries.iter().enumerate().skip(1) {
+        let (added, own) = (kept[index] - kept[index - 1], own_bytes(entry));
+        assert!(added <= own, "entry {index} added {added} B, beyond its own {own} B: {kept:?}");
+    }
 }

@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use db_pim::dse::{DseEvent, PointError, PointExecutor, PointJob};
+use db_pim::dse::{render_report, DseEvent, PointError, PointExecutor, PointJob};
 use db_pim::prelude::*;
 
 fn small_config() -> PipelineConfig {
@@ -44,6 +44,7 @@ fn dse_grid_is_bit_identical_to_per_point_pipeline_runs() {
     assert!(report.is_complete());
     assert_eq!(report.fresh_points, 4);
 
+    let mut unshared = DseReport { entries: Vec::new(), ..report.clone() };
     for entry in &report.entries {
         let mut point_config = config;
         point_config.arch = entry.arch;
@@ -56,7 +57,17 @@ fn dse_grid_is_bit_identical_to_per_point_pipeline_runs() {
             "DSE entry at {} macros x {} rows diverges from the direct Pipeline run",
             entry.arch.macros, entry.arch.rows_per_dbmu
         );
+        unshared.entries.push(DseEntry { result: independent, ..entry.clone() });
     }
+    // The points share their model's data and layer names, which the
+    // independent runs each hold on their own; bytes and tables agree.
+    let (first, last) = (&report.entries[0].result, &report.entries[3].result);
+    assert!(std::ptr::eq(first.summary.layers(), last.summary.layers()));
+    assert!(Arc::ptr_eq(&first.runs[0].layers[0].name, &last.runs[3].layers[0].name));
+    let independent = &unshared.entries[3].result;
+    assert!(!Arc::ptr_eq(&first.runs[0].layers[0].name, &independent.runs[0].layers[0].name));
+    assert_eq!(serde_json::to_string(&report).unwrap(), serde_json::to_string(&unshared).unwrap());
+    assert_eq!(render_report(&report), render_report(&unshared));
 
     // The four geometries genuinely differ (the grid is not degenerate).
     let cycles: Vec<u64> = report

@@ -5,8 +5,10 @@
 //! * the Chrome trace-event export is well-formed JSON whose spans cover
 //!   the pipeline phases and nest properly per thread;
 //! * the serving daemon's `Stats` answer renders as Prometheus counters,
-//!   what `dbpim-cli metrics` prints.
+//!   what `dbpim-cli metrics` prints;
+//! * `dbpim-fleet --trace-out` warns about a daemon that sent no spans.
 
+use std::process::Command;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -290,6 +292,61 @@ fn metrics_snapshot_renders_prometheus_counters() {
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
+}
+
+/// `dbpim-fleet --trace-out` against a daemon whose drain holds no spans
+/// (one started without `--trace-out`) warns, naming the endpoint and the
+/// flag, and still writes its own trace; against a tracing daemon it does
+/// not warn.
+#[test]
+fn a_traced_fleet_warns_about_a_daemon_that_sent_no_spans() {
+    let _guard = trace_lock().lock().expect("trace test lock");
+    let pipeline = PipelineConfig {
+        width_mult: 0.25,
+        classes: 10,
+        calibration_images: 1,
+        evaluation_images: 0,
+        ..PipelineConfig::paper()
+    };
+    let handle = Server::spawn(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+        poll_interval: Duration::from_millis(50),
+        pipeline,
+        ..ServeConfig::default()
+    })
+    .expect("server spawns");
+    let endpoint = handle.addr().to_string();
+    let dir = std::env::temp_dir().join(format!("dbpim-fleet-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = dir.join("fleet.json");
+    let fleet_stderr = || {
+        let output = Command::new(env!("CARGO_BIN_EXE_dbpim-fleet"))
+            .args(["--width", "0.25", "--classes", "10", "--cal", "1", "--images", "0"])
+            .args(["--models", "alexnet", "--macros", "2", "--sparsity", "base"])
+            .args(["--endpoints", &endpoint, "--trace-out"])
+            .arg(&out)
+            .output()
+            .expect("dbpim-fleet runs");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "{stderr}");
+        assert!(out.exists(), "no trace written: {stderr}");
+        stderr
+    };
+
+    let untraced = fleet_stderr();
+    let warning = format!("{endpoint} sent no spans");
+    let line = untraced.lines().find(|line| line.contains(&warning));
+    assert!(line.is_some_and(|line| line.contains("--trace-out")), "{untraced}");
+
+    dbpim_trace::install(Arc::new(TraceCollector::with_capacity(4096)));
+    let traced = fleet_stderr();
+    dbpim_trace::uninstall();
+    assert!(!traced.contains(&warning), "{traced}");
+
+    Client::connect(handle.addr()).expect("connects").shutdown().expect("shutdown acknowledged");
+    handle.join().expect("daemon exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Without an installed collector the macros hand out disabled guards and
